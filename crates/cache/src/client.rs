@@ -5,8 +5,9 @@
 //!
 //! The inner client is forced to [`ReadConsistency::Local`] so its
 //! `read_request` never inserts `sync` barriers of its own; this wrapper
-//! re-implements the `SyncThenLocal` trigger (dirty session, or replica
-//! switch since the last barrier) *around* the cache, with two upgrades:
+//! re-implements the `SyncThenLocal` trigger (barrier owed — see
+//! [`ZkClient::is_dirty`] — or replica switch since the last barrier)
+//! *around* the cache, with two upgrades:
 //!
 //! * **Lease skip** — while a [`LeaseGrant`] from the serving replica is
 //!   unexpired *and* the connection has not changed since it was adopted,
@@ -14,7 +15,10 @@
 //!   can lag behind anything committed cluster-wide, and this session's own
 //!   acked writes are already applied at the replica that acked them
 //!   (responses fire in `apply`), so read-your-writes holds without a
-//!   barrier on an unchanged connection.
+//!   barrier on an unchanged connection. The bare session relies on that
+//!   same invariant, so an acked write owes no barrier with or without a
+//!   lease; what the lease still spares is the barrier owed for a write
+//!   whose ack has not been collected ([`CacheStats::barriers_skipped`]).
 //! * **Coalescing** — when a barrier *is* needed it is issued with
 //!   [`ZkClient::sync_coalesced`], riding any no-op proposal already in
 //!   flight at the replica.
@@ -25,10 +29,10 @@
 //! grant makes the lease ping double as a liveness probe — a dead replica
 //! fails the renewal, the retry fails over, and the reconnect flushes the
 //! cache. Staleness of *every* `SyncThenLocal` read is thereby bounded by
-//! the grant ttl. With leases off the wrapper keeps PR 5's exact trigger
-//! (barrier on dirty session or replica switch, trust watches otherwise),
-//! which preserves read-your-writes but — like PR 5 — does not bound how
-//! stale a foreign write may appear.
+//! the grant ttl. With leases off the wrapper keeps the bare session's
+//! trigger (barrier when one is owed or on a replica switch, trust watches
+//! otherwise), which preserves read-your-writes but — like PR 5 — does not
+//! bound how stale a foreign write may appear.
 //!
 //! Correctness never depends on clocks beyond the lease bound: with leases
 //! disabled (or none grantable — elections, partitioned replica) every
@@ -598,7 +602,8 @@ impl<T: ClientTransport> CachedClient<T> {
             if self.lease_license() {
                 if self.inner.is_dirty() {
                     // Only count skips where the lease-off protocol would
-                    // actually have barriered.
+                    // actually have barriered (a moved connection never
+                    // gets here: it is not lease-licensed).
                     self.cache.stats_mut().barriers_skipped += 1;
                 }
                 return Ok(());

@@ -31,7 +31,11 @@ pub struct CacheStats {
     pub reconnect_invalidations: u64,
     /// Staleness-lease grants adopted (piggybacked or ping-renewed).
     pub lease_renewals: u64,
-    /// `SyncThenLocal` barriers skipped because a lease was in force.
+    /// Lease-licensed server reads that the lease-off rule would have
+    /// barriered: the session owed a barrier (a write of its own abandoned
+    /// with its outcome unknown, or still pipelined). A read after an
+    /// *acked* write owes none and is not counted; a moved connection is
+    /// never lease-licensed, so it always pays the real barrier.
     pub barriers_skipped: u64,
     /// Barriers that rode another session's in-flight no-op proposal.
     pub barriers_coalesced: u64,

@@ -98,7 +98,7 @@ impl<T: ClientTransport> CachedShardedClient<T> {
     }
 
     /// Content digest of the logical user namespace (uncached; barriers
-    /// dirty shards itself).
+    /// every shard itself).
     pub fn user_digest(&mut self) -> Result<u64, ZkError> {
         self.inner.user_digest()
     }
@@ -302,7 +302,8 @@ impl<T: ClientTransport> CachedShardedClient<T> {
         r
     }
 
-    /// Barrier the dirty shards (strict); returns how many were barriered.
+    /// Barrier the shards that owe one (strict); returns how many were
+    /// barriered.
     pub fn sync(&mut self) -> Result<usize, ZkError> {
         let n = self.inner.sync()?;
         for s in 0..self.inner.shard_count() {

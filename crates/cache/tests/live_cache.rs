@@ -3,8 +3,10 @@
 //!
 //! 1. warm reads are served from the cache, foreign writes invalidate via
 //!    the server's one-shot watches;
-//! 2. with leases on, `SyncThenLocal` misses skip the sync barrier while a
-//!    grant holds (and never skip with leases off);
+//! 2. with leases on, a `SyncThenLocal` miss that owes a barrier (a write
+//!    of the session is still un-acked) rides the grant instead of
+//!    barriering — and never skips with leases off; a miss after an *acked*
+//!    write owes nothing either way;
 //! 3. a reconnect flushes the whole cache — watches that fired while the
 //!    session was disconnected cannot strand stale entries;
 //! 4. grants dry up when the ensemble loses quorum (the leader's evidence
@@ -16,7 +18,9 @@ use bytes::Bytes;
 
 use dufs_cache::{CacheOptions, CachedClient};
 use dufs_coord::server::{LEASE_MARGIN_MS, LEASE_MS};
-use dufs_coord::{ClientOptions, ClusterBuilder, ReadConsistency, Watch};
+use dufs_coord::{
+    ClientOptions, ClientTransport, ClusterBuilder, ReadConsistency, Watch, ZkRequest,
+};
 use dufs_zkstore::{CreateMode, ZkError};
 
 /// Cluster tests use real-time election timers; running several ensembles
@@ -27,6 +31,27 @@ fn serial() -> std::sync::MutexGuard<'static, ()> {
 }
 
 const LEADER_WAIT: Duration = Duration::from_secs(20);
+
+/// One read miss issued while a pipelined write of the same session is
+/// still un-acked — the case in which the lease-off rule owes a barrier
+/// (an acked write owes none: its origin replica applied it before
+/// replying).
+fn miss_with_a_write_in_flight<T: ClientTransport>(c: &mut CachedClient<T>, i: usize) {
+    let path = format!("/owed-{i}");
+    let data = Bytes::from(format!("v{i}").into_bytes());
+    c.create(&path, data.clone(), CreateMode::Persistent).unwrap();
+    c.inner_mut().submit(ZkRequest::Create {
+        path: format!("{path}-bg"),
+        data: Bytes::new(),
+        mode: CreateMode::Persistent,
+    });
+    assert_eq!(c.get_data(&path).unwrap().0, data);
+    // A barrier (or the read itself) may already have collected the ack.
+    if c.inner().is_dirty() {
+        c.inner_mut().next_completion().expect("pipelined ack");
+    }
+    assert!(!c.inner().is_dirty());
+}
 
 #[test]
 fn warm_reads_hit_and_foreign_writes_invalidate() {
@@ -72,7 +97,8 @@ fn leases_skip_barriers_and_disabled_leases_do_not() {
     let tc = ClusterBuilder::new().voters(3).threads();
     let leader = tc.await_leader(LEADER_WAIT).expect("leader");
 
-    // Lease on: every post-write miss should ride a grant, not a barrier.
+    // Lease on: a miss after an acked write owes no barrier, so there is
+    // nothing to skip; a miss that does owe one rides a grant instead.
     let mut c = CachedClient::new(
         tc.client(ClientOptions::at(leader).with_consistency(ReadConsistency::SyncThenLocal))
             .unwrap(),
@@ -86,10 +112,12 @@ fn leases_skip_barriers_and_disabled_leases_do_not() {
     }
     let s = c.stats();
     assert!(s.lease_renewals >= 1, "no grant was ever adopted: {s:?}");
-    assert!(
-        s.barriers_skipped >= 4,
-        "dirty-session misses should skip barriers under a lease: {s:?}"
-    );
+    assert_eq!(s.barriers_skipped, 0, "acked writes owe no barrier to skip: {s:?}");
+    for i in 0..8 {
+        miss_with_a_write_in_flight(&mut c, i);
+    }
+    let s = c.stats();
+    assert!(s.barriers_skipped >= 4, "owed barriers should ride the lease: {s:?}");
     assert!(c.lease_valid(), "lease should still be live right after a renewal");
 
     // Lease off: same workload, PR 5 barrier semantics — no skips ever.
@@ -103,6 +131,9 @@ fn leases_skip_barriers_and_disabled_leases_do_not() {
         c.create(&path, Bytes::from(format!("v{i}").into_bytes()), CreateMode::Persistent).unwrap();
         let (data, _) = c.get_data(&path).unwrap();
         assert_eq!(data, Bytes::from(format!("v{i}").into_bytes()));
+    }
+    for i in 8..16 {
+        miss_with_a_write_in_flight(&mut c, i);
     }
     let s = c.stats();
     assert_eq!(s.barriers_skipped, 0, "lease off must never skip a barrier: {s:?}");
@@ -243,14 +274,11 @@ fn tcp_cached_session_hits_leases_and_invalidation() {
     }
     assert!(r.stats().hits >= 3, "stats: {:?}", r.stats());
 
-    // Dirty the session, then read: the miss should be licensed by a
-    // lease (renewed by ping or adopted from a heartbeat push), or at
-    // worst ride one barrier and skip from then on.
+    // Read while a write is un-acked: the miss owes a barrier and should
+    // be licensed by a lease instead (renewed by ping or adopted from a
+    // heartbeat push), or at worst ride one barrier and skip from then on.
     for i in 0..6 {
-        let path = format!("/t{i}");
-        r.create(&path, Bytes::from_static(b"x"), CreateMode::Persistent).unwrap();
-        let (data, _) = r.get_data(&path).unwrap();
-        assert_eq!(&data[..], b"x");
+        miss_with_a_write_in_flight(&mut r, i);
     }
     let s = r.stats();
     assert!(s.lease_renewals >= 1, "no lease over TCP: {s:?}");

@@ -48,20 +48,25 @@ impl From<bool> for Watch {
 /// | Level | Barrier | Guarantee |
 /// |-------|---------|-----------|
 /// | `Local` | never | sequential consistency only |
-/// | `SyncThenLocal` | after own writes / reconnects | read-your-writes |
+/// | `SyncThenLocal` | after a write whose ack was not collected on this connection / reconnects | read-your-writes |
 /// | `Linearizable` | before every read | real-time ordering |
 ///
 /// The barrier is [`crate::ZkClient::sync`]: a no-op proposal through ZAB
 /// whose response proves this replica has applied everything committed
-/// before the barrier was issued.
+/// before the barrier was issued. An *acked* write needs none: a write's
+/// reply leaves only the replica the session is connected to, and only
+/// after that replica applied it, so later reads on the same connection
+/// already see it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ReadConsistency {
     /// Serve reads straight from the connected replica — fastest, may be
     /// stale. ZooKeeper's default behaviour.
     #[default]
     Local,
-    /// `sync` before a read whenever this client has written (or switched
-    /// replica) since its last barrier: local reads, upgraded to
+    /// `sync` before a read whenever a barrier is owed: a write of this
+    /// client ended with its outcome unknown (abandoned on a transient
+    /// error, retried across a reconnect, or still pipelined), or the client
+    /// switched replica since its last barrier. Local reads, upgraded to
     /// read-your-writes exactly when staleness could be observed.
     SyncThenLocal,
     /// `sync` before *every* read: each read reflects all writes committed

@@ -413,6 +413,12 @@ fn server_thread(
     }
 }
 
+/// The error in `resp` if it is one [`ZkClient::request`] retries; a write
+/// that ends on one has an unknown outcome (it may still commit).
+fn transient_err(resp: &ZkResponse) -> Option<ZkError> {
+    resp.err().filter(|e| matches!(e, ZkError::ConnectionLoss | ZkError::Net | ZkError::TxnBusy))
+}
+
 /// Synchronous client handle — the `zoo_*` API surface. Generic over its
 /// [`ClientTransport`]: the default reaches a [`ThreadCluster`] server over
 /// an in-process channel; [`crate::tcp::TcpZkClient`] is the same client
@@ -424,9 +430,14 @@ pub struct ZkClient<T: ClientTransport = ChannelTransport> {
     timeout: Duration,
     watches: VecDeque<WatchNotification>,
     consistency: ReadConsistency,
-    /// Written since the last `sync` barrier — a local read could miss our
-    /// own acked writes if the serving replica lags.
+    /// A barrier is owed: some write's outcome is unknown (abandoned on a
+    /// transient error, or retried across a reconnect), so the serving
+    /// replica may not have applied it yet. An *acked* write owes nothing —
+    /// the origin replica replies only after applying, on a FIFO link.
     dirty: bool,
+    /// Pipelined writes whose replies have not been collected yet, each with
+    /// the reconnect count it was sent under.
+    inflight_writes: Vec<(u64, u64)>,
     /// Transport reconnect count at the last barrier; a change means we may
     /// now be talking to a different (possibly lagging) replica.
     seen_reconnects: u64,
@@ -444,6 +455,7 @@ impl<T: ClientTransport> ZkClient<T> {
             watches: VecDeque::new(),
             consistency: ReadConsistency::Local,
             dirty: false,
+            inflight_writes: Vec::new(),
             seen_reconnects: 0,
         };
         for _ in 0..300 {
@@ -499,7 +511,7 @@ impl<T: ClientTransport> ZkClient<T> {
             if left.is_zero() {
                 return ZkResponse::Error(ZkError::ConnectionLoss);
             }
-            match self.transport.recv(left) {
+            match self.recv(left) {
                 Some(ClientEvent::Resp { req_id: rid, resp }) if rid == req_id => return resp,
                 Some(ClientEvent::Resp { .. }) => {} // stale response from a timed-out request
                 Some(ClientEvent::Watch(n)) => self.watches.push_back(n),
@@ -518,13 +530,31 @@ impl<T: ClientTransport> ZkClient<T> {
     /// A session may keep any number of submissions outstanding
     /// (pipelining); callers bound the depth themselves.
     pub fn submit(&mut self, req: ZkRequest) -> u64 {
-        if !req.is_read() {
-            self.dirty = true;
-        }
         let req_id = self.next_req;
         self.next_req += 1;
+        if !req.is_read() {
+            // Owes a barrier until its reply is collected (see `recv`).
+            self.inflight_writes.push((req_id, self.transport.reconnects()));
+        }
         let _ = self.transport.send(req_id, self.session, req);
         req_id
+    }
+
+    /// Take the next event off the transport. Every receive path goes
+    /// through here, so a pipelined write stops owing a barrier as soon as
+    /// its reply is collected, whoever collects it — unless the reply leaves
+    /// its outcome unknown or did not travel the connection it was sent on.
+    fn recv(&mut self, timeout: Duration) -> Option<ClientEvent> {
+        let ev = self.transport.recv(timeout)?;
+        if let ClientEvent::Resp { req_id, resp } = &ev {
+            if let Some(i) = self.inflight_writes.iter().position(|&(id, _)| id == *req_id) {
+                let (_, sent_rc) = self.inflight_writes.swap_remove(i);
+                if transient_err(resp).is_some() || self.transport.reconnects() != sent_rc {
+                    self.dirty = true;
+                }
+            }
+        }
+        Some(ev)
     }
 
     /// Await the next pipelined response, in submission order. Watch
@@ -537,7 +567,7 @@ impl<T: ClientTransport> ZkClient<T> {
             if left.is_zero() {
                 return None;
             }
-            match self.transport.recv(left) {
+            match self.recv(left) {
                 Some(ClientEvent::Resp { req_id, resp }) => return Some((req_id, resp)),
                 Some(ClientEvent::Watch(n)) => self.watches.push_back(n),
                 None => return None,
@@ -552,21 +582,27 @@ impl<T: ClientTransport> ZkClient<T> {
     /// land within a round trip or two). Idempotence caveats are the
     /// caller's concern, as with real ZooKeeper.
     pub fn request(&mut self, req: ZkRequest) -> ZkResponse {
-        if !req.is_read() {
-            // Conservative: mark dirty before the send, so a write whose ack
-            // we lose still forces a barrier before the next local read.
-            self.dirty = true;
-        }
+        // A write whose ack is collected on the connection it went out on
+        // owes no barrier: the origin replica replies only after applying
+        // it, replies travel one FIFO link and the replica is
+        // single-threaded, so any later read on that link already sees it
+        // (a definitive error such as `NodeExists` is ordered the same way).
+        // Giving up, or a retry that crossed a reconnect, leaves the outcome
+        // unknown — the barrier is owed until the next `sync`.
+        let write = !req.is_read();
+        let sent_rc = self.transport.reconnects();
         let mut last = ZkError::ConnectionLoss;
         for attempt in 0..8 {
             let resp = self.raw_request(req.clone());
-            match resp.err() {
-                Some(e @ (ZkError::ConnectionLoss | ZkError::Net | ZkError::TxnBusy)) => last = e,
-                _ => return resp,
-            }
+            let Some(e) = transient_err(&resp) else {
+                self.dirty |= write && self.transport.reconnects() != sent_rc;
+                return resp;
+            };
+            last = e;
             self.transport.on_retry();
             std::thread::sleep(Duration::from_millis(50 << attempt.min(4)));
         }
+        self.dirty |= write;
         ZkResponse::Error(last)
     }
 
@@ -583,7 +619,7 @@ impl<T: ClientTransport> ZkClient<T> {
             let need = match self.consistency {
                 ReadConsistency::Linearizable => true,
                 ReadConsistency::SyncThenLocal => {
-                    self.dirty || self.transport.reconnects() != self.seen_reconnects
+                    self.is_dirty() || self.transport.reconnects() != self.seen_reconnects
                 }
                 ReadConsistency::Local => false,
             };
@@ -772,6 +808,12 @@ impl<T: ClientTransport> ZkClient<T> {
                     return self.sync_with(false);
                 }
                 self.dirty = false;
+                if !coalesced {
+                    // Our own no-op followed every pipelined write down this
+                    // link, so it is ordered after them; a barrier we merely
+                    // rode may have been proposed before them.
+                    self.inflight_writes.clear();
+                }
                 self.seen_reconnects = self.transport.reconnects();
                 Ok((zxid, coalesced))
             }
@@ -779,11 +821,12 @@ impl<T: ClientTransport> ZkClient<T> {
         }
     }
 
-    /// Whether this session has written since its last `sync` barrier.
-    /// The sharded client uses this to barrier only the shards a write
-    /// actually touched.
+    /// Whether this session owes a barrier — the next `SyncThenLocal` read
+    /// will be preceded by one. True while a write's outcome is unknown or
+    /// pipelined writes are outstanding; an acked write owes nothing. The
+    /// sharded client uses this to barrier only the shards that need it.
     pub fn is_dirty(&self) -> bool {
-        self.dirty
+        self.dirty || !self.inflight_writes.is_empty()
     }
 
     /// Liveness ping; returns the server's applied zxid.
@@ -825,7 +868,7 @@ impl<T: ClientTransport> ZkClient<T> {
     /// Pop a pending watch notification, if one arrived.
     pub fn take_watch(&mut self) -> Option<WatchNotification> {
         // Drain anything sitting in the transport first.
-        while let Some(ev) = self.transport.recv(Duration::ZERO) {
+        while let Some(ev) = self.recv(Duration::ZERO) {
             match ev {
                 ClientEvent::Watch(n) => self.watches.push_back(n),
                 ClientEvent::Resp { .. } => {}
@@ -845,7 +888,7 @@ impl<T: ClientTransport> ZkClient<T> {
             if left.is_zero() {
                 return None;
             }
-            match self.transport.recv(left) {
+            match self.recv(left) {
                 Some(ClientEvent::Watch(n)) => return Some(n),
                 Some(ClientEvent::Resp { .. }) => {}
                 None => return None,

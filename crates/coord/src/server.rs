@@ -31,7 +31,13 @@ pub const SESSION_TIMEOUT_MS: u64 = 30_000;
 pub const SESSION_SWEEP_MS: u64 = 5_000;
 /// Checkpoint the znode tree and compact the replication log every this
 /// many applied transactions (ZooKeeper's periodic fuzzy snapshot; keeps
-/// log memory bounded — the §VII memory concern).
+/// log memory bounded — the §VII memory concern) — or, when the previous
+/// checkpoint held more znodes than this, once that many transactions were
+/// applied since. A checkpoint serialises and fsyncs the whole tree inside
+/// the state-machine thread, so a fixed count stalls the write rounds of a
+/// large tree that much more often; scaled, the cost per transaction stays
+/// constant and the log (in memory and to replay) stays within the size of
+/// the snapshot it extends.
 pub const CHECKPOINT_EVERY: u64 = 1_000;
 /// Staleness-lease window: a replica grants leases only while its quorum
 /// authority evidence is younger than this, so a leased client's cached
@@ -398,8 +404,16 @@ pub struct CoordServer {
     sessions: HashMap<u64, SessionInfo>,
     next_session: u64,
     last_applied: u64,
+    /// History tail as of this replica's last follower sync. Everything
+    /// committed before the sync lies at or below it, but the sync itself
+    /// may have delivered less (a leader still establishing ships a stale
+    /// commit watermark, and a reset sync rebuilds the tree from it) — so
+    /// session reads wait until `last_applied` reaches it.
+    serve_floor: u64,
     /// Count of transactions applied (for perf accounting).
     applied_count: u64,
+    /// `applied_count` at which the next checkpoint is due.
+    next_checkpoint: u64,
     /// Prepared (undecided) cross-shard transactions, indexed by txn id —
     /// an in-memory mirror of the `/__txn/*` marker znodes.
     prepared_txns: HashMap<u64, PreparedTxn>,
@@ -454,7 +468,9 @@ impl CoordServer {
             sessions: HashMap::new(),
             next_session: 1,
             last_applied: 0,
+            serve_floor: 0,
             applied_count: 0,
+            next_checkpoint: CHECKPOINT_EVERY,
             prepared_txns: HashMap::new(),
             txn_fences: HashMap::new(),
             wal: None,
@@ -502,7 +518,9 @@ impl CoordServer {
             sessions: HashMap::new(),
             next_session,
             last_applied: 0,
+            serve_floor: 0,
             applied_count: 0,
+            next_checkpoint: CHECKPOINT_EVERY,
             prepared_txns: HashMap::new(),
             txn_fences: HashMap::new(),
             wal: Some(wal),
@@ -742,6 +760,15 @@ impl CoordServer {
             info.last_heard_ms = now_ns / 1_000_000;
             info.client = client;
         }
+        if req.is_read() && !matches!(req, ZkRequest::Ping) && !self.serving() {
+            // ZooKeeper's rule: only a replica inside an established regime
+            // answers reads. A restarted, electing or still-syncing replica
+            // may hold a tree older than a write this very session had acked
+            // here; the client retries (and fails over) on this error.
+            let resp = ZkResponse::Error(ZkError::ConnectionLoss);
+            out.push(ServerOut::Client { client, req_id, resp });
+            return;
+        }
         match req {
             // ---- reads: served from the local replica ----
             ZkRequest::GetData { path, watch } => {
@@ -961,6 +988,16 @@ impl CoordServer {
                 self.submit_write(now_ns, client, req_id, session, TxnOp::Abort2pc { txn_id }, out);
             }
         }
+    }
+
+    /// Whether this replica may answer session reads: it leads an
+    /// established regime, or follows one and has applied everything its
+    /// sync handshake promised (see `serve_floor`). While this holds the
+    /// tree only moves forward, so a write acked here stays visible here.
+    fn serving(&self) -> bool {
+        self.peer.is_established_leader()
+            || (matches!(self.peer.role(), Role::Following { synced: true, .. })
+                && self.last_applied >= self.serve_floor)
     }
 
     fn alloc_tag(&mut self, client: ClientId, req_id: u64) -> u64 {
@@ -1240,6 +1277,10 @@ impl CoordServer {
                     // a new leader must re-earn quorum evidence, a new
                     // follower must hear fresh LeaseAuth from its leader.
                     self.lease.reset();
+                    // Both arrive with the regime's starting history in the
+                    // log, so its tail bounds every earlier commit. A leader
+                    // has applied up to it; a follower may not have yet.
+                    self.serve_floor = self.peer.last_zxid().as_u64();
                 }
                 ZabAction::StartedElection => {
                     self.lease.reset();
@@ -1601,12 +1642,20 @@ impl CoordServer {
                 TxnOp::Abort2pc { txn_id } => self.apply_abort(*txn_id, z, t),
             }
         };
+        // Read-your-writes without a barrier rests on this order: the tree
+        // and `last_applied` move first, and the reply below goes out only
+        // at the origin replica — so a session that has collected a write's
+        // ack knows the replica it talks to has applied that write, and
+        // (FIFO link, single-threaded replica, `serving` gate) every later
+        // read it sends there sees it.
         self.last_applied = z;
         self.applied_count += 1;
         // The apply watermark moved: lease-authority observations waiting
         // on it may now anchor grants.
         self.lease.mature(z);
-        if self.applied_count.is_multiple_of(CHECKPOINT_EVERY) {
+        if self.applied_count >= self.next_checkpoint {
+            self.next_checkpoint =
+                self.applied_count + CHECKPOINT_EVERY.max(self.tree.node_count() as u64);
             // Fuzzy snapshot: checkpoint the applied state and let the
             // replication layer drop the covered log prefix. In durable
             // mode the checkpoint also lands on disk first, truncating the
@@ -2041,6 +2090,37 @@ mod tests {
             },
         );
         assert_eq!(resp, ZkResponse::Created { path: "/after".into() });
+    }
+
+    /// A checkpoint costs as much as the tree is large, so after one that
+    /// held N > `CHECKPOINT_EVERY` znodes the next is N transactions away.
+    #[test]
+    fn checkpoint_interval_grows_with_the_tree() {
+        let mut s = single();
+        let ops = (0..3 * super::CHECKPOINT_EVERY)
+            .map(|i| MultiOp::Create {
+                path: format!("/n{i}"),
+                data: Bytes::new(),
+                mode: CreateMode::Persistent,
+            })
+            .collect();
+        req(&mut s, 0, ZkRequest::Multi { ops });
+        let set = |s: &mut CoordServer| {
+            req(s, 0, ZkRequest::SetData { path: "/n0".into(), data: Bytes::new(), version: None })
+        };
+        // The first checkpoint comes at the fixed count: nothing was known
+        // about the tree when the server started.
+        while s.snapshot_zxid() == 0 {
+            set(&mut s);
+        }
+        assert_eq!(s.applied_count(), super::CHECKPOINT_EVERY);
+        let (first, nodes) = (s.snapshot_zxid(), s.tree().node_count() as u64);
+        for _ in 1..nodes {
+            set(&mut s);
+            assert_eq!(s.snapshot_zxid(), first, "checkpointed at {}", s.applied_count());
+        }
+        set(&mut s);
+        assert!(s.snapshot_zxid() > first, "a tree's worth of transactions forces the next one");
     }
 
     #[test]
@@ -2546,6 +2626,10 @@ mod tests {
 
     impl Pump {
         fn trio() -> Pump {
+            Pump::trio_of(CoordServer::new)
+        }
+
+        fn trio_of(make: impl Fn(PeerId, EnsembleConfig) -> (CoordServer, Vec<ServerOut>)) -> Pump {
             let n = 3;
             let mut p = Pump {
                 servers: Vec::new(),
@@ -2555,11 +2639,19 @@ mod tests {
                 now_ms: 0,
             };
             for i in 0..n {
-                let (s, outs) = CoordServer::new(PeerId(i as u32), EnsembleConfig::of_size(n));
+                let (s, outs) = make(PeerId(i as u32), EnsembleConfig::of_size(n));
                 p.servers.push(s);
                 p.route(i, outs);
             }
             p
+        }
+
+        /// Ask `srv` for `/a` right now and take the answer (reads reply
+        /// on the spot).
+        fn read_a(&mut self, srv: usize) -> ZkResponse {
+            self.client(srv, 9, 99, ZkRequest::GetData { path: "/a".into(), watch: false });
+            let i = self.resps[srv].iter().position(|r| r.1 == 99).expect("reads answer at once");
+            self.resps[srv].remove(i).2
         }
 
         fn now_ns(&self) -> u64 {
@@ -2697,5 +2789,82 @@ mod tests {
             "no open barrier to ride → proposes its own: {resps:?}"
         );
         assert_eq!(p.servers[l].barriers_coalesced(), 1);
+    }
+
+    fn create_a() -> ZkRequest {
+        ZkRequest::Create {
+            path: "/a".into(),
+            data: Bytes::from_static(b"v"),
+            mode: CreateMode::Persistent,
+        }
+    }
+
+    /// The invariant barrier-free read-your-writes rests on: a write's
+    /// reply leaves only its origin replica, and only once that replica has
+    /// applied the write — so the very next read there sees it.
+    #[test]
+    fn write_ack_leaves_only_the_origin_and_only_after_apply() {
+        let mut p = Pump::trio();
+        p.run_ms(3_000);
+        let l = p.leader();
+        let f = (0..3).find(|&i| i != l).unwrap();
+        p.client(f, 1, 10, create_a());
+        while p.resps[f].is_empty() {
+            assert_eq!(p.read_a(f), ZkResponse::Error(ZkError::NoNode), "applied before its ack");
+            assert!(!p.inbox.is_empty(), "the write stalled");
+            p.step();
+        }
+        assert_eq!(p.resps[f], [(1, 10, ZkResponse::Created { path: "/a".into() })]);
+        assert!(matches!(p.read_a(f), ZkResponse::Data { .. }), "acked but not applied");
+        p.drain();
+        assert!(p.resps[l].is_empty() && p.resps[3 - l - f].is_empty(), "a non-origin replied");
+    }
+
+    /// Session reads are answered only inside an established regime, and a
+    /// follower only once it has applied what its sync handshake promised.
+    /// A whole-ensemble cold start is the hard case: every replica reopens
+    /// with an empty tree and an uncommitted log tail, and a follower can
+    /// finish syncing with a leader that has not established (and so not
+    /// committed) yet. At no step may any replica answer as if the acked
+    /// create had never happened.
+    #[test]
+    fn only_a_caught_up_replica_in_an_established_regime_serves_reads() {
+        let mut p = Pump::trio_of(|me, config| {
+            let storage = Box::new(dufs_wal::MemStorage::new());
+            CoordServer::new_durable(me, config, ZabConfig::default(), storage).expect("fresh WAL")
+        });
+        let refused = ZkResponse::Error(ZkError::ConnectionLoss);
+        for s in 0..3 {
+            assert_eq!(p.read_a(s), refused, "electing replica served a read");
+            p.client(s, 9, 98, ZkRequest::Ping);
+            assert!(matches!(p.resps[s].pop(), Some((9, 98, ZkResponse::Pong { .. }))));
+        }
+        p.run_ms(3_000);
+        let l = p.leader();
+        p.client(l, 1, 10, create_a());
+        p.run_ms(1_000);
+        assert_eq!(p.resps[l], [(1, 10, ZkResponse::Created { path: "/a".into() })]);
+
+        for s in &mut p.servers {
+            s.on_crash();
+        }
+        p.inbox.clear();
+        p.timers.clear();
+        let now = p.now_ns();
+        for i in 0..3 {
+            let outs = p.servers[i].on_restart(now);
+            p.route(i, outs);
+        }
+        let mut served = [false; 3];
+        for _ in 0..2_000 {
+            for (s, served) in served.iter_mut().enumerate() {
+                match p.read_a(s) {
+                    ZkResponse::Data { .. } => *served = true,
+                    r => assert_eq!(r, refused, "replica {s} served a pre-write tree"),
+                }
+            }
+            p.step();
+        }
+        assert_eq!(served, [true; 3], "replicas never resumed serving");
     }
 }

@@ -507,9 +507,11 @@ impl<T: ClientTransport> ShardedClient<T> {
         Ok(self.clients[s].exists(path, Watch::None)?.is_some())
     }
 
-    /// Flush this session's view, barriering **only the shards this
-    /// session has written since its last sync** — the per-shard analogue
-    /// of [`ZkClient::sync`]. Returns the number of shards barriered.
+    /// Flush this session's view, barriering **only the shards that owe a
+    /// barrier** ([`ZkClient::is_dirty`]: a write there was abandoned with
+    /// its outcome unknown, or is still in flight) — acked writes are
+    /// already visible on their shard. The per-shard analogue of
+    /// [`ZkClient::sync`]. Returns the number of shards barriered.
     pub fn sync(&mut self) -> Result<usize, ZkError> {
         let mut barriered = 0;
         for c in &mut self.clients {
@@ -772,7 +774,12 @@ impl<T: ClientTransport> ShardedClient<T> {
     /// (`/__shards`, `/__txn/...`) are excluded. Equal digests across
     /// different shard counts certify the namespaces match.
     pub fn user_digest(&mut self) -> Result<u64, ZkError> {
-        self.sync()?;
+        // Recency, not read-your-writes: the digest must cover *other*
+        // sessions' committed writes too, so every shard is barriered
+        // whether or not this session owes it one.
+        for c in &mut self.clients {
+            c.sync()?;
+        }
         // Every path present on any shard (owner copies and ghosts alike).
         let mut candidates: BTreeSet<String> = BTreeSet::new();
         for s in 0..self.clients.len() {
@@ -889,6 +896,7 @@ impl<T: ClientTransport> ShardedClient<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::api::ZkRequest;
     use crate::cluster::ClusterBuilder;
 
     fn two_shards() -> ShardedCluster<ThreadCluster> {
@@ -934,17 +942,34 @@ mod tests {
     }
 
     #[test]
-    fn sync_barriers_only_dirty_shards() {
+    fn sync_barriers_only_shards_that_owe_one() {
         let cluster = two_shards();
         let mut c = cluster.client(ClientOptions::at(0).with_failover()).unwrap();
         assert_eq!(c.sync().unwrap(), 0, "clean session barriers nothing");
-        c.create("/solo/a", Bytes::new()).unwrap();
-        assert_eq!(c.sync().unwrap(), 1, "one write dirties exactly one shard");
-        assert_eq!(c.sync().unwrap(), 0, "sync clears the dirty bits");
         let (a, b) = cross_shard_pair(&c);
         c.create(&a, Bytes::new()).unwrap();
         c.create(&b, Bytes::new()).unwrap();
-        assert_eq!(c.sync().unwrap(), 2, "writes on two shards barrier both");
+        assert_eq!(c.sync().unwrap(), 0, "acked writes owe no barrier");
+
+        let create = |path: &str| ZkRequest::Create {
+            path: path.into(),
+            data: Bytes::new(),
+            mode: CreateMode::Persistent,
+        };
+        // A pipelined write still in flight owes one, on its shard only.
+        c.shard_client(0).submit(create("/in-flight"));
+        assert_eq!(c.sync().unwrap(), 1, "an outstanding write owes its shard a barrier");
+        assert_eq!(c.sync().unwrap(), 0, "the barrier is ordered after the write it was owed for");
+
+        // So does a write abandoned with its outcome unknown.
+        cluster.shard(1).crash(0);
+        c.shard_client(1).set_timeout(Duration::from_millis(50));
+        let resp = c.shard_client(1).request(create("/abandoned"));
+        assert_eq!(resp.err(), Some(ZkError::ConnectionLoss));
+        cluster.shard(1).restart(0);
+        c.shard_client(1).set_timeout(Duration::from_secs(5));
+        assert_eq!(c.sync().unwrap(), 1, "the abandoned write owes its shard a barrier");
+        assert_eq!(c.sync().unwrap(), 0, "sync settles what was owed");
         c.close().unwrap();
         cluster.shutdown();
     }

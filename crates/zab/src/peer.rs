@@ -286,6 +286,18 @@ impl<T: Clone> ZabPeer<T> {
             Role::Looking => None,
         }
     }
+    /// The leader this peer may vouch for to `asker`: itself when leading,
+    /// its leader once synced. An unsynced follower has only guessed (it
+    /// joined on a vote tally the candidate may have abandoned since), so it
+    /// confirms the guess to the alleged leader alone — passing it to third
+    /// parties as an established regime builds follower chains and cycles
+    /// that only the watchdog drains.
+    fn vouched_leader(&self, asker: PeerId) -> Option<PeerId> {
+        match self.role {
+            Role::Following { leader, synced: false } if leader != asker => None,
+            _ => self.leader_hint(),
+        }
+    }
     /// Last zxid in the history: the log tail, or the snapshot watermark if
     /// the log has been fully compacted (ZERO before any transaction).
     pub fn last_zxid(&self) -> Zxid {
@@ -457,7 +469,14 @@ impl<T: Clone> ZabPeer<T> {
             ZabMsg::Inform { zxid, txns } => self.on_inform(from, zxid, txns, &mut out),
             ZabMsg::Ping { epoch, commit_to } => {
                 if let Role::Following { leader, synced } = self.role {
-                    if leader == from {
+                    if leader != from && !synced && epoch >= self.accepted_epoch {
+                        // Only a leader pings. We joined `leader` on a vote
+                        // tally and never completed the handshake; an
+                        // operating leader (of no regime older than one we
+                        // accepted) beats that guess — typically the
+                        // candidate moved on and follows `from` itself.
+                        self.join_leader(from, &mut out);
+                    } else if leader == from {
                         // Only a *synced* follower treats pings as proof of
                         // a live leadership: if sync never completes (e.g.
                         // the leader keeps yielding because our history is
@@ -698,13 +717,10 @@ impl<T: Clone> ZabPeer<T> {
         if self.config.is_observer(from) {
             // An observer probing for the leader: answer with our view (if
             // settled); its "vote" must never be tallied.
-            if self.leader_hint().is_some() {
+            if let Some(leader) = self.vouched_leader(from) {
                 out.push(ZabAction::Send {
                     to: from,
-                    msg: ZabMsg::Notification {
-                        vote: self.my_vote,
-                        established: self.leader_hint(),
-                    },
+                    msg: ZabMsg::Notification { vote: self.my_vote, established: Some(leader) },
                 });
             }
             return;
@@ -801,13 +817,16 @@ impl<T: Clone> ZabPeer<T> {
                 if established.is_some() {
                     return;
                 }
-                out.push(ZabAction::Send {
-                    to: from,
-                    msg: ZabMsg::Notification {
-                        vote: self.my_vote,
-                        established: self.leader_hint(),
-                    },
-                });
+                // An unsynced follower stays silent towards third parties
+                // (see `vouched_leader`): it has nothing confirmed to say,
+                // and a bare vote from a settled peer would only bounce off
+                // an asker in a later round.
+                if let Some(leader) = self.vouched_leader(from) {
+                    out.push(ZabAction::Send {
+                        to: from,
+                        msg: ZabMsg::Notification { vote: self.my_vote, established: Some(leader) },
+                    });
+                }
             }
         }
     }
@@ -1573,6 +1592,59 @@ mod tests {
         let acts = f.on_timer(ZabTimer::FollowerWatchdog(3));
         assert!(acts.iter().any(|a| matches!(a, ZabAction::StartedElection)));
         assert_eq!(f.role(), Role::Looking);
+    }
+
+    /// The start-up race that used to park a follower for two watchdog
+    /// periods: 0 joins 1 on a tally of votes 1 has already abandoned for 2.
+    /// 0 must not spread that guess (it once talked the rightful candidate
+    /// into following 1 too — a cycle with no leader), and must leave it for
+    /// a leader that proves itself with a ping.
+    #[test]
+    fn unsynced_follower_neither_vouches_for_its_guess_nor_clings_to_it() {
+        let (mut f, _) = ZabPeer::<u32>::new(PeerId(0), EnsembleConfig::of_size(3));
+        let for_1 = Vote { candidate: PeerId(1), candidate_zxid: Zxid::ZERO, round: 1 };
+        f.on_message(PeerId(1), ZabMsg::Notification { vote: for_1, established: None });
+        assert_eq!(f.role(), Role::Following { leader: PeerId(1), synced: false });
+
+        // Candidate 2 asks: silence, not `established: Some(1)`.
+        let for_2 = Vote { candidate: PeerId(2), candidate_zxid: Zxid::ZERO, round: 1 };
+        let acts = f.on_message(PeerId(2), ZabMsg::Notification { vote: for_2, established: None });
+        assert!(acts.is_empty(), "vouched for an unconfirmed leader: {acts:?}");
+        // The alleged leader itself is told it has a follower waiting.
+        let acts = f.on_message(PeerId(1), ZabMsg::Notification { vote: for_1, established: None });
+        assert!(acts.iter().any(|a| matches!(
+            a,
+            ZabAction::Send {
+                to: PeerId(1),
+                msg: ZabMsg::Notification { established: Some(PeerId(1)), .. }
+            }
+        )));
+
+        // 2 won and pings everyone: re-run the handshake with it.
+        let acts = f.on_message(PeerId(2), ZabMsg::Ping { epoch: 258, commit_to: Zxid::ZERO });
+        assert_eq!(f.role(), Role::Following { leader: PeerId(2), synced: false });
+        assert!(acts.iter().any(|a| matches!(
+            a,
+            ZabAction::Send { to: PeerId(2), msg: ZabMsg::FollowerInfo { .. } }
+        )));
+
+        // Once synced, a stray ping from anyone else changes nothing.
+        f.on_message(
+            PeerId(2),
+            ZabMsg::SyncLog {
+                epoch: 258,
+                snapshot: None,
+                entries: vec![],
+                commit_to: Zxid::ZERO,
+                reset: false,
+                snap_chunks: 0,
+            },
+        );
+        assert_eq!(f.role(), Role::Following { leader: PeerId(2), synced: true });
+        assert!(f
+            .on_message(PeerId(1), ZabMsg::Ping { epoch: 257, commit_to: Zxid::ZERO })
+            .is_empty());
+        assert_eq!(f.role(), Role::Following { leader: PeerId(2), synced: true });
     }
 
     #[test]

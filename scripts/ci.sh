@@ -39,10 +39,14 @@ cargo test -q --workspace
 # wire-codec proptests, the TCP e2e (ThreadCluster-vs-TcpCluster digest
 # parity + NetStats non-zero), and the out-of-process kill-9 recovery
 # harness (SIGKILL one member, then the whole ensemble; recovered
-# namespace must match an uncrashed control).
+# namespace must match an uncrashed control). read_consistency rides the
+# same step: its exact-zxid-count tests (no barrier after an acked write,
+# exactly one after an abandoned write / a failover) and the
+# restarted-replica tests start real durable ensembles and gate the
+# ack-ordered read-your-writes rule on every later PR.
 echo "==> cargo build --release -p dufs-coord --bin coord_server"
 cargo build --release -p dufs-coord --bin coord_server
-echo "==> cargo test -q --release -p dufs-wal -p dufs-coord (incl. tcp_e2e + kill9_recovery)"
+echo "==> cargo test -q --release -p dufs-wal -p dufs-coord (incl. tcp_e2e + kill9_recovery + read_consistency)"
 cargo test -q --release -p dufs-wal -p dufs-coord
 
 # Cross-runtime mdtest digest parity on a live cluster: the same workload
