@@ -26,30 +26,25 @@
 //! replica while a no-op proposal is already in flight all ride that one
 //! proposal ([`dufs_coord::runtime::ZkClient::sync_coalesced`]).
 //!
-//! The crate has three faces over one cache + stats core ([`MetaCache`],
-//! [`CacheStats`], and the process-shared [`shared::SharedMetaCache`]):
+//! The crate is one wrapper over one store: [`Cached<S>`] puts the cache
+//! and the lease protocol in front of **any** [`dufs_coord::CoordService`]
+//! session — a `ZkClient` on either transport, a `ShardedClient` (leases
+//! per shard connection), `dufs-core`'s in-process `SoloCoord` — and is a
+//! `CoordService` itself, so `Dufs` runs over it unchanged. The store
+//! ([`shared`]) holds owner-tagged entries behind sharded locks; a private
+//! cache is the same store with one owner and one lock shard.
 //!
-//! * [`CachedClient`] — wraps a live [`dufs_coord::runtime::ZkClient`]
-//!   (thread or TCP transport);
-//! * [`CachedShardedClient`] — wraps a
-//!   [`dufs_coord::sharded::ShardedClient`], with per-shard leases;
-//! * `dufs-core`'s `CachingCoord` reuses [`MetaCache`]/[`CacheStats`] at
-//!   the simulation level, so sim and live cache behaviour is
-//!   digest-comparable and reports one stats shape.
-//!
-//! Construction goes through [`CacheBuilder`]: `.session(client)` for the
-//! classic private per-session cache, `.shared()` for a process-wide
-//! [`SharedCache`] handle that many sessions attach to (see
-//! [`shared`] for the ownership/staleness argument). Negative entries
-//! (cached absences with a TTL) and the one-round-trip
-//! [`CachedClient::warm_children`] bulk warm ride on both shapes.
+//! Construction goes through [`CacheBuilder`]: `.session(s)` for a private
+//! per-session cache, `.shared()` for a process-wide [`SharedCache`] handle
+//! that many sessions attach to (see [`shared`] for the
+//! ownership/staleness argument). Negative entries (cached absences with a
+//! TTL) and the one-round-trip [`Cached::warm_children`] bulk warm ride on
+//! both shapes.
 
-pub mod client;
-pub mod meta;
-pub mod sharded;
+pub mod cached;
 pub mod shared;
+pub mod stats;
 
-pub use client::{CacheBuilder, CacheOptions, CachedClient};
-pub use meta::{CacheStats, MetaCache};
-pub use sharded::CachedShardedClient;
+pub use cached::{CacheBuilder, CacheOptions, Cached};
 pub use shared::SharedCache;
+pub use stats::CacheStats;

@@ -1,13 +1,15 @@
 //! [`SharedCache`] — one metadata cache per client *process*, shared by
 //! every session attached to it.
 //!
-//! PR 8 gave each session a private [`crate::MetaCache`]; an N-session
-//! client process therefore fetched every hot path N times and kept N
-//! copies. This module makes the store a process-wide resource: a
-//! [`SharedMetaCache`] behind internally sharded locks (paths hash to one
-//! of a fixed set of mutex-guarded shards, so concurrent sessions rarely
-//! contend), bounded per shard, handed around as a cheaply-cloneable
-//! [`SharedCache`] handle.
+//! This module is the **one cache store** of the crate. With a private
+//! store per session, an N-session client process fetches every hot path N
+//! times and keeps N copies; a [`SharedMetaCache`] is a process-wide
+//! resource instead: internally sharded locks (paths hash to one of a fixed
+//! set of mutex-guarded shards, so concurrent sessions rarely contend),
+//! bounded per shard, handed around as a cheaply-cloneable [`SharedCache`]
+//! handle. A *private* cache is the same store built with a single lock
+//! shard and a single owner: its capacity bound is then store-wide (one
+//! full flush at `capacity` entries) and lookups skip the shard hash.
 //!
 //! ## Why sharing is sound — the ownership tag
 //!
@@ -58,7 +60,8 @@ use dufs_coord::server::{LEASE_MARGIN_MS, LEASE_MS};
 use dufs_coord::WatchNotification;
 use dufs_zkstore::Stat;
 
-use crate::meta::{parent, CacheStats, Lookup};
+use crate::cached::CacheOptions;
+use crate::CacheStats;
 
 /// Lock shards in the store. Paths hash to a shard; sessions touching
 /// different shards never contend.
@@ -82,6 +85,31 @@ impl<V> Entry<V> {
     fn new(v: V, owner: u64) -> Self {
         Entry { v, owner, installed: Instant::now() }
     }
+}
+
+/// Parent directory of a znode path (`/a/b` → `/a`, `/a` → `/`); `None`
+/// for the root itself.
+pub(crate) fn parent(path: &str) -> Option<&str> {
+    if path == "/" {
+        return None;
+    }
+    match path.rfind('/') {
+        Some(0) => Some("/"),
+        Some(i) => Some(&path[..i]),
+        None => None,
+    }
+}
+
+/// Outcome of a counting lookup that may be served by a negative entry.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) enum Lookup<T> {
+    /// A cached positive result.
+    Hit(T),
+    /// A valid cached absence: answer `NoNode` with no round trip.
+    Negative,
+    /// Nothing cached (an expired negative entry counts here, after being
+    /// dropped): go to the coordination service.
+    Miss,
 }
 
 /// Non-counting lookup outcome (the per-session [`CacheRef`] does the
@@ -117,9 +145,25 @@ impl Shard {
     }
 }
 
-/// The process-wide store: sharded locks, owner-tagged entries, bounded
-/// per shard. Use through [`SharedCache`] (many sessions) or a private
-/// `CacheRef` (one session — the classic PR 8 shape).
+/// The store: sharded locks, owner-tagged entries, bounded per shard.
+/// Use through [`SharedCache`] (many sessions, 16 lock shards) or a
+/// private `CacheRef` (one session, one shard).
+///
+/// **Invalidation rules** (the server's one-shot watches make them sound —
+/// every entry is installed together with a watch, and any mutation of the
+/// node fires that watch before a subsequent read could re-cache stale
+/// state):
+///
+/// * a watch event or own mutation on `p` evicts all entry kinds for `p`
+///   *and* the `children` entry of `p`'s parent (creates and deletes
+///   change the parent's listing; data changes don't, but telling them
+///   apart buys too little to special-case), plus every cached absence
+///   directly under `p`;
+/// * a transport reconnect evicts **everything** — watches armed on the
+///   lost session may have fired while disconnected, and the server does
+///   not replay them;
+/// * inserting into a full lock shard flushes that shard (correct — only
+///   cached reads are dropped — and adequate for metadata working sets).
 #[derive(Debug)]
 pub struct SharedMetaCache {
     shards: Vec<Mutex<Shard>>,
@@ -131,21 +175,24 @@ pub struct SharedMetaCache {
 }
 
 impl SharedMetaCache {
-    fn new(capacity: usize, negative_ttl: Duration, shared_max_age: Duration) -> Self {
-        assert!(capacity >= 1);
+    fn new(opts: &CacheOptions, lock_shards: usize) -> Self {
+        assert!(opts.capacity >= 1);
         SharedMetaCache {
-            shards: (0..LOCK_SHARDS).map(|_| Mutex::new(Shard::default())).collect(),
-            shard_capacity: capacity.div_ceil(LOCK_SHARDS),
-            negative_ttl,
-            shared_max_age,
+            shards: (0..lock_shards).map(|_| Mutex::new(Shard::default())).collect(),
+            shard_capacity: opts.capacity.div_ceil(lock_shards),
+            negative_ttl: opts.negative_ttl,
+            shared_max_age: opts.shared_max_age,
             next_attach: AtomicU64::new(1),
         }
     }
 
     fn shard(&self, path: &str) -> &Mutex<Shard> {
+        if let [only] = &self.shards[..] {
+            return only;
+        }
         let mut h = DefaultHasher::new();
         path.hash(&mut h);
-        &self.shards[(h.finish() as usize) % LOCK_SHARDS]
+        &self.shards[(h.finish() as usize) % self.shards.len()]
     }
 
     /// Whether `me` may trust a positive entry.
@@ -294,27 +341,19 @@ impl SharedMetaCache {
 
 /// Cheaply-cloneable handle to a process-wide [`SharedMetaCache`]. Every
 /// clone refers to the same store; sessions attach with
-/// [`SharedCache::session`] / [`SharedCache::session_sharded`] (or via
-/// [`crate::CacheBuilder`]).
+/// [`SharedCache::session`].
 #[derive(Debug, Clone)]
 pub struct SharedCache {
     pub(crate) store: Arc<SharedMetaCache>,
     /// The options the builder configured; attached sessions inherit them
     /// (lease licensing in particular), so one builder describes the whole
     /// process's cache behaviour.
-    pub(crate) opts: crate::client::CacheOptions,
+    pub(crate) opts: CacheOptions,
 }
 
 impl SharedCache {
-    pub(crate) fn from_options(opts: crate::client::CacheOptions) -> Self {
-        SharedCache {
-            store: Arc::new(SharedMetaCache::new(
-                opts.capacity,
-                opts.negative_ttl,
-                opts.shared_max_age,
-            )),
-            opts,
-        }
+    pub(crate) fn from_options(opts: CacheOptions) -> Self {
+        SharedCache { store: Arc::new(SharedMetaCache::new(&opts, LOCK_SHARDS)), opts }
     }
 
     /// Total cached entries across all lock shards (negatives included).
@@ -346,11 +385,16 @@ pub(crate) struct CacheRef {
 }
 
 impl CacheRef {
-    /// A private store: one owner, the PR 8 per-session cache shape.
-    pub(crate) fn private(opts: &crate::client::CacheOptions) -> Self {
-        let store =
-            Arc::new(SharedMetaCache::new(opts.capacity, opts.negative_ttl, opts.shared_max_age));
+    /// A private store: one owner and one lock shard, so `capacity` bounds
+    /// the whole store exactly.
+    pub(crate) fn private(opts: &CacheOptions) -> Self {
+        let store = Arc::new(SharedMetaCache::new(opts, 1));
         CacheRef { store, owner: 0, stats: CacheStats::default() }
+    }
+
+    /// Entries in the underlying store (negatives included).
+    pub(crate) fn len(&self) -> usize {
+        self.store.len()
     }
 
     /// Attach to a shared store under a fresh owner id.
@@ -384,30 +428,20 @@ impl CacheRef {
     // -------------------------------------------------------- counting gets
 
     pub(crate) fn lookup_data(&mut self, path: &str) -> Lookup<(Bytes, Stat)> {
-        match self.store.lookup_data(path, self.owner) {
-            Raw::Hit(v) => {
-                self.stats.hits += 1;
-                Lookup::Hit(v)
-            }
-            Raw::Negative => {
-                self.stats.hits += 1;
-                self.stats.negative_hits += 1;
-                Lookup::Negative
-            }
-            Raw::Expired => {
-                self.stats.negative_expiries += 1;
-                self.stats.misses += 1;
-                Lookup::Miss
-            }
-            Raw::Miss => {
-                self.stats.misses += 1;
-                Lookup::Miss
-            }
-        }
+        let raw = self.store.lookup_data(path, self.owner);
+        self.count(raw)
     }
 
     pub(crate) fn lookup_exists(&mut self, path: &str) -> Lookup<Stat> {
-        match self.store.lookup_exists(path, self.owner) {
+        let raw = self.store.lookup_exists(path, self.owner);
+        self.count(raw)
+    }
+
+    /// A valid cached absence counts as a hit *and* a negative hit; an
+    /// expired one (already dropped by the store) as a miss plus a negative
+    /// expiry.
+    fn count<T>(&mut self, raw: Raw<T>) -> Lookup<T> {
+        match raw {
             Raw::Hit(v) => {
                 self.stats.hits += 1;
                 Lookup::Hit(v)
@@ -484,7 +518,7 @@ impl CacheRef {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::client::CacheOptions;
+    use crate::cached::CacheOptions;
 
     fn stat() -> Stat {
         Stat::default()
@@ -493,6 +527,145 @@ mod tests {
     fn shared(opts: CacheOptions) -> SharedCache {
         SharedCache::from_options(opts)
     }
+
+    fn private(opts: CacheOptions) -> CacheRef {
+        CacheRef::private(&opts)
+    }
+
+    fn note(path: &str, event: dufs_coord::watch::WatchEventKind) -> WatchNotification {
+        WatchNotification { path: path.into(), event }
+    }
+
+    #[test]
+    fn parent_paths() {
+        assert_eq!(parent("/"), None);
+        assert_eq!(parent("/a"), Some("/"));
+        assert_eq!(parent("/a/b"), Some("/a"));
+        assert_eq!(parent("/a/b/c"), Some("/a/b"));
+    }
+
+    // ---- the private (one owner, one lock shard) face of the store
+
+    #[test]
+    fn hits_misses_and_rate() {
+        let mut c = private(CacheOptions::default());
+        assert_eq!(c.lookup_data("/x"), Lookup::Miss);
+        c.put_data("/x", Bytes::from_static(b"v"), stat());
+        assert!(matches!(c.lookup_data("/x"), Lookup::Hit(_)));
+        assert!(matches!(c.lookup_exists("/x"), Lookup::Hit(_)), "put_data also answers exists");
+        let s = c.stats();
+        assert_eq!((s.hits, s.misses), (2, 1));
+        assert!((s.hit_rate() - 2.0 / 3.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn watch_evicts_path_and_parent_listing() {
+        let mut c = private(CacheOptions::default());
+        c.put_data("/d/f", Bytes::new(), stat());
+        c.put_children("/d", vec!["f".into()], stat());
+        c.invalidate_watch(&note("/d/f", dufs_coord::watch::WatchEventKind::DataChanged));
+        assert_eq!(c.lookup_data("/d/f"), Lookup::Miss);
+        assert!(c.get_children("/d").is_none(), "parent listing evicted too");
+        assert_eq!(c.stats().watch_invalidations, 1);
+    }
+
+    #[test]
+    fn local_mutation_evicts() {
+        let mut c = private(CacheOptions::default());
+        c.put_exists("/a", None);
+        c.invalidate_local("/a");
+        assert_eq!(c.lookup_exists("/a"), Lookup::Miss);
+        assert_eq!(c.stats().local_invalidations, 1);
+        // Evicting a cold path counts nothing.
+        c.invalidate_local("/cold");
+        assert_eq!(c.stats().local_invalidations, 1);
+    }
+
+    #[test]
+    fn reconnect_flushes_everything() {
+        let mut c = private(CacheOptions::default());
+        c.put_data("/a", Bytes::new(), stat());
+        c.put_children("/", vec!["a".into()], stat());
+        c.invalidate_reconnect();
+        assert_eq!(c.len(), 0);
+        assert_eq!(c.stats().reconnect_invalidations, 1);
+        // Flushing an empty cache is not an invalidation event.
+        c.invalidate_reconnect();
+        assert_eq!(c.stats().reconnect_invalidations, 1);
+    }
+
+    #[test]
+    fn private_capacity_bounds_total_entries() {
+        let mut c = private(CacheOptions { capacity: 4, ..CacheOptions::default() });
+        for i in 0..10 {
+            c.put_data(&format!("/n{i}"), Bytes::new(), stat());
+        }
+        assert!(c.len() <= 4 + 1, "full flush keeps the cache bounded");
+    }
+
+    /// A private cache's capacity is store-wide, not sliced per lock shard:
+    /// a working set just under the default capacity (8 000 `put_data`s =
+    /// 16 000 entries, the end-to-end benchmark's hot set) must fit whole.
+    #[test]
+    fn private_default_capacity_holds_an_8000_file_hot_set() {
+        let mut c = private(CacheOptions::default());
+        for i in 0..8_000 {
+            c.put_data(&format!("/r{:03}/f{i:05}", i % 16), Bytes::from_static(b"meta"), stat());
+        }
+        for i in 0..8_000 {
+            let p = format!("/r{:03}/f{i:05}", i % 16);
+            assert!(matches!(c.lookup_data(&p), Lookup::Hit(_)), "{p} was flushed");
+        }
+        assert_eq!((c.stats().hits, c.stats().misses), (8_000, 0));
+    }
+
+    #[test]
+    fn negative_entries_hit_then_expire() {
+        let mut c = private(CacheOptions {
+            negative_ttl: Duration::from_millis(40),
+            ..CacheOptions::default()
+        });
+        assert_eq!(c.lookup_data("/gone"), Lookup::Miss);
+        c.put_negative("/gone");
+        assert!(c.has_data("/gone"), "the peek sees a valid absence");
+        assert_eq!(c.lookup_data("/gone"), Lookup::Negative);
+        let s = c.stats();
+        assert_eq!((s.hits, s.misses, s.negative_hits), (1, 1, 1));
+        std::thread::sleep(Duration::from_millis(60));
+        assert!(!c.has_data("/gone"), "TTL lapsed");
+        assert_eq!(c.lookup_data("/gone"), Lookup::Miss);
+        let s = c.stats();
+        assert_eq!(s.negative_expiries, 1);
+        assert_eq!(s.misses, 2);
+    }
+
+    #[test]
+    fn observed_create_under_parent_drops_sibling_negatives() {
+        let mut c = private(CacheOptions::default());
+        c.put_negative("/d/missing-a");
+        c.put_negative("/d/missing-b");
+        c.put_negative("/e/other");
+        // A children-changed watch on /d (some create happened under it).
+        c.invalidate_watch(&note("/d", dufs_coord::watch::WatchEventKind::ChildrenChanged));
+        assert!(!c.has_data("/d/missing-a"));
+        assert!(!c.has_data("/d/missing-b"));
+        assert!(c.has_data("/e/other"), "unrelated negatives survive");
+        assert_eq!(c.stats().watch_invalidations, 1);
+    }
+
+    #[test]
+    fn positive_results_and_own_mutations_override_negatives() {
+        let mut c = private(CacheOptions::default());
+        c.put_negative("/f");
+        c.put_data("/f", Bytes::from_static(b"v"), stat());
+        assert_eq!(c.lookup_data("/f"), Lookup::Hit((Bytes::from_static(b"v"), stat())));
+        assert_eq!(c.stats().negative_hits, 0, "the positive result replaced the absence");
+        c.put_negative("/g");
+        c.invalidate_local("/g");
+        assert!(!c.has_data("/g"), "own create evicts the cached absence");
+    }
+
+    // ---- the shared (many owners, sharded locks) face
 
     #[test]
     fn own_entries_trusted_foreign_entries_age_out() {

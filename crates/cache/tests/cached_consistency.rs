@@ -2,7 +2,7 @@
 //!
 //! * **Read-your-writes survives the cache + failover** — the
 //!   `read_consistency.rs` proptests from `dufs-coord`, re-run with a
-//!   [`CachedClient`] in front of the session, on both transports, with
+//!   [`Cached`] in front of the session, on both transports, with
 //!   the serving replica killed out from under the reader mid-round
 //!   (thread crash and TCP kill-9). This is the regression gate for
 //!   watches fired while disconnected: the server never replays them, so
@@ -20,7 +20,7 @@ use std::time::{Duration, Instant};
 use bytes::Bytes;
 use proptest::prelude::*;
 
-use dufs_cache::{CacheBuilder, CacheOptions, CachedClient};
+use dufs_cache::{CacheBuilder, CacheOptions, Cached};
 use dufs_coord::server::{LEASE_MARGIN_MS, LEASE_MS};
 use dufs_coord::{ClientOptions, ClusterBuilder, ReadConsistency};
 use dufs_zkstore::CreateMode;
@@ -147,7 +147,7 @@ proptest! {
         let leader = cluster.await_leader(Duration::from_secs(20)).expect("leader");
         let start = (0..3).find(|&i| i != leader).unwrap();
 
-        let mut c = CachedClient::new(
+        let mut c = Cached::with_options(
             cluster
                 .client(
                     ClientOptions::at(start)

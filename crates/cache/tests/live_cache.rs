@@ -1,4 +1,4 @@
-//! Live integration: [`CachedClient`] over real clusters (thread and TCP
+//! Live integration: [`Cached`] over real clusters (thread and TCP
 //! transports). Covers the subsystem's four behavioural claims:
 //!
 //! 1. warm reads are served from the cache, foreign writes invalidate via
@@ -16,10 +16,10 @@ use std::time::{Duration, Instant};
 
 use bytes::Bytes;
 
-use dufs_cache::{CacheOptions, CachedClient};
+use dufs_cache::{CacheOptions, Cached};
 use dufs_coord::server::{LEASE_MARGIN_MS, LEASE_MS};
 use dufs_coord::{
-    ClientOptions, ClientTransport, ClusterBuilder, ReadConsistency, Watch, ZkRequest,
+    ClientOptions, ClientTransport, ClusterBuilder, ReadConsistency, Watch, ZkClient, ZkRequest,
 };
 use dufs_zkstore::{CreateMode, ZkError};
 
@@ -36,7 +36,7 @@ const LEADER_WAIT: Duration = Duration::from_secs(20);
 /// still un-acked — the case in which the lease-off rule owes a barrier
 /// (an acked write owes none: its origin replica applied it before
 /// replying).
-fn miss_with_a_write_in_flight<T: ClientTransport>(c: &mut CachedClient<T>, i: usize) {
+fn miss_with_a_write_in_flight<T: ClientTransport>(c: &mut Cached<ZkClient<T>>, i: usize) {
     let path = format!("/owed-{i}");
     let data = Bytes::from(format!("v{i}").into_bytes());
     c.create(&path, data.clone(), CreateMode::Persistent).unwrap();
@@ -60,7 +60,7 @@ fn warm_reads_hit_and_foreign_writes_invalidate() {
     let leader = tc.await_leader(LEADER_WAIT).expect("leader");
 
     let mut w = tc.client(ClientOptions::at(leader)).unwrap();
-    let mut r = CachedClient::new(
+    let mut r = Cached::with_options(
         tc.client(ClientOptions::at(leader).with_consistency(ReadConsistency::SyncThenLocal))
             .unwrap(),
         CacheOptions::default(),
@@ -99,7 +99,7 @@ fn leases_skip_barriers_and_disabled_leases_do_not() {
 
     // Lease on: a miss after an acked write owes no barrier, so there is
     // nothing to skip; a miss that does owe one rides a grant instead.
-    let mut c = CachedClient::new(
+    let mut c = Cached::with_options(
         tc.client(ClientOptions::at(leader).with_consistency(ReadConsistency::SyncThenLocal))
             .unwrap(),
         CacheOptions::default(),
@@ -121,7 +121,7 @@ fn leases_skip_barriers_and_disabled_leases_do_not() {
     assert!(c.lease_valid(), "lease should still be live right after a renewal");
 
     // Lease off: same workload, PR 5 barrier semantics — no skips ever.
-    let mut c = CachedClient::new(
+    let mut c = Cached::with_options(
         tc.client(ClientOptions::at(leader).with_consistency(ReadConsistency::SyncThenLocal))
             .unwrap(),
         CacheOptions { lease: false, ..CacheOptions::default() },
@@ -159,7 +159,7 @@ fn reconnect_flushes_cache_instead_of_losing_watches() {
     let observer = 3;
 
     let mut w = tc.client(ClientOptions::at(0).with_failover()).unwrap();
-    let mut r = CachedClient::new(
+    let mut r = Cached::with_options(
         tc.client(
             ClientOptions::at(observer)
                 .with_failover()
@@ -260,7 +260,7 @@ fn tcp_cached_session_hits_leases_and_invalidation() {
     let leader = cluster.await_leader(LEADER_WAIT).expect("leader");
 
     let mut w = cluster.client(ClientOptions::at(leader)).unwrap();
-    let mut r = CachedClient::new(
+    let mut r = Cached::with_options(
         cluster
             .client(ClientOptions::at(leader).with_consistency(ReadConsistency::SyncThenLocal))
             .unwrap(),

@@ -29,6 +29,7 @@ pub mod api;
 pub mod cluster;
 pub mod runtime;
 pub mod server;
+pub mod session;
 pub mod shard;
 pub mod sharded;
 pub mod tcp;
@@ -44,6 +45,7 @@ pub type WarmedDir = (Vec<(String, bytes::Bytes, dufs_zkstore::Stat)>, dufs_zkst
 pub use cluster::ClusterBuilder;
 pub use runtime::{ChannelTransport, ClientTransport, ThreadCluster, ZkClient};
 pub use server::{ClientId, CoordMsg, CoordServer, CoordTimer, ServerIn, ServerOut};
+pub use session::CoordService;
 pub use shard::{HashRing, ShardConfig, SHARD_CONFIG_PATH};
 pub use sharded::{ClusterHandle, ShardedClient, ShardedCluster};
 pub use tcp::{remote_status, TcpCluster, TcpTransport, TcpZkClient};

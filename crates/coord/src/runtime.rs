@@ -610,7 +610,7 @@ impl<T: ClientTransport> ZkClient<T> {
     /// a [`ZkClient::sync`] barrier when the level requires one. If the
     /// transport fails over mid-read, the answer may have come from a
     /// replica the barrier never covered — re-barrier and re-read.
-    fn read_request(&mut self, req: ZkRequest) -> ZkResponse {
+    pub(crate) fn read_request(&mut self, req: ZkRequest) -> ZkResponse {
         if self.consistency == ReadConsistency::Local {
             return self.request(req);
         }

@@ -56,11 +56,12 @@ use std::time::Duration;
 
 use bytes::Bytes;
 
-use dufs_zkstore::{path as zkpath, CreateMode, MultiOp, Stat, ZkError};
+use dufs_zkstore::{path as zkpath, CreateMode, MultiOp, MultiResult, Stat, ZkError};
 
-use crate::api::{ClientOptions, ReadConsistency, Watch};
+use crate::api::{ClientOptions, LeaseGrant, ReadConsistency, Watch, ZkRequest, ZkResponse};
 use crate::runtime::{ClientTransport, ServerStatus, ThreadCluster, ZkClient};
 use crate::server::TXN_PREFIX;
+use crate::session::CoordService;
 use crate::shard::{is_internal_path, HashRing, ShardConfig, DEFAULT_VNODES, SHARD_CONFIG_PATH};
 use crate::tcp::TcpCluster;
 use crate::txn::{Txn, TxnOp};
@@ -211,13 +212,6 @@ impl<C: ClusterHandle> ShardedCluster<C> {
         ShardedClient::connect(clients)
     }
 
-    /// Deprecated alias for [`ShardedCluster::client`] from when the
-    /// zero-argument `client()` existed alongside it.
-    #[deprecated(note = "use `client(opts)`; the signatures are identical now")]
-    pub fn client_with(&self, opts: ClientOptions) -> Result<ShardedClient<C::Transport>, ZkError> {
-        self.client(opts)
-    }
-
     /// Tear down every shard.
     pub fn shutdown(self) {
         for s in self.shards {
@@ -364,10 +358,19 @@ impl<T: ClientTransport> ShardedClient<T> {
     /// owning shard (see the module docs for why sharded creates are
     /// `mkdir -p`). Returns the created path.
     pub fn create(&mut self, path: &str, data: Bytes) -> Result<String, ZkError> {
+        self.create_mode(path, data, CreateMode::Persistent)
+    }
+
+    fn create_mode(
+        &mut self,
+        path: &str,
+        data: Bytes,
+        mode: CreateMode,
+    ) -> Result<String, ZkError> {
         self.maybe_refresh()?;
         self.retry_after_recovery(|c| {
             let s = c.route(path);
-            c.clients[s].create_path(path, data.clone(), CreateMode::Persistent)
+            c.clients[s].create_path(path, data.clone(), mode)
         })
     }
 
@@ -475,14 +478,9 @@ impl<T: ClientTransport> ShardedClient<T> {
     /// listing itself — on [`ShardedClient::route_children`]`(path)`.
     pub fn get_children(&mut self, path: &str) -> Result<Vec<String>, ZkError> {
         self.maybe_refresh()?;
-        let s = self.route_children(path);
-        match self.clients[s].get_children(path, Watch::None) {
-            Ok((kids, _)) => Ok(kids),
-            // The directory was never materialized on its children-owner
-            // shard because nothing was created under it there; if it
-            // exists on its *own* owner shard, it is simply empty.
-            Err(ZkError::NoNode) if self.exists_inner(path)? => Ok(Vec::new()),
-            Err(e) => Err(e),
+        match self.listing(ZkRequest::GetChildren { path: path.into(), watch: false }) {
+            ZkResponse::Children { names, .. } => Ok(names),
+            r => Err(r.err().unwrap_or(ZkError::ConnectionLoss)),
         }
     }
 
@@ -490,37 +488,47 @@ impl<T: ClientTransport> ShardedClient<T> {
     /// the children listing with each child's data and stat plus the
     /// parent's stat, leaving one-shot watches (child watch on the parent,
     /// data watch on every child) behind in a single round trip to the
-    /// children-owner shard. A directory never materialized on that shard
-    /// warms to an empty listing if it exists on its own owner shard.
+    /// children-owner shard.
     pub fn warm_children(&mut self, path: &str) -> Result<crate::WarmedDir, ZkError> {
         self.maybe_refresh()?;
-        let s = self.route_children(path);
-        match self.clients[s].warm_children(path) {
-            Ok(r) => Ok(r),
-            Err(ZkError::NoNode) if self.exists_inner(path)? => Ok((Vec::new(), Stat::default())),
-            Err(e) => Err(e),
+        match self.listing(ZkRequest::WarmChildren { path: path.into() }) {
+            ZkResponse::WarmedChildren { entries, stat } => Ok((entries, stat)),
+            r => Err(r.err().unwrap_or(ZkError::ConnectionLoss)),
         }
     }
 
-    fn exists_inner(&mut self, path: &str) -> Result<bool, ZkError> {
-        let s = self.route(path);
-        Ok(self.clients[s].exists(path, Watch::None)?.is_some())
-    }
-
-    /// Flush this session's view, barriering **only the shards that owe a
-    /// barrier** ([`ZkClient::is_dirty`]: a write there was abandoned with
-    /// its outcome unknown, or is still in flight) — acked writes are
-    /// already visible on their shard. The per-shard analogue of
-    /// [`ZkClient::sync`]. Returns the number of shards barriered.
-    pub fn sync(&mut self) -> Result<usize, ZkError> {
-        let mut barriered = 0;
-        for c in &mut self.clients {
-            if c.is_dirty() {
-                c.sync()?;
-                barriered += 1;
-            }
+    /// Answer a `GetChildren` / `GetChildrenData` / `WarmChildren` request
+    /// from the children-owner shard in one round trip. A directory never
+    /// materialized there (nothing was ever created under it) lists as
+    /// empty if it exists on its *own* owner shard. That synthesized empty
+    /// listing is assembled from two shards and no watch on either guards
+    /// it (a create under the directory touches only the children-owner
+    /// shard, a delete of the never-materialized directory only the owner),
+    /// so it must not be cached: see [`CoordService::connection_of`].
+    fn listing(&mut self, req: ZkRequest) -> ZkResponse {
+        let path = match &req {
+            ZkRequest::GetChildren { path, .. }
+            | ZkRequest::GetChildrenData { path }
+            | ZkRequest::WarmChildren { path } => path.clone(),
+            other => unreachable!("listing() is only called with listing requests: {other:?}"),
+        };
+        let s = self.route_children(&path);
+        let resp = CoordService::request(&mut self.clients[s], req.clone());
+        if resp.err() != Some(ZkError::NoNode) {
+            return resp;
         }
-        Ok(barriered)
+        let owner = self.route(&path);
+        match self.clients[owner].exists(&path, Watch::None) {
+            Ok(Some(stat)) => match req {
+                ZkRequest::GetChildren { .. } => ZkResponse::Children { names: Vec::new(), stat },
+                ZkRequest::GetChildrenData { .. } => {
+                    ZkResponse::ChildrenData { entries: Vec::new() }
+                }
+                _ => ZkResponse::WarmedChildren { entries: Vec::new(), stat },
+            },
+            Ok(None) => ZkResponse::Error(ZkError::NoNode),
+            Err(e) => ZkResponse::Error(e),
+        }
     }
 
     /// Atomic multi-op over any mix of shards. Ops that all land on one
@@ -528,15 +536,21 @@ impl<T: ClientTransport> ShardedClient<T> {
     /// shards run as a two-phase commit (see [`ShardedClient::txn_2pc`]),
     /// in which case partial per-op results are not reported.
     pub fn multi(&mut self, ops: Vec<MultiOp>) -> Result<(), ZkError> {
+        self.multi_results(ops).map(|_| ())
+    }
+
+    /// [`ShardedClient::multi`] with the native per-op results when the ops
+    /// land on one shard (empty for a cross-shard 2PC).
+    fn multi_results(&mut self, ops: Vec<MultiOp>) -> Result<Vec<MultiResult>, ZkError> {
         self.maybe_refresh()?;
         let slices = self.slice_by_shard(ops);
         match slices.len() {
-            0 => Ok(()),
+            0 => Ok(Vec::new()),
             1 => {
                 let (s, ops) = slices.into_iter().next().expect("one slice");
-                self.retry_after_recovery(|c| c.clients[s].multi(ops.clone()).map(|_| ()))
+                self.retry_after_recovery(|c| c.clients[s].multi(ops.clone()))
             }
-            _ => self.retry_after_recovery(|c| c.txn_2pc(slices.clone()).map(|_| ())),
+            _ => self.retry_after_recovery(|c| c.txn_2pc(slices.clone()).map(|_| Vec::new())),
         }
     }
 
@@ -886,17 +900,127 @@ impl<T: ClientTransport> ShardedClient<T> {
 
     /// Close every inner session.
     pub fn close(self) -> Result<(), ZkError> {
-        for c in self.clients {
-            c.close()?;
+        // Every session is closed even if an earlier close failed; the
+        // first error is reported.
+        self.clients.into_iter().map(ZkClient::close).fold(Ok(()), Result::and)
+    }
+}
+
+/// A sharded session is a [`CoordService`] like any other: each request is
+/// routed through the same `route` / `route_children` / `multi` / 2PC paths
+/// as the typed methods, and the freshness hooks index the per-shard inner
+/// sessions. Requests that address a *shard* rather than a path (`Connect`,
+/// the `Txn*` 2PC steps — use [`ShardedClient::txn_prepare_on`] and
+/// friends) answer [`ZkError::InvalidPath`].
+impl<T: ClientTransport> CoordService for ShardedClient<T> {
+    fn request(&mut self, req: ZkRequest) -> ZkResponse {
+        let err = ZkResponse::Error;
+        match req {
+            ZkRequest::Create { path, data, mode } | ZkRequest::CreatePath { path, data, mode } => {
+                self.create_mode(&path, data, mode)
+                    .map_or_else(err, |path| ZkResponse::Created { path })
+            }
+            ZkRequest::Delete { path, version } => {
+                self.delete(&path, version).map_or_else(err, |()| ZkResponse::Deleted)
+            }
+            ZkRequest::SetData { path, data, version } => {
+                self.set_data(&path, data, version).map_or_else(err, ZkResponse::Stat)
+            }
+            ZkRequest::Multi { ops } => {
+                self.multi_results(ops).map_or_else(err, ZkResponse::MultiResults)
+            }
+            ZkRequest::GetData { .. }
+            | ZkRequest::Exists { .. }
+            | ZkRequest::GetChildren { .. }
+            | ZkRequest::GetChildrenData { .. }
+            | ZkRequest::WarmChildren { .. } => match self.maybe_refresh() {
+                Err(e) => err(e),
+                Ok(()) if matches!(req, ZkRequest::GetData { .. } | ZkRequest::Exists { .. }) => {
+                    let s = self.connection_of(&req);
+                    CoordService::request(&mut self.clients[s], req)
+                }
+                Ok(()) => self.listing(req),
+            },
+            // Session-wide requests visit every shard — `Sync` is a strict
+            // barrier on each of them whether or not it owes one (a caller
+            // that only wants owed barriers asks `is_dirty` per connection),
+            // and a failed `CloseSession` must not strand the later shards'
+            // sessions. The first error answers for the whole session.
+            ZkRequest::Sync { .. } | ZkRequest::Ping | ZkRequest::CloseSession => {
+                let mut failed = None;
+                let mut last = ZkResponse::Error(ZkError::ConnectionLoss);
+                for c in &mut self.clients {
+                    last = CoordService::request(c, req.clone());
+                    if last.err().is_some() && failed.is_none() {
+                        failed = Some(last.clone());
+                    }
+                }
+                failed.unwrap_or(last)
+            }
+            ZkRequest::Connect
+            | ZkRequest::TxnPrepare { .. }
+            | ZkRequest::TxnCommit { .. }
+            | ZkRequest::TxnAbort { .. } => err(ZkError::InvalidPath),
         }
-        Ok(())
+    }
+
+    fn drain_watches(&mut self) -> Vec<WatchNotification> {
+        // Re-arms the shard-config watch and adopts layout changes; a failed
+        // re-read stays pending for the next operation.
+        let _ = self.maybe_refresh();
+        std::iter::from_fn(|| self.take_watch()).collect()
+    }
+
+    fn connections(&self) -> usize {
+        self.clients.len()
+    }
+
+    fn connection_of(&self, req: &ZkRequest) -> usize {
+        match req {
+            ZkRequest::GetChildren { path, .. }
+            | ZkRequest::GetChildrenData { path }
+            | ZkRequest::WarmChildren { path } => self.route_children(path),
+            ZkRequest::GetData { path, .. } | ZkRequest::Exists { path, .. } => self.route(path),
+            _ => 0,
+        }
+    }
+
+    fn reconnects(&self, conn: usize) -> u64 {
+        self.clients[conn].reconnects()
+    }
+
+    fn is_dirty(&self, conn: usize) -> bool {
+        self.clients[conn].is_dirty()
+    }
+
+    fn consistency(&self) -> ReadConsistency {
+        self.clients[0].consistency()
+    }
+
+    fn set_consistency(&mut self, consistency: ReadConsistency) {
+        ShardedClient::set_consistency(self, consistency);
+    }
+
+    fn pushed_lease(&mut self, conn: usize) -> Option<LeaseGrant> {
+        self.clients[conn].pushed_lease()
+    }
+
+    fn ping_lease(&mut self, conn: usize) -> Result<Option<LeaseGrant>, ZkError> {
+        self.clients[conn].ping_lease().map(|(_, lease)| lease)
+    }
+
+    fn sync_coalesced(&mut self, conn: usize) -> Result<bool, ZkError> {
+        self.clients[conn].sync_coalesced().map(|(_, coalesced)| coalesced)
+    }
+
+    fn epoch(&self) -> u64 {
+        self.epoch
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::api::ZkRequest;
     use crate::cluster::ClusterBuilder;
 
     fn two_shards() -> ShardedCluster<ThreadCluster> {
@@ -942,14 +1066,21 @@ mod tests {
     }
 
     #[test]
-    fn sync_barriers_only_shards_that_owe_one() {
+    fn only_unsettled_writes_owe_their_shard_a_barrier() {
         let cluster = two_shards();
         let mut c = cluster.client(ClientOptions::at(0).with_failover()).unwrap();
-        assert_eq!(c.sync().unwrap(), 0, "clean session barriers nothing");
+        let owed = |c: &ShardedClient<_>| -> Vec<bool> {
+            (0..c.connections()).map(|s| c.is_dirty(s)).collect()
+        };
+        let settle = |c: &mut ShardedClient<_>| {
+            let resp = CoordService::request(c, ZkRequest::Sync { coalesce: false });
+            assert!(matches!(resp, ZkResponse::Synced { .. }), "{resp:?}");
+        };
+        assert_eq!(owed(&c), [false, false], "clean session owes nothing");
         let (a, b) = cross_shard_pair(&c);
         c.create(&a, Bytes::new()).unwrap();
         c.create(&b, Bytes::new()).unwrap();
-        assert_eq!(c.sync().unwrap(), 0, "acked writes owe no barrier");
+        assert_eq!(owed(&c), [false, false], "acked writes owe no barrier");
 
         let create = |path: &str| ZkRequest::Create {
             path: path.into(),
@@ -958,8 +1089,9 @@ mod tests {
         };
         // A pipelined write still in flight owes one, on its shard only.
         c.shard_client(0).submit(create("/in-flight"));
-        assert_eq!(c.sync().unwrap(), 1, "an outstanding write owes its shard a barrier");
-        assert_eq!(c.sync().unwrap(), 0, "the barrier is ordered after the write it was owed for");
+        assert_eq!(owed(&c), [true, false], "an outstanding write owes its shard a barrier");
+        settle(&mut c);
+        assert_eq!(owed(&c), [false, false], "the barrier is ordered after the write it was for");
 
         // So does a write abandoned with its outcome unknown.
         cluster.shard(1).crash(0);
@@ -968,8 +1100,9 @@ mod tests {
         assert_eq!(resp.err(), Some(ZkError::ConnectionLoss));
         cluster.shard(1).restart(0);
         c.shard_client(1).set_timeout(Duration::from_secs(5));
-        assert_eq!(c.sync().unwrap(), 1, "the abandoned write owes its shard a barrier");
-        assert_eq!(c.sync().unwrap(), 0, "sync settles what was owed");
+        assert_eq!(owed(&c), [false, true], "the abandoned write owes its shard a barrier");
+        settle(&mut c);
+        assert_eq!(owed(&c), [false, false], "the session-level Sync settles what was owed");
         c.close().unwrap();
         cluster.shutdown();
     }

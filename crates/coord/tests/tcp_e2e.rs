@@ -137,14 +137,14 @@ fn thread_and_tcp_runtimes_agree_on_the_namespace_digest() {
 }
 
 /// The same churn driven through the client-side metadata cache
-/// ([`dufs_cache::CachedClient`]) must leave an identical namespace — the
+/// ([`dufs_cache::Cached`]) must leave an identical namespace — the
 /// cache may only change *who answers* a read, never what the tree holds —
 /// and the wrapper's cache/lease counters must show the machinery actually
 /// engaged over real sockets: warm hits, eviction by own mutations, lease
 /// renewals, and lease-licensed barrier skips.
 #[test]
 fn cached_tcp_sessions_keep_digest_parity_and_report_counters() {
-    use dufs_cache::{CacheOptions, CachedClient};
+    use dufs_cache::{CacheOptions, Cached};
 
     // Uncached reference run.
     let cluster = ClusterBuilder::new().voters(3).tcp();
@@ -159,7 +159,7 @@ fn cached_tcp_sessions_keep_digest_parity_and_report_counters() {
     // pass must hit).
     let cluster = ClusterBuilder::new().voters(3).tcp();
     let leader = cluster.await_leader(Duration::from_secs(20)).expect("tcp leader");
-    let mut r = CachedClient::new(
+    let mut r = Cached::with_options(
         cluster
             .client(ClientOptions::at(leader).with_consistency(ReadConsistency::SyncThenLocal))
             .unwrap(),

@@ -1,169 +1,37 @@
-//! Client-side metadata cache with watch-based invalidation — the
-//! **simulation-level** face of `dufs-cache`.
+//! Client-side metadata cache with watch-based invalidation.
 //!
 //! The paper's related-work discussion (§VI) notes that filesystems which
 //! cache directory entries on clients "generally disable client caching
 //! during concurrent update workload to avoid excessive consistency
 //! overhead". The coordination service gives DUFS a cheaper option: cache
-//! `zoo_get` results and let the server's **one-shot watches** invalidate
-//! them — no cross-client locks, consistency preserved because any
-//! mutation fires the watch before a subsequent read could go stale
-//! (within ZooKeeper's usual single-client ordering guarantees).
+//! `zoo_get` / `zoo_exists` / `zoo_get_children` results and let the
+//! server's **one-shot watches** invalidate them — no cross-client locks,
+//! consistency preserved because any mutation fires the watch before a
+//! subsequent read could go stale (within ZooKeeper's usual single-client
+//! ordering guarantees).
 //!
-//! [`CachingCoord`] wraps any [`CoordService`]. Reads are answered from the
-//! cache when fresh; a miss issues the read **with a watch** and caches the
-//! result; watch notifications and the client's own mutations evict.
-//!
-//! The cache itself ([`dufs_cache::MetaCache`]) and the stats shape
-//! ([`CacheStats`]) are shared with the live wrappers
-//! (`dufs_cache::CachedClient` over thread/TCP transports), so sim and
-//! live cache behaviour stays digest-comparable and experiment tables
-//! line up field for field. The sim level has no transport, so the
-//! lease/barrier counters stay zero here.
-
-use dufs_cache::meta::Lookup;
-use dufs_cache::MetaCache;
-use dufs_coord::{ZkRequest, ZkResponse};
-use dufs_zkstore::{MultiOp, ZkError};
+//! The wrapper itself is [`dufs_cache::Cached`], which sits in front of any
+//! [`crate::services::CoordService`]; [`CachingCoord`] is its historical
+//! name in this crate. Reads are answered from the cache when fresh; a miss
+//! issues the read **with a watch** and caches the result; watch
+//! notifications and the client's own mutations evict. The tests below run
+//! it over the in-process [`crate::services::SoloCoord`], whose default
+//! freshness hooks describe one connection that never moves and grants
+//! nothing — so the lease/barrier counters stay zero here.
 
 pub use dufs_cache::CacheStats;
 
-use crate::services::CoordService;
-
 /// A caching wrapper around a coordination-service connection.
-pub struct CachingCoord<C> {
-    inner: C,
-    cache: MetaCache,
-}
-
-impl<C: CoordService> CachingCoord<C> {
-    /// Default capacity (entries).
-    pub const DEFAULT_CAPACITY: usize = MetaCache::DEFAULT_CAPACITY;
-
-    /// Wrap `inner` with the default capacity.
-    pub fn new(inner: C) -> Self {
-        Self::with_capacity(inner, Self::DEFAULT_CAPACITY)
-    }
-
-    /// Wrap `inner`, caching at most `capacity` entries.
-    pub fn with_capacity(inner: C, capacity: usize) -> Self {
-        CachingCoord { inner, cache: MetaCache::with_capacity(capacity) }
-    }
-
-    /// Cache statistics so far.
-    pub fn stats(&self) -> CacheStats {
-        self.cache.stats()
-    }
-
-    /// Currently cached entries.
-    pub fn len(&self) -> usize {
-        self.cache.len()
-    }
-
-    /// Whether the cache is empty.
-    pub fn is_empty(&self) -> bool {
-        self.cache.is_empty()
-    }
-
-    /// The wrapped connection.
-    pub fn inner_mut(&mut self) -> &mut C {
-        &mut self.inner
-    }
-
-    fn drain_invalidations(&mut self) {
-        for note in self.inner.drain_watches() {
-            self.cache.invalidate_watch(&note);
-        }
-    }
-
-    fn invalidate_multi(&mut self, ops: &[MultiOp]) {
-        for op in ops {
-            match op {
-                MultiOp::Create { path, .. }
-                | MultiOp::Delete { path, .. }
-                | MultiOp::SetData { path, .. } => self.cache.invalidate_local(path),
-                MultiOp::Check { .. } => {}
-            }
-        }
-    }
-}
-
-impl<C: CoordService> CoordService for CachingCoord<C> {
-    fn request(&mut self, req: ZkRequest) -> ZkResponse {
-        // Apply any invalidations that arrived since the last call, before
-        // consulting the cache.
-        self.drain_invalidations();
-        match req {
-            ZkRequest::GetData { ref path, .. } => {
-                match self.cache.lookup_data(path) {
-                    Lookup::Hit((data, stat)) => return ZkResponse::Data { data, stat },
-                    Lookup::Negative => return ZkResponse::Error(ZkError::NoNode),
-                    Lookup::Miss => {}
-                }
-                // Go to the service with a watch so mutation anywhere
-                // invalidates this entry.
-                let resp =
-                    self.inner.request(ZkRequest::GetData { path: path.clone(), watch: true });
-                match resp {
-                    ZkResponse::Data { ref data, stat } => {
-                        self.cache.put_data(path, data.clone(), stat)
-                    }
-                    // Absence is cacheable too: TTL-bounded (no watch guards
-                    // a node that does not exist) plus eviction on any
-                    // observed create under the parent.
-                    ZkResponse::Error(ZkError::NoNode) => self.cache.put_negative(path),
-                    _ => {}
-                }
-                resp
-            }
-            // READDIRPLUS-style bulk warm: the service answers children +
-            // data + stats in one request; install all of it so follow-up
-            // GetDatas under `path` are hits.
-            ZkRequest::WarmChildren { ref path } => {
-                let path = path.clone();
-                let resp = self.inner.request(req);
-                if let ZkResponse::WarmedChildren { ref entries, stat } = resp {
-                    let names: Vec<String> = entries.iter().map(|(n, _, _)| n.clone()).collect();
-                    self.cache.put_children(&path, names, stat);
-                    for (name, data, cstat) in entries {
-                        let child =
-                            if path == "/" { format!("/{name}") } else { format!("{path}/{name}") };
-                        self.cache.put_data(&child, data.clone(), *cstat);
-                    }
-                    self.cache.stats_mut().bulk_warms += 1;
-                }
-                resp
-            }
-            // Mutations invalidate our own view before forwarding.
-            ZkRequest::Create { ref path, .. }
-            | ZkRequest::Delete { ref path, .. }
-            | ZkRequest::SetData { ref path, .. } => {
-                self.cache.invalidate_local(path);
-                self.inner.request(req)
-            }
-            ZkRequest::Multi { ref ops } => {
-                let ops = ops.clone();
-                self.invalidate_multi(&ops);
-                self.inner.request(req)
-            }
-            // Everything else passes through uncached (exists/children
-            // could be cached similarly; GetData dominates DUFS's hot path).
-            other => self.inner.request(other),
-        }
-    }
-
-    fn drain_watches(&mut self) -> Vec<dufs_coord::watch::WatchNotification> {
-        // Watches are consumed internally for invalidation.
-        Vec::new()
-    }
-}
+pub type CachingCoord<C> = dufs_cache::Cached<C>;
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::services::SoloCoord;
+    use crate::services::{CoordService, SoloCoord};
     use bytes::Bytes;
+    use dufs_coord::{ZkRequest, ZkResponse};
     use dufs_zkstore::CreateMode;
+    use dufs_zkstore::MultiOp;
 
     fn setup() -> CachingCoord<SoloCoord> {
         let mut c = CachingCoord::new(SoloCoord::new());
@@ -298,6 +166,35 @@ mod tests {
         fs.rename("/d/f", "/d/g").unwrap();
         assert_eq!(fs.stat("/d/f").unwrap_err(), crate::error::DufsError::NoEnt);
         assert_eq!(fs.stat("/d/g").unwrap().size, 6);
+    }
+
+    #[test]
+    fn listings_and_existence_are_cached_and_child_watches_evict() {
+        use crate::services::LocalBackends;
+        use crate::vfs::Dufs;
+        let mut fs = Dufs::new(1, CachingCoord::new(SoloCoord::new()), LocalBackends::lustre(2));
+        fs.mkdir("/d", 0o755).unwrap();
+        fs.mkdir("/d/a", 0o755).unwrap();
+        let before = fs.coord_mut().stats();
+        assert_eq!(fs.readdir("/d").unwrap(), vec!["a"]);
+        assert_eq!(fs.readdir("/d").unwrap(), vec!["a"]);
+        let s = fs.coord_mut().stats();
+        assert_eq!((s.misses - before.misses, s.hits - before.hits), (1, 1), "stats: {s:?}");
+        // A foreign create under the directory fires the child watch the
+        // cached listing left behind; the next readdir must see it.
+        fs.coord_mut().inner_mut().request(ZkRequest::Create {
+            path: "/d/b".into(),
+            data: crate::meta::NodeMeta::dir(0o755).encode(),
+            mode: CreateMode::Persistent,
+        });
+        assert_eq!(fs.readdir("/d").unwrap(), vec!["a", "b"]);
+        assert!(fs.coord_mut().stats().watch_invalidations >= 1);
+        // `Exists` is cached like the other two kinds.
+        let c = fs.coord_mut();
+        for _ in 0..3 {
+            assert!(c.exists("/d/a").unwrap().is_some());
+        }
+        assert!(c.stats().hits >= s.hits + 2, "exists never hit: {:?}", c.stats());
     }
 
     #[test]

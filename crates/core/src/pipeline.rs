@@ -8,7 +8,7 @@
 //! requests in submission order and completes them in the same order.
 //!
 //! [`AsyncCoordService`] is that capability as a trait, implemented by the
-//! live threaded client ([`dufs_coord::ZkClient`]) and the in-process
+//! live client ([`dufs_coord::ZkClient`], any transport) and the in-process
 //! [`SoloCoord`]. [`Pipeline`] is the
 //! depth-bounded driver on top: `submit` blocks only when the window is
 //! full, and completions surface strictly in submission order (a violation
@@ -17,7 +17,7 @@
 
 use std::collections::VecDeque;
 
-use dufs_coord::{ZkClient, ZkRequest, ZkResponse};
+use dufs_coord::{ClientTransport, ZkClient, ZkRequest, ZkResponse};
 use dufs_zkstore::ZkError;
 
 use crate::services::{CoordService, SoloCoord};
@@ -34,7 +34,7 @@ pub trait AsyncCoordService: CoordService {
     fn next_completion(&mut self) -> Option<(u64, ZkResponse)>;
 }
 
-impl AsyncCoordService for ZkClient {
+impl<T: ClientTransport> AsyncCoordService for ZkClient<T> {
     fn submit(&mut self, req: ZkRequest) -> u64 {
         ZkClient::submit(self, req)
     }

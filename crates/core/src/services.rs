@@ -6,8 +6,10 @@
 //! mounts. [`CoordService`] and [`BackendSet`] abstract those so the same
 //! [`crate::vfs::Dufs`] runs against:
 //!
-//! * a live threaded coordination ensemble (`dufs-coord`'s
-//!   [`dufs_coord::ZkClient`]) — the "real deployment" shape;
+//! * any live session — [`dufs_coord::ZkClient`] over the thread or TCP
+//!   transport, [`dufs_coord::ShardedClient`], or either behind
+//!   `dufs_cache::Cached` — the "real deployment" shapes ([`CoordService`]
+//!   itself is defined in `dufs-coord` and re-exported here);
 //! * an in-process single-server coordination service ([`SoloCoord`]) —
 //!   zero-thread unit tests and quick library embedding;
 //! * in-memory parallel filesystems ([`LocalBackends`]).
@@ -18,37 +20,13 @@ use dufs_backendfs::pfs::SharedPfs;
 use dufs_backendfs::ParallelFs;
 use dufs_coord::server::{ServerIn, ServerOut};
 use dufs_coord::watch::WatchNotification;
-use dufs_coord::{CoordServer, ZkClient, ZkRequest, ZkResponse};
+use dufs_coord::{CoordServer, ZkRequest, ZkResponse};
 use dufs_zab::{EnsembleConfig, PeerId};
 use dufs_zkstore::ZkError;
 
+pub use dufs_coord::CoordService;
+
 use crate::plan::{BackendReq, BackendResp};
-
-/// The coordination-service connection a DUFS client holds.
-pub trait CoordService {
-    /// Issue one synchronous request.
-    fn request(&mut self, req: ZkRequest) -> ZkResponse;
-
-    /// Watch notifications that arrived since the last drain (used by the
-    /// caching layer for invalidation). Default: none.
-    fn drain_watches(&mut self) -> Vec<WatchNotification> {
-        Vec::new()
-    }
-}
-
-impl CoordService for ZkClient {
-    fn request(&mut self, req: ZkRequest) -> ZkResponse {
-        ZkClient::request(self, req)
-    }
-
-    fn drain_watches(&mut self) -> Vec<WatchNotification> {
-        let mut out = Vec::new();
-        while let Some(n) = self.take_watch() {
-            out.push(n);
-        }
-        out
-    }
-}
 
 /// An in-process, single-server coordination service: the whole ensemble
 /// collapsed into one deterministic state machine. Useful for unit tests,

@@ -54,9 +54,11 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use dufs_backendfs::MemEngine;
-use dufs_cache::{CacheBuilder, CacheStats};
+use dufs_cache::{CacheBuilder, CacheStats, Cached};
 use dufs_coord::runtime::ServerStatus;
-use dufs_coord::{ClientOptions, ClusterBuilder, ReadConsistency};
+use dufs_coord::{
+    ClientOptions, ClusterBuilder, ClusterHandle, CoordService, ReadConsistency, ShardedCluster,
+};
 use dufs_mdtest::data::{
     expected_data_digest, read_back_digest, run_live_data, verify_file, write_all_files, DataSpec,
     Zipf,
@@ -98,6 +100,10 @@ fn converged_digest(status: impl Fn(usize) -> ServerStatus, n: usize) -> ServerS
     }
 }
 
+fn print_namespace(s: &ServerStatus) {
+    println!("\nfinal namespace: {} znodes, replicated digest {:#018x}", s.node_count, s.digest);
+}
+
 fn print_live(phases: &[LivePhase]) {
     println!("SUMMARY rate (wall clock): (ops/sec)");
     println!("   {:<22} {:>12} {:>12}", "Operation", "ops/sec", "total ops");
@@ -126,38 +132,111 @@ struct Sessions {
     cache_shared: bool,
 }
 
+/// Run the metadata-only workload over the sessions `open(p)` hands out —
+/// bare, or wrapped in the client cache per `sess` — print the phase rates
+/// (and the cache counters), and hand the bare sessions back for transport
+/// statistics or a digest.
+fn run_sessions<S: CoordService + Send>(
+    spec: &WorkloadSpec,
+    sess: Sessions,
+    open: impl Fn(usize) -> S,
+) -> Vec<S> {
+    // Each process stats only paths it created itself in an earlier, synced
+    // phase, so any read-your-writes level lets us insist the stats hit.
+    let strict_stats = sess.consistency != ReadConsistency::Local;
+    let Some(builder) = sess.cache else {
+        let (phases, clients) = run_live(spec, open, |_| {}, strict_stats);
+        print_live(&phases);
+        return clients;
+    };
+    // `--cache-shared`: every session attaches to ONE process-wide store;
+    // otherwise each gets a private cache.
+    let shared = sess.cache_shared.then(|| builder.shared());
+    let (phases, clients) = run_live(
+        spec,
+        |p| match &shared {
+            Some(sc) => sc.session(open(p)),
+            None => builder.session(open(p)),
+        },
+        |_| {},
+        strict_stats,
+    );
+    print_live(&phases);
+    let stats: Vec<CacheStats> = clients.iter().map(Cached::stats).collect();
+    print_cache_stats(clients.len(), sess.cache_shared, &aggregate_cache_stats(&stats));
+    clients.into_iter().map(Cached::into_inner).collect()
+}
+
 /// Live mode: the same WorkloadSpec op streams against a real ensemble.
 /// Create/stat phases only, so the final digest covers a populated tree.
 /// With `data`, every process also drives the striped data path — shared
 /// in-memory targets on the `thread` runtime, real `StoreServer`s over
 /// durable `FileEngine` targets on `tcp` — and the read-back contents
 /// digest is printed and asserted against the spec-derived expectation.
+///
+/// With `shards`, the namespace is sharded instead: one `ShardedClient` (a
+/// session per shard) per process, and the line printed is the
+/// shard-count-independent logical content digest, which `scripts/ci.sh`
+/// compares across `--shards` values.
 #[allow(clippy::too_many_arguments)]
 fn run_live_mode(
     mode: &str,
     spec: WorkloadSpec,
     zk: usize,
+    shards: Option<usize>,
     backends: usize,
     durable: bool,
     net_stats: bool,
     sess: Sessions,
     data: Option<DataSpec>,
 ) {
-    let Sessions { spread, consistency, cache, cache_shared } = sess;
+    let Sessions { spread, consistency, .. } = sess;
     let spec = WorkloadSpec {
         phases: vec![Phase::DirCreate, Phase::DirStat, Phase::FileCreate, Phase::FileStat],
         ..spec
     };
     let wal_dir = std::env::temp_dir().join(format!("dufs-mdtest-live-{}", std::process::id()));
-    // Each process stats only paths it created itself in an earlier, synced
-    // phase, so any read-your-writes level lets us insist the stats hit.
     let strict_stats = consistency != ReadConsistency::Local;
-    match mode {
-        "thread" => {
-            let mut b = ClusterBuilder::new().voters(zk);
-            if durable {
-                b = b.durable(&wal_dir);
-            }
+    let mut b = ClusterBuilder::new().voters(zk);
+    if durable {
+        b = b.durable(&wal_dir);
+    }
+    let bad_mode = || -> ! {
+        eprintln!("--live must be 'thread' or 'tcp', got {mode:?}");
+        usage()
+    };
+    // One shard-cluster run, cached or not, returning the logical digest.
+    fn sharded_run<C: ClusterHandle>(
+        cluster: ShardedCluster<C>,
+        spec: &WorkloadSpec,
+        sess: Sessions,
+        opts_for: impl Fn(usize) -> ClientOptions,
+    ) -> u64
+    where
+        C::Transport: Send,
+    {
+        let mut clients =
+            run_sessions(spec, sess, |p| cluster.client(opts_for(p)).expect("session"));
+        let digest = clients[0].user_digest().expect("digest");
+        cluster.shutdown();
+        digest
+    }
+    match (mode, shards) {
+        ("thread" | "tcp", Some(n)) => {
+            let opts_for = |p: usize| {
+                ClientOptions::at(if spread { p % zk } else { 0 })
+                    .with_failover()
+                    .with_consistency(consistency)
+            };
+            let b = b.shards(n);
+            let digest = if mode == "thread" {
+                sharded_run(b.sharded_threads(), &spec, sess, opts_for)
+            } else {
+                sharded_run(b.sharded_tcp(), &spec, sess, opts_for)
+            };
+            println!("\nfinal namespace ({n} shards): content digest {digest:#018x}");
+        }
+        ("thread", None) => {
             let tc = b.threads();
             let leader = tc.await_leader(Duration::from_secs(30)).expect("no leader");
             let opts_for = |p: usize| {
@@ -185,46 +264,13 @@ fn run_live_mode(
                     "read-back contents digest drifted from the spec-derived value"
                 );
                 println!("\ndata digest {digest:#018x} ({backends} in-memory data targets)");
-            } else if let Some(builder) = cache {
-                // `--cache-shared`: every session attaches to ONE
-                // process-wide store; otherwise each gets a private cache.
-                let shared = cache_shared.then(|| builder.shared());
-                let (phases, clients) = run_live(
-                    &spec,
-                    |p| {
-                        let inner = tc.client(opts_for(p)).expect("session");
-                        match &shared {
-                            Some(sc) => sc.session(inner),
-                            None => builder.session(inner),
-                        }
-                    },
-                    |_| {},
-                    strict_stats,
-                );
-                let stats: Vec<CacheStats> = clients.iter().map(|c| c.stats()).collect();
-                print_live(&phases);
-                print_cache_stats(clients.len(), cache_shared, &aggregate_cache_stats(&stats));
             } else {
-                let (phases, _) = run_live(
-                    &spec,
-                    |p| tc.client(opts_for(p)).expect("session"),
-                    |_| {},
-                    strict_stats,
-                );
-                print_live(&phases);
+                run_sessions(&spec, sess, |p| tc.client(opts_for(p)).expect("session"));
             }
-            let s = converged_digest(|i| tc.status(i), zk);
-            println!(
-                "\nfinal namespace: {} znodes, replicated digest {:#018x}",
-                s.node_count, s.digest
-            );
+            print_namespace(&converged_digest(|i| tc.status(i), zk));
             tc.shutdown();
         }
-        "tcp" => {
-            let mut b = ClusterBuilder::new().voters(zk);
-            if durable {
-                b = b.durable(&wal_dir);
-            }
+        ("tcp", None) => {
             let cluster = b.tcp();
             let leader = cluster.await_leader(Duration::from_secs(30)).expect("no leader");
             let opts_for = |p: usize| {
@@ -285,39 +331,12 @@ fn run_live_mode(
                     let _ = std::fs::remove_dir_all(dir);
                 }
                 client_net = Vec::new();
-            } else if let Some(builder) = cache {
-                let shared = cache_shared.then(|| builder.shared());
-                let (phases, clients) = run_live(
-                    &spec,
-                    |p| {
-                        let inner = cluster.client(opts_for(p)).expect("session");
-                        match &shared {
-                            Some(sc) => sc.session(inner),
-                            None => builder.session(inner),
-                        }
-                    },
-                    |_| {},
-                    strict_stats,
-                );
-                let stats: Vec<CacheStats> = clients.iter().map(|c| c.stats()).collect();
-                print_live(&phases);
-                print_cache_stats(clients.len(), cache_shared, &aggregate_cache_stats(&stats));
-                client_net = clients.iter().map(|c| c.inner().transport().stats()).collect();
             } else {
-                let (phases, clients) = run_live(
-                    &spec,
-                    |p| cluster.client(opts_for(p)).expect("session"),
-                    |_| {},
-                    strict_stats,
-                );
-                print_live(&phases);
+                let clients =
+                    run_sessions(&spec, sess, |p| cluster.client(opts_for(p)).expect("session"));
                 client_net = clients.iter().map(|c| c.transport().stats()).collect();
             }
-            let s = converged_digest(|i| cluster.status(i), zk);
-            println!(
-                "\nfinal namespace: {} znodes, replicated digest {:#018x}",
-                s.node_count, s.digest
-            );
+            print_namespace(&converged_digest(|i| cluster.status(i), zk));
             if net_stats {
                 println!("\nNET STATS (per endpoint):");
                 let mut total = cluster.net_stats(0);
@@ -337,95 +356,8 @@ fn run_live_mode(
             }
             cluster.shutdown();
         }
-        other => {
-            eprintln!("--live must be 'thread' or 'tcp', got {other:?}");
-            usage();
-        }
+        _ => bad_mode(),
     }
-    let _ = std::fs::remove_dir_all(&wal_dir);
-}
-
-/// Live mode over a *sharded* namespace: one `ShardedClient` (a session
-/// per shard) per process. Prints the shard-count-independent logical
-/// content digest, which `scripts/ci.sh` compares across `--shards` values.
-fn run_live_sharded_mode(
-    mode: &str,
-    spec: WorkloadSpec,
-    zk: usize,
-    shards: usize,
-    durable: bool,
-    sess: Sessions,
-) {
-    let Sessions { spread, consistency, cache, cache_shared } = sess;
-    let spec = WorkloadSpec {
-        phases: vec![Phase::DirCreate, Phase::DirStat, Phase::FileCreate, Phase::FileStat],
-        ..spec
-    };
-    let wal_dir = std::env::temp_dir().join(format!("dufs-mdtest-live-{}", std::process::id()));
-    let strict_stats = consistency != ReadConsistency::Local;
-    let opts_for = |p: usize| {
-        ClientOptions::at(if spread { p % zk } else { 0 })
-            .with_failover()
-            .with_consistency(consistency)
-    };
-    // One shard-cluster run, cached or not, returning the logical digest
-    // (macro: the thread/tcp cluster types differ).
-    macro_rules! sharded_run {
-        ($cluster:expr) => {{
-            let cluster = $cluster;
-            let digest = if let Some(builder) = cache {
-                let shared = cache_shared.then(|| builder.shared());
-                let (phases, mut clients) = run_live(
-                    &spec,
-                    |p| {
-                        let inner = cluster.client(opts_for(p)).expect("session");
-                        match &shared {
-                            Some(sc) => sc.session_sharded(inner),
-                            None => builder.session_sharded(inner),
-                        }
-                    },
-                    |_| {},
-                    strict_stats,
-                );
-                let stats: Vec<CacheStats> = clients.iter().map(|c| c.stats()).collect();
-                print_live(&phases);
-                print_cache_stats(clients.len(), cache_shared, &aggregate_cache_stats(&stats));
-                clients[0].user_digest().expect("digest")
-            } else {
-                let (phases, mut clients) = run_live(
-                    &spec,
-                    |p| cluster.client(opts_for(p)).expect("session"),
-                    |_| {},
-                    strict_stats,
-                );
-                print_live(&phases);
-                clients[0].user_digest().expect("digest")
-            };
-            cluster.shutdown();
-            digest
-        }};
-    }
-    let digest = match mode {
-        "thread" => {
-            let mut b = ClusterBuilder::new().voters(zk).shards(shards);
-            if durable {
-                b = b.durable(&wal_dir);
-            }
-            sharded_run!(b.sharded_threads())
-        }
-        "tcp" => {
-            let mut b = ClusterBuilder::new().voters(zk).shards(shards);
-            if durable {
-                b = b.durable(&wal_dir);
-            }
-            sharded_run!(b.sharded_tcp())
-        }
-        other => {
-            eprintln!("--live must be 'thread' or 'tcp', got {other:?}");
-            usage();
-        }
-    };
-    println!("\nfinal namespace ({shards} shards): content digest {digest:#018x}");
     let _ = std::fs::remove_dir_all(&wal_dir);
 }
 
@@ -602,50 +534,28 @@ fn main() {
             phases: Phase::ALL.to_vec(),
             shared_dir: shared,
         };
+        let cached = match (cache_builder, cache_shared) {
+            (Some(_), true) => ", shared cache",
+            (Some(b), false) if b.options().lease => ", cached+leased",
+            (Some(_), false) => ", cached",
+            (None, _) => "",
+        };
+        let durable_tag = if durable { " (durable)" } else { "" };
         if let Some(n) = shards {
             println!(
-                "-- mdtest-live: {mode} runtime, {n} shards x {zk} coordination servers{} --",
-                if durable { " (durable)" } else { "" }
+                "-- mdtest-live: {mode} runtime, {n} shards x {zk} coordination servers{durable_tag} --"
             );
             println!(
-                "   {procs} routed client sessions ({consistency:?} reads{}), \
-                 {items} items/proc, create/stat phases\n",
-                match (cache_builder, cache_shared) {
-                    (Some(_), true) => ", shared cache",
-                    (Some(b), false) if b.options().lease => ", cached+leased",
-                    (Some(_), false) => ", cached",
-                    (None, _) => "",
-                }
+                "   {procs} routed client sessions ({consistency:?} reads{cached}), \
+                 {items} items/proc, create/stat phases"
             );
-            run_live_sharded_mode(
-                &mode,
-                spec,
-                zk,
-                n,
-                durable,
-                Sessions {
-                    spread: read_from == "spread",
-                    consistency,
-                    cache: cache_builder,
-                    cache_shared,
-                },
+        } else {
+            println!("-- mdtest-live: {mode} runtime, {zk} coordination servers{durable_tag} --");
+            println!(
+                "   {procs} client sessions at the {read_from} ({consistency:?} reads{cached}), \
+                 {items} items/proc, create/stat phases"
             );
-            return;
         }
-        println!(
-            "-- mdtest-live: {mode} runtime, {zk} coordination servers{} --",
-            if durable { " (durable)" } else { "" }
-        );
-        println!(
-            "   {procs} client sessions at the {read_from} ({consistency:?} reads{}), \
-             {items} items/proc, create/stat phases",
-            match (cache_builder, cache_shared) {
-                (Some(_), true) => ", shared cache",
-                (Some(b), false) if b.options().lease => ", cached+leased",
-                (Some(_), false) => ", cached",
-                (None, _) => "",
-            }
-        );
         if let Some(d) = data_spec {
             println!(
                 "   mixed data path: {} bytes/file, {} byte stripes over {backends} targets{}",
@@ -659,6 +569,7 @@ fn main() {
             &mode,
             spec,
             zk,
+            shards,
             backends,
             durable,
             net_stats,

@@ -170,35 +170,32 @@ pub fn read_back_digest(store: &mut StoreClient, spec: &WorkloadSpec, data: &Dat
 /// Returns the per-phase wall results plus the read-back contents digest
 /// (computed through `store_for(spec.processes)`, a dedicated verify
 /// client), which callers compare against [`expected_data_digest`].
-pub fn run_live_data<T, F, S, G>(
+pub fn run_live_data<C, F, S, G>(
     spec: &WorkloadSpec,
     data: &DataSpec,
     client_for: F,
     store_for: S,
-    mut after_phase: G,
+    after_phase: G,
     strict_stats: bool,
 ) -> (Vec<crate::live::LivePhase>, u64)
 where
-    T: dufs_coord::ClientTransport + Send + 'static,
-    F: Fn(usize) -> dufs_coord::ZkClient<T>,
+    C: dufs_coord::CoordService + Send,
+    F: Fn(usize) -> C,
     S: Fn(usize) -> StoreClient,
     G: FnMut(crate::workload::Phase),
 {
+    use crate::live;
     use crate::workload::NativeOp;
-    use bytes::Bytes;
-    use dufs_coord::Watch;
-    use dufs_zkstore::{CreateMode, ZkError};
-    use std::time::Instant;
 
-    struct ProcState<T: dufs_coord::ClientTransport> {
-        zk: dufs_coord::ZkClient<T>,
+    struct ProcState<C> {
+        zk: C,
         store: StoreClient,
         files: Vec<String>,
         zipf: Option<Zipf>,
     }
 
     let data = *data;
-    let mut procs: Vec<ProcState<T>> = (0..spec.processes)
+    let mut procs: Vec<ProcState<C>> = (0..spec.processes)
         .map(|p| ProcState {
             zk: client_for(p),
             store: store_for(p),
@@ -206,108 +203,40 @@ where
             zipf: data.zipf.map(|theta| Zipf::new(spec.files_per_proc, theta, p as u64 + 1)),
         })
         .collect();
-
-    // Unmeasured setup (mdtest pre-creates the roots).
     for (p, st) in procs.iter_mut().enumerate() {
-        for path in spec.setup_paths(p) {
-            match st.zk.create(&path, Bytes::new(), CreateMode::Persistent) {
-                Ok(_) | Err(ZkError::NodeExists) => {}
-                Err(e) => panic!("setup {path}: {e:?}"),
+        live::setup(spec, p, &mut st.zk);
+    }
+
+    let exec = |st: &mut ProcState<C>, op: &NativeOp| {
+        live::exec(&mut st.zk, op, strict_stats);
+        match op {
+            // The data half of the create: a striped, acked write of the
+            // file's contents.
+            NativeOp::Create(path) => {
+                let contents = contents_for(path, data.bytes);
+                st.store.write(fid_for_path(path), 0, &contents).expect("striped write");
             }
+            NativeOp::Unlink(path) => {
+                st.store.delete(fid_for_path(path)).expect("data delete");
+            }
+            // The data half of the stat: read back and verify this
+            // process's own file, plus a popularity-skewed extra read when
+            // the Zipf knob is on.
+            NativeOp::StatFile(path) => {
+                verify_file(&mut st.store, path, data.bytes);
+                if let Some(z) = st.zipf.as_mut() {
+                    let hot = st.files[z.sample()].clone();
+                    verify_file(&mut st.store, &hot, data.bytes);
+                }
+            }
+            NativeOp::Mkdir(_) | NativeOp::Rmdir(_) | NativeOp::StatDir(_) => {}
         }
-    }
-
-    let mut out = Vec::with_capacity(spec.phases.len());
-    for &phase in &spec.phases {
-        let t0 = Instant::now();
-        let mut total_ops = 0u64;
-        let handles: Vec<std::thread::JoinHandle<ProcState<T>>> = procs
-            .drain(..)
-            .enumerate()
-            .map(|(p, mut st)| {
-                let ops = spec.ops_for(p, phase);
-                total_ops += ops.len() as u64;
-                std::thread::spawn(move || {
-                    for op in &ops {
-                        match op {
-                            NativeOp::Mkdir(path) => {
-                                match st.zk.create(path, Bytes::new(), CreateMode::Persistent) {
-                                    Ok(_) | Err(ZkError::NodeExists) => {}
-                                    Err(e) => panic!("mkdir {path}: {e:?}"),
-                                }
-                            }
-                            NativeOp::Create(path) => {
-                                let meta = Bytes::from(path.clone().into_bytes());
-                                match st.zk.create(path, meta, CreateMode::Persistent) {
-                                    Ok(_) | Err(ZkError::NodeExists) => {}
-                                    Err(e) => panic!("creat {path}: {e:?}"),
-                                }
-                                // The data half of the create: a striped,
-                                // acked write of the file's contents.
-                                let contents = contents_for(path, data.bytes);
-                                st.store
-                                    .write(fid_for_path(path), 0, &contents)
-                                    .expect("striped write");
-                            }
-                            NativeOp::Rmdir(path) => match st.zk.delete(path, None) {
-                                Ok(()) | Err(ZkError::NoNode) => {}
-                                Err(e) => panic!("rmdir {path}: {e:?}"),
-                            },
-                            NativeOp::Unlink(path) => {
-                                match st.zk.delete(path, None) {
-                                    Ok(()) | Err(ZkError::NoNode) => {}
-                                    Err(e) => panic!("unlink {path}: {e:?}"),
-                                }
-                                st.store.delete(fid_for_path(path)).expect("data delete");
-                            }
-                            NativeOp::StatDir(path) => {
-                                let stat = st
-                                    .zk
-                                    .exists(path, Watch::None)
-                                    .unwrap_or_else(|e| panic!("stat {path}: {e:?}"));
-                                if strict_stats {
-                                    assert!(stat.is_some(), "stat {path} found nothing");
-                                }
-                            }
-                            NativeOp::StatFile(path) => {
-                                let stat = st
-                                    .zk
-                                    .exists(path, Watch::None)
-                                    .unwrap_or_else(|e| panic!("stat {path}: {e:?}"));
-                                if strict_stats {
-                                    assert!(stat.is_some(), "stat {path} found nothing");
-                                }
-                                // The data half of the stat: read back and
-                                // verify this process's own file...
-                                verify_file(&mut st.store, path, data.bytes);
-                                // ...plus a popularity-skewed extra read
-                                // when the Zipf knob is on.
-                                if let Some(z) = st.zipf.as_mut() {
-                                    let hot = st.files[z.sample()].clone();
-                                    verify_file(&mut st.store, &hot, data.bytes);
-                                }
-                            }
-                        }
-                    }
-                    if phase.is_mutation() {
-                        st.zk.sync().expect("phase sync");
-                        st.store.sync().expect("data sync");
-                    }
-                    st
-                })
-            })
-            .collect();
-        procs = handles.into_iter().map(|h| h.join().expect("proc thread")).collect();
-
-        let wall_us = t0.elapsed().as_micros().max(1) as u64;
-        out.push(crate::live::LivePhase {
-            phase,
-            ops: total_ops,
-            wall_us,
-            ops_per_sec: total_ops as f64 / (wall_us as f64 / 1e6),
-        });
-        after_phase(phase);
-    }
+    };
+    let settle = |st: &mut ProcState<C>| {
+        live::phase_sync(&mut st.zk);
+        st.store.sync().expect("data sync");
+    };
+    let out = live::run_phases(spec, &mut procs, exec, settle, after_phase);
     drop(procs);
 
     // Whole-namespace read-back through a dedicated verify client.

@@ -29,7 +29,7 @@ pub mod scenario;
 pub mod servers;
 pub mod workload;
 
-pub use live::{run_live, LivePhase, LiveSession};
+pub use live::{run_live, LivePhase};
 pub use scenario::{
     run_mdtest, run_mdtest_report, run_zk_raw, run_zk_raw_detailed, run_zk_raw_observers,
     run_zk_raw_tuned, CoordCrash, CoordOutage, MdtestConfig, MdtestReport, MdtestSystem,

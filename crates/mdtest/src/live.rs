@@ -13,7 +13,7 @@
 //!
 //! All mutations are idempotent at the content level (`NodeExists` /
 //! `NoNode` count as success) so the at-least-once retry inside
-//! [`ZkClient::request`] cannot diverge the final tree.
+//! [`dufs_coord::ZkClient::request`] cannot diverge the final tree.
 //!
 //! [`ThreadCluster`]: dufs_coord::runtime::ThreadCluster
 //! [`TcpCluster`]: dufs_coord::tcp::TcpCluster
@@ -22,9 +22,8 @@ use std::time::Instant;
 
 use bytes::Bytes;
 
-use dufs_cache::{CacheStats, CachedClient, CachedShardedClient};
-use dufs_coord::sharded::ShardedClient;
-use dufs_coord::{ClientTransport, Watch, ZkClient};
+use dufs_cache::CacheStats;
+use dufs_coord::{CoordService, ZkRequest, ZkResponse};
 use dufs_zkstore::{CreateMode, Stat, ZkError};
 
 use crate::workload::{NativeOp, Phase, WorkloadSpec};
@@ -42,123 +41,28 @@ pub struct LivePhase {
     pub ops_per_sec: f64,
 }
 
-/// One mdtest "process" session, whatever shape sits behind it — plain or
-/// sharded, cached or not. The four mdtest-relevant operations are
-/// *idempotent at the content level* (`NodeExists` on create and `NoNode`
-/// on delete count as success), so the at-least-once retry inside the
-/// transports cannot diverge the final tree. One generic [`run_live`]
-/// drives every combination; callers choose the shape purely through the
-/// `client_for` constructor they pass in (e.g. wrap sessions via
-/// [`dufs_cache::CacheBuilder::session`] or attach them to one
-/// [`dufs_cache::SharedCache`]).
-pub trait LiveSession: Send + 'static {
-    /// Create a node (mkdir and creat); `NodeExists` counts as success.
-    fn create_node(&mut self, path: &str, data: Bytes) -> Result<(), ZkError>;
-    /// Delete a node; `NoNode` counts as success.
-    fn delete_node(&mut self, path: &str) -> Result<(), ZkError>;
-    /// Stat a node (`None` = not found).
-    fn stat_node(&mut self, path: &str) -> Result<Option<Stat>, ZkError>;
-    /// End-of-mutation-phase barrier, so replica digests can be compared
-    /// right after the phase joins.
-    fn phase_sync(&mut self) -> Result<(), ZkError>;
-    /// Cache counters, for sessions with a client cache in front of them.
-    fn cache_stats(&self) -> Option<CacheStats> {
-        None
+/// `Ok` unless `resp` is an error other than `tolerated`. The mdtest
+/// mutations are *idempotent at the content level* (`NodeExists` on create
+/// and `NoNode` on delete count as success), so the at-least-once retry
+/// inside the transports cannot diverge the final tree.
+fn settled(resp: ZkResponse, tolerated: ZkError) -> Result<(), ZkError> {
+    match resp.err() {
+        Some(e) if e != tolerated => Err(e),
+        _ => Ok(()),
     }
 }
 
-impl<T: ClientTransport + Send + 'static> LiveSession for ZkClient<T> {
-    fn create_node(&mut self, path: &str, data: Bytes) -> Result<(), ZkError> {
-        match self.create(path, data, CreateMode::Persistent) {
-            Ok(_) | Err(ZkError::NodeExists) => Ok(()),
-            Err(e) => Err(e),
-        }
-    }
-    fn delete_node(&mut self, path: &str) -> Result<(), ZkError> {
-        match self.delete(path, None) {
-            Ok(()) | Err(ZkError::NoNode) => Ok(()),
-            Err(e) => Err(e),
-        }
-    }
-    fn stat_node(&mut self, path: &str) -> Result<Option<Stat>, ZkError> {
-        self.exists(path, Watch::None)
-    }
-    fn phase_sync(&mut self) -> Result<(), ZkError> {
-        self.sync().map(|_| ())
-    }
+/// Create a node (mkdir and creat); `NodeExists` counts as success.
+fn create_node<S: CoordService>(c: &mut S, path: &str, data: Bytes) -> Result<(), ZkError> {
+    let mode = CreateMode::Persistent;
+    settled(c.request(ZkRequest::Create { path: path.into(), data, mode }), ZkError::NodeExists)
 }
 
-/// Sharded sessions route each op to the owning shard; creates are
-/// `mkdir -p` there, which is just as idempotent, and the phase sync
-/// barriers only the shards this session wrote.
-impl<T: ClientTransport + Send + 'static> LiveSession for ShardedClient<T> {
-    fn create_node(&mut self, path: &str, data: Bytes) -> Result<(), ZkError> {
-        match self.create(path, data) {
-            Ok(_) | Err(ZkError::NodeExists) => Ok(()),
-            Err(e) => Err(e),
-        }
-    }
-    fn delete_node(&mut self, path: &str) -> Result<(), ZkError> {
-        match self.delete(path, None) {
-            Ok(()) | Err(ZkError::NoNode) => Ok(()),
-            Err(e) => Err(e),
-        }
-    }
-    fn stat_node(&mut self, path: &str) -> Result<Option<Stat>, ZkError> {
-        self.exists(path)
-    }
-    fn phase_sync(&mut self) -> Result<(), ZkError> {
-        self.sync().map(|_| ())
-    }
-}
-
-/// Cached sessions answer stats from the cache (`exists` installs a watch)
-/// and invalidate on their own mutations.
-impl<T: ClientTransport + Send + 'static> LiveSession for CachedClient<T> {
-    fn create_node(&mut self, path: &str, data: Bytes) -> Result<(), ZkError> {
-        match self.create(path, data, CreateMode::Persistent) {
-            Ok(_) | Err(ZkError::NodeExists) => Ok(()),
-            Err(e) => Err(e),
-        }
-    }
-    fn delete_node(&mut self, path: &str) -> Result<(), ZkError> {
-        match self.delete(path, None) {
-            Ok(()) | Err(ZkError::NoNode) => Ok(()),
-            Err(e) => Err(e),
-        }
-    }
-    fn stat_node(&mut self, path: &str) -> Result<Option<Stat>, ZkError> {
-        self.exists(path)
-    }
-    fn phase_sync(&mut self) -> Result<(), ZkError> {
-        self.sync().map(|_| ())
-    }
-    fn cache_stats(&self) -> Option<CacheStats> {
-        Some(self.stats())
-    }
-}
-
-impl<T: ClientTransport + Send + 'static> LiveSession for CachedShardedClient<T> {
-    fn create_node(&mut self, path: &str, data: Bytes) -> Result<(), ZkError> {
-        match self.create(path, data) {
-            Ok(_) | Err(ZkError::NodeExists) => Ok(()),
-            Err(e) => Err(e),
-        }
-    }
-    fn delete_node(&mut self, path: &str) -> Result<(), ZkError> {
-        match self.delete(path, None) {
-            Ok(()) | Err(ZkError::NoNode) => Ok(()),
-            Err(e) => Err(e),
-        }
-    }
-    fn stat_node(&mut self, path: &str) -> Result<Option<Stat>, ZkError> {
-        self.exists(path)
-    }
-    fn phase_sync(&mut self) -> Result<(), ZkError> {
-        self.sync().map(|_| ())
-    }
-    fn cache_stats(&self) -> Option<CacheStats> {
-        Some(self.stats())
+/// Stat a node (`None` = not found).
+fn stat_node<S: CoordService>(c: &mut S, path: &str) -> Result<Option<Stat>, ZkError> {
+    match c.request(ZkRequest::Exists { path: path.into(), watch: false }) {
+        ZkResponse::ExistsResult(stat) => Ok(stat),
+        r => Err(r.err().unwrap_or(ZkError::ConnectionLoss)),
     }
 }
 
@@ -166,22 +70,23 @@ impl<T: ClientTransport + Send + 'static> LiveSession for CachedShardedClient<T>
 /// must actually find its node — valid whenever the session's consistency
 /// level gives read-your-writes (each process stats only paths it created
 /// itself in an earlier, synced phase).
-fn exec<S: LiveSession>(c: &mut S, op: &NativeOp, strict_stats: bool) {
+pub(crate) fn exec<S: CoordService>(c: &mut S, op: &NativeOp, strict_stats: bool) {
     match op {
         NativeOp::Mkdir(p) => {
-            c.create_node(p, Bytes::new()).unwrap_or_else(|e| panic!("mkdir {p}: {e:?}"))
+            create_node(c, p, Bytes::new()).unwrap_or_else(|e| panic!("mkdir {p}: {e:?}"))
         }
         NativeOp::Create(p) => {
             // Deterministic, path-derived content so the digest check is
             // sensitive to data bytes, not just to the path set.
             let data = Bytes::from(p.clone().into_bytes());
-            c.create_node(p, data).unwrap_or_else(|e| panic!("creat {p}: {e:?}"))
+            create_node(c, p, data).unwrap_or_else(|e| panic!("creat {p}: {e:?}"))
         }
         NativeOp::Rmdir(p) | NativeOp::Unlink(p) => {
-            c.delete_node(p).unwrap_or_else(|e| panic!("rm {p}: {e:?}"))
+            let resp = c.request(ZkRequest::Delete { path: p.clone(), version: None });
+            settled(resp, ZkError::NoNode).unwrap_or_else(|e| panic!("rm {p}: {e:?}"))
         }
         NativeOp::StatDir(p) | NativeOp::StatFile(p) => {
-            let stat = c.stat_node(p).unwrap_or_else(|e| panic!("stat {p}: {e:?}"));
+            let stat = stat_node(c, p).unwrap_or_else(|e| panic!("stat {p}: {e:?}"));
             if strict_stats {
                 assert!(stat.is_some(), "stat {p} found nothing despite read-your-writes");
             }
@@ -189,17 +94,75 @@ fn exec<S: LiveSession>(c: &mut S, op: &NativeOp, strict_stats: bool) {
     }
 }
 
+/// Unmeasured setup, exactly like mdtest: the shared root and process
+/// `p`'s private subtree root must pre-exist.
+pub(crate) fn setup<S: CoordService>(spec: &WorkloadSpec, p: usize, c: &mut S) {
+    for path in spec.setup_paths(p) {
+        create_node(c, &path, Bytes::new()).unwrap_or_else(|e| panic!("setup {path}: {e:?}"));
+    }
+}
+
+/// End-of-mutation-phase barrier, so replica digests can be compared right
+/// after the phase joins.
+pub(crate) fn phase_sync<S: CoordService>(c: &mut S) {
+    let resp = c.request(ZkRequest::Sync { coalesce: false });
+    assert!(resp.err().is_none(), "phase sync: {resp:?}");
+}
+
+/// The phase loop: for each phase, one thread per process runs that
+/// process's op stream through `exec` (then `settle` after a mutation
+/// phase); the scope joins them all (mdtest's `MPI_Barrier`, propagating
+/// any panic) before `after_phase` fires on the coordinating thread.
+pub(crate) fn run_phases<P: Send>(
+    spec: &WorkloadSpec,
+    procs: &mut [P],
+    exec: impl Fn(&mut P, &NativeOp) + Sync,
+    settle: impl Fn(&mut P) + Sync,
+    mut after_phase: impl FnMut(Phase),
+) -> Vec<LivePhase> {
+    let mut out = Vec::with_capacity(spec.phases.len());
+    for &phase in &spec.phases {
+        let t0 = Instant::now();
+        let mut total_ops = 0u64;
+        std::thread::scope(|scope| {
+            for (p, st) in procs.iter_mut().enumerate() {
+                let ops = spec.ops_for(p, phase);
+                total_ops += ops.len() as u64;
+                let (exec, settle) = (&exec, &settle);
+                scope.spawn(move || {
+                    for op in &ops {
+                        exec(st, op);
+                    }
+                    if phase.is_mutation() {
+                        settle(st);
+                    }
+                });
+            }
+        });
+        let wall_us = t0.elapsed().as_micros().max(1) as u64;
+        out.push(LivePhase {
+            phase,
+            ops: total_ops,
+            wall_us,
+            ops_per_sec: total_ops as f64 / (wall_us as f64 / 1e6),
+        });
+        after_phase(phase);
+    }
+    out
+}
+
 /// Run the spec's phases against a live ensemble.
 ///
 /// `client_for(proc)` must hand out an *established* session for mdtest
 /// process `proc`; sessions live for the whole run (one per thread). Any
-/// [`LiveSession`] shape works — plain [`ZkClient`], [`ShardedClient`],
-/// or either wrapped in the client cache (including sessions attached to
-/// one process-wide [`dufs_cache::SharedCache`]); this one driver replaces
-/// the four near-identical `run_live*` variants that used to live here.
-/// `after_phase(phase)` fires on the coordinating thread after every phase
-/// has fully joined and (for mutation phases) synced — the hook the caller
-/// uses to snapshot a converged namespace digest at a chosen point.
+/// [`CoordService`] works — a plain `ZkClient` on either transport, a
+/// `ShardedClient`, or either behind `dufs_cache::Cached` (private, or
+/// attached to one process-wide `SharedCache`) — and every shape is driven
+/// with the same raw znode requests (`Create` / `Delete` / `Exists`, and a
+/// `Sync` after every mutation phase). `after_phase(phase)` fires on the
+/// coordinating thread after every phase has fully joined and synced — the
+/// hook the caller uses to snapshot a converged namespace digest at a
+/// chosen point.
 ///
 /// Returns the per-phase wall-clock results and the clients (so the caller
 /// can read transport or cache statistics off them afterwards).
@@ -212,57 +175,21 @@ fn exec<S: LiveSession>(c: &mut S, op: &NativeOp, strict_stats: bool) {
 pub fn run_live<S, F, G>(
     spec: &WorkloadSpec,
     client_for: F,
-    mut after_phase: G,
+    after_phase: G,
     strict_stats: bool,
 ) -> (Vec<LivePhase>, Vec<S>)
 where
-    S: LiveSession,
+    S: CoordService + Send,
     F: Fn(usize) -> S,
     G: FnMut(Phase),
 {
     let mut clients: Vec<S> = (0..spec.processes).map(&client_for).collect();
-
-    // Unmeasured setup, exactly like mdtest: the shared root and each
-    // process's private subtree root must pre-exist.
     for (p, c) in clients.iter_mut().enumerate() {
-        for path in spec.setup_paths(p) {
-            c.create_node(&path, Bytes::new()).unwrap_or_else(|e| panic!("setup {path}: {e:?}"));
-        }
+        setup(spec, p, c);
     }
-
-    let mut out = Vec::with_capacity(spec.phases.len());
-    for &phase in &spec.phases {
-        let t0 = Instant::now();
-        let mut total_ops = 0u64;
-        let handles: Vec<std::thread::JoinHandle<S>> = clients
-            .drain(..)
-            .enumerate()
-            .map(|(p, mut c)| {
-                let ops = spec.ops_for(p, phase);
-                total_ops += ops.len() as u64;
-                std::thread::spawn(move || {
-                    for op in &ops {
-                        exec(&mut c, op, strict_stats);
-                    }
-                    if phase.is_mutation() {
-                        c.phase_sync().expect("phase sync");
-                    }
-                    c
-                })
-            })
-            .collect();
-        clients = handles.into_iter().map(|h| h.join().expect("client thread")).collect();
-
-        let wall_us = t0.elapsed().as_micros().max(1) as u64;
-        out.push(LivePhase {
-            phase,
-            ops: total_ops,
-            wall_us,
-            ops_per_sec: total_ops as f64 / (wall_us as f64 / 1e6),
-        });
-        after_phase(phase);
-    }
-    (out, clients)
+    let exec = |c: &mut S, op: &NativeOp| exec(c, op, strict_stats);
+    let phases = run_phases(spec, &mut clients, exec, phase_sync, after_phase);
+    (phases, clients)
 }
 
 /// Sum per-session [`CacheStats`] into one line's worth of counters.

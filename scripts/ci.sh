@@ -49,33 +49,55 @@ cargo build --release -p dufs-coord --bin coord_server
 echo "==> cargo test -q --release -p dufs-wal -p dufs-coord (incl. tcp_e2e + kill9_recovery + read_consistency)"
 cargo test -q --release -p dufs-wal -p dufs-coord
 
-# Cross-runtime mdtest digest parity on a live cluster: the same workload
-# through in-process channels and through durable loopback sockets must
-# converge on the identical namespace digest.
-echo "==> mdtest live digest parity (thread vs tcp --durable)"
+# Live mdtest digest-parity matrix. Every row runs the same deterministic
+# op streams through `mdtest_sim --live` in a different client-stack shape
+# and must land on the digest of its reference row — a wrong invalidation
+# rule, routing bug or lost write shows up as a mismatch.
+#
+#   parity <label> <reference-digest|-> -- <mdtest_sim args…>
+#
+# prints the run's digest line to stderr and leaves it in $digest; with a
+# reference other than "-" it fails the build unless the two are equal.
 cargo build --release -p dufs-mdtest --bin mdtest_sim
-d_thread=$(target/release/mdtest_sim --live thread --procs 4 --items 10 --zk 3 | grep -o 'digest 0x[0-9a-f]*')
-d_tcp=$(target/release/mdtest_sim --live tcp --durable --net-stats --procs 4 --items 10 --zk 3 | tee /dev/stderr | grep -o 'digest 0x[0-9a-f]*')
-if [ "$d_thread" != "$d_tcp" ] || [ -z "$d_thread" ]; then
-    echo "FAIL: live mdtest digest mismatch (thread: ${d_thread:-none}, tcp: ${d_tcp:-none})" >&2
-    exit 1
-fi
-echo "    parity OK: $d_thread"
+parity() {
+    local label=$1 reference=$2
+    shift 3
+    digest=$(target/release/mdtest_sim "$@" | grep -o 'digest 0x[0-9a-f]*' | head -n1 || true)
+    if [ -z "$digest" ] || { [ "$reference" != "-" ] && [ "$digest" != "$reference" ]; }; then
+        echo "FAIL: $label: ${digest:-no digest} (reference: $reference)" >&2
+        exit 1
+    fi
+    echo "    $label: $digest" >&2
+}
+echo "==> mdtest live digest-parity matrix"
+base="--procs 4 --items 10 --zk 3"
+spread="$base --read-from spread --consistency sync"
+# Reference: in-process channels, sessions at the leader.
+parity "thread" - -- --live thread $base
+d_thread=$digest
+# Durable loopback sockets must converge on the identical namespace.
+parity "tcp --durable" "$d_thread" -- --live tcp --durable --net-stats $base
+# Follower reads: each process's session pinned to a DIFFERENT member
+# (replica-local reads under SyncThenLocal) must not perturb the namespace.
+parity "tcp spread" "$d_thread" -- --live tcp $spread
+# Every session behind a private dufs-cache (leases on): leader-pinned on
+# threads, and on TCP spread across followers — the placement where stale
+# cache entries would actually diverge.
+parity "thread --cache" "$d_thread" -- --live thread $base --cache
+parity "tcp spread --cache" "$d_thread" -- --live tcp $spread --cache
+# Every session attached to ONE process-shared cache: a wrong
+# ownership/freshness rule or a missed cross-session eviction diverges here
+# even when the private-cache rows stay clean.
+parity "thread --cache-shared" "$d_thread" -- --live thread $base --cache-shared
+parity "tcp spread --cache-shared" "$d_thread" -- --live tcp $spread --cache-shared
+# Sharding: two independent single-voter ensembles behind the hash ring must
+# build the same user-visible namespace as one (the digest is the
+# owner-verified logical namespace, shard config znodes excluded).
+sharded="--procs 4 --items 10 --zk 1"
+parity "1 shard" - -- --live thread $sharded --shards 1
+parity "2 shards" "$digest" -- --live thread $sharded --shards 2
 
-# Follower-read parity: the same workload again on TCP, but with each
-# mdtest process's session pinned to a DIFFERENT member (reads served
-# replica-locally under SyncThenLocal). Serving reads from followers must
-# not perturb the namespace: the digest must match the leader-only thread
-# run above.
-echo "==> mdtest live follower-read parity (tcp --read-from spread)"
-d_spread=$(target/release/mdtest_sim --live tcp --procs 4 --items 10 --zk 3 --read-from spread --consistency sync | grep -o 'digest 0x[0-9a-f]*')
-if [ "$d_spread" != "$d_thread" ] || [ -z "$d_spread" ]; then
-    echo "FAIL: follower-read digest mismatch (leader-only: ${d_thread:-none}, spread: ${d_spread:-none})" >&2
-    exit 1
-fi
-echo "    parity OK: $d_spread"
-
-# Sim-level cache-on/off parity (CachingCoord over the sim coordinator):
+# Sim-level cache-on/off parity (Cached over the in-process coordinator):
 # the same mutation workload through a cached and an uncached connection
 # must agree read-for-read and leave identical namespaces. These run in
 # the workspace suite too; named here so the cache parity gate is
@@ -83,47 +105,11 @@ echo "    parity OK: $d_spread"
 echo "==> sim cache parity (dufs-core cache:: tests)"
 cargo test -q --release -p dufs-core cache::
 
-# Client-cache digest parity: the same workload with every session wrapped
-# in the dufs-cache layer (leases on) must land on the identical digest —
-# on the thread runtime leader-pinned, and on TCP with sessions spread
-# across followers (the placement where stale cache entries would actually
-# diverge). A wrong invalidation rule shows up here as a digest mismatch.
-echo "==> mdtest live cache digest parity (--cache, thread + tcp spread)"
-d_cache_thread=$(target/release/mdtest_sim --live thread --procs 4 --items 10 --zk 3 --cache | grep -o 'digest 0x[0-9a-f]*')
-d_cache_tcp=$(target/release/mdtest_sim --live tcp --procs 4 --items 10 --zk 3 --cache --read-from spread --consistency sync | grep -o 'digest 0x[0-9a-f]*')
-if [ "$d_cache_thread" != "$d_thread" ] || [ "$d_cache_tcp" != "$d_thread" ] || [ -z "$d_cache_thread" ]; then
-    echo "FAIL: cached digest mismatch (uncached: ${d_thread:-none}, cached thread: ${d_cache_thread:-none}, cached tcp spread: ${d_cache_tcp:-none})" >&2
-    exit 1
-fi
-echo "    parity OK: $d_cache_thread"
-
-# Shared-cache digest parity: the same workload again, but with every
-# session attached to ONE process-shared cache (--cache-shared). Entries
-# installed by one session are served to all of them, so a wrong
-# ownership/freshness rule in the shared store — or a missed cross-session
-# eviction — diverges the namespace here even when the private-cache run
-# above stays clean.
-echo "==> mdtest live shared-cache digest parity (--cache-shared, thread + tcp spread)"
-d_shared_thread=$(target/release/mdtest_sim --live thread --procs 4 --items 10 --zk 3 --cache-shared | grep -o 'digest 0x[0-9a-f]*')
-d_shared_tcp=$(target/release/mdtest_sim --live tcp --procs 4 --items 10 --zk 3 --cache-shared --read-from spread --consistency sync | grep -o 'digest 0x[0-9a-f]*')
-if [ "$d_shared_thread" != "$d_thread" ] || [ "$d_shared_tcp" != "$d_thread" ] || [ -z "$d_shared_thread" ]; then
-    echo "FAIL: shared-cache digest mismatch (uncached: ${d_thread:-none}, shared thread: ${d_shared_thread:-none}, shared tcp spread: ${d_shared_tcp:-none})" >&2
-    exit 1
-fi
-echo "    parity OK: $d_shared_thread"
-
-# Sharded mdtest digest parity: the same live workload routed across two
-# independent single-voter ensembles by the consistent-hash ring must
-# build the same user-visible namespace as a 1-shard run (the digest is
-# the owner-verified logical namespace, shard config znodes excluded).
-echo "==> mdtest live sharded digest parity (--shards 2 vs --shards 1)"
-d_one=$(target/release/mdtest_sim --live thread --procs 4 --items 10 --zk 1 --shards 1 | grep -o 'digest 0x[0-9a-f]*')
-d_two=$(target/release/mdtest_sim --live thread --procs 4 --items 10 --zk 1 --shards 2 | grep -o 'digest 0x[0-9a-f]*')
-if [ "$d_two" != "$d_one" ] || [ -z "$d_one" ]; then
-    echo "FAIL: sharded digest mismatch (1 shard: ${d_one:-none}, 2 shards: ${d_two:-none})" >&2
-    exit 1
-fi
-echo "    parity OK: $d_one"
+# The Dufs stack matrix (tests/sim_vs_live.rs) again, optimised: the same
+# POSIX op streams through `Dufs` over SoloCoord, {thread, tcp} × {no cache,
+# private, shared} and {thread, tcp} × {1, 2 shards} × {no cache, shared}.
+echo "==> cargo test -q --release --test sim_vs_live (Dufs stack matrix)"
+cargo test -q --release --test sim_vs_live
 
 # Data-path gate: the release store suite runs the torn-write/stripe-
 # layout proptests, the TCP e2e, and the out-of-process data-server
