@@ -36,7 +36,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use dufs_backendfs::StorageEngine;
-use dufs_bench::full_scale;
+use dufs_bench::{full_scale, median};
 use dufs_core::Fid;
 use dufs_mdtest::data::Zipf;
 use dufs_store::{FileEngine, FsyncPolicy, StoreClient, StoreServer};
@@ -144,11 +144,6 @@ impl Geometry {
             })
             .collect()
     }
-}
-
-fn median(mut v: Vec<f64>) -> f64 {
-    v.sort_by(f64::total_cmp);
-    v[v.len() / 2]
 }
 
 fn mb(bytes: usize) -> f64 {

@@ -18,7 +18,7 @@
 
 use std::fmt::Write as _;
 
-use dufs_bench::{fmt_ops, full_scale, items_per_proc, Table};
+use dufs_bench::{fmt_ops, full_scale, items_per_proc, median, Table};
 use dufs_mdtest::scenario::{run_mdtest_report, MdtestConfig, MdtestSystem, PhaseResult};
 use dufs_mdtest::workload::{Phase, WorkloadSpec};
 
@@ -46,11 +46,6 @@ fn config(procs: usize, items: usize, backends: usize, shards: usize, seed: u64)
         MdtestConfig::new(MdtestSystem::DufsLustre { zk_servers: 1, backends }, spec, seed);
     cfg.shards = shards;
     cfg
-}
-
-fn median3(mut v: [f64; 3]) -> f64 {
-    v.sort_by(f64::total_cmp);
-    v[1]
 }
 
 fn phase_label(p: Phase) -> &'static str {
@@ -195,21 +190,12 @@ fn main() {
         }
         digests_at.push(digests);
         for (pi, phase) in per_seed[0].iter().enumerate() {
-            let med = median3([
-                per_seed[0][pi].ops_per_sec,
-                per_seed[1][pi].ops_per_sec,
-                per_seed[2][pi].ops_per_sec,
-            ]);
-            let lat = median3([
-                per_seed[0][pi].mean_latency_us,
-                per_seed[1][pi].mean_latency_us,
-                per_seed[2][pi].mean_latency_us,
-            ]);
-            let p99 = median3([
-                per_seed[0][pi].p99_latency_us,
-                per_seed[1][pi].p99_latency_us,
-                per_seed[2][pi].p99_latency_us,
-            ]);
+            let over_seeds = |f: fn(&PhaseResult) -> f64| {
+                median(per_seed.iter().map(|seed| f(&seed[pi])).collect())
+            };
+            let med = over_seeds(|r| r.ops_per_sec);
+            let lat = over_seeds(|r| r.mean_latency_us);
+            let p99 = over_seeds(|r| r.p99_latency_us);
             if shards == 1 {
                 base_by_phase.push(med);
             }

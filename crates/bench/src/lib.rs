@@ -88,6 +88,13 @@ impl Table {
     }
 }
 
+/// The median of `samples` (the upper one of an even count). Panics on an
+/// empty set.
+pub fn median(mut samples: Vec<f64>) -> f64 {
+    samples.sort_by(f64::total_cmp);
+    samples[samples.len() / 2]
+}
+
 /// Format ops/sec compactly.
 pub fn fmt_ops(v: f64) -> String {
     if v >= 10_000.0 {

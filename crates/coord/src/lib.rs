@@ -27,6 +27,7 @@
 
 pub mod api;
 pub mod cluster;
+mod event_loop;
 pub mod runtime;
 pub mod server;
 pub mod session;

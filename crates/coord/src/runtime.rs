@@ -4,8 +4,8 @@
 //!
 //! This is the runtime used by the library examples and the functional
 //! integration tests; the performance figures use the deterministic
-//! simulator in `dufs-mdtest` instead (same [`CoordServer`] state machine,
-//! different driver).
+//! simulator in `dufs-mdtest` instead (same [`crate::CoordServer`] state
+//! machine, different driver).
 
 use std::collections::{HashMap, VecDeque};
 use std::path::PathBuf;
@@ -16,19 +16,13 @@ use std::time::{Duration, Instant};
 use bytes::Bytes;
 use crossbeam::channel::{bounded, unbounded, Receiver, RecvTimeoutError, Sender};
 
-use dufs_wal::FileStorage;
 use dufs_zab::{EnsembleConfig, PeerId, ZabConfig};
 use dufs_zkstore::{CreateMode, MultiOp, MultiResult, Stat, ZkError};
 
 use crate::api::{ClientOptions, ReadConsistency, Watch, ZkRequest, ZkResponse};
-use crate::server::{ClientId, CoordMsg, CoordServer, CoordTimer, ServerIn, ServerOut};
+use crate::event_loop::{self, Host, Input};
+use crate::server::{ClientId, CoordMsg, ServerIn};
 use crate::watch::WatchNotification;
-
-/// Multiplier applied to every protocol timer by the live runtimes (threaded
-/// and TCP). The state machines are tuned for a quiet network; on a loaded CI
-/// machine, scheduling jitter of hundreds of ms would otherwise trip
-/// watchdogs and flap elections. Relative timing is preserved.
-pub(crate) const TIME_DILATION: u64 = 3;
 
 /// Events delivered to a client handle.
 #[derive(Debug, Clone)]
@@ -62,14 +56,12 @@ pub struct ServerStatus {
     pub alive: bool,
 }
 
+/// What travels a [`ThreadCluster`] server's inbox: loop inputs as they
+/// are (a status probe carries its reply channel), plus the one message the
+/// host consumes itself.
 enum Envelope {
-    Client { client: ClientId, req_id: u64, session: u64, req: ZkRequest },
     Register { client: ClientId, events: Sender<ClientEvent> },
-    Peer { from: PeerId, msg: CoordMsg },
-    Inspect { reply: Sender<ServerStatus> },
-    Crash,
-    Restart,
-    Shutdown,
+    In(Input<Sender<ServerStatus>>),
 }
 
 /// How a [`ZkClient`] session reaches its server: an in-process channel
@@ -137,8 +129,9 @@ impl ChannelTransport {
 
 impl ClientTransport for ChannelTransport {
     fn send(&mut self, req_id: u64, session: u64, req: ZkRequest) -> Result<(), ZkError> {
+        let input = ServerIn::Client { client: self.client, req_id, session, req };
         self.servers[self.cursor]
-            .send(Envelope::Client { client: self.client, req_id, session, req })
+            .send(Envelope::In(Input::Server(input)))
             .map_err(|_| ZkError::ConnectionLoss)
     }
 
@@ -189,14 +182,14 @@ impl ThreadCluster {
         let epoch = Instant::now();
         let mut handles = Vec::with_capacity(n);
         for (i, rx) in receivers.into_iter().enumerate() {
-            let peers = senders.clone();
             let cfg = config.clone();
             let me = PeerId(i as u32);
             let dir = wal_dir.as_ref().map(|d| d.join(format!("server-{i}")));
+            let host = ChannelHost { me, rx, peers: senders.clone(), clients: HashMap::new() };
             handles.push(
                 std::thread::Builder::new()
                     .name(format!("coord-{i}"))
-                    .spawn(move || server_thread(me, cfg, zab, rx, peers, epoch, dir))
+                    .spawn(move || event_loop::run(me, cfg, zab, dir, epoch, host))
                     .expect("spawn server thread"),
             );
         }
@@ -242,7 +235,7 @@ impl ThreadCluster {
     /// Probe one server's status.
     pub fn status(&self, server_idx: usize) -> ServerStatus {
         let (tx, rx) = bounded(1);
-        self.senders[server_idx].send(Envelope::Inspect { reply: tx }).expect("server alive");
+        self.senders[server_idx].send(Envelope::In(Input::Inspect(tx))).expect("server alive");
         rx.recv_timeout(Duration::from_secs(5)).expect("status reply")
     }
 
@@ -265,18 +258,18 @@ impl ThreadCluster {
 
     /// Crash a server (drops its volatile state; the log survives).
     pub fn crash(&self, server_idx: usize) {
-        let _ = self.senders[server_idx].send(Envelope::Crash);
+        let _ = self.senders[server_idx].send(Envelope::In(Input::Crash));
     }
 
     /// Restart a crashed server.
     pub fn restart(&self, server_idx: usize) {
-        let _ = self.senders[server_idx].send(Envelope::Restart);
+        let _ = self.senders[server_idx].send(Envelope::In(Input::Restart));
     }
 
     /// Stop all server threads and join them.
     pub fn shutdown(self) {
         for s in &self.senders {
-            let _ = s.send(Envelope::Shutdown);
+            let _ = s.send(Envelope::In(Input::Stop));
         }
         for h in self.handles {
             let _ = h.join();
@@ -284,132 +277,45 @@ impl ThreadCluster {
     }
 }
 
-fn server_thread(
+/// The channel half of a [`ThreadCluster`] server: one inbox, every
+/// member's inbox to send to, and the event channels of the clients that
+/// registered here.
+struct ChannelHost {
     me: PeerId,
-    config: EnsembleConfig,
-    zab: ZabConfig,
     rx: Receiver<Envelope>,
     peers: Vec<Sender<Envelope>>,
-    epoch: Instant,
-    wal_dir: Option<PathBuf>,
-) {
-    let (mut server, init) = match wal_dir {
-        Some(dir) => {
-            let storage = FileStorage::new(&dir).expect("open WAL directory");
-            CoordServer::new_durable(me, config, zab, Box::new(storage))
-                .expect("recover server state from its write-ahead log")
-        }
-        None => CoordServer::new_with_config(me, config, zab),
-    };
-    let mut clients: HashMap<ClientId, Sender<ClientEvent>> = HashMap::new();
-    let mut timers: Vec<(Instant, CoordTimer)> = Vec::new();
-    let mut alive = true;
+    clients: HashMap<ClientId, Sender<ClientEvent>>,
+}
 
-    let now_ns = |epoch: &Instant| epoch.elapsed().as_nanos() as u64;
+impl Host for ChannelHost {
+    type Probe = Sender<ServerStatus>;
 
-    let exec = |outs: Vec<ServerOut>,
-                clients: &mut HashMap<ClientId, Sender<ClientEvent>>,
-                timers: &mut Vec<(Instant, CoordTimer)>,
-                peers: &[Sender<Envelope>],
-                me: PeerId| {
-        for o in outs {
-            match o {
-                ServerOut::Client { client, req_id, resp } => {
-                    if let Some(tx) = clients.get(&client) {
-                        let _ = tx.send(ClientEvent::Resp { req_id, resp });
-                    }
-                }
-                ServerOut::Peer { to, msg } => {
-                    if let Some(tx) = peers.get(to.0 as usize) {
-                        let _ = tx.send(Envelope::Peer { from: me, msg });
-                    }
-                }
-                ServerOut::Timer { timer, after_ms } => {
-                    timers.push((
-                        Instant::now() + Duration::from_millis(after_ms * TIME_DILATION),
-                        timer,
-                    ));
-                }
-                ServerOut::Watch { client, note } => {
-                    if let Some(tx) = clients.get(&client) {
-                        let _ = tx.send(ClientEvent::Watch(note));
-                    }
-                }
-            }
-        }
-    };
-
-    exec(init, &mut clients, &mut timers, &peers, me);
-
-    loop {
-        // Fire due timers.
-        if alive {
-            let now = Instant::now();
-            let mut due = Vec::new();
-            timers.retain(|&(at, t)| {
-                if at <= now {
-                    due.push(t);
-                    false
-                } else {
-                    true
-                }
-            });
-            for t in due {
-                let outs = server.handle(now_ns(&epoch), ServerIn::Timer(t));
-                exec(outs, &mut clients, &mut timers, &peers, me);
-            }
-        }
-        // Wait for traffic or the next timer.
-        let next_deadline = timers.iter().map(|&(at, _)| at).min();
-        let wait = next_deadline
-            .map(|d| d.saturating_duration_since(Instant::now()))
-            .unwrap_or(Duration::from_millis(50))
-            .min(Duration::from_millis(50));
-        match rx.recv_timeout(wait) {
-            Ok(Envelope::Shutdown) => return,
+    fn next(&mut self, wait: Duration) -> Input<Self::Probe> {
+        match self.rx.recv_timeout(wait) {
+            Ok(Envelope::In(input)) => input,
             Ok(Envelope::Register { client, events }) => {
-                clients.insert(client, events);
+                self.clients.insert(client, events);
+                Input::Idle
             }
-            Ok(Envelope::Crash) => {
-                if alive {
-                    alive = false;
-                    timers.clear();
-                    server.on_crash();
-                }
-            }
-            Ok(Envelope::Restart) => {
-                if !alive {
-                    alive = true;
-                    let outs = server.on_restart(now_ns(&epoch));
-                    exec(outs, &mut clients, &mut timers, &peers, me);
-                }
-            }
-            Ok(Envelope::Inspect { reply }) => {
-                let _ = reply.send(ServerStatus {
-                    is_leader: alive && server.is_leader(),
-                    last_applied: server.last_applied(),
-                    committed: server.committed(),
-                    node_count: server.tree().node_count(),
-                    digest: server.tree().digest(),
-                    alive,
-                });
-            }
-            Ok(Envelope::Client { client, req_id, session, req }) => {
-                if alive {
-                    let outs = server
-                        .handle(now_ns(&epoch), ServerIn::Client { client, req_id, session, req });
-                    exec(outs, &mut clients, &mut timers, &peers, me);
-                }
-            }
-            Ok(Envelope::Peer { from, msg }) => {
-                if alive {
-                    let outs = server.handle(now_ns(&epoch), ServerIn::Peer { from, msg });
-                    exec(outs, &mut clients, &mut timers, &peers, me);
-                }
-            }
-            Err(RecvTimeoutError::Timeout) => {}
-            Err(RecvTimeoutError::Disconnected) => return,
+            Err(RecvTimeoutError::Timeout) => Input::Idle,
+            Err(RecvTimeoutError::Disconnected) => Input::Stop,
         }
+    }
+
+    fn deliver(&mut self, to: ClientId, ev: ClientEvent) {
+        if let Some(tx) = self.clients.get(&to) {
+            let _ = tx.send(ev);
+        }
+    }
+
+    fn send_peer(&mut self, to: PeerId, msg: CoordMsg) {
+        if let Some(tx) = self.peers.get(to.0 as usize) {
+            let _ = tx.send(Envelope::In(Input::Server(ServerIn::Peer { from: self.me, msg })));
+        }
+    }
+
+    fn report(&mut self, probe: Self::Probe, status: ServerStatus) {
+        let _ = probe.send(status);
     }
 }
 

@@ -3,14 +3,17 @@
 //! The same [`CoordServer`] state machine that [`crate::runtime`] hosts on
 //! crossbeam channels, hosted here on real sockets via `dufs-net`:
 //!
-//! * [`TcpServer`] — one coordination server listening on a TCP address.
-//!   Inbound connections are demultiplexed by their handshake
-//!   [`Hello::kind`]: peers feed [`CoordMsg`] frames into the event loop,
-//!   clients speak [`ClientFrame`]/[`ServerFrame`], admin connections may
-//!   probe [`ClientFrame::Status`]. Outbound peer traffic rides per-peer
-//!   dial-out links that reconnect with exponential backoff and *drop*
-//!   messages while the remote is unreachable — ZAB's sync protocol is
-//!   built to recover from exactly that.
+//! * [`TcpServer`] — one coordination server listening on a TCP address:
+//!   an accept thread and one loop thread running the shared server event
+//!   loop (`event_loop::run`, the same one the threaded runtime runs) over
+//!   a single [`ConnEvent`] stream. Inbound connections are told apart by
+//!   their handshake [`Hello::kind`]: peers feed [`CoordMsg`] frames into
+//!   the loop, clients speak [`ClientFrame`]/[`ServerFrame`], admin
+//!   connections may probe [`ClientFrame::Status`]. Outbound peer traffic
+//!   rides per-peer dial-out connections the loop thread sends on itself;
+//!   a dead or unreachable peer is redialed off-thread with exponential
+//!   backoff and messages to it are *dropped* meanwhile — ZAB's sync
+//!   protocol is built to recover from exactly that.
 //! * [`TcpCluster`] — a whole loopback ensemble of [`TcpServer`]s, a
 //!   drop-in sibling of [`crate::runtime::ThreadCluster`] for tests.
 //! * [`TcpTransport`] / [`TcpZkClient`] — the [`ZkClient`] session API over
@@ -26,6 +29,7 @@
 use std::collections::HashMap;
 use std::net::SocketAddr;
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex as StdMutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -33,16 +37,16 @@ use std::time::{Duration, Instant};
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 
 use dufs_net::{
-    connect, AcceptHandle, Backoff, Conn, ConnEvent, EndpointKind, Hello, Listener, NetConfig,
-    NetStats, NetStatsSnapshot, Wire,
+    connect, connect_demux, AcceptHandle, Backoff, Conn, ConnEvent, EndpointKind, Hello, Listener,
+    NetConfig, NetStats, NetStatsSnapshot, Wire,
 };
-use dufs_wal::FileStorage;
 use dufs_zab::{EnsembleConfig, PeerId, ZabConfig};
 use dufs_zkstore::ZkError;
 
 use crate::api::{ClientOptions, LeaseGrant, ZkRequest};
-use crate::runtime::{ClientEvent, ClientTransport, ServerStatus, ZkClient, TIME_DILATION};
-use crate::server::{ClientId, CoordMsg, CoordServer, CoordTimer, ServerIn, ServerOut};
+use crate::event_loop::{self, Host, Input};
+use crate::runtime::{ClientEvent, ClientTransport, ServerStatus, ZkClient};
+use crate::server::{ClientId, CoordMsg, CoordServer, ServerIn};
 use crate::wire::{ClientFrame, ServerFrame};
 
 /// Everything a [`TcpServer`] needs to know at spawn time.
@@ -78,99 +82,10 @@ impl TcpServerConfig {
     }
 }
 
-/// Events feeding a TCP server's single-threaded event loop.
-enum TcpEnvelope {
-    /// A decoded message from an ensemble peer.
-    Peer {
-        /// Sending peer.
-        from: PeerId,
-        /// The message.
-        msg: CoordMsg,
-    },
-    /// A new client/admin connection was accepted; the loop owns the
-    /// write half from now on.
-    ClientConn {
-        /// Loop-assigned connection id (doubles as the [`ClientId`]).
-        conn_id: ClientId,
-        /// The write half.
-        conn: Conn,
-    },
-    /// A decoded frame from a connected client.
-    Client {
-        /// The connection it arrived on.
-        conn_id: ClientId,
-        /// The frame.
-        frame: ClientFrame,
-    },
-    /// A client connection died; forget its write half.
-    ClientGone {
-        /// The dead connection.
-        conn_id: ClientId,
-    },
-    /// Stop the loop.
-    Shutdown,
-}
-
-/// Outbound link to one ensemble peer: a queue drained by a thread that
-/// (re)dials with backoff and drops traffic while the remote is down.
-struct PeerLink {
-    tx: Sender<CoordMsg>,
-}
-
-fn spawn_peer_link(
-    me: PeerId,
-    to: PeerId,
-    addr: SocketAddr,
-    net: NetConfig,
-    stats: NetStats,
-) -> PeerLink {
-    let (tx, rx) = unbounded::<CoordMsg>();
-    std::thread::Builder::new()
-        .name(format!("peer-link-{}-{}", me.0, to.0))
-        .spawn(move || {
-            let hello = Hello { kind: EndpointKind::Peer, id: me.0 as u64 };
-            // The inbound receiver is parked alongside the connection:
-            // peers answer on their own dial-out link, never on this one,
-            // and heartbeats are consumed inside the event loop, so the
-            // channel stays empty without a drain thread.
-            let mut conn: Option<(Conn, Receiver<Vec<u8>>)> = None;
-            let mut backoff = Backoff::new(&net);
-            let mut retry_at = Instant::now();
-            let mut ever_connected = false;
-            while let Ok(msg) = rx.recv() {
-                if conn.is_none() && Instant::now() >= retry_at {
-                    match connect(addr, hello, &net, &stats) {
-                        Ok(pair) => {
-                            if ever_connected {
-                                stats.on_reconnect();
-                            }
-                            ever_connected = true;
-                            backoff.reset();
-                            conn = Some(pair);
-                        }
-                        Err(_) => retry_at = Instant::now() + backoff.next_delay(),
-                    }
-                }
-                // Down and backing off: the message is simply dropped.
-                if let Some((c, _)) = &conn {
-                    if c.send(msg.to_wire()).is_err() {
-                        // Link died under us: drop this message and redial
-                        // on the next one. ZAB resynchronizes through lossy
-                        // links by design.
-                        conn = None;
-                        retry_at = Instant::now();
-                    }
-                }
-            }
-        })
-        .expect("spawn peer link thread");
-    PeerLink { tx }
-}
-
 /// One coordination server bound to a TCP address. Used in-process by
 /// [`TcpCluster`] and as the whole body of the `coord_server` binary.
 pub struct TcpServer {
-    env_tx: Sender<TcpEnvelope>,
+    stop: Arc<AtomicBool>,
     accept: Option<AcceptHandle>,
     join: Option<JoinHandle<()>>,
     addr: SocketAddr,
@@ -187,52 +102,44 @@ impl TcpServer {
         assert!(cfg.voters >= 1 && cfg.voters <= n, "voters out of range");
         assert!((cfg.me.0 as usize) < n, "me out of range");
         let stats = NetStats::new();
-        let (env_tx, env_rx) = unbounded::<TcpEnvelope>();
+        let stop = Arc::new(AtomicBool::new(false));
 
-        // Outbound links to every other member.
-        let mut links: Vec<Option<PeerLink>> = Vec::with_capacity(n);
-        for (i, a) in cfg.peer_addrs.iter().enumerate() {
-            links.push(if i == cfg.me.0 as usize {
-                None
-            } else {
-                Some(spawn_peer_link(cfg.me, PeerId(i as u32), *a, cfg.net, stats.clone()))
-            });
-        }
-
-        // Accept loop: every inbound connection (any count) lands on one
-        // demultiplexed event stream; a single forwarder thread classifies
-        // by handshake kind and feeds the server loop. No per-connection
-        // threads exist anywhere on this path — the reactor pool carries
-        // the sockets.
+        // One event stream carries everything the loop reacts to: accepted
+        // connections (any count, any kind), the dial-out peer links, and
+        // their frames. No per-connection threads exist anywhere on this
+        // path — the reactor pool carries the sockets.
+        let (events_tx, events) = unbounded::<ConnEvent>();
         let my_hello = Hello { kind: EndpointKind::Server, id: cfg.me.0 as u64 };
-        let (accept, events) = listener.spawn_accept_demux(my_hello, cfg.net, stats.clone());
-        let acc_tx = env_tx.clone();
-        std::thread::Builder::new()
-            .name(format!("tcp-demux-{}", cfg.me.0))
-            .spawn(move || demux_loop(events, acc_tx))
-            .expect("spawn demux forwarder");
+        let accept =
+            listener.spawn_accept_into(my_hello, cfg.net, stats.clone(), events_tx.clone());
+        let mut host = TcpHost {
+            events,
+            events_tx,
+            stop: stop.clone(),
+            me: cfg.me,
+            net: cfg.net,
+            stats: stats.clone(),
+            clients: HashMap::new(),
+            peers_in: HashMap::new(),
+            links: (0..n as u32)
+                .map(|i| {
+                    let addr = cfg.peer_addrs[i as usize];
+                    (PeerId(i) != cfg.me).then(|| Link { addr, id: 0, conn: None, backlog: vec![] })
+                })
+                .collect(),
+            next_link_id: u64::MAX,
+            lease_slot: Arc::new(StdMutex::new(None)),
+        };
+        (0..n).for_each(|to| host.dial(to, false));
 
-        // The state machine is built inside its thread (a durable server
-        // holds a `Box<dyn LogStorage>`, which is not `Send`), recovered
-        // from disk when durable.
         let ensemble = EnsembleConfig::with_observers(cfg.voters, n - cfg.voters);
         let (me, zab, wal_dir) = (cfg.me, cfg.zab, cfg.wal_dir);
         let join = std::thread::Builder::new()
             .name(format!("tcp-coord-{}", me.0))
-            .spawn(move || {
-                let (server, init) = match &wal_dir {
-                    Some(dir) => {
-                        let storage = FileStorage::new(dir).expect("open WAL directory");
-                        CoordServer::new_durable(me, ensemble, zab, Box::new(storage))
-                            .expect("recover server state from its write-ahead log")
-                    }
-                    None => CoordServer::new_with_config(me, ensemble, zab),
-                };
-                tcp_server_loop(server, init, env_rx, links)
-            })
+            .spawn(move || event_loop::run(me, ensemble, zab, wal_dir, Instant::now(), host))
             .expect("spawn tcp server loop");
 
-        TcpServer { env_tx, accept: Some(accept), join: Some(join), addr, stats }
+        TcpServer { stop, accept: Some(accept), join: Some(join), addr, stats }
     }
 
     /// The bound listening address.
@@ -259,7 +166,7 @@ impl TcpServer {
     }
 
     fn shutdown_inner(&mut self) {
-        let _ = self.env_tx.send(TcpEnvelope::Shutdown);
+        self.stop.store(true, Ordering::SeqCst);
         if let Some(accept) = self.accept.take() {
             accept.stop();
         }
@@ -275,144 +182,109 @@ impl Drop for TcpServer {
     }
 }
 
-/// Translate the listener's demultiplexed [`ConnEvent`] stream into
-/// [`TcpEnvelope`]s for the server loop: peers feed [`CoordMsg`]s, clients
-/// and admins feed [`ClientFrame`]s. The write half of an inbound peer
-/// link is parked here (the event loop keeps its heartbeats flowing);
-/// client write halves are handed to the server loop, which owns them.
-fn demux_loop(events: Receiver<ConnEvent>, env_tx: Sender<TcpEnvelope>) {
-    enum Inbound {
-        Peer { from: PeerId, _conn: Conn },
-        Client,
-    }
-    let mut kinds: HashMap<u64, Inbound> = HashMap::new();
-    while let Ok(ev) = events.recv() {
-        match ev {
-            ConnEvent::Opened { id, conn } => match conn.remote().kind {
-                EndpointKind::Peer => {
-                    let from = PeerId(conn.remote().id as u32);
-                    kinds.insert(id, Inbound::Peer { from, _conn: conn });
-                }
-                EndpointKind::Client | EndpointKind::Admin => {
-                    kinds.insert(id, Inbound::Client);
-                    if env_tx.send(TcpEnvelope::ClientConn { conn_id: id, conn }).is_err() {
-                        return;
-                    }
-                }
-                EndpointKind::Server => {} // nobody dials in as a server; drop hangs up
-            },
-            ConnEvent::Frame { id, payload } => match kinds.get(&id) {
-                Some(Inbound::Peer { from, .. }) => {
-                    // A frame passed CRC but not the codec: the peer speaks
-                    // something we don't. Drop the link; it will redial.
-                    let Ok(msg) = CoordMsg::from_wire(&payload) else {
-                        kinds.remove(&id);
-                        continue;
-                    };
-                    if env_tx.send(TcpEnvelope::Peer { from: *from, msg }).is_err() {
-                        return;
-                    }
-                }
-                Some(Inbound::Client) => {
-                    let Ok(frame) = ClientFrame::from_wire(&payload) else {
-                        // Protocol confusion: forget the session and let the
-                        // server loop drop the write half.
-                        kinds.remove(&id);
-                        let _ = env_tx.send(TcpEnvelope::ClientGone { conn_id: id });
-                        continue;
-                    };
-                    if env_tx.send(TcpEnvelope::Client { conn_id: id, frame }).is_err() {
-                        return;
-                    }
-                }
-                None => {}
-            },
-            ConnEvent::Closed { id } => {
-                if let Some(Inbound::Client) = kinds.remove(&id) {
-                    let _ = env_tx.send(TcpEnvelope::ClientGone { conn_id: id });
-                }
-            }
-        }
-    }
+/// The dial-out link to one ensemble peer. Replication traffic to a peer
+/// travels only this link — one connection at a time, so per-peer FIFO —
+/// and the peer answers on its own dial-out link, never on this one.
+struct Link {
+    addr: SocketAddr,
+    /// Event-stream id of the current dial and of the connection it yields.
+    /// Every dial takes a fresh one, so events of an earlier generation
+    /// match nothing.
+    id: u64,
+    /// `None` while a dial is in flight.
+    conn: Option<Conn>,
+    /// Encoded messages waiting for the dial in flight. A failed attempt
+    /// discards them: the peer is down, and ZAB resynchronizes through
+    /// lossy links by design.
+    backlog: Vec<Vec<u8>>,
 }
 
-fn tcp_server_loop(
-    mut server: CoordServer,
-    init: Vec<ServerOut>,
-    env_rx: Receiver<TcpEnvelope>,
-    links: Vec<Option<PeerLink>>,
-) {
-    let epoch = Instant::now();
-    let mut conns: HashMap<ClientId, Conn> = HashMap::new();
-    let mut timers: Vec<(Instant, CoordTimer)> = Vec::new();
-    // The freshest lease this server can grant, refreshed every loop pass
-    // and shared with each client connection's idle source: when a conn's
-    // heartbeat slot comes up empty, the reactor piggybacks a Lease frame
-    // (ttl decayed by the slot's age) instead of the empty keepalive. A
-    // quiet cached client thus renews without spending a Ping round trip.
-    let lease_slot: Arc<StdMutex<Option<(Instant, LeaseGrant)>>> = Arc::new(StdMutex::new(None));
+/// The socket half of a [`TcpServer`]: everything arrives on one
+/// [`ConnEvent`] stream, and the loop thread owns every [`Conn`] it sends on.
+struct TcpHost {
+    events: Receiver<ConnEvent>,
+    /// Handed to dial threads, which report on the same stream.
+    events_tx: Sender<ConnEvent>,
+    stop: Arc<AtomicBool>,
+    me: PeerId,
+    net: NetConfig,
+    stats: NetStats,
+    /// Accepted client and admin connections; the stream id doubles as the
+    /// [`ClientId`].
+    clients: HashMap<ClientId, Conn>,
+    /// Accepted peer connections (the far ends of the peers' links). Only
+    /// read from; the write half is parked so heartbeats keep flowing.
+    peers_in: HashMap<u64, (PeerId, Conn)>,
+    /// Indexed by peer id; `None` at `me`.
+    links: Vec<Option<Link>>,
+    /// Counts down from `u64::MAX`; accepted ids count up from 1.
+    next_link_id: u64,
+    /// The freshest lease this server can grant, refreshed every loop pass
+    /// and shared with each client connection's idle source: when a conn's
+    /// heartbeat slot comes up empty, the reactor piggybacks a Lease frame
+    /// (ttl decayed by the slot's age) instead of the empty keepalive. A
+    /// quiet cached client thus renews without spending a Ping round trip.
+    lease_slot: Arc<StdMutex<Option<(Instant, LeaseGrant)>>>,
+}
 
-    let now_ns = |epoch: &Instant| epoch.elapsed().as_nanos() as u64;
+impl TcpHost {
+    /// (Re)dial peer `to` off-thread — a dial blocks for up to
+    /// `connect_timeout_ms`, which would stall this server's timers and
+    /// every other connection — retrying with backoff until it connects.
+    /// The thread reports on the event stream under the link's new id:
+    /// `Closed` for each failed attempt, `Opened` with the connection at
+    /// the end. It gives up when the loop is gone.
+    fn dial(&mut self, to: usize, redial: bool) {
+        let Some(link) = self.links.get_mut(to).and_then(Option::as_mut) else { return };
+        self.next_link_id -= 1;
+        link.id = self.next_link_id;
+        link.conn = None;
+        let (id, addr, net) = (link.id, link.addr, self.net);
+        let (stats, events) = (self.stats.clone(), self.events_tx.clone());
+        let hello = Hello { kind: EndpointKind::Peer, id: self.me.0 as u64 };
+        std::thread::Builder::new()
+            .name(format!("tcp-dial-{}-{to}", self.me.0))
+            .spawn(move || {
+                let mut backoff = Backoff::new(&net);
+                loop {
+                    match connect_demux(addr, hello, &net, &stats, id, events.clone()) {
+                        Ok(conn) => {
+                            if redial {
+                                stats.on_reconnect();
+                            }
+                            let _ = events.send(ConnEvent::Opened { id, conn });
+                            return;
+                        }
+                        Err(_) if events.send(ConnEvent::Closed { id }).is_err() => return,
+                        Err(_) => std::thread::sleep(backoff.next_delay()),
+                    }
+                }
+            })
+            .expect("spawn dial thread");
+    }
 
-    let exec = |outs: Vec<ServerOut>,
-                conns: &mut HashMap<ClientId, Conn>,
-                timers: &mut Vec<(Instant, CoordTimer)>,
-                links: &[Option<PeerLink>]| {
-        for o in outs {
-            match o {
-                ServerOut::Client { client, req_id, resp } => {
-                    if let Some(c) = conns.get(&client) {
-                        let _ = c.send(ServerFrame::Resp { req_id, resp }.to_wire());
-                    }
-                }
-                ServerOut::Peer { to, msg } => {
-                    if let Some(Some(link)) = links.get(to.0 as usize) {
-                        let _ = link.tx.send(msg);
-                    }
-                }
-                ServerOut::Timer { timer, after_ms } => {
-                    timers.push((
-                        Instant::now() + Duration::from_millis(after_ms * TIME_DILATION),
-                        timer,
-                    ));
-                }
-                ServerOut::Watch { client, note } => {
-                    if let Some(c) = conns.get(&client) {
-                        let _ = c.send(ServerFrame::Watch(note).to_wire());
-                    }
-                }
+    fn link_mut(&mut self, id: u64) -> Option<(usize, &mut Link)> {
+        self.links
+            .iter_mut()
+            .enumerate()
+            .find_map(|(to, l)| l.as_mut().filter(|l| l.id == id).map(|l| (to, l)))
+    }
+
+    fn on_opened(&mut self, id: u64, conn: Conn) {
+        if let Some((_, link)) = self.link_mut(id) {
+            for payload in link.backlog.drain(..) {
+                let _ = conn.send(payload);
             }
+            link.conn = Some(conn);
+            return;
         }
-    };
-
-    exec(init, &mut conns, &mut timers, &links);
-
-    loop {
-        // Fire due timers.
-        let now = Instant::now();
-        let mut due = Vec::new();
-        timers.retain(|&(at, t)| {
-            if at <= now {
-                due.push(t);
-                false
-            } else {
-                true
+        match conn.remote().kind {
+            EndpointKind::Peer => {
+                let from = PeerId(conn.remote().id as u32);
+                self.peers_in.insert(id, (from, conn));
             }
-        });
-        for t in due {
-            let outs = server.handle(now_ns(&epoch), ServerIn::Timer(t));
-            exec(outs, &mut conns, &mut timers, &links);
-        }
-        // Wait for traffic or the next timer.
-        let next_deadline = timers.iter().map(|&(at, _)| at).min();
-        let wait = next_deadline
-            .map(|d| d.saturating_duration_since(Instant::now()))
-            .unwrap_or(Duration::from_millis(50))
-            .min(Duration::from_millis(50));
-        match env_rx.recv_timeout(wait) {
-            Ok(TcpEnvelope::Shutdown) => return,
-            Ok(TcpEnvelope::ClientConn { conn_id, conn }) => {
-                let slot = lease_slot.clone();
+            EndpointKind::Client | EndpointKind::Admin => {
+                let slot = self.lease_slot.clone();
                 conn.set_idle_source(move || {
                     let (at, g) = (*slot.lock().unwrap())?;
                     let elapsed = at.elapsed().as_millis() as u64;
@@ -424,46 +296,113 @@ fn tcp_server_loop(
                         .to_wire()
                     })
                 });
-                conns.insert(conn_id, conn);
+                self.clients.insert(id, conn);
             }
-            Ok(TcpEnvelope::ClientGone { conn_id }) => {
-                conns.remove(&conn_id);
+            EndpointKind::Server => {} // nobody dials in as a server; the drop hangs up
+        }
+    }
+
+    fn on_closed(&mut self, id: u64) {
+        match self.link_mut(id) {
+            // The link died: redial now, so it is back before it is needed.
+            Some((to, Link { conn: Some(_), .. })) => self.dial(to, true),
+            // A dial attempt failed: the peer is down.
+            Some((_, link)) => link.backlog.clear(),
+            None => {
+                if self.clients.remove(&id).is_none() {
+                    self.peers_in.remove(&id);
+                }
             }
-            Ok(TcpEnvelope::Client { conn_id, frame }) => match frame {
+        }
+    }
+
+    /// Decode one inbound frame in place. A frame that passed the CRC but
+    /// not the codec means the other end speaks something else: hang up (a
+    /// peer redials; a client's retry layer reconnects).
+    fn on_frame(&mut self, id: u64, payload: &[u8]) -> Input<(ClientId, u64)> {
+        let decoded = if self.clients.contains_key(&id) {
+            ClientFrame::from_wire(payload).map(|frame| match frame {
                 ClientFrame::Request { req_id, session, req } => {
-                    let input = ServerIn::Client { client: conn_id, req_id, session, req };
-                    let outs = server.handle(now_ns(&epoch), input);
-                    exec(outs, &mut conns, &mut timers, &links);
+                    Input::Server(ServerIn::Client { client: id, req_id, session, req })
                 }
-                ClientFrame::Status { req_id } => {
-                    let status = ServerStatus {
-                        is_leader: server.is_leader(),
-                        last_applied: server.last_applied(),
-                        committed: server.committed(),
-                        node_count: server.tree().node_count(),
-                        digest: server.tree().digest(),
-                        alive: true,
-                    };
-                    if let Some(c) = conns.get(&conn_id) {
-                        let _ = c.send(ServerFrame::Status { req_id, status }.to_wire());
-                    }
-                }
+                ClientFrame::Status { req_id } => Input::Inspect((id, req_id)),
+            })
+        } else if let Some(&(from, _)) = self.peers_in.get(&id) {
+            CoordMsg::from_wire(payload).map(|msg| Input::Server(ServerIn::Peer { from, msg }))
+        } else {
+            // A dial-out link (peers answer on their own), or a connection
+            // already hung up on.
+            return Input::Idle;
+        };
+        decoded.unwrap_or_else(|_| {
+            self.clients.remove(&id);
+            self.peers_in.remove(&id);
+            Input::Idle
+        })
+    }
+
+    fn send_client(&self, to: ClientId, frame: ServerFrame) {
+        if let Some(conn) = self.clients.get(&to) {
+            let _ = conn.send(frame.to_wire());
+        }
+    }
+}
+
+impl Host for TcpHost {
+    /// The connection a [`ClientFrame::Status`] arrived on, and its request id.
+    type Probe = (ClientId, u64);
+
+    fn next(&mut self, wait: Duration) -> Input<Self::Probe> {
+        // The stream itself never closes while this loop holds connections
+        // (each one's reactor state holds a sender), so stopping is a flag.
+        if self.stop.load(Ordering::SeqCst) {
+            return Input::Stop;
+        }
+        match self.events.recv_timeout(wait) {
+            Ok(ConnEvent::Frame { id, payload }) => return self.on_frame(id, &payload),
+            Ok(ConnEvent::Opened { id, conn }) => self.on_opened(id, conn),
+            Ok(ConnEvent::Closed { id }) => self.on_closed(id),
+            Err(_) => {}
+        }
+        Input::Idle
+    }
+
+    fn deliver(&mut self, to: ClientId, ev: ClientEvent) {
+        self.send_client(
+            to,
+            match ev {
+                ClientEvent::Resp { req_id, resp } => ServerFrame::Resp { req_id, resp },
+                ClientEvent::Watch(note) => ServerFrame::Watch(note),
             },
-            Ok(TcpEnvelope::Peer { from, msg }) => {
-                let outs = server.handle(now_ns(&epoch), ServerIn::Peer { from, msg });
-                exec(outs, &mut conns, &mut timers, &links);
+        );
+    }
+
+    fn send_peer(&mut self, to: PeerId, msg: CoordMsg) {
+        let to = to.0 as usize;
+        let Some(link) = self.links.get_mut(to).and_then(Option::as_mut) else { return };
+        match &link.conn {
+            Some(conn) => {
+                if conn.send(msg.to_wire()).is_err() {
+                    self.dial(to, true);
+                }
             }
-            Err(RecvTimeoutError::Timeout) => {}
-            Err(RecvTimeoutError::Disconnected) => return,
+            None => link.backlog.push(msg.to_wire()),
         }
-        // Refresh the shared grant for the idle-piggyback sources. Only
-        // while clients are connected — `lease_grant` counts what it issues.
-        if !conns.is_empty() {
-            *lease_slot.lock().unwrap() =
-                server.lease_grant(now_ns(&epoch)).map(|g| (Instant::now(), g));
-        } else if lease_slot.lock().unwrap().is_some() {
-            *lease_slot.lock().unwrap() = None;
-        }
+    }
+
+    fn report(&mut self, (to, req_id): Self::Probe, status: ServerStatus) {
+        self.send_client(to, ServerFrame::Status { req_id, status });
+    }
+
+    /// Refresh the shared grant for the idle-piggyback sources. Only while
+    /// clients are connected — `lease_grant` counts what it issues.
+    fn after_pass(&mut self, server: &mut CoordServer, now_ns: u64) {
+        let grant = if self.clients.is_empty() {
+            None
+        } else {
+            server.lease_grant(now_ns).map(|g| (Instant::now(), g))
+        };
+        *self.lease_slot.lock().unwrap() = grant;
     }
 }
 
@@ -539,14 +478,11 @@ impl TcpCluster {
     /// optionally failing over across the whole address list, with reads
     /// served at `opts.consistency`.
     pub fn client(&self, opts: ClientOptions) -> Result<TcpZkClient, ZkError> {
-        let addrs = if opts.failover {
-            let mut addrs = self.addrs.clone();
-            let k = opts.server % addrs.len();
-            addrs.rotate_left(k);
-            addrs
-        } else {
-            vec![self.addrs[opts.server]]
-        };
+        let mut addrs = self.addrs.clone();
+        addrs.rotate_left(opts.server % self.addrs.len());
+        if !opts.failover {
+            addrs.truncate(1);
+        }
         let mut c = ZkClient::establish(TcpTransport::new(addrs))?;
         c.set_consistency(opts.consistency);
         Ok(c)

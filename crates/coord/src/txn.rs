@@ -8,8 +8,11 @@
 
 use bytes::Bytes;
 
+use dufs_net::{put_blob, put_str, WireCursor, WireError};
 use dufs_zab::PeerId;
 use dufs_zkstore::{CreateMode, MultiOp, ZkError, ZkResult};
+
+use crate::wire::{get_opt_u32, mode_byte, mode_from, put_opt_u32};
 
 /// The mutation kinds that get replicated.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -118,29 +121,20 @@ pub struct Txn {
 // Binary codec (for the write-ahead log)
 // ----------------------------------------------------------------------
 //
-// Little-endian, length-prefixed. The WAL frames each record with a CRC,
-// so this codec only needs to be unambiguous; still, every decode path is
-// bounds-checked and malformed input returns `ZkError::CorruptSnapshot`
-// (never a panic) so CRC-valid-but-impossible bytes fail recovery loudly.
+// Little-endian, length-prefixed, over the same cursor and field helpers
+// as the wire codecs. The WAL frames each record with a CRC, so this codec
+// only needs to be unambiguous; still, every decode path is bounds-checked
+// and malformed input returns `ZkError::CorruptSnapshot` (never a panic) so
+// CRC-valid-but-impossible bytes fail recovery loudly.
 
-fn put_str(buf: &mut Vec<u8>, s: &str) {
-    buf.extend_from_slice(&(s.len() as u32).to_le_bytes());
-    buf.extend_from_slice(s.as_bytes());
+/// The log stores a create mode as the wire codec's byte minus one: the
+/// record format predates the wire rule that discriminants start at 1.
+fn put_mode(buf: &mut Vec<u8>, m: CreateMode) {
+    buf.push(mode_byte(m) - 1);
 }
 
-fn put_bytes(buf: &mut Vec<u8>, b: &[u8]) {
-    buf.extend_from_slice(&(b.len() as u32).to_le_bytes());
-    buf.extend_from_slice(b);
-}
-
-fn put_version(buf: &mut Vec<u8>, v: Option<u32>) {
-    match v {
-        None => buf.push(0),
-        Some(v) => {
-            buf.push(1);
-            buf.extend_from_slice(&v.to_le_bytes());
-        }
-    }
+fn get_mode(c: &mut WireCursor<'_>) -> Result<CreateMode, WireError> {
+    mode_from(c.u8()?.wrapping_add(1))
 }
 
 fn put_multi_ops(buf: &mut Vec<u8>, ops: &[MultiOp]) {
@@ -150,122 +144,47 @@ fn put_multi_ops(buf: &mut Vec<u8>, ops: &[MultiOp]) {
             MultiOp::Create { path, data, mode } => {
                 buf.push(1);
                 put_str(buf, path);
-                put_bytes(buf, data);
-                buf.push(mode_byte(*mode));
+                put_blob(buf, data);
+                put_mode(buf, *mode);
             }
             MultiOp::Delete { path, version } => {
                 buf.push(2);
                 put_str(buf, path);
-                put_version(buf, *version);
+                put_opt_u32(buf, *version);
             }
             MultiOp::SetData { path, data, version } => {
                 buf.push(3);
                 put_str(buf, path);
-                put_bytes(buf, data);
-                put_version(buf, *version);
+                put_blob(buf, data);
+                put_opt_u32(buf, *version);
             }
             MultiOp::Check { path, version } => {
                 buf.push(4);
                 put_str(buf, path);
-                put_version(buf, *version);
+                put_opt_u32(buf, *version);
             }
         }
     }
 }
 
-fn mode_byte(m: CreateMode) -> u8 {
-    match m {
-        CreateMode::Persistent => 0,
-        CreateMode::Ephemeral => 1,
-        CreateMode::PersistentSequential => 2,
-        CreateMode::EphemeralSequential => 3,
-    }
+fn get_bytes(c: &mut WireCursor<'_>) -> Result<Bytes, WireError> {
+    Ok(Bytes::copy_from_slice(c.blob()?))
 }
 
-struct Cursor<'a> {
-    raw: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Cursor<'a> {
-    fn take(&mut self, n: usize) -> ZkResult<&'a [u8]> {
-        if self.raw.len() - self.pos < n {
-            return Err(ZkError::CorruptSnapshot);
-        }
-        let s = &self.raw[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(s)
+fn get_multi_ops(c: &mut WireCursor<'_>) -> Result<Vec<MultiOp>, WireError> {
+    // Sanity-bound before allocating: each op costs ≥2 bytes.
+    let n = c.count(2)?;
+    let mut ops = Vec::with_capacity(n);
+    for _ in 0..n {
+        ops.push(match c.u8()? {
+            1 => MultiOp::Create { path: c.str()?, data: get_bytes(c)?, mode: get_mode(c)? },
+            2 => MultiOp::Delete { path: c.str()?, version: get_opt_u32(c)? },
+            3 => MultiOp::SetData { path: c.str()?, data: get_bytes(c)?, version: get_opt_u32(c)? },
+            4 => MultiOp::Check { path: c.str()?, version: get_opt_u32(c)? },
+            t => return Err(WireError::BadTag(t)),
+        });
     }
-    fn u8(&mut self) -> ZkResult<u8> {
-        Ok(self.take(1)?[0])
-    }
-    fn u32(&mut self) -> ZkResult<u32> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-    fn u64(&mut self) -> ZkResult<u64> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-    fn str(&mut self) -> ZkResult<String> {
-        let n = self.u32()? as usize;
-        let s = self.take(n)?;
-        String::from_utf8(s.to_vec()).map_err(|_| ZkError::CorruptSnapshot)
-    }
-    fn bytes(&mut self) -> ZkResult<Bytes> {
-        let n = self.u32()? as usize;
-        Ok(Bytes::copy_from_slice(self.take(n)?))
-    }
-    fn version(&mut self) -> ZkResult<Option<u32>> {
-        match self.u8()? {
-            0 => Ok(None),
-            1 => Ok(Some(self.u32()?)),
-            _ => Err(ZkError::CorruptSnapshot),
-        }
-    }
-    fn mode(&mut self) -> ZkResult<CreateMode> {
-        match self.u8()? {
-            0 => Ok(CreateMode::Persistent),
-            1 => Ok(CreateMode::Ephemeral),
-            2 => Ok(CreateMode::PersistentSequential),
-            3 => Ok(CreateMode::EphemeralSequential),
-            _ => Err(ZkError::CorruptSnapshot),
-        }
-    }
-    fn multi_ops(&mut self) -> ZkResult<Vec<MultiOp>> {
-        let n = self.u32()? as usize;
-        // Sanity-bound before allocating: each op costs ≥2 bytes.
-        if n > self.raw.len() {
-            return Err(ZkError::CorruptSnapshot);
-        }
-        let mut ops = Vec::with_capacity(n);
-        for _ in 0..n {
-            ops.push(match self.u8()? {
-                1 => {
-                    let path = self.str()?;
-                    let data = self.bytes()?;
-                    let mode = self.mode()?;
-                    MultiOp::Create { path, data, mode }
-                }
-                2 => {
-                    let path = self.str()?;
-                    let version = self.version()?;
-                    MultiOp::Delete { path, version }
-                }
-                3 => {
-                    let path = self.str()?;
-                    let data = self.bytes()?;
-                    let version = self.version()?;
-                    MultiOp::SetData { path, data, version }
-                }
-                4 => {
-                    let path = self.str()?;
-                    let version = self.version()?;
-                    MultiOp::Check { path, version }
-                }
-                _ => return Err(ZkError::CorruptSnapshot),
-            });
-        }
-        Ok(ops)
-    }
+    Ok(ops)
 }
 
 impl Txn {
@@ -280,19 +199,19 @@ impl Txn {
             TxnOp::Create { path, data, mode } => {
                 buf.push(1);
                 put_str(&mut buf, path);
-                put_bytes(&mut buf, data);
-                buf.push(mode_byte(*mode));
+                put_blob(&mut buf, data);
+                put_mode(&mut buf, *mode);
             }
             TxnOp::Delete { path, version } => {
                 buf.push(2);
                 put_str(&mut buf, path);
-                put_version(&mut buf, *version);
+                put_opt_u32(&mut buf, *version);
             }
             TxnOp::SetData { path, data, version } => {
                 buf.push(3);
                 put_str(&mut buf, path);
-                put_bytes(&mut buf, data);
-                put_version(&mut buf, *version);
+                put_blob(&mut buf, data);
+                put_opt_u32(&mut buf, *version);
             }
             TxnOp::Multi { ops } => {
                 buf.push(4);
@@ -310,8 +229,8 @@ impl Txn {
             TxnOp::CreatePath { path, data, mode } => {
                 buf.push(8);
                 put_str(&mut buf, path);
-                put_bytes(&mut buf, data);
-                buf.push(mode_byte(*mode));
+                put_blob(&mut buf, data);
+                put_mode(&mut buf, *mode);
             }
             TxnOp::Prepare2pc { txn_id, ops, participants } => {
                 buf.push(9);
@@ -337,46 +256,29 @@ impl Txn {
     /// Deserialize a WAL record payload. Malformed or trailing bytes are
     /// [`ZkError::CorruptSnapshot`].
     pub fn decode(raw: &[u8]) -> ZkResult<Txn> {
-        let mut c = Cursor { raw, pos: 0 };
+        let mut c = WireCursor::new(raw);
+        let txn = Self::decode_from(&mut c).and_then(|t| c.expect_end().map(|()| t));
+        txn.map_err(|_| ZkError::CorruptSnapshot)
+    }
+
+    fn decode_from(c: &mut WireCursor<'_>) -> Result<Txn, WireError> {
         let session = c.u64()?;
         let origin = PeerId(c.u32()?);
         let tag = c.u64()?;
         let time_ns = c.u64()?;
         let op = match c.u8()? {
-            1 => {
-                let path = c.str()?;
-                let data = c.bytes()?;
-                let mode = c.mode()?;
-                TxnOp::Create { path, data, mode }
-            }
-            2 => {
-                let path = c.str()?;
-                let version = c.version()?;
-                TxnOp::Delete { path, version }
-            }
-            3 => {
-                let path = c.str()?;
-                let data = c.bytes()?;
-                let version = c.version()?;
-                TxnOp::SetData { path, data, version }
-            }
-            4 => TxnOp::Multi { ops: c.multi_ops()? },
+            1 => TxnOp::Create { path: c.str()?, data: get_bytes(c)?, mode: get_mode(c)? },
+            2 => TxnOp::Delete { path: c.str()?, version: get_opt_u32(c)? },
+            3 => TxnOp::SetData { path: c.str()?, data: get_bytes(c)?, version: get_opt_u32(c)? },
+            4 => TxnOp::Multi { ops: get_multi_ops(c)? },
             5 => TxnOp::CreateSession { session: c.u64()? },
             6 => TxnOp::CloseSession { session: c.u64()? },
             7 => TxnOp::Noop,
-            8 => {
-                let path = c.str()?;
-                let data = c.bytes()?;
-                let mode = c.mode()?;
-                TxnOp::CreatePath { path, data, mode }
-            }
+            8 => TxnOp::CreatePath { path: c.str()?, data: get_bytes(c)?, mode: get_mode(c)? },
             9 => {
                 let txn_id = c.u64()?;
-                let ops = c.multi_ops()?;
-                let n = c.u32()? as usize;
-                if n > c.raw.len() {
-                    return Err(ZkError::CorruptSnapshot);
-                }
+                let ops = get_multi_ops(c)?;
+                let n = c.count(4)?;
                 let mut participants = Vec::with_capacity(n);
                 for _ in 0..n {
                     participants.push(c.u32()?);
@@ -385,11 +287,8 @@ impl Txn {
             }
             10 => TxnOp::Commit2pc { txn_id: c.u64()? },
             11 => TxnOp::Abort2pc { txn_id: c.u64()? },
-            _ => return Err(ZkError::CorruptSnapshot),
+            t => return Err(WireError::BadTag(t)),
         };
-        if c.pos != raw.len() {
-            return Err(ZkError::CorruptSnapshot);
-        }
         Ok(Txn { session, op, origin, tag, time_ns })
     }
 }
@@ -493,5 +392,76 @@ mod tests {
         let mut bad = enc.to_vec();
         bad[28] = 99; // the op-tag byte (after session+origin+tag+time)
         assert_eq!(Txn::decode(&bad), Err(ZkError::CorruptSnapshot));
+    }
+
+    /// The record format is durable: logs written by an older build must
+    /// replay. One transaction per op kind, pinned byte for byte.
+    #[test]
+    fn encoding_is_pinned_byte_for_byte() {
+        let golden: Vec<(TxnOp, &str)> = vec![
+            (
+                TxnOp::Create {
+                    path: "/a".into(),
+                    data: Bytes::from_static(b"xy"),
+                    mode: CreateMode::EphemeralSequential,
+                },
+                "01020000002f6102000000787903",
+            ),
+            (TxnOp::Delete { path: "/a".into(), version: Some(9) }, "02020000002f610109000000"),
+            (
+                TxnOp::SetData { path: "/a".into(), data: Bytes::from_static(b"z"), version: None },
+                "03020000002f61010000007a00",
+            ),
+            (
+                TxnOp::Multi {
+                    ops: vec![
+                        MultiOp::Create {
+                            path: "/n".into(),
+                            data: Bytes::from_static(b"f"),
+                            mode: CreateMode::Ephemeral,
+                        },
+                        MultiOp::Delete { path: "/o".into(), version: None },
+                        MultiOp::SetData {
+                            path: "/s".into(),
+                            data: Bytes::new(),
+                            version: Some(2),
+                        },
+                        MultiOp::Check { path: "/c".into(), version: Some(1) },
+                    ],
+                },
+                "040400000001020000002f6e01000000660102020000002f6f0003020000002f7300000000\
+                 010200000004020000002f630101000000",
+            ),
+            (TxnOp::CreateSession { session: 0x1122_3344_5566_7788 }, "058877665544332211"),
+            (TxnOp::CloseSession { session: 5 }, "060500000000000000"),
+            (TxnOp::Noop, "07"),
+            (
+                TxnOp::CreatePath {
+                    path: "/d/e".into(),
+                    data: Bytes::from_static(b"v"),
+                    mode: CreateMode::PersistentSequential,
+                },
+                "08040000002f642f65010000007602",
+            ),
+            (
+                TxnOp::Prepare2pc {
+                    txn_id: 0x0123_4567_89ab_cdef,
+                    ops: vec![MultiOp::Check { path: "/p".into(), version: None }],
+                    participants: vec![0, 3],
+                },
+                "09efcdab89674523010100000004020000002f7000020000000000000003000000",
+            ),
+            (TxnOp::Commit2pc { txn_id: u64::MAX }, "0affffffffffffffff"),
+            (TxnOp::Abort2pc { txn_id: 1 }, "0b0100000000000000"),
+        ];
+        // session | origin | tag | time_ns, then the op.
+        let header = "0807060504030201030000002a000000000000000700000000000000";
+        for (op, want) in golden {
+            let t =
+                Txn { session: 0x0102_0304_0506_0708, op, origin: PeerId(3), tag: 42, time_ns: 7 };
+            let hex: String = t.encode().iter().map(|b| format!("{b:02x}")).collect();
+            assert_eq!(hex, format!("{header}{want}"), "{:?}", t.op);
+            roundtrip(&t);
+        }
     }
 }

@@ -39,7 +39,7 @@ fn get_zxid(c: &mut WireCursor<'_>) -> Result<Zxid, WireError> {
     Ok(Zxid::new(epoch, counter))
 }
 
-fn put_opt_u32(buf: &mut Vec<u8>, v: Option<u32>) {
+pub(crate) fn put_opt_u32(buf: &mut Vec<u8>, v: Option<u32>) {
     match v {
         None => buf.push(0),
         Some(x) => {
@@ -49,7 +49,7 @@ fn put_opt_u32(buf: &mut Vec<u8>, v: Option<u32>) {
     }
 }
 
-fn get_opt_u32(c: &mut WireCursor<'_>) -> Result<Option<u32>, WireError> {
+pub(crate) fn get_opt_u32(c: &mut WireCursor<'_>) -> Result<Option<u32>, WireError> {
     Ok(if c.bool()? { Some(c.u32()?) } else { None })
 }
 
@@ -90,7 +90,7 @@ fn get_lease_grant(c: &mut WireCursor<'_>) -> Result<LeaseGrant, WireError> {
     Ok(LeaseGrant { ttl_ms: c.u32()?, epoch: c.u32()? })
 }
 
-fn mode_byte(m: CreateMode) -> u8 {
+pub(crate) fn mode_byte(m: CreateMode) -> u8 {
     match m {
         CreateMode::Persistent => 1,
         CreateMode::Ephemeral => 2,
@@ -99,7 +99,7 @@ fn mode_byte(m: CreateMode) -> u8 {
     }
 }
 
-fn mode_from(b: u8) -> Result<CreateMode, WireError> {
+pub(crate) fn mode_from(b: u8) -> Result<CreateMode, WireError> {
     Ok(match b {
         1 => CreateMode::Persistent,
         2 => CreateMode::Ephemeral,

@@ -6,9 +6,8 @@
 //! heartbeats, and liveness for all of them on a handful of event-loop
 //! threads. [`Conn::send`] enqueues onto a per-connection outbound queue
 //! and nudges the owning reactor; inbound frames arrive either on a
-//! dedicated channel per connection (the classic [`connect`] /
-//! [`Listener::spawn_accept`] shape) or demultiplexed onto one shared
-//! [`ConnEvent`] stream ([`connect_demux`] /
+//! dedicated channel per connection ([`connect`]) or demultiplexed onto
+//! one shared [`ConnEvent`] stream ([`connect_demux`] /
 //! [`Listener::spawn_accept_demux`]) so a single owner thread can service
 //! tens of thousands of sessions.
 //!
@@ -19,7 +18,7 @@
 
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -199,10 +198,6 @@ impl Drop for Conn {
     }
 }
 
-fn handshake_deadline(stream: &TcpStream, cfg: &NetConfig) -> std::io::Result<()> {
-    stream.set_read_timeout(Some(Duration::from_millis(cfg.connect_timeout_ms)))
-}
-
 fn read_hello(
     stream: &mut TcpStream,
     cfg: &NetConfig,
@@ -230,7 +225,7 @@ fn dial(
     let mut stream =
         TcpStream::connect_timeout(&addr, Duration::from_millis(cfg.connect_timeout_ms))?;
     stream.set_nodelay(true).ok();
-    handshake_deadline(&stream, cfg)?;
+    stream.set_read_timeout(Some(Duration::from_millis(cfg.connect_timeout_ms)))?;
     write_frame(&mut stream, &hello.encode(), stats)?;
     let remote = read_hello(&mut stream, cfg, stats)?;
     stream.set_read_timeout(None)?;
@@ -297,36 +292,6 @@ pub fn connect_demux(
     }
 }
 
-/// Server side of the handshake on an accepted stream, run blocking on the
-/// caller's thread: read the peer's hello, answer with ours, and register
-/// the stream. Prefer [`Listener::spawn_accept`], which handshakes inside
-/// the event loop instead.
-pub fn accept_conn(
-    mut stream: TcpStream,
-    my_hello: Hello,
-    cfg: &NetConfig,
-    stats: &NetStats,
-) -> Result<(Conn, Receiver<Vec<u8>>), NetError> {
-    let attempt = || -> Result<(Conn, Receiver<Vec<u8>>), NetError> {
-        stream.set_nodelay(true).ok();
-        handshake_deadline(&stream, cfg)?;
-        let remote = read_hello(&mut stream, cfg, stats)?;
-        write_frame(&mut stream, &my_hello.encode(), stats)?;
-        stream.set_read_timeout(None)?;
-        Ok(Conn::spawn(stream, remote, cfg, stats.clone())?)
-    };
-    match attempt() {
-        Ok(pair) => {
-            stats.on_conn_opened();
-            Ok(pair)
-        }
-        Err(e) => {
-            stats.on_conn_failed();
-            Err(e)
-        }
-    }
-}
-
 /// A bound TCP listener, not yet accepting.
 #[derive(Debug)]
 pub struct Listener {
@@ -347,43 +312,15 @@ impl Listener {
         self.addr
     }
 
-    /// Start the accept loop on its own thread. Accepted streams are
-    /// handed straight to the reactor, which runs the handshake
-    /// (introducing ourselves as `my_hello`) inside the event loop and
-    /// then invokes `on_conn` with the connection and its inbound frame
-    /// channel. Streams that fail or time out the handshake are dropped
-    /// without ever reaching `on_conn`, which runs on a reactor thread
-    /// and must not block. Returns a handle that stops the loop.
-    pub fn spawn_accept<F>(
-        self,
-        my_hello: Hello,
-        cfg: NetConfig,
-        stats: NetStats,
-        on_conn: F,
-    ) -> AcceptHandle
-    where
-        F: FnMut(Conn, Receiver<Vec<u8>>) + Send + 'static,
-    {
-        let cb: reactor::OnConn = Arc::new(Mutex::new(on_conn));
-        self.spawn_accept_inner(cfg, move |stream, _id| {
-            let _ = reactor::register(
-                stream,
-                Delivery::Callback(cb.clone()),
-                tuning(&cfg),
-                stats.clone(),
-                Phase::Handshake {
-                    my_hello,
-                    deadline: Instant::now() + Duration::from_millis(cfg.connect_timeout_ms),
-                },
-            );
-        })
-    }
-
-    /// Start the accept loop with demultiplexed delivery: every accepted
-    /// connection's lifecycle and inbound frames arrive on the returned
-    /// [`ConnEvent`] receiver, tagged with a listener-local id (1, 2, …).
-    /// One owner thread can therefore service any number of sessions; no
-    /// per-connection threads or channels are created.
+    /// Start the accept loop on its own thread, with demultiplexed
+    /// delivery: accepted streams are handed straight to the reactor, which
+    /// runs the handshake (introducing ourselves as `my_hello`) inside the
+    /// event loop, and every handshaken connection's lifecycle and inbound
+    /// frames arrive on the returned [`ConnEvent`] receiver, tagged with a
+    /// listener-local id (1, 2, …). Streams that fail or time out the
+    /// handshake are dropped without ever surfacing. One owner thread can
+    /// therefore service any number of sessions; no per-connection threads
+    /// or channels are created. The handle stops the loop.
     pub fn spawn_accept_demux(
         self,
         my_hello: Hello,
@@ -391,25 +328,20 @@ impl Listener {
         stats: NetStats,
     ) -> (AcceptHandle, Receiver<ConnEvent>) {
         let (tx, rx) = unbounded::<ConnEvent>();
-        let handle = self.spawn_accept_inner(cfg, move |stream, id| {
-            let _ = reactor::register(
-                stream,
-                Delivery::Demux { id, tx: tx.clone() },
-                tuning(&cfg),
-                stats.clone(),
-                Phase::Handshake {
-                    my_hello,
-                    deadline: Instant::now() + Duration::from_millis(cfg.connect_timeout_ms),
-                },
-            );
-        });
-        (handle, rx)
+        (self.spawn_accept_into(my_hello, cfg, stats, tx), rx)
     }
 
-    fn spawn_accept_inner<F>(self, _cfg: NetConfig, mut adopt: F) -> AcceptHandle
-    where
-        F: FnMut(TcpStream, u64) + Send + 'static,
-    {
+    /// [`Listener::spawn_accept_demux`] onto a stream the caller already
+    /// owns, so accepted connections and dialed ones ([`connect_demux`])
+    /// can share one owner thread. The caller keeps the ids it dials under
+    /// clear of the listener's (1, 2, …).
+    pub fn spawn_accept_into(
+        self,
+        my_hello: Hello,
+        cfg: NetConfig,
+        stats: NetStats,
+        events: Sender<ConnEvent>,
+    ) -> AcceptHandle {
         let stop = Arc::new(AtomicBool::new(false));
         let flag = stop.clone();
         let addr = self.addr;
@@ -423,7 +355,17 @@ impl Listener {
                     }
                     let Ok(stream) = stream else { continue };
                     next_id += 1;
-                    adopt(stream, next_id);
+                    let _ = reactor::register(
+                        stream,
+                        Delivery::Demux { id: next_id, tx: events.clone() },
+                        tuning(&cfg),
+                        stats.clone(),
+                        Phase::Handshake {
+                            my_hello,
+                            deadline: Instant::now()
+                                + Duration::from_millis(cfg.connect_timeout_ms),
+                        },
+                    );
                 }
             })
             .expect("spawn accept thread");
@@ -475,27 +417,46 @@ mod tests {
         NetConfig { heartbeat_ms: 50, ..NetConfig::default() }
     }
 
+    /// Echo server: one thread, no per-connection state but a `Conn` map.
+    /// It ends once `accept` is stopped and the last session hangs up.
+    fn spawn_echo(
+        listener: Listener,
+        cfg: NetConfig,
+        stats: NetStats,
+    ) -> (AcceptHandle, JoinHandle<()>) {
+        let (accept, events) = listener.spawn_accept_demux(
+            Hello { kind: crate::EndpointKind::Server, id: 0 },
+            cfg,
+            stats,
+        );
+        let echo = std::thread::spawn(move || {
+            let mut conns = std::collections::HashMap::new();
+            while let Ok(ev) = events.recv() {
+                match ev {
+                    ConnEvent::Opened { id, conn } => {
+                        conns.insert(id, conn);
+                    }
+                    ConnEvent::Frame { id, payload } => {
+                        if let Some(conn) = conns.get(&id) {
+                            let _ = conn.send(payload);
+                        }
+                    }
+                    ConnEvent::Closed { id } => {
+                        conns.remove(&id);
+                    }
+                }
+            }
+        });
+        (accept, echo)
+    }
+
     #[test]
     fn loopback_echo_round_trip() {
         let cfg = fast_cfg();
         let server_stats = NetStats::new();
         let listener = Listener::bind("127.0.0.1:0".parse().unwrap()).unwrap();
         let addr = listener.local_addr();
-        let accept = listener.spawn_accept(
-            Hello { kind: crate::EndpointKind::Server, id: 0 },
-            cfg,
-            server_stats.clone(),
-            |conn, rx| {
-                // Echo every inbound frame back.
-                std::thread::spawn(move || {
-                    while let Ok(frame) = rx.recv() {
-                        if conn.send(frame).is_err() {
-                            break;
-                        }
-                    }
-                });
-            },
-        );
+        let (accept, echo) = spawn_echo(listener, cfg, server_stats.clone());
 
         let client_stats = NetStats::new();
         let (conn, rx) =
@@ -514,7 +475,9 @@ mod tests {
         assert_eq!(snap.conns_opened, 1);
         assert!(snap.wakeups > 0, "reactor wakeups must be attributed");
         assert!(snap.writev_batches > 0, "sends must go through writev flushes");
+        drop((conn, rx));
         accept.stop();
+        echo.join().unwrap();
     }
 
     #[test]
@@ -523,33 +486,7 @@ mod tests {
         let server_stats = NetStats::new();
         let listener = Listener::bind("127.0.0.1:0".parse().unwrap()).unwrap();
         let addr = listener.local_addr();
-        let (accept, events) = listener.spawn_accept_demux(
-            Hello { kind: crate::EndpointKind::Server, id: 0 },
-            cfg,
-            server_stats.clone(),
-        );
-        // Echo server: one thread, no per-connection state but a Conn map.
-        let echo = std::thread::spawn(move || {
-            let mut conns = std::collections::HashMap::new();
-            while let Ok(ev) = events.recv() {
-                match ev {
-                    ConnEvent::Opened { id, conn } => {
-                        conns.insert(id, conn);
-                    }
-                    ConnEvent::Frame { id, payload } => {
-                        if let Some(conn) = conns.get(&id) {
-                            let _ = conn.send(payload);
-                        }
-                    }
-                    ConnEvent::Closed { id } => {
-                        conns.remove(&id);
-                        if conns.is_empty() {
-                            break;
-                        }
-                    }
-                }
-            }
-        });
+        let (accept, echo) = spawn_echo(listener, cfg, server_stats.clone());
         let client_stats = NetStats::new();
         let mut sessions = Vec::new();
         for i in 0..8u64 {
@@ -571,8 +508,8 @@ mod tests {
         }
         assert_eq!(server_stats.snapshot().conns_opened, 8);
         drop(sessions);
-        echo.join().unwrap();
         accept.stop();
+        echo.join().unwrap();
     }
 
     #[test]
@@ -581,25 +518,17 @@ mod tests {
         let server_stats = NetStats::new();
         let listener = Listener::bind("127.0.0.1:0".parse().unwrap()).unwrap();
         let addr = listener.local_addr();
-        let accept = listener.spawn_accept(
-            Hello { kind: crate::EndpointKind::Server, id: 0 },
-            cfg,
-            server_stats.clone(),
-            |conn, rx| {
-                std::thread::spawn(move || {
-                    let _conn = conn; // keep the connection alive
-                    while rx.recv().is_ok() {}
-                });
-            },
-        );
+        let (accept, echo) = spawn_echo(listener, cfg, server_stats.clone());
         let client_stats = NetStats::new();
-        let (_conn, _rx) =
+        let pair =
             connect(addr, Hello { kind: crate::EndpointKind::Client, id: 1 }, &cfg, &client_stats)
                 .unwrap();
         std::thread::sleep(Duration::from_millis(200));
         assert!(client_stats.snapshot().heartbeats_sent > 0, "idle conn heartbeats");
         assert!(client_stats.snapshot().heartbeats_recv > 0, "server heartbeats received");
+        drop(pair);
         accept.stop();
+        echo.join().unwrap();
     }
 
     #[test]
@@ -608,15 +537,17 @@ mod tests {
         let stats = NetStats::new();
         let listener = Listener::bind("127.0.0.1:0".parse().unwrap()).unwrap();
         let addr = listener.local_addr();
-        let accept = listener.spawn_accept(
+        let (accept, events) = listener.spawn_accept_demux(
             Hello { kind: crate::EndpointKind::Server, id: 0 },
             cfg,
             stats.clone(),
-            |conn, _rx| drop(conn), // server hangs up immediately
         );
         let (conn, rx) =
             connect(addr, Hello { kind: crate::EndpointKind::Client, id: 1 }, &cfg, &stats)
                 .unwrap();
+        // The server hangs up immediately: dropping the event drops its
+        // half of the connection.
+        drop(events.recv_timeout(Duration::from_secs(5)).unwrap());
         // The inbound channel must disconnect (not hang).
         match rx.recv_timeout(Duration::from_secs(5)) {
             Err(RecvTimeoutError::Disconnected) => {}
@@ -653,13 +584,10 @@ mod tests {
         let stats = NetStats::new();
         let listener = Listener::bind("127.0.0.1:0".parse().unwrap()).unwrap();
         let addr = listener.local_addr();
-        let accepted = Arc::new(AtomicBool::new(false));
-        let flag = accepted.clone();
-        let accept = listener.spawn_accept(
+        let (accept, events) = listener.spawn_accept_demux(
             Hello { kind: crate::EndpointKind::Server, id: 0 },
             cfg,
             stats.clone(),
-            move |_conn, _rx| flag.store(true, Ordering::SeqCst),
         );
         // Speak a bogus version by hand.
         let mut stream = TcpStream::connect(addr).unwrap();
@@ -667,7 +595,7 @@ mod tests {
         bad[8] = 0xEE; // version low byte
         write_frame(&mut stream, &bad, &stats).unwrap();
         std::thread::sleep(Duration::from_millis(100));
-        assert!(!accepted.load(Ordering::SeqCst), "bad version must not be accepted");
+        assert!(events.try_recv().is_err(), "bad version must not be accepted");
         accept.stop();
     }
 }

@@ -26,6 +26,7 @@
 #![warn(missing_docs)]
 
 pub mod conn;
+mod crc;
 pub mod frame;
 pub mod pool;
 mod reactor;
@@ -36,6 +37,7 @@ pub mod wire;
 pub use conn::{
     connect, connect_demux, AcceptHandle, Backoff, Conn, ConnEvent, Listener, NetConfig,
 };
+pub use crc::crc32;
 pub use frame::{
     frame_head, read_frame, write_frame, EndpointKind, Frame, FrameDecoder, Hello, MAX_FRAME,
     PROTO_VERSION,
@@ -74,38 +76,5 @@ impl std::error::Error for NetError {}
 impl From<std::io::Error> for NetError {
     fn from(e: std::io::Error) -> Self {
         NetError::Io(e)
-    }
-}
-
-/// Standard IEEE CRC-32 (the WAL's framing checksum, reimplemented here so
-/// the transport has no dependency on the storage crate).
-pub fn crc32(data: &[u8]) -> u32 {
-    static TABLE: std::sync::OnceLock<[u32; 256]> = std::sync::OnceLock::new();
-    let table = TABLE.get_or_init(|| {
-        let mut t = [0u32; 256];
-        for (i, e) in t.iter_mut().enumerate() {
-            let mut c = i as u32;
-            for _ in 0..8 {
-                c = if c & 1 != 0 { 0xEDB8_8320 ^ (c >> 1) } else { c >> 1 };
-            }
-            *e = c;
-        }
-        t
-    });
-    let mut crc = 0xFFFF_FFFFu32;
-    for &b in data {
-        crc = table[((crc ^ b as u32) & 0xFF) as usize] ^ (crc >> 8);
-    }
-    !crc
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn crc32_matches_known_vectors() {
-        assert_eq!(crc32(b""), 0);
-        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
     }
 }

@@ -77,16 +77,9 @@ pub(crate) enum Delivery {
     /// One dedicated channel per connection; dropping the sender signals
     /// death to the owner.
     Channel(Sender<Vec<u8>>),
-    /// Invoke a shared callback with (Conn, inbound receiver) once the
-    /// handshake completes, then behave like `Channel`. Runs on the
-    /// reactor thread: it must not block.
-    Callback(OnConn),
     /// All frames funnel into one shared event stream, tagged by `id`.
     Demux { id: u64, tx: Sender<ConnEvent> },
 }
-
-/// The accept-side connection callback, shared across reactors.
-pub(crate) type OnConn = Arc<Mutex<dyn FnMut(Conn, Receiver<Vec<u8>>) + Send>>;
 
 /// Connection lifecycle phase.
 pub(crate) enum Phase {
@@ -411,8 +404,7 @@ impl Reactor {
             return;
         }
         reg.stats.on_conn_registered();
-        let announced = matches!(reg.delivery, Delivery::Channel(_) | Delivery::Demux { .. })
-            && matches!(reg.phase, Phase::Open);
+        let announced = matches!(reg.phase, Phase::Open);
         let half_hb = (reg.tuning.heartbeat / 2).max(Duration::from_millis(1));
         if half_hb < self.tick_every {
             self.tick_every = half_hb;
@@ -629,11 +621,6 @@ fn dispatch_msg(st: &mut ConnState, payload: Vec<u8>) -> Result<(), Close> {
             st.stats.on_conn_opened();
             let conn = Conn::from_parts(st.shared.clone(), remote, st.peer_addr);
             match &st.delivery {
-                Delivery::Callback(cb) => {
-                    let (tx, rx) = unbounded::<Vec<u8>>();
-                    (cb.lock().unwrap())(conn, rx);
-                    st.delivery = Delivery::Channel(tx);
-                }
                 Delivery::Demux { id, tx } => {
                     if tx.send(ConnEvent::Opened { id: *id, conn }).is_err() {
                         return Err(Close::HandshakeFailed);
@@ -653,7 +640,6 @@ fn dispatch_msg(st: &mut ConnState, payload: Vec<u8>) -> Result<(), Close> {
                 Delivery::Demux { id, tx } => {
                     tx.send(ConnEvent::Frame { id: *id, payload }).is_ok()
                 }
-                Delivery::Callback(_) => unreachable!("upgraded to Channel at open"),
             };
             if delivered {
                 Ok(())

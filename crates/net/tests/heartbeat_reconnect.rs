@@ -6,13 +6,16 @@
 //! after `max_misses` windows, and a hard-dropped peer is redialed with
 //! exponential backoff — all of it visible in [`NetStats`].
 
-use std::sync::{Arc, Mutex};
+mod common;
+
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use dufs_net::frame::write_frame;
 use dufs_net::{
-    connect, read_frame, Backoff, Conn, EndpointKind, Frame, Hello, Listener, NetConfig, NetStats,
-    MAX_FRAME,
+    connect, read_frame, Backoff, ConnEvent, EndpointKind, Frame, Hello, Listener, NetConfig,
+    NetStats, MAX_FRAME,
 };
 
 fn server_hello() -> Hello {
@@ -32,16 +35,9 @@ fn idle_connection_survives_many_heartbeat_intervals() {
     let server_stats = NetStats::new();
     let listener = Listener::bind("127.0.0.1:0".parse().unwrap()).unwrap();
     let addr = listener.local_addr();
-    let accept = listener.spawn_accept(server_hello(), cfg, server_stats.clone(), |conn, rx| {
-        std::thread::spawn(move || {
-            // Echo, so the post-idle probe below round-trips.
-            while let Ok(frame) = rx.recv() {
-                if conn.send(frame).is_err() {
-                    break;
-                }
-            }
-        });
-    });
+    // Echo, so the post-idle probe below round-trips.
+    let kill = Arc::new(AtomicBool::new(false));
+    let accept = common::spawn_echo(listener, cfg, server_stats.clone(), kill.clone());
     let client_stats = NetStats::new();
     let (conn, rx) = connect(addr, client_hello(1), &cfg, &client_stats).unwrap();
     // 16 heartbeat intervals of pure silence — 4× the death budget.
@@ -54,6 +50,7 @@ fn idle_connection_survives_many_heartbeat_intervals() {
     assert!(s.heartbeats_recv >= 4, "server heartbeats never arrived: {s:?}");
     assert_eq!(s.conns_registered, 1, "the idle conn must still be registered: {s:?}");
     accept.stop();
+    kill.store(true, Ordering::SeqCst);
 }
 
 /// An idle-payload source turns empty heartbeat slots into real frames:
@@ -66,18 +63,17 @@ fn idle_source_piggybacks_payloads_on_heartbeat_slots() {
     let server_stats = NetStats::new();
     let listener = Listener::bind("127.0.0.1:0".parse().unwrap()).unwrap();
     let addr = listener.local_addr();
-    type InboundConns = Vec<(Conn, crossbeam::channel::Receiver<Vec<u8>>)>;
-    let inbound: Arc<Mutex<InboundConns>> = Arc::new(Mutex::new(Vec::new()));
-    let inb = inbound.clone();
-    let accept =
-        listener.spawn_accept(server_hello(), cfg, server_stats.clone(), move |conn, rx| {
-            // The *server* piggybacks on its idle slots, like a
-            // coordination server pushing lease grants to clients.
-            conn.set_idle_source(|| Some(b"lease".to_vec()));
-            inb.lock().unwrap().push((conn, rx));
-        });
+    let (accept, events) = listener.spawn_accept_demux(server_hello(), cfg, server_stats.clone());
     let client_stats = NetStats::new();
     let (conn, rx) = connect(addr, client_hello(1), &cfg, &client_stats).unwrap();
+    // The *server* piggybacks on its idle slots, like a coordination
+    // server pushing lease grants to clients.
+    let Ok(ConnEvent::Opened { conn: server_conn, .. }) =
+        events.recv_timeout(Duration::from_secs(5))
+    else {
+        panic!("the accepted connection never surfaced")
+    };
+    server_conn.set_idle_source(|| Some(b"lease".to_vec()));
     // The client stays idle; the server's heartbeat slots must deliver the
     // piggybacked payload as ordinary frames.
     let mut got = 0;
@@ -95,11 +91,7 @@ fn idle_source_piggybacks_payloads_on_heartbeat_slots() {
     assert!(s.idle_payloads >= 3, "piggybacked slots must be counted: {s:?}");
     // Clearing the source restores plain empty heartbeats; the connection
     // stays alive and no further payload frames arrive.
-    {
-        let conns = inbound.lock().unwrap();
-        let (server_conn, _) = conns.first().expect("server conn parked");
-        server_conn.clear_idle_source();
-    }
+    server_conn.clear_idle_source();
     // Drain anything already queued, then expect silence.
     std::thread::sleep(Duration::from_millis(100));
     while rx.try_recv().is_ok() {}
@@ -118,15 +110,7 @@ fn silent_peer_is_declared_dead_by_liveness_misses() {
     let server_stats = NetStats::new();
     let listener = Listener::bind("127.0.0.1:0".parse().unwrap()).unwrap();
     let addr = listener.local_addr();
-    let inbound: Arc<Mutex<Vec<crossbeam::channel::Receiver<Vec<u8>>>>> =
-        Arc::new(Mutex::new(Vec::new()));
-    let conns: Arc<Mutex<Vec<Conn>>> = Arc::new(Mutex::new(Vec::new()));
-    let (inb, cns) = (inbound.clone(), conns.clone());
-    let accept =
-        listener.spawn_accept(server_hello(), cfg, server_stats.clone(), move |conn, rx| {
-            cns.lock().unwrap().push(conn);
-            inb.lock().unwrap().push(rx);
-        });
+    let (accept, events) = listener.spawn_accept_demux(server_hello(), cfg, server_stats.clone());
 
     // Raw client: valid handshake, then total silence. The socket stays
     // open — only liveness can kill this connection.
@@ -141,23 +125,19 @@ fn silent_peer_is_declared_dead_by_liveness_misses() {
         other => panic!("expected server hello, got {other:?}"),
     }
 
-    // The server must notice within a few budgets (3 misses × 30 ms).
-    let deadline = Instant::now() + Duration::from_secs(5);
-    loop {
-        let rxs = inbound.lock().unwrap();
-        if let Some(rx) = rxs.first() {
-            if let Err(crossbeam::channel::TryRecvError::Disconnected) = rx.try_recv() {
-                break;
-            }
-        }
-        drop(rxs);
-        assert!(Instant::now() < deadline, "silent peer never declared dead");
-        std::thread::sleep(Duration::from_millis(10));
+    // The server must notice within a few budgets (3 misses × 30 ms). Its
+    // half of the connection stays held, so only liveness can end it.
+    let Ok(ConnEvent::Opened { id, conn: _held }) = events.recv_timeout(Duration::from_secs(5))
+    else {
+        panic!("the accepted connection never surfaced")
+    };
+    match events.recv_timeout(Duration::from_secs(5)) {
+        Ok(ConnEvent::Closed { id: dead }) => assert_eq!(dead, id),
+        _ => panic!("silent peer never declared dead"),
     }
     let s = server_stats.snapshot();
     assert!(s.heartbeat_misses >= 3, "death must be driven by counted misses: {s:?}");
     assert_eq!(s.conns_registered, 0, "dead conn must be deregistered: {s:?}");
-    drop(conns.lock().unwrap().drain(..));
     accept.stop();
 }
 
@@ -178,40 +158,19 @@ fn hard_dropped_peer_is_redialed_with_backoff() {
     };
     let stats = NetStats::new();
 
-    // Server conns are parked in slots the test can empty, so "hard drop"
-    // really severs every established socket, not just the listener.
-    type ConnSlot = Arc<Mutex<Option<Conn>>>;
-    let registry: Arc<Mutex<Vec<ConnSlot>>> = Arc::new(Mutex::new(Vec::new()));
-    let spawn_echo = |listener: Listener, stats: NetStats| {
-        let registry = registry.clone();
-        listener.spawn_accept(server_hello(), cfg, stats, move |conn, rx| {
-            let slot: ConnSlot = Arc::new(Mutex::new(Some(conn)));
-            registry.lock().unwrap().push(slot.clone());
-            std::thread::spawn(move || {
-                while let Ok(frame) = rx.recv() {
-                    let guard = slot.lock().unwrap();
-                    let Some(conn) = guard.as_ref() else { break };
-                    if conn.send(frame).is_err() {
-                        break;
-                    }
-                }
-            });
-        })
-    };
-
     let listener = Listener::bind("127.0.0.1:0".parse().unwrap()).unwrap();
     let addr = listener.local_addr();
-    let accept = spawn_echo(listener, stats.clone());
+    let kill = Arc::new(AtomicBool::new(false));
+    let accept = common::spawn_echo(listener, cfg, stats.clone(), kill.clone());
 
     let (conn, rx) = connect(addr, client_hello(1), &cfg, &stats).unwrap();
     conn.send(b"ping".to_vec()).unwrap();
     assert_eq!(rx.recv_timeout(Duration::from_secs(5)).unwrap(), b"ping");
 
-    // Hard drop: the whole server goes away (listener and all conns).
+    // Hard drop: the whole server goes away — the listener, and every
+    // established socket with the thread that held them.
     accept.stop();
-    for slot in registry.lock().unwrap().drain(..) {
-        drop(slot.lock().unwrap().take());
-    }
+    kill.store(true, Ordering::SeqCst);
     // The client observes the death as a disconnect.
     let deadline = Instant::now() + Duration::from_secs(5);
     loop {
@@ -226,6 +185,7 @@ fn hard_dropped_peer_is_redialed_with_backoff() {
     // fail before the server comes back on the same address.
     let mut backoff = Backoff::new(&cfg);
     let restart_after = Instant::now() + Duration::from_millis(60);
+    let revived_kill = Arc::new(AtomicBool::new(false));
     let mut revived: Option<dufs_net::AcceptHandle> = None;
     let mut attempts = 0u32;
     let deadline = Instant::now() + Duration::from_secs(10);
@@ -234,7 +194,7 @@ fn hard_dropped_peer_is_redialed_with_backoff() {
         if revived.is_none() && Instant::now() >= restart_after {
             // Same address: std listeners set SO_REUSEADDR on Unix.
             let l = Listener::bind(addr).expect("rebind the same address");
-            revived = Some(spawn_echo(l, stats.clone()));
+            revived = Some(common::spawn_echo(l, cfg, stats.clone(), revived_kill.clone()));
         }
         attempts += 1;
         match connect(addr, client_hello(1), &cfg, &stats) {
@@ -254,4 +214,5 @@ fn hard_dropped_peer_is_redialed_with_backoff() {
     assert!(s.reconnects >= 1, "the re-established link must be counted: {s:?}");
     assert!(s.conns_opened >= 2, "both generations of the link count: {s:?}");
     revived.unwrap().stop();
+    revived_kill.store(true, Ordering::SeqCst);
 }

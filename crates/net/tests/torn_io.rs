@@ -7,6 +7,8 @@
 //! exactly like the blocking [`read_frame`] path these properties'
 //! siblings in `prop_frame.rs` cover.
 
+mod common;
+
 use proptest::prelude::*;
 
 use dufs_net::frame::write_frame;
@@ -190,21 +192,8 @@ fn torn_writes_over_a_live_socket_still_deliver() {
     let stats = NetStats::new();
     let listener = Listener::bind("127.0.0.1:0".parse().unwrap()).unwrap();
     let addr = listener.local_addr();
-    let accept = listener.spawn_accept(
-        Hello { kind: EndpointKind::Server, id: 0 },
-        cfg,
-        stats.clone(),
-        |conn, rx| {
-            // Echo every inbound frame back.
-            std::thread::spawn(move || {
-                while let Ok(frame) = rx.recv() {
-                    if conn.send(frame).is_err() {
-                        break;
-                    }
-                }
-            });
-        },
-    );
+    let kill = std::sync::Arc::new(std::sync::atomic::AtomicBool::new(false));
+    let accept = common::spawn_echo(listener, cfg, stats.clone(), kill.clone());
 
     // Raw client: hand-rolled handshake + frame, written one byte at a
     // time so the server's reads are maximally torn.
@@ -237,4 +226,5 @@ fn torn_writes_over_a_live_socket_still_deliver() {
         }
     }
     accept.stop();
+    kill.store(true, std::sync::atomic::Ordering::SeqCst);
 }

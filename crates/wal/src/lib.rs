@@ -31,9 +31,15 @@
 //! ever possible in the unsynced tail, and recovery only ever discards from
 //! the tail of the final segment.
 
+// The transport's CRC-32, compiled in from its source: the same checksum
+// frames the wire and the log, and a Cargo dependency on `dufs-net` would
+// have to be recorded in lock files this crate does not own.
+#[path = "../../net/src/crc.rs"]
+mod crc;
 mod log;
 mod storage;
 
+pub use crate::crc::crc32;
 pub use crate::log::{Recovered, Wal, WalConfig, WalRecord};
 pub use crate::storage::{FaultConfig, FaultyStorage, FileStorage, LogStorage, MemStorage};
 
@@ -71,54 +77,3 @@ impl From<std::io::Error> for WalError {
 
 /// Result alias for WAL operations.
 pub type WalResult<T> = Result<T, WalError>;
-
-/// CRC-32 (IEEE 802.3 polynomial, reflected) over `data`.
-///
-/// Table-driven, byte at a time — the same checksum ZooKeeper uses for its
-/// transaction log frames. Implemented here because the environment vendors
-/// no `crc32fast`.
-pub fn crc32(data: &[u8]) -> u32 {
-    static TABLE: std::sync::OnceLock<[u32; 256]> = std::sync::OnceLock::new();
-    let table = TABLE.get_or_init(|| {
-        let mut t = [0u32; 256];
-        for (i, e) in t.iter_mut().enumerate() {
-            let mut c = i as u32;
-            for _ in 0..8 {
-                c = if c & 1 != 0 { 0xEDB8_8320 ^ (c >> 1) } else { c >> 1 };
-            }
-            *e = c;
-        }
-        t
-    });
-    let mut crc = 0xFFFF_FFFFu32;
-    for &b in data {
-        crc = table[((crc ^ b as u32) & 0xFF) as usize] ^ (crc >> 8);
-    }
-    !crc
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn crc32_matches_known_vectors() {
-        // Standard IEEE CRC-32 check values.
-        assert_eq!(crc32(b""), 0);
-        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
-        assert_eq!(crc32(b"The quick brown fox jumps over the lazy dog"), 0x414F_A339);
-    }
-
-    #[test]
-    fn crc32_detects_single_bit_flips() {
-        let data = b"hello, write-ahead log".to_vec();
-        let base = crc32(&data);
-        for i in 0..data.len() {
-            for bit in 0..8 {
-                let mut d = data.clone();
-                d[i] ^= 1 << bit;
-                assert_ne!(crc32(&d), base, "flip at byte {i} bit {bit} undetected");
-            }
-        }
-    }
-}

@@ -22,6 +22,17 @@ if [ "$fd_soft" != "unlimited" ] && [ "$fd_soft" -lt 4096 ]; then
 fi
 echo "==> fd limit: $fd_soft"
 
+# One CRC-32 in the tree: dufs-net owns the implementation and dufs-wal
+# compiles the same file, so a second copy of the polynomial is a second
+# implementation somebody will forget to speed up or fix.
+crc_files=$(grep -rl '0xEDB8_8320' crates/*/src | wc -l)
+if [ "$crc_files" -ne 1 ]; then
+    echo "FAIL: the CRC-32 polynomial 0xEDB8_8320 occurs in $crc_files files under crates/*/src (want exactly 1):" >&2
+    grep -rl '0xEDB8_8320' crates/*/src >&2 || true
+    exit 1
+fi
+echo "==> one CRC-32 implementation: $(grep -rl '0xEDB8_8320' crates/*/src)"
+
 echo "==> cargo build --release"
 cargo build --release
 
@@ -43,10 +54,14 @@ cargo test -q --workspace
 # same step: its exact-zxid-count tests (no barrier after an acked write,
 # exactly one after an abandoned write / a failover) and the
 # restarted-replica tests start real durable ensembles and gate the
-# ack-ordered read-your-writes rule on every later PR.
+# ack-ordered read-your-writes rule on every later PR. So do tcp_server
+# (a member started late is redialed and synced; a peer speaking garbage
+# is hung up on) and thread_census (a TcpServer owns an accept thread and
+# a loop thread, nothing per peer — alone in its binary, it reads
+# /proc/self/task).
 echo "==> cargo build --release -p dufs-coord --bin coord_server"
 cargo build --release -p dufs-coord --bin coord_server
-echo "==> cargo test -q --release -p dufs-wal -p dufs-coord (incl. tcp_e2e + kill9_recovery + read_consistency)"
+echo "==> cargo test -q --release -p dufs-wal -p dufs-coord (incl. tcp_e2e + tcp_server + thread_census + kill9_recovery + read_consistency)"
 cargo test -q --release -p dufs-wal -p dufs-coord
 
 # Live mdtest digest-parity matrix. Every row runs the same deterministic
