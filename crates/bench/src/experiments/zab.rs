@@ -7,52 +7,56 @@
 //! `1 / (base + 3·(n-1)·per_msg)` while read throughput rises linearly in
 //! the number of servers.
 
-use dufs_bench::{fmt_ops, full_scale, items_per_proc, Table};
 use dufs_mdtest::costs;
 use dufs_mdtest::scenario::{run_zk_raw, run_zk_raw_detailed, RawOp};
 
-fn main() {
-    let procs = if full_scale() { 128 } else { 32 };
-    let items = items_per_proc();
-    println!("ZAB ensemble-size ablation ({procs} client processes)\n");
+use crate::{Report, Scale, Value};
 
-    let mut t = Table::new(vec![
-        "servers",
-        "quorum",
-        "create ops/s",
-        "model create",
-        "create p99",
-        "get ops/s",
-        "model get",
-    ]);
+/// Run the experiment.
+pub fn run(scale: Scale) -> Report {
+    let procs = scale.pick(32, 128);
+    let items = scale.items_per_proc();
+    let mut report =
+        Report::new(format!("ZAB ensemble-size ablation ({procs} client processes)"), scale);
+
+    report.table(
+        "",
+        vec![
+            "servers",
+            "quorum",
+            "create ops/s",
+            "model create",
+            "create p99",
+            "get ops/s",
+            "model get",
+        ],
+    );
     for n in [1usize, 2, 3, 4, 5, 8] {
         let detail = run_zk_raw_detailed(n, 0, procs, RawOp::Create, items, 21);
-        let create = detail.ops_per_sec;
         let get = run_zk_raw(n, procs, RawOp::Get, items, 21);
         // Closed-form model (same constants as the simulator's cost model).
         let t_write = costs::ZK_WRITE_BASE_US
             + 2.0 * costs::ZK_CLIENT_MSG_US
             + 3.0 * (n as f64 - 1.0) * costs::ZK_PEER_MSG_US;
-        let model_create = 1e6 / t_write;
         let per_server_read = 1e6 / (costs::ZK_READ_US + 2.0 * costs::ZK_CLIENT_MSG_US);
         let model_get = (n as f64 * per_server_read).min(
             // Client CPU ceiling.
             (costs::CLIENT_NODES * costs::NODE_CORES) as f64 * 1e6 / costs::RAW_CLIENT_OP_US,
         );
-        t.row(vec![
-            n.to_string(),
-            (n / 2 + 1).to_string(),
-            fmt_ops(create),
-            fmt_ops(model_create),
-            format!("{:.1}ms", detail.p99_latency_us / 1000.0),
-            fmt_ops(get),
-            fmt_ops(model_get),
+        report.row(vec![
+            n.into(),
+            (n / 2 + 1).into(),
+            Value::ops(detail.ops_per_sec),
+            Value::ops(1e6 / t_write),
+            Value::unit(detail.p99_latency_us / 1000.0, 1, "ms"),
+            Value::ops(get),
+            Value::ops(model_get),
         ]);
     }
-    t.print();
-    println!(
+    report.note(
         "\nreading: measured write throughput should track the fan-out model\n\
          (diminishing returns per extra follower), and reads should scale\n\
-         until the client-side CPU ceiling."
+         until the client-side CPU ceiling.",
     );
+    report
 }

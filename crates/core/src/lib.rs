@@ -26,9 +26,6 @@
 //! * [`vfs`] — the synchronous POSIX-style filesystem API ([`vfs::Dufs`]).
 //! * [`services`] — the service traits the VFS runs against, plus local
 //!   (in-process) implementations.
-//! * [`pipeline`] — pipelined coordination sessions: K operations
-//!   outstanding per session (`zoo_acreate`-style) with per-session FIFO;
-//!   depth 1 reproduces the paper's synchronous loop.
 //! * [`fuse`] — the FUSE-like dispatch layer: errno-style entry points and
 //!   the "dummy FUSE" passthrough used by the paper's Fig 11 memory
 //!   comparison.
@@ -42,7 +39,6 @@ pub mod fuse;
 pub mod hash;
 pub mod mapping;
 pub mod meta;
-pub mod pipeline;
 pub mod plan;
 pub mod services;
 pub mod shard;
@@ -53,6 +49,5 @@ pub use error::{DufsError, DufsResult};
 pub use fid::{Fid, FidGenerator};
 pub use mapping::{BackendMapper, ConsistentHashRing, Md5Mapping};
 pub use meta::NodeMeta;
-pub use pipeline::{AsyncCoordService, Pipeline};
 pub use services::{BackendSet, CoordService, LocalBackends};
 pub use vfs::{Dufs, DufsAttr, DufsHandle, NodeKind};

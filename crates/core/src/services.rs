@@ -37,10 +37,6 @@ pub struct SoloCoord {
     session: u64,
     clock_ns: u64,
     watches: Vec<WatchNotification>,
-    /// Completed-but-uncollected async submissions, in submission order
-    /// (the in-process server answers synchronously, so FIFO is trivial).
-    completions: std::collections::VecDeque<(u64, ZkResponse)>,
-    next_req: u64,
 }
 
 impl Default for SoloCoord {
@@ -53,14 +49,7 @@ impl SoloCoord {
     /// Build the server and open a session.
     pub fn new() -> Self {
         let (server, _) = CoordServer::new(PeerId(0), EnsembleConfig::of_size(1));
-        let mut solo = SoloCoord {
-            server,
-            session: 0,
-            clock_ns: 1,
-            watches: Vec::new(),
-            completions: std::collections::VecDeque::new(),
-            next_req: 1,
-        };
+        let mut solo = SoloCoord { server, session: 0, clock_ns: 1, watches: Vec::new() };
         match solo.request(ZkRequest::Connect) {
             ZkResponse::Connected { session } => solo.session = session,
             other => unreachable!("solo connect cannot fail: {other:?}"),
@@ -71,22 +60,6 @@ impl SoloCoord {
     /// The underlying server (e.g. for memory accounting).
     pub fn server(&self) -> &CoordServer {
         &self.server
-    }
-
-    /// Asynchronous submission (`zoo_acreate`-style): the in-process server
-    /// executes immediately, but the response is queued for
-    /// [`SoloCoord::next_completion`] in submission order.
-    pub fn submit(&mut self, req: ZkRequest) -> u64 {
-        let req_id = self.next_req;
-        self.next_req += 1;
-        let resp = self.request(req);
-        self.completions.push_back((req_id, resp));
-        req_id
-    }
-
-    /// Pop the next queued completion, in submission order.
-    pub fn next_completion(&mut self) -> Option<(u64, ZkResponse)> {
-        self.completions.pop_front()
     }
 }
 

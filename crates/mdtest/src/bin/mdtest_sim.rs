@@ -68,6 +68,7 @@ use dufs_mdtest::scenario::{
     run_mdtest_report, CoordCrash, CoordOutage, MdtestConfig, MdtestSystem,
 };
 use dufs_mdtest::workload::{Phase, WorkloadSpec};
+use dufs_mdtest::ScratchDir;
 use dufs_store::{FileEngine, FsyncPolicy, StoreClient, StoreServer};
 use parking_lot::Mutex;
 
@@ -195,16 +196,16 @@ fn run_live_mode(
         phases: vec![Phase::DirCreate, Phase::DirStat, Phase::FileCreate, Phase::FileStat],
         ..spec
     };
-    let wal_dir = std::env::temp_dir().join(format!("dufs-mdtest-live-{}", std::process::id()));
-    let strict_stats = consistency != ReadConsistency::Local;
-    let mut b = ClusterBuilder::new().voters(zk);
-    if durable {
-        b = b.durable(&wal_dir);
-    }
-    let bad_mode = || -> ! {
+    if mode != "thread" && mode != "tcp" {
         eprintln!("--live must be 'thread' or 'tcp', got {mode:?}");
         usage()
-    };
+    }
+    let strict_stats = consistency != ReadConsistency::Local;
+    let mut b = ClusterBuilder::new().voters(zk);
+    let wal_dir = durable.then(|| ScratchDir::new("mdtest-live"));
+    if let Some(dir) = &wal_dir {
+        b = b.durable(dir.path());
+    }
     // One shard-cluster run, cached or not, returning the logical digest.
     fn sharded_run<C: ClusterHandle>(
         cluster: ShardedCluster<C>,
@@ -285,15 +286,9 @@ fn run_live_mode(
                 // Real data servers: one StoreServer per target over a
                 // durable FileEngine directory, group fsync — the full
                 // frame/demux/group-commit path under mixed load.
-                let data_dirs: Vec<std::path::PathBuf> = (0..backends)
-                    .map(|t| {
-                        let dir = std::env::temp_dir()
-                            .join(format!("dufs-store-live-{}-{t}", std::process::id()));
-                        let _ = std::fs::remove_dir_all(&dir);
-                        dir
-                    })
-                    .collect();
-                let servers: Vec<StoreServer> = data_dirs
+                let data_dir = ScratchDir::new("mdtest-store");
+                let servers: Vec<StoreServer> = data_dir
+                    .targets(backends)
                     .iter()
                     .enumerate()
                     .map(|(t, dir)| {
@@ -327,9 +322,6 @@ fn run_live_mode(
                 for s in servers {
                     s.stop();
                 }
-                for dir in &data_dirs {
-                    let _ = std::fs::remove_dir_all(dir);
-                }
                 client_net = Vec::new();
             } else {
                 let clients =
@@ -356,9 +348,8 @@ fn run_live_mode(
             }
             cluster.shutdown();
         }
-        _ => bad_mode(),
+        _ => unreachable!("mode was checked on entry"),
     }
-    let _ = std::fs::remove_dir_all(&wal_dir);
 }
 
 fn main() {
@@ -526,14 +517,7 @@ fn main() {
             );
             usage();
         }
-        let spec = WorkloadSpec {
-            processes: procs,
-            fanout: 10,
-            dirs_per_proc: items,
-            files_per_proc: items,
-            phases: Phase::ALL.to_vec(),
-            shared_dir: shared,
-        };
+        let spec = WorkloadSpec { shared_dir: shared, ..WorkloadSpec::mdtest(procs, items) };
         let cached = match (cache_builder, cache_shared) {
             (Some(_), true) => ", shared cache",
             (Some(b), false) if b.options().lease => ", cached+leased",
@@ -595,14 +579,7 @@ fn main() {
         }
     };
 
-    let spec = WorkloadSpec {
-        processes: procs,
-        fanout: 10,
-        dirs_per_proc: items,
-        files_per_proc: items,
-        phases: Phase::ALL.to_vec(),
-        shared_dir: shared,
-    };
+    let spec = WorkloadSpec { shared_dir: shared, ..WorkloadSpec::mdtest(procs, items) };
 
     let n_shards = shards.unwrap_or(1);
     println!(

@@ -255,12 +255,10 @@ mod tests {
 
     fn small_spec() -> WorkloadSpec {
         WorkloadSpec {
-            processes: 3,
             fanout: 4,
-            dirs_per_proc: 2,
             files_per_proc: 5,
             phases: vec![Phase::FileCreate, Phase::FileStat],
-            shared_dir: false,
+            ..WorkloadSpec::mdtest(3, 2)
         }
     }
 

@@ -26,6 +26,7 @@ pub mod data;
 pub mod live;
 pub mod msg;
 pub mod scenario;
+pub mod scratch;
 pub mod servers;
 pub mod workload;
 
@@ -35,4 +36,5 @@ pub use scenario::{
     run_zk_raw_tuned, CoordCrash, CoordOutage, MdtestConfig, MdtestReport, MdtestSystem,
     PhaseResult, RawOp, RawTuning,
 };
+pub use scratch::ScratchDir;
 pub use workload::{Phase, WorkloadSpec};

@@ -217,14 +217,11 @@ mod tests {
 
     fn small_spec() -> WorkloadSpec {
         WorkloadSpec {
-            processes: 3,
-            fanout: 10,
-            dirs_per_proc: 8,
             files_per_proc: 10,
             // Create/stat only: leaves the namespace populated so the
             // digest below is non-trivial.
             phases: vec![Phase::DirCreate, Phase::DirStat, Phase::FileCreate, Phase::FileStat],
-            shared_dir: false,
+            ..WorkloadSpec::mdtest(3, 8)
         }
     }
 

@@ -608,14 +608,7 @@ mod tests {
     use super::*;
 
     fn small_spec(processes: usize) -> WorkloadSpec {
-        WorkloadSpec {
-            processes,
-            fanout: 10,
-            dirs_per_proc: 12,
-            files_per_proc: 12,
-            phases: Phase::ALL.to_vec(),
-            shared_dir: false,
-        }
+        WorkloadSpec::mdtest(processes, 12)
     }
 
     #[test]

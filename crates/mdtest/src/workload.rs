@@ -98,18 +98,24 @@ pub struct WorkloadSpec {
 
 impl Default for WorkloadSpec {
     fn default() -> Self {
-        WorkloadSpec {
-            processes: 64,
-            fanout: 10,
-            dirs_per_proc: 60,
-            files_per_proc: 60,
-            phases: Phase::ALL.to_vec(),
-            shared_dir: false,
-        }
+        Self::mdtest(64, 60)
     }
 }
 
 impl WorkloadSpec {
+    /// The paper's mdtest run (§V): fan-out 10, `items` directories and
+    /// `items` files per process, all six phases, unique directories.
+    pub fn mdtest(processes: usize, items: usize) -> Self {
+        WorkloadSpec {
+            processes,
+            fanout: 10,
+            dirs_per_proc: items,
+            files_per_proc: items,
+            phases: Phase::ALL.to_vec(),
+            shared_dir: false,
+        }
+    }
+
     /// Root of one process's private subtree.
     pub fn proc_root(proc: usize) -> String {
         format!("/mdtest/p{proc}")
@@ -194,14 +200,7 @@ mod tests {
     use super::*;
 
     fn spec() -> WorkloadSpec {
-        WorkloadSpec {
-            processes: 4,
-            fanout: 10,
-            dirs_per_proc: 25,
-            files_per_proc: 30,
-            phases: Phase::ALL.to_vec(),
-            shared_dir: false,
-        }
+        WorkloadSpec { files_per_proc: 30, ..WorkloadSpec::mdtest(4, 25) }
     }
 
     #[test]

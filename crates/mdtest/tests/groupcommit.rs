@@ -17,12 +17,8 @@ use dufs_zab::ZabConfig;
 
 fn spec(processes: usize) -> WorkloadSpec {
     WorkloadSpec {
-        processes,
-        fanout: 10,
-        dirs_per_proc: 8,
-        files_per_proc: 8,
         phases: vec![Phase::DirCreate, Phase::FileCreate, Phase::FileStat, Phase::FileRemove],
-        shared_dir: false,
+        ..WorkloadSpec::mdtest(processes, 8)
     }
 }
 

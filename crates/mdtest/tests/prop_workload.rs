@@ -8,12 +8,10 @@ use dufs_mdtest::workload::{NativeOp, Phase, WorkloadSpec};
 
 fn spec(processes: usize, fanout: usize, dirs: usize, files: usize, shared: bool) -> WorkloadSpec {
     WorkloadSpec {
-        processes,
         fanout,
-        dirs_per_proc: dirs,
         files_per_proc: files,
-        phases: Phase::ALL.to_vec(),
         shared_dir: shared,
+        ..WorkloadSpec::mdtest(processes, dirs)
     }
 }
 

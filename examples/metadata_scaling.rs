@@ -26,14 +26,7 @@ fn main() {
 
     // --- Fig 10's shape at two client counts: Lustre wins small, DUFS wins
     // big.
-    let spec = |processes| WorkloadSpec {
-        processes,
-        fanout: 10,
-        dirs_per_proc: 25,
-        files_per_proc: 25,
-        phases: Phase::ALL.to_vec(),
-        shared_dir: false,
-    };
+    let spec = |processes| WorkloadSpec::mdtest(processes, 25);
     println!("mdtest directory creation (ops/sec):");
     println!("{:>10} {:>14} {:>14}", "procs", "Basic Lustre", "DUFS 2xLustre");
     for procs in [16usize, 64] {

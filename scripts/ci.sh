@@ -33,6 +33,20 @@ if [ "$crc_files" -ne 1 ]; then
 fi
 echo "==> one CRC-32 implementation: $(grep -rl '0xEDB8_8320' crates/*/src)"
 
+# One bench harness: `dufs-bench` is the only program of crates/bench, the
+# only reader of its command line, and reports are written by `Report`
+# alone — a second `fn main`, arg loop or hand-rolled JSON writer is the
+# seventeen-binaries shape growing back.
+count() { { grep -rE "$1" crates/bench/src || true; } | wc -l; }
+mains=$(count '^\s*fn main\(')
+args=$(count 'env::args')
+writers=$(count 'fn write_json')
+if [ "$mains" -ne 1 ] || [ "$args" -ne 1 ] || [ "$writers" -ne 0 ]; then
+    echo "FAIL: crates/bench/src has $mains 'fn main' (want 1), $args 'env::args' (want 1), $writers 'fn write_json' (want 0)" >&2
+    exit 1
+fi
+echo "==> one bench harness: 1 fn main, 1 env::args, 0 fn write_json under crates/bench/src"
+
 echo "==> cargo build --release"
 cargo build --release
 
@@ -130,9 +144,10 @@ cargo test -q --release --test sim_vs_live
 # layout proptests, the TCP e2e, and the out-of-process data-server
 # kill -9 harness (SIGKILL a store_server mid-write, restart over the
 # same target directory, every acked write must read back with its CRC
-# intact). Target directories live under $TMPDIR; clean them up even
-# when a step fails.
-trap 'rm -rf "${TMPDIR:-/tmp}"/dufs-store-* "${TMPDIR:-/tmp}"/dufs-bench-data-*' EXIT
+# intact). The store harnesses keep their target directories under
+# $TMPDIR; clean them up even when a step fails. (The benches and
+# mdtest_sim remove their own through `ScratchDir`'s drop.)
+trap 'rm -rf "${TMPDIR:-/tmp}"/dufs-store-*' EXIT
 echo "==> cargo build --release -p dufs-store --bin store_server"
 cargo build --release -p dufs-store --bin store_server
 echo "==> cargo test -q --release -p dufs-store (incl. kill9_store)"
@@ -155,38 +170,22 @@ if [ "$dd_sim" != "$dd_thread" ] || [ "$dd_sim" != "$dd_tcp" ] || [ -z "$dd_sim"
 fi
 echo "    parity OK: $dd_sim"
 
-# Data-path bandwidth gate, smoke mode: parallel reads over file-backed
-# targets must scale >= 2x from 1 to 4 targets (asserted inside the
-# binary; the full sweep also writes results/BENCH_data.json).
-echo "==> bench_data smoke (1->4 target read scaling gate)"
-cargo run --release -q -p dufs-bench --bin bench_data -- --smoke
+# Every experiment with a smoke gate, reduced: 1->4-target parallel reads
+# scale >= 2x over file-backed targets (data); 1-vs-2-shard simulated runs
+# agree on the logical namespace, error-free, the 1-shard run bit-identical
+# to the unsharded one (shards); every (ensemble, placement) and cache-axis
+# cell of the follower-read sweep serves reads, warm cells hit, shared cells
+# bulk-warm, negative cells ride negative entries (reads); 1 000 concurrent
+# demux sessions through one in-process echo server on a flat thread count
+# (net). Each gate prints its own line; a failed one is named on stderr.
+# The throughput comparisons of `reads` only gate at full op counts.
+echo "==> dufs-bench smoke"
+cargo run --release -q -p dufs-bench -- smoke
 
-# Namespace-sharding sweep, smoke mode: 1-vs-2-shard simulated runs must
-# agree on the logical namespace and run error-free. The scaling gate
-# itself only runs at full op counts (`FULL=1 bench_shards`).
-echo "==> bench_shards smoke"
-cargo run --release -q -p dufs-bench --bin bench_shards -- --smoke
-
-# Follower read scale-out benchmark, smoke mode: exercises every
-# (ensemble, placement) cell end to end, including the cache axis
-# (cached-cold / cached-warm / cached-warm-nolease / shared-warm /
-# negative-hit; warm cells must record hits, shared cells a bulk warm,
-# negative cells negative hits). The scale-out and >=2x warm-cache
-# throughput gates only run at full op counts (`bench_reads` with no
-# flags), where the comparisons clear scheduler noise.
-echo "==> bench_reads smoke"
-cargo run --release -q -p dufs-bench --bin bench_reads -- --smoke
-
-# High-session-count transport gate, smoke mode: 1 000 concurrent demux
-# sessions through one in-process echo server, with the no-thread-per-
-# connection assertion (thread count must stay flat) inside the binary.
-echo "==> bench_net smoke (1k concurrent sessions)"
-cargo run --release -q -p dufs-bench --bin bench_net -- --smoke
-
-# Loopback transport sweep (asserts the depth-K pipelining gain inside,
-# and runs the full 1/100/1k/10k connection-count axis).
-echo "==> bench_net loopback sweep -> results/BENCH_net.json"
-cargo run --release -q -p dufs-bench --bin bench_net
+# Loopback transport sweep (gates the depth-K pipelining gain and the flat
+# thread count over the full 1/100/1k/10k connection-count axis).
+echo "==> dufs-bench net -> results/BENCH_net.json"
+cargo run --release -q -p dufs-bench -- net
 
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings

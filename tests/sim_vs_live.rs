@@ -53,14 +53,10 @@ fn apply<C: CoordService, B: BackendSet>(fs: &mut Dufs<C, B>, op: NativeOp) {
 
 fn spec(processes: usize) -> WorkloadSpec {
     WorkloadSpec {
-        processes,
-        fanout: 10,
-        dirs_per_proc: 9,
-        files_per_proc: 9,
         // Stop after the file phases so a non-trivial namespace remains
         // (files present, trees present) for the comparison.
         phases: vec![Phase::DirCreate, Phase::DirStat, Phase::FileCreate, Phase::FileStat],
-        shared_dir: false,
+        ..WorkloadSpec::mdtest(processes, 9)
     }
 }
 
