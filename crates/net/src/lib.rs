@@ -37,7 +37,7 @@ pub mod wire;
 pub use conn::{
     connect, connect_demux, AcceptHandle, Backoff, Conn, ConnEvent, Listener, NetConfig,
 };
-pub use crc::crc32;
+pub use crc::{crc32, crc32_parts};
 pub use frame::{
     frame_head, read_frame, write_frame, EndpointKind, Frame, FrameDecoder, Hello, MAX_FRAME,
     PROTO_VERSION,

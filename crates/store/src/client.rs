@@ -27,10 +27,10 @@ use std::time::Duration;
 use crossbeam::channel::Receiver;
 use dufs_backendfs::StorageEngine;
 use dufs_core::{BackendMapper, Fid, Md5Mapping};
-use dufs_net::{connect, Conn, EndpointKind, Hello, NetConfig, NetError, NetStats, Wire};
+use dufs_net::{connect, Conn, EndpointKind, Hello, NetConfig, NetError, NetStats};
 use parking_lot::Mutex;
 
-use crate::msg::{StoreRep, StoreReq};
+use crate::msg::{RepBody, ReqOp, StoreRep, StoreReq};
 use crate::server::apply_req;
 
 /// How long a [`TcpTarget`] waits for a reply before declaring the server
@@ -43,7 +43,7 @@ const RECV_TIMEOUT: Duration = Duration::from_secs(30);
 pub enum StoreError {
     /// Transport failure (server dead, connection torn).
     Net(NetError),
-    /// The server answered [`StoreRep::Err`].
+    /// The server answered [`RepBody::Err`].
     Remote(String),
     /// A reply that violates the protocol (bad decode, seq mismatch).
     Protocol(String),
@@ -68,12 +68,13 @@ impl From<NetError> for StoreError {
 }
 
 /// One storage target from the client's point of view: submit requests,
-/// collect replies in the same order.
+/// collect reply frames in the same order.
 pub trait StoreTarget: Send {
     /// Queue a request; must not block on the reply.
-    fn submit(&mut self, req: StoreReq) -> Result<(), StoreError>;
-    /// Next reply, FIFO with respect to submitted requests.
-    fn recv(&mut self) -> Result<StoreRep, StoreError>;
+    fn submit(&mut self, req: &StoreReq<'_>) -> Result<(), StoreError>;
+    /// Next encoded reply ([`StoreRep::decode`] views it), FIFO with
+    /// respect to submitted requests.
+    fn recv(&mut self) -> Result<Vec<u8>, StoreError>;
 }
 
 /// An in-process target over a shared engine. The mutex makes one target
@@ -82,7 +83,7 @@ pub trait StoreTarget: Send {
 /// fan-out.
 pub struct LocalTarget<E> {
     engine: Arc<Mutex<E>>,
-    pending: VecDeque<StoreRep>,
+    pending: VecDeque<Vec<u8>>,
 }
 
 impl<E: StorageEngine> LocalTarget<E> {
@@ -93,13 +94,13 @@ impl<E: StorageEngine> LocalTarget<E> {
 }
 
 impl<E: StorageEngine> StoreTarget for LocalTarget<E> {
-    fn submit(&mut self, req: StoreReq) -> Result<(), StoreError> {
-        let rep = apply_req(&mut *self.engine.lock(), &req);
+    fn submit(&mut self, req: &StoreReq<'_>) -> Result<(), StoreError> {
+        let rep = apply_req(&mut *self.engine.lock(), req);
         self.pending.push_back(rep);
         Ok(())
     }
 
-    fn recv(&mut self) -> Result<StoreRep, StoreError> {
+    fn recv(&mut self) -> Result<Vec<u8>, StoreError> {
         self.pending
             .pop_front()
             .ok_or_else(|| StoreError::Protocol("recv with no request outstanding".into()))
@@ -127,13 +128,12 @@ impl TcpTarget {
 }
 
 impl StoreTarget for TcpTarget {
-    fn submit(&mut self, req: StoreReq) -> Result<(), StoreError> {
-        Ok(self.conn.send(req.to_wire())?)
+    fn submit(&mut self, req: &StoreReq<'_>) -> Result<(), StoreError> {
+        Ok(self.conn.send(req.encode())?)
     }
 
-    fn recv(&mut self) -> Result<StoreRep, StoreError> {
-        let raw = self.rx.recv_timeout(RECV_TIMEOUT).map_err(|_| NetError::Closed)?;
-        StoreRep::from_wire(&raw).map_err(|e| StoreError::Protocol(e.to_string()))
+    fn recv(&mut self) -> Result<Vec<u8>, StoreError> {
+        Ok(self.rx.recv_timeout(RECV_TIMEOUT).map_err(|_| NetError::Closed)?)
     }
 }
 
@@ -181,21 +181,11 @@ impl StoreClient {
         self.targets.len()
     }
 
-    /// The configured stripe size in bytes.
-    pub fn stripe_size(&self) -> usize {
-        self.stripe_size
-    }
-
     /// Which target stripe `stripe` of `fid` lives on: `MD5(fid) mod N`
     /// picks the start, stripes walk round-robin from there.
     pub fn target_of(&self, fid: Fid, stripe: u64) -> usize {
         let start = self.mapping.backend_of(fid) as u64;
         ((start + stripe) % self.targets.len() as u64) as usize
-    }
-
-    fn next_seq(&mut self) -> u64 {
-        self.seq += 1;
-        self.seq
     }
 
     /// Split `[offset, offset+len)` into per-stripe chunks:
@@ -215,93 +205,117 @@ impl StoreClient {
         out
     }
 
-    /// Collect one reply per expectation, per target in FIFO order, and
-    /// hand each to `sink`. `expect[t]` holds the seqs submitted to `t`.
-    fn collect(
+    /// One pipelined exchange: request `i` of `n` is `op(i)`, a target and
+    /// what to ask it. Every request is submitted before any reply is
+    /// awaited, then replies are collected per target in FIFO order and
+    /// handed to `sink` with their request index. Every reply that was
+    /// asked for is drained even after a failure — a reply left queued
+    /// would answer the *next* call — and the first error is returned.
+    fn exchange<'d>(
         &mut self,
-        expect: Vec<VecDeque<u64>>,
-        mut sink: impl FnMut(u64, StoreRep) -> Result<(), StoreError>,
+        n: usize,
+        op: impl Fn(usize) -> (usize, ReqOp<'d>),
+        mut sink: impl FnMut(usize, RepBody<'_>) -> Result<(), StoreError>,
     ) -> Result<(), StoreError> {
-        for (t, mut seqs) in expect.into_iter().enumerate() {
-            while let Some(want) = seqs.pop_front() {
-                let rep = self.targets[t].recv()?;
-                if rep.seq() != want {
-                    return Err(StoreError::Protocol(format!(
-                        "target {t}: got seq {} want {want}",
-                        rep.seq()
-                    )));
+        let base = self.seq + 1;
+        self.seq += n as u64;
+        let mut sent: Vec<usize> = Vec::with_capacity(n);
+        let mut first_err = None;
+        for i in 0..n {
+            let (t, op) = op(i);
+            if let Err(e) = self.targets[t].submit(&StoreReq { seq: base + i as u64, op }) {
+                first_err = Some(e);
+                break;
+            }
+            sent.push(t);
+        }
+        for t in 0..self.targets.len() {
+            for i in (0..sent.len()).filter(|&i| sent[i] == t) {
+                let want = base + i as u64;
+                let result = match self.targets[t].recv() {
+                    Ok(frame) => match StoreRep::decode(&frame) {
+                        Err(e) => Err(StoreError::Protocol(e.to_string())),
+                        Ok(StoreRep { seq, .. }) if seq != want => Err(StoreError::Protocol(
+                            format!("target {t}: got seq {seq} want {want}"),
+                        )),
+                        Ok(StoreRep { body: RepBody::Err(msg), .. }) => {
+                            Err(StoreError::Remote(msg.into()))
+                        }
+                        Ok(StoreRep { body, .. }) => sink(i, body),
+                    },
+                    // The transport is gone: nothing more will come from
+                    // this target, and nothing is left queued on it.
+                    Err(e) => {
+                        first_err.get_or_insert(e);
+                        break;
+                    }
+                };
+                if let Err(e) = result {
+                    first_err.get_or_insert(e);
                 }
-                if let StoreRep::Err { msg, .. } = rep {
-                    return Err(StoreError::Remote(msg));
-                }
-                sink(want, rep)?;
             }
         }
-        Ok(())
+        first_err.map_or(Ok(()), Err)
     }
 
-    /// Striped write: submit every chunk to its target, then await all
-    /// acks. Under per-write/group fsync, returning `Ok` means durable.
+    /// [`Self::exchange`] of the same request with every target, in target
+    /// order.
+    fn broadcast(
+        &mut self,
+        op: ReqOp<'static>,
+        sink: impl FnMut(usize, RepBody<'_>) -> Result<(), StoreError>,
+    ) -> Result<(), StoreError> {
+        self.exchange(self.targets.len(), |t| (t, op), sink)
+    }
+
+    /// Striped write: submit every chunk to its target — each encoded
+    /// straight from `data` into the frame the transport sends — then
+    /// await all acks. Under per-write/group fsync, returning `Ok` means
+    /// durable.
     pub fn write(&mut self, fid: Fid, offset: u64, data: &[u8]) -> Result<(), StoreError> {
-        let mut expect: Vec<VecDeque<u64>> = vec![VecDeque::new(); self.targets.len()];
-        for (t, stripe, within, range) in self.chunks(fid, offset, data.len()) {
-            let seq = self.next_seq();
-            self.targets[t].submit(StoreReq::Write {
-                seq,
-                obj: fid.0,
-                stripe,
-                within,
-                data: data[range].to_vec(),
-            })?;
-            expect[t].push_back(seq);
-        }
-        self.collect(expect, |_, rep| match rep {
-            StoreRep::Written { .. } => Ok(()),
-            other => Err(StoreError::Protocol(format!("want Written, got {other:?}"))),
-        })
+        let chunks = self.chunks(fid, offset, data.len());
+        self.exchange(
+            chunks.len(),
+            |i| {
+                let (t, stripe, within, ref range) = chunks[i];
+                (t, ReqOp::Write { obj: fid.0, stripe, within, data: &data[range.clone()] })
+            },
+            |_, rep| match rep {
+                RepBody::Written => Ok(()),
+                other => Err(StoreError::Protocol(format!("want Written, got {other:?}"))),
+            },
+        )
     }
 
-    /// Striped read into `out` (no allocation beyond reply frames): every
-    /// chunk request is in flight before the first reply is awaited.
-    /// Ranges no target stores come back as zeros; clamping to a file's
-    /// logical size is the metadata layer's job.
+    /// Striped read into `out`: every chunk request is in flight before
+    /// the first reply is awaited, and each reply's bytes are copied from
+    /// its frame into their place in `out` as it arrives. Ranges no target
+    /// stores come back as zeros; clamping to a file's logical size is the
+    /// metadata layer's job.
     pub fn read_into(&mut self, fid: Fid, offset: u64, out: &mut [u8]) -> Result<(), StoreError> {
         let chunks = self.chunks(fid, offset, out.len());
-        let mut expect: Vec<VecDeque<u64>> = vec![VecDeque::new(); self.targets.len()];
-        let mut ranges: Vec<(u64, Range<usize>)> = Vec::with_capacity(chunks.len());
-        for (t, stripe, within, range) in chunks {
-            let seq = self.next_seq();
-            self.targets[t].submit(StoreReq::Read {
-                seq,
-                obj: fid.0,
-                stripe,
-                within,
-                len: range.len() as u32,
-            })?;
-            expect[t].push_back(seq);
-            ranges.push((seq, range));
-        }
-        let mut by_seq: std::collections::HashMap<u64, Range<usize>> = ranges.into_iter().collect();
-        let mut scatter: Vec<(Range<usize>, Vec<u8>)> = Vec::new();
-        self.collect(expect, |seq, rep| {
-            let StoreRep::Data { data, .. } = rep else {
-                return Err(StoreError::Protocol("want Data".into()));
-            };
-            let range = by_seq.remove(&seq).expect("collect checked seq");
-            if data.len() != range.len() {
-                return Err(StoreError::Protocol(format!(
-                    "read reply length {} want {}",
-                    data.len(),
-                    range.len()
-                )));
-            }
-            scatter.push((range, data));
-            Ok(())
-        })?;
-        for (range, data) in scatter {
-            out[range].copy_from_slice(&data);
-        }
-        Ok(())
+        self.exchange(
+            chunks.len(),
+            |i| {
+                let (t, stripe, within, ref range) = chunks[i];
+                (t, ReqOp::Read { obj: fid.0, stripe, within, len: range.len() as u32 })
+            },
+            |i, rep| {
+                let RepBody::Data(data) = rep else {
+                    return Err(StoreError::Protocol("want Data".into()));
+                };
+                let dst = &mut out[chunks[i].3.clone()];
+                if data.len() != dst.len() {
+                    return Err(StoreError::Protocol(format!(
+                        "read reply length {} want {}",
+                        data.len(),
+                        dst.len()
+                    )));
+                }
+                dst.copy_from_slice(data);
+                Ok(())
+            },
+        )
     }
 
     /// The written extent of `fid`: max over targets of the per-target
@@ -309,16 +323,9 @@ impl StoreClient {
     /// metadata service; this is the data-side ground truth.)
     pub fn written_extent(&mut self, fid: Fid) -> Result<u64, StoreError> {
         let ss = self.stripe_size as u64;
-        let mut expect: Vec<VecDeque<u64>> = vec![VecDeque::new(); self.targets.len()];
-        for (t, exp) in expect.iter_mut().enumerate() {
-            let seq = self.seq + 1;
-            self.seq = seq;
-            self.targets[t].submit(StoreReq::Stat { seq, obj: fid.0 })?;
-            exp.push_back(seq);
-        }
         let mut extent = 0u64;
-        self.collect(expect, |_, rep| {
-            let StoreRep::Statted { last_stripe, .. } = rep else {
+        self.broadcast(ReqOp::Stat(fid.0), |_, rep| {
+            let RepBody::Statted(last_stripe) = rep else {
                 return Err(StoreError::Protocol("want Statted".into()));
             };
             if let Some((stripe, len)) = last_stripe {
@@ -332,16 +339,9 @@ impl StoreClient {
     /// Delete `fid`'s data on every target. Returns whether any target
     /// stored it.
     pub fn delete(&mut self, fid: Fid) -> Result<bool, StoreError> {
-        let mut expect: Vec<VecDeque<u64>> = vec![VecDeque::new(); self.targets.len()];
-        for (t, exp) in expect.iter_mut().enumerate() {
-            let seq = self.seq + 1;
-            self.seq = seq;
-            self.targets[t].submit(StoreReq::Delete { seq, obj: fid.0 })?;
-            exp.push_back(seq);
-        }
         let mut existed = false;
-        self.collect(expect, |_, rep| {
-            let StoreRep::Deleted { existed: e, .. } = rep else {
+        self.broadcast(ReqOp::Delete(fid.0), |_, rep| {
+            let RepBody::Deleted(e) = rep else {
                 return Err(StoreError::Protocol("want Deleted".into()));
             };
             existed |= e;
@@ -353,15 +353,8 @@ impl StoreClient {
     /// Durability barrier on every target: when it returns, everything
     /// previously acked is on stable storage regardless of fsync policy.
     pub fn sync(&mut self) -> Result<(), StoreError> {
-        let mut expect: Vec<VecDeque<u64>> = vec![VecDeque::new(); self.targets.len()];
-        for (t, exp) in expect.iter_mut().enumerate() {
-            let seq = self.seq + 1;
-            self.seq = seq;
-            self.targets[t].submit(StoreReq::Sync { seq })?;
-            exp.push_back(seq);
-        }
-        self.collect(expect, |_, rep| match rep {
-            StoreRep::Synced { .. } => Ok(()),
+        self.broadcast(ReqOp::Sync, |_, rep| match rep {
+            RepBody::Synced => Ok(()),
             other => Err(StoreError::Protocol(format!("want Synced, got {other:?}"))),
         })
     }
@@ -371,6 +364,7 @@ impl StoreClient {
 mod tests {
     use super::*;
     use dufs_backendfs::MemEngine;
+    use std::io;
 
     fn mem_client(n: usize, stripe: usize) -> StoreClient {
         let engines: Vec<Arc<Mutex<MemEngine>>> =
@@ -428,6 +422,66 @@ mod tests {
         assert!(c.delete(fid).unwrap());
         assert!(!c.delete(fid).unwrap());
         assert_eq!(c.written_extent(fid).unwrap(), 0);
+    }
+
+    /// A `MemEngine` whose next write to stripe `fail_stripe` fails once.
+    struct FailOnce {
+        inner: MemEngine,
+        fail_stripe: Option<u64>,
+    }
+
+    impl StorageEngine for FailOnce {
+        fn write(&mut self, obj: u128, stripe: u64, within: u32, data: &[u8]) -> io::Result<()> {
+            if self.fail_stripe == Some(stripe) {
+                self.fail_stripe = None;
+                return Err(io::Error::other("disk on fire"));
+            }
+            self.inner.write(obj, stripe, within, data)
+        }
+        fn read(&mut self, o: u128, s: u64, w: u32, out: &mut [u8]) -> io::Result<usize> {
+            self.inner.read(o, s, w, out)
+        }
+        fn truncate(&mut self, o: u128, keep: u64, trim: Option<(u64, u32)>) -> io::Result<()> {
+            self.inner.truncate(o, keep, trim)
+        }
+        fn delete(&mut self, obj: u128) -> io::Result<bool> {
+            self.inner.delete(obj)
+        }
+        fn last_stripe(&self, obj: u128) -> Option<(u64, u32)> {
+            self.inner.last_stripe(obj)
+        }
+        fn bytes_stored(&self) -> u64 {
+            self.inner.bytes_stored()
+        }
+        fn sync(&mut self) -> io::Result<()> {
+            self.inner.sync()
+        }
+        fn objects(&self) -> Vec<u128> {
+            self.inner.objects()
+        }
+    }
+
+    #[test]
+    fn a_failed_stripe_leaves_no_stale_reply_for_the_next_call() {
+        // Stripe 0 fails on whichever target it lands; the same call's
+        // later stripes (on both targets) are still answered and must be
+        // drained, or the next call reads them as its own replies.
+        let engines: Vec<Arc<Mutex<FailOnce>>> = (0..2)
+            .map(|_| {
+                Arc::new(Mutex::new(FailOnce { inner: MemEngine::new(), fail_stripe: Some(0) }))
+            })
+            .collect();
+        let mut c = StoreClient::local(&engines, 8);
+        let fid = Fid::new(1, 5);
+        let data: Vec<u8> = (0..64u8).collect();
+        match c.write(fid, 0, &data) {
+            Err(StoreError::Remote(msg)) => assert!(msg.contains("disk on fire"), "{msg}"),
+            other => panic!("want Remote, got {other:?}"),
+        }
+        c.write(fid, 0, &data).unwrap();
+        let mut back = vec![0u8; 64];
+        c.read_into(fid, 0, &mut back).unwrap();
+        assert_eq!(back, data);
     }
 
     #[test]

@@ -40,13 +40,15 @@
 
 use std::collections::BTreeMap;
 use std::fs::{File, OpenOptions};
-use std::io::{self, Read, Seek, SeekFrom, Write};
+use std::io::{self, IoSlice, Read, Seek, SeekFrom, Write};
 use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 use std::str::FromStr;
 
 use dufs_backendfs::StorageEngine;
-use dufs_net::crc32;
+use dufs_net::{crc32, crc32_parts, WireCursor, WireError};
+
+use crate::msg::{get_u128, put_u128, put_u32, put_u64};
 
 const MAGIC: &[u8; 8] = b"DUFSSTO1";
 const INDEX_MAGIC: &[u8; 8] = b"DUFSSIX1";
@@ -118,42 +120,6 @@ pub struct FileEngine {
     bytes: u64,
 }
 
-fn put_u32(buf: &mut Vec<u8>, v: u32) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-fn put_u64(buf: &mut Vec<u8>, v: u64) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-fn put_u128(buf: &mut Vec<u8>, v: u128) {
-    put_u64(buf, (v >> 64) as u64);
-    put_u64(buf, v as u64);
-}
-
-/// Little scanning cursor over a byte slice; `None` means torn/short.
-struct Rd<'a>(&'a [u8]);
-impl Rd<'_> {
-    fn u8(&mut self) -> Option<u8> {
-        let (&b, rest) = self.0.split_first()?;
-        self.0 = rest;
-        Some(b)
-    }
-    fn u32(&mut self) -> Option<u32> {
-        let (head, rest) = self.0.split_at_checked(4)?;
-        self.0 = rest;
-        Some(u32::from_le_bytes(head.try_into().unwrap()))
-    }
-    fn u64(&mut self) -> Option<u64> {
-        let (head, rest) = self.0.split_at_checked(8)?;
-        self.0 = rest;
-        Some(u64::from_le_bytes(head.try_into().unwrap()))
-    }
-    fn u128(&mut self) -> Option<u128> {
-        let hi = self.u64()? as u128;
-        let lo = self.u64()? as u128;
-        Some((hi << 64) | lo)
-    }
-}
-
 impl FileEngine {
     /// Open (or create) the target directory, recover the index, and trim
     /// any torn tail off the extent log.
@@ -161,12 +127,10 @@ impl FileEngine {
         let dir = dir.as_ref().to_path_buf();
         std::fs::create_dir_all(&dir)?;
         let log_path = dir.join("extents.dat");
-        let mut log = OpenOptions::new()
-            .read(true)
-            .write(true)
-            .create(true)
-            .truncate(false)
-            .open(&log_path)?;
+        // Append mode: every write lands at the end of the file, which
+        // `open` and `append` keep equal to `log_len` — so a record needs
+        // no seek before it and reads (`pread`) never move a cursor.
+        let mut log = OpenOptions::new().read(true).append(true).create(true).open(&log_path)?;
         let mut file_len = log.metadata()?.len();
         if file_len < MAGIC.len() as u64 {
             // Fresh target (or a crash tore the very first write): start over.
@@ -208,16 +172,6 @@ impl FileEngine {
         Ok(eng)
     }
 
-    /// The target directory this engine stores into.
-    pub fn dir(&self) -> &Path {
-        &self.dir
-    }
-
-    /// The active fsync policy.
-    pub fn policy(&self) -> FsyncPolicy {
-        self.policy
-    }
-
     /// Replay extent records in `[from, to)`, truncating at the first torn
     /// or corrupt frame.
     fn replay_from(&mut self, from: u64, to: u64) -> io::Result<()> {
@@ -247,7 +201,7 @@ impl FileEngine {
             if crc32(&payload) != crc {
                 break;
             }
-            if !self.apply_record(&payload, pos) {
+            if self.apply_record(&payload, pos).is_err() {
                 break;
             }
             pos += 8 + len as u64;
@@ -262,40 +216,25 @@ impl FileEngine {
     }
 
     /// Apply one decoded record to the in-memory index. `record_off` is the
-    /// file offset of the record's length header. Returns false on a
-    /// malformed payload (treated like a torn frame by the caller).
-    fn apply_record(&mut self, payload: &[u8], record_off: u64) -> bool {
-        let mut rd = Rd(payload);
-        match rd.u8() {
-            Some(TAG_PUT) => {
-                let (Some(obj), Some(stripe), Some(within)) = (rd.u128(), rd.u64(), rd.u32())
-                else {
-                    return false;
-                };
-                let data_len = rd.0.len() as u32;
+    /// file offset of the record's length header. A malformed payload is an
+    /// error (treated like a torn frame by the caller).
+    fn apply_record(&mut self, payload: &[u8], record_off: u64) -> Result<(), WireError> {
+        let mut rd = WireCursor::new(payload);
+        match rd.u8()? {
+            TAG_PUT => {
+                let (obj, stripe, within) = (get_u128(&mut rd)?, rd.u64()?, rd.u32()?);
+                let data_len = rd.remaining() as u32;
                 self.index_put(obj, stripe, within, data_len, record_off + 8 + PUT_HDR);
-                true
             }
-            Some(TAG_DELETE) => {
-                let Some(obj) = rd.u128() else { return false };
-                self.index_delete(obj);
-                true
-            }
-            Some(TAG_TRUNCATE) => {
-                let (Some(obj), Some(keep), Some(has_trim)) = (rd.u128(), rd.u64(), rd.u8()) else {
-                    return false;
-                };
-                let trim = if has_trim != 0 {
-                    let (Some(s), Some(l)) = (rd.u64(), rd.u32()) else { return false };
-                    Some((s, l))
-                } else {
-                    None
-                };
+            TAG_DELETE => self.index_delete(get_u128(&mut rd)?),
+            TAG_TRUNCATE => {
+                let (obj, keep) = (get_u128(&mut rd)?, rd.u64()?);
+                let trim = if rd.u8()? != 0 { Some((rd.u64()?, rd.u32()?)) } else { None };
                 self.index_truncate(obj, keep, trim);
-                true
             }
-            _ => false,
+            t => return Err(WireError::BadTag(t)),
         }
+        Ok(())
     }
 
     fn index_put(&mut self, obj: u128, stripe: u64, within: u32, len: u32, data_off: u64) {
@@ -347,21 +286,40 @@ impl FileEngine {
         }
     }
 
-    /// Append one framed record and return the file offset of its header.
-    fn append(&mut self, payload: &[u8]) -> io::Result<u64> {
+    /// Append one record framed `len | crc | fixed ‖ data` with a single
+    /// vectored write — the checksum is streamed over the two parts, so a
+    /// Put's chunk bytes go from the caller's buffer to the file without
+    /// being joined to their header first. Returns the file offset of the
+    /// record's length header.
+    fn append(&mut self, fixed: &[u8], data: &[u8]) -> io::Result<u64> {
         let off = self.log_len;
-        let mut rec = Vec::with_capacity(8 + payload.len());
-        put_u32(&mut rec, payload.len() as u32);
-        put_u32(&mut rec, crc32(payload));
-        rec.extend_from_slice(payload);
-        self.log.seek(SeekFrom::Start(off))?;
-        self.log.write_all(&rec)?;
-        self.log_len += rec.len() as u64;
-        self.since_checkpoint += rec.len() as u64;
+        let mut head = [0u8; 8];
+        head[..4].copy_from_slice(&((fixed.len() + data.len()) as u32).to_le_bytes());
+        head[4..].copy_from_slice(&crc32_parts(&[fixed, data]).to_le_bytes());
+        let mut parts = [IoSlice::new(&head), IoSlice::new(fixed), IoSlice::new(data)];
+        let mut left = &mut parts[..];
+        while !left.is_empty() {
+            match self.log.write_vectored(left) {
+                Ok(0) => return self.torn(off, io::ErrorKind::WriteZero.into()),
+                Ok(n) => IoSlice::advance_slices(&mut left, n),
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(e) => return self.torn(off, e),
+            }
+        }
+        let rec_len = (8 + fixed.len() + data.len()) as u64;
+        self.log_len += rec_len;
+        self.since_checkpoint += rec_len;
         if self.policy == FsyncPolicy::PerWrite {
             self.log.sync_data()?;
         }
         Ok(off)
+    }
+
+    /// A record write failed part-way: cut the partial bytes off so the
+    /// file still ends at `log_len`, where the next append will land.
+    fn torn(&mut self, off: u64, e: io::Error) -> io::Result<u64> {
+        let _ = self.log.set_len(off);
+        Err(e)
     }
 
     // ------------------------------------------------------------------
@@ -422,26 +380,26 @@ impl FileEngine {
         if body.len() != len || crc32(body) != crc {
             return Ok(None);
         }
-        let mut rd = Rd(body);
-        let (Some(covered), Some(n_chunks)) = (rd.u64(), rd.u64()) else { return Ok(None) };
-        let mut chunks = BTreeMap::new();
-        for _ in 0..n_chunks {
-            let (Some(obj), Some(stripe), Some(len), Some(n_spans)) =
-                (rd.u128(), rd.u64(), rd.u32(), rd.u32())
-            else {
-                return Ok(None);
-            };
-            let mut spans = Vec::with_capacity(n_spans as usize);
-            for _ in 0..n_spans {
-                let (Some(within), Some(slen), Some(off)) = (rd.u32(), rd.u32(), rd.u64()) else {
-                    return Ok(None);
-                };
-                spans.push(Span { within, len: slen, off });
-            }
-            chunks.insert((obj, stripe), Chunk { len, spans });
-        }
-        Ok(Some((chunks, covered)))
+        Ok(parse_index(body).ok())
     }
+}
+
+/// Decode the body of `index.bin`: the covered log offset, then the chunks.
+#[allow(clippy::type_complexity)]
+fn parse_index(body: &[u8]) -> Result<(BTreeMap<(u128, u64), Chunk>, u64), WireError> {
+    let mut rd = WireCursor::new(body);
+    let (covered, n_chunks) = (rd.u64()?, rd.u64()?);
+    let mut chunks = BTreeMap::new();
+    for _ in 0..n_chunks {
+        let (obj, stripe, len) = (get_u128(&mut rd)?, rd.u64()?, rd.u32()?);
+        let n_spans = rd.count(16)?;
+        let mut spans = Vec::with_capacity(n_spans);
+        for _ in 0..n_spans {
+            spans.push(Span { within: rd.u32()?, len: rd.u32()?, off: rd.u64()? });
+        }
+        chunks.insert((obj, stripe), Chunk { len, spans });
+    }
+    Ok((chunks, covered))
 }
 
 fn sync_dir(dir: &Path) -> io::Result<()> {
@@ -450,13 +408,12 @@ fn sync_dir(dir: &Path) -> io::Result<()> {
 
 impl StorageEngine for FileEngine {
     fn write(&mut self, obj: u128, stripe: u64, within: u32, data: &[u8]) -> io::Result<()> {
-        let mut payload = Vec::with_capacity(PUT_HDR as usize + data.len());
-        payload.push(TAG_PUT);
-        put_u128(&mut payload, obj);
-        put_u64(&mut payload, stripe);
-        put_u32(&mut payload, within);
-        payload.extend_from_slice(data);
-        let off = self.append(&payload)?;
+        let mut fixed = Vec::with_capacity(PUT_HDR as usize);
+        fixed.push(TAG_PUT);
+        put_u128(&mut fixed, obj);
+        put_u64(&mut fixed, stripe);
+        put_u32(&mut fixed, within);
+        let off = self.append(&fixed, data)?;
         self.index_put(obj, stripe, within, data.len() as u32, off + 8 + PUT_HDR);
         Ok(())
     }
@@ -468,8 +425,16 @@ impl StorageEngine for FileEngine {
         }
         let have = ((chunk.len - within) as usize).min(out.len());
         let dst = &mut out[..have];
-        dst.fill(0);
         let (lo, hi) = (within as u64, within as u64 + have as u64);
+        // Holes inside the chunk read as zeros; when one span covers the
+        // whole range (a chunk written in one piece) there are none.
+        if !chunk
+            .spans
+            .iter()
+            .any(|s| s.within as u64 <= lo && hi <= s.within as u64 + s.len as u64)
+        {
+            dst.fill(0);
+        }
         for s in &chunk.spans {
             let (s_lo, s_hi) = (s.within as u64, s.within as u64 + s.len as u64);
             let ov_lo = lo.max(s_lo);
@@ -502,7 +467,7 @@ impl StorageEngine for FileEngine {
             }
             None => payload.push(0),
         }
-        self.append(&payload)?;
+        self.append(&payload, &[])?;
         self.index_truncate(obj, keep_stripes, trim);
         Ok(())
     }
@@ -513,7 +478,7 @@ impl StorageEngine for FileEngine {
             let mut payload = Vec::with_capacity(17);
             payload.push(TAG_DELETE);
             put_u128(&mut payload, obj);
-            self.append(&payload)?;
+            self.append(&payload, &[])?;
             self.index_delete(obj);
         }
         Ok(existed)

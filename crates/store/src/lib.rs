@@ -32,7 +32,7 @@ pub mod server;
 
 pub use client::{LocalTarget, StoreClient, StoreError, StoreTarget, TcpTarget};
 pub use file::{FileEngine, FsyncPolicy};
-pub use msg::{StoreRep, StoreReq};
+pub use msg::{RepBody, ReqOp, StoreRep, StoreReq};
 pub use server::{apply_req, StoreServer};
 
 // Re-exported so digest helpers in mdtest/bench can CRC contents without

@@ -6,32 +6,45 @@
 //! on one connection are answered in order (the server applies a drained
 //! batch FIFO), so `seq` is a cross-check rather than a matching
 //! necessity — a mismatch means a protocol bug and fails loudly.
+//!
+//! Both messages *borrow* the bytes they carry: a `Write` is encoded straight
+//! from the caller's buffer into the frame the transport sends, and a
+//! received frame is decoded into a view over itself — no stripe-sized
+//! copy on either side. (That is why they do not implement
+//! [`dufs_net::Wire`], whose decoder cannot lend from its input.)
 
-use dufs_net::{put_blob, put_str, Wire, WireCursor, WireError};
+use dufs_net::{put_blob, put_str, WireCursor, WireError};
 
-fn put_u32(buf: &mut Vec<u8>, v: u32) {
+pub(crate) fn put_u32(buf: &mut Vec<u8>, v: u32) {
     buf.extend_from_slice(&v.to_le_bytes());
 }
-fn put_u64(buf: &mut Vec<u8>, v: u64) {
+pub(crate) fn put_u64(buf: &mut Vec<u8>, v: u64) {
     buf.extend_from_slice(&v.to_le_bytes());
 }
-fn put_u128(buf: &mut Vec<u8>, v: u128) {
+pub(crate) fn put_u128(buf: &mut Vec<u8>, v: u128) {
     put_u64(buf, (v >> 64) as u64);
     put_u64(buf, v as u64);
 }
-fn get_u128(c: &mut WireCursor<'_>) -> Result<u128, WireError> {
+pub(crate) fn get_u128(c: &mut WireCursor<'_>) -> Result<u128, WireError> {
     let hi = c.u64()? as u128;
     let lo = c.u64()? as u128;
     Ok((hi << 64) | lo)
 }
 
 /// A request to one storage target.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum StoreReq {
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct StoreReq<'a> {
+    /// Client-chosen sequence number, echoed in the reply.
+    pub seq: u64,
+    /// What the target is asked to do.
+    pub op: ReqOp<'a>,
+}
+
+/// The operation a [`StoreReq`] asks for.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ReqOp<'a> {
     /// Store `data` at byte `within` of stripe `stripe` of object `obj`.
     Write {
-        /// Client-chosen sequence number, echoed in the reply.
-        seq: u64,
         /// Object (FID) the stripe belongs to.
         obj: u128,
         /// Global stripe index.
@@ -39,12 +52,10 @@ pub enum StoreReq {
         /// Byte offset inside the stripe chunk.
         within: u32,
         /// The bytes to store.
-        data: Vec<u8>,
+        data: &'a [u8],
     },
     /// Read `len` bytes at byte `within` of stripe `stripe` of `obj`.
     Read {
-        /// Echoed sequence number.
-        seq: u64,
         /// Object (FID).
         obj: u128,
         /// Global stripe index.
@@ -54,221 +65,176 @@ pub enum StoreReq {
         /// Bytes to return (zero-filled where nothing is stored).
         len: u32,
     },
-    /// Report the highest stored stripe of `obj` on this target.
-    Stat {
-        /// Echoed sequence number.
-        seq: u64,
-        /// Object (FID).
-        obj: u128,
-    },
-    /// Drop every stripe of `obj` on this target.
-    Delete {
-        /// Echoed sequence number.
-        seq: u64,
-        /// Object (FID).
-        obj: u128,
-    },
+    /// Report the highest stored stripe of the object on this target.
+    Stat(u128),
+    /// Drop every stripe of the object on this target.
+    Delete(u128),
     /// Durability barrier: force everything acked so far to stable
     /// storage (the explicit barrier under
     /// [`FsyncPolicy::None`](crate::FsyncPolicy::None)).
-    Sync {
-        /// Echoed sequence number.
-        seq: u64,
-    },
+    Sync,
 }
 
-impl StoreReq {
-    /// The request's sequence number.
-    pub fn seq(&self) -> u64 {
-        match self {
-            StoreReq::Write { seq, .. }
-            | StoreReq::Read { seq, .. }
-            | StoreReq::Stat { seq, .. }
-            | StoreReq::Delete { seq, .. }
-            | StoreReq::Sync { seq } => *seq,
-        }
-    }
-
+impl<'a> StoreReq<'a> {
     /// Whether this request mutates the target (needs the group-commit
     /// sync before its ack under
     /// [`FsyncPolicy::Group`](crate::FsyncPolicy::Group)).
     pub fn is_mutation(&self) -> bool {
-        matches!(self, StoreReq::Write { .. } | StoreReq::Delete { .. })
+        matches!(self.op, ReqOp::Write { .. } | ReqOp::Delete(_))
     }
-}
 
-/// A target's reply. Ordering matches the request order on the connection.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum StoreRep {
-    /// Write applied (and durable, under per-write/group fsync).
-    Written {
-        /// Echo of the request `seq`.
-        seq: u64,
-    },
-    /// Read result: exactly the requested length, zero-filled where the
-    /// target stores nothing.
-    Data {
-        /// Echo of the request `seq`.
-        seq: u64,
-        /// The bytes.
-        data: Vec<u8>,
-    },
-    /// Stat result.
-    Statted {
-        /// Echo of the request `seq`.
-        seq: u64,
-        /// Highest stored stripe and that chunk's length, if any.
-        last_stripe: Option<(u64, u32)>,
-    },
-    /// Delete applied.
-    Deleted {
-        /// Echo of the request `seq`.
-        seq: u64,
-        /// Whether the target stored anything for the object.
-        existed: bool,
-    },
-    /// Sync barrier reached: all prior acks are durable.
-    Synced {
-        /// Echo of the request `seq`.
-        seq: u64,
-    },
-    /// The request failed server-side (I/O error); message is diagnostic.
-    Err {
-        /// Echo of the request `seq`.
-        seq: u64,
-        /// Human-readable cause.
-        msg: String,
-    },
-}
-
-impl StoreRep {
-    /// The reply's echoed sequence number.
-    pub fn seq(&self) -> u64 {
-        match self {
-            StoreRep::Written { seq }
-            | StoreRep::Data { seq, .. }
-            | StoreRep::Statted { seq, .. }
-            | StoreRep::Deleted { seq, .. }
-            | StoreRep::Synced { seq }
-            | StoreRep::Err { seq, .. } => *seq,
+    /// Encode into the one buffer the transport sends, sized up front: 41
+    /// bytes is the longest fixed part (tag, seq, obj, stripe, within, len).
+    pub fn encode(&self) -> Vec<u8> {
+        let data_len = if let ReqOp::Write { data, .. } = self.op { data.len() } else { 0 };
+        let mut buf = Vec::with_capacity(41 + data_len);
+        buf.push(match self.op {
+            ReqOp::Write { .. } => 1,
+            ReqOp::Read { .. } => 2,
+            ReqOp::Stat(_) => 3,
+            ReqOp::Delete(_) => 4,
+            ReqOp::Sync => 5,
+        });
+        put_u64(&mut buf, self.seq);
+        match self.op {
+            ReqOp::Write { obj, stripe, within, data } => {
+                put_u128(&mut buf, obj);
+                put_u64(&mut buf, stripe);
+                put_u32(&mut buf, within);
+                put_blob(&mut buf, data);
+            }
+            ReqOp::Read { obj, stripe, within, len } => {
+                put_u128(&mut buf, obj);
+                put_u64(&mut buf, stripe);
+                put_u32(&mut buf, within);
+                put_u32(&mut buf, len);
+            }
+            ReqOp::Stat(obj) | ReqOp::Delete(obj) => put_u128(&mut buf, obj),
+            ReqOp::Sync => {}
         }
-    }
-}
-
-impl Wire for StoreReq {
-    fn wire_encode(&self, buf: &mut Vec<u8>) {
-        match self {
-            StoreReq::Write { seq, obj, stripe, within, data } => {
-                buf.push(1);
-                put_u64(buf, *seq);
-                put_u128(buf, *obj);
-                put_u64(buf, *stripe);
-                put_u32(buf, *within);
-                put_blob(buf, data);
-            }
-            StoreReq::Read { seq, obj, stripe, within, len } => {
-                buf.push(2);
-                put_u64(buf, *seq);
-                put_u128(buf, *obj);
-                put_u64(buf, *stripe);
-                put_u32(buf, *within);
-                put_u32(buf, *len);
-            }
-            StoreReq::Stat { seq, obj } => {
-                buf.push(3);
-                put_u64(buf, *seq);
-                put_u128(buf, *obj);
-            }
-            StoreReq::Delete { seq, obj } => {
-                buf.push(4);
-                put_u64(buf, *seq);
-                put_u128(buf, *obj);
-            }
-            StoreReq::Sync { seq } => {
-                buf.push(5);
-                put_u64(buf, *seq);
-            }
-        }
+        buf
     }
 
-    fn wire_decode(c: &mut WireCursor<'_>) -> Result<Self, WireError> {
-        Ok(match c.u8()? {
-            1 => StoreReq::Write {
-                seq: c.u64()?,
-                obj: get_u128(c)?,
+    /// Decode a complete frame into a view over it, rejecting trailing
+    /// bytes.
+    pub fn decode(raw: &'a [u8]) -> Result<Self, WireError> {
+        let mut c = WireCursor::new(raw);
+        let (tag, seq) = (c.u8()?, c.u64()?);
+        let op = match tag {
+            1 => ReqOp::Write {
+                obj: get_u128(&mut c)?,
                 stripe: c.u64()?,
                 within: c.u32()?,
-                data: c.blob()?.to_vec(),
+                data: c.blob()?,
             },
-            2 => StoreReq::Read {
-                seq: c.u64()?,
-                obj: get_u128(c)?,
+            2 => ReqOp::Read {
+                obj: get_u128(&mut c)?,
                 stripe: c.u64()?,
                 within: c.u32()?,
                 len: c.u32()?,
             },
-            3 => StoreReq::Stat { seq: c.u64()?, obj: get_u128(c)? },
-            4 => StoreReq::Delete { seq: c.u64()?, obj: get_u128(c)? },
-            5 => StoreReq::Sync { seq: c.u64()? },
+            3 => ReqOp::Stat(get_u128(&mut c)?),
+            4 => ReqOp::Delete(get_u128(&mut c)?),
+            5 => ReqOp::Sync,
             t => return Err(WireError::BadTag(t)),
-        })
+        };
+        c.expect_end()?;
+        Ok(StoreReq { seq, op })
     }
 }
 
-impl Wire for StoreRep {
-    fn wire_encode(&self, buf: &mut Vec<u8>) {
-        match self {
-            StoreRep::Written { seq } => {
-                buf.push(1);
-                put_u64(buf, *seq);
-            }
-            StoreRep::Data { seq, data } => {
-                buf.push(2);
-                put_u64(buf, *seq);
-                put_blob(buf, data);
-            }
-            StoreRep::Statted { seq, last_stripe } => {
-                buf.push(3);
-                put_u64(buf, *seq);
-                match last_stripe {
-                    Some((stripe, len)) => {
-                        buf.push(1);
-                        put_u64(buf, *stripe);
-                        put_u32(buf, *len);
-                    }
-                    None => buf.push(0),
-                }
-            }
-            StoreRep::Deleted { seq, existed } => {
-                buf.push(4);
-                put_u64(buf, *seq);
-                buf.push(u8::from(*existed));
-            }
-            StoreRep::Synced { seq } => {
-                buf.push(5);
-                put_u64(buf, *seq);
-            }
-            StoreRep::Err { seq, msg } => {
-                buf.push(6);
-                put_u64(buf, *seq);
-                put_str(buf, msg);
-            }
-        }
+/// A target's reply. Ordering matches the request order on the connection.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct StoreRep<'a> {
+    /// Echo of the request `seq`.
+    pub seq: u64,
+    /// The outcome.
+    pub body: RepBody<'a>,
+}
+
+/// The outcome a [`StoreRep`] reports.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum RepBody<'a> {
+    /// Write applied (and durable, under per-write/group fsync).
+    Written,
+    /// Read result: exactly the requested length, zero-filled where the
+    /// target stores nothing.
+    Data(&'a [u8]),
+    /// Stat result: the highest stored stripe and that chunk's length, if
+    /// any.
+    Statted(Option<(u64, u32)>),
+    /// Delete applied; whether the target stored anything for the object.
+    Deleted(bool),
+    /// Sync barrier reached: all prior acks are durable.
+    Synced,
+    /// The request failed server-side (I/O error); the message is
+    /// diagnostic.
+    Err(&'a str),
+}
+
+impl<'a> StoreRep<'a> {
+    /// Offset of the data bytes in an encoded [`RepBody::Data`] reply:
+    /// tag, seq, length.
+    pub const DATA_AT: usize = 13;
+
+    /// The encoding of a `Data` reply of `len` zero bytes — the frame a
+    /// server reads stored bytes straight into (at [`Self::DATA_AT`]), so
+    /// they are never staged in a buffer of their own.
+    pub fn zeroed_data_frame(seq: u64, len: u32) -> Vec<u8> {
+        let mut buf = vec![0u8; Self::DATA_AT + len as usize];
+        buf[0] = 2;
+        buf[1..9].copy_from_slice(&seq.to_le_bytes());
+        buf[9..Self::DATA_AT].copy_from_slice(&len.to_le_bytes());
+        buf
     }
 
-    fn wire_decode(c: &mut WireCursor<'_>) -> Result<Self, WireError> {
-        Ok(match c.u8()? {
-            1 => StoreRep::Written { seq: c.u64()? },
-            2 => StoreRep::Data { seq: c.u64()?, data: c.blob()?.to_vec() },
-            3 => StoreRep::Statted {
-                seq: c.u64()?,
-                last_stripe: if c.bool()? { Some((c.u64()?, c.u32()?)) } else { None },
-            },
-            4 => StoreRep::Deleted { seq: c.u64()?, existed: c.bool()? },
-            5 => StoreRep::Synced { seq: c.u64()? },
-            6 => StoreRep::Err { seq: c.u64()?, msg: c.str()? },
+    /// Encode into a fresh buffer. (A server builds its `Data` replies
+    /// with [`Self::zeroed_data_frame`], not here.)
+    pub fn encode(&self) -> Vec<u8> {
+        let mut buf = Vec::with_capacity(32);
+        buf.push(match self.body {
+            RepBody::Written => 1,
+            RepBody::Data(_) => 2,
+            RepBody::Statted(_) => 3,
+            RepBody::Deleted(_) => 4,
+            RepBody::Synced => 5,
+            RepBody::Err(_) => 6,
+        });
+        put_u64(&mut buf, self.seq);
+        match self.body {
+            RepBody::Written | RepBody::Synced => {}
+            RepBody::Data(data) => put_blob(&mut buf, data),
+            RepBody::Statted(None) => buf.push(0),
+            RepBody::Statted(Some((stripe, len))) => {
+                buf.push(1);
+                put_u64(&mut buf, stripe);
+                put_u32(&mut buf, len);
+            }
+            RepBody::Deleted(existed) => buf.push(u8::from(existed)),
+            RepBody::Err(msg) => put_str(&mut buf, msg),
+        }
+        buf
+    }
+
+    /// Decode a complete frame into a view over it, rejecting trailing
+    /// bytes.
+    pub fn decode(raw: &'a [u8]) -> Result<Self, WireError> {
+        let mut c = WireCursor::new(raw);
+        let (tag, seq) = (c.u8()?, c.u64()?);
+        let body = match tag {
+            1 => RepBody::Written,
+            2 => RepBody::Data(c.blob()?),
+            3 => RepBody::Statted(if c.bool()? { Some((c.u64()?, c.u32()?)) } else { None }),
+            4 => RepBody::Deleted(c.bool()?),
+            5 => RepBody::Synced,
+            6 => RepBody::Err(
+                std::str::from_utf8(c.blob()?)
+                    .map_err(|_| WireError::Invalid("non-UTF-8 string"))?,
+            ),
             t => return Err(WireError::BadTag(t)),
-        })
+        };
+        c.expect_end()?;
+        Ok(StoreRep { seq, body })
     }
 }
 
@@ -276,46 +242,61 @@ impl Wire for StoreRep {
 mod tests {
     use super::*;
 
-    fn round_trip_req(m: StoreReq) {
-        assert_eq!(StoreReq::from_wire(&m.to_wire()).unwrap(), m);
+    fn round_trip_req(seq: u64, op: ReqOp<'_>) {
+        let m = StoreReq { seq, op };
+        assert_eq!(StoreReq::decode(&m.encode()).unwrap(), m);
     }
-    fn round_trip_rep(m: StoreRep) {
-        assert_eq!(StoreRep::from_wire(&m.to_wire()).unwrap(), m);
+    fn round_trip_rep(seq: u64, body: RepBody<'_>) {
+        let m = StoreRep { seq, body };
+        assert_eq!(StoreRep::decode(&m.encode()).unwrap(), m);
     }
 
     #[test]
     fn requests_round_trip() {
-        round_trip_req(StoreReq::Write {
-            seq: 9,
-            obj: u128::MAX - 7,
-            stripe: 42,
-            within: 100,
-            data: vec![1, 2, 3],
-        });
-        round_trip_req(StoreReq::Read { seq: 0, obj: 1, stripe: 0, within: 0, len: 65536 });
-        round_trip_req(StoreReq::Stat { seq: 3, obj: 0 });
-        round_trip_req(StoreReq::Delete { seq: 4, obj: 77 });
-        round_trip_req(StoreReq::Sync { seq: u64::MAX });
+        round_trip_req(
+            9,
+            ReqOp::Write { obj: u128::MAX - 7, stripe: 42, within: 100, data: &[1, 2] },
+        );
+        round_trip_req(0, ReqOp::Read { obj: 1, stripe: 0, within: 0, len: 65536 });
+        round_trip_req(3, ReqOp::Stat(0));
+        round_trip_req(4, ReqOp::Delete(77));
+        round_trip_req(u64::MAX, ReqOp::Sync);
     }
 
     #[test]
     fn replies_round_trip() {
-        round_trip_rep(StoreRep::Written { seq: 1 });
-        round_trip_rep(StoreRep::Data { seq: 2, data: vec![0; 100] });
-        round_trip_rep(StoreRep::Statted { seq: 3, last_stripe: Some((7, 1 << 20)) });
-        round_trip_rep(StoreRep::Statted { seq: 3, last_stripe: None });
-        round_trip_rep(StoreRep::Deleted { seq: 4, existed: true });
-        round_trip_rep(StoreRep::Synced { seq: 5 });
-        round_trip_rep(StoreRep::Err { seq: 6, msg: "disk on fire".into() });
+        round_trip_rep(1, RepBody::Written);
+        round_trip_rep(2, RepBody::Data(&[0; 100]));
+        round_trip_rep(3, RepBody::Statted(Some((7, 1 << 20))));
+        round_trip_rep(3, RepBody::Statted(None));
+        round_trip_rep(4, RepBody::Deleted(true));
+        round_trip_rep(5, RepBody::Synced);
+        round_trip_rep(6, RepBody::Err("disk on fire"));
+    }
+
+    #[test]
+    fn a_write_is_encoded_into_exactly_one_allocation() {
+        let data = vec![7u8; 64 << 10];
+        let op = ReqOp::Write { obj: 2, stripe: 3, within: 0, data: &data };
+        let raw = StoreReq { seq: 1, op }.encode();
+        assert_eq!(raw.capacity(), raw.len(), "no regrow, no slack");
+    }
+
+    #[test]
+    fn zeroed_data_frame_is_the_encoding_of_zeros() {
+        assert_eq!(
+            StoreRep::zeroed_data_frame(77, 5),
+            StoreRep { seq: 77, body: RepBody::Data(&[0; 5]) }.encode()
+        );
     }
 
     #[test]
     fn truncated_and_trailing_fail_loudly() {
-        let raw = StoreReq::Stat { seq: 3, obj: 12 }.to_wire();
-        assert!(StoreReq::from_wire(&raw[..raw.len() - 1]).is_err());
+        let raw = StoreReq { seq: 3, op: ReqOp::Stat(12) }.encode();
+        assert!(StoreReq::decode(&raw[..raw.len() - 1]).is_err());
         let mut long = raw.clone();
         long.push(0);
-        assert!(StoreReq::from_wire(&long).is_err());
-        assert!(StoreRep::from_wire(&[99]).is_err());
+        assert!(StoreReq::decode(&long).is_err());
+        assert!(StoreRep::decode(&[99]).is_err());
     }
 }

@@ -22,45 +22,37 @@ use std::time::Duration;
 
 use crossbeam::channel::RecvTimeoutError;
 use dufs_backendfs::StorageEngine;
-use dufs_net::{ConnEvent, EndpointKind, Hello, Listener, NetConfig, NetStats, Wire};
+use dufs_net::{ConnEvent, EndpointKind, Hello, Listener, NetConfig, NetStats, MAX_FRAME};
 
 use crate::file::FsyncPolicy;
-use crate::msg::{StoreRep, StoreReq};
+use crate::msg::{RepBody, ReqOp, StoreRep, StoreReq};
 
-/// Apply one request to an engine and build the reply. Shared by the
-/// networked server and the in-process
+/// Apply one request to an engine and build the encoded reply frame.
+/// Shared by the networked server and the in-process
 /// [`LocalTarget`](crate::LocalTarget), so every delivery path has
-/// identical semantics.
-pub fn apply_req<E: StorageEngine>(engine: &mut E, req: &StoreReq) -> StoreRep {
-    let seq = req.seq();
-    let fail = |e: io::Error| StoreRep::Err { seq, msg: e.to_string() };
-    match req {
-        StoreReq::Write { obj, stripe, within, data, .. } => {
-            match engine.write(*obj, *stripe, *within, data) {
-                Ok(()) => StoreRep::Written { seq },
-                Err(e) => fail(e),
-            }
+/// identical semantics. A `Write`'s bytes go to the engine straight from
+/// the request (a view over the received frame); a `Read`'s bytes are read
+/// straight into the reply frame.
+pub fn apply_req<E: StorageEngine>(engine: &mut E, req: &StoreReq<'_>) -> Vec<u8> {
+    let seq = req.seq;
+    let reply = |body: RepBody<'_>| StoreRep { seq, body }.encode();
+    let result = match req.op {
+        ReqOp::Write { obj, stripe, within, data } => {
+            engine.write(obj, stripe, within, data).map(|()| reply(RepBody::Written))
         }
-        StoreReq::Read { obj, stripe, within, len, .. } => {
-            let mut data = vec![0u8; *len as usize];
-            match engine.read(*obj, *stripe, *within, &mut data) {
-                // Short fills stay zero — the reply is always `len` bytes.
-                Ok(_) => StoreRep::Data { seq, data },
-                Err(e) => fail(e),
-            }
+        ReqOp::Read { len, .. } if len as usize > MAX_FRAME => {
+            Err(io::Error::new(io::ErrorKind::InvalidInput, "read longer than a frame"))
         }
-        StoreReq::Stat { obj, .. } => {
-            StoreRep::Statted { seq, last_stripe: engine.last_stripe(*obj) }
+        ReqOp::Read { obj, stripe, within, len } => {
+            // Short fills stay zero — the reply is always `len` bytes.
+            let mut frame = StoreRep::zeroed_data_frame(seq, len);
+            engine.read(obj, stripe, within, &mut frame[StoreRep::DATA_AT..]).map(|_| frame)
         }
-        StoreReq::Delete { obj, .. } => match engine.delete(*obj) {
-            Ok(existed) => StoreRep::Deleted { seq, existed },
-            Err(e) => fail(e),
-        },
-        StoreReq::Sync { .. } => match engine.sync() {
-            Ok(()) => StoreRep::Synced { seq },
-            Err(e) => fail(e),
-        },
-    }
+        ReqOp::Stat(obj) => Ok(reply(RepBody::Statted(engine.last_stripe(obj)))),
+        ReqOp::Delete(obj) => engine.delete(obj).map(|existed| reply(RepBody::Deleted(existed))),
+        ReqOp::Sync => engine.sync().map(|()| reply(RepBody::Synced)),
+    };
+    result.unwrap_or_else(|e| reply(RepBody::Err(&e.to_string())))
 }
 
 /// A running store server: accept loop + owner thread around one engine.
@@ -134,7 +126,9 @@ fn serve<E: StorageEngine>(
     stop: Arc<AtomicBool>,
 ) {
     let mut conns: HashMap<u64, dufs_net::Conn> = HashMap::new();
-    let mut batch: Vec<(u64, StoreReq)> = Vec::new();
+    // Received frames, kept as they arrived and decoded (a borrowed view)
+    // only when applied.
+    let mut batch: Vec<(u64, Vec<u8>)> = Vec::new();
     loop {
         if stop.load(Ordering::SeqCst) {
             return;
@@ -146,10 +140,8 @@ fn serve<E: StorageEngine>(
             Err(RecvTimeoutError::Timeout) => continue,
             Err(RecvTimeoutError::Disconnected) => return,
         };
-        batch.clear();
-        let ingest = |ev: ConnEvent,
-                      conns: &mut HashMap<u64, dufs_net::Conn>,
-                      batch: &mut Vec<(u64, StoreReq)>| {
+        let queued = std::iter::from_fn(|| events.try_recv().ok());
+        for ev in std::iter::once(first).chain(queued) {
             match ev {
                 ConnEvent::Opened { id, conn } => {
                     conns.insert(id, conn);
@@ -157,39 +149,44 @@ fn serve<E: StorageEngine>(
                 ConnEvent::Closed { id } => {
                     conns.remove(&id);
                 }
-                ConnEvent::Frame { id, payload } => {
-                    if let Ok(req) = StoreReq::from_wire(&payload) {
-                        batch.push((id, req));
-                    }
-                    // Undecodable frames are dropped: the framing CRC
-                    // already rules out corruption, so this is a protocol
-                    // mismatch and the client's recv will time out loudly.
-                }
+                ConnEvent::Frame { id, payload } => batch.push((id, payload)),
             }
-        };
-        ingest(first, &mut conns, &mut batch);
-        while let Ok(ev) = events.try_recv() {
-            ingest(ev, &mut conns, &mut batch);
         }
 
-        let mut replies: Vec<(u64, StoreRep)> = Vec::with_capacity(batch.len());
+        // (connection, seq, encoded reply)
+        let mut replies: Vec<(u64, u64, Vec<u8>)> = Vec::with_capacity(batch.len());
         let mut mutated = false;
-        for (conn_id, req) in &batch {
-            mutated |= req.is_mutation();
-            replies.push((*conn_id, apply_req(&mut engine, req)));
+        for (conn_id, frame) in batch.drain(..) {
+            if !conns.contains_key(&conn_id) {
+                continue;
+            }
+            match StoreReq::decode(&frame) {
+                Ok(req) => {
+                    mutated |= req.is_mutation();
+                    replies.push((conn_id, req.seq, apply_req(&mut engine, &req)));
+                }
+                // The framing CRC already rules out corruption, so this is
+                // a protocol mismatch: hang up (dropping the `Conn` closes
+                // it), and the client fails at once instead of waiting out
+                // its receive timeout.
+                Err(_) => {
+                    conns.remove(&conn_id);
+                }
+            }
         }
         // Group commit: one sync covers every mutation in the batch, and
         // no ack leaves before it. An fsync failure poisons all acks.
         if mutated && policy == FsyncPolicy::Group {
             if let Err(e) = engine.sync() {
-                for r in &mut replies {
-                    r.1 = StoreRep::Err { seq: r.1.seq(), msg: format!("group sync: {e}") };
+                let msg = format!("group sync: {e}");
+                for (_, seq, frame) in &mut replies {
+                    *frame = StoreRep { seq: *seq, body: RepBody::Err(&msg) }.encode();
                 }
             }
         }
-        for (conn_id, rep) in replies {
+        for (conn_id, _, frame) in replies {
             if let Some(conn) = conns.get(&conn_id) {
-                if conn.send(rep.to_wire()).is_err() {
+                if conn.send(frame).is_err() {
                     conns.remove(&conn_id);
                 }
             }
@@ -205,27 +202,57 @@ mod tests {
     #[test]
     fn apply_req_covers_every_variant() {
         let mut e = MemEngine::new();
-        let w = StoreReq::Write { seq: 1, obj: 5, stripe: 0, within: 2, data: b"hi".to_vec() };
-        assert_eq!(apply_req(&mut e, &w), StoreRep::Written { seq: 1 });
+        let mut apply = |seq, op, body| {
+            let frame = apply_req(&mut e, &StoreReq { seq, op });
+            assert_eq!(StoreRep::decode(&frame).unwrap(), StoreRep { seq, body }, "{op:?}");
+        };
+        apply(1, ReqOp::Write { obj: 5, stripe: 0, within: 2, data: b"hi" }, RepBody::Written);
+        // Fixed-length, zero-filled reply.
+        let read = ReqOp::Read { obj: 5, stripe: 0, within: 0, len: 6 };
+        apply(2, read, RepBody::Data(b"\0\0hi\0\0"));
+        apply(3, ReqOp::Stat(5), RepBody::Statted(Some((0, 4))));
+        apply(4, ReqOp::Stat(99), RepBody::Statted(None));
+        apply(5, ReqOp::Sync, RepBody::Synced);
+        apply(6, ReqOp::Delete(5), RepBody::Deleted(true));
+        apply(7, ReqOp::Delete(5), RepBody::Deleted(false));
+        // A read no frame could carry is refused before any allocation.
+        let huge = ReqOp::Read { obj: 5, stripe: 0, within: 0, len: u32::MAX };
+        let frame = apply_req(&mut e, &StoreReq { seq: 8, op: huge });
+        let rep = StoreRep::decode(&frame).unwrap();
+        assert!(matches!(rep, StoreRep { seq: 8, body: RepBody::Err(_) }), "{rep:?}");
+    }
 
-        let r = StoreReq::Read { seq: 2, obj: 5, stripe: 0, within: 0, len: 6 };
-        let StoreRep::Data { seq: 2, data } = apply_req(&mut e, &r) else { panic!("want data") };
-        assert_eq!(data, b"\0\0hi\0\0", "fixed-length zero-filled reply");
+    #[test]
+    fn an_undecodable_frame_hangs_up_that_connection_only() {
+        use crate::StoreClient;
+        use dufs_core::Fid;
 
-        let s = StoreReq::Stat { seq: 3, obj: 5 };
-        assert_eq!(apply_req(&mut e, &s), StoreRep::Statted { seq: 3, last_stripe: Some((0, 4)) });
+        let any = "127.0.0.1:0".parse().unwrap();
+        let server = StoreServer::spawn(any, MemEngine::new(), FsyncPolicy::Group, 1).unwrap();
+        let mut good = StoreClient::tcp(&[server.addr()], 16, 1).unwrap();
+        good.write(Fid::new(1, 1), 0, b"before the rogue").unwrap();
+
+        let (rogue, rogue_rx) = dufs_net::connect(
+            server.addr(),
+            Hello { kind: EndpointKind::Client, id: 99 },
+            &NetConfig::default(),
+            &NetStats::default(),
+        )
+        .unwrap();
+        rogue.send(vec![0xFF; 9]).unwrap();
+        // The channel disconnects when the server closes the socket; a
+        // server that merely ignored the frame would leave it open and
+        // this would time out instead.
         assert_eq!(
-            apply_req(&mut e, &StoreReq::Stat { seq: 4, obj: 99 }),
-            StoreRep::Statted { seq: 4, last_stripe: None }
+            rogue_rx.recv_timeout(Duration::from_secs(10)),
+            Err(RecvTimeoutError::Disconnected),
+            "the rogue connection must be closed, not left waiting"
         );
-        assert_eq!(apply_req(&mut e, &StoreReq::Sync { seq: 5 }), StoreRep::Synced { seq: 5 });
-        assert_eq!(
-            apply_req(&mut e, &StoreReq::Delete { seq: 6, obj: 5 }),
-            StoreRep::Deleted { seq: 6, existed: true }
-        );
-        assert_eq!(
-            apply_req(&mut e, &StoreReq::Delete { seq: 7, obj: 5 }),
-            StoreRep::Deleted { seq: 7, existed: false }
-        );
+
+        let mut back = [0u8; 16];
+        good.read_into(Fid::new(1, 1), 0, &mut back).unwrap();
+        assert_eq!(&back, b"before the rogue");
+        good.write(Fid::new(1, 2), 0, b"after").unwrap();
+        server.stop();
     }
 }

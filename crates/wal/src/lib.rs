@@ -39,7 +39,7 @@ mod crc;
 mod log;
 mod storage;
 
-pub use crate::crc::crc32;
+pub use crate::crc::{crc32, crc32_parts};
 pub use crate::log::{Recovered, Wal, WalConfig, WalRecord};
 pub use crate::storage::{FaultConfig, FaultyStorage, FileStorage, LogStorage, MemStorage};
 

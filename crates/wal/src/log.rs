@@ -457,13 +457,14 @@ impl Wal {
     }
 
     fn write_snapshot_framed(&mut self, zxid: u64, blob: &[u8]) -> WalResult<()> {
-        let mut f = BytesMut::with_capacity(24 + blob.len());
-        f.put_slice(SNAP_MAGIC);
-        f.put_u64_le(zxid);
-        f.put_u32_le(blob.len() as u32);
-        f.put_u32_le(crc32(blob));
-        f.put_slice(blob);
-        self.storage.write_snapshot(zxid, &f)?;
+        // The header goes to storage beside the blob, not joined to a copy
+        // of it: a checkpoint's blob is as large as the whole tree.
+        let mut head = BytesMut::with_capacity(24);
+        head.put_slice(SNAP_MAGIC);
+        head.put_u64_le(zxid);
+        head.put_u32_le(blob.len() as u32);
+        head.put_u32_le(crc32(blob));
+        self.storage.write_snapshot(zxid, &head, blob)?;
         Ok(())
     }
 

@@ -47,9 +47,10 @@ pub trait LogStorage {
     fn list_snapshots(&self) -> io::Result<Vec<u64>>;
     /// Full contents of a snapshot.
     fn read_snapshot(&mut self, zxid: u64) -> io::Result<Vec<u8>>;
-    /// Write a snapshot durably (atomic: either the complete blob exists
-    /// afterwards or nothing does).
-    fn write_snapshot(&mut self, zxid: u64, data: &[u8]) -> io::Result<()>;
+    /// Write a snapshot — `head` then `blob`, stored back to back — durably
+    /// (atomic: either the complete snapshot exists afterwards or nothing
+    /// does).
+    fn write_snapshot(&mut self, zxid: u64, head: &[u8], blob: &[u8]) -> io::Result<()>;
     /// Delete a snapshot.
     fn remove_snapshot(&mut self, zxid: u64) -> io::Result<()>;
     /// Simulation hook: the machine dies now. Backends that model buffering
@@ -157,10 +158,11 @@ impl LogStorage for FileStorage {
         std::fs::read(self.snap_path(zxid))
     }
 
-    fn write_snapshot(&mut self, zxid: u64, data: &[u8]) -> io::Result<()> {
+    fn write_snapshot(&mut self, zxid: u64, head: &[u8], blob: &[u8]) -> io::Result<()> {
         let tmp = self.dir.join(format!("snap-{zxid:016x}.tmp"));
         let mut f = File::create(&tmp)?;
-        f.write_all(data)?;
+        f.write_all(head)?;
+        f.write_all(blob)?;
         f.sync_data()?;
         drop(f);
         std::fs::rename(&tmp, self.snap_path(zxid))?;
@@ -253,8 +255,8 @@ impl LogStorage for MemStorage {
         self.snapshots.get(&zxid).cloned().ok_or_else(|| no_seg(zxid))
     }
 
-    fn write_snapshot(&mut self, zxid: u64, data: &[u8]) -> io::Result<()> {
-        self.snapshots.insert(zxid, data.to_vec());
+    fn write_snapshot(&mut self, zxid: u64, head: &[u8], blob: &[u8]) -> io::Result<()> {
+        self.snapshots.insert(zxid, [head, blob].concat());
         Ok(())
     }
 
@@ -416,11 +418,11 @@ impl<S: LogStorage> LogStorage for FaultyStorage<S> {
         self.inner.read_snapshot(zxid)
     }
 
-    fn write_snapshot(&mut self, zxid: u64, data: &[u8]) -> io::Result<()> {
+    fn write_snapshot(&mut self, zxid: u64, head: &[u8], blob: &[u8]) -> io::Result<()> {
         if self.chance(self.cfg.p_snapshot_fail) {
             return Err(io::Error::other("injected snapshot write failure"));
         }
-        self.inner.write_snapshot(zxid, data)
+        self.inner.write_snapshot(zxid, head, blob)
     }
 
     fn remove_snapshot(&mut self, zxid: u64) -> io::Result<()> {
@@ -485,7 +487,7 @@ mod tests {
         s.create_segment(3).unwrap();
         s.append(3, b"hello").unwrap();
         s.sync(3).unwrap();
-        s.write_snapshot(9, b"snapbytes").unwrap();
+        s.write_snapshot(9, b"snap", b"bytes").unwrap();
         assert_eq!(s.list_segments().unwrap(), vec![3]);
         assert_eq!(s.read_segment(3).unwrap(), b"hello");
         assert_eq!(s.list_snapshots().unwrap(), vec![9]);

@@ -19,7 +19,9 @@
 //! Nodes are emitted in path-sorted order, so encoding is deterministic:
 //! two replicas with equal trees produce byte-identical snapshots.
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use std::sync::Arc;
+
+use bytes::{Buf, BufMut, Bytes};
 
 use crate::error::{ZkError, ZkResult};
 use crate::tree::{DataTree, Stat};
@@ -27,11 +29,27 @@ use crate::tree::{DataTree, Stat};
 const MAGIC: &[u8; 8] = b"DUFSSNAP";
 const VERSION: u16 = 1;
 
+/// Bytes before the first node: magic, version, last zxid, node count.
+const HEADER: usize = 8 + 2 + 8 + 8;
+/// Bytes of one node besides its path and data: their two `u32` lengths,
+/// the eight stat fields that are stored, and the `cseq`.
+const NODE_FIXED: usize = 2 * 4 + (5 * 8 + 2 * 4 + 8) + 8;
+/// Bytes after the last node: the content digest.
+const TRAILER: usize = 8;
+
 /// Serialize the tree into a snapshot blob.
+///
+/// The blob is sized first and written once, in place. A checkpoint runs
+/// on a replica's state-machine thread with a blob as large as the tree;
+/// growing a buffer and then copying it into the shared form held two to
+/// three blobs at once, and that thread's heap keeps its high-water mark.
 pub fn encode(tree: &DataTree) -> Bytes {
     let mut paths = tree.subtree_paths("/").expect("root always exists");
     paths.sort();
-    let mut buf = BytesMut::with_capacity(64 + paths.len() * 96);
+    let data_len = |p: &String| tree.get_data(p).expect("listed path exists").0.len();
+    let nodes: usize = paths.iter().map(|p| NODE_FIXED + p.len() + data_len(p)).sum();
+    let mut blob: Arc<[u8]> = std::iter::repeat_n(0u8, HEADER + nodes + TRAILER).collect();
+    let mut buf = Arc::get_mut(&mut blob).expect("not shared yet");
     buf.put_slice(MAGIC);
     buf.put_u16_le(VERSION);
     buf.put_u64_le(tree.last_zxid());
@@ -53,7 +71,8 @@ pub fn encode(tree: &DataTree) -> Bytes {
         buf.put_u64_le(tree.cseq_of(p).unwrap_or(0));
     }
     buf.put_u64_le(tree.digest());
-    buf.freeze()
+    assert!(buf.is_empty(), "snapshot sized {} bytes too large", buf.len());
+    Bytes::from(blob)
 }
 
 /// Reconstruct a tree from a snapshot blob. Fails with
@@ -141,6 +160,27 @@ mod tests {
         z += 1;
         t.set_data("/b", Bytes::from_static(b"y"), None, z, z * 10).unwrap();
         t
+    }
+
+    /// Dumped from the growing-buffer encoder this one replaced: writing
+    /// the blob in place must not change a byte of it.
+    #[test]
+    fn encoding_is_pinned_byte_for_byte() {
+        let golden = "\
+             44554653534e4150010006000000000000000600000000000000010000002f00000000000000000000000000\
+             0000000000000005000000000000000000000000000000000000000000000000000000020000000000000000\
+             0000000000000000000000020000002f61030000006469720100000000000000010000000000000003000000\
+             000000000a000000000000000a00000000000000000000000200000000000000000000000000000000000000\
+             070000002f612f66696c65080000006669642d30313233020000000000000002000000000000000200000000\
+             0000001400000000000000140000000000000000000000000000000000000000000000000000000000000006\
+             0000002f612f737562000000000300000000000000030000000000000004000000000000001e000000000000\
+             001e000000000000000000000001000000000000000000000000000000000000000b0000002f612f7375622f\
+             64656570070000007061796c6f61640400000000000000040000000000000004000000000000002800000000\
+             0000002800000000000000000000000000000000000000000000000000000000000000020000002f62010000\
+             007905000000000000000600000000000000050000000000000032000000000000003c000000000000000100\
+             0000000000000000000000000000000000000000000064116dd01d65176a";
+        let hex: String = encode(&populated()).iter().map(|b| format!("{b:02x}")).collect();
+        assert_eq!(hex, golden);
     }
 
     #[test]

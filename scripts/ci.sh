@@ -33,6 +33,21 @@ if [ "$crc_files" -ne 1 ]; then
 fi
 echo "==> one CRC-32 implementation: $(grep -rl '0xEDB8_8320' crates/*/src)"
 
+# One copy per hop on the data path: a stripe's bytes are borrowed from the
+# caller's buffer or from the received frame all the way to the extent log
+# and back, so an owned copy of a payload (`.to_vec()`) in the store's
+# client/server/codec/engine code is the six-copies shape growing back.
+# (Test modules, below `#[cfg(test)]`, may copy what they like.)
+copies=$(for f in crates/store/src/{client,server,msg,file}.rs; do
+    awk -v f="$f" '/^#\[cfg\(test\)\]/{exit} /\.to_vec\(\)/{print f":"NR": "$0}' "$f"
+done)
+if [ -n "$copies" ]; then
+    echo "FAIL: .to_vec() on the store data path (outside #[cfg(test)]):" >&2
+    echo "$copies" >&2
+    exit 1
+fi
+echo "==> no .to_vec() in crates/store/src/{client,server,msg,file}.rs outside tests"
+
 # One bench harness: `dufs-bench` is the only program of crates/bench, the
 # only reader of its command line, and reports are written by `Report`
 # alone — a second `fn main`, arg loop or hand-rolled JSON writer is the
@@ -77,6 +92,12 @@ echo "==> cargo build --release -p dufs-coord --bin coord_server"
 cargo build --release -p dufs-coord --bin coord_server
 echo "==> cargo test -q --release -p dufs-wal -p dufs-coord (incl. tcp_e2e + tcp_server + thread_census + kill9_recovery + read_consistency)"
 cargo test -q --release -p dufs-wal -p dufs-coord
+# The CRC kernel against its byte-at-a-time reference: every length 0..=300
+# at every start alignment plus MiB-sized buffers, too slow to be worth
+# running unoptimised twice. (The store's golden frames and golden extent
+# log run with the release store suite below.)
+echo "==> cargo test -q --release -p dufs-net crc"
+cargo test -q --release -p dufs-net crc
 
 # Live mdtest digest-parity matrix. Every row runs the same deterministic
 # op streams through `mdtest_sim --live` in a different client-stack shape
@@ -144,13 +165,14 @@ cargo test -q --release --test sim_vs_live
 # layout proptests, the TCP e2e, and the out-of-process data-server
 # kill -9 harness (SIGKILL a store_server mid-write, restart over the
 # same target directory, every acked write must read back with its CRC
-# intact). The store harnesses keep their target directories under
+# intact), and the golden bytes (tests/golden.rs: every wire frame, the
+# extent log of a fixed history, a parent-written directory reopened). The store harnesses keep their target directories under
 # $TMPDIR; clean them up even when a step fails. (The benches and
 # mdtest_sim remove their own through `ScratchDir`'s drop.)
 trap 'rm -rf "${TMPDIR:-/tmp}"/dufs-store-*' EXIT
 echo "==> cargo build --release -p dufs-store --bin store_server"
 cargo build --release -p dufs-store --bin store_server
-echo "==> cargo test -q --release -p dufs-store (incl. kill9_store)"
+echo "==> cargo test -q --release -p dufs-store (incl. golden + kill9_store)"
 cargo test -q --release -p dufs-store
 
 # Mixed metadata+data digest parity: with --data every file create also

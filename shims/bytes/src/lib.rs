@@ -62,6 +62,15 @@ impl From<Vec<u8>> for Bytes {
     }
 }
 
+/// Adopt an already-shared buffer as is. Not in the real crate (whose
+/// `BytesMut::freeze` is free); here `freeze` copies, so a caller that
+/// knows its final size fills an `Arc<[u8]>` in place and hands it over.
+impl From<Arc<[u8]>> for Bytes {
+    fn from(data: Arc<[u8]>) -> Self {
+        Bytes { data }
+    }
+}
+
 impl From<&[u8]> for Bytes {
     fn from(v: &[u8]) -> Self {
         Bytes::copy_from_slice(v)
@@ -194,6 +203,16 @@ impl BufMut for BytesMut {
 impl BufMut for Vec<u8> {
     fn put_slice(&mut self, src: &[u8]) {
         self.extend_from_slice(src);
+    }
+}
+
+/// Fill a fixed buffer front to back. Writing past its end panics, as in
+/// the real crate.
+impl BufMut for &mut [u8] {
+    fn put_slice(&mut self, src: &[u8]) {
+        let (head, rest) = std::mem::take(self).split_at_mut(src.len());
+        head.copy_from_slice(src);
+        *self = rest;
     }
 }
 
