@@ -11,8 +11,10 @@
 //! trait: this type is a thin adapter over a
 //! [`StripedStore<MemEngine>`](crate::StripedStore) that adds object-ID
 //! allocation and logical-size tracking (size is metadata — the engines
-//! only know which stripes exist). The durable file-backed engine and the
-//! networked `StoreClient` in `dufs-store` reuse the same striping layer.
+//! only know which stripes exist). The durable file-backed engine in
+//! `dufs-store` implements the same `StorageEngine` trait; the networked
+//! `StoreClient` there does not go through `StripedStore` — it splits byte
+//! ranges into per-target stripe requests itself (`StoreClient::chunks`).
 
 use std::collections::BTreeMap;
 

@@ -14,6 +14,7 @@ pub mod fig11;
 pub mod groupcommit;
 pub mod headline;
 pub mod mapping;
+pub mod micro;
 pub mod net;
 pub mod observers;
 pub mod reads;
@@ -45,7 +46,7 @@ const fn entry(
 }
 
 /// Every experiment, paper figures first.
-pub const EXPERIMENTS: [Experiment; 17] = [
+pub const EXPERIMENTS: [Experiment; 18] = [
     entry("fig01", &["fig01_consistency.txt"], false, fig01::run),
     entry("fig07", &["fig07_zk_throughput.txt"], false, fig07::run),
     entry("fig08", &["fig08_zkservers.txt"], false, fig08::run),
@@ -63,4 +64,5 @@ pub const EXPERIMENTS: [Experiment; 17] = [
     entry("reads", &["BENCH_reads.json", "BENCH_cache.json"], true, reads::run),
     entry("net", &["BENCH_net.json"], true, net::run),
     entry("data", &["BENCH_data.json"], true, data::run),
+    entry("micro", &["BENCH_micro.json"], true, micro::run),
 ];

@@ -11,12 +11,11 @@ fn dufs_bench(args: &[&str]) -> std::process::Output {
 }
 
 #[test]
-fn list_prints_the_seventeen_experiments() {
+fn list_prints_every_registered_experiment() {
     let out = dufs_bench(&["list"]);
     assert!(out.status.success());
     let stdout = String::from_utf8(out.stdout).expect("utf-8");
     let names: Vec<&str> = stdout.lines().filter_map(|l| l.split_whitespace().next()).collect();
-    assert_eq!(names.len(), 17, "{stdout}");
     assert_eq!(names, EXPERIMENTS.iter().map(|e| e.name).collect::<Vec<_>>());
 }
 

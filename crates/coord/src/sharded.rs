@@ -52,7 +52,7 @@
 //! ```
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use bytes::Bytes;
 
@@ -90,6 +90,24 @@ pub trait ClusterHandle: Sized {
     fn members(&self) -> usize;
     /// Tear the ensemble down.
     fn shutdown(self);
+
+    /// Poll until every member reports one `digest` at one `last_applied`,
+    /// and return that status; `None` if they still differ after `timeout`.
+    fn converged(&self, timeout: Duration) -> Option<ServerStatus> {
+        let deadline = Instant::now() + timeout;
+        loop {
+            let first = self.status(0);
+            let same =
+                |s: ServerStatus| s.digest == first.digest && s.last_applied == first.last_applied;
+            if (1..self.members()).all(|i| same(self.status(i))) {
+                return Some(first);
+            }
+            if Instant::now() >= deadline {
+                return None;
+            }
+            std::thread::sleep(Duration::from_millis(50));
+        }
+    }
 }
 
 impl ClusterHandle for ThreadCluster {

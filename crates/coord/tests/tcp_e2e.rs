@@ -7,15 +7,13 @@
 //! its [`NetStats`] counters — the satellite assertion that the bytes
 //! actually went over the wire.
 
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use bytes::Bytes;
 
-use dufs_coord::runtime::ServerStatus;
-
 use dufs_coord::{
-    ClientOptions, ClientTransport, ClusterBuilder, ReadConsistency, Watch, ZkClient, ZkRequest,
-    ZkResponse,
+    ClientOptions, ClientTransport, ClusterBuilder, ClusterHandle, ReadConsistency, Watch,
+    ZkClient, ZkRequest, ZkResponse,
 };
 use dufs_zkstore::{CreateMode, MultiOp, ZkError};
 
@@ -73,17 +71,9 @@ fn workload<T: ClientTransport>(c: &mut ZkClient<T>) {
     c.sync().expect("sync");
 }
 
-/// Wait until every member reports the same digest, and return it.
-fn converged_digest(status: impl Fn(usize) -> ServerStatus, n: usize) -> u64 {
-    let deadline = Instant::now() + Duration::from_secs(30);
-    loop {
-        let s: Vec<ServerStatus> = (0..n).map(&status).collect();
-        if s.iter().all(|x| x.digest == s[0].digest && x.last_applied == s[0].last_applied) {
-            return s[0].digest;
-        }
-        assert!(Instant::now() < deadline, "replicas never converged: {s:?}");
-        std::thread::sleep(Duration::from_millis(100));
-    }
+/// The digest every member of `cluster` converges on.
+fn converged_digest(cluster: &impl ClusterHandle) -> u64 {
+    cluster.converged(Duration::from_secs(30)).expect("replicas never converged").digest
 }
 
 #[test]
@@ -93,7 +83,7 @@ fn thread_and_tcp_runtimes_agree_on_the_namespace_digest() {
     let leader = tc.await_leader(Duration::from_secs(20)).expect("thread leader");
     let mut c = tc.client(ClientOptions::at(leader)).unwrap();
     workload(&mut c);
-    let d_thread = converged_digest(|i| tc.status(i), 3);
+    let d_thread = converged_digest(&tc);
     tc.shutdown();
 
     // TCP runtime, same workload.
@@ -101,7 +91,7 @@ fn thread_and_tcp_runtimes_agree_on_the_namespace_digest() {
     let leader = cluster.await_leader(Duration::from_secs(20)).expect("tcp leader");
     let mut c = cluster.client(ClientOptions::at(leader)).unwrap();
     workload(&mut c);
-    let d_tcp = converged_digest(|i| cluster.status(i), 3);
+    let d_tcp = converged_digest(&cluster);
 
     assert_eq!(d_thread, d_tcp, "TCP runtime diverged from the channel runtime");
 
@@ -151,7 +141,7 @@ fn cached_tcp_sessions_keep_digest_parity_and_report_counters() {
     let leader = cluster.await_leader(Duration::from_secs(20)).expect("tcp leader");
     let mut c = cluster.client(ClientOptions::at(leader)).unwrap();
     workload(&mut c);
-    let d_plain = converged_digest(|i| cluster.status(i), 3);
+    let d_plain = converged_digest(&cluster);
     cluster.shutdown();
 
     // Cached run: same mutations through the invalidating wrappers, plus
@@ -235,7 +225,7 @@ fn cached_tcp_sessions_keep_digest_parity_and_report_counters() {
         Ok(_) | Err(_) => {}
     }
     r.sync().expect("sync");
-    let d_cached = converged_digest(|i| cluster.status(i), 3);
+    let d_cached = converged_digest(&cluster);
     assert_eq!(d_plain, d_cached, "cached session diverged the namespace");
 
     let s = r.stats();
@@ -291,7 +281,7 @@ fn tcp_durable_cluster_recovers_after_clean_restart() {
     let leader = first.await_leader(Duration::from_secs(20)).expect("leader");
     let mut c = first.client(ClientOptions::at(leader)).unwrap();
     workload(&mut c);
-    let before = converged_digest(|i| first.status(i), 3);
+    let before = converged_digest(&first);
     first.shutdown();
 
     // Same WAL directories, brand-new ports: the durable identity is the
@@ -300,7 +290,7 @@ fn tcp_durable_cluster_recovers_after_clean_restart() {
     second.await_leader(Duration::from_secs(20)).expect("leader after restart");
     let mut c = second.client(ClientOptions::at(0)).unwrap();
     c.sync().expect("sync");
-    let after = converged_digest(|i| second.status(i), 3);
+    let after = converged_digest(&second);
     assert_eq!(before, after, "restart over the same WAL dirs lost state");
     second.shutdown();
     let _ = std::fs::remove_dir_all(&dir);

@@ -1,25 +1,30 @@
 //! Mixed metadata+data workloads: the data half of mdtest.
 //!
-//! With `--data <bytes>`, every file create is followed by a striped write
-//! of deterministic, path-derived contents through a
-//! [`dufs_store::StoreClient`], and every file stat by a
-//! read-back verify of the per-FID CRC — so the run exercises the full
-//! DUFS pipeline: metadata op → FID → `MD5(fid) mod N` placement → striped
-//! data I/O. Because both the FID and the contents are pure functions of
-//! the path, a simulated run and live runs on either transport must
-//! produce the **same order-independent contents digest**; `scripts/ci.sh`
-//! compares the printed `data digest` lines across all three paths.
+//! With `--data <bytes>`, the live driver ([`crate::live::run_live`]) gives
+//! every process a [`dufs_store::StoreClient`] beside its `Dufs` client:
+//! every file create is followed by a striped write of deterministic,
+//! path-derived contents under the FID `Dufs::create` minted, and every
+//! file stat by a read-back verify under the FID the namespace reports —
+//! the full DUFS pipeline: metadata op → FID → `MD5(fid) mod N` placement →
+//! striped data I/O. The contents are a pure function of the path, so every
+//! run must fold the **same order-independent contents digest**, the one
+//! [`expected_data_digest`] computes from the spec alone.
 //!
 //! The optional Zipf popularity knob skews which files get re-read during
 //! the stat phase, turning uniform verification traffic into hot-object
 //! contention (a few FIDs absorb most reads — the
 //! hostile-scenario axis ROADMAP asks for).
 
+use std::sync::Arc;
+
+use dufs_backendfs::MemEngine;
 use dufs_core::hash::md5;
 use dufs_core::Fid;
-use dufs_store::{crc32, StoreClient};
+use dufs_store::{crc32, FileEngine, FsyncPolicy, StoreClient, StoreServer};
+use parking_lot::Mutex;
 
 use crate::workload::WorkloadSpec;
+use crate::ScratchDir;
 
 /// Data-path knobs for a mixed run.
 #[derive(Debug, Clone, Copy)]
@@ -33,44 +38,42 @@ pub struct DataSpec {
     pub zipf: Option<f64>,
 }
 
-/// The FID naming a path's contents: the md5 of the path, which is both
-/// deterministic across runs/transports and uniformly spread across
-/// targets by the `MD5(fid) mod N` mapping.
-pub fn fid_for_path(path: &str) -> Fid {
-    let d = md5(path.as_bytes());
-    Fid(u128::from_be_bytes(d))
+/// 64 bits of `md5(path)`: seeds a file's contents and names it in the
+/// contents digest, independently of whichever FID the run minted for it.
+fn path_hash(path: &str) -> u64 {
+    let d = u128::from_be_bytes(md5(path.as_bytes()));
+    d as u64 ^ (d >> 64) as u64
 }
 
-/// Deterministic file contents: a splitmix64 stream seeded by the FID.
+/// The next output of the splitmix64 stream at `state`.
+fn splitmix64(state: &mut u64) -> u64 {
+    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    let mut z = *state;
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
+/// Deterministic file contents: a splitmix64 stream seeded by the path.
 pub fn contents_for(path: &str, nbytes: usize) -> Vec<u8> {
-    let fid = fid_for_path(path);
-    let mut state = fid.0 as u64 ^ (fid.0 >> 64) as u64;
-    (0..nbytes)
-        .map(|_| {
-            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-            let mut z = state;
-            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-            (z ^ (z >> 31)) as u8
-        })
-        .collect()
+    let mut state = path_hash(path);
+    (0..nbytes).map(|_| splitmix64(&mut state) as u8).collect()
 }
 
-/// One file's contribution to the contents digest. XOR-mixing the FID in
-/// makes the digest sensitive to *which* file holds *which* bytes; the
-/// outer wrapping sum makes it order-independent across processes.
-pub fn file_digest(fid: Fid, data: &[u8]) -> u64 {
-    (fid.0 as u64) ^ ((fid.0 >> 64) as u64) ^ ((crc32(data) as u64) << 16)
+/// One file's contribution to the contents digest. XOR-mixing the path
+/// hash in makes the digest sensitive to *which* file holds *which* bytes;
+/// the outer wrapping sum makes it order-independent across processes.
+pub fn file_digest(path: &str, data: &[u8]) -> u64 {
+    path_hash(path) ^ ((crc32(data) as u64) << 16)
 }
 
 /// The digest a correct run must produce, computed purely from the spec —
-/// no store involved. Every runner's read-back digest is compared to this.
+/// no store involved. A run that stats every file once folds exactly this.
 pub fn expected_data_digest(spec: &WorkloadSpec, data: &DataSpec) -> u64 {
     let mut sum = 0u64;
     for p in 0..spec.processes {
         for path in spec.file_paths(p) {
-            sum = sum
-                .wrapping_add(file_digest(fid_for_path(&path), &contents_for(&path, data.bytes)));
+            sum = sum.wrapping_add(file_digest(&path, &contents_for(&path, data.bytes)));
         }
     }
     sum
@@ -102,156 +105,78 @@ impl Zipf {
         Zipf { cdf, state: seed ^ 0x5DEE_CE66_D1CE_4E5B }
     }
 
-    fn next_f64(&mut self) -> f64 {
-        self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^= z >> 31;
-        (z >> 11) as f64 / (1u64 << 53) as f64
-    }
-
     /// Draw a rank in `0..n`; rank 0 is the hottest.
     pub fn sample(&mut self) -> usize {
-        let u = self.next_f64();
+        let u = (splitmix64(&mut self.state) >> 11) as f64 / (1u64 << 53) as f64;
         self.cdf.partition_point(|&c| c < u).min(self.cdf.len() - 1)
     }
 }
 
-/// Write every file's contents through `store` (create side of a mixed
-/// run), reading nothing back. Returns the number of files written.
-pub fn write_all_files(
-    store: &mut StoreClient,
-    spec: &WorkloadSpec,
-    data: &DataSpec,
-    proc: usize,
-) -> usize {
-    let paths = spec.file_paths(proc);
-    for path in &paths {
-        let contents = contents_for(path, data.bytes);
-        store.write(fid_for_path(path), 0, &contents).expect("striped write");
-    }
-    paths.len()
-}
-
-/// Read back and CRC-verify one file; panics on any mismatch (lost or
-/// corrupt data is a harness failure, not a statistic).
-pub fn verify_file(store: &mut StoreClient, path: &str, nbytes: usize) -> u64 {
-    let fid = fid_for_path(path);
+/// Read `path`'s contents back from under `fid` and CRC-verify them;
+/// panics on any mismatch (lost or corrupt data is a harness failure, not a
+/// statistic). Returns the file's [`file_digest`].
+pub fn verify_file(store: &mut StoreClient, fid: Fid, path: &str, nbytes: usize) -> u64 {
     let extent = store.written_extent(fid).expect("stat") as usize;
     assert_eq!(extent, nbytes, "{path}: written extent {extent}, want {nbytes}");
     let mut back = vec![0u8; extent];
     store.read_into(fid, 0, &mut back).expect("striped read");
     let expect = contents_for(path, nbytes);
     assert_eq!(crc32(&back), crc32(&expect), "{path}: contents CRC mismatch after read-back");
-    file_digest(fid, &back)
+    file_digest(path, &back)
 }
 
-/// Read every file of every process back through `store` and fold the
-/// order-independent contents digest — the value printed as
-/// `data digest 0x…` and compared across sim/thread/TCP runs.
-pub fn read_back_digest(store: &mut StoreClient, spec: &WorkloadSpec, data: &DataSpec) -> u64 {
-    let mut sum = 0u64;
-    for p in 0..spec.processes {
-        for path in spec.file_paths(p) {
-            sum = sum.wrapping_add(verify_file(store, &path, data.bytes));
-        }
-    }
-    sum
+/// The data targets of a mixed run: shared in-memory engines (every process
+/// routes `MD5(fid) mod N` to the same engines, like threads sharing one
+/// data-server fleet), or real [`StoreServer`]s on loopback over durable
+/// [`FileEngine`] directories with group fsync — the full
+/// frame/demux/group-commit path under mixed load.
+pub enum DataTargets {
+    /// In-process engines.
+    Memory(Vec<Arc<Mutex<MemEngine>>>),
+    /// Store servers, then the scratch directory their targets live in: a
+    /// drop stops the servers before it removes the directory.
+    Servers(Vec<StoreServer>, ScratchDir),
 }
 
-/// [`crate::live::run_live`] with the data path attached: each process
-/// thread owns a metadata session **and** a [`StoreClient`], every
-/// `creat` is followed by a striped write of the file's contents, and
-/// every file stat by a read-back CRC verify. When `data.zipf` is set,
-/// each file stat additionally re-reads a Zipf-sampled file from the
-/// process's own set — hot-object contention on the data servers.
-///
-/// Returns the per-phase wall results plus the read-back contents digest
-/// (computed through `store_for(spec.processes)`, a dedicated verify
-/// client), which callers compare against [`expected_data_digest`].
-pub fn run_live_data<C, F, S, G>(
-    spec: &WorkloadSpec,
-    data: &DataSpec,
-    client_for: F,
-    store_for: S,
-    after_phase: G,
-    strict_stats: bool,
-) -> (Vec<crate::live::LivePhase>, u64)
-where
-    C: dufs_coord::CoordService + Send,
-    F: Fn(usize) -> C,
-    S: Fn(usize) -> StoreClient,
-    G: FnMut(crate::workload::Phase),
-{
-    use crate::live;
-    use crate::workload::NativeOp;
-
-    struct ProcState<C> {
-        zk: C,
-        store: StoreClient,
-        files: Vec<String>,
-        zipf: Option<Zipf>,
-    }
-
-    let data = *data;
-    let mut procs: Vec<ProcState<C>> = (0..spec.processes)
-        .map(|p| ProcState {
-            zk: client_for(p),
-            store: store_for(p),
-            files: spec.file_paths(p),
-            zipf: data.zipf.map(|theta| Zipf::new(spec.files_per_proc, theta, p as u64 + 1)),
-        })
-        .collect();
-    for (p, st) in procs.iter_mut().enumerate() {
-        live::setup(spec, p, &mut st.zk);
-    }
-
-    let exec = |st: &mut ProcState<C>, op: &NativeOp| {
-        live::exec(&mut st.zk, op, strict_stats);
-        match op {
-            // The data half of the create: a striped, acked write of the
-            // file's contents.
-            NativeOp::Create(path) => {
-                let contents = contents_for(path, data.bytes);
-                st.store.write(fid_for_path(path), 0, &contents).expect("striped write");
-            }
-            NativeOp::Unlink(path) => {
-                st.store.delete(fid_for_path(path)).expect("data delete");
-            }
-            // The data half of the stat: read back and verify this
-            // process's own file, plus a popularity-skewed extra read when
-            // the Zipf knob is on.
-            NativeOp::StatFile(path) => {
-                verify_file(&mut st.store, path, data.bytes);
-                if let Some(z) = st.zipf.as_mut() {
-                    let hot = st.files[z.sample()].clone();
-                    verify_file(&mut st.store, &hot, data.bytes);
-                }
-            }
-            NativeOp::Mkdir(_) | NativeOp::Rmdir(_) | NativeOp::StatDir(_) => {}
+impl DataTargets {
+    /// Start `n` targets: store servers when `servers`, else in memory.
+    pub fn start(servers: bool, n: usize) -> DataTargets {
+        if !servers {
+            return DataTargets::Memory(
+                (0..n).map(|_| Arc::new(Mutex::new(MemEngine::new()))).collect(),
+            );
         }
-    };
-    let settle = |st: &mut ProcState<C>| {
-        live::phase_sync(&mut st.zk);
-        st.store.sync().expect("data sync");
-    };
-    let out = live::run_phases(spec, &mut procs, exec, settle, after_phase);
-    drop(procs);
+        let dir = ScratchDir::new("mdtest-store");
+        let servers = dir
+            .targets(n)
+            .iter()
+            .enumerate()
+            .map(|(t, dir)| {
+                let engine = FileEngine::open(dir, FsyncPolicy::Group).expect("open target dir");
+                let addr = "127.0.0.1:0".parse().expect("loopback address");
+                StoreServer::spawn(addr, engine, FsyncPolicy::Group, t as u64 + 1)
+                    .expect("spawn store server")
+            })
+            .collect();
+        DataTargets::Servers(servers, dir)
+    }
 
-    // Whole-namespace read-back through a dedicated verify client.
-    let mut verify = store_for(spec.processes);
-    let digest = read_back_digest(&mut verify, spec, &data);
-    (out, digest)
+    /// Process `p`'s striped client.
+    pub fn client(&self, stripe: usize, p: usize) -> StoreClient {
+        match self {
+            DataTargets::Memory(engines) => StoreClient::local(engines, stripe),
+            DataTargets::Servers(servers, _) => {
+                let addrs: Vec<_> = servers.iter().map(StoreServer::addr).collect();
+                StoreClient::tcp(&addrs, stripe, 1000 + p as u64).expect("store session")
+            }
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::workload::{Phase, WorkloadSpec};
-    use dufs_backendfs::MemEngine;
-    use parking_lot::Mutex;
-    use std::sync::Arc;
 
     fn small_spec() -> WorkloadSpec {
         WorkloadSpec {
@@ -262,42 +187,43 @@ mod tests {
         }
     }
 
+    /// Write every file of `spec` under a FID of its own (as `Dufs::create`
+    /// would mint one) over `targets` in-memory targets, then fold the
+    /// read-back digest.
+    fn round_trip(spec: &WorkloadSpec, data: &DataSpec, targets: usize) -> u64 {
+        let mut store = DataTargets::start(false, targets).client(data.stripe, 0);
+        let mut sum = 0u64;
+        for p in 0..spec.processes {
+            let fids: Vec<Fid> =
+                (0..spec.files_per_proc as u64).map(|i| Fid::new(p as u64 + 1, i)).collect();
+            for (path, &fid) in spec.file_paths(p).iter().zip(&fids) {
+                store.write(fid, 0, &contents_for(path, data.bytes)).unwrap();
+            }
+            for (path, &fid) in spec.file_paths(p).iter().zip(&fids) {
+                sum = sum.wrapping_add(verify_file(&mut store, fid, path, data.bytes));
+            }
+        }
+        sum
+    }
+
     #[test]
-    fn fids_and_contents_are_deterministic() {
-        assert_eq!(fid_for_path("/mdtest/p0/f0"), fid_for_path("/mdtest/p0/f0"));
-        assert_ne!(fid_for_path("/a"), fid_for_path("/b"));
+    fn contents_are_deterministic_per_path() {
         assert_eq!(contents_for("/a", 64), contents_for("/a", 64));
         assert_ne!(contents_for("/a", 64), contents_for("/b", 64));
+        assert_ne!(file_digest("/a", b"x"), file_digest("/b", b"x"));
     }
 
     #[test]
-    fn round_trip_digest_matches_expected() {
-        let spec = small_spec();
-        let data = DataSpec { bytes: 100, stripe: 16, zipf: None };
-        let engines: Vec<Arc<Mutex<MemEngine>>> =
-            (0..4).map(|_| Arc::new(Mutex::new(MemEngine::new()))).collect();
-        let mut store = StoreClient::local(&engines, data.stripe);
-        for p in 0..spec.processes {
-            write_all_files(&mut store, &spec, &data, p);
-        }
-        let got = read_back_digest(&mut store, &spec, &data);
-        assert_eq!(got, expected_data_digest(&spec, &data));
-    }
-
-    #[test]
-    fn digest_is_order_independent_but_content_sensitive() {
+    fn digest_round_trips_and_is_content_sensitive_but_layout_independent() {
         let spec = small_spec();
         let a = DataSpec { bytes: 64, stripe: 8, zipf: None };
         let b = DataSpec { bytes: 65, stripe: 8, zipf: None };
         assert_ne!(expected_data_digest(&spec, &a), expected_data_digest(&spec, &b));
-        // Stripe size must NOT affect the digest (it's a layout knob).
-        let engines: Vec<Arc<Mutex<MemEngine>>> =
-            (0..2).map(|_| Arc::new(Mutex::new(MemEngine::new()))).collect();
-        let mut store = StoreClient::local(&engines, 32);
-        for p in 0..spec.processes {
-            write_all_files(&mut store, &spec, &a, p);
+        // Stripe size and target count are layout knobs: not in the digest.
+        for (stripe, targets) in [(8, 4), (32, 2)] {
+            let laid_out = DataSpec { stripe, ..a };
+            assert_eq!(round_trip(&spec, &laid_out, targets), expected_data_digest(&spec, &a));
         }
-        assert_eq!(read_back_digest(&mut store, &spec, &a), expected_data_digest(&spec, &a));
     }
 
     #[test]
@@ -323,15 +249,14 @@ mod tests {
     fn verify_file_catches_truncation() {
         let spec = small_spec();
         let data = DataSpec { bytes: 40, stripe: 8, zipf: None };
-        let engines: Vec<Arc<Mutex<MemEngine>>> =
-            (0..2).map(|_| Arc::new(Mutex::new(MemEngine::new()))).collect();
-        let mut store = StoreClient::local(&engines, data.stripe);
+        let mut store = DataTargets::start(false, 2).client(data.stripe, 0);
         let path = spec.file_paths(0)[0].clone();
         let contents = contents_for(&path, data.bytes);
         // Store one byte short: the verify must panic on extent mismatch.
-        store.write(fid_for_path(&path), 0, &contents[..39]).unwrap();
+        let fid = Fid::new(1, 1);
+        store.write(fid, 0, &contents[..39]).unwrap();
         let res = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            verify_file(&mut store, &path, data.bytes)
+            verify_file(&mut store, fid, &path, data.bytes)
         }));
         assert!(res.is_err(), "short file must fail verification");
     }

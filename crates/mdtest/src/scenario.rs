@@ -375,6 +375,14 @@ pub struct MdtestReport {
     pub logical_digest: u64,
 }
 
+/// The client id mdtest process `proc` mints FIDs under: its simulation
+/// node id in the single-shard layout (coordination servers, back-ends and
+/// the controller come first). [`crate::live::run_live`] numbers its
+/// clients the same way, so both worlds write byte-identical file metadata.
+pub fn client_id(zk_servers: usize, backends: usize, proc: usize) -> u64 {
+    (zk_servers + backends + 1 + proc) as u64
+}
+
 /// As [`run_mdtest`], returning the post-run namespace as well.
 pub fn run_mdtest_report(cfg: &MdtestConfig) -> MdtestReport {
     let spec = &cfg.spec;
@@ -467,7 +475,7 @@ pub fn run_mdtest_report(cfg: &MdtestConfig) -> MdtestReport {
                     (0..shards).map(|s| NodeId((s * zk_servers + p % zk_servers) as u32)).collect();
                 client = client
                     .with_shards(HashRing::new(shards as u32, DEFAULT_VNODES), servers)
-                    .with_fid_client((zk_servers + n_backends + 1 + p) as u64);
+                    .with_fid_client(client_id(zk_servers, n_backends, p));
             }
             let added = sim.add_node(client);
             assert_eq!(added, node);

@@ -139,7 +139,10 @@ impl StoreTarget for TcpTarget {
 
 /// Striping data-path client over `N` targets.
 pub struct StoreClient {
-    targets: Vec<Box<dyn StoreTarget>>,
+    /// `None` once the target's transport has failed: a reply to a request
+    /// already sent may still arrive on it (a receive that timed out is not
+    /// a hang-up) and would answer the wrong call, so it is never used again.
+    targets: Vec<Option<Box<dyn StoreTarget>>>,
     stripe_size: usize,
     mapping: Md5Mapping,
     seq: u64,
@@ -151,6 +154,7 @@ impl StoreClient {
         assert!(!targets.is_empty(), "need at least one target");
         assert!(stripe_size >= 1, "stripe size must be positive");
         let n = targets.len();
+        let targets = targets.into_iter().map(Some).collect();
         StoreClient { targets, stripe_size, mapping: Md5Mapping::new(n), seq: 0 }
     }
 
@@ -210,7 +214,9 @@ impl StoreClient {
     /// awaited, then replies are collected per target in FIFO order and
     /// handed to `sink` with their request index. Every reply that was
     /// asked for is drained even after a failure — a reply left queued
-    /// would answer the *next* call — and the first error is returned.
+    /// would answer the *next* call — and the first error is returned. A
+    /// target whose transport fails is dropped, and every later request to
+    /// it fails at once with `Net(Closed)`.
     fn exchange<'d>(
         &mut self,
         n: usize,
@@ -223,7 +229,13 @@ impl StoreClient {
         let mut first_err = None;
         for i in 0..n {
             let (t, op) = op(i);
-            if let Err(e) = self.targets[t].submit(&StoreReq { seq: base + i as u64, op }) {
+            let req = StoreReq { seq: base + i as u64, op };
+            let submitted = match self.targets[t].as_mut() {
+                Some(target) => target.submit(&req),
+                None => Err(NetError::Closed.into()),
+            };
+            if let Err(e) = submitted {
+                self.targets[t] = None;
                 first_err = Some(e);
                 break;
             }
@@ -232,7 +244,8 @@ impl StoreClient {
         for t in 0..self.targets.len() {
             for i in (0..sent.len()).filter(|&i| sent[i] == t) {
                 let want = base + i as u64;
-                let result = match self.targets[t].recv() {
+                let Some(target) = self.targets[t].as_mut() else { break };
+                let result = match target.recv() {
                     Ok(frame) => match StoreRep::decode(&frame) {
                         Err(e) => Err(StoreError::Protocol(e.to_string())),
                         Ok(StoreRep { seq, .. }) if seq != want => Err(StoreError::Protocol(
@@ -243,9 +256,8 @@ impl StoreClient {
                         }
                         Ok(StoreRep { body, .. }) => sink(i, body),
                     },
-                    // The transport is gone: nothing more will come from
-                    // this target, and nothing is left queued on it.
                     Err(e) => {
+                        self.targets[t] = None;
                         first_err.get_or_insert(e);
                         break;
                     }
@@ -482,6 +494,43 @@ mod tests {
         let mut back = vec![0u8; 64];
         c.read_into(fid, 0, &mut back).unwrap();
         assert_eq!(back, data);
+    }
+
+    /// A target whose first `recv` times out; the reply it was waiting for
+    /// arrives afterwards and is what any later `recv` would deliver.
+    struct LateReply {
+        inner: LocalTarget<MemEngine>,
+        timed_out: bool,
+    }
+
+    impl StoreTarget for LateReply {
+        fn submit(&mut self, req: &StoreReq<'_>) -> Result<(), StoreError> {
+            self.inner.submit(req)
+        }
+        fn recv(&mut self) -> Result<Vec<u8>, StoreError> {
+            if !std::mem::replace(&mut self.timed_out, true) {
+                return Err(NetError::Closed.into());
+            }
+            self.inner.recv()
+        }
+    }
+
+    #[test]
+    fn a_timed_out_target_is_dead_not_one_reply_behind() {
+        let engine = Arc::new(Mutex::new(MemEngine::new()));
+        let late = LateReply { inner: LocalTarget::new(engine), timed_out: false };
+        let mut c = StoreClient::new(vec![Box::new(late)], 8);
+        let fid = Fid::new(1, 6);
+        assert!(matches!(c.write(fid, 0, b"first"), Err(StoreError::Net(_))));
+        // The first write's reply is still queued on the target. Served to
+        // the second call it reads "got seq 1 want 2", and every call after
+        // that is one reply behind in the same way.
+        for _ in 0..2 {
+            match c.write(fid, 0, b"again") {
+                Err(StoreError::Net(_)) => {}
+                other => panic!("want Net, got {other:?}"),
+            }
+        }
     }
 
     #[test]

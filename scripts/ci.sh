@@ -62,6 +62,16 @@ if [ "$mains" -ne 1 ] || [ "$args" -ne 1 ] || [ "$writers" -ne 0 ]; then
 fi
 echo "==> one bench harness: 1 fn main, 1 env::args, 0 fn write_json under crates/bench/src"
 
+# One live mdtest client: every live run drives `Dufs`, which mints the FIDs
+# and issues the znode requests. A raw znode request or a path-derived FID in
+# the live driver is the second client growing back beside it.
+if grep -rnE 'ZkRequest::(Create|Delete|Exists)|fid_for_path' \
+    crates/mdtest/src/live.rs crates/mdtest/src/data.rs crates/mdtest/src/bin >&2; then
+    echo "FAIL: the live mdtest driver bypasses Dufs (lines above)" >&2
+    exit 1
+fi
+echo "==> one live mdtest client: no raw znode requests or path-derived FIDs in the live driver"
+
 echo "==> cargo build --release"
 cargo build --release
 
@@ -99,53 +109,32 @@ cargo test -q --release -p dufs-wal -p dufs-coord
 echo "==> cargo test -q --release -p dufs-net crc"
 cargo test -q --release -p dufs-net crc
 
-# Live mdtest digest-parity matrix. Every row runs the same deterministic
-# op streams through `mdtest_sim --live` in a different client-stack shape
-# and must land on the digest of its reference row — a wrong invalidation
-# rule, routing bug or lost write shows up as a mismatch.
-#
-#   parity <label> <reference-digest|-> -- <mdtest_sim args…>
-#
-# prints the run's digest line to stderr and leaves it in $digest; with a
-# reference other than "-" it fails the build unless the two are equal.
+# The Dufs stack matrix (tests/sim_vs_live.rs) again, optimised: the mdtest
+# op streams through one `Dufs` client and one thread per process over
+# SoloCoord, {thread, tcp} x {leader, spread} x {no cache, private, shared},
+# tcp durable, {thread, tcp} x {1, 2 shards} x {no cache, shared} and two
+# mixed metadata+data cells, every cell held to the simulated run's digest.
+echo "==> cargo test -q --release --test sim_vs_live (Dufs stack matrix)"
+cargo test -q --release --test sim_vs_live
+
+# The human-facing runner over the same driver: two live shapes must exit 0
+# and print the replicated digest of the plain simulated run with the same
+# --procs/--items/--zk/--backends. (After all six phases that digest covers
+# the emptied tree — the roots and their child-version counters; the
+# populated tree is what the matrix above compares.)
 cargo build --release -p dufs-mdtest --bin mdtest_sim
-parity() {
-    local label=$1 reference=$2
-    shift 3
-    digest=$(target/release/mdtest_sim "$@" | grep -o 'digest 0x[0-9a-f]*' | head -n1 || true)
-    if [ -z "$digest" ] || { [ "$reference" != "-" ] && [ "$digest" != "$reference" ]; }; then
-        echo "FAIL: $label: ${digest:-no digest} (reference: $reference)" >&2
+echo "==> mdtest_sim --live smoke runs against the simulated digest"
+d_sim=""
+for run in "" "--live tcp --durable --cache-shared" \
+           "--live tcp --data 700 --stripe 256 --zipf 0.9"; do
+    digest=$(target/release/mdtest_sim $run --procs 4 --items 8 --zk 3 --backends 3 |
+        grep -o 'replicated digest 0x[0-9a-f]*') || digest=""
+    if [ -z "$digest" ] || [ "$digest" != "${d_sim:=$digest}" ]; then
+        echo "FAIL: mdtest_sim $run: ${digest:-no digest} (simulated: $d_sim)" >&2
         exit 1
     fi
-    echo "    $label: $digest" >&2
-}
-echo "==> mdtest live digest-parity matrix"
-base="--procs 4 --items 10 --zk 3"
-spread="$base --read-from spread --consistency sync"
-# Reference: in-process channels, sessions at the leader.
-parity "thread" - -- --live thread $base
-d_thread=$digest
-# Durable loopback sockets must converge on the identical namespace.
-parity "tcp --durable" "$d_thread" -- --live tcp --durable --net-stats $base
-# Follower reads: each process's session pinned to a DIFFERENT member
-# (replica-local reads under SyncThenLocal) must not perturb the namespace.
-parity "tcp spread" "$d_thread" -- --live tcp $spread
-# Every session behind a private dufs-cache (leases on): leader-pinned on
-# threads, and on TCP spread across followers — the placement where stale
-# cache entries would actually diverge.
-parity "thread --cache" "$d_thread" -- --live thread $base --cache
-parity "tcp spread --cache" "$d_thread" -- --live tcp $spread --cache
-# Every session attached to ONE process-shared cache: a wrong
-# ownership/freshness rule or a missed cross-session eviction diverges here
-# even when the private-cache rows stay clean.
-parity "thread --cache-shared" "$d_thread" -- --live thread $base --cache-shared
-parity "tcp spread --cache-shared" "$d_thread" -- --live tcp $spread --cache-shared
-# Sharding: two independent single-voter ensembles behind the hash ring must
-# build the same user-visible namespace as one (the digest is the
-# owner-verified logical namespace, shard config znodes excluded).
-sharded="--procs 4 --items 10 --zk 1"
-parity "1 shard" - -- --live thread $sharded --shards 1
-parity "2 shards" "$digest" -- --live thread $sharded --shards 2
+    echo "    ${run:-simulated}: $digest"
+done
 
 # Sim-level cache-on/off parity (Cached over the in-process coordinator):
 # the same mutation workload through a cached and an uncached connection
@@ -154,12 +143,6 @@ parity "2 shards" "$digest" -- --live thread $sharded --shards 2
 # explicit and fails loudly on its own line.
 echo "==> sim cache parity (dufs-core cache:: tests)"
 cargo test -q --release -p dufs-core cache::
-
-# The Dufs stack matrix (tests/sim_vs_live.rs) again, optimised: the same
-# POSIX op streams through `Dufs` over SoloCoord, {thread, tcp} × {no cache,
-# private, shared} and {thread, tcp} × {1, 2 shards} × {no cache, shared}.
-echo "==> cargo test -q --release --test sim_vs_live (Dufs stack matrix)"
-cargo test -q --release --test sim_vs_live
 
 # Data-path gate: the release store suite runs the torn-write/stripe-
 # layout proptests, the TCP e2e, and the out-of-process data-server
@@ -174,23 +157,6 @@ echo "==> cargo build --release -p dufs-store --bin store_server"
 cargo build --release -p dufs-store --bin store_server
 echo "==> cargo test -q --release -p dufs-store (incl. golden + kill9_store)"
 cargo test -q --release -p dufs-store
-
-# Mixed metadata+data digest parity: with --data every file create also
-# stripes path-derived contents across the data targets and every stat
-# read-back-verifies the per-FID CRC. The read-back contents digest must
-# be identical on the simulated path (in-memory targets), the thread
-# runtime (shared in-memory targets), and real TCP store servers over
-# durable file-backed targets with group fsync.
-echo "==> mdtest mixed data digest parity (sim vs thread vs tcp)"
-dd_args="--procs 4 --items 8 --zk 3 --backends 3 --data 700 --stripe 256 --zipf 0.9"
-dd_sim=$(target/release/mdtest_sim $dd_args | grep -o 'data digest 0x[0-9a-f]*')
-dd_thread=$(target/release/mdtest_sim --live thread $dd_args | grep -o 'data digest 0x[0-9a-f]*')
-dd_tcp=$(target/release/mdtest_sim --live tcp $dd_args | grep -o 'data digest 0x[0-9a-f]*')
-if [ "$dd_sim" != "$dd_thread" ] || [ "$dd_sim" != "$dd_tcp" ] || [ -z "$dd_sim" ]; then
-    echo "FAIL: mixed data digest mismatch (sim: ${dd_sim:-none}, thread: ${dd_thread:-none}, tcp: ${dd_tcp:-none})" >&2
-    exit 1
-fi
-echo "    parity OK: $dd_sim"
 
 # Every experiment with a smoke gate, reduced: 1->4-target parallel reads
 # scale >= 2x over file-backed targets (data); 1-vs-2-shard simulated runs

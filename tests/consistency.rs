@@ -5,7 +5,7 @@
 use std::time::Duration;
 
 use dufs_repro::backendfs::ParallelFs;
-use dufs_repro::coord::{ClientOptions, ClusterBuilder, ThreadCluster};
+use dufs_repro::coord::{ClientOptions, ClusterBuilder, ClusterHandle, ThreadCluster};
 use dufs_repro::core::services::LocalBackends;
 use dufs_repro::core::vfs::Dufs;
 
@@ -18,15 +18,7 @@ fn serial() -> std::sync::MutexGuard<'static, ()> {
 }
 
 fn wait_converged(cluster: &ThreadCluster) {
-    let deadline = std::time::Instant::now() + Duration::from_secs(10);
-    loop {
-        let statuses: Vec<_> = (0..cluster.len()).map(|i| cluster.status(i)).collect();
-        if statuses.windows(2).all(|w| w[0].digest == w[1].digest) {
-            return;
-        }
-        assert!(std::time::Instant::now() < deadline, "replicas failed to converge");
-        std::thread::sleep(Duration::from_millis(100));
-    }
+    cluster.converged(Duration::from_secs(10)).expect("replicas failed to converge");
 }
 
 #[test]
