@@ -7,7 +7,7 @@
 //! added (every follower adds propose/ack/commit work at the leader), while
 //! read throughput *scales out* (each server answers reads locally).
 
-use dufs_mdtest::scenario::{run_zk_raw, RawOp};
+use dufs_mdtest::scenario::{run_zk_raw, RawOp, RawTuning};
 
 use crate::{fmt_ops, Report, Scale, Value};
 
@@ -30,7 +30,7 @@ pub fn run(scale: Scale) -> Report {
         for p in scale.process_counts() {
             let mut row = vec![p.into()];
             for (i, &s) in servers.iter().enumerate() {
-                let x = run_zk_raw(s, p, op, items, 42);
+                let x = run_zk_raw(s, 0, p, op, items, 42, RawTuning::default()).ops_per_sec;
                 peak[i] = peak[i].max(x);
                 row.push(Value::ops(x));
             }

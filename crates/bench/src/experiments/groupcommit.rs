@@ -8,7 +8,7 @@
 //! the same ensemble. The baseline cells ARE the paper's configuration —
 //! they reproduce Fig 7a unchanged.
 
-use dufs_mdtest::scenario::{run_zk_raw_tuned, RawOp, RawTuning};
+use dufs_mdtest::scenario::{run_zk_raw, RawOp, RawTuning};
 use dufs_zab::ZabConfig;
 
 use crate::{Report, Scale, Value};
@@ -45,7 +45,7 @@ pub fn run(scale: Scale) -> Report {
             for depth in [1usize, 4, 8] {
                 let tuning =
                     RawTuning { zab: ZabConfig::batched(batch, 1), depth, ..RawTuning::default() };
-                let r = run_zk_raw_tuned(servers, 0, procs, RawOp::Create, items, 42, tuning);
+                let r = run_zk_raw(servers, 0, procs, RawOp::Create, items, 42, tuning);
                 let speedup = r.ops_per_sec / *baseline.get_or_insert(r.ops_per_sec);
                 if (batch, depth) != (1, 1) && r.ops_per_sec >= best.0 {
                     best = (r.ops_per_sec, speedup, batch, depth);

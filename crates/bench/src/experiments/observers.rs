@@ -8,7 +8,7 @@
 //! This bench holds the voter count at 3 and sweeps observers, against the
 //! paper's approach of growing the voting ensemble.
 
-use dufs_mdtest::scenario::{run_zk_raw_observers, RawOp};
+use dufs_mdtest::scenario::{run_zk_raw, RawOp, RawTuning};
 
 use crate::{fmt_ops, Report, Scale, Value};
 
@@ -19,7 +19,9 @@ pub fn run(scale: Scale) -> Report {
     let mut report = Report::new(format!("Observer ablation ({procs} client processes)"), scale);
     // (create, get) throughput of `voters` voting servers plus `observers`.
     let cell = |voters, observers| {
-        let run = |op| run_zk_raw_observers(voters, observers, procs, op, items, 3);
+        let run = |op| {
+            run_zk_raw(voters, observers, procs, op, items, 3, RawTuning::default()).ops_per_sec
+        };
         (run(RawOp::Create), run(RawOp::Get))
     };
 

@@ -16,7 +16,7 @@
 
 use std::time::Instant;
 
-use dufs_mdtest::scenario::{run_zk_raw, run_zk_raw_tuned, RawOp, RawTuning};
+use dufs_mdtest::scenario::{run_zk_raw, RawOp, RawTuning};
 use dufs_mdtest::ScratchDir;
 use dufs_wal::{FileStorage, Wal, WalConfig};
 use dufs_zab::ZabConfig;
@@ -51,7 +51,7 @@ fn sim_sweep(report: &mut Report, procs: usize, items: usize) {
         ("durable, batch 64", true, 64),
     ] {
         let tuning = RawTuning { zab: ZabConfig::batched(batch, 1), depth: 1, durable };
-        let r = run_zk_raw_tuned(SERVERS, 0, procs, RawOp::Create, items, 42, tuning);
+        let r = run_zk_raw(SERVERS, 0, procs, RawOp::Create, items, 42, tuning);
         ops.push(r.ops_per_sec);
         report.row(vec![
             label.into(),
@@ -68,7 +68,8 @@ fn sim_sweep(report: &mut Report, procs: usize, items: usize) {
 
     // The durability layer must be invisible when off: the tuned batch-1
     // in-memory run IS the figure-7 run.
-    let fig7 = run_zk_raw(SERVERS, procs, RawOp::Create, items, 42);
+    let fig7 =
+        run_zk_raw(SERVERS, 0, procs, RawOp::Create, items, 42, RawTuning::default()).ops_per_sec;
     report.gate(
         "in-memory batch-1 cell bit-identical to run_zk_raw",
         inmem.to_bits() == fig7.to_bits(),

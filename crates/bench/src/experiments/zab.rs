@@ -8,7 +8,7 @@
 //! the number of servers.
 
 use dufs_mdtest::costs;
-use dufs_mdtest::scenario::{run_zk_raw, run_zk_raw_detailed, RawOp};
+use dufs_mdtest::scenario::{run_zk_raw, RawOp, RawTuning};
 
 use crate::{Report, Scale, Value};
 
@@ -32,8 +32,8 @@ pub fn run(scale: Scale) -> Report {
         ],
     );
     for n in [1usize, 2, 3, 4, 5, 8] {
-        let detail = run_zk_raw_detailed(n, 0, procs, RawOp::Create, items, 21);
-        let get = run_zk_raw(n, procs, RawOp::Get, items, 21);
+        let run = |op| run_zk_raw(n, 0, procs, op, items, 21, RawTuning::default());
+        let (detail, get) = (run(RawOp::Create), run(RawOp::Get).ops_per_sec);
         // Closed-form model (same constants as the simulator's cost model).
         let t_write = costs::ZK_WRITE_BASE_US
             + 2.0 * costs::ZK_CLIENT_MSG_US

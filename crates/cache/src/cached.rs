@@ -73,9 +73,10 @@ use bytes::Bytes;
 
 use dufs_coord::server::LEASE_MS;
 use dufs_coord::{CoordService, LeaseGrant, ReadConsistency, ZkRequest, ZkResponse};
+use dufs_zkstore::path::{self as zkpath, parent};
 use dufs_zkstore::{CreateMode, MultiOp, MultiResult, Stat, ZkError};
 
-use crate::shared::{parent, CacheRef, Lookup, SharedCache, DEFAULT_SHARED_MAX_AGE};
+use crate::shared::{CacheRef, Lookup, SharedCache, DEFAULT_SHARED_MAX_AGE};
 use crate::CacheStats;
 
 /// Cache construction knobs — one shape for private and shared caches.
@@ -552,8 +553,7 @@ impl<S: CoordService> Cached<S> {
                 let names = entries.iter().map(|(n, _, _)| n.clone()).collect();
                 self.cache.put_children(path, names, *stat);
                 for (name, data, cstat) in entries {
-                    let child =
-                        if path == "/" { format!("/{name}") } else { format!("{path}/{name}") };
+                    let child = zkpath::join(path, name);
                     self.cache.put_data(&child, data.clone(), *cstat);
                 }
                 self.cache.stats_mut().bulk_warms += 1;
@@ -732,12 +732,8 @@ impl<S: CoordService> CoordService for Cached<S> {
             ZkRequest::Multi { ref ops } => {
                 let paths: Vec<String> = ops
                     .iter()
-                    .filter_map(|op| match op {
-                        MultiOp::Create { path, .. }
-                        | MultiOp::Delete { path, .. }
-                        | MultiOp::SetData { path, .. } => Some(path.clone()),
-                        MultiOp::Check { .. } => None,
-                    })
+                    .filter(|op| !matches!(op, MultiOp::Check { .. }))
+                    .map(|op| op.path().to_string())
                     .collect();
                 let resp = self.inner.request(req);
                 for path in &paths {

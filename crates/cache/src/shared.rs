@@ -58,6 +58,7 @@ use parking_lot::Mutex;
 
 use dufs_coord::server::{LEASE_MARGIN_MS, LEASE_MS};
 use dufs_coord::WatchNotification;
+use dufs_zkstore::path::parent;
 use dufs_zkstore::Stat;
 
 use crate::cached::CacheOptions;
@@ -84,19 +85,6 @@ struct Entry<V> {
 impl<V> Entry<V> {
     fn new(v: V, owner: u64) -> Self {
         Entry { v, owner, installed: Instant::now() }
-    }
-}
-
-/// Parent directory of a znode path (`/a/b` → `/a`, `/a` → `/`); `None`
-/// for the root itself.
-pub(crate) fn parent(path: &str) -> Option<&str> {
-    if path == "/" {
-        return None;
-    }
-    match path.rfind('/') {
-        Some(0) => Some("/"),
-        Some(i) => Some(&path[..i]),
-        None => None,
     }
 }
 
@@ -534,14 +522,6 @@ mod tests {
 
     fn note(path: &str, event: dufs_coord::watch::WatchEventKind) -> WatchNotification {
         WatchNotification { path: path.into(), event }
-    }
-
-    #[test]
-    fn parent_paths() {
-        assert_eq!(parent("/"), None);
-        assert_eq!(parent("/a"), Some("/"));
-        assert_eq!(parent("/a/b"), Some("/a"));
-        assert_eq!(parent("/a/b/c"), Some("/a/b"));
     }
 
     // ---- the private (one owner, one lock shard) face of the store

@@ -1,15 +1,16 @@
 //! The coordination-server event loop, written once for both live
 //! runtimes.
 //!
-//! A live server is a [`CoordServer`] state machine plus whatever moves its
-//! inputs and outputs: crossbeam channels in [`crate::runtime::ThreadCluster`],
-//! `dufs-net` connections in [`crate::tcp::TcpServer`]. Everything between —
-//! recovering the state machine from its WAL, the timer wheel under
-//! [`TIME_DILATION`], feeding [`ServerIn`]s, dispatching [`ServerOut`]s,
-//! crash/restart gating and the [`ServerStatus`] probe — is [`run`], generic
-//! over the [`Host`] that does the moving. (The `dufs-mdtest` simulator drives
-//! the same state machine under virtual time and charges modelled CPU per
-//! output; it is a different driver, not a third copy.)
+//! A live server is a [`CoordServer`] state machine (DESIGN.md, "Anatomy of
+//! `CoordServer`") plus whatever moves its inputs and outputs: channels in
+//! [`crate::runtime::ThreadCluster`], `dufs-net` connections in
+//! [`crate::tcp::TcpServer`]. Everything between — recovering the state
+//! machine from its WAL, the timer wheel under [`TIME_DILATION`], feeding
+//! [`ServerIn`]s, dispatching [`ServerOut`]s, crash/restart gating and the
+//! [`ServerStatus`] probe — is [`run`], generic over the [`Host`] that does
+//! the moving. (The `dufs-mdtest` simulator drives the same state machine
+//! under virtual time and charges modelled CPU per output; it is a different
+//! driver, not a third copy.)
 
 use std::path::PathBuf;
 use std::time::{Duration, Instant};

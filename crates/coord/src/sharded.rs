@@ -453,7 +453,7 @@ impl<T: ClientTransport> ShardedClient<T> {
             Err(e) => return Err(e),
         };
         for k in kids {
-            let child = if path == "/" { format!("/{k}") } else { format!("{path}/{k}") };
+            let child = zkpath::join(path, &k);
             Self::purge_local_subtree(c, &child)?;
             match c.delete(&child, None) {
                 Ok(()) | Err(ZkError::NoNode) => {}
@@ -592,13 +592,7 @@ impl<T: ClientTransport> ShardedClient<T> {
     fn slice_by_shard(&self, ops: Vec<MultiOp>) -> Vec<(usize, Vec<MultiOp>)> {
         let mut slices: Vec<(usize, Vec<MultiOp>)> = Vec::new();
         for op in ops {
-            let path = match &op {
-                MultiOp::Create { path, .. }
-                | MultiOp::Delete { path, .. }
-                | MultiOp::SetData { path, .. }
-                | MultiOp::Check { path, .. } => path.as_str(),
-            };
-            let s = self.route(path);
+            let s = self.route(op.path());
             match slices.iter_mut().find(|(k, _)| *k == s) {
                 Some((_, v)) => v.push(op),
                 None => slices.push((s, vec![op])),
@@ -823,7 +817,7 @@ impl<T: ClientTransport> ShardedClient<T> {
                     Err(e) => return Err(e),
                 };
                 for k in kids {
-                    let child = if p == "/" { format!("/{k}") } else { format!("{p}/{k}") };
+                    let child = zkpath::join(&p, &k);
                     if is_internal_path(&child) {
                         continue;
                     }

@@ -12,7 +12,11 @@ use dufs_net::{put_blob, put_str, WireCursor, WireError};
 use dufs_zab::PeerId;
 use dufs_zkstore::{CreateMode, MultiOp, ZkError, ZkResult};
 
-use crate::wire::{get_opt_u32, mode_byte, mode_from, put_opt_u32};
+use crate::api::ZkRequest;
+use crate::wire::{
+    get_bytes, get_multi_ops, get_opt_u32, get_u32s, mode_byte, mode_from, put_multi_ops,
+    put_opt_u32, put_u32s, ModeCodec,
+};
 
 /// The mutation kinds that get replicated.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -100,6 +104,37 @@ pub enum TxnOp {
     },
 }
 
+impl TxnOp {
+    /// The operation replicated for a client mutation that maps onto one
+    /// 1:1 (`session` is the requesting session, for `CloseSession`).
+    /// `None` for the requests that do not: reads, and `Sync` and `Connect`,
+    /// whose ops (a coalescible no-op, a freshly minted session id) the
+    /// server makes up itself.
+    pub fn from_request(req: ZkRequest, session: u64) -> Option<TxnOp> {
+        Some(match req {
+            ZkRequest::Create { path, data, mode } => TxnOp::Create { path, data, mode },
+            ZkRequest::Delete { path, version } => TxnOp::Delete { path, version },
+            ZkRequest::SetData { path, data, version } => TxnOp::SetData { path, data, version },
+            ZkRequest::Multi { ops } => TxnOp::Multi { ops },
+            ZkRequest::CreatePath { path, data, mode } => TxnOp::CreatePath { path, data, mode },
+            ZkRequest::CloseSession => TxnOp::CloseSession { session },
+            ZkRequest::TxnPrepare { txn_id, ops, participants } => {
+                TxnOp::Prepare2pc { txn_id, ops, participants }
+            }
+            ZkRequest::TxnCommit { txn_id } => TxnOp::Commit2pc { txn_id },
+            ZkRequest::TxnAbort { txn_id } => TxnOp::Abort2pc { txn_id },
+            ZkRequest::GetData { .. }
+            | ZkRequest::Exists { .. }
+            | ZkRequest::GetChildren { .. }
+            | ZkRequest::GetChildrenData { .. }
+            | ZkRequest::WarmChildren { .. }
+            | ZkRequest::Ping
+            | ZkRequest::Sync { .. }
+            | ZkRequest::Connect => return None,
+        })
+    }
+}
+
 /// One replicated transaction.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Txn {
@@ -129,63 +164,7 @@ pub struct Txn {
 
 /// The log stores a create mode as the wire codec's byte minus one: the
 /// record format predates the wire rule that discriminants start at 1.
-fn put_mode(buf: &mut Vec<u8>, m: CreateMode) {
-    buf.push(mode_byte(m) - 1);
-}
-
-fn get_mode(c: &mut WireCursor<'_>) -> Result<CreateMode, WireError> {
-    mode_from(c.u8()?.wrapping_add(1))
-}
-
-fn put_multi_ops(buf: &mut Vec<u8>, ops: &[MultiOp]) {
-    buf.extend_from_slice(&(ops.len() as u32).to_le_bytes());
-    for op in ops {
-        match op {
-            MultiOp::Create { path, data, mode } => {
-                buf.push(1);
-                put_str(buf, path);
-                put_blob(buf, data);
-                put_mode(buf, *mode);
-            }
-            MultiOp::Delete { path, version } => {
-                buf.push(2);
-                put_str(buf, path);
-                put_opt_u32(buf, *version);
-            }
-            MultiOp::SetData { path, data, version } => {
-                buf.push(3);
-                put_str(buf, path);
-                put_blob(buf, data);
-                put_opt_u32(buf, *version);
-            }
-            MultiOp::Check { path, version } => {
-                buf.push(4);
-                put_str(buf, path);
-                put_opt_u32(buf, *version);
-            }
-        }
-    }
-}
-
-fn get_bytes(c: &mut WireCursor<'_>) -> Result<Bytes, WireError> {
-    Ok(Bytes::copy_from_slice(c.blob()?))
-}
-
-fn get_multi_ops(c: &mut WireCursor<'_>) -> Result<Vec<MultiOp>, WireError> {
-    // Sanity-bound before allocating: each op costs ≥2 bytes.
-    let n = c.count(2)?;
-    let mut ops = Vec::with_capacity(n);
-    for _ in 0..n {
-        ops.push(match c.u8()? {
-            1 => MultiOp::Create { path: c.str()?, data: get_bytes(c)?, mode: get_mode(c)? },
-            2 => MultiOp::Delete { path: c.str()?, version: get_opt_u32(c)? },
-            3 => MultiOp::SetData { path: c.str()?, data: get_bytes(c)?, version: get_opt_u32(c)? },
-            4 => MultiOp::Check { path: c.str()?, version: get_opt_u32(c)? },
-            t => return Err(WireError::BadTag(t)),
-        });
-    }
-    Ok(ops)
-}
+const LOG_MODE: ModeCodec = (|m| mode_byte(m) - 1, |b| mode_from(b.wrapping_add(1)));
 
 impl Txn {
     /// Serialize for the write-ahead log.
@@ -200,7 +179,7 @@ impl Txn {
                 buf.push(1);
                 put_str(&mut buf, path);
                 put_blob(&mut buf, data);
-                put_mode(&mut buf, *mode);
+                buf.push(LOG_MODE.0(*mode));
             }
             TxnOp::Delete { path, version } => {
                 buf.push(2);
@@ -215,7 +194,7 @@ impl Txn {
             }
             TxnOp::Multi { ops } => {
                 buf.push(4);
-                put_multi_ops(&mut buf, ops);
+                put_multi_ops(&mut buf, ops, LOG_MODE);
             }
             TxnOp::CreateSession { session } => {
                 buf.push(5);
@@ -230,16 +209,13 @@ impl Txn {
                 buf.push(8);
                 put_str(&mut buf, path);
                 put_blob(&mut buf, data);
-                put_mode(&mut buf, *mode);
+                buf.push(LOG_MODE.0(*mode));
             }
             TxnOp::Prepare2pc { txn_id, ops, participants } => {
                 buf.push(9);
                 buf.extend_from_slice(&txn_id.to_le_bytes());
-                put_multi_ops(&mut buf, ops);
-                buf.extend_from_slice(&(participants.len() as u32).to_le_bytes());
-                for p in participants {
-                    buf.extend_from_slice(&p.to_le_bytes());
-                }
+                put_multi_ops(&mut buf, ops, LOG_MODE);
+                put_u32s(&mut buf, participants);
             }
             TxnOp::Commit2pc { txn_id } => {
                 buf.push(10);
@@ -267,24 +243,23 @@ impl Txn {
         let tag = c.u64()?;
         let time_ns = c.u64()?;
         let op = match c.u8()? {
-            1 => TxnOp::Create { path: c.str()?, data: get_bytes(c)?, mode: get_mode(c)? },
+            1 => TxnOp::Create { path: c.str()?, data: get_bytes(c)?, mode: LOG_MODE.1(c.u8()?)? },
             2 => TxnOp::Delete { path: c.str()?, version: get_opt_u32(c)? },
             3 => TxnOp::SetData { path: c.str()?, data: get_bytes(c)?, version: get_opt_u32(c)? },
-            4 => TxnOp::Multi { ops: get_multi_ops(c)? },
+            4 => TxnOp::Multi { ops: get_multi_ops(c, LOG_MODE)? },
             5 => TxnOp::CreateSession { session: c.u64()? },
             6 => TxnOp::CloseSession { session: c.u64()? },
             7 => TxnOp::Noop,
-            8 => TxnOp::CreatePath { path: c.str()?, data: get_bytes(c)?, mode: get_mode(c)? },
-            9 => {
-                let txn_id = c.u64()?;
-                let ops = get_multi_ops(c)?;
-                let n = c.count(4)?;
-                let mut participants = Vec::with_capacity(n);
-                for _ in 0..n {
-                    participants.push(c.u32()?);
-                }
-                TxnOp::Prepare2pc { txn_id, ops, participants }
-            }
+            8 => TxnOp::CreatePath {
+                path: c.str()?,
+                data: get_bytes(c)?,
+                mode: LOG_MODE.1(c.u8()?)?,
+            },
+            9 => TxnOp::Prepare2pc {
+                txn_id: c.u64()?,
+                ops: get_multi_ops(c, LOG_MODE)?,
+                participants: get_u32s(c)?,
+            },
             10 => TxnOp::Commit2pc { txn_id: c.u64()? },
             11 => TxnOp::Abort2pc { txn_id: c.u64()? },
             t => return Err(WireError::BadTag(t)),

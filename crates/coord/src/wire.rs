@@ -144,49 +144,91 @@ fn err_from(b: u8) -> Result<ZkError, WireError> {
     })
 }
 
-fn put_multi_op(buf: &mut Vec<u8>, op: &MultiOp) {
-    match op {
-        MultiOp::Create { path, data, mode } => {
-            buf.push(1);
-            put_str(buf, path);
-            put_blob(buf, data);
-            buf.push(mode_byte(*mode));
-        }
-        MultiOp::Delete { path, version } => {
-            buf.push(2);
-            put_str(buf, path);
-            put_opt_u32(buf, *version);
-        }
-        MultiOp::SetData { path, data, version } => {
-            buf.push(3);
-            put_str(buf, path);
-            put_blob(buf, data);
-            put_opt_u32(buf, *version);
-        }
-        MultiOp::Check { path, version } => {
-            buf.push(4);
-            put_str(buf, path);
-            put_opt_u32(buf, *version);
+/// How a codec stores a create mode, and reads it back: the wire's byte
+/// ([`mode_byte`]/[`mode_from`]) or the log's (`crate::txn`).
+pub(crate) type ModeCodec = (fn(CreateMode) -> u8, fn(u8) -> Result<CreateMode, WireError>);
+
+/// The wire's [`ModeCodec`].
+const WIRE_MODE: ModeCodec = (mode_byte, mode_from);
+
+/// The ops of a multi or of a 2PC slice, length-prefixed.
+pub(crate) fn put_multi_ops(buf: &mut Vec<u8>, ops: &[MultiOp], mode: ModeCodec) {
+    buf.extend_from_slice(&(ops.len() as u32).to_le_bytes());
+    for op in ops {
+        match op {
+            MultiOp::Create { path, data, mode: m } => {
+                buf.push(1);
+                put_str(buf, path);
+                put_blob(buf, data);
+                buf.push(mode.0(*m));
+            }
+            MultiOp::Delete { path, version } => {
+                buf.push(2);
+                put_str(buf, path);
+                put_opt_u32(buf, *version);
+            }
+            MultiOp::SetData { path, data, version } => {
+                buf.push(3);
+                put_str(buf, path);
+                put_blob(buf, data);
+                put_opt_u32(buf, *version);
+            }
+            MultiOp::Check { path, version } => {
+                buf.push(4);
+                put_str(buf, path);
+                put_opt_u32(buf, *version);
+            }
         }
     }
 }
 
-fn get_multi_op(c: &mut WireCursor<'_>) -> Result<MultiOp, WireError> {
-    Ok(match c.u8()? {
-        1 => MultiOp::Create {
-            path: c.str()?,
-            data: Bytes::copy_from_slice(c.blob()?),
-            mode: mode_from(c.u8()?)?,
-        },
-        2 => MultiOp::Delete { path: c.str()?, version: get_opt_u32(c)? },
-        3 => MultiOp::SetData {
-            path: c.str()?,
-            data: Bytes::copy_from_slice(c.blob()?),
-            version: get_opt_u32(c)?,
-        },
-        4 => MultiOp::Check { path: c.str()?, version: get_opt_u32(c)? },
-        t => return Err(WireError::BadTag(t)),
-    })
+pub(crate) fn get_multi_ops(
+    c: &mut WireCursor<'_>,
+    mode: ModeCodec,
+) -> Result<Vec<MultiOp>, WireError> {
+    // Bound before allocating: an op is at least a tag and a path length.
+    let n = c.count(5)?;
+    let mut ops = Vec::with_capacity(n);
+    for _ in 0..n {
+        ops.push(match c.u8()? {
+            1 => MultiOp::Create { path: c.str()?, data: get_bytes(c)?, mode: mode.1(c.u8()?)? },
+            2 => MultiOp::Delete { path: c.str()?, version: get_opt_u32(c)? },
+            3 => MultiOp::SetData { path: c.str()?, data: get_bytes(c)?, version: get_opt_u32(c)? },
+            4 => MultiOp::Check { path: c.str()?, version: get_opt_u32(c)? },
+            t => return Err(WireError::BadTag(t)),
+        });
+    }
+    Ok(ops)
+}
+
+/// The participant shards of a 2PC slice, length-prefixed.
+pub(crate) fn put_u32s(buf: &mut Vec<u8>, v: &[u32]) {
+    buf.extend_from_slice(&(v.len() as u32).to_le_bytes());
+    for x in v {
+        buf.extend_from_slice(&x.to_le_bytes());
+    }
+}
+
+pub(crate) fn get_u32s(c: &mut WireCursor<'_>) -> Result<Vec<u32>, WireError> {
+    (0..c.count(4)?).map(|_| c.u32()).collect()
+}
+
+pub(crate) fn get_bytes(c: &mut WireCursor<'_>) -> Result<Bytes, WireError> {
+    Ok(Bytes::copy_from_slice(c.blob()?))
+}
+
+/// The `(name, data, stat)` entries of a batched directory listing.
+fn put_listing(buf: &mut Vec<u8>, entries: &[(String, Bytes, Stat)]) {
+    buf.extend_from_slice(&(entries.len() as u32).to_le_bytes());
+    for (name, data, stat) in entries {
+        put_str(buf, name);
+        put_blob(buf, data);
+        put_stat(buf, stat);
+    }
+}
+
+fn get_listing(c: &mut WireCursor<'_>) -> Result<Vec<(String, Bytes, Stat)>, WireError> {
+    (0..c.count(8)?).map(|_| Ok((c.str()?, get_bytes(c)?, get_stat(c)?))).collect()
 }
 
 fn put_multi_result(buf: &mut Vec<u8>, r: &MultiResult) {
@@ -222,6 +264,18 @@ fn put_txn(buf: &mut Vec<u8>, t: &Txn) {
 
 fn get_txn(c: &mut WireCursor<'_>) -> Result<Txn, WireError> {
     Txn::decode(c.blob()?).map_err(|_| WireError::Invalid("malformed txn record"))
+}
+
+/// The transactions of one proposal batch.
+fn put_txns(buf: &mut Vec<u8>, txns: &[Txn]) {
+    buf.extend_from_slice(&(txns.len() as u32).to_le_bytes());
+    for t in txns {
+        put_txn(buf, t);
+    }
+}
+
+fn get_txns(c: &mut WireCursor<'_>) -> Result<Vec<Txn>, WireError> {
+    (0..c.count(4)?).map(|_| get_txn(c)).collect()
 }
 
 fn put_vote(buf: &mut Vec<u8>, v: &Vote) {
@@ -311,10 +365,7 @@ pub fn put_zab_msg(msg: &ZabMsg<Txn>, buf: &mut Vec<u8>) {
             ZabMsg::Propose { zxid, txns } => {
                 buf.push(6);
                 put_zxid(buf, *zxid);
-                buf.extend_from_slice(&(txns.len() as u32).to_le_bytes());
-                for t in txns {
-                    put_txn(buf, t);
-                }
+                put_txns(buf, txns);
             }
             ZabMsg::Ack { zxid } => {
                 buf.push(7);
@@ -327,10 +378,7 @@ pub fn put_zab_msg(msg: &ZabMsg<Txn>, buf: &mut Vec<u8>) {
             ZabMsg::Inform { zxid, txns } => {
                 buf.push(9);
                 put_zxid(buf, *zxid);
-                buf.extend_from_slice(&(txns.len() as u32).to_le_bytes());
-                for t in txns {
-                    put_txn(buf, t);
-                }
+                put_txns(buf, txns);
             }
             ZabMsg::Ping { epoch, commit_to } => {
                 buf.push(10);
@@ -355,7 +403,7 @@ pub fn get_zab_msg(c: &mut WireCursor<'_>) -> Result<ZabMsg<Txn>, WireError> {
                 epoch: c.u32()?,
                 snapshot: if c.bool()? {
                     let z = get_zxid(c)?;
-                    Some((z, Bytes::copy_from_slice(c.blob()?)))
+                    Some((z, get_bytes(c)?))
                 } else {
                     None
                 },
@@ -370,29 +418,13 @@ pub fn get_zab_msg(c: &mut WireCursor<'_>) -> Result<ZabMsg<Txn>, WireError> {
                 seq: c.u32()?,
                 total: c.u32()?,
                 crc: c.u32()?,
-                data: Bytes::copy_from_slice(c.blob()?),
+                data: get_bytes(c)?,
             },
             5 => ZabMsg::AckSync { epoch: c.u32()? },
-            6 => {
-                let zxid = get_zxid(c)?;
-                let n = c.count(4)?;
-                let mut txns = Vec::with_capacity(n);
-                for _ in 0..n {
-                    txns.push(get_txn(c)?);
-                }
-                ZabMsg::Propose { zxid, txns }
-            }
+            6 => ZabMsg::Propose { zxid: get_zxid(c)?, txns: get_txns(c)? },
             7 => ZabMsg::Ack { zxid: get_zxid(c)? },
             8 => ZabMsg::Commit { zxid: get_zxid(c)? },
-            9 => {
-                let zxid = get_zxid(c)?;
-                let n = c.count(4)?;
-                let mut txns = Vec::with_capacity(n);
-                for _ in 0..n {
-                    txns.push(get_txn(c)?);
-                }
-                ZabMsg::Inform { zxid, txns }
-            }
+            9 => ZabMsg::Inform { zxid: get_zxid(c)?, txns: get_txns(c)? },
             10 => ZabMsg::Ping { epoch: c.u32()?, commit_to: get_zxid(c)? },
             11 => ZabMsg::Pong,
             t => return Err(WireError::BadTag(t)),
@@ -498,10 +530,7 @@ impl Wire for ZkRequest {
             }
             ZkRequest::Multi { ops } => {
                 buf.push(10);
-                buf.extend_from_slice(&(ops.len() as u32).to_le_bytes());
-                for op in ops {
-                    put_multi_op(buf, op);
-                }
+                put_multi_ops(buf, ops, WIRE_MODE);
             }
             ZkRequest::Sync { coalesce } => {
                 buf.push(11);
@@ -517,14 +546,8 @@ impl Wire for ZkRequest {
             ZkRequest::TxnPrepare { txn_id, ops, participants } => {
                 buf.push(14);
                 buf.extend_from_slice(&txn_id.to_le_bytes());
-                buf.extend_from_slice(&(ops.len() as u32).to_le_bytes());
-                for op in ops {
-                    put_multi_op(buf, op);
-                }
-                buf.extend_from_slice(&(participants.len() as u32).to_le_bytes());
-                for p in participants {
-                    buf.extend_from_slice(&p.to_le_bytes());
-                }
+                put_multi_ops(buf, ops, WIRE_MODE);
+                put_u32s(buf, participants);
             }
             ZkRequest::TxnCommit { txn_id } => {
                 buf.push(15);
@@ -545,50 +568,30 @@ impl Wire for ZkRequest {
         Ok(match c.u8()? {
             1 => ZkRequest::Connect,
             2 => ZkRequest::CloseSession,
-            3 => ZkRequest::Create {
-                path: c.str()?,
-                data: Bytes::copy_from_slice(c.blob()?),
-                mode: mode_from(c.u8()?)?,
-            },
+            3 => {
+                ZkRequest::Create { path: c.str()?, data: get_bytes(c)?, mode: mode_from(c.u8()?)? }
+            }
             4 => ZkRequest::Delete { path: c.str()?, version: get_opt_u32(c)? },
-            5 => ZkRequest::SetData {
-                path: c.str()?,
-                data: Bytes::copy_from_slice(c.blob()?),
-                version: get_opt_u32(c)?,
-            },
+            5 => {
+                ZkRequest::SetData { path: c.str()?, data: get_bytes(c)?, version: get_opt_u32(c)? }
+            }
             6 => ZkRequest::GetData { path: c.str()?, watch: c.bool()? },
             7 => ZkRequest::Exists { path: c.str()?, watch: c.bool()? },
             8 => ZkRequest::GetChildren { path: c.str()?, watch: c.bool()? },
             9 => ZkRequest::GetChildrenData { path: c.str()? },
-            10 => {
-                let n = c.count(5)?;
-                let mut ops = Vec::with_capacity(n);
-                for _ in 0..n {
-                    ops.push(get_multi_op(c)?);
-                }
-                ZkRequest::Multi { ops }
-            }
+            10 => ZkRequest::Multi { ops: get_multi_ops(c, WIRE_MODE)? },
             11 => ZkRequest::Sync { coalesce: c.bool()? },
             12 => ZkRequest::Ping,
             13 => ZkRequest::CreatePath {
                 path: c.str()?,
-                data: Bytes::copy_from_slice(c.blob()?),
+                data: get_bytes(c)?,
                 mode: mode_from(c.u8()?)?,
             },
-            14 => {
-                let txn_id = c.u64()?;
-                let n = c.count(5)?;
-                let mut ops = Vec::with_capacity(n);
-                for _ in 0..n {
-                    ops.push(get_multi_op(c)?);
-                }
-                let m = c.count(4)?;
-                let mut participants = Vec::with_capacity(m);
-                for _ in 0..m {
-                    participants.push(c.u32()?);
-                }
-                ZkRequest::TxnPrepare { txn_id, ops, participants }
-            }
+            14 => ZkRequest::TxnPrepare {
+                txn_id: c.u64()?,
+                ops: get_multi_ops(c, WIRE_MODE)?,
+                participants: get_u32s(c)?,
+            },
             15 => ZkRequest::TxnCommit { txn_id: c.u64()? },
             16 => ZkRequest::TxnAbort { txn_id: c.u64()? },
             17 => ZkRequest::WarmChildren { path: c.str()? },
@@ -639,12 +642,7 @@ impl Wire for ZkResponse {
             }
             ZkResponse::ChildrenData { entries } => {
                 buf.push(9);
-                buf.extend_from_slice(&(entries.len() as u32).to_le_bytes());
-                for (name, data, stat) in entries {
-                    put_str(buf, name);
-                    put_blob(buf, data);
-                    put_stat(buf, stat);
-                }
+                put_listing(buf, entries);
             }
             ZkResponse::MultiResults(rs) => {
                 buf.push(10);
@@ -679,12 +677,7 @@ impl Wire for ZkResponse {
             ZkResponse::TxnUnknown => buf.push(17),
             ZkResponse::WarmedChildren { entries, stat } => {
                 buf.push(18);
-                buf.extend_from_slice(&(entries.len() as u32).to_le_bytes());
-                for (name, data, stat) in entries {
-                    put_str(buf, name);
-                    put_blob(buf, data);
-                    put_stat(buf, stat);
-                }
+                put_listing(buf, entries);
                 put_stat(buf, stat);
             }
         }
@@ -697,7 +690,7 @@ impl Wire for ZkResponse {
             3 => ZkResponse::Created { path: c.str()? },
             4 => ZkResponse::Deleted,
             5 => ZkResponse::Stat(get_stat(c)?),
-            6 => ZkResponse::Data { data: Bytes::copy_from_slice(c.blob()?), stat: get_stat(c)? },
+            6 => ZkResponse::Data { data: get_bytes(c)?, stat: get_stat(c)? },
             7 => ZkResponse::ExistsResult(if c.bool()? { Some(get_stat(c)?) } else { None }),
             8 => {
                 let n = c.count(4)?;
@@ -707,16 +700,7 @@ impl Wire for ZkResponse {
                 }
                 ZkResponse::Children { names, stat: get_stat(c)? }
             }
-            9 => {
-                let n = c.count(8)?;
-                let mut entries = Vec::with_capacity(n);
-                for _ in 0..n {
-                    let name = c.str()?;
-                    let data = Bytes::copy_from_slice(c.blob()?);
-                    entries.push((name, data, get_stat(c)?));
-                }
-                ZkResponse::ChildrenData { entries }
-            }
+            9 => ZkResponse::ChildrenData { entries: get_listing(c)? },
             10 => {
                 let n = c.count(1)?;
                 let mut rs = Vec::with_capacity(n);
@@ -735,16 +719,7 @@ impl Wire for ZkResponse {
             15 => ZkResponse::Committed,
             16 => ZkResponse::Aborted,
             17 => ZkResponse::TxnUnknown,
-            18 => {
-                let n = c.count(8)?;
-                let mut entries = Vec::with_capacity(n);
-                for _ in 0..n {
-                    let name = c.str()?;
-                    let data = Bytes::copy_from_slice(c.blob()?);
-                    entries.push((name, data, get_stat(c)?));
-                }
-                ZkResponse::WarmedChildren { entries, stat: get_stat(c)? }
-            }
+            18 => ZkResponse::WarmedChildren { entries: get_listing(c)?, stat: get_stat(c)? },
             t => return Err(WireError::BadTag(t)),
         })
     }

@@ -1,179 +1,21 @@
-//! FUSE-style dispatch layer (paper §IV-C).
+//! The FUSE baseline (paper §IV-C, Fig 11).
 //!
 //! The prototype exposes DUFS through FUSE: applications make POSIX
-//! syscalls, the kernel routes them to userspace, and DUFS's `dufs_*`
-//! operation table serves them. We cannot load a kernel module here, so
-//! [`FuseDispatch`] reproduces the *interface contract*: an operation table
-//! with errno-convention results (negative errno on failure, like FUSE
-//! callbacks), plus per-call accounting the simulator uses to charge the
-//! user↔kernel crossing cost.
+//! syscalls, the kernel routes them to userspace, and an operation table
+//! with errno-convention results (negative errno on failure) serves them.
+//! We cannot load a kernel module here; [`crate::vfs::Dufs`] is that table,
+//! with [`crate::error::DufsError::errno`] giving the errno each failure
+//! maps to.
 //!
 //! [`DummyFuse`] is the baseline from the paper's Fig 11: "a dummy FUSE
 //! filesystem which just does nothing, except forwarding the requests to a
 //! local filesystem" — used to show DUFS's client-side memory stays flat
 //! and FUSE-like.
 
-use bytes::Bytes;
-
 use dufs_backendfs::pfs::SharedPfs;
-
-use crate::services::{BackendSet, CoordService};
-use crate::vfs::{Dufs, DufsAttr, DufsHandle};
 
 /// Errno-convention result: `Ok(T)` or a negative errno.
 pub type FuseResult<T> = Result<T, i32>;
-
-fn to_errno<T>(r: crate::error::DufsResult<T>) -> FuseResult<T> {
-    r.map_err(|e| -e.errno())
-}
-
-/// The FUSE operation table over a DUFS client instance.
-pub struct FuseDispatch<C, B> {
-    inner: Dufs<C, B>,
-    calls: u64,
-}
-
-impl<C: CoordService, B: BackendSet> FuseDispatch<C, B> {
-    /// Wrap a DUFS client.
-    pub fn new(inner: Dufs<C, B>) -> Self {
-        FuseDispatch { inner, calls: 0 }
-    }
-
-    /// The wrapped client.
-    pub fn inner_mut(&mut self) -> &mut Dufs<C, B> {
-        &mut self.inner
-    }
-
-    /// Number of dispatched calls (each one models a user↔kernel crossing).
-    pub fn calls(&self) -> u64 {
-        self.calls
-    }
-
-    fn count(&mut self) {
-        self.calls += 1;
-    }
-
-    /// `getattr` callback.
-    pub fn dufs_getattr(&mut self, path: &str) -> FuseResult<DufsAttr> {
-        self.count();
-        to_errno(self.inner.stat(path))
-    }
-
-    /// `mkdir` callback.
-    pub fn dufs_mkdir(&mut self, path: &str, mode: u32) -> FuseResult<()> {
-        self.count();
-        to_errno(self.inner.mkdir(path, mode))
-    }
-
-    /// `rmdir` callback.
-    pub fn dufs_rmdir(&mut self, path: &str) -> FuseResult<()> {
-        self.count();
-        to_errno(self.inner.rmdir(path))
-    }
-
-    /// `create` callback.
-    pub fn dufs_create(&mut self, path: &str, mode: u32) -> FuseResult<DufsHandle> {
-        self.count();
-        to_errno(self.inner.create(path, mode).and_then(|_| self.inner.open(path)))
-    }
-
-    /// `open` callback.
-    pub fn dufs_open(&mut self, path: &str) -> FuseResult<DufsHandle> {
-        self.count();
-        to_errno(self.inner.open(path))
-    }
-
-    /// `release` (close) callback.
-    pub fn dufs_release(&mut self, h: DufsHandle) -> FuseResult<()> {
-        self.count();
-        to_errno(self.inner.close(h))
-    }
-
-    /// `unlink` callback.
-    pub fn dufs_unlink(&mut self, path: &str) -> FuseResult<()> {
-        self.count();
-        to_errno(self.inner.unlink(path))
-    }
-
-    /// `readdir` callback.
-    pub fn dufs_readdir(&mut self, path: &str) -> FuseResult<Vec<String>> {
-        self.count();
-        to_errno(self.inner.readdir(path))
-    }
-
-    /// `rename` callback.
-    pub fn dufs_rename(&mut self, from: &str, to: &str) -> FuseResult<()> {
-        self.count();
-        to_errno(self.inner.rename(from, to))
-    }
-
-    /// `symlink` callback.
-    pub fn dufs_symlink(&mut self, target: &str, link: &str) -> FuseResult<()> {
-        self.count();
-        to_errno(self.inner.symlink(target, link))
-    }
-
-    /// `readlink` callback.
-    pub fn dufs_readlink(&mut self, path: &str) -> FuseResult<String> {
-        self.count();
-        to_errno(self.inner.readlink(path))
-    }
-
-    /// `chmod` callback.
-    pub fn dufs_chmod(&mut self, path: &str, mode: u32) -> FuseResult<()> {
-        self.count();
-        to_errno(self.inner.chmod(path, mode))
-    }
-
-    /// `access` callback (0 = allowed, `-EACCES` otherwise).
-    pub fn dufs_access(&mut self, path: &str, mask: u32) -> FuseResult<()> {
-        self.count();
-        match self.inner.access(path, mask) {
-            Ok(true) => Ok(()),
-            Ok(false) => Err(-13),
-            Err(e) => Err(-e.errno()),
-        }
-    }
-
-    /// `truncate` callback.
-    pub fn dufs_truncate(&mut self, path: &str, size: u64) -> FuseResult<()> {
-        self.count();
-        to_errno(self.inner.truncate(path, size))
-    }
-
-    /// `utimens` callback.
-    pub fn dufs_utimens(&mut self, path: &str, atime_ns: u64, mtime_ns: u64) -> FuseResult<()> {
-        self.count();
-        to_errno(self.inner.utimens(path, atime_ns, mtime_ns))
-    }
-
-    /// `statfs` callback.
-    pub fn dufs_statfs(&mut self) -> FuseResult<crate::plan::DufsStatFs> {
-        self.count();
-        to_errno(self.inner.statfs())
-    }
-
-    /// READDIRPLUS callback (entries with attributes in one sweep).
-    pub fn dufs_readdirplus(
-        &mut self,
-        path: &str,
-    ) -> FuseResult<Vec<(String, crate::vfs::DufsAttr)>> {
-        self.count();
-        to_errno(self.inner.readdir_plus(path))
-    }
-
-    /// `read` callback (by handle, like FUSE's `fi->fh`).
-    pub fn dufs_read(&mut self, h: DufsHandle, offset: u64, len: usize) -> FuseResult<Bytes> {
-        self.count();
-        to_errno(self.inner.read_at(h, offset, len))
-    }
-
-    /// `write` callback.
-    pub fn dufs_write(&mut self, h: DufsHandle, offset: u64, data: &[u8]) -> FuseResult<usize> {
-        self.count();
-        to_errno(self.inner.write_at(h, offset, data))
-    }
-}
 
 /// The Fig 11 baseline: a FUSE layer that only forwards to a local
 /// filesystem and keeps no per-file state of its own.
@@ -216,57 +58,7 @@ impl DummyFuse {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::services::{LocalBackends, SoloCoord};
     use dufs_backendfs::ParallelFs;
-
-    fn dispatch() -> FuseDispatch<SoloCoord, LocalBackends> {
-        FuseDispatch::new(Dufs::new(1, SoloCoord::new(), LocalBackends::lustre(2)))
-    }
-
-    #[test]
-    fn errno_convention() {
-        let mut f = dispatch();
-        assert_eq!(f.dufs_getattr("/missing").unwrap_err(), -2, "-ENOENT");
-        f.dufs_mkdir("/d", 0o755).unwrap();
-        assert_eq!(f.dufs_mkdir("/d", 0o755).unwrap_err(), -17, "-EEXIST");
-        assert_eq!(f.dufs_rmdir("/missing").unwrap_err(), -2);
-        assert_eq!(f.calls(), 4);
-    }
-
-    #[test]
-    fn create_read_write_through_dispatch() {
-        let mut f = dispatch();
-        let h = f.dufs_create("/x", 0o644).unwrap();
-        assert_eq!(f.dufs_write(h, 0, b"abc").unwrap(), 3);
-        assert_eq!(&f.dufs_read(h, 0, 10).unwrap()[..], b"abc");
-        f.dufs_release(h).unwrap();
-        assert_eq!(f.dufs_read(h, 0, 1).unwrap_err(), -22, "-EINVAL after close");
-    }
-
-    #[test]
-    fn access_reports_eacces() {
-        let mut f = dispatch();
-        f.dufs_create("/ro", 0o444).unwrap();
-        assert!(f.dufs_access("/ro", 4).is_ok());
-        assert_eq!(f.dufs_access("/ro", 2).unwrap_err(), -13);
-    }
-
-    #[test]
-    fn extended_callbacks() {
-        let mut f = dispatch();
-        let h = f.dufs_create("/t", 0o644).unwrap();
-        f.dufs_write(h, 0, b"xyz").unwrap();
-        f.dufs_release(h).unwrap();
-        f.dufs_utimens("/t", 5, 6).unwrap();
-        let attr = f.dufs_getattr("/t").unwrap();
-        assert_eq!((attr.atime_ns, attr.mtime_ns), (5, 6));
-        let sfs = f.dufs_statfs().unwrap();
-        assert_eq!(sfs.objects, 1);
-        assert_eq!(sfs.bytes_used, 3);
-        f.dufs_mkdir("/dd", 0o755).unwrap();
-        let entries = f.dufs_readdirplus("/").unwrap();
-        assert_eq!(entries.len(), 2);
-    }
 
     #[test]
     fn dummy_fuse_memory_is_constant() {

@@ -26,9 +26,8 @@
 //! * [`vfs`] — the synchronous POSIX-style filesystem API ([`vfs::Dufs`]).
 //! * [`services`] — the service traits the VFS runs against, plus local
 //!   (in-process) implementations.
-//! * [`fuse`] — the FUSE-like dispatch layer: errno-style entry points and
-//!   the "dummy FUSE" passthrough used by the paper's Fig 11 memory
-//!   comparison.
+//! * [`fuse`] — the "dummy FUSE" passthrough used by the paper's Fig 11
+//!   memory comparison.
 //! * [`cache`] — a client-side metadata cache with watch-based
 //!   invalidation, exploring the caching trade-off §VI discusses.
 

@@ -22,6 +22,7 @@ use std::collections::VecDeque;
 use bytes::Bytes;
 
 use dufs_backendfs::{FileAttr, FileKind, FsError};
+use dufs_coord::shard::parent_dir;
 use dufs_coord::{ZkRequest, ZkResponse};
 use dufs_zkstore::{CreateMode, MultiOp, Stat, ZkError};
 
@@ -499,14 +500,6 @@ pub struct OpExec {
     steps: u32,
 }
 
-/// Parent of an absolute path ("/" for top-level entries).
-fn parent_of(p: &str) -> &str {
-    match p.rfind('/') {
-        Some(0) | None => "/",
-        Some(i) => &p[..i],
-    }
-}
-
 fn join_rel(root: &str, rel: &str) -> String {
     if rel.is_empty() {
         root.to_string()
@@ -529,7 +522,7 @@ fn child_rel(dir: &str, name: &str) -> String {
 /// metadata check first, unless the parent is the root (always a
 /// directory).
 fn parent_checked(path: String, next: St, create: ZkRequest) -> (St, PlanStep) {
-    let parent = parent_of(&path).to_string();
+    let parent = parent_dir(&path).to_string();
     if parent == "/" {
         (next, PlanStep::Zk(create))
     } else {

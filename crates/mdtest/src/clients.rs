@@ -170,6 +170,18 @@ impl RawZkClientProc {
         format!("/bench/c{}", self.id)
     }
 
+    /// (Re)issue the synchronous request of the current setup stage.
+    fn send_setup(&mut self, ctx: &mut Ctx<'_, ClusterMsg>) {
+        let create = |path, data| ZkRequest::Create { path, data, mode: CreateMode::Persistent };
+        let req = match self.state {
+            RawState::Connecting => ZkRequest::Connect,
+            RawState::SetupBench => create("/bench".into(), Bytes::new()),
+            RawState::SetupOwn => create(self.base_path(), Bytes::from_static(b"seed")),
+            RawState::Barrier | RawState::Running | RawState::Finished => return,
+        };
+        self.send_req(ctx, req, false);
+    }
+
     fn send_req(&mut self, ctx: &mut Ctx<'_, ClusterMsg>, req: ZkRequest, charge_cpu: bool) {
         self.next_req += 1;
         self.awaiting = Some(self.next_req);
@@ -288,44 +300,31 @@ impl RawZkClientProc {
 
 impl Process<ClusterMsg> for RawZkClientProc {
     fn on_start(&mut self, ctx: &mut Ctx<'_, ClusterMsg>) {
-        self.send_req(ctx, ZkRequest::Connect, false);
+        self.send_setup(ctx);
     }
 
     fn on_message(&mut self, ctx: &mut Ctx<'_, ClusterMsg>, _from: NodeId, msg: ClusterMsg) {
         match msg {
             ClusterMsg::ZkResp { resp, req_id, .. } => match self.state {
-                RawState::Connecting if self.awaiting == Some(req_id) => {
+                // A setup stage moves on only on the reply it awaits: the
+                // late reply to an attempt that timed out is not it.
+                RawState::Connecting | RawState::SetupBench | RawState::SetupOwn
+                    if self.awaiting != Some(req_id) => {}
+                RawState::Connecting => {
                     if let ZkResponse::Connected { session } = resp {
                         self.session = session;
                         self.state = RawState::SetupBench;
-                        self.send_req(
-                            ctx,
-                            ZkRequest::Create {
-                                path: "/bench".into(),
-                                data: Bytes::new(),
-                                mode: CreateMode::Persistent,
-                            },
-                            false,
-                        );
+                        self.send_setup(ctx);
                     } else {
                         // Election still settling: retry shortly.
                         self.staged = Some(ZkRequest::Connect);
                         ctx.set_timer(SimDuration::from_millis(200), T_ISSUE);
                     }
                 }
-                RawState::Connecting => {}
                 RawState::SetupBench => {
                     // NodeExists from the 255 other processes is expected.
                     self.state = RawState::SetupOwn;
-                    self.send_req(
-                        ctx,
-                        ZkRequest::Create {
-                            path: self.base_path(),
-                            data: Bytes::from_static(b"seed"),
-                            mode: CreateMode::Persistent,
-                        },
-                        false,
-                    );
+                    self.send_setup(ctx);
                 }
                 RawState::SetupOwn => {
                     self.awaiting = None;
@@ -379,16 +378,10 @@ impl Process<ClusterMsg> for RawZkClientProc {
         let req_id = token - T_REQ_TIMEOUT_BASE;
         if self.awaiting == Some(req_id) {
             // A setup stage timed out: retry it (measured ops are handled
-            // through the window below).
+            // through the window below). The measured phase starts when
+            // the controller says so, not here.
             self.awaiting = None;
-            match self.state {
-                RawState::Connecting => self.send_req(ctx, ZkRequest::Connect, false),
-                RawState::SetupBench | RawState::SetupOwn => {
-                    self.errors += 1;
-                    self.fill_window(ctx);
-                }
-                _ => {}
-            }
+            self.send_setup(ctx);
             return;
         }
         if matches!(self.state, RawState::Running) {
@@ -1151,5 +1144,77 @@ impl Process<ClusterMsg> for NativeClientProc {
             }
             other => panic!("native client got {other:?}"),
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use dufs_simnet::{FixedLatency, Sim};
+
+    /// Coordination server and phase controller in one: answers every
+    /// request at once, except that it loses its first reply to the
+    /// `/bench` create, and notes what it saw when.
+    #[derive(Default)]
+    struct Hub {
+        dropped_bench_reply: bool,
+        started: bool,
+        measured_before_start: usize,
+        measured: usize,
+        done: Option<(u64, u64)>,
+    }
+
+    impl Process<ClusterMsg> for Hub {
+        fn on_message(&mut self, ctx: &mut Ctx<'_, ClusterMsg>, from: NodeId, msg: ClusterMsg) {
+            match msg {
+                ClusterMsg::ZkReq { client, req_id, req, .. } => {
+                    let resp = match req {
+                        ZkRequest::Connect => ZkResponse::Connected { session: 1 },
+                        ZkRequest::Create { path, .. } => {
+                            if path == "/bench" && !self.dropped_bench_reply {
+                                self.dropped_bench_reply = true;
+                                return;
+                            }
+                            if path.starts_with("/bench/c3/") {
+                                self.measured += 1;
+                                self.measured_before_start += usize::from(!self.started);
+                            }
+                            ZkResponse::Created { path }
+                        }
+                        other => panic!("unexpected request {other:?}"),
+                    };
+                    ctx.send(from, ClusterMsg::ZkResp { client, req_id, resp });
+                }
+                ClusterMsg::PhaseDone { .. } if !self.started => {
+                    self.started = true;
+                    ctx.send(from, ClusterMsg::StartPhase { idx: 0 });
+                }
+                ClusterMsg::PhaseDone { ops, errors, .. } => {
+                    assert_eq!(self.done.replace((ops, errors)), None, "phase reported twice");
+                }
+                other => panic!("unexpected message {other:?}"),
+            }
+        }
+    }
+
+    /// A setup create whose reply is lost is retried after its timeout; the
+    /// measured phase still starts at the controller's word and runs
+    /// exactly `items` ops.
+    #[test]
+    fn a_timed_out_setup_create_is_retried_not_answered_with_measured_ops() {
+        let items = 5;
+        let mut sim: Sim<ClusterMsg> = Sim::new(1, FixedLatency::micros(50));
+        let hub = sim.add_node(Hub::default());
+        for _ in 0..2 {
+            sim.add_node(Hub::default()); // the client's id doubles as its node: 3
+        }
+        let cpu = NodeCpu::new(costs::NODE_CORES);
+        let client = sim.add_node(RawZkClientProc::new(3, hub, hub, cpu, RawOp::Create, items));
+        assert_eq!(client, NodeId(3));
+        sim.run_until(SimTime::from_secs(60));
+        let h = sim.node_ref::<Hub>(hub);
+        assert!(h.dropped_bench_reply, "the fault was never injected");
+        assert_eq!(h.measured_before_start, 0, "measured requests left before StartPhase");
+        assert_eq!((h.measured, h.done), (items, Some((items as u64, 0))));
     }
 }

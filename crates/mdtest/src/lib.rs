@@ -32,9 +32,8 @@ pub mod workload;
 
 pub use live::{run_live, LivePhase};
 pub use scenario::{
-    run_mdtest, run_mdtest_report, run_zk_raw, run_zk_raw_detailed, run_zk_raw_observers,
-    run_zk_raw_tuned, CoordCrash, CoordOutage, MdtestConfig, MdtestReport, MdtestSystem,
-    PhaseResult, RawOp, RawTuning,
+    run_mdtest, run_mdtest_report, run_zk_raw, CoordCrash, CoordOutage, MdtestConfig, MdtestReport,
+    MdtestSystem, PhaseResult, RawOp, RawRunResult, RawTuning,
 };
 pub use scratch::ScratchDir;
 pub use workload::{Phase, WorkloadSpec};

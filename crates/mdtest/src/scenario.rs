@@ -213,32 +213,25 @@ fn run_to_completion(sim: &mut Sim<ClusterMsg>, ctrl: NodeId, cap: SimTime) -> b
     }
 }
 
+/// Detailed result of a raw run (throughput + latency distribution).
+#[derive(Debug, Clone)]
+pub struct RawRunResult {
+    /// Aggregate operations per second.
+    pub ops_per_sec: f64,
+    /// Mean per-operation latency, microseconds.
+    pub mean_latency_us: f64,
+    /// Approximate 99th-percentile latency, microseconds.
+    pub p99_latency_us: f64,
+}
+
 /// Run a raw coordination-throughput experiment (paper Fig 7): `processes`
-/// closed-loop clients over 8 client nodes issuing `op` against a
-/// `zk_servers` ensemble; every client performs `items` measured
-/// operations. Returns aggregate ops/sec.
-pub fn run_zk_raw(zk_servers: usize, processes: usize, op: RawOp, items: usize, seed: u64) -> f64 {
-    run_zk_raw_observers(zk_servers, 0, processes, op, items, seed)
-}
-
-/// As [`run_zk_raw`] with `observers` additional non-voting servers
-/// (ZooKeeper observers): they serve reads and forward writes but never
-/// join quorums, so reads scale without the write-path fan-out penalty.
-pub fn run_zk_raw_observers(
-    voters: usize,
-    observers: usize,
-    processes: usize,
-    op: RawOp,
-    items: usize,
-    seed: u64,
-) -> f64 {
-    run_zk_raw_capture(voters, observers, processes, op, items, seed, RawTuning::default()).0
-}
-
-/// As [`run_zk_raw_observers`] with explicit write-path tuning (group
-/// commit × pipeline depth). `RawTuning::default()` runs the *identical*
-/// simulation the untuned entry points do.
-pub fn run_zk_raw_tuned(
+/// closed-loop clients over 8 client nodes issuing `op` against an ensemble
+/// of `voters` servers plus `observers` non-voting ones (ZooKeeper
+/// observers: they serve reads and forward writes but never join quorums,
+/// so reads scale without the write-path fan-out penalty); every client
+/// performs `items` measured operations. `tuning` is the write path (group
+/// commit × pipeline depth × WAL); [`RawTuning::default`] is the paper's.
+pub fn run_zk_raw(
     voters: usize,
     observers: usize,
     processes: usize,
@@ -247,25 +240,11 @@ pub fn run_zk_raw_tuned(
     seed: u64,
     tuning: RawTuning,
 ) -> RawRunResult {
-    let (ops_per_sec, mean, p99) =
-        run_zk_raw_capture(voters, observers, processes, op, items, seed, tuning);
-    RawRunResult { ops_per_sec, mean_latency_us: mean, p99_latency_us: p99 }
-}
-
-fn run_zk_raw_capture(
-    voters: usize,
-    observers: usize,
-    processes: usize,
-    op: RawOp,
-    items: usize,
-    seed: u64,
-    tuning: RawTuning,
-) -> (f64, f64, f64) {
     let zk_servers = voters + observers;
     assert!(voters >= 1 && processes >= 1);
+    // Physical placement: coordination server i on client node i (§V-A:
+    // ZooKeeper servers run along with the clients).
     let n_nodes = zk_servers + 1 + processes; // servers, controller, clients
-                                              // Physical placement: coordination server i on client node i (§V-A:
-                                              // ZooKeeper servers run along with the clients).
     let mut phys = Vec::with_capacity(n_nodes);
     for i in 0..zk_servers {
         phys.push((i % costs::CLIENT_NODES) as u32);
@@ -282,11 +261,7 @@ fn run_zk_raw_capture(
     let peer_nodes: Vec<NodeId> = (0..zk_servers as u32).map(NodeId).collect();
     for i in 0..zk_servers {
         let (peer, ens, nodes) = (PeerId(i as u32), ensemble.clone(), peer_nodes.clone());
-        sim.add_node(if tuning.durable {
-            CoordServerProc::new_durable_with_config(peer, ens, nodes, tuning.zab)
-        } else {
-            CoordServerProc::new_with_config(peer, ens, nodes, tuning.zab)
-        });
+        sim.add_node(CoordServerProc::new(peer, ens, nodes, tuning.zab, tuning.durable));
     }
     let ctrl = NodeId(zk_servers as u32);
     let client_ids: Vec<NodeId> =
@@ -315,36 +290,11 @@ fn run_zk_raw_capture(
     assert!(ok, "raw run did not complete (zk={zk_servers}, procs={processes}, op={op:?})");
     let c = sim.node_ref::<ControllerProc>(ctrl);
     let t = &c.results[0];
-    (t.ops_per_sec(), t.latency.mean().as_micros_f64(), t.latency.quantile(0.99).as_micros_f64())
-}
-
-/// Detailed result of a raw run (throughput + latency distribution).
-#[derive(Debug, Clone)]
-pub struct RawRunResult {
-    /// Aggregate operations per second.
-    pub ops_per_sec: f64,
-    /// Mean per-operation latency, microseconds.
-    pub mean_latency_us: f64,
-    /// Approximate 99th-percentile latency, microseconds.
-    pub p99_latency_us: f64,
-}
-
-/// As [`run_zk_raw_observers`], also reporting the latency distribution.
-#[allow(clippy::too_many_arguments)]
-pub fn run_zk_raw_detailed(
-    voters: usize,
-    observers: usize,
-    processes: usize,
-    op: RawOp,
-    items: usize,
-    seed: u64,
-) -> RawRunResult {
-    // Re-run with result capture (runs are deterministic, so this is the
-    // same run the plain variant would do; the helper exists to keep the
-    // common path's signature simple).
-    let (ops_per_sec, mean, p99) =
-        run_zk_raw_capture(voters, observers, processes, op, items, seed, RawTuning::default());
-    RawRunResult { ops_per_sec, mean_latency_us: mean, p99_latency_us: p99 }
+    RawRunResult {
+        ops_per_sec: t.ops_per_sec(),
+        mean_latency_us: t.latency.mean().as_micros_f64(),
+        p99_latency_us: t.latency.quantile(0.99).as_micros_f64(),
+    }
 }
 
 /// Run an mdtest experiment and return one [`PhaseResult`] per configured
@@ -426,11 +376,7 @@ pub fn run_mdtest_report(cfg: &MdtestConfig) -> MdtestReport {
             (0..zk_servers).map(|i| NodeId((s * zk_servers + i) as u32)).collect();
         for i in 0..zk_servers {
             let (peer, ens, nodes) = (PeerId(i as u32), ensemble.clone(), peer_nodes.clone());
-            sim.add_node(if cfg.durable {
-                CoordServerProc::new_durable_with_config(peer, ens, nodes, cfg.zab)
-            } else {
-                CoordServerProc::new_with_config(peer, ens, nodes, cfg.zab)
-            });
+            sim.add_node(CoordServerProc::new(peer, ens, nodes, cfg.zab, cfg.durable));
         }
     }
     // Back-end mounts.
@@ -620,46 +566,27 @@ mod tests {
     }
 
     #[test]
-    fn tuned_defaults_reproduce_the_untuned_run_exactly() {
-        // The tuned entry point with batch 1 / depth 1 must be the *same*
-        // simulation as the paper-parity path — bit-identical throughput,
-        // not merely close (runs are deterministic per seed).
-        let base = run_zk_raw(3, 24, RawOp::Create, 30, 17);
-        let tuned = run_zk_raw_tuned(3, 0, 24, RawOp::Create, 30, 17, RawTuning::default());
-        assert_eq!(base, tuned.ops_per_sec, "batch 1 / depth 1 must be the paper's write path");
-    }
-
-    #[test]
     fn group_commit_and_pipelining_raise_write_throughput() {
         // The gain grows with ensemble size (group commit amortizes the
         // per-transaction follower fan-out), so measure where the paper's
         // write path is at its worst: 8 voters.
-        let base = run_zk_raw(8, 24, RawOp::Create, 30, 17);
-        let tuned = run_zk_raw_tuned(
-            8,
-            0,
-            24,
-            RawOp::Create,
-            30,
-            17,
-            RawTuning { zab: ZabConfig::batched(32, 1), depth: 8, ..RawTuning::default() },
-        );
+        let run = |tuning| run_zk_raw(8, 0, 24, RawOp::Create, 30, 17, tuning).ops_per_sec;
+        let base = run(RawTuning::default());
+        let tuned =
+            run(RawTuning { zab: ZabConfig::batched(32, 1), depth: 8, ..RawTuning::default() });
         assert!(
-            tuned.ops_per_sec > base * 1.5,
-            "batched+pipelined writes must beat the synchronous loop: {} vs {}",
-            tuned.ops_per_sec,
-            base
+            tuned > base * 1.5,
+            "batched+pipelined writes must beat the synchronous loop: {tuned} vs {base}"
         );
     }
 
     #[test]
     fn raw_get_scales_with_servers_and_create_does_not() {
-        let get1 = run_zk_raw(1, 32, RawOp::Get, 40, 1);
-        let get4 = run_zk_raw(4, 32, RawOp::Get, 40, 1);
+        let run =
+            |servers, op| run_zk_raw(servers, 0, 32, op, 40, 1, RawTuning::default()).ops_per_sec;
+        let (get1, get4) = (run(1, RawOp::Get), run(4, RawOp::Get));
         assert!(get4 > get1 * 1.8, "reads must scale out: 1={get1:.0} 4={get4:.0}");
-
-        let cr1 = run_zk_raw(1, 32, RawOp::Create, 40, 1);
-        let cr4 = run_zk_raw(4, 32, RawOp::Create, 40, 1);
+        let (cr1, cr4) = (run(1, RawOp::Create), run(4, RawOp::Create));
         assert!(cr1 > cr4, "writes must slow with ensemble size: 1={cr1:.0} 4={cr4:.0}");
     }
 

@@ -2,8 +2,9 @@
 //! metadata/IO servers.
 
 use dufs_backendfs::{MetaOpKind, ParallelFs};
-use dufs_coord::server::{CoordServer, CoordTimer, ServerIn, ServerOut};
-use dufs_coord::ZkRequest;
+use dufs_coord::server::{CoordMsg, CoordServer, CoordTimer, ServerIn, ServerOut};
+use dufs_coord::shard::parent_dir;
+use dufs_coord::{TxnOp, ZkRequest};
 use dufs_core::plan::BackendReq;
 use dufs_core::services::apply_backend_req;
 use dufs_simnet::{Ctx, NodeId, Process, ServiceQueue, SimDuration, TimerToken};
@@ -34,53 +35,33 @@ pub struct CoordServerProc {
 
 impl CoordServerProc {
     /// Build server `peer` of `ensemble`; `peer_nodes[i]` must be the sim
-    /// node hosting peer `i`.
-    pub fn new(peer: PeerId, ensemble: EnsembleConfig, peer_nodes: Vec<NodeId>) -> Self {
-        Self::new_with_config(peer, ensemble, peer_nodes, ZabConfig::default())
-    }
-
-    /// As [`CoordServerProc::new`] with explicit ZAB group-commit tuning
-    /// (the default reproduces the paper's one-round-per-write broadcast).
-    pub fn new_with_config(
+    /// node hosting peer `i`. `zab` is the group-commit tuning (the default
+    /// reproduces the paper's one-round-per-write broadcast). A `durable`
+    /// server keeps a write-ahead log: it fsyncs every ZAB batch before its
+    /// ACK leaves (charged as `FSYNC_US` pipeline time per group fsync) and
+    /// recovers its state from the log after a crash instead of resyncing
+    /// from a peer. The log lives on deterministic in-memory storage so
+    /// simulation runs stay reproducible per seed.
+    pub fn new(
         peer: PeerId,
         ensemble: EnsembleConfig,
         peer_nodes: Vec<NodeId>,
         zab: ZabConfig,
+        durable: bool,
     ) -> Self {
-        let (server, startup) = CoordServer::new_with_config(peer, ensemble, zab);
-        CoordServerProc {
-            server,
-            peer_nodes,
-            queue: ServiceQueue::new(costs::ZK_PIPELINE_WIDTH),
-            timers: Vec::new(),
-            startup: Some(startup),
-            wal_synced: 0,
-        }
-    }
-
-    /// As [`CoordServerProc::new_with_config`] with a write-ahead log: the
-    /// server fsyncs every ZAB batch before its ACK leaves (charged as
-    /// `FSYNC_US` pipeline time per group fsync) and recovers its state
-    /// from the log after a crash instead of resyncing from a peer. The
-    /// log lives on deterministic in-memory storage so simulation runs
-    /// stay reproducible per seed.
-    pub fn new_durable_with_config(
-        peer: PeerId,
-        ensemble: EnsembleConfig,
-        peer_nodes: Vec<NodeId>,
-        zab: ZabConfig,
-    ) -> Self {
-        let (server, startup) =
+        let (server, startup) = if durable {
             CoordServer::new_durable(peer, ensemble, zab, Box::new(MemStorage::new()))
-                .expect("in-memory WAL storage cannot fail");
-        let wal_synced = server.wal_sync_count();
+                .expect("in-memory WAL storage cannot fail")
+        } else {
+            CoordServer::new_with_config(peer, ensemble, zab)
+        };
         CoordServerProc {
+            wal_synced: server.wal_sync_count(),
             server,
             peer_nodes,
             queue: ServiceQueue::new(costs::ZK_PIPELINE_WIDTH),
             timers: Vec::new(),
             startup: Some(startup),
-            wal_synced,
         }
     }
 
@@ -89,16 +70,24 @@ impl CoordServerProc {
         &self.server
     }
 
+    /// Pipeline time of one replicated write that arrived in messages
+    /// costing `msgs_us`: the transaction pipeline plus what the op's size
+    /// adds.
+    fn write_cost(msgs_us: f64, op: Option<&TxnOp>) -> f64 {
+        let extra = match op {
+            Some(TxnOp::Multi { ops }) => costs::ZK_MULTI_PER_OP_US * ops.len() as f64,
+            Some(TxnOp::SetData { .. }) => 40.0, // payload rewrite (Fig 7c)
+            _ => 0.0,
+        };
+        costs::ZK_WRITE_BASE_US + msgs_us + extra
+    }
+
     fn request_cost(req: &ZkRequest) -> f64 {
+        let msgs_us = 2.0 * costs::ZK_CLIENT_MSG_US;
         if req.is_read() {
-            costs::ZK_READ_US + 2.0 * costs::ZK_CLIENT_MSG_US
+            costs::ZK_READ_US + msgs_us
         } else {
-            let extra = match req {
-                ZkRequest::Multi { ops } => costs::ZK_MULTI_PER_OP_US * ops.len() as f64,
-                ZkRequest::SetData { .. } => 40.0, // payload rewrite (Fig 7c)
-                _ => 0.0,
-            };
-            costs::ZK_WRITE_BASE_US + 2.0 * costs::ZK_CLIENT_MSG_US + extra
+            Self::write_cost(msgs_us, TxnOp::from_request(req.clone(), 0).as_ref())
         }
     }
 
@@ -195,15 +184,8 @@ impl Process<ClusterMsg> for CoordServerProc {
                 // pipeline at the leader, exactly like a locally received
                 // one; protocol chatter costs one message's worth.
                 let cost = match &msg {
-                    dufs_coord::CoordMsg::Forward { op, .. } => {
-                        let extra = match op {
-                            dufs_coord::TxnOp::Multi { ops } => {
-                                costs::ZK_MULTI_PER_OP_US * ops.len() as f64
-                            }
-                            dufs_coord::TxnOp::SetData { .. } => 40.0,
-                            _ => 0.0,
-                        };
-                        costs::ZK_WRITE_BASE_US + costs::ZK_PEER_MSG_US + extra
+                    CoordMsg::Forward { op, .. } => {
+                        Self::write_cost(costs::ZK_PEER_MSG_US, Some(op))
                     }
                     _ => costs::ZK_PEER_MSG_US,
                 };
@@ -244,13 +226,6 @@ impl BackendProc {
         }
     }
 
-    fn parent_of(path: &str) -> String {
-        match path.rfind('/') {
-            Some(0) | None => "/".to_string(),
-            Some(i) => path[..i].to_string(),
-        }
-    }
-
     /// Mutations first acquire the parent directory's exclusive lock; the
     /// MDS service starts once the lock is granted.
     fn mutation_start(&mut self, now: dufs_simnet::SimTime, path: &str) -> dufs_simnet::SimTime {
@@ -258,7 +233,7 @@ impl BackendProc {
         if lock_us <= 0.0 {
             return now;
         }
-        let parent = Self::parent_of(path);
+        let parent = parent_dir(path).to_string();
         let q = self.dir_locks.entry(parent).or_insert_with(|| ServiceQueue::new(1));
         q.complete_at(now, costs::us(lock_us))
     }
@@ -454,6 +429,8 @@ mod tests {
             PeerId(0),
             EnsembleConfig::of_size(1),
             vec![NodeId(0)],
+            ZabConfig::default(),
+            false,
         ));
         assert_eq!(coord, NodeId(0));
         let probe = sim.add_node(ZkProbe { target: coord, got: vec![] });

@@ -49,6 +49,18 @@ pub enum MultiOp {
     },
 }
 
+impl MultiOp {
+    /// The znode path the operation names.
+    pub fn path(&self) -> &str {
+        match self {
+            MultiOp::Create { path, .. }
+            | MultiOp::Delete { path, .. }
+            | MultiOp::SetData { path, .. }
+            | MultiOp::Check { path, .. } => path,
+        }
+    }
+}
+
 /// Per-operation result of a successful multi.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum MultiResult {

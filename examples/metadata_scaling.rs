@@ -7,7 +7,9 @@
 //! (release strongly recommended — this drives the discrete-event
 //! simulator through a few hundred thousand events).
 
-use dufs_repro::mdtest::scenario::{run_mdtest, run_zk_raw, MdtestConfig, MdtestSystem, RawOp};
+use dufs_repro::mdtest::scenario::{
+    run_mdtest, run_zk_raw, MdtestConfig, MdtestSystem, RawOp, RawTuning,
+};
 use dufs_repro::mdtest::workload::{Phase, WorkloadSpec};
 
 fn main() {
@@ -18,8 +20,8 @@ fn main() {
     println!("raw coordination throughput (32 client processes, ops/sec):");
     println!("{:>10} {:>12} {:>12}", "servers", "zoo_create", "zoo_get");
     for n in [1usize, 4, 8] {
-        let create = run_zk_raw(n, 32, RawOp::Create, 30, 1);
-        let get = run_zk_raw(n, 32, RawOp::Get, 30, 1);
+        let run = |op| run_zk_raw(n, 0, 32, op, 30, 1, RawTuning::default()).ops_per_sec;
+        let (create, get) = (run(RawOp::Create), run(RawOp::Get));
         println!("{n:>10} {create:>12.0} {get:>12.0}");
     }
     println!("  -> writes pay quorum fan-out at the leader; reads are served locally.\n");

@@ -72,6 +72,31 @@ if grep -rnE 'ZkRequest::(Create|Delete|Exists)|fid_for_path' \
 fi
 echo "==> one live mdtest client: no raw znode requests or path-derived FIDs in the live driver"
 
+# One owner per field of the coordination server's state: `CoordServer` is
+# the event router over five private types (in-flight writes, sessions,
+# leases, 2PC table, durability — DESIGN.md, "Anatomy of `CoordServer`"),
+# each in its own file of crates/coord/src/server/ behind private fields. A
+# field name showing up in a second file, or a field made visible to the
+# module, is the 24-field struct every method could touch growing back.
+for field in txn_fences prepared_txns barrier_riders open_barrier next_session; do
+    owners=$(grep -lw "$field" crates/coord/src/server/*.rs | wc -l)
+    if [ "$owners" -ne 1 ]; then
+        echo "FAIL: '$field' occurs in $owners files under crates/coord/src/server/ (want exactly 1):" >&2
+        grep -lw "$field" crates/coord/src/server/*.rs >&2 || true
+        exit 1
+    fi
+done
+visible=$(for f in crates/coord/src/server/*.rs; do
+    awk -v f="$f" '/^#\[cfg\(test\)\]/{exit}
+        /^[[:space:]]+pub(\((super|crate)\))?[[:space:]]+[a-z_0-9]+:/{print f":"NR": "$0}' "$f"
+done)
+if [ -n "$visible" ]; then
+    echo "FAIL: non-private field in crates/coord/src/server/ (outside #[cfg(test)]):" >&2
+    echo "$visible" >&2
+    exit 1
+fi
+echo "==> one owner per coordination-server field: 5 names in 1 file each, no pub field"
+
 echo "==> cargo build --release"
 cargo build --release
 
@@ -169,6 +194,21 @@ cargo test -q --release -p dufs-store
 # The throughput comparisons of `reads` only gate at full op counts.
 echo "==> dufs-bench smoke"
 cargo run --release -q -p dufs-bench -- smoke
+
+# State-machine outputs are order-stable: the simulator is bit-deterministic
+# per seed and every `ServerOut` of the coordination server is an event in
+# it, so three of the simulated tables regenerated at paper scale (~25 s)
+# must come out byte-identical to the committed files. A diff here is a
+# change in what the server emits or in what order, not noise.
+echo "==> FULL=1 dufs-bench fig07 zab observers (must reproduce the committed tables)"
+for e in fig07 zab observers; do
+    FULL=1 cargo run --release -q -p dufs-bench -- "$e" >/dev/null
+done
+if ! git diff --exit-code results/fig07_zk_throughput.txt results/bench_zab.txt \
+    results/bench_observers.txt >&2; then
+    echo "FAIL: the coordination state machine's outputs moved (diff above)" >&2
+    exit 1
+fi
 
 # Loopback transport sweep (gates the depth-K pipelining gain and the flat
 # thread count over the full 1/100/1k/10k connection-count axis).
