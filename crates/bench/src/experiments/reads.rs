@@ -260,6 +260,21 @@ fn cached_cell(
         // One READDIRPLUS round trip stocks the store for the whole pool.
         sessions[0].warm_children("/read").expect("bulk warm");
     }
+    // A follower grants a lease only once a `LeaseAuth` from the leader (it
+    // rides the leader's heartbeat) has matured, so on a just-booted
+    // ensemble every leased hit of the first ~0.3 s would fall back to a
+    // barrier through the churn-loaded leader. Start the clock once every
+    // leased reader's replica grants: its first read then adopts a lease
+    // with one ping, as at any renewal.
+    if builder.options().lease {
+        let deadline = Instant::now() + Duration::from_secs(10);
+        for c in &mut sessions {
+            while c.inner_mut().ping_lease().expect("lease probe").1.is_none() {
+                assert!(Instant::now() < deadline, "no lease grant within 10 s of boot");
+                std::thread::sleep(Duration::from_millis(5));
+            }
+        }
+    }
     let missing: Vec<String> = (0..PRELOAD).map(|i| format!("/read/missing{i:03}")).collect();
     let paths = if negative { &missing } else { paths };
     let per_reader = if cold { paths.len() } else { ops_per_reader };

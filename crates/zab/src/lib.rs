@@ -15,7 +15,10 @@
 //! [`ZabAction`]s for the hosting runtime to perform. The same code is
 //! driven by the deterministic discrete-event simulator for the paper's
 //! throughput figures, by a thread-per-server runtime for live use, and by
-//! randomized in-crate harnesses for safety testing.
+//! randomized in-crate harnesses for safety testing. `ZabPeer` routes each
+//! input to one of four private pieces of [`peer`] that own their state:
+//! the log (searched by binary search), the election, the leader's
+//! broadcast and the learner's sync.
 //!
 //! ## Protocol phases
 //!

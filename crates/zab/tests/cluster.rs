@@ -10,9 +10,15 @@
 //! * **Durability** — a transaction the leader reported committed survives
 //!   leader crashes (as long as a quorum survives).
 //! * **Single leadership** — at quiescence exactly one established leader.
+//!
+//! The fault sweep also checkpoints: every replica installs a snapshot of its
+//! applied sequence every few deliveries, so compaction, SNAP sync (inline
+//! and chunked) and snapshot restore run under crashes — and a third of its
+//! seeds add an observer that is crashed and restarted like any voter.
 
 use std::collections::{BinaryHeap, HashMap, HashSet};
 
+use bytes::Bytes;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
@@ -40,6 +46,30 @@ struct Cluster {
     rng: StdRng,
     /// Applied (committed) sequence per peer, cleared on ResetState.
     applied: Vec<Vec<(Zxid, Txn)>>,
+    /// Checkpoint every this many deliveries (0 = never).
+    snap_every: usize,
+    /// Deliveries per peer since its last checkpoint.
+    since_snap: Vec<usize>,
+}
+
+/// A checkpoint blob: the applied sequence, 16 bytes per entry.
+fn encode_applied(applied: &[(Zxid, Txn)]) -> Bytes {
+    let mut blob = Vec::with_capacity(applied.len() * 16);
+    for (z, t) in applied {
+        blob.extend_from_slice(&z.as_u64().to_le_bytes());
+        blob.extend_from_slice(&t.to_le_bytes());
+    }
+    Bytes::from(blob)
+}
+
+fn decode_applied(blob: &[u8]) -> Vec<(Zxid, Txn)> {
+    assert_eq!(blob.len() % 16, 0, "checkpoint blob is whole entries");
+    blob.chunks_exact(16)
+        .map(|e| {
+            let z = u64::from_le_bytes(e[..8].try_into().unwrap());
+            (Zxid::from_u64(z), u64::from_le_bytes(e[8..].try_into().unwrap()))
+        })
+        .collect()
 }
 
 impl Cluster {
@@ -67,6 +97,8 @@ impl Cluster {
             seq: 0,
             rng: StdRng::seed_from_u64(seed),
             applied: vec![Vec::new(); n],
+            snap_every: 0,
+            since_snap: vec![0; n],
         };
         for i in 0..n {
             let (peer, acts) = ZabPeer::new_with_config(PeerId(i as u32), cfg.clone(), zcfg);
@@ -107,12 +139,14 @@ impl Cluster {
                         assert!(zxid > *last, "{me}: deliveries must be zxid-ordered");
                     }
                     log.push((zxid, txn));
+                    self.since_snap[me.0 as usize] += 1;
                 }
                 ZabAction::ResetState => self.applied[me.0 as usize].clear(),
-                ZabAction::RestoreSnapshot { .. } => {
-                    // This harness never installs snapshots; fault-injection
-                    // coverage for snapshot sync lives in the coord tests.
-                    unreachable!("no snapshots in this harness")
+                ZabAction::RestoreSnapshot { zxid, blob } => {
+                    let restored = decode_applied(&blob);
+                    let top = restored.last().map_or(Zxid::ZERO, |(z, _)| *z);
+                    assert_eq!(top, zxid, "{me}: a snapshot covers exactly its zxid");
+                    self.applied[me.0 as usize] = restored;
                 }
                 ZabAction::BecameLeader { .. }
                 | ZabAction::BecameFollower { .. }
@@ -120,6 +154,14 @@ impl Cluster {
                 // Purely in-memory harness: the peer's own fields already
                 // carry the durable state (no WAL to mirror it into).
                 ZabAction::Persist(_) => {}
+            }
+        }
+        // Checkpoint what this replica has applied once enough piled up.
+        let i = me.0 as usize;
+        if self.snap_every > 0 && self.since_snap[i] >= self.snap_every {
+            self.since_snap[i] = 0;
+            if let Some(&(z, _)) = self.applied[i].last() {
+                self.peers[i].install_snapshot(z, encode_applied(&self.applied[i]));
             }
         }
     }
@@ -402,100 +444,102 @@ fn minority_partition_cannot_commit() {
 }
 
 fn run_fault_scenario(seed: u64) {
-    {
-        let n = 3 + (seed as usize % 2) * 2; // 3 or 5 peers
-        let quorum = n / 2 + 1;
-        // Mix write-path configurations across seeds: a third of the sweep
-        // runs the classic one-txn-per-proposal protocol, the rest group
-        // commit with different batch/flush shapes — every fault pattern is
-        // exercised against both.
-        let zcfg = match seed % 3 {
-            0 => ZabConfig::default(),
-            1 => ZabConfig::batched(4, 3),
-            _ => ZabConfig::batched(16, 8),
-        };
-        let mut c = Cluster::with_config(n, 0, 1000 + seed, zcfg);
-        c.run_until(SETTLE_MS);
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mut next_txn = 0u64;
-        for _ in 0..120 {
-            match rng.random_range(0..12u32) {
-                0 => {
-                    // Crash someone while keeping a quorum.
-                    let alive: Vec<usize> = (0..n).filter(|&i| c.alive[i]).collect();
-                    if alive.len() > quorum {
-                        let victim = alive[rng.random_range(0..alive.len())];
-                        c.crash(victim);
-                    }
+    let n = 3 + (seed as usize % 2) * 2; // 3 or 5 voters
+    let quorum = n / 2 + 1;
+    // A third of the seeds add one observer (id `n`): crashed and restarted
+    // like any member, but never counted toward the voter quorum.
+    let o = usize::from((seed / 3).is_multiple_of(3));
+    let total = n + o;
+    // Mix write-path configurations across seeds: a third of the sweep
+    // runs the classic one-txn-per-proposal protocol, the rest group
+    // commit with different batch/flush shapes — every fault pattern is
+    // exercised against both. Half the seeds stream snapshots in small
+    // chunks, so a SNAP sync spans many frames that a crash can cut.
+    let zcfg = match seed % 3 {
+        0 => ZabConfig::default(),
+        1 => ZabConfig::batched(4, 3),
+        _ => ZabConfig::batched(16, 8),
+    };
+    let zcfg = if (seed / 9) % 2 == 1 { zcfg.with_snap_chunk_bytes(64) } else { zcfg };
+    let mut c = Cluster::with_config(n, o, 1000 + seed, zcfg);
+    c.snap_every = 4 + (seed as usize % 5) * 4;
+    c.run_until(SETTLE_MS);
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut next_txn = 0u64;
+    let alive_voters = |c: &Cluster| (0..n).filter(|&i| c.alive[i]).count();
+    for _ in 0..120 {
+        match rng.random_range(0..12u32) {
+            0 => {
+                // Crash someone while keeping a voter quorum.
+                let alive: Vec<usize> = (0..total).filter(|&i| c.alive[i]).collect();
+                let victim = alive[rng.random_range(0..alive.len())];
+                if victim >= n || alive_voters(&c) > quorum {
+                    c.crash(victim);
                 }
-                1 => {
-                    let dead: Vec<usize> = (0..n).filter(|&i| !c.alive[i]).collect();
-                    if let Some(&p) = dead.first() {
-                        c.restart(p);
-                    }
+            }
+            1 => {
+                let dead: Vec<usize> = (0..total).filter(|&i| !c.alive[i]).collect();
+                if let Some(&p) = dead.first() {
+                    c.restart(p);
                 }
-                2 => {
-                    // Burst: several proposals land in the same batch window
-                    // (no time passes between them), then sometimes crash
-                    // the leader *mid-batch* — buffered or partially-acked
-                    // transactions must die with the regime, never surface
-                    // as a half-applied batch on any replica.
-                    let burst = rng.random_range(2..6u32);
-                    for _ in 0..burst {
-                        if c.try_propose(next_txn) {
-                            next_txn += 1;
-                        }
-                    }
-                    if rng.random_range(0..3u32) == 0 {
-                        if let Some(l) = c.established_leader() {
-                            let alive = (0..n).filter(|&i| c.alive[i]).count();
-                            if alive > quorum {
-                                c.crash(l);
-                            }
-                        }
-                    }
-                }
-                _ => {
+            }
+            2 => {
+                // Burst: several proposals land in the same batch window
+                // (no time passes between them), then sometimes crash
+                // the leader *mid-batch* — buffered or partially-acked
+                // transactions must die with the regime, never surface
+                // as a half-applied batch on any replica.
+                let burst = rng.random_range(2..6u32);
+                for _ in 0..burst {
                     if c.try_propose(next_txn) {
                         next_txn += 1;
                     }
                 }
+                if rng.random_range(0..3u32) == 0 {
+                    if let Some(l) = c.established_leader() {
+                        if alive_voters(&c) > quorum {
+                            c.crash(l);
+                        }
+                    }
+                }
             }
-            c.run_until(c.tick + rng.random_range(5..100u64));
-            c.assert_agreement();
-        }
-        // Restart everyone and settle: all must converge.
-        let dead: Vec<usize> = (0..n).filter(|&i| !c.alive[i]).collect();
-        for p in dead {
-            c.restart(p);
-        }
-        c.run_until(c.tick + 4 * SETTLE_MS);
-        if std::env::var("ZAB_TRACE").is_ok() {
-            eprintln!("seed {seed}: roles at end:");
-            for (i, p) in c.peers.iter().enumerate() {
-                eprintln!(
-                    "  peer {i}: {:?} e{} z{} applied={} committed={}",
-                    p.role(),
-                    p.epoch(),
-                    p.last_zxid(),
-                    c.applied[i].len(),
-                    p.committed()
-                );
+            _ => {
+                if c.try_propose(next_txn) {
+                    next_txn += 1;
+                }
             }
         }
+        c.run_until(c.tick + rng.random_range(5..100u64));
         c.assert_agreement();
-        c.assert_alive_converged();
-        c.assert_single_leader();
-        // No duplicates or reordering: applied txns are unique and in
-        // proposal order (gaps are fine — transactions buffered or
-        // partially acked when a leader died are allowed to vanish, but
-        // never to come back out of order).
-        let vals: Vec<Txn> = c.applied[0].iter().map(|(_, t)| *t).collect();
-        assert!(
-            vals.windows(2).all(|w| w[0] < w[1]),
-            "seed {seed}: duplicate or reordered delivery"
-        );
     }
+    // Restart everyone and settle: all must converge.
+    let dead: Vec<usize> = (0..total).filter(|&i| !c.alive[i]).collect();
+    for p in dead {
+        c.restart(p);
+    }
+    c.run_until(c.tick + 4 * SETTLE_MS);
+    if std::env::var("ZAB_TRACE").is_ok() {
+        eprintln!("seed {seed}: roles at end:");
+        for (i, p) in c.peers.iter().enumerate() {
+            eprintln!(
+                "  peer {i}: {:?} e{} z{} applied={} committed={}",
+                p.role(),
+                p.epoch(),
+                p.last_zxid(),
+                c.applied[i].len(),
+                p.committed()
+            );
+        }
+    }
+    c.assert_agreement();
+    c.assert_alive_converged();
+    c.assert_single_leader();
+    // No duplicates or reordering: applied txns are unique and in
+    // proposal order (gaps are fine — transactions buffered or
+    // partially acked when a leader died are allowed to vanish, but
+    // never to come back out of order).
+    let vals: Vec<Txn> = c.applied[0].iter().map(|(_, t)| *t).collect();
+    assert!(vals.windows(2).all(|w| w[0] < w[1]), "seed {seed}: duplicate or reordered delivery");
 }
 
 #[test]
@@ -539,29 +583,19 @@ fn batched_observers_receive_grouped_informs() {
     assert_eq!(c.applied[3].len(), 60, "observer applied the full batched stream");
 }
 
+/// The fault sweep: 1 000 seeds of random proposals interleaved with
+/// crashes and restarts that always keep a voter quorum alive.
+/// `ZAB_SEED=<n>` replays one seed.
 #[test]
-fn agreement_holds_under_random_crashes() {
-    // A fuzz-style scenario sweep: random proposals interleaved with
-    // crashes and restarts that always keep a quorum alive.
-    for seed in 0..15u64 {
-        run_fault_scenario(seed);
-    }
-}
-
-/// Wide-sweep stress (run explicitly: `cargo test -- --ignored`).
-#[test]
-#[ignore]
 fn agreement_stress_wide_sweep() {
-    // ZAB_SEED=<n> runs one seed; ZAB_SEED=sweep runs 1000; default 200.
-    let (lo, hi) = match std::env::var("ZAB_SEED").as_deref() {
-        Ok("sweep") => (0, 1000),
+    let seeds = match std::env::var("ZAB_SEED") {
         Ok(s) => {
-            let v: u64 = s.parse().expect("ZAB_SEED must be a number or 'sweep'");
-            (v, v + 1)
+            let v: u64 = s.parse().expect("ZAB_SEED must be a number");
+            v..v + 1
         }
-        Err(_) => (0, 200),
+        Err(_) => 0..1000,
     };
-    for seed in lo..hi {
+    for seed in seeds {
         let r = std::panic::catch_unwind(|| run_fault_scenario(seed));
         if let Err(e) = r {
             let msg = e
@@ -573,4 +607,3 @@ fn agreement_stress_wide_sweep() {
         }
     }
 }
-// appended temporarily to cluster.rs for tracing

@@ -97,6 +97,30 @@ if [ -n "$visible" ]; then
 fi
 echo "==> one owner per coordination-server field: 5 names in 1 file each, no pub field"
 
+# The same rule for the ZAB peer: `ZabPeer` routes over four private types —
+# the log, the election, the leader's broadcast and the learner's sync
+# (DESIGN.md, "Anatomy of `ZabPeer`") — each in its own file of
+# crates/zab/src/peer/ behind private fields. (`DurableState`, `NotLeader`
+# and `Role` in peer/mod.rs are public API, so the field check skips it.)
+for field in applied sync_points pending_snap distrust_ttl quorum_miss_windows; do
+    owners=$(grep -lw "$field" crates/zab/src/peer/*.rs | wc -l)
+    if [ "$owners" -ne 1 ]; then
+        echo "FAIL: '$field' occurs in $owners files under crates/zab/src/peer/ (want exactly 1):" >&2
+        grep -lw "$field" crates/zab/src/peer/*.rs >&2 || true
+        exit 1
+    fi
+done
+visible=$(for f in crates/zab/src/peer/{log,election,broadcast,learner}.rs; do
+    awk -v f="$f" '/^#\[cfg\(test\)\]/{exit}
+        /^[[:space:]]+pub(\((super|crate)\))?[[:space:]]+[a-z_0-9]+:/{print f":"NR": "$0}' "$f"
+done)
+if [ -n "$visible" ]; then
+    echo "FAIL: non-private field in crates/zab/src/peer/ (outside #[cfg(test)]):" >&2
+    echo "$visible" >&2
+    exit 1
+fi
+echo "==> one owner per ZAB peer field: 5 names in 1 file each, no pub field in the four pieces"
+
 echo "==> cargo build --release"
 cargo build --release
 
@@ -196,16 +220,18 @@ echo "==> dufs-bench smoke"
 cargo run --release -q -p dufs-bench -- smoke
 
 # State-machine outputs are order-stable: the simulator is bit-deterministic
-# per seed and every `ServerOut` of the coordination server is an event in
-# it, so three of the simulated tables regenerated at paper scale (~25 s)
-# must come out byte-identical to the committed files. A diff here is a
-# change in what the server emits or in what order, not noise.
-echo "==> FULL=1 dufs-bench fig07 zab observers (must reproduce the committed tables)"
-for e in fig07 zab observers; do
+# per seed and every `ServerOut` of the coordination server (and every
+# `ZabAction` of the peer under it) is an event in it, so five of the
+# simulated tables regenerated at paper scale (~70 s) must come out
+# byte-identical to the committed files — fig08 and groupcommit add the
+# larger ensembles and the `max_batch > 1` path. A diff here is a change in
+# what the server emits or in what order, not noise.
+echo "==> FULL=1 dufs-bench fig07 fig08 zab observers groupcommit (must reproduce the committed tables)"
+for e in fig07 fig08 zab observers groupcommit; do
     FULL=1 cargo run --release -q -p dufs-bench -- "$e" >/dev/null
 done
-if ! git diff --exit-code results/fig07_zk_throughput.txt results/bench_zab.txt \
-    results/bench_observers.txt >&2; then
+if ! git diff --exit-code results/fig07_zk_throughput.txt results/fig08_zkservers.txt \
+    results/bench_zab.txt results/bench_observers.txt results/BENCH_groupcommit.json >&2; then
     echo "FAIL: the coordination state machine's outputs moved (diff above)" >&2
     exit 1
 fi
