@@ -8,6 +8,14 @@
 //! machine: `start` yields the first request, `feed` consumes its response
 //! and yields the next, until [`PlanStep::Done`].
 //!
+//! Every operation is built from the same three moves, each written once:
+//! the *lookup* of the path's znode (one state decodes it, one function
+//! picks the op's next move per node kind), the *back-end hop* on a file's
+//! FID (one request builder, `file_call`, and one reply mapping,
+//! `backend_output`), and the *final write* whose success is the answer.
+//! Every create — mkdir, creat, symlink and a rename's destination — first
+//! checks that its parent is a directory.
+//!
 //! Two drivers consume it:
 //! * [`crate::vfs::Dufs`] executes steps synchronously against live
 //!   services (the library / threaded runtime);
@@ -24,7 +32,7 @@ use bytes::Bytes;
 use dufs_backendfs::{FileAttr, FileKind, FsError};
 use dufs_coord::shard::parent_dir;
 use dufs_coord::{ZkRequest, ZkResponse};
-use dufs_zkstore::{CreateMode, MultiOp, Stat, ZkError};
+use dufs_zkstore::{CreateMode, MultiOp, Stat};
 
 use crate::error::{DufsError, DufsResult};
 use crate::fid::Fid;
@@ -385,114 +393,106 @@ pub struct DufsStatFs {
     pub bytes_used: u64,
 }
 
-/// Internal continuation state.
+/// One back-end call: the mount and the request.
+type Call = (usize, BackendReq);
+
+/// The back-end hop on file `fid` (paper Fig 3 steps C–D): the
+/// deterministic mapping picks the mount, the FID names the physical file,
+/// and `req` builds the request around that path. Every back-end request
+/// on a file is built here, the handle fast path of [`crate::vfs`] too.
+pub(crate) fn file_call(
+    mapper: &dyn BackendMapper,
+    fid: Fid,
+    req: impl FnOnce(String) -> BackendReq,
+) -> Call {
+    (mapper.backend_of(fid), req(shard::physical_path("/", fid)))
+}
+
+/// The op's answer carried by a back-end reply.
+///
+/// # Panics
+/// On a mount-usage reply, which only a statfs sweep awaits (driver bug).
+pub(crate) fn backend_output(resp: BackendResp) -> DufsResult<OpOutput> {
+    Ok(match resp {
+        BackendResp::Unit(r) => r.map(|()| OpOutput::Unit)?,
+        BackendResp::Attr(r) => OpOutput::Attr(DufsAttr::from_backend_file(&r?)),
+        BackendResp::Allowed(r) => OpOutput::Allowed(r?),
+        BackendResp::Data(r) => OpOutput::Data(r?),
+        BackendResp::Written(r) => OpOutput::Written(r?),
+        BackendResp::Usage(u) => panic!("mount usage outside a statfs sweep: {u:?}"),
+    })
+}
+
+/// What a back-end reply means for the op that awaits it.
+#[derive(Debug)]
+enum Hop {
+    /// The reply is the op's answer.
+    Answer,
+    /// `open`: the physical file is there; the answer is its FID.
+    Opened(Fid),
+    /// `creat`: the answer is the FID; a failure rolls back the znode at
+    /// `path` so the namespace does not point at nothing.
+    Created { fid: Fid, path: String },
+    /// `unlink`: the name is gone either way; a failed reap is ignored, as
+    /// the prototype logs and ignores it.
+    Reap,
+}
+
+/// Internal continuation state: what the reply to the step in flight means.
 #[derive(Debug)]
 enum St {
-    /// Awaiting the parent's metadata before a namespace create (POSIX
+    /// Awaiting a parent's metadata before a namespace create (POSIX
     /// requires ENOTDIR when the parent is a file; a bare znode create
-    /// would happily nest under anything).
+    /// would happily nest under anything). A directory sends `req` and
+    /// moves to `then`.
     ParentCheck {
-        next: Box<St>,
-        create: ZkRequest,
+        then: Box<St>,
+        req: ZkRequest,
     },
-    MkdirWait,
-    RmdirGet {
-        path: String,
+    /// Awaiting the `GetData` of the op's own path (Fig 3 step B).
+    Lookup(MetaOp),
+    /// Awaiting a coordination request whose success answers the op — a
+    /// final write, or readdir's listing — or, for creat and unlink, leads
+    /// to the file's one back-end hop.
+    Coord {
+        then: Option<(Hop, Call)>,
     },
-    RmdirDelete,
-    CreateZk {
-        fid: Fid,
-        mode: u32,
-        path: String,
-    },
-    CreateBackend {
-        fid: Fid,
-        path: String,
-    },
-    CreateCleanup {
-        err: DufsError,
-    },
-    OpenGet,
-    OpenVerify {
-        fid: Fid,
-    },
-    UnlinkGet {
-        path: String,
-    },
-    UnlinkZk {
-        fid: Option<Fid>,
-    },
-    UnlinkBackend,
-    StatGet,
-    StatBackend,
-    ReaddirWait,
+    /// Awaiting the back-end call on the file's FID (Fig 3 step D).
+    Backend(Hop),
+    /// The physical create failed and the znode delete rolling it back is
+    /// in flight; whatever it answers, the op fails with this error.
+    Cleanup(DufsError),
+    /// readdir_plus: awaiting the batched listing.
     RdPlusList,
+    /// readdir_plus: awaiting the back-end stat of file `current`.
     RdPlusStats {
         /// Completed entries (metadata-only kinds resolved immediately).
         done: Vec<(String, DufsAttr)>,
-        /// Files awaiting a back-end stat: (name, fid).
+        /// Files still awaiting a back-end stat: (name, fid).
         pending: VecDeque<(String, Fid)>,
         /// The file whose stat is in flight.
-        current: (String, Fid),
+        current: String,
     },
-    SymlinkWait,
-    ReadlinkGet,
-    ChmodGet {
-        path: String,
-        mode: u32,
-    },
-    ChmodZkSet,
-    ChmodBackend,
-    AccessGet {
-        mask: u32,
-    },
-    AccessBackend,
-    TruncGet {
-        size: u64,
-    },
-    TruncBackend,
-    ReadGet {
-        offset: u64,
-        len: usize,
-    },
-    ReadBackend,
-    WriteGet {
-        offset: u64,
-        data: Bytes,
-    },
-    WriteBackend,
-    RenameGetSrc {
-        from: String,
+    /// rename: walking the source subtree breadth-first.
+    RenameWalk {
+        /// Destination path.
         to: String,
-    },
-    RenameList {
-        from: String,
-        to: String,
-        /// Directories (relative to `from`, "" = the root) whose children we
-        /// still need to list.
+        /// Directories whose children are still to be listed.
         dirs: VecDeque<String>,
-        /// Entry paths (relative) whose metadata we still need to fetch.
+        /// Entries whose metadata is still to be fetched.
         gets: VecDeque<String>,
-        /// Collected (relative path, data), parent-first.
-        collected: Vec<(String, Bytes)>,
-        /// The `from` root's own data.
-        root_data: Bytes,
+        /// (path, data) of every entry fetched, the source root first.
+        moved: Vec<(String, Bytes)>,
     },
-    RenameMulti,
-    UtimensGet {
-        atime_ns: u64,
-        mtime_ns: u64,
-    },
-    UtimensBackend,
-    StatFsSweep {
+    /// statfs: awaiting the usage of mount `next - 1`.
+    StatFs {
         acc: DufsStatFs,
-        next_backend: usize,
-        total: usize,
+        next: usize,
     },
     Finished,
 }
 
-/// The resumable executor for one operation.
+/// The executor for one operation.
 #[derive(Debug)]
 pub struct OpExec {
     st: St,
@@ -500,37 +500,26 @@ pub struct OpExec {
     steps: u32,
 }
 
-fn join_rel(root: &str, rel: &str) -> String {
-    if rel.is_empty() {
-        root.to_string()
-    } else {
-        format!("{root}/{rel}")
-    }
+fn get_data(path: String) -> ZkRequest {
+    ZkRequest::GetData { path, watch: false }
 }
 
-/// Relative path of child `name` inside relative directory `dir`
-/// (`""` = the subtree root).
-fn child_rel(dir: &str, name: &str) -> String {
-    if dir.is_empty() {
-        name.to_string()
-    } else {
-        format!("{dir}/{name}")
-    }
-}
-
-/// Build the (state, first step) pair for a namespace create: a parent
-/// metadata check first, unless the parent is the root (always a
-/// directory).
-fn parent_checked(path: String, next: St, create: ZkRequest) -> (St, PlanStep) {
-    let parent = parent_dir(&path).to_string();
+/// `then` entered by sending `req`, behind a check that `parent` is a
+/// directory unless it is the root (always one).
+fn parent_checked(parent: &str, then: St, req: ZkRequest) -> (St, PlanStep) {
     if parent == "/" {
-        (next, PlanStep::Zk(create))
+        (then, PlanStep::Zk(req))
     } else {
-        (
-            St::ParentCheck { next: Box::new(next), create },
-            PlanStep::Zk(ZkRequest::GetData { path: parent, watch: false }),
-        )
+        let check = PlanStep::Zk(get_data(parent.to_string()));
+        (St::ParentCheck { then: Box::new(then), req }, check)
     }
+}
+
+/// A namespace create of `meta` at `path`, then `then`'s back-end hop.
+fn create(path: String, meta: NodeMeta, then: Option<(Hop, Call)>) -> (St, PlanStep) {
+    let parent = parent_dir(&path).to_string();
+    let req = ZkRequest::Create { path, data: meta.encode(), mode: CreateMode::Persistent };
+    parent_checked(&parent, St::Coord { then }, req)
 }
 
 impl OpExec {
@@ -542,92 +531,47 @@ impl OpExec {
         mint_fid: impl FnOnce() -> Fid,
         mapper: &dyn BackendMapper,
     ) -> (OpExec, PlanStep) {
-        let _ = mapper;
         let (st, step) = match op {
-            MetaOp::Mkdir { path, mode } => {
-                let create = ZkRequest::Create {
-                    path: path.clone(),
-                    data: NodeMeta::dir(mode).encode(),
-                    mode: CreateMode::Persistent,
-                };
-                parent_checked(path, St::MkdirWait, create)
-            }
-            MetaOp::Rmdir { path } => (
-                St::RmdirGet { path: path.clone() },
-                PlanStep::Zk(ZkRequest::GetData { path, watch: false }),
-            ),
+            MetaOp::Mkdir { path, mode } => create(path, NodeMeta::dir(mode), None),
+            MetaOp::Symlink { target, link } => create(link, NodeMeta::symlink(target), None),
             MetaOp::Create { path, mode } => {
                 let fid = mint_fid();
-                let create = ZkRequest::Create {
-                    path: path.clone(),
-                    data: NodeMeta::file(fid, mode).encode(),
-                    mode: CreateMode::Persistent,
-                };
-                parent_checked(path.clone(), St::CreateZk { fid, mode, path }, create)
+                let call = file_call(mapper, fid, |path| BackendReq::CreateFile { path, mode });
+                let hop = Hop::Created { fid, path: path.clone() };
+                create(path, NodeMeta::file(fid, mode), Some((hop, call)))
             }
-            MetaOp::Open { path } => {
-                (St::OpenGet, PlanStep::Zk(ZkRequest::GetData { path, watch: false }))
-            }
-            MetaOp::Unlink { path } => (
-                St::UnlinkGet { path: path.clone() },
-                PlanStep::Zk(ZkRequest::GetData { path, watch: false }),
+            MetaOp::Readdir { path } => (
+                St::Coord { then: None },
+                PlanStep::Zk(ZkRequest::GetChildren { path, watch: false }),
             ),
-            MetaOp::Stat { path } => {
-                (St::StatGet, PlanStep::Zk(ZkRequest::GetData { path, watch: false }))
-            }
-            MetaOp::Readdir { path } => {
-                (St::ReaddirWait, PlanStep::Zk(ZkRequest::GetChildren { path, watch: false }))
-            }
             MetaOp::ReaddirPlus { path } => {
                 (St::RdPlusList, PlanStep::Zk(ZkRequest::GetChildrenData { path }))
             }
-            MetaOp::Rename { from, to } => (
-                St::RenameGetSrc { from: from.clone(), to },
-                PlanStep::Zk(ZkRequest::GetData { path: from, watch: false }),
-            ),
-            MetaOp::Symlink { target, link } => {
-                let create = ZkRequest::Create {
-                    path: link.clone(),
-                    data: NodeMeta::symlink(target).encode(),
-                    mode: CreateMode::Persistent,
-                };
-                parent_checked(link, St::SymlinkWait, create)
-            }
-            MetaOp::Readlink { path } => {
-                (St::ReadlinkGet, PlanStep::Zk(ZkRequest::GetData { path, watch: false }))
-            }
-            MetaOp::Chmod { path, mode } => (
-                St::ChmodGet { path: path.clone(), mode },
-                PlanStep::Zk(ZkRequest::GetData { path, watch: false }),
-            ),
-            MetaOp::Access { path, mask } => {
-                (St::AccessGet { mask }, PlanStep::Zk(ZkRequest::GetData { path, watch: false }))
-            }
-            MetaOp::Truncate { path, size } => {
-                (St::TruncGet { size }, PlanStep::Zk(ZkRequest::GetData { path, watch: false }))
-            }
-            MetaOp::Read { path, offset, len } => (
-                St::ReadGet { offset, len },
-                PlanStep::Zk(ZkRequest::GetData { path, watch: false }),
-            ),
-            MetaOp::Write { path, offset, data } => (
-                St::WriteGet { offset, data },
-                PlanStep::Zk(ZkRequest::GetData { path, watch: false }),
-            ),
-            MetaOp::Utimens { path, atime_ns, mtime_ns } => (
-                St::UtimensGet { atime_ns, mtime_ns },
-                PlanStep::Zk(ZkRequest::GetData { path, watch: false }),
-            ),
             MetaOp::StatFs => {
-                let total = mapper.n_backends();
+                let acc = DufsStatFs { backends: mapper.n_backends() as u64, ..Default::default() };
                 (
-                    St::StatFsSweep {
-                        acc: DufsStatFs { backends: total as u64, ..Default::default() },
-                        next_backend: 1,
-                        total,
-                    },
+                    St::StatFs { acc, next: 1 },
                     PlanStep::Backend { backend: 0, req: BackendReq::StatFs },
                 )
+            }
+            MetaOp::Rename { ref from, ref to } => {
+                // The destination is a create inside the rename's multi.
+                let (parent, lookup) = (parent_dir(to).to_string(), get_data(from.clone()));
+                parent_checked(&parent, St::Lookup(op), lookup)
+            }
+            MetaOp::Rmdir { ref path }
+            | MetaOp::Open { ref path }
+            | MetaOp::Unlink { ref path }
+            | MetaOp::Stat { ref path }
+            | MetaOp::Readlink { ref path }
+            | MetaOp::Chmod { ref path, .. }
+            | MetaOp::Access { ref path, .. }
+            | MetaOp::Truncate { ref path, .. }
+            | MetaOp::Read { ref path, .. }
+            | MetaOp::Write { ref path, .. }
+            | MetaOp::Utimens { ref path, .. } => {
+                let lookup = PlanStep::Zk(get_data(path.clone()));
+                (St::Lookup(op), lookup)
             }
         };
         (OpExec { st, steps: 1 }, step)
@@ -647,552 +591,263 @@ impl OpExec {
         self.done(Err(e.into()))
     }
 
+    /// Send coordination request `req`; its success answers the op, or
+    /// leads to `then`'s back-end hop.
+    fn coord(&mut self, req: ZkRequest, then: Option<(Hop, Call)>) -> PlanStep {
+        self.st = St::Coord { then };
+        PlanStep::Zk(req)
+    }
+
+    /// Send back-end call `(backend, req)`; `hop` says what its reply means.
+    fn hop(&mut self, hop: Hop, (backend, req): Call) -> PlanStep {
+        self.st = St::Backend(hop);
+        PlanStep::Backend { backend, req }
+    }
+
     /// Feed the response for the previously returned step; get the next.
     ///
     /// # Panics
     /// Panics if called after [`PlanStep::Done`] or with a response of the
     /// wrong category (driver bug).
     pub fn feed(&mut self, resp: StepResponse, mapper: &dyn BackendMapper) -> PlanStep {
+        use StepResponse::{Backend, Zk};
         self.steps += 1;
-        let st = std::mem::replace(&mut self.st, St::Finished);
-        match st {
-            St::Finished => panic!("feed() after Done"),
-            St::ParentCheck { next, create } => match expect_zk(resp) {
-                ZkResponse::Data { data, .. } => match NodeMeta::decode(&data) {
-                    Ok(NodeMeta::Dir { .. }) => {
-                        self.st = *next;
-                        PlanStep::Zk(create)
+        match (std::mem::replace(&mut self.st, St::Finished), resp) {
+            (St::Finished, _) => panic!("feed() after Done"),
+            (St::ParentCheck { then, req }, Zk(ZkResponse::Data { data, .. })) => {
+                match NodeMeta::decode(&data) {
+                    Ok(meta) if meta.is_dir() => {
+                        self.st = *then;
+                        PlanStep::Zk(req)
                     }
-                    Ok(_) => self.fail(DufsError::NotDir),
-                    Err(e) => self.fail(e),
-                },
-                ZkResponse::Error(e) => self.fail(e),
-                other => panic!("parent check: unexpected {other:?}"),
-            },
-            // ---------------- mkdir (paper Fig 5) ----------------
-            St::MkdirWait => match expect_zk(resp) {
-                ZkResponse::Created { .. } => self.done(Ok(OpOutput::Unit)),
-                ZkResponse::Error(e) => self.fail(e),
-                other => panic!("mkdir: unexpected {other:?}"),
-            },
-            // ---------------- rmdir ----------------
-            St::RmdirGet { path } => match expect_zk(resp) {
-                ZkResponse::Data { data, .. } => match NodeMeta::decode(&data) {
-                    Ok(NodeMeta::Dir { .. }) => {
-                        self.st = St::RmdirDelete;
-                        PlanStep::Zk(ZkRequest::Delete { path, version: None })
-                    }
-                    Ok(_) => self.fail(DufsError::NotDir),
-                    Err(e) => self.fail(e),
-                },
-                ZkResponse::Error(e) => self.fail(e),
-                other => panic!("rmdir: unexpected {other:?}"),
-            },
-            St::RmdirDelete => match expect_zk(resp) {
-                ZkResponse::Deleted => self.done(Ok(OpOutput::Unit)),
-                ZkResponse::Error(e) => self.fail(e),
-                other => panic!("rmdir: unexpected {other:?}"),
-            },
-            // ---------------- create ----------------
-            St::CreateZk { fid, mode, path } => match expect_zk(resp) {
-                ZkResponse::Created { .. } => {
-                    self.st = St::CreateBackend { fid, path };
-                    PlanStep::Backend {
-                        backend: mapper.backend_of(fid),
-                        req: BackendReq::CreateFile { path: shard::physical_path("/", fid), mode },
-                    }
+                    r => self.fail(r.err().unwrap_or(DufsError::NotDir)),
                 }
-                ZkResponse::Error(e) => self.fail(e),
-                other => panic!("create: unexpected {other:?}"),
-            },
-            St::CreateBackend { fid, path } => match expect_backend(resp) {
-                BackendResp::Unit(Ok(())) => self.done(Ok(OpOutput::Created(fid))),
-                BackendResp::Unit(Err(e)) => {
-                    // Physical create failed: roll the znode back so the
-                    // namespace does not point at nothing.
-                    self.st = St::CreateCleanup { err: e.into() };
-                    PlanStep::Zk(ZkRequest::Delete { path, version: None })
-                }
-                other => panic!("create: unexpected {other:?}"),
-            },
-            St::CreateCleanup { err } => {
-                let _ = resp;
-                self.done(Err(err))
             }
-            // ---------------- open (paper Fig 3) ----------------
-            St::OpenGet => match expect_zk(resp) {
-                ZkResponse::Data { data, .. } => match NodeMeta::decode(&data) {
-                    Ok(NodeMeta::File { fid, .. }) => {
-                        self.st = St::OpenVerify { fid };
-                        PlanStep::Backend {
-                            backend: mapper.backend_of(fid),
-                            req: BackendReq::Stat { path: shard::physical_path("/", fid) },
-                        }
-                    }
-                    Ok(NodeMeta::Dir { .. }) => self.fail(DufsError::IsDir),
-                    Ok(NodeMeta::Symlink { .. }) => self.fail(DufsError::Inval),
+            (St::Lookup(op), Zk(ZkResponse::Data { data, stat })) => {
+                match NodeMeta::decode(&data) {
+                    Ok(meta) => self.looked_up(op, meta, data, &stat, mapper),
                     Err(e) => self.fail(e),
-                },
-                ZkResponse::Error(e) => self.fail(e),
-                other => panic!("open: unexpected {other:?}"),
-            },
-            St::OpenVerify { fid } => match expect_backend(resp) {
-                BackendResp::Attr(Ok(_)) => self.done(Ok(OpOutput::Opened(fid))),
-                BackendResp::Attr(Err(e)) => self.fail(e),
-                other => panic!("open: unexpected {other:?}"),
-            },
-            // ---------------- unlink ----------------
-            St::UnlinkGet { path } => match expect_zk(resp) {
-                ZkResponse::Data { data, .. } => match NodeMeta::decode(&data) {
-                    Ok(NodeMeta::Dir { .. }) => self.fail(DufsError::IsDir),
-                    Ok(meta) => {
-                        self.st = St::UnlinkZk { fid: meta.fid() };
-                        PlanStep::Zk(ZkRequest::Delete { path, version: None })
-                    }
-                    Err(e) => self.fail(e),
-                },
-                ZkResponse::Error(e) => self.fail(e),
-                other => panic!("unlink: unexpected {other:?}"),
-            },
-            St::UnlinkZk { fid } => match expect_zk(resp) {
-                ZkResponse::Deleted => match fid {
-                    Some(fid) => {
-                        self.st = St::UnlinkBackend;
-                        PlanStep::Backend {
-                            backend: mapper.backend_of(fid),
-                            req: BackendReq::Unlink { path: shard::physical_path("/", fid) },
-                        }
-                    }
-                    None => self.done(Ok(OpOutput::Unit)), // symlink: metadata only
-                },
-                ZkResponse::Error(e) => self.fail(e),
-                other => panic!("unlink: unexpected {other:?}"),
-            },
-            St::UnlinkBackend => match expect_backend(resp) {
-                // The namespace entry is gone either way; physical reap
-                // failures are logged-and-ignored in the prototype.
-                BackendResp::Unit(_) => self.done(Ok(OpOutput::Unit)),
-                other => panic!("unlink: unexpected {other:?}"),
-            },
-            // ---------------- stat (paper Fig 6) ----------------
-            St::StatGet => match expect_zk(resp) {
-                ZkResponse::Data { data, stat } => match NodeMeta::decode(&data) {
-                    Ok(NodeMeta::Dir { mode }) => {
-                        self.done(Ok(OpOutput::Attr(DufsAttr::from_znode_dir(&stat, mode))))
-                    }
-                    Ok(NodeMeta::Symlink { target, mode }) => self.done(Ok(OpOutput::Attr(
-                        DufsAttr::from_znode_symlink(&stat, mode, target.len()),
-                    ))),
-                    Ok(NodeMeta::File { fid, .. }) => {
-                        self.st = St::StatBackend;
-                        PlanStep::Backend {
-                            backend: mapper.backend_of(fid),
-                            req: BackendReq::Stat { path: shard::physical_path("/", fid) },
-                        }
-                    }
-                    Err(e) => self.fail(e),
-                },
-                ZkResponse::Error(e) => self.fail(e),
-                other => panic!("stat: unexpected {other:?}"),
-            },
-            St::StatBackend => match expect_backend(resp) {
-                BackendResp::Attr(Ok(attr)) => {
-                    self.done(Ok(OpOutput::Attr(DufsAttr::from_backend_file(&attr))))
                 }
-                BackendResp::Attr(Err(e)) => self.fail(e),
-                other => panic!("stat: unexpected {other:?}"),
+            }
+            (St::Coord { .. }, Zk(ZkResponse::Children { names, .. })) => {
+                self.done(Ok(OpOutput::Names(names)))
+            }
+            (
+                St::Coord { then },
+                Zk(
+                    ZkResponse::Created { .. }
+                    | ZkResponse::Deleted
+                    | ZkResponse::Stat(_)
+                    | ZkResponse::MultiResults(_),
+                ),
+            ) => match then {
+                None => self.done(Ok(OpOutput::Unit)),
+                Some((hop, call)) => self.hop(hop, call),
             },
-            // ---------------- readdir ----------------
-            St::ReaddirWait => match expect_zk(resp) {
-                ZkResponse::Children { names, .. } => self.done(Ok(OpOutput::Names(names))),
-                ZkResponse::Error(e) => self.fail(e),
-                other => panic!("readdir: unexpected {other:?}"),
-            },
-            // ---------------- readdir_plus ----------------
-            St::RdPlusList => match expect_zk(resp) {
-                ZkResponse::ChildrenData { entries } => {
-                    let mut done = Vec::with_capacity(entries.len());
-                    let mut pending = VecDeque::new();
-                    for (name, data, stat) in entries {
-                        match NodeMeta::decode(&data) {
-                            Ok(NodeMeta::Dir { mode }) => {
-                                done.push((name, DufsAttr::from_znode_dir(&stat, mode)))
-                            }
-                            Ok(NodeMeta::Symlink { target, mode }) => done.push((
-                                name,
-                                DufsAttr::from_znode_symlink(&stat, mode, target.len()),
-                            )),
-                            Ok(NodeMeta::File { fid, .. }) => pending.push_back((name, fid)),
-                            Err(e) => return self.fail(e),
+            (St::Backend(Hop::Answer), Backend(resp)) => self.done(backend_output(resp)),
+            (St::Backend(Hop::Opened(fid)), Backend(BackendResp::Attr(r))) => {
+                self.done(r.map(|_| OpOutput::Opened(fid)).map_err(DufsError::from))
+            }
+            (St::Backend(Hop::Created { fid, .. }), Backend(BackendResp::Unit(Ok(())))) => {
+                self.done(Ok(OpOutput::Created(fid)))
+            }
+            (St::Backend(Hop::Created { path, .. }), Backend(BackendResp::Unit(Err(e)))) => {
+                self.st = St::Cleanup(e.into());
+                PlanStep::Zk(ZkRequest::Delete { path, version: None })
+            }
+            (St::Backend(Hop::Reap), Backend(BackendResp::Unit(_))) => {
+                self.done(Ok(OpOutput::Unit))
+            }
+            (St::Cleanup(err), _) => self.fail(err),
+            (St::RdPlusList, Zk(ZkResponse::ChildrenData { entries })) => {
+                let mut done = Vec::with_capacity(entries.len());
+                let mut pending = VecDeque::new();
+                for (name, data, stat) in entries {
+                    match NodeMeta::decode(&data) {
+                        Ok(NodeMeta::Dir { mode }) => {
+                            done.push((name, DufsAttr::from_znode_dir(&stat, mode)))
                         }
-                    }
-                    match pending.pop_front() {
-                        None => self.done(Ok(OpOutput::Entries(done))),
-                        Some(current) => {
-                            let fid = current.1;
-                            self.st = St::RdPlusStats { done, pending, current };
-                            PlanStep::Backend {
-                                backend: mapper.backend_of(fid),
-                                req: BackendReq::Stat { path: shard::physical_path("/", fid) },
-                            }
-                        }
-                    }
-                }
-                ZkResponse::Error(e) => self.fail(e),
-                other => panic!("readdir_plus: unexpected {other:?}"),
-            },
-            St::RdPlusStats { mut done, mut pending, current } => match expect_backend(resp) {
-                BackendResp::Attr(res) => {
-                    let (name, _) = current;
-                    match res {
-                        Ok(attr) => done.push((name, DufsAttr::from_backend_file(&attr))),
-                        // A racing unlink between listing and stat: skip the
-                        // entry rather than failing the whole listing.
-                        Err(FsError::NoEnt) => {}
+                        Ok(NodeMeta::Symlink { target, mode }) => done
+                            .push((name, DufsAttr::from_znode_symlink(&stat, mode, target.len()))),
+                        Ok(NodeMeta::File { fid, .. }) => pending.push_back((name, fid)),
                         Err(e) => return self.fail(e),
                     }
-                    match pending.pop_front() {
-                        None => {
-                            done.sort_by(|a, b| a.0.cmp(&b.0));
-                            self.done(Ok(OpOutput::Entries(done)))
-                        }
-                        Some(next) => {
-                            let fid = next.1;
-                            self.st = St::RdPlusStats { done, pending, current: next };
-                            PlanStep::Backend {
-                                backend: mapper.backend_of(fid),
-                                req: BackendReq::Stat { path: shard::physical_path("/", fid) },
-                            }
-                        }
-                    }
                 }
-                other => panic!("readdir_plus: unexpected {other:?}"),
-            },
-            // ---------------- symlink ----------------
-            St::SymlinkWait => match expect_zk(resp) {
-                ZkResponse::Created { .. } => self.done(Ok(OpOutput::Unit)),
-                ZkResponse::Error(e) => self.fail(e),
-                other => panic!("symlink: unexpected {other:?}"),
-            },
-            // ---------------- readlink ----------------
-            St::ReadlinkGet => match expect_zk(resp) {
-                ZkResponse::Data { data, .. } => match NodeMeta::decode(&data) {
-                    Ok(NodeMeta::Symlink { target, .. }) => self.done(Ok(OpOutput::Target(target))),
-                    Ok(_) => self.fail(DufsError::Inval),
-                    Err(e) => self.fail(e),
-                },
-                ZkResponse::Error(e) => self.fail(e),
-                other => panic!("readlink: unexpected {other:?}"),
-            },
-            // ---------------- chmod ----------------
-            St::ChmodGet { path, mode } => match expect_zk(resp) {
-                ZkResponse::Data { data, .. } => match NodeMeta::decode(&data) {
-                    Ok(NodeMeta::File { fid, .. }) => {
-                        self.st = St::ChmodBackend;
-                        PlanStep::Backend {
-                            backend: mapper.backend_of(fid),
-                            req: BackendReq::Chmod { path: shard::physical_path("/", fid), mode },
-                        }
-                    }
-                    Ok(meta) => {
-                        self.st = St::ChmodZkSet;
-                        PlanStep::Zk(ZkRequest::SetData {
-                            path,
-                            data: meta.with_mode(mode & 0o7777).encode(),
-                            version: None,
-                        })
-                    }
-                    Err(e) => self.fail(e),
-                },
-                ZkResponse::Error(e) => self.fail(e),
-                other => panic!("chmod: unexpected {other:?}"),
-            },
-            St::ChmodZkSet => match expect_zk(resp) {
-                ZkResponse::Stat(_) => self.done(Ok(OpOutput::Unit)),
-                ZkResponse::Error(e) => self.fail(e),
-                other => panic!("chmod: unexpected {other:?}"),
-            },
-            St::ChmodBackend => match expect_backend(resp) {
-                BackendResp::Unit(Ok(())) => self.done(Ok(OpOutput::Unit)),
-                BackendResp::Unit(Err(e)) => self.fail(e),
-                other => panic!("chmod: unexpected {other:?}"),
-            },
-            // ---------------- access ----------------
-            St::AccessGet { mask } => match expect_zk(resp) {
-                ZkResponse::Data { data, .. } => match NodeMeta::decode(&data) {
-                    Ok(NodeMeta::File { fid, .. }) => {
-                        self.st = St::AccessBackend;
-                        PlanStep::Backend {
-                            backend: mapper.backend_of(fid),
-                            req: BackendReq::Access { path: shard::physical_path("/", fid), mask },
-                        }
-                    }
-                    Ok(meta) => {
-                        let owner = (meta.mode() >> 6) & 0o7;
-                        self.done(Ok(OpOutput::Allowed(owner & mask == mask)))
-                    }
-                    Err(e) => self.fail(e),
-                },
-                ZkResponse::Error(e) => self.fail(e),
-                other => panic!("access: unexpected {other:?}"),
-            },
-            St::AccessBackend => match expect_backend(resp) {
-                BackendResp::Allowed(Ok(a)) => self.done(Ok(OpOutput::Allowed(a))),
-                BackendResp::Allowed(Err(e)) => self.fail(e),
-                other => panic!("access: unexpected {other:?}"),
-            },
-            // ---------------- truncate ----------------
-            St::TruncGet { size } => match self.file_fid_of(resp) {
-                Ok(fid) => {
-                    self.st = St::TruncBackend;
-                    PlanStep::Backend {
-                        backend: mapper.backend_of(fid),
-                        req: BackendReq::Truncate { path: shard::physical_path("/", fid), size },
-                    }
+                self.sweep(done, pending, mapper)
+            }
+            (St::RdPlusStats { mut done, pending, current }, Backend(BackendResp::Attr(r))) => {
+                match r {
+                    Ok(attr) => done.push((current, DufsAttr::from_backend_file(&attr))),
+                    // A racing unlink between listing and stat: skip the
+                    // entry rather than failing the whole listing.
+                    Err(FsError::NoEnt) => {}
+                    Err(e) => return self.fail(e),
                 }
-                Err(step) => step,
-            },
-            St::TruncBackend => match expect_backend(resp) {
-                BackendResp::Unit(Ok(())) => self.done(Ok(OpOutput::Unit)),
-                BackendResp::Unit(Err(e)) => self.fail(e),
-                other => panic!("truncate: unexpected {other:?}"),
-            },
-            // ---------------- read ----------------
-            St::ReadGet { offset, len } => match self.file_fid_of(resp) {
-                Ok(fid) => {
-                    self.st = St::ReadBackend;
-                    PlanStep::Backend {
-                        backend: mapper.backend_of(fid),
-                        req: BackendReq::Read { path: shard::physical_path("/", fid), offset, len },
-                    }
+                if pending.is_empty() {
+                    done.sort_by(|a, b| a.0.cmp(&b.0));
                 }
-                Err(step) => step,
-            },
-            St::ReadBackend => match expect_backend(resp) {
-                BackendResp::Data(Ok(d)) => self.done(Ok(OpOutput::Data(d))),
-                BackendResp::Data(Err(e)) => self.fail(e),
-                other => panic!("read: unexpected {other:?}"),
-            },
-            // ---------------- write ----------------
-            St::WriteGet { offset, data } => match self.file_fid_of(resp) {
-                Ok(fid) => {
-                    self.st = St::WriteBackend;
-                    PlanStep::Backend {
-                        backend: mapper.backend_of(fid),
-                        req: BackendReq::Write {
-                            path: shard::physical_path("/", fid),
-                            offset,
-                            data,
-                        },
-                    }
+                self.sweep(done, pending, mapper)
+            }
+            (
+                St::RenameWalk { to, mut dirs, mut gets, moved },
+                Zk(ZkResponse::Children { names, .. }),
+            ) => {
+                // Children of the directory listed last: the front of `dirs`.
+                let dir = dirs.pop_front().expect("a listing was outstanding");
+                gets.extend(names.iter().map(|n| format!("{dir}/{n}")));
+                self.walk(to, dirs, gets, moved)
+            }
+            (
+                St::RenameWalk { to, mut dirs, mut gets, mut moved },
+                Zk(ZkResponse::Data { data, .. }),
+            ) => {
+                let path = gets.pop_front().expect("a get was outstanding");
+                if NodeMeta::decode(&data).is_ok_and(|m| m.is_dir()) {
+                    dirs.push_back(path.clone());
                 }
-                Err(step) => step,
-            },
-            St::WriteBackend => match expect_backend(resp) {
-                BackendResp::Written(Ok(n)) => self.done(Ok(OpOutput::Written(n))),
-                BackendResp::Written(Err(e)) => self.fail(e),
-                other => panic!("write: unexpected {other:?}"),
-            },
-            // ---------------- utimens ----------------
-            St::UtimensGet { atime_ns, mtime_ns } => match expect_zk(resp) {
-                ZkResponse::Data { data, .. } => match NodeMeta::decode(&data) {
-                    Ok(NodeMeta::File { fid, .. }) => {
-                        self.st = St::UtimensBackend;
-                        PlanStep::Backend {
-                            backend: mapper.backend_of(fid),
-                            req: BackendReq::SetTimes {
-                                path: shard::physical_path("/", fid),
-                                atime_ns,
-                                mtime_ns,
-                            },
-                        }
-                    }
-                    // Directory/symlink timestamps are transaction-clocked
-                    // by the coordination service; accept and ignore, as
-                    // the FUSE prototype does for metadata-only nodes.
-                    Ok(_) => self.done(Ok(OpOutput::Unit)),
-                    Err(e) => self.fail(e),
-                },
-                ZkResponse::Error(e) => self.fail(e),
-                other => panic!("utimens: unexpected {other:?}"),
-            },
-            St::UtimensBackend => match expect_backend(resp) {
-                BackendResp::Unit(Ok(())) => self.done(Ok(OpOutput::Unit)),
-                BackendResp::Unit(Err(e)) => self.fail(e),
-                other => panic!("utimens: unexpected {other:?}"),
-            },
-            // ---------------- statfs ----------------
-            St::StatFsSweep { mut acc, next_backend, total } => match expect_backend(resp) {
-                BackendResp::Usage(u) => {
-                    acc.physical_entries += u.entries;
-                    acc.objects += u.objects;
-                    acc.bytes_used += u.bytes_used;
-                    if next_backend >= total {
-                        self.done(Ok(OpOutput::StatFs(acc)))
-                    } else {
-                        self.st = St::StatFsSweep { acc, next_backend: next_backend + 1, total };
-                        PlanStep::Backend { backend: next_backend, req: BackendReq::StatFs }
-                    }
-                }
-                other => panic!("statfs: unexpected {other:?}"),
-            },
-            // ---------------- rename ----------------
-            St::RenameGetSrc { from, to } => match expect_zk(resp) {
-                ZkResponse::Data { data, .. } => match NodeMeta::decode(&data) {
-                    Ok(NodeMeta::Dir { .. }) => {
-                        // Directory: walk the subtree, then one atomic multi.
-                        let mut dirs = VecDeque::new();
-                        dirs.push_back(String::new());
-                        let st = St::RenameList {
-                            from: from.clone(),
-                            to,
-                            dirs,
-                            gets: VecDeque::new(),
-                            collected: Vec::new(),
-                            root_data: data,
-                        };
-                        self.st = st;
-                        self.rename_advance(from)
-                    }
-                    Ok(_) => {
-                        // File or symlink: single atomic multi, FID moves
-                        // with the name (the data never does — §IV-A).
-                        self.st = St::RenameMulti;
-                        PlanStep::Zk(ZkRequest::Multi {
-                            ops: vec![
-                                MultiOp::Create { path: to, data, mode: CreateMode::Persistent },
-                                MultiOp::Delete { path: from, version: None },
-                            ],
-                        })
-                    }
-                    Err(e) => self.fail(e),
-                },
-                ZkResponse::Error(e) => self.fail(e),
-                other => panic!("rename: unexpected {other:?}"),
-            },
-            St::RenameList { from, to, mut dirs, mut gets, mut collected, root_data } => {
-                match expect_zk(resp) {
-                    ZkResponse::Children { names, .. } => {
-                        // Children of the dir we last asked about — that is
-                        // the front of `dirs`.
-                        let dir = dirs.pop_front().expect("a listing was outstanding");
-                        for n in names {
-                            gets.push_back(child_rel(&dir, &n));
-                        }
-                        self.st = St::RenameList {
-                            from: from.clone(),
-                            to,
-                            dirs,
-                            gets,
-                            collected,
-                            root_data,
-                        };
-                        self.rename_advance(from)
-                    }
-                    ZkResponse::Data { data, .. } => {
-                        let rel = collected_next_rel(&gets);
-                        let rel = rel.expect("a get was outstanding");
-                        gets.pop_front();
-                        if matches!(NodeMeta::decode(&data), Ok(NodeMeta::Dir { .. })) {
-                            dirs.push_back(rel.clone());
-                        }
-                        collected.push((rel, data));
-                        self.st = St::RenameList {
-                            from: from.clone(),
-                            to,
-                            dirs,
-                            gets,
-                            collected,
-                            root_data,
-                        };
-                        self.rename_advance(from)
-                    }
-                    ZkResponse::Error(e) => self.fail(e),
-                    other => panic!("rename-list: unexpected {other:?}"),
+                moved.push((path, data));
+                self.walk(to, dirs, gets, moved)
+            }
+            (St::StatFs { mut acc, next }, Backend(BackendResp::Usage(u))) => {
+                acc.physical_entries += u.entries;
+                acc.objects += u.objects;
+                acc.bytes_used += u.bytes_used;
+                if next as u64 >= acc.backends {
+                    self.done(Ok(OpOutput::StatFs(acc)))
+                } else {
+                    self.st = St::StatFs { acc, next: next + 1 };
+                    PlanStep::Backend { backend: next, req: BackendReq::StatFs }
                 }
             }
-            St::RenameMulti => match expect_zk(resp) {
-                ZkResponse::MultiResults(_) => self.done(Ok(OpOutput::Unit)),
-                ZkResponse::Error(ZkError::NodeExists) => self.fail(DufsError::Exists),
-                ZkResponse::Error(e) => self.fail(e),
-                other => panic!("rename: unexpected {other:?}"),
-            },
+            (_, Zk(ZkResponse::Error(e))) => self.fail(e),
+            (st, resp) => panic!("{st:?}: unexpected {resp:?}"),
         }
     }
 
-    /// Decode a GetData response expected to name a regular file; shared by
-    /// truncate/read/write.
-    fn file_fid_of(&mut self, resp: StepResponse) -> Result<Fid, PlanStep> {
-        match expect_zk(resp) {
-            ZkResponse::Data { data, .. } => match NodeMeta::decode(&data) {
-                Ok(NodeMeta::File { fid, .. }) => Ok(fid),
-                Ok(NodeMeta::Dir { .. }) => Err(self.fail(DufsError::IsDir)),
-                Ok(NodeMeta::Symlink { .. }) => Err(self.fail(DufsError::Inval)),
-                Err(e) => Err(self.fail(e)),
-            },
-            ZkResponse::Error(e) => Err(self.fail(e)),
-            other => panic!("file op: unexpected {other:?}"),
+    /// The op's next move once its path's znode is known: done from the
+    /// metadata alone, one more coordination request, or the back-end hop
+    /// on the file's FID.
+    fn looked_up(
+        &mut self,
+        op: MetaOp,
+        meta: NodeMeta,
+        data: Bytes,
+        stat: &Stat,
+        mapper: &dyn BackendMapper,
+    ) -> PlanStep {
+        use NodeMeta::{Dir, File, Symlink};
+        match (op, meta) {
+            (MetaOp::Rmdir { path }, Dir { .. }) => {
+                self.coord(ZkRequest::Delete { path, version: None }, None)
+            }
+            (MetaOp::Rmdir { .. }, _) => self.fail(DufsError::NotDir),
+            (MetaOp::Unlink { .. }, Dir { .. }) => self.fail(DufsError::IsDir),
+            (MetaOp::Unlink { path }, meta) => {
+                // A symlink is metadata only; a file's data is reaped after.
+                let reap = meta.fid().map(|fid| {
+                    (Hop::Reap, file_call(mapper, fid, |path| BackendReq::Unlink { path }))
+                });
+                self.coord(ZkRequest::Delete { path, version: None }, reap)
+            }
+            // Paper Fig 6: a directory's `struct stat` is filled from the
+            // coordination service alone; so is a symlink's.
+            (MetaOp::Stat { .. }, Dir { mode }) => {
+                self.done(Ok(OpOutput::Attr(DufsAttr::from_znode_dir(stat, mode))))
+            }
+            (MetaOp::Stat { .. }, Symlink { target, mode }) => self
+                .done(Ok(OpOutput::Attr(DufsAttr::from_znode_symlink(stat, mode, target.len())))),
+            (MetaOp::Readlink { .. }, Symlink { target, .. }) => {
+                self.done(Ok(OpOutput::Target(target)))
+            }
+            (MetaOp::Readlink { .. }, _) => self.fail(DufsError::Inval),
+            (MetaOp::Chmod { path, mode }, meta @ (Dir { .. } | Symlink { .. })) => {
+                let data = meta.with_mode(mode & 0o7777).encode();
+                self.coord(ZkRequest::SetData { path, data, version: None }, None)
+            }
+            (MetaOp::Access { mask, .. }, meta @ (Dir { .. } | Symlink { .. })) => {
+                let owner = (meta.mode() >> 6) & 0o7;
+                self.done(Ok(OpOutput::Allowed(owner & mask == mask)))
+            }
+            // Directory/symlink timestamps are transaction-clocked by the
+            // coordination service; accept and ignore, as the FUSE
+            // prototype does for metadata-only nodes.
+            (MetaOp::Utimens { .. }, Dir { .. } | Symlink { .. }) => self.done(Ok(OpOutput::Unit)),
+            // One atomic multi moves the name — after walking the subtree
+            // of a directory. The FID moves with the name; the data never
+            // does (§IV-A).
+            (MetaOp::Rename { from, to }, meta) => {
+                let dirs =
+                    if meta.is_dir() { VecDeque::from([from.clone()]) } else { VecDeque::new() };
+                self.walk(to, dirs, VecDeque::new(), vec![(from, data)])
+            }
+            (op, File { fid, .. }) => {
+                let hop =
+                    if matches!(op, MetaOp::Open { .. }) { Hop::Opened(fid) } else { Hop::Answer };
+                let call = file_call(mapper, fid, |path| match op {
+                    MetaOp::Open { .. } | MetaOp::Stat { .. } => BackendReq::Stat { path },
+                    MetaOp::Chmod { mode, .. } => BackendReq::Chmod { path, mode },
+                    MetaOp::Access { mask, .. } => BackendReq::Access { path, mask },
+                    MetaOp::Truncate { size, .. } => BackendReq::Truncate { path, size },
+                    MetaOp::Read { offset, len, .. } => BackendReq::Read { path, offset, len },
+                    MetaOp::Write { offset, data, .. } => BackendReq::Write { path, offset, data },
+                    MetaOp::Utimens { atime_ns, mtime_ns, .. } => {
+                        BackendReq::SetTimes { path, atime_ns, mtime_ns }
+                    }
+                    op => unreachable!("{op:?} has no back-end hop after its lookup"),
+                });
+                self.hop(hop, call)
+            }
+            // open, truncate, read and write name a regular file.
+            (_, Dir { .. }) => self.fail(DufsError::IsDir),
+            (_, Symlink { .. }) => self.fail(DufsError::Inval),
         }
     }
 
-    /// While walking a rename's subtree: emit the next listing/get, or the
-    /// final atomic multi once the walk is complete.
-    fn rename_advance(&mut self, from_hint: String) -> PlanStep {
-        let St::RenameList { from, to, dirs, gets, collected, root_data } =
-            std::mem::replace(&mut self.st, St::Finished)
-        else {
-            unreachable!("rename_advance outside RenameList");
+    /// readdir_plus: stat the next pending file, or answer with `done`.
+    fn sweep(
+        &mut self,
+        done: Vec<(String, DufsAttr)>,
+        mut pending: VecDeque<(String, Fid)>,
+        mapper: &dyn BackendMapper,
+    ) -> PlanStep {
+        let Some((current, fid)) = pending.pop_front() else {
+            return self.done(Ok(OpOutput::Entries(done)));
         };
-        debug_assert_eq!(from, from_hint);
-        if let Some(rel) = gets.front().cloned() {
-            let abs = join_rel(&from, &rel);
-            self.st = St::RenameList { from, to, dirs, gets, collected, root_data };
-            return PlanStep::Zk(ZkRequest::GetData { path: abs, watch: false });
-        }
-        if let Some(dir) = dirs.front().cloned() {
-            let abs = join_rel(&from, &dir);
-            self.st = St::RenameList { from, to, dirs, gets, collected, root_data };
-            return PlanStep::Zk(ZkRequest::GetChildren { path: abs, watch: false });
-        }
-        // Walk complete: build the atomic multi. Creates parent-first (the
-        // collection order is BFS), deletes children-first (reverse).
-        let mut ops = Vec::with_capacity(2 * collected.len() + 2);
-        ops.push(MultiOp::Create {
-            path: to.clone(),
-            data: root_data,
-            mode: CreateMode::Persistent,
-        });
-        for (rel, data) in &collected {
-            ops.push(MultiOp::Create {
-                path: join_rel(&to, rel),
+        let (backend, req) = file_call(mapper, fid, |path| BackendReq::Stat { path });
+        self.st = St::RdPlusStats { done, pending, current };
+        PlanStep::Backend { backend, req }
+    }
+
+    /// rename: the walk's next `GetData` or listing (entries before
+    /// listings, so `moved` is breadth-first, parents before children), or
+    /// once the walk is complete the one atomic multi — creates
+    /// parent-first, deletes children-first.
+    fn walk(
+        &mut self,
+        to: String,
+        dirs: VecDeque<String>,
+        gets: VecDeque<String>,
+        moved: Vec<(String, Bytes)>,
+    ) -> PlanStep {
+        let req = if let Some(path) = gets.front() {
+            get_data(path.clone())
+        } else if let Some(path) = dirs.front() {
+            ZkRequest::GetChildren { path: path.clone(), watch: false }
+        } else {
+            let root = moved[0].0.len();
+            let creates = moved.iter().map(|(old, data)| MultiOp::Create {
+                path: format!("{to}{}", &old[root..]),
                 data: data.clone(),
                 mode: CreateMode::Persistent,
             });
-        }
-        for (rel, _) in collected.iter().rev() {
-            ops.push(MultiOp::Delete { path: join_rel(&from, rel), version: None });
-        }
-        ops.push(MultiOp::Delete { path: from, version: None });
-        self.st = St::RenameMulti;
-        PlanStep::Zk(ZkRequest::Multi { ops })
-    }
-}
-
-fn collected_next_rel(gets: &VecDeque<String>) -> Option<String> {
-    gets.front().cloned()
-}
-
-fn expect_zk(resp: StepResponse) -> ZkResponse {
-    match resp {
-        StepResponse::Zk(r) => r,
-        StepResponse::Backend(b) => panic!("expected a ZK response, got backend {b:?}"),
-    }
-}
-
-fn expect_backend(resp: StepResponse) -> BackendResp {
-    match resp {
-        StepResponse::Backend(b) => b,
-        StepResponse::Zk(r) => panic!("expected a backend response, got ZK {r:?}"),
+            let deletes = moved
+                .iter()
+                .rev()
+                .map(|(old, _)| MultiOp::Delete { path: old.clone(), version: None });
+            return self.coord(ZkRequest::Multi { ops: creates.chain(deletes).collect() }, None);
+        };
+        self.st = St::RenameWalk { to, dirs, gets, moved };
+        PlanStep::Zk(req)
     }
 }
 
@@ -1201,31 +856,12 @@ mod tests {
     use super::*;
     use crate::mapping::Md5Mapping;
 
+    // Every op's full step sequence is pinned by the golden transcript
+    // (`tests/plan_transcript.rs`); these check the paper's invariants by
+    // value.
+
     fn mapper() -> Md5Mapping {
         Md5Mapping::new(2)
-    }
-
-    #[test]
-    fn mkdir_is_single_zk_step() {
-        let m = mapper();
-        let (mut ex, step) =
-            OpExec::start(MetaOp::Mkdir { path: "/d".into(), mode: 0o755 }, || unreachable!(), &m);
-        match step {
-            PlanStep::Zk(ZkRequest::Create { ref path, .. }) => assert_eq!(path, "/d"),
-            other => panic!("unexpected {other:?}"),
-        }
-        let done = ex.feed(StepResponse::Zk(ZkResponse::Created { path: "/d".into() }), &m);
-        assert_eq!(done, PlanStep::Done(Ok(OpOutput::Unit)));
-        assert_eq!(ex.steps(), 2);
-    }
-
-    #[test]
-    fn mkdir_maps_node_exists_to_eexist() {
-        let m = mapper();
-        let (mut ex, _) =
-            OpExec::start(MetaOp::Mkdir { path: "/d".into(), mode: 0o755 }, || unreachable!(), &m);
-        let done = ex.feed(StepResponse::Zk(ZkResponse::Error(ZkError::NodeExists)), &m);
-        assert_eq!(done, PlanStep::Done(Err(DufsError::Exists)));
     }
 
     #[test]
@@ -1268,210 +904,6 @@ mod tests {
             }
             other => panic!("unexpected {other:?}"),
         }
-    }
-
-    #[test]
-    fn stat_of_file_consults_backend() {
-        let m = mapper();
-        let fid = Fid::new(9, 9);
-        let (mut ex, _) = OpExec::start(MetaOp::Stat { path: "/f".into() }, || unreachable!(), &m);
-        let step = ex.feed(
-            StepResponse::Zk(ZkResponse::Data {
-                data: NodeMeta::file(fid, 0o644).encode(),
-                stat: Stat::default(),
-            }),
-            &m,
-        );
-        assert!(matches!(step, PlanStep::Backend { req: BackendReq::Stat { .. }, .. }));
-        let attr = FileAttr { size: 123, ..FileAttr::file(5) };
-        let done = ex.feed(StepResponse::Backend(BackendResp::Attr(Ok(attr))), &m);
-        match done {
-            PlanStep::Done(Ok(OpOutput::Attr(a))) => {
-                assert_eq!(a.kind, NodeKind::File);
-                assert_eq!(a.size, 123);
-            }
-            other => panic!("unexpected {other:?}"),
-        }
-    }
-
-    #[test]
-    fn unlink_file_deletes_znode_then_physical() {
-        let m = mapper();
-        let fid = Fid::new(2, 2);
-        let (mut ex, _) =
-            OpExec::start(MetaOp::Unlink { path: "/f".into() }, || unreachable!(), &m);
-        let step = ex.feed(
-            StepResponse::Zk(ZkResponse::Data {
-                data: NodeMeta::file(fid, 0o644).encode(),
-                stat: Stat::default(),
-            }),
-            &m,
-        );
-        assert!(matches!(step, PlanStep::Zk(ZkRequest::Delete { .. })));
-        let step = ex.feed(StepResponse::Zk(ZkResponse::Deleted), &m);
-        assert!(matches!(step, PlanStep::Backend { req: BackendReq::Unlink { .. }, .. }));
-        let done = ex.feed(StepResponse::Backend(BackendResp::Unit(Ok(()))), &m);
-        assert_eq!(done, PlanStep::Done(Ok(OpOutput::Unit)));
-    }
-
-    #[test]
-    fn unlink_of_dir_is_eisdir() {
-        let m = mapper();
-        let (mut ex, _) =
-            OpExec::start(MetaOp::Unlink { path: "/d".into() }, || unreachable!(), &m);
-        let done = ex.feed(
-            StepResponse::Zk(ZkResponse::Data {
-                data: NodeMeta::dir(0o755).encode(),
-                stat: Stat::default(),
-            }),
-            &m,
-        );
-        assert_eq!(done, PlanStep::Done(Err(DufsError::IsDir)));
-    }
-
-    #[test]
-    fn file_rename_is_one_atomic_multi() {
-        let m = mapper();
-        let fid = Fid::new(4, 4);
-        let data = NodeMeta::file(fid, 0o644).encode();
-        let (mut ex, _) = OpExec::start(
-            MetaOp::Rename { from: "/a".into(), to: "/b".into() },
-            || unreachable!(),
-            &m,
-        );
-        let step = ex.feed(
-            StepResponse::Zk(ZkResponse::Data { data: data.clone(), stat: Stat::default() }),
-            &m,
-        );
-        match step {
-            PlanStep::Zk(ZkRequest::Multi { ops }) => {
-                assert_eq!(ops.len(), 2);
-                assert!(matches!(&ops[0], MultiOp::Create { path, data: d, .. }
-                    if path == "/b" && *d == data));
-                assert!(matches!(&ops[1], MultiOp::Delete { path, .. } if path == "/a"));
-            }
-            other => panic!("unexpected {other:?}"),
-        }
-        let done = ex.feed(StepResponse::Zk(ZkResponse::MultiResults(vec![])), &m);
-        assert_eq!(done, PlanStep::Done(Ok(OpOutput::Unit)));
-    }
-
-    #[test]
-    fn dir_rename_walks_subtree_then_multis() {
-        let m = mapper();
-        let dir = NodeMeta::dir(0o755).encode();
-        let file = NodeMeta::file(Fid::new(1, 1), 0o644).encode();
-        let (mut ex, _) = OpExec::start(
-            MetaOp::Rename { from: "/d1".into(), to: "/d2".into() },
-            || unreachable!(),
-            &m,
-        );
-        // Root get: a directory.
-        let step = ex.feed(
-            StepResponse::Zk(ZkResponse::Data { data: dir.clone(), stat: Stat::default() }),
-            &m,
-        );
-        // Must list the root.
-        assert!(
-            matches!(step, PlanStep::Zk(ZkRequest::GetChildren { ref path, .. }) if path == "/d1")
-        );
-        let step = ex.feed(
-            StepResponse::Zk(ZkResponse::Children {
-                names: vec!["f".into(), "sub".into()],
-                stat: Stat::default(),
-            }),
-            &m,
-        );
-        // Gets the first child /d1/f.
-        assert!(
-            matches!(step, PlanStep::Zk(ZkRequest::GetData { ref path, .. }) if path == "/d1/f")
-        );
-        let step = ex.feed(
-            StepResponse::Zk(ZkResponse::Data { data: file.clone(), stat: Stat::default() }),
-            &m,
-        );
-        assert!(
-            matches!(step, PlanStep::Zk(ZkRequest::GetData { ref path, .. }) if path == "/d1/sub")
-        );
-        let step = ex.feed(
-            StepResponse::Zk(ZkResponse::Data { data: dir.clone(), stat: Stat::default() }),
-            &m,
-        );
-        // sub is a dir → list it.
-        assert!(
-            matches!(step, PlanStep::Zk(ZkRequest::GetChildren { ref path, .. }) if path == "/d1/sub")
-        );
-        let step = ex.feed(
-            StepResponse::Zk(ZkResponse::Children { names: vec![], stat: Stat::default() }),
-            &m,
-        );
-        // Walk done → one multi with creates parent-first, deletes
-        // children-first.
-        match step {
-            PlanStep::Zk(ZkRequest::Multi { ops }) => {
-                let descr: Vec<String> = ops
-                    .iter()
-                    .map(|o| match o {
-                        MultiOp::Create { path, .. } => format!("C {path}"),
-                        MultiOp::Delete { path, .. } => format!("D {path}"),
-                        other => format!("{other:?}"),
-                    })
-                    .collect();
-                assert_eq!(
-                    descr,
-                    vec![
-                        "C /d2",
-                        "C /d2/f",
-                        "C /d2/sub", //
-                        "D /d1/sub",
-                        "D /d1/f",
-                        "D /d1"
-                    ]
-                );
-            }
-            other => panic!("unexpected {other:?}"),
-        }
-        let done = ex.feed(StepResponse::Zk(ZkResponse::MultiResults(vec![])), &m);
-        assert_eq!(done, PlanStep::Done(Ok(OpOutput::Unit)));
-    }
-
-    #[test]
-    fn readdir_readlink_access() {
-        let m = mapper();
-        let (mut ex, step) =
-            OpExec::start(MetaOp::Readdir { path: "/d".into() }, || unreachable!(), &m);
-        assert!(matches!(step, PlanStep::Zk(ZkRequest::GetChildren { .. })));
-        let done = ex.feed(
-            StepResponse::Zk(ZkResponse::Children {
-                names: vec!["a".into()],
-                stat: Stat::default(),
-            }),
-            &m,
-        );
-        assert_eq!(done, PlanStep::Done(Ok(OpOutput::Names(vec!["a".into()]))));
-
-        let (mut ex, _) =
-            OpExec::start(MetaOp::Readlink { path: "/l".into() }, || unreachable!(), &m);
-        let done = ex.feed(
-            StepResponse::Zk(ZkResponse::Data {
-                data: NodeMeta::symlink("/t").encode(),
-                stat: Stat::default(),
-            }),
-            &m,
-        );
-        assert_eq!(done, PlanStep::Done(Ok(OpOutput::Target("/t".into()))));
-
-        // Dir access check is answered from metadata alone.
-        let (mut ex, _) =
-            OpExec::start(MetaOp::Access { path: "/d".into(), mask: 5 }, || unreachable!(), &m);
-        let done = ex.feed(
-            StepResponse::Zk(ZkResponse::Data {
-                data: NodeMeta::dir(0o500).encode(),
-                stat: Stat::default(),
-            }),
-            &m,
-        );
-        assert_eq!(done, PlanStep::Done(Ok(OpOutput::Allowed(true))));
     }
 
     #[test]

@@ -15,9 +15,8 @@ use bytes::Bytes;
 use crate::error::{DufsError, DufsResult};
 use crate::fid::{Fid, FidGenerator};
 use crate::mapping::{BackendMapper, Md5Mapping};
-use crate::plan::{BackendReq, BackendResp, MetaOp, OpExec, OpOutput, PlanStep, StepResponse};
+use crate::plan::{self, BackendReq, MetaOp, OpExec, OpOutput, PlanStep, StepResponse};
 use crate::services::{BackendSet, CoordService};
-use crate::shard;
 
 pub use crate::plan::{DufsAttr, NodeKind};
 
@@ -291,34 +290,31 @@ impl<C: CoordService, B: BackendSet> Dufs<C, B> {
     /// no coordination-service hop (the FID is cached in the handle, the
     /// paper's step-C/D fast path).
     pub fn read_at(&mut self, h: DufsHandle, offset: u64, len: usize) -> DufsResult<Bytes> {
-        let fid = *self.handles.get(&h.0).ok_or(DufsError::Inval)?;
-        let backend = self.mapper.backend_of(fid);
-        match self
-            .backends
-            .call(backend, BackendReq::Read { path: shard::physical_path("/", fid), offset, len })
-        {
-            BackendResp::Data(Ok(d)) => Ok(d),
-            BackendResp::Data(Err(e)) => Err(e.into()),
+        match self.on_handle(h, |path| BackendReq::Read { path, offset, len })? {
+            OpOutput::Data(d) => Ok(d),
             other => unreachable!("read_at: {other:?}"),
         }
     }
 
     /// `pwrite(2)` through an open handle.
     pub fn write_at(&mut self, h: DufsHandle, offset: u64, data: &[u8]) -> DufsResult<usize> {
-        let fid = *self.handles.get(&h.0).ok_or(DufsError::Inval)?;
-        let backend = self.mapper.backend_of(fid);
-        match self.backends.call(
-            backend,
-            BackendReq::Write {
-                path: shard::physical_path("/", fid),
-                offset,
-                data: Bytes::copy_from_slice(data),
-            },
-        ) {
-            BackendResp::Written(Ok(n)) => Ok(n),
-            BackendResp::Written(Err(e)) => Err(e.into()),
+        let write = |path| BackendReq::Write { path, offset, data: Bytes::copy_from_slice(data) };
+        match self.on_handle(h, write)? {
+            OpOutput::Written(n) => Ok(n),
             other => unreachable!("write_at: {other:?}"),
         }
+    }
+
+    /// The planner's back-end hop on an open handle's FID, without the
+    /// lookup before it.
+    fn on_handle(
+        &mut self,
+        h: DufsHandle,
+        req: impl FnOnce(String) -> BackendReq,
+    ) -> DufsResult<OpOutput> {
+        let fid = *self.handles.get(&h.0).ok_or(DufsError::Inval)?;
+        let (backend, req) = plan::file_call(self.mapper.as_ref(), fid, req);
+        plan::backend_output(self.backends.call(backend, req))
     }
 }
 
@@ -326,6 +322,7 @@ impl<C: CoordService, B: BackendSet> Dufs<C, B> {
 mod tests {
     use super::*;
     use crate::services::{LocalBackends, SoloCoord};
+    use crate::shard;
 
     fn dufs() -> Dufs<SoloCoord, LocalBackends> {
         Dufs::new(42, SoloCoord::new(), LocalBackends::lustre(2))
@@ -422,6 +419,22 @@ mod tests {
         assert_eq!(fs.rename("/a", "/b").unwrap_err(), DufsError::Exists);
         // Source must still be intact.
         assert!(fs.stat("/a").is_ok());
+    }
+
+    #[test]
+    fn rename_checks_its_destination_parent_like_every_create() {
+        // The destination is a znode create inside the rename's multi, and a
+        // bare znode create would happily nest under a file.
+        let mut fs = dufs();
+        fs.mkdir("/d", 0o755).unwrap();
+        fs.create("/f", 0o644).unwrap();
+        assert_eq!(fs.rename("/d", "/f/x").unwrap_err(), DufsError::NotDir);
+        assert_eq!(fs.rename("/d", "/missing/x").unwrap_err(), DufsError::NoEnt);
+        assert!(fs.readdir("/f").unwrap().is_empty());
+        assert_eq!(fs.stat("/d").unwrap().kind, NodeKind::Dir);
+        fs.mkdir("/e", 0o755).unwrap();
+        fs.rename("/d", "/e/d").unwrap();
+        assert_eq!(fs.readdir("/e").unwrap(), vec!["d"]);
     }
 
     #[test]

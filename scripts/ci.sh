@@ -140,6 +140,20 @@ if [ "$procs" -ne 1 ] || [ "$reports" -ne 1 ] || [ "$sims" -ne 1 ] || [ "$fnv" -
 fi
 echo "==> one simulated client: 1 client Process, 1 PhaseDone, 1 Sim::new, FNV digest only in shard.rs"
 
+# One back-end hop in the DUFS op planner: `plan.rs::file_call` is the one
+# place a FID becomes a mount (`backend_of`) and a physical path
+# (`physical_path`), for every op's back-end request and for the `Dufs`
+# handle fast path alike. A second call in the planner or the VFS is the
+# per-op copies growing back.
+for call in 'backend_of(' 'physical_path('; do
+    n=$( (nontest crates/core/src/plan.rs; nontest crates/core/src/vfs.rs) | grep -oF "$call" | wc -l)
+    if [ "$n" -ne 1 ]; then
+        echo "FAIL: '$call' occurs $n times in non-test crates/core/src/{plan,vfs}.rs (want exactly 1)" >&2
+        exit 1
+    fi
+done
+echo "==> one back-end hop in the planner: 1 backend_of( and 1 physical_path( in plan.rs + vfs.rs"
+
 echo "==> cargo build --release"
 cargo build --release
 
