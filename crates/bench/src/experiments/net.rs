@@ -15,7 +15,13 @@
 //!   bytes/sec keeps climbing with frame size;
 //! * **sessions** proves the reactor scales by *registration*, not by
 //!   thread: 1 → 10 000 concurrent echo sessions must not grow the thread
-//!   count of this process (read from `/proc/self/status`).
+//!   count of this process (read from `/proc/self/status`);
+//! * **who writes**: the sweep's cells hand every frame to a reactor
+//!   (`Conn::send`) at both ends; in the `owner_flush` rows (64-byte frames
+//!   at depths 1 and 32, run right after the 64-byte cells) the client and
+//!   the echo forwarder queue frames and write them on their own thread
+//!   just before they wait (`Conn::queue` + `Conn::flush`), the way the
+//!   coordination and store clients and servers do.
 //!
 //! The 10 000-session cell runs its echo server in a child process
 //! (`dufs-bench echo-server`) so each side stays under the file-descriptor
@@ -45,9 +51,19 @@ fn thread_count() -> u64 {
         .unwrap_or(0)
 }
 
+/// How an end of a cell gets its frames onto the socket.
+#[derive(Clone, Copy, PartialEq)]
+enum Writer {
+    /// `Conn::send`: queue and wake the reactor, which writes.
+    Reactor,
+    /// `Conn::queue`, then `Conn::flush` on this thread when it is about
+    /// to wait.
+    Owner,
+}
+
 /// Echo server on the demux API: one forwarder thread serves *every*
 /// connection, so a socket costs a registration, never a thread.
-fn spawn_demux_echo() -> (AcceptHandle, SocketAddr) {
+fn spawn_demux_echo(writer: Writer) -> (AcceptHandle, SocketAddr) {
     let listener = Listener::bind("127.0.0.1:0".parse().unwrap()).expect("bind echo server");
     let addr = listener.local_addr();
     let (accept, events) = listener.spawn_accept_demux(
@@ -59,14 +75,32 @@ fn spawn_demux_echo() -> (AcceptHandle, SocketAddr) {
         .name("bench-echo".into())
         .spawn(move || {
             let mut conns: HashMap<u64, Conn> = HashMap::new();
-            while let Ok(ev) = events.recv() {
+            // Connections with echoes queued since the last wait.
+            let mut written: Vec<u64> = Vec::new();
+            loop {
+                let next = match writer {
+                    Writer::Reactor => events.recv(),
+                    Writer::Owner => events.try_recv().or_else(|_| {
+                        for id in written.drain(..) {
+                            if let Some(c) = conns.get(&id) {
+                                let _ = c.flush();
+                            }
+                        }
+                        events.recv()
+                    }),
+                };
+                let Ok(ev) = next else { return };
                 match ev {
                     ConnEvent::Opened { id, conn } => {
                         conns.insert(id, conn);
                     }
                     ConnEvent::Frame { id, payload } => {
                         if let Some(c) = conns.get(&id) {
-                            let _ = c.send(payload);
+                            if writer == Writer::Reactor {
+                                let _ = c.send(payload);
+                            } else if c.queue(payload).is_ok() && !written.contains(&id) {
+                                written.push(id);
+                            }
                         }
                     }
                     ConnEvent::Closed { id } => {
@@ -83,7 +117,7 @@ fn spawn_demux_echo() -> (AcceptHandle, SocketAddr) {
 /// the parent closes our stdin (or kills us). The bound address is
 /// announced on stdout.
 pub fn echo_server_child() {
-    let (accept, addr) = spawn_demux_echo();
+    let (accept, addr) = spawn_demux_echo(Writer::Reactor);
     let mut out = std::io::stdout();
     writeln!(out, "ECHO_ADDR {addr}").expect("announce address");
     out.flush().expect("flush address");
@@ -125,48 +159,59 @@ fn spawn_child_echo() -> (ChildEcho, SocketAddr) {
 }
 
 /// Ping-pong `msgs` frames of `msg_bytes` keeping `depth` in flight;
-/// appends the cell's row and returns its msgs/sec.
+/// returns the cell's row and its msgs/sec.
 fn run_cell(
-    report: &mut Report,
     addr: SocketAddr,
+    writer: Writer,
     msg_bytes: usize,
     depth: usize,
     msgs: usize,
-) -> f64 {
+) -> (Vec<Value>, f64) {
     let stats = NetStats::default();
     let (conn, inbound) =
         connect(addr, Hello { kind: EndpointKind::Client, id: 1 }, &NetConfig::default(), &stats)
             .expect("connect to echo server");
 
     let payload = vec![0x5au8; msg_bytes];
+    let put = |p: Vec<u8>| match writer {
+        Writer::Reactor => conn.send(p),
+        Writer::Owner => conn.queue(p),
+    };
     let start = Instant::now();
     let mut sent = 0usize;
     let mut recvd = 0usize;
     while sent < depth.min(msgs) {
-        conn.send(payload.clone()).expect("prime window");
+        put(payload.clone()).expect("prime window");
         sent += 1;
     }
     while recvd < msgs {
-        let echo = inbound.recv().expect("echo frame");
+        let echo = match writer {
+            Writer::Reactor => inbound.recv(),
+            Writer::Owner => inbound.try_recv().or_else(|_| {
+                conn.flush().expect("flush before waiting");
+                inbound.recv()
+            }),
+        }
+        .expect("echo frame");
         assert_eq!(echo.len(), msg_bytes, "echo changed the frame length");
         recvd += 1;
         if sent < msgs {
-            conn.send(payload.clone()).expect("refill window");
+            put(payload.clone()).expect("refill window");
             sent += 1;
         }
     }
     let elapsed = start.elapsed().as_secs_f64().max(f64::MIN_POSITIVE);
 
     let msgs_per_sec = msgs as f64 / elapsed;
-    report.row(vec![
+    let row = vec![
         msg_bytes.into(),
         depth.into(),
         msgs.into(),
         Value::ops(msgs_per_sec),
         Value::float((msgs * msg_bytes) as f64 / elapsed / (1 << 20) as f64, 2),
         Value::float(elapsed / msgs as f64 * 1e6 * depth as f64, 2),
-    ]);
-    msgs_per_sec
+    ];
+    (row, msgs_per_sec)
 }
 
 /// Open `sessions` concurrent connections to `addr`, then drive `per`
@@ -259,7 +304,7 @@ fn session_sweep(report: &mut Report, session_counts: &[usize], per_cell: usize)
             let (_child, addr) = spawn_child_echo();
             run_session_cell(report, addr, n, per)
         } else {
-            let (accept, addr) = spawn_demux_echo();
+            let (accept, addr) = spawn_demux_echo(Writer::Reactor);
             let threads = run_session_cell(report, addr, n, per);
             accept.stop();
             threads
@@ -284,25 +329,36 @@ pub fn run(scale: Scale) -> Report {
     }
 
     let per_cell = scale.pick(5_000, 50_000);
-    report.table(
-        "cells",
-        vec!["msg_bytes", "depth", "msgs", "msgs_per_sec", "mib_per_sec", "rtt_us"],
-    );
-    let (accept, addr) = spawn_demux_echo();
+    let headers = vec!["msg_bytes", "depth", "msgs", "msgs_per_sec", "mib_per_sec", "rtt_us"];
+    report.table("cells", headers.clone());
+    let (accept, addr) = spawn_demux_echo(Writer::Reactor);
     let (mut d1, mut d32) = (0.0, 0.0);
+    let mut owner_rows = Vec::new();
     for size in [64usize, 1024, 16 << 10, 64 << 10] {
         // Cap the biggest frames so a cell stays well under a second.
         let msgs = if size >= 16 << 10 { per_cell / 5 } else { per_cell };
         for depth in [1usize, 8, 32] {
-            let rate = run_cell(&mut report, addr, size, depth, msgs);
+            let (row, rate) = run_cell(addr, Writer::Reactor, size, depth, msgs);
+            report.row(row);
             match (size, depth) {
                 (64, 1) => d1 = rate,
                 (64, 32) => d32 = rate,
                 _ => {}
             }
         }
+        if size == 64 {
+            // Right after the `send` cells they are compared with: the
+            // host's speed drifts over a run by more than the difference.
+            let (owner_accept, owner_addr) = spawn_demux_echo(Writer::Owner);
+            for depth in [1usize, 32] {
+                owner_rows.push(run_cell(owner_addr, Writer::Owner, 64, depth, per_cell).0);
+            }
+            owner_accept.stop();
+        }
     }
     accept.stop();
+    report.table("owner_flush", headers);
+    owner_rows.into_iter().for_each(|row| report.row(row));
 
     // Headline: depth-32 pipelining must clearly beat stop-and-wait on small
     // frames — that amortisation is why the client sessions pipeline at all.

@@ -13,12 +13,16 @@
 //!   rides per-peer dial-out connections the loop thread sends on itself;
 //!   a dead or unreachable peer is redialed off-thread with exponential
 //!   backoff and messages to it are *dropped* meanwhile — ZAB's sync
-//!   protocol is built to recover from exactly that.
+//!   protocol is built to recover from exactly that. Replies, watch events
+//!   and peer messages are queued as a pass produces them and written on
+//!   the loop thread when it next waits ([`Conn::flush`]), so no frame
+//!   wakes a reactor.
 //! * [`TcpCluster`] — a whole loopback ensemble of [`TcpServer`]s, a
 //!   drop-in sibling of [`crate::runtime::ThreadCluster`] for tests.
 //! * [`TcpTransport`] / [`TcpZkClient`] — the [`ZkClient`] session API over
 //!   a socket, with failover across server addresses and [`ZkError::Net`]
-//!   surfaced to the retry layer.
+//!   surfaced to the retry layer. Requests are queued on `send` and leave
+//!   on the caller's thread when it waits in `recv`.
 //! * [`remote_status`] — a one-shot out-of-process status probe, used by
 //!   the kill-9 recovery harness to interrogate `coord_server` processes.
 //!
@@ -129,6 +133,7 @@ impl TcpServer {
                 .collect(),
             next_link_id: u64::MAX,
             lease_slot: Arc::new(StdMutex::new(None)),
+            written: Vec::new(),
         };
         (0..n).for_each(|to| host.dial(to, false));
 
@@ -225,6 +230,9 @@ struct TcpHost {
     /// (ttl decayed by the slot's age) instead of the empty keepalive. A
     /// quiet cached client thus renews without spending a Ping round trip.
     lease_slot: Arc<StdMutex<Option<(Instant, LeaseGrant)>>>,
+    /// Event-stream ids of the client connections and dial-out links
+    /// queued on since the last wait; `next` flushes exactly these.
+    written: Vec<u64>,
 }
 
 impl TcpHost {
@@ -273,9 +281,10 @@ impl TcpHost {
     fn on_opened(&mut self, id: u64, conn: Conn) {
         if let Some((_, link)) = self.link_mut(id) {
             for payload in link.backlog.drain(..) {
-                let _ = conn.send(payload);
+                let _ = conn.queue(payload);
             }
             link.conn = Some(conn);
+            self.wrote(id);
             return;
         }
         match conn.remote().kind {
@@ -341,9 +350,33 @@ impl TcpHost {
         })
     }
 
-    fn send_client(&self, to: ClientId, frame: ServerFrame) {
-        if let Some(conn) = self.clients.get(&to) {
-            let _ = conn.send(frame.to_wire());
+    fn send_client(&mut self, to: ClientId, frame: ServerFrame) {
+        if self.clients.get(&to).is_some_and(|conn| conn.queue(frame.to_wire()).is_ok()) {
+            self.wrote(to);
+        }
+    }
+
+    /// Note that connection `id` has frames queued for the next flush.
+    fn wrote(&mut self, id: u64) {
+        if !self.written.contains(&id) {
+            self.written.push(id);
+        }
+    }
+
+    /// Write out everything queued since the last wait, on this thread. A
+    /// connection that fails here is reported dead on the event stream,
+    /// where `on_closed` deals with it.
+    fn flush_written(&mut self) {
+        for id in self.written.drain(..) {
+            let conn = match self.clients.get(&id) {
+                Some(conn) => Some(conn),
+                None => {
+                    self.links.iter().flatten().find(|l| l.id == id).and_then(|l| l.conn.as_ref())
+                }
+            };
+            if let Some(conn) = conn {
+                let _ = conn.flush();
+            }
         }
     }
 }
@@ -353,6 +386,8 @@ impl Host for TcpHost {
     type Probe = (ClientId, u64);
 
     fn next(&mut self, wait: Duration) -> Input<Self::Probe> {
+        // Everything the last pass produced leaves before this thread waits.
+        self.flush_written();
         // The stream itself never closes while this loop holds connections
         // (each one's reactor state holds a sender), so stopping is a flag.
         if self.stop.load(Ordering::SeqCst) {
@@ -382,7 +417,10 @@ impl Host for TcpHost {
         let Some(link) = self.links.get_mut(to).and_then(Option::as_mut) else { return };
         match &link.conn {
             Some(conn) => {
-                if conn.send(msg.to_wire()).is_err() {
+                if conn.queue(msg.to_wire()).is_ok() {
+                    let id = link.id;
+                    self.wrote(id);
+                } else {
                     self.dial(to, true);
                 }
             }
@@ -637,7 +675,9 @@ impl ClientTransport for TcpTransport {
         self.ensure_link()?;
         let payload = ClientFrame::Request { req_id, session, req }.to_wire();
         let (conn, _) = self.link.as_ref().expect("link just ensured");
-        if conn.send(payload).is_err() {
+        // Leaves when the caller waits (`recv`), with whatever else was
+        // submitted before it: a pipelined burst is one write.
+        if conn.queue(payload).is_err() {
             // Dead socket: drop it and advance the failover cursor so the
             // retry doesn't hammer the same dead address first.
             self.link = None;
@@ -649,6 +689,9 @@ impl ClientTransport for TcpTransport {
     }
 
     fn recv(&mut self, timeout: Duration) -> Option<ClientEvent> {
+        // Our queued requests go out on this thread before it waits. A dead
+        // link fails here and disconnects `rx`, which the loop sees.
+        let _ = self.link.as_ref()?.0.flush();
         let deadline = Instant::now() + timeout;
         loop {
             let (_, rx) = self.link.as_ref()?;

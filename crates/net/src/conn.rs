@@ -4,17 +4,26 @@
 //! registered with the process-wide reactor pool (see the `reactor`
 //! module docs), which multiplexes reads, vectored write flushes,
 //! heartbeats, and liveness for all of them on a handful of event-loop
-//! threads. [`Conn::send`] enqueues onto a per-connection outbound queue
-//! and nudges the owning reactor; inbound frames arrive either on a
-//! dedicated channel per connection ([`connect`]) or demultiplexed onto
-//! one shared [`ConnEvent`] stream ([`connect_demux`] /
-//! [`Listener::spawn_accept_demux`]) so a single owner thread can service
-//! tens of thousands of sessions.
+//! threads. Outbound frames go onto a per-connection queue, and there are
+//! two ways to get them out:
+//!
+//! * an owner that sends and then waits for the answer [`Conn::queue`]s
+//!   its frames and calls [`Conn::flush`] just before it waits: the frames
+//!   leave on its own thread, coalesced into one `writev`, and only what
+//!   the socket cannot take right now is left to the reactor — no thread
+//!   hand-off on the request path;
+//! * [`Conn::send`] queues and nudges the owning reactor, which writes the
+//!   frame on its thread — for callers with no natural wait point.
+//!
+//! Inbound frames arrive either on a dedicated channel per connection
+//! ([`connect`]) or demultiplexed onto one shared [`ConnEvent`] stream
+//! ([`connect_demux`] / [`Listener::spawn_accept_demux`]) so a single owner
+//! thread can service tens of thousands of sessions.
 //!
 //! Death is observed exactly as before: the inbound channel disconnects
-//! (or a [`ConnEvent::Closed`] arrives), and [`Conn::send`] returns
-//! [`NetError::Closed`]. Reconnecting is the owner's policy, assisted by
-//! [`Backoff`].
+//! (or a [`ConnEvent::Closed`] arrives), and [`Conn::send`],
+//! [`Conn::queue`] and [`Conn::flush`] return [`NetError::Closed`].
+//! Reconnecting is the owner's policy, assisted by [`Backoff`].
 
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -135,10 +144,27 @@ pub struct Conn {
 }
 
 impl Conn {
-    /// Queue one application frame for sending. Fails only when the
-    /// connection has died.
+    /// Queue one application frame and wake the reactor to write it. Fails
+    /// only when the connection has died.
     pub fn send(&self, payload: Vec<u8>) -> Result<(), NetError> {
         self.shared.send(payload)
+    }
+
+    /// Queue one application frame without waking anyone. It leaves at the
+    /// next [`Conn::flush`], or with whatever the reactor writes next on
+    /// this connection, in queue order either way. Fails only when the
+    /// connection has died.
+    pub fn queue(&self, payload: Vec<u8>) -> Result<(), NetError> {
+        self.shared.queue(payload)
+    }
+
+    /// Write everything queued, on the calling thread, up to what the
+    /// socket takes right now; the rest leaves on the reactor's next
+    /// writable edge, so this never blocks. Call it before waiting for the
+    /// answer to what was queued. Fails with [`NetError::Closed`] once the
+    /// connection has died.
+    pub fn flush(&self) -> Result<(), NetError> {
+        self.shared.flush()
     }
 
     /// Install an idle-payload source: whenever this connection's heartbeat

@@ -1,41 +1,46 @@
 //! The readiness event loop at the heart of the transport.
 //!
-//! A small fixed pool of reactor threads (sized from the host's
-//! parallelism, overridable via `DUFS_NET_REACTORS`) owns every connection
-//! in the process. Each reactor runs one epoll instance in edge-triggered
-//! mode plus an `eventfd` other threads use to kick it, and keeps a
-//! per-connection state machine:
+//! A small fixed pool of reactor threads (one per available core, 1–16)
+//! owns every connection in the process. Each reactor runs one epoll
+//! instance in edge-triggered mode plus an `eventfd` other threads use to
+//! kick it, and keeps a per-connection state machine:
 //!
 //! * **reads** drain the socket until `EWOULDBLOCK` into a pooled scratch
 //!   buffer ([`BufferPool`]), feeding an incremental [`FrameDecoder`] that
 //!   tolerates frames split across arbitrary read boundaries;
-//! * **writes** go through a per-connection outbound queue that callers
-//!   ([`Conn::send`]) fill from any thread; the reactor flushes it with
-//!   `writev`, coalescing up to [`MAX_WRITEV_FRAMES`] queued frames into
-//!   one syscall and carrying partial-write offsets across readiness
-//!   edges;
+//! * **writes** go through a per-connection outbound queue that any thread
+//!   fills. Whoever flushes it — the owner on its own thread just before it
+//!   waits ([`Conn::flush`]), or the reactor after a [`Conn::send`] nudge,
+//!   a heartbeat or an `EPOLLOUT` edge — runs the same [`ConnShared`]
+//!   routine under the queue lock: `writev` of up to [`MAX_WRITEV_FRAMES`]
+//!   queued frames per syscall until the queue empties or the socket
+//!   pushes back, with partial-write offsets carried to the next edge;
 //! * **handshakes** for accepted sockets run inside the loop (phase
 //!   `Handshake`): the peer's [`Hello`] is decoded, validated, answered,
 //!   and only then is the connection announced to its owner — a stranger
 //!   or version-mismatched dialer is dropped without ever surfacing;
 //! * **heartbeats and liveness** ride a periodic tick: a connection with
-//!   no outbound bytes for a heartbeat interval gets a heartbeat frame
-//!   queued, and every silent inbound window counts a miss until
-//!   `max_misses` declares the peer dead — the same contract the blocking
-//!   reader/writer threads used to enforce.
+//!   no outbound bytes for a heartbeat interval — by either writer, the
+//!   clock is shared — gets a heartbeat frame queued, and every silent
+//!   inbound window counts a miss until `max_misses` declares the peer
+//!   dead — the same contract the blocking reader/writer threads used to
+//!   enforce.
 //!
-//! Owners talk to the loop only through [`ConnShared`] (enqueue + close
-//! request + closed flag) and receive inbound traffic either on a
+//! Owners talk to the loop only through [`ConnShared`] (queue, flush,
+//! close request, closed flag) and receive inbound traffic either on a
 //! per-connection channel or on a shared demultiplexed [`ConnEvent`]
 //! stream, which is what lets a server host tens of thousands of sessions
-//! without a thread per connection.
+//! without a thread per connection. A connection's descriptor is the
+//! reactor's: it marks the connection closed under the queue lock before
+//! it drops the socket, so an owner's flush never writes to a descriptor
+//! number the kernel has handed to someone else.
 
 use std::collections::{HashMap, VecDeque};
 use std::io::Read;
 use std::net::{SocketAddr, TcpStream};
-use std::os::unix::io::AsRawFd;
+use std::os::unix::io::{AsRawFd, RawFd};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 use std::time::{Duration, Instant};
 
 use crossbeam::channel::{unbounded, Receiver, Sender};
@@ -108,22 +113,42 @@ impl OutFrame {
 /// heartbeat slots (see [`ConnShared::set_idle_source`]).
 pub(crate) type IdleSource = Box<dyn Fn() -> Option<Vec<u8>> + Send>;
 
-/// The owner-facing half of a registered connection: enqueue frames, ask
-/// for closure, observe death. Shared between [`Conn`] handles and the
-/// reactor's connection state.
+/// Everything a writer needs, under one lock: the queued frames, when a
+/// byte last left, and whether the descriptor is still this connection's.
+struct Outbound {
+    frames: VecDeque<OutFrame>,
+    /// Last instant any outbound byte left, by either writer (heartbeat
+    /// scheduling).
+    last_tx: Instant,
+    /// Set by the reactor before it drops the socket. A writer holding the
+    /// lock and seeing `false` writes to this connection and no other.
+    closed: bool,
+}
+
+/// The owner-facing half of a registered connection: queue and flush
+/// frames, ask for closure, observe death. Shared between [`Conn`] handles
+/// and the reactor's connection state.
 pub(crate) struct ConnShared {
     token: u64,
-    closed: AtomicBool,
+    /// The socket's descriptor; valid while `out.closed` is false.
+    fd: RawFd,
+    stats: NetStats,
     flush_queued: AtomicBool,
-    out: Mutex<VecDeque<OutFrame>>,
+    out: Mutex<Outbound>,
     idle_source: Mutex<Option<IdleSource>>,
     reactor: ReactorRef,
 }
 
 impl ConnShared {
+    /// The outbound half, locked. A writer that panicked while holding it
+    /// may have left a frame half-written: the stream cannot be trusted.
+    fn out(&self) -> MutexGuard<'_, Outbound> {
+        self.out.lock().expect("a writer panicked mid-frame")
+    }
+
     /// Whether the reactor has torn this connection down.
     pub(crate) fn is_closed(&self) -> bool {
-        self.closed.load(Ordering::Acquire)
+        self.out().closed
     }
 
     /// Install (or clear) the idle-payload source. When this connection's
@@ -137,16 +162,89 @@ impl ConnShared {
         *self.idle_source.lock().unwrap() = source;
     }
 
-    /// Queue one application frame and nudge the reactor. Fails once the
+    /// Queue one application frame without waking anyone. Fails once the
     /// connection has died.
-    pub(crate) fn send(&self, payload: Vec<u8>) -> Result<(), NetError> {
-        if self.is_closed() {
+    pub(crate) fn queue(&self, payload: Vec<u8>) -> Result<(), NetError> {
+        let head = frame_head(&payload);
+        let mut out = self.out();
+        if out.closed {
             return Err(NetError::Closed);
         }
-        let head = frame_head(&payload);
-        self.out.lock().unwrap().push_back(OutFrame { head, payload, off: 0 });
+        out.frames.push_back(OutFrame { head, payload, off: 0 });
+        Ok(())
+    }
+
+    /// Queue one application frame and nudge the reactor to write it.
+    pub(crate) fn send(&self, payload: Vec<u8>) -> Result<(), NetError> {
+        self.queue(payload)?;
         if !self.flush_queued.swap(true, Ordering::AcqRel) {
             self.reactor.send(Cmd::Flush(self.token));
+        }
+        Ok(())
+    }
+
+    /// Write what is queued on the calling thread, up to what the socket
+    /// takes now; the rest leaves on the reactor's next `EPOLLOUT` edge. A
+    /// socket error is the reactor's to act on: it is nudged to find it and
+    /// tear the connection down.
+    pub(crate) fn flush(&self) -> Result<(), NetError> {
+        let mut out = self.out();
+        if out.closed {
+            return Err(NetError::Closed);
+        }
+        if self.write_queued(&mut out).is_ok() {
+            return Ok(());
+        }
+        drop(out);
+        self.reactor.send(Cmd::Flush(self.token));
+        Err(NetError::Closed)
+    }
+
+    /// Write queued frames with vectored writes until the queue empties or
+    /// the socket pushes back. Partial writes leave an offset for the next
+    /// edge. The one write routine: the reactor's flushes and the owner's
+    /// [`ConnShared::flush`] both run it under the queue lock, so frames
+    /// leave whole and in queue order whoever writes them.
+    fn write_queued(&self, out: &mut Outbound) -> std::io::Result<()> {
+        while !out.frames.is_empty() {
+            let mut iov: Vec<&[u8]> =
+                Vec::with_capacity(2 * MAX_WRITEV_FRAMES.min(out.frames.len()));
+            for f in out.frames.iter().take(MAX_WRITEV_FRAMES) {
+                if f.off < 8 {
+                    iov.push(&f.head[f.off..]);
+                    if !f.payload.is_empty() {
+                        iov.push(&f.payload);
+                    }
+                } else {
+                    iov.push(&f.payload[f.off - 8..]);
+                }
+            }
+            match writev_fd(self.fd, &iov) {
+                Ok(mut n) => {
+                    out.last_tx = Instant::now();
+                    let mut completed = 0u64;
+                    while n > 0 {
+                        let f = out.frames.front_mut().expect("bytes written imply a queued frame");
+                        let rem = f.remaining();
+                        if n >= rem {
+                            n -= rem;
+                            if f.payload.is_empty() {
+                                self.stats.on_heartbeat_sent();
+                            } else {
+                                self.stats.on_frame_sent(8 + f.payload.len() as u64);
+                            }
+                            completed += 1;
+                            out.frames.pop_front();
+                        } else {
+                            f.off += n;
+                            n = 0;
+                        }
+                    }
+                    self.stats.on_writev(completed);
+                }
+                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
+                Err(e) => return Err(e),
+            }
         }
         Ok(())
     }
@@ -172,7 +270,6 @@ pub(crate) struct Registration {
     pub shared: Arc<ConnShared>,
     pub delivery: Delivery,
     pub tuning: Tuning,
-    pub stats: NetStats,
     pub phase: Phase,
 }
 
@@ -202,11 +299,7 @@ impl ReactorRef {
 fn reactors() -> &'static Vec<ReactorRef> {
     static POOL: OnceLock<Vec<ReactorRef>> = OnceLock::new();
     POOL.get_or_init(|| {
-        let n = std::env::var("DUFS_NET_REACTORS")
-            .ok()
-            .and_then(|v| v.parse::<usize>().ok())
-            .unwrap_or_else(|| std::thread::available_parallelism().map(|p| p.get()).unwrap_or(1))
-            .clamp(1, 16);
+        let n = std::thread::available_parallelism().map_or(1, |p| p.get()).clamp(1, 16);
         (0..n)
             .map(|i| {
                 let (cmd_tx, cmd_rx) = unbounded::<Cmd>();
@@ -248,9 +341,14 @@ pub(crate) fn register(
     let reactor = pool[NEXT_REACTOR.fetch_add(1, Ordering::Relaxed) % pool.len()].clone();
     let shared = Arc::new(ConnShared {
         token: next_token(),
-        closed: AtomicBool::new(false),
+        fd: stream.as_raw_fd(),
+        stats,
         flush_queued: AtomicBool::new(false),
-        out: Mutex::new(VecDeque::new()),
+        out: Mutex::new(Outbound {
+            frames: VecDeque::new(),
+            last_tx: Instant::now(),
+            closed: false,
+        }),
         idle_source: Mutex::new(None),
         reactor: reactor.clone(),
     });
@@ -259,7 +357,6 @@ pub(crate) fn register(
         shared: shared.clone(),
         delivery,
         tuning,
-        stats,
         phase,
     })));
     Ok(shared)
@@ -280,12 +377,9 @@ struct ConnState {
     shared: Arc<ConnShared>,
     delivery: Delivery,
     tuning: Tuning,
-    stats: NetStats,
     decoder: FrameDecoder,
     phase: Phase,
     peer_addr: Option<SocketAddr>,
-    /// Last instant any outbound byte left (heartbeat scheduling).
-    last_tx: Instant,
     /// Start of the current silent-inbound window (liveness misses).
     rx_window: Instant,
     misses: u32,
@@ -295,6 +389,17 @@ struct ConnState {
     /// `Closed` event is only sent after an `Opened`, and dialed
     /// connections are born announced).
     announced: bool,
+}
+
+impl ConnState {
+    /// How a socket failure ends this connection.
+    fn death(&self) -> Close {
+        if self.announced {
+            Close::Dead
+        } else {
+            Close::HandshakeFailed
+        }
+    }
 }
 
 struct Reactor {
@@ -369,7 +474,7 @@ impl Reactor {
             Cmd::Flush(token) => {
                 if let Some(st) = self.conns.get_mut(&token) {
                     st.shared.flush_queued.store(false, Ordering::Release);
-                    st.stats.on_wakeup();
+                    st.shared.stats.on_wakeup();
                     if let Err(close) = flush_conn(st) {
                         self.close_conn(token, close);
                     }
@@ -378,16 +483,12 @@ impl Reactor {
             Cmd::Close(token) => {
                 let Some(st) = self.conns.get_mut(&token) else { return };
                 st.closing = true;
-                let empty = {
-                    let q = st.shared.out.lock().unwrap();
-                    q.is_empty()
-                };
-                if empty {
-                    self.close_conn(token, Close::Dead);
-                } else if let Err(close) = flush_conn(st) {
-                    self.close_conn(token, close);
-                } else if st_queue_empty(&self.conns, token) {
-                    self.close_conn(token, Close::Dead);
+                match flush_conn(st) {
+                    Err(close) => self.close_conn(token, close),
+                    Ok(()) if st_queue_empty(&self.conns, token) => {
+                        self.close_conn(token, Close::Dead)
+                    }
+                    Ok(()) => {}
                 }
             }
         }
@@ -399,11 +500,12 @@ impl Reactor {
         let fd = reg.stream.as_raw_fd();
         let peer_addr = reg.stream.peer_addr().ok();
         if self.epoll.add(fd, token, EPOLLIN | EPOLLOUT | EPOLLRDHUP | EPOLLET).is_err() {
-            reg.shared.closed.store(true, Ordering::Release);
-            reg.stats.on_conn_failed();
+            // Marked before `reg` (and with it the socket) is dropped.
+            reg.shared.out().closed = true;
+            reg.shared.stats.on_conn_failed();
             return;
         }
-        reg.stats.on_conn_registered();
+        reg.shared.stats.on_conn_registered();
         let announced = matches!(reg.phase, Phase::Open);
         let half_hb = (reg.tuning.heartbeat / 2).max(Duration::from_millis(1));
         if half_hb < self.tick_every {
@@ -417,11 +519,9 @@ impl Reactor {
                 shared: reg.shared,
                 delivery: reg.delivery,
                 tuning: reg.tuning,
-                stats: reg.stats,
                 decoder: FrameDecoder::new(reg.tuning.max_frame),
                 phase: reg.phase,
                 peer_addr,
-                last_tx: now,
                 rx_window: now,
                 misses: 0,
                 closing: false,
@@ -432,7 +532,7 @@ impl Reactor {
 
     fn on_io(&mut self, token: u64, flags: u32) {
         let Some(st) = self.conns.get_mut(&token) else { return };
-        st.stats.on_wakeup();
+        st.shared.stats.on_wakeup();
         if flags & (EPOLLIN | EPOLLRDHUP | EPOLLHUP | EPOLLERR) != 0 {
             match read_drain(st, &mut self.pool, &mut self.decoded) {
                 Ok(()) => {}
@@ -445,7 +545,7 @@ impl Reactor {
         // Flush on an explicit write edge, and opportunistically after a
         // read that queued something (e.g. the handshake reply).
         let st = self.conns.get_mut(&token).expect("conn still present");
-        let has_out = !st.shared.out.lock().unwrap().is_empty();
+        let has_out = !st.shared.out().frames.is_empty();
         if flags & (EPOLLOUT | EPOLLHUP | EPOLLERR) != 0 || has_out {
             if let Err(close) = flush_conn(st) {
                 self.close_conn(token, close);
@@ -471,7 +571,10 @@ impl Reactor {
                 }
                 continue;
             }
-            if !st.closing && now.duration_since(st.last_tx) >= st.tuning.heartbeat {
+            // Checked and queued under one lock: a flush by the owner in
+            // between would make this heartbeat redundant.
+            let mut out = st.shared.out();
+            if !st.closing && now.duration_since(out.last_tx) >= st.tuning.heartbeat {
                 // An otherwise-empty heartbeat slot can carry a payload from
                 // the owner's idle source (lease piggyback): same keepalive
                 // effect on the peer's liveness window, one real frame of
@@ -487,14 +590,15 @@ impl Reactor {
                     .filter(|p| !p.is_empty());
                 let frame = match payload {
                     Some(p) => {
-                        st.stats.on_idle_payload();
+                        st.shared.stats.on_idle_payload();
                         OutFrame { head: frame_head(&p), payload: p, off: 0 }
                     }
                     None => OutFrame { head: frame_head(&[]), payload: Vec::new(), off: 0 },
                 };
-                st.shared.out.lock().unwrap().push_back(frame);
+                out.frames.push_back(frame);
                 flush.push(token);
             }
+            drop(out);
             // At most ONE miss per tick pass, anchored to now: a miss means
             // a full heartbeat window of *reactor-observed* silence. Walking
             // the elapsed wall-clock windows instead would let a scheduler
@@ -503,7 +607,7 @@ impl Reactor {
             if now.duration_since(st.rx_window) >= st.tuning.heartbeat {
                 st.rx_window = now;
                 st.misses += 1;
-                st.stats.on_heartbeat_miss();
+                st.shared.stats.on_heartbeat_miss();
                 if st.misses >= st.tuning.max_misses {
                     dead.push((token, Close::Dead));
                 }
@@ -525,14 +629,16 @@ impl Reactor {
         self.next_tick = now + self.tick_every;
     }
 
-    /// Tear a connection down: deregister, mark closed, tell the owner.
+    /// Tear a connection down: mark it closed, deregister, tell the owner.
     fn close_conn(&mut self, token: u64, close: Close) {
         let Some(st) = self.conns.remove(&token) else { return };
-        st.shared.closed.store(true, Ordering::Release);
+        // Under the queue lock and before the socket is dropped: once the
+        // descriptor number is free, no owner's flush may reach it.
+        st.shared.out().closed = true;
         self.epoll.del(st.stream.as_raw_fd()).ok();
-        st.stats.on_conn_unregistered();
+        st.shared.stats.on_conn_unregistered();
         if matches!(close, Close::HandshakeFailed) {
-            st.stats.on_conn_failed();
+            st.shared.stats.on_conn_failed();
         }
         if let Delivery::Demux { id, tx } = &st.delivery {
             if st.announced {
@@ -546,7 +652,7 @@ impl Reactor {
 
 /// Is `token`'s outbound queue empty right now?
 fn st_queue_empty(conns: &HashMap<u64, ConnState>, token: u64) -> bool {
-    conns.get(&token).is_some_and(|st| st.shared.out.lock().unwrap().is_empty())
+    conns.get(&token).is_some_and(|st| st.shared.out().frames.is_empty())
 }
 
 /// Drain the socket until `EWOULDBLOCK`, decoding and dispatching frames.
@@ -555,14 +661,14 @@ fn read_drain(
     pool: &mut BufferPool,
     decoded: &mut Vec<Frame>,
 ) -> Result<(), Close> {
-    let mut buf = pool.acquire(&st.stats);
+    let mut buf = pool.acquire(&st.shared.stats);
     let mut outcome = Ok(());
     loop {
         match st.stream.read(&mut buf[..]) {
             Ok(0) => {
                 // EOF. Mid-frame it is an abrupt death; either way the
                 // connection is over (matching the blocking reader).
-                outcome = Err(if st.announced { Close::Dead } else { Close::HandshakeFailed });
+                outcome = Err(st.death());
                 break;
             }
             Ok(n) => {
@@ -572,13 +678,13 @@ fn read_drain(
                 decoded.clear();
                 if st.decoder.feed(&buf[..n], &mut |f| decoded.push(f)).is_err() {
                     // Framing corruption: the stream cannot be resynced.
-                    outcome = Err(if st.announced { Close::Dead } else { Close::HandshakeFailed });
+                    outcome = Err(st.death());
                     break;
                 }
                 let mut failed = false;
                 for frame in decoded.drain(..) {
                     match frame {
-                        Frame::Heartbeat => st.stats.on_heartbeat_recv(),
+                        Frame::Heartbeat => st.shared.stats.on_heartbeat_recv(),
                         Frame::Msg(payload) => {
                             if let Err(close) = dispatch_msg(st, payload) {
                                 outcome = Err(close);
@@ -596,7 +702,7 @@ fn read_drain(
             Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
             Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
             Err(_) => {
-                outcome = Err(if st.announced { Close::Dead } else { Close::HandshakeFailed });
+                outcome = Err(st.death());
                 break;
             }
         }
@@ -616,9 +722,9 @@ fn dispatch_msg(st: &mut ConnState, payload: Vec<u8>) -> Result<(), Close> {
             // Answer with our own hello, then open.
             let reply = my_hello.encode();
             let head = frame_head(&reply);
-            st.shared.out.lock().unwrap().push_back(OutFrame { head, payload: reply, off: 0 });
+            st.shared.out().frames.push_back(OutFrame { head, payload: reply, off: 0 });
             st.phase = Phase::Open;
-            st.stats.on_conn_opened();
+            st.shared.stats.on_conn_opened();
             let conn = Conn::from_parts(st.shared.clone(), remote, st.peer_addr);
             match &st.delivery {
                 Delivery::Demux { id, tx } => {
@@ -634,7 +740,7 @@ fn dispatch_msg(st: &mut ConnState, payload: Vec<u8>) -> Result<(), Close> {
             Ok(())
         }
         Phase::Open => {
-            st.stats.on_frame_recv(8 + payload.len() as u64);
+            st.shared.stats.on_frame_recv(8 + payload.len() as u64);
             let delivered = match &st.delivery {
                 Delivery::Channel(tx) => tx.send(payload).is_ok(),
                 Delivery::Demux { id, tx } => {
@@ -651,50 +757,9 @@ fn dispatch_msg(st: &mut ConnState, payload: Vec<u8>) -> Result<(), Close> {
     }
 }
 
-/// Flush the outbound queue with vectored writes until it empties or the
-/// socket pushes back. Partial writes leave an offset for the next edge.
+/// The reactor's flush: [`ConnShared`]'s one write routine, with a socket
+/// error ending the connection.
 fn flush_conn(st: &mut ConnState) -> Result<(), Close> {
-    let fd = st.stream.as_raw_fd();
-    let mut q = st.shared.out.lock().unwrap();
-    while !q.is_empty() {
-        let mut iov: Vec<&[u8]> = Vec::with_capacity(2 * MAX_WRITEV_FRAMES.min(q.len()));
-        for f in q.iter().take(MAX_WRITEV_FRAMES) {
-            if f.off < 8 {
-                iov.push(&f.head[f.off..]);
-                if !f.payload.is_empty() {
-                    iov.push(&f.payload);
-                }
-            } else {
-                iov.push(&f.payload[f.off - 8..]);
-            }
-        }
-        match writev_fd(fd, &iov) {
-            Ok(mut n) => {
-                st.last_tx = Instant::now();
-                let mut completed = 0u64;
-                while n > 0 {
-                    let f = q.front_mut().expect("bytes written imply a queued frame");
-                    let rem = f.remaining();
-                    if n >= rem {
-                        n -= rem;
-                        if f.payload.is_empty() {
-                            st.stats.on_heartbeat_sent();
-                        } else {
-                            st.stats.on_frame_sent(8 + f.payload.len() as u64);
-                        }
-                        completed += 1;
-                        q.pop_front();
-                    } else {
-                        f.off += n;
-                        n = 0;
-                    }
-                }
-                st.stats.on_writev(completed);
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-            Err(_) => return Err(if st.announced { Close::Dead } else { Close::HandshakeFailed }),
-        }
-    }
-    Ok(())
+    let mut out = st.shared.out();
+    st.shared.write_queued(&mut out).map_err(|_| st.death())
 }

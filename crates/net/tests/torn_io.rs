@@ -1,4 +1,5 @@
-//! Torn/partial-I/O regression tests for the incremental frame decoder.
+//! Torn/partial-I/O regression tests for the incremental frame decoder,
+//! and for the two writers of one outbound queue.
 //!
 //! The readiness event loop reads whatever the kernel has — a frame can
 //! arrive one byte at a time or glued to its neighbors in a single 64 KiB
@@ -6,6 +7,12 @@
 //! regardless of how the byte stream is torn, and must reject corruption
 //! exactly like the blocking [`read_frame`] path these properties'
 //! siblings in `prop_frame.rs` cover.
+//!
+//! On the way out, a connection's frames are written by its owner's
+//! `flush` or by the reactor, each stopping wherever the socket pushes
+//! back. Against a slow reader, threads mixing `send` and `queue` + `flush`
+//! on one connection must still see each thread's frames arrive whole and
+//! in order, and a frame an owner flushed must finish without it.
 
 mod common;
 
@@ -227,4 +234,173 @@ fn torn_writes_over_a_live_socket_still_deliver() {
     }
     accept.stop();
     kill.store(true, std::sync::atomic::Ordering::SeqCst);
+}
+
+/// A frame payload that says who wrote it: writer, sequence number, then a
+/// body whose every byte depends on both and on its position.
+fn tagged(writer: u8, seq: u32, body: usize) -> Vec<u8> {
+    let mut p = vec![writer];
+    p.extend_from_slice(&seq.to_le_bytes());
+    p.extend((0..body).map(|i| (i as u32 ^ seq.wrapping_mul(131) ^ u32::from(writer) << 8) as u8));
+    p
+}
+
+/// Accept one dial on a plain listener and answer its hello by hand, so
+/// the far end of the connection under test reads at whatever pace the
+/// test likes.
+fn accept_raw(listener: &std::net::TcpListener) -> std::net::TcpStream {
+    let stats = NetStats::new();
+    let (mut stream, _) = listener.accept().unwrap();
+    stream.set_read_timeout(Some(std::time::Duration::from_secs(30))).unwrap();
+    match read_frame(&mut stream, MAX_FRAME, 0, &stats).unwrap() {
+        Frame::Msg(p) => {
+            Hello::decode(&p).unwrap();
+        }
+        other => panic!("expected a hello, got {other:?}"),
+    }
+    let hello = Hello { kind: dufs_net::EndpointKind::Server, id: 0 };
+    write_frame(&mut stream, &hello.encode(), &stats).unwrap();
+    stream
+}
+
+/// A reader that takes at most 4 KiB per call and naps every 64 KiB.
+struct Slow {
+    inner: std::net::TcpStream,
+    reads: u64,
+}
+
+impl std::io::Read for Slow {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        self.reads += 1;
+        if self.reads.is_multiple_of(16) {
+            std::thread::sleep(std::time::Duration::from_millis(1));
+        }
+        let n = buf.len().min(4096);
+        self.inner.read(&mut buf[..n])
+    }
+}
+
+/// The next application frame from a slow reader, skipping heartbeats.
+fn next_msg(slow: &mut Slow) -> Vec<u8> {
+    let stats = NetStats::new();
+    loop {
+        match read_frame(slow, MAX_FRAME, 0, &stats).unwrap() {
+            Frame::Msg(p) => return p,
+            Frame::Heartbeat => {}
+            other => panic!("connection ended early: {other:?}"),
+        }
+    }
+}
+
+/// A connection dialed at a listener that [`accept_raw`] serves.
+fn dial(addr: std::net::SocketAddr, cfg: &dufs_net::NetConfig) -> dufs_net::Conn {
+    let hello = Hello { kind: dufs_net::EndpointKind::Client, id: 1 };
+    let (conn, _rx) = dufs_net::connect(addr, hello, cfg, &NetStats::new()).unwrap();
+    conn
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(6))]
+
+    /// Writers on several threads share one connection, each frame going
+    /// out either through `send` (the reactor writes it) or `queue` +
+    /// `flush` (the writer's own thread does). Whoever writes, and wherever
+    /// a slow reader makes the socket push back, each writer's frames
+    /// arrive in its order, none torn or interleaved with another's.
+    #[test]
+    fn mixed_writers_keep_each_writers_frames_whole_and_in_order(
+        plans in proptest::collection::vec(
+            proptest::collection::vec(
+                (
+                    any::<bool>(),
+                    prop_oneof![0usize..64, 0usize..4096, 0usize..(1 << 20) + 1, Just(1 << 20)],
+                ),
+                2..9,
+            ),
+            2..5,
+        ),
+    ) {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let total: usize = plans.iter().map(Vec::len).sum();
+        // Built up front, so the writers outpace the reader from the start.
+        let frames: Vec<Vec<(bool, Vec<u8>)>> = plans
+            .iter()
+            .enumerate()
+            .map(|(w, plan)| {
+                let tag = |(seq, &(owner, body)): (usize, &(bool, usize))| {
+                    (owner, tagged(w as u8, seq as u32, body))
+                };
+                plan.iter().enumerate().map(tag).collect()
+            })
+            .collect();
+        let reader = std::thread::spawn(move || {
+            let mut slow = Slow { inner: accept_raw(&listener), reads: 0 };
+            // Let the writers fill the socket before anything drains.
+            std::thread::sleep(std::time::Duration::from_millis(20));
+            (0..total).map(|_| next_msg(&mut slow)).collect::<Vec<_>>()
+        });
+        let conn = dial(addr, &dufs_net::NetConfig::default());
+        std::thread::scope(|s| {
+            for frames in frames {
+                let conn = &conn;
+                s.spawn(move || {
+                    for (owner, frame) in frames {
+                        if owner {
+                            conn.queue(frame).unwrap();
+                            conn.flush().unwrap();
+                        } else {
+                            conn.send(frame).unwrap();
+                        }
+                        // Spread the writes out, so owner flushes and reactor
+                        // flushes take turns on the socket.
+                        std::thread::sleep(std::time::Duration::from_micros(300));
+                    }
+                });
+            }
+        });
+        let got = reader.join().unwrap();
+        let mut next_seq = vec![0u32; plans.len()];
+        for frame in &got {
+            prop_assert!(frame.len() >= 5, "frame shorter than its tag");
+            let w = frame[0] as usize;
+            let seq = u32::from_le_bytes(frame[1..5].try_into().unwrap());
+            prop_assert!(w < plans.len(), "frame from no writer");
+            prop_assert_eq!(seq, next_seq[w], "writer {}'s frames out of order", w);
+            let body = plans[w][seq as usize].1;
+            prop_assert!(frame == &tagged(w as u8, seq, body), "writer {} frame {} damaged", w, seq);
+            next_seq[w] += 1;
+        }
+        let sent: Vec<u32> = plans.iter().map(|p| p.len() as u32).collect();
+        prop_assert_eq!(next_seq, sent);
+        drop(conn);
+    }
+}
+
+/// An 8 MiB frame is far more than the socket takes at once. The owner's
+/// one `flush` returns with the rest still queued — before the reader has
+/// read a byte — and the reactor finishes it on the socket's writable
+/// edges with no further call on the connection. (Heartbeats are a minute
+/// apart, so no heartbeat's flush can carry the rest instead.)
+#[test]
+fn an_owner_flushed_8_mib_frame_finishes_without_another_call() {
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let (go, flushed) = crossbeam::channel::bounded::<()>(1);
+    let reader = std::thread::spawn(move || {
+        let mut slow = Slow { inner: accept_raw(&listener), reads: 0 };
+        flushed
+            .recv_timeout(std::time::Duration::from_secs(10))
+            .expect("flush blocked until the reader drained the socket");
+        next_msg(&mut slow)
+    });
+    let conn = dial(addr, &dufs_net::NetConfig { heartbeat_ms: 60_000, ..Default::default() });
+    let big = tagged(0, 0, 8 << 20);
+    conn.queue(big.clone()).unwrap();
+    conn.flush().unwrap();
+    go.send(()).unwrap();
+    let got = reader.join().unwrap();
+    assert!(got == big, "the 8 MiB frame arrived damaged ({} bytes)", got.len());
+    // Only now may the connection go: dropping it would flush on close.
+    drop(conn);
 }

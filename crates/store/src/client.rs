@@ -72,8 +72,13 @@ impl From<NetError> for StoreError {
 pub trait StoreTarget: Send {
     /// Queue a request; must not block on the reply.
     fn submit(&mut self, req: &StoreReq<'_>) -> Result<(), StoreError>;
+    /// Start moving what was submitted, without waiting for it. A target
+    /// that applies requests on `submit` has nothing to do.
+    fn flush(&mut self) -> Result<(), StoreError> {
+        Ok(())
+    }
     /// Next encoded reply ([`StoreRep::decode`] views it), FIFO with
-    /// respect to submitted requests.
+    /// respect to submitted requests. Flushes first.
     fn recv(&mut self) -> Result<Vec<u8>, StoreError>;
 }
 
@@ -129,10 +134,16 @@ impl TcpTarget {
 
 impl StoreTarget for TcpTarget {
     fn submit(&mut self, req: &StoreReq<'_>) -> Result<(), StoreError> {
-        Ok(self.conn.send(req.encode())?)
+        Ok(self.conn.queue(req.encode())?)
+    }
+
+    /// Submitted requests leave on the caller's thread, coalesced.
+    fn flush(&mut self) -> Result<(), StoreError> {
+        Ok(self.conn.flush()?)
     }
 
     fn recv(&mut self) -> Result<Vec<u8>, StoreError> {
+        self.flush()?;
         Ok(self.rx.recv_timeout(RECV_TIMEOUT).map_err(|_| NetError::Closed)?)
     }
 }
@@ -240,6 +251,11 @@ impl StoreClient {
                 break;
             }
             sent.push(t);
+        }
+        // Every target gets its requests before the first wait, so all of
+        // them work at once. A failed flush resurfaces at that target's recv.
+        for target in self.targets.iter_mut().flatten() {
+            let _ = target.flush();
         }
         for t in 0..self.targets.len() {
             for i in (0..sent.len()).filter(|&i| sent[i] == t) {

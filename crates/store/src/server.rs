@@ -7,7 +7,8 @@
 //!
 //! Durability follows the engine's [`FsyncPolicy`]: under `Group` the
 //! drained batch is applied, then ONE `engine.sync()` runs, and only then
-//! are the batch's replies sent — WAL-style group commit, so an acked
+//! are the batch's replies queued and flushed, on the owner thread before
+//! it waits for the next batch — WAL-style group commit, so an acked
 //! mutation is always durable at the cost of one fsync per batch rather
 //! than one per write. `PerWrite` engines sync internally; `None` syncs
 //! only when a client sends an explicit `Sync` barrier.
@@ -129,6 +130,8 @@ fn serve<E: StorageEngine>(
     // Received frames, kept as they arrived and decoded (a borrowed view)
     // only when applied.
     let mut batch: Vec<(u64, Vec<u8>)> = Vec::new();
+    // Connections with replies queued, flushed before the next wait.
+    let mut written: Vec<u64> = Vec::new();
     loop {
         if stop.load(Ordering::SeqCst) {
             return;
@@ -186,9 +189,17 @@ fn serve<E: StorageEngine>(
         }
         for (conn_id, _, frame) in replies {
             if let Some(conn) = conns.get(&conn_id) {
-                if conn.send(frame).is_err() {
+                if conn.queue(frame).is_err() {
                     conns.remove(&conn_id);
+                } else if !written.contains(&conn_id) {
+                    written.push(conn_id);
                 }
+            }
+        }
+        // The batch's acks leave on this thread, before it waits again.
+        for conn_id in written.drain(..) {
+            if conns.get(&conn_id).is_some_and(|conn| conn.flush().is_err()) {
+                conns.remove(&conn_id);
             }
         }
     }

@@ -154,6 +154,20 @@ for call in 'backend_of(' 'physical_path('; do
 done
 echo "==> one back-end hop in the planner: 1 backend_of( and 1 physical_path( in plan.rs + vfs.rs"
 
+# One write routine in the transport: an owner's `Conn::flush` and the
+# reactor's flushes both run `ConnShared::write_queued` under the queue lock,
+# which is what keeps a connection's frames whole and in order whoever writes
+# them, and keeps a flush off a descriptor the reactor has closed. A second
+# `writev_fd(` call outside `sys.rs`'s definition is a second writer growing
+# back beside it.
+writes=$(for f in crates/net/src/*.rs; do nontest "$f"; done | grep -v 'fn writev_fd(' |
+    grep -oF 'writev_fd(' | wc -l)
+if [ "$writes" -ne 1 ]; then
+    echo "FAIL: 'writev_fd(' is called $writes times in non-test crates/net/src (want exactly 1)" >&2
+    exit 1
+fi
+echo "==> one transport write routine: 1 writev_fd( call in non-test crates/net/src"
+
 echo "==> cargo build --release"
 cargo build --release
 
