@@ -65,7 +65,7 @@ pub fn run(scale: Scale) -> Report {
     // --- With the coordination service: the same two operations from two
     // clients connected to different servers; the leader totally orders
     // them and every replica applies the same sequence.
-    let cluster = ClusterBuilder::new().voters(3).threads();
+    let cluster = ClusterBuilder::new().voters(3).tcp();
     cluster.await_leader(Duration::from_secs(10)).expect("leader");
     std::thread::scope(|s| {
         let mut c1 = cluster.client(ClientOptions::at(0)).expect("client 1 session");

@@ -1,6 +1,6 @@
 //! [`Cached<S>`] — any [`CoordService`] session behind the metadata cache
 //! and the staleness-lease protocol. One wrapper for every session shape:
-//! a `ZkClient` on either transport, a `ShardedClient`, an in-process
+//! a `ZkClient`, a `ShardedClient`, an in-process
 //! server, or a test double that only implements `request`.
 //!
 //! ## One connection, or N of them

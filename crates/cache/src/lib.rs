@@ -28,7 +28,7 @@
 //!
 //! The crate is one wrapper over one store: [`Cached<S>`] puts the cache
 //! and the lease protocol in front of **any** [`dufs_coord::CoordService`]
-//! session — a `ZkClient` on either transport, a `ShardedClient` (leases
+//! session — a `ZkClient`, a `ShardedClient` (leases
 //! per shard connection), `dufs-core`'s in-process `SoloCoord` — and is a
 //! `CoordService` itself, so `Dufs` runs over it unchanged. The store
 //! ([`shared`]) holds owner-tagged entries behind sharded locks; a private

@@ -2,9 +2,10 @@
 //!
 //! * **Read-your-writes survives the cache + failover** — the
 //!   `read_consistency.rs` proptests from `dufs-coord`, re-run with a
-//!   [`Cached`] in front of the session, on both transports, with
+//!   [`Cached`] in front of the session, under both failure models, with
 //!   the serving replica killed out from under the reader mid-round
-//!   (thread crash and TCP kill-9). This is the regression gate for
+//!   (crashed in place with its sockets open, and stopped for good). This
+//!   is the regression gate for
 //!   watches fired while disconnected: the server never replays them, so
 //!   only the reconnect's full invalidation keeps cached entries honest.
 //! * **The lease bound is real** — a leased `SyncThenLocal` reader that
@@ -38,16 +39,17 @@ fn payload(tag: u8, round: usize) -> Bytes {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(3))]
 
-    /// Thread transport: cached reader on an observer, crashed out from
-    /// under it every other round while a second session churns the
-    /// namespace. Every one of its own acked writes must stay visible
-    /// through cache, lease skips, and failovers.
+    /// Crash failover: cached reader on an observer, crashed out from
+    /// under it every other round — its socket stays open, so only the
+    /// request timeout moves the session on — while a second session
+    /// churns the namespace. Every one of its own acked writes must stay
+    /// visible through cache, lease skips, and failovers.
     #[test]
-    fn cached_reads_own_writes_across_thread_failover(
+    fn cached_reads_own_writes_across_crash_failover(
         tags in proptest::collection::vec(any::<u8>(), 2..5),
     ) {
         let _g = serial();
-        let cluster = Arc::new(ClusterBuilder::new().voters(3).observers(1).threads());
+        let cluster = Arc::new(ClusterBuilder::new().voters(3).observers(1).tcp());
         cluster.await_leader(Duration::from_secs(15)).expect("leader");
         let observer = 3;
 
@@ -102,7 +104,8 @@ proptest! {
             // its read below must contact the dead server, fail over, and
             // STILL see every write — even if the dead member happened to
             // be the leader and an election is in the way.
-            let on = c.inner_mut().transport().connected_index();
+            let at = c.inner().transport().connected_addr();
+            let on = cluster.addrs().iter().position(|&a| Some(a) == at).expect("a live link");
             let crashed = round % 2 == 0;
             if crashed {
                 cluster.crash(on);
@@ -134,12 +137,12 @@ proptest! {
         Arc::try_unwrap(cluster).ok().expect("all handles dropped").shutdown();
     }
 
-    /// TCP transport: same property under the kill-9 failure model — a
+    /// Stop failover: same property under the kill-9 failure model — a
     /// member is stopped for good, its sockets die, and the cached session
     /// must fail over without ever serving a stale entry. Watches the dead
     /// server owed us are covered by the reconnect flush.
     #[test]
-    fn cached_reads_own_writes_across_tcp_failover(
+    fn cached_reads_own_writes_across_stop_failover(
         tags in proptest::collection::vec(any::<u8>(), 2..4),
     ) {
         let _g = serial();
@@ -231,7 +234,7 @@ proptest! {
 #[test]
 fn leased_reads_bounded_staleness_across_leader_change() {
     let _g = serial();
-    let cluster = Arc::new(ClusterBuilder::new().voters(5).threads());
+    let cluster = Arc::new(ClusterBuilder::new().voters(5).tcp());
     let leader = cluster.await_leader(Duration::from_secs(15)).expect("leader");
     let follower = (0..5).find(|&i| i != leader).unwrap();
 

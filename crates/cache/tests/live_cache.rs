@@ -1,5 +1,5 @@
-//! Live integration: [`Cached`] over real clusters (thread and TCP
-//! transports). Covers the subsystem's four behavioural claims:
+//! Live integration: [`Cached`] over real loopback clusters. Covers the
+//! subsystem's four behavioural claims:
 //!
 //! 1. warm reads are served from the cache, foreign writes invalidate via
 //!    the server's one-shot watches;
@@ -18,9 +18,7 @@ use bytes::Bytes;
 
 use dufs_cache::{CacheOptions, Cached};
 use dufs_coord::server::{LEASE_MARGIN_MS, LEASE_MS};
-use dufs_coord::{
-    ClientOptions, ClientTransport, ClusterBuilder, ReadConsistency, Watch, ZkClient, ZkRequest,
-};
+use dufs_coord::{ClientOptions, ClusterBuilder, ReadConsistency, TcpZkClient, Watch, ZkRequest};
 use dufs_zkstore::{CreateMode, ZkError};
 
 /// Cluster tests use real-time election timers; running several ensembles
@@ -36,7 +34,7 @@ const LEADER_WAIT: Duration = Duration::from_secs(20);
 /// still un-acked — the case in which the lease-off rule owes a barrier
 /// (an acked write owes none: its origin replica applied it before
 /// replying).
-fn miss_with_a_write_in_flight<T: ClientTransport>(c: &mut Cached<ZkClient<T>>, i: usize) {
+fn miss_with_a_write_in_flight(c: &mut Cached<TcpZkClient>, i: usize) {
     let path = format!("/owed-{i}");
     let data = Bytes::from(format!("v{i}").into_bytes());
     c.create(&path, data.clone(), CreateMode::Persistent).unwrap();
@@ -54,47 +52,9 @@ fn miss_with_a_write_in_flight<T: ClientTransport>(c: &mut Cached<ZkClient<T>>, 
 }
 
 #[test]
-fn warm_reads_hit_and_foreign_writes_invalidate() {
-    let _g = serial();
-    let tc = ClusterBuilder::new().voters(3).threads();
-    let leader = tc.await_leader(LEADER_WAIT).expect("leader");
-
-    let mut w = tc.client(ClientOptions::at(leader)).unwrap();
-    let mut r = Cached::with_options(
-        tc.client(ClientOptions::at(leader).with_consistency(ReadConsistency::SyncThenLocal))
-            .unwrap(),
-        CacheOptions::default(),
-    );
-
-    w.create("/f", Bytes::from_static(b"v0"), CreateMode::Persistent).unwrap();
-    for _ in 0..4 {
-        let (data, _) = r.get_data("/f").unwrap();
-        assert_eq!(&data[..], b"v0");
-    }
-    let s = r.stats();
-    assert_eq!(s.misses, 1, "only the first read should reach the server: {s:?}");
-    assert_eq!(s.hits, 3, "warm reads must be cache hits: {s:?}");
-
-    // Foreign write: the watch armed by the cached read must evict the
-    // entry. Delivery is asynchronous — poll until the new value shows.
-    w.set_data("/f", Bytes::from_static(b"v1"), None).unwrap();
-    let deadline = Instant::now() + Duration::from_secs(10);
-    loop {
-        let (data, _) = r.get_data("/f").unwrap();
-        if &data[..] == b"v1" {
-            break;
-        }
-        assert!(Instant::now() < deadline, "watch never invalidated the stale entry");
-        std::thread::sleep(Duration::from_millis(20));
-    }
-    assert!(r.stats().watch_invalidations >= 1, "stats: {:?}", r.stats());
-    tc.shutdown();
-}
-
-#[test]
 fn leases_skip_barriers_and_disabled_leases_do_not() {
     let _g = serial();
-    let tc = ClusterBuilder::new().voters(3).threads();
+    let tc = ClusterBuilder::new().voters(3).tcp();
     let leader = tc.await_leader(LEADER_WAIT).expect("leader");
 
     // Lease on: a miss after an acked write owes no barrier, so there is
@@ -144,7 +104,8 @@ fn leases_skip_barriers_and_disabled_leases_do_not() {
 
 /// The regression the subsystem exists to not have: a watch that fires
 /// while the session is disconnected is NOT replayed by the server, and a
-/// dead server produces no traffic of its own — so a cache hit would be
+/// crashed server produces no traffic of its own (its socket stays open,
+/// so nothing breaks either) — so a cache hit would be
 /// served stale forever if hits were never licensed. With leases on, the
 /// hit may legally ride a still-valid grant for up to its ttl, but then
 /// the renewal ping probes the dead replica, fails over, and the
@@ -154,7 +115,7 @@ fn leases_skip_barriers_and_disabled_leases_do_not() {
 #[test]
 fn reconnect_flushes_cache_instead_of_losing_watches() {
     let _g = serial();
-    let tc = ClusterBuilder::new().voters(3).observers(1).threads();
+    let tc = ClusterBuilder::new().voters(3).observers(1).tcp();
     tc.await_leader(LEADER_WAIT).expect("leader");
     let observer = 3;
 
@@ -180,7 +141,8 @@ fn reconnect_flushes_cache_instead_of_losing_watches() {
     // session is actually on (a transient early failover can move it off
     // the observer) — and mutate while the reader is disconnected. The
     // fired watch goes into the void.
-    let on = r.inner_mut().transport().connected_index();
+    let at = r.inner().transport().connected_addr();
+    let on = tc.addrs().iter().position(|&a| Some(a) == at).expect("a live link");
     tc.crash(on);
     w.set_data("/g", Bytes::from_static(b"new"), None).unwrap();
 
@@ -214,7 +176,7 @@ fn reconnect_flushes_cache_instead_of_losing_watches() {
 #[test]
 fn lease_grants_stop_after_quorum_loss() {
     let _g = serial();
-    let tc = ClusterBuilder::new().voters(3).threads();
+    let tc = ClusterBuilder::new().voters(3).tcp();
     let leader = tc.await_leader(LEADER_WAIT).expect("leader");
     let mut c = tc.client(ClientOptions::at(leader)).unwrap();
     c.set_timeout(Duration::from_millis(500));
@@ -251,8 +213,9 @@ fn lease_grants_stop_after_quorum_loss() {
     tc.shutdown();
 }
 
-/// TCP smoke: the same cache + lease machinery over real sockets, where
-/// grants additionally arrive pushed on idle heartbeat slots.
+/// Warm reads hit, leases license owed barriers (renewed by ping or pushed
+/// on idle heartbeat slots), and foreign writes invalidate via the
+/// server's one-shot watches.
 #[test]
 fn tcp_cached_session_hits_leases_and_invalidation() {
     let _g = serial();
@@ -272,7 +235,9 @@ fn tcp_cached_session_hits_leases_and_invalidation() {
         let (data, _) = r.get_data("/t").unwrap();
         assert_eq!(&data[..], b"v0");
     }
-    assert!(r.stats().hits >= 3, "stats: {:?}", r.stats());
+    let s = r.stats();
+    assert_eq!(s.misses, 1, "only the first read should reach the server: {s:?}");
+    assert_eq!(s.hits, 3, "warm reads must be cache hits: {s:?}");
 
     // Read while a write is un-acked: the miss owes a barrier and should
     // be licensed by a lease instead (renewed by ping or adopted from a
@@ -284,7 +249,8 @@ fn tcp_cached_session_hits_leases_and_invalidation() {
     assert!(s.lease_renewals >= 1, "no lease over TCP: {s:?}");
     assert!(s.barriers_skipped >= 3, "leases should spare most barriers: {s:?}");
 
-    // Foreign-write invalidation over sockets.
+    // Foreign write: the watch armed by the cached read must evict the
+    // entry. Delivery is asynchronous — poll until the new value shows.
     w.set_data("/t", Bytes::from_static(b"v1"), None).unwrap();
     let deadline = Instant::now() + Duration::from_secs(10);
     loop {

@@ -83,7 +83,7 @@ fn a_listing_is_one_request_and_errors_surface() {
 #[test]
 fn sharded_reads_hit_lease_per_shard_and_invalidate() {
     let _g = serial();
-    let cluster = ClusterBuilder::new().voters(1).shards(2).sharded_threads();
+    let cluster = ClusterBuilder::new().voters(1).shards(2).sharded_tcp();
     let mut w = cluster.client(ClientOptions::at(0)).unwrap();
     let opts = ClientOptions::at(0).with_consistency(ReadConsistency::SyncThenLocal);
     let mut c = CacheBuilder::new().session(cluster.client(opts).unwrap());
@@ -120,7 +120,7 @@ fn sharded_reads_hit_lease_per_shard_and_invalidate() {
 #[test]
 fn synthesized_empty_listing_is_never_cached() {
     let _g = serial();
-    let cluster = ClusterBuilder::new().voters(1).shards(2).sharded_threads();
+    let cluster = ClusterBuilder::new().voters(1).shards(2).sharded_tcp();
     let mut w = cluster.client(ClientOptions::at(0)).unwrap();
     let opts = ClientOptions::at(0).with_consistency(ReadConsistency::SyncThenLocal);
     let mut c = CacheBuilder::new().session(cluster.client(opts).unwrap());

@@ -109,7 +109,7 @@ fn bulk_warm_is_one_round_trip_and_shared_sessions_read_free() {
 #[test]
 fn negative_entries_expire_or_flush_past_a_racing_create() {
     let _g = serial();
-    let tc = ClusterBuilder::new().voters(3).observers(1).threads();
+    let tc = ClusterBuilder::new().voters(3).observers(1).tcp();
     tc.await_leader(LEADER_WAIT).expect("leader");
     let observer = 3;
 
@@ -134,7 +134,8 @@ fn negative_entries_expire_or_flush_past_a_racing_create() {
     // Kill the member actually serving this session, then create the node
     // while the reader is disconnected — the existence can only surface
     // through TTL expiry or the failover's reconnect flush.
-    let on = r.inner_mut().transport().connected_index();
+    let at = r.inner().transport().connected_addr();
+    let on = tc.addrs().iter().position(|&a| Some(a) == at).expect("a live link");
     tc.crash(on);
     w.create("/phoenix", Bytes::from_static(b"risen"), CreateMode::Persistent).unwrap();
 
@@ -173,7 +174,7 @@ fn negative_entries_expire_or_flush_past_a_racing_create() {
 #[test]
 fn shared_cache_invalidation_crosses_sessions() {
     let _g = serial();
-    let tc = ClusterBuilder::new().voters(3).threads();
+    let tc = ClusterBuilder::new().voters(3).tcp();
     let leader = tc.await_leader(LEADER_WAIT).expect("leader");
 
     let mut w = tc.client(ClientOptions::at(leader)).unwrap();
@@ -216,7 +217,7 @@ fn shared_cache_invalidation_crosses_sessions() {
 #[test]
 fn bulk_warm_watches_invalidate_and_reconnect_flushes_the_warmed_set() {
     let _g = serial();
-    let tc = ClusterBuilder::new().voters(3).observers(1).threads();
+    let tc = ClusterBuilder::new().voters(3).observers(1).tcp();
     tc.await_leader(LEADER_WAIT).expect("leader");
     let observer = 3;
 
@@ -256,7 +257,8 @@ fn bulk_warm_watches_invalidate_and_reconnect_flushes_the_warmed_set() {
     // Crash the serving member: watches the warm left there fire into the
     // void, so the reconnect must flush the warmed set and the foreign
     // write becomes visible within the lease bound + failover slack.
-    let on = r.inner_mut().transport().connected_index();
+    let at = r.inner().transport().connected_addr();
+    let on = tc.addrs().iter().position(|&a| Some(a) == at).expect("a live link");
     tc.crash(on);
     w.set_data("/d/c1", Bytes::from_static(b"post-crash"), None).unwrap();
     let bound = Duration::from_millis(LEASE_MS + LEASE_MARGIN_MS + 15_000);

@@ -75,7 +75,7 @@ pub enum ReadConsistency {
 }
 
 /// Options for opening a client session against a cluster —
-/// `ThreadCluster::client` and `TcpCluster::client` take the same struct.
+/// `TcpCluster::client` and `ShardedCluster::client` take it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ClientOptions {
     /// Index of the member the session first connects to.

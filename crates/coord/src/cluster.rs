@@ -1,11 +1,11 @@
 //! One builder for every ensemble shape — the single entry point that
-//! replaced the six `start*` constructors that had accreted on
-//! [`ThreadCluster`] and [`crate::tcp::TcpCluster`].
+//! replaced the `start*` constructors that had accreted on the live
+//! clusters.
 //!
 //! ```
 //! use dufs_coord::cluster::ClusterBuilder;
 //!
-//! let cluster = ClusterBuilder::new().voters(3).threads();
+//! let cluster = ClusterBuilder::new().voters(3).tcp();
 //! # cluster.shutdown();
 //! ```
 
@@ -14,14 +14,13 @@ use std::path::{Path, PathBuf};
 use dufs_net::NetConfig;
 use dufs_zab::ZabConfig;
 
-use crate::runtime::ThreadCluster;
 use crate::sharded::ShardedCluster;
 use crate::tcp::TcpCluster;
 
 /// Builder for a coordination ensemble. Configure the membership and
-/// tuning, then pick a runtime with [`ClusterBuilder::threads`]
-/// (in-process, crossbeam channels) or [`ClusterBuilder::tcp`] (real
-/// sockets on localhost).
+/// tuning, then start it with [`ClusterBuilder::tcp`] (one ensemble) or
+/// [`ClusterBuilder::sharded_tcp`] (several behind one namespace), real
+/// sockets on localhost either way.
 #[derive(Debug, Clone, Default)]
 pub struct ClusterBuilder {
     voters: Option<usize>,
@@ -59,8 +58,7 @@ impl ClusterBuilder {
         self
     }
 
-    /// Socket tuning for the TCP runtime. Ignored by
-    /// [`ClusterBuilder::threads`], which has no sockets.
+    /// Socket tuning (heartbeats, reconnect backoff).
     pub fn net(mut self, net: NetConfig) -> Self {
         self.net = net;
         self
@@ -76,12 +74,6 @@ impl ClusterBuilder {
         self
     }
 
-    /// Start the ensemble on OS threads with in-process channel networking
-    /// — the runtime used by examples and functional tests.
-    pub fn threads(self) -> ThreadCluster {
-        ThreadCluster::start_inner(self.voters.unwrap_or(3), self.observers, self.zab, self.wal_dir)
-    }
-
     /// Start the ensemble as TCP servers on ephemeral localhost ports —
     /// real sockets, real framing, the runtime the network benchmarks use.
     pub fn tcp(self) -> TcpCluster {
@@ -94,8 +86,8 @@ impl ClusterBuilder {
         )
     }
 
-    /// Number of independent shard ensembles for the sharded starters
-    /// (default 1). Each shard is a full ensemble of the configured shape;
+    /// Number of independent shard ensembles [`ClusterBuilder::sharded_tcp`]
+    /// starts (default 1). Each shard is a full ensemble of the configured shape;
     /// a durable sharded cluster puts shard `k` under `dir/shard-<k>`.
     pub fn shards(mut self, n: usize) -> Self {
         assert!(n > 0, "a sharded cluster needs at least one shard");
@@ -103,24 +95,8 @@ impl ClusterBuilder {
         self
     }
 
-    /// Start `shards` thread-runtime ensembles behind one sharded
-    /// namespace (see [`crate::sharded`]).
-    pub fn sharded_threads(self) -> ShardedCluster<ThreadCluster> {
-        let shards = (0..self.shards.max(1))
-            .map(|k| {
-                ThreadCluster::start_inner(
-                    self.voters.unwrap_or(3),
-                    self.observers,
-                    self.zab,
-                    self.shard_wal_dir(k),
-                )
-            })
-            .collect();
-        ShardedCluster::from_shards(shards).expect("bootstrap shard config")
-    }
-
     /// Start `shards` TCP ensembles behind one sharded namespace.
-    pub fn sharded_tcp(self) -> ShardedCluster<TcpCluster> {
+    pub fn sharded_tcp(self) -> ShardedCluster {
         let shards = (0..self.shards.max(1))
             .map(|k| {
                 TcpCluster::start_inner(
@@ -128,15 +104,11 @@ impl ClusterBuilder {
                     self.observers,
                     self.zab,
                     self.net,
-                    self.shard_wal_dir(k),
+                    self.wal_dir.as_ref().map(|d| d.join(format!("shard-{k}"))),
                 )
             })
             .collect();
         ShardedCluster::from_shards(shards).expect("bootstrap shard config")
-    }
-
-    fn shard_wal_dir(&self, shard: usize) -> Option<PathBuf> {
-        self.wal_dir.as_ref().map(|d| d.join(format!("shard-{shard}")))
     }
 }
 

@@ -19,9 +19,9 @@
 //! slow *down* — Fig 7 of the paper, regenerated in `dufs-bench`.
 //!
 //! Like the protocol crates underneath, the server is a pure state machine
-//! ([`server::CoordServer::handle`]); the crate also ships a ready-to-use
-//! threaded runtime ([`runtime::ThreadCluster`]) that hosts an ensemble on
-//! OS threads with crossbeam channels, giving a synchronous client API
+//! ([`server::CoordServer::handle`]). The crate also ships the live
+//! runtime that hosts it on loopback or real sockets ([`tcp::TcpServer`],
+//! [`tcp::TcpCluster`]), and a synchronous client API
 //! ([`runtime::ZkClient`]) equivalent to the ZooKeeper sync API the paper's
 //! prototype uses.
 
@@ -44,11 +44,11 @@ pub use api::{ClientOptions, LeaseGrant, ReadConsistency, Watch, ZkRequest, ZkRe
 /// `(name, data, stat)` triples plus the parent directory's own stat.
 pub type WarmedDir = (Vec<(String, bytes::Bytes, dufs_zkstore::Stat)>, dufs_zkstore::Stat);
 pub use cluster::ClusterBuilder;
-pub use runtime::{ChannelTransport, ClientTransport, ThreadCluster, ZkClient};
+pub use runtime::{ClientTransport, ZkClient};
 pub use server::{ClientId, CoordMsg, CoordServer, CoordTimer, ServerIn, ServerOut};
 pub use session::CoordService;
 pub use shard::{HashRing, ShardConfig, SHARD_CONFIG_PATH};
-pub use sharded::{ClusterHandle, ShardedClient, ShardedCluster};
+pub use sharded::{ShardedClient, ShardedCluster};
 pub use tcp::{remote_status, TcpCluster, TcpTransport, TcpZkClient};
 pub use txn::{Txn, TxnOp};
 pub use watch::{WatchKind, WatchNotification};

@@ -1,27 +1,19 @@
-//! Threaded runtime: hosts a coordination ensemble on OS threads with
-//! channel "networking", and exposes the synchronous client API the DUFS
-//! prototype uses (paper §IV-D: "The synchronous ZooKeeper API were used").
-//!
-//! This is the runtime used by the library examples and the functional
-//! integration tests; the performance figures use the deterministic
-//! simulator in `dufs-mdtest` instead (same [`crate::CoordServer`] state
-//! machine, different driver).
+//! The synchronous client API the DUFS prototype uses (paper §IV-D: "The
+//! synchronous ZooKeeper API were used"): [`ZkClient`], the `zoo_*` surface
+//! with its retry, barrier and pipelining rules, over a [`ClientTransport`]
+//! that moves its requests and events. The live transport is
+//! [`crate::tcp::TcpTransport`]; the performance figures use the
+//! deterministic simulator in `dufs-mdtest` instead (same
+//! [`crate::CoordServer`] state machine, different driver).
 
-use std::collections::{HashMap, VecDeque};
-use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::thread::JoinHandle;
+use std::collections::VecDeque;
 use std::time::{Duration, Instant};
 
 use bytes::Bytes;
-use crossbeam::channel::{bounded, unbounded, Receiver, RecvTimeoutError, Sender};
 
-use dufs_zab::{EnsembleConfig, PeerId, ZabConfig};
 use dufs_zkstore::{CreateMode, MultiOp, MultiResult, Stat, ZkError};
 
-use crate::api::{ClientOptions, ReadConsistency, Watch, ZkRequest, ZkResponse};
-use crate::event_loop::{self, Host, Input};
-use crate::server::{ClientId, CoordMsg, ServerIn};
+use crate::api::{ReadConsistency, Watch, ZkRequest, ZkResponse};
 use crate::watch::WatchNotification;
 
 /// Events delivered to a client handle.
@@ -52,22 +44,13 @@ pub struct ServerStatus {
     pub node_count: usize,
     /// Content digest of the local replica.
     pub digest: u64,
-    /// Whether the simulated process is up.
+    /// Whether the server is up: `false` from a crash until its restart.
     pub alive: bool,
 }
 
-/// What travels a [`ThreadCluster`] server's inbox: loop inputs as they
-/// are (a status probe carries its reply channel), plus the one message the
-/// host consumes itself.
-enum Envelope {
-    Register { client: ClientId, events: Sender<ClientEvent> },
-    In(Input<Sender<ServerStatus>>),
-}
-
-/// How a [`ZkClient`] session reaches its server: an in-process channel
-/// ([`ChannelTransport`], the [`ThreadCluster`] runtime) or a TCP
-/// connection ([`crate::tcp::TcpTransport`]). The client logic — request
-/// ids, pipelining, retry policy — is transport-agnostic.
+/// How a [`ZkClient`] session reaches its server — live, a TCP connection
+/// ([`crate::tcp::TcpTransport`]). The client logic — request ids,
+/// pipelining, retry policy — is transport-agnostic.
 pub trait ClientTransport {
     /// Queue one request. An error means the link is down *right now*
     /// (dead server / dropped socket); the request was not delivered.
@@ -100,225 +83,6 @@ pub trait ClientTransport {
     }
 }
 
-/// In-process transport: crossbeam channels to [`ThreadCluster`] server
-/// threads. Holds every member's inbox; with failover enabled, a failed
-/// request re-registers the session's event channel at the next member.
-pub struct ChannelTransport {
-    client: ClientId,
-    servers: Vec<Sender<Envelope>>,
-    cursor: usize,
-    failover: bool,
-    events_tx: Sender<ClientEvent>,
-    events: Receiver<ClientEvent>,
-    reconnects: u64,
-}
-
-impl ChannelTransport {
-    fn register(&self) {
-        let _ = self.servers[self.cursor]
-            .send(Envelope::Register { client: self.client, events: self.events_tx.clone() });
-    }
-
-    /// Index of the ensemble member this session currently sends to (the
-    /// channel-transport analogue of [`crate::tcp::TcpTransport::connected_addr`]).
-    /// Failover tests use it to kill the member actually serving a session.
-    pub fn connected_index(&self) -> usize {
-        self.cursor
-    }
-}
-
-impl ClientTransport for ChannelTransport {
-    fn send(&mut self, req_id: u64, session: u64, req: ZkRequest) -> Result<(), ZkError> {
-        let input = ServerIn::Client { client: self.client, req_id, session, req };
-        self.servers[self.cursor]
-            .send(Envelope::In(Input::Server(input)))
-            .map_err(|_| ZkError::ConnectionLoss)
-    }
-
-    fn recv(&mut self, timeout: Duration) -> Option<ClientEvent> {
-        self.events.recv_timeout(timeout).ok()
-    }
-
-    fn on_retry(&mut self) {
-        // A crashed thread-cluster server silently swallows requests (the
-        // channel stays open), so the only failover signal is the timeout
-        // that brought us here: move to the next member and re-register.
-        if self.failover && self.servers.len() > 1 {
-            self.cursor = (self.cursor + 1) % self.servers.len();
-            self.reconnects += 1;
-            self.register();
-        }
-    }
-
-    fn reconnects(&self) -> u64 {
-        self.reconnects
-    }
-}
-
-/// A coordination ensemble running on OS threads.
-pub struct ThreadCluster {
-    senders: Vec<Sender<Envelope>>,
-    handles: Vec<JoinHandle<()>>,
-    next_client: AtomicU64,
-    epoch: Instant,
-}
-
-impl ThreadCluster {
-    pub(crate) fn start_inner(
-        voters: usize,
-        observers: usize,
-        zab: ZabConfig,
-        wal_dir: Option<PathBuf>,
-    ) -> Self {
-        let n = voters + observers;
-        let config = EnsembleConfig::with_observers(voters, observers);
-        let mut senders = Vec::with_capacity(n);
-        let mut receivers = Vec::with_capacity(n);
-        for _ in 0..n {
-            let (tx, rx) = unbounded::<Envelope>();
-            senders.push(tx);
-            receivers.push(rx);
-        }
-        let epoch = Instant::now();
-        let mut handles = Vec::with_capacity(n);
-        for (i, rx) in receivers.into_iter().enumerate() {
-            let cfg = config.clone();
-            let me = PeerId(i as u32);
-            let dir = wal_dir.as_ref().map(|d| d.join(format!("server-{i}")));
-            let host = ChannelHost { me, rx, peers: senders.clone(), clients: HashMap::new() };
-            handles.push(
-                std::thread::Builder::new()
-                    .name(format!("coord-{i}"))
-                    .spawn(move || event_loop::run(me, cfg, zab, dir, epoch, host))
-                    .expect("spawn server thread"),
-            );
-        }
-        ThreadCluster { senders, handles, next_client: AtomicU64::new(1), epoch }
-    }
-
-    /// Ensemble size.
-    pub fn len(&self) -> usize {
-        self.senders.len()
-    }
-
-    /// Never empty.
-    pub fn is_empty(&self) -> bool {
-        false
-    }
-
-    /// Time since cluster start (the clock fed to servers).
-    pub fn now_ns(&self) -> u64 {
-        self.epoch.elapsed().as_nanos() as u64
-    }
-
-    /// Open a session per `opts`: first connects to member `opts.server`,
-    /// optionally failing over across the ensemble, with reads served at
-    /// `opts.consistency`. Retries while the ensemble elects.
-    pub fn client(&self, opts: ClientOptions) -> Result<ZkClient, ZkError> {
-        let id = self.next_client.fetch_add(1, Ordering::Relaxed);
-        let (tx, rx) = unbounded();
-        let transport = ChannelTransport {
-            client: id,
-            servers: self.senders.clone(),
-            cursor: opts.server % self.senders.len(),
-            failover: opts.failover,
-            events_tx: tx,
-            events: rx,
-            reconnects: 0,
-        };
-        transport.register();
-        let mut c = ZkClient::establish(transport)?;
-        c.set_consistency(opts.consistency);
-        Ok(c)
-    }
-
-    /// Probe one server's status.
-    pub fn status(&self, server_idx: usize) -> ServerStatus {
-        let (tx, rx) = bounded(1);
-        self.senders[server_idx].send(Envelope::In(Input::Inspect(tx))).expect("server alive");
-        rx.recv_timeout(Duration::from_secs(5)).expect("status reply")
-    }
-
-    /// Index of the established leader, if any.
-    pub fn leader_index(&self) -> Option<usize> {
-        (0..self.len()).find(|&i| self.status(i).is_leader)
-    }
-
-    /// Wait (up to `timeout`) for a leader to be established.
-    pub fn await_leader(&self, timeout: Duration) -> Option<usize> {
-        let deadline = Instant::now() + timeout;
-        while Instant::now() < deadline {
-            if let Some(l) = self.leader_index() {
-                return Some(l);
-            }
-            std::thread::sleep(Duration::from_millis(50));
-        }
-        None
-    }
-
-    /// Crash a server (drops its volatile state; the log survives).
-    pub fn crash(&self, server_idx: usize) {
-        let _ = self.senders[server_idx].send(Envelope::In(Input::Crash));
-    }
-
-    /// Restart a crashed server.
-    pub fn restart(&self, server_idx: usize) {
-        let _ = self.senders[server_idx].send(Envelope::In(Input::Restart));
-    }
-
-    /// Stop all server threads and join them.
-    pub fn shutdown(self) {
-        for s in &self.senders {
-            let _ = s.send(Envelope::In(Input::Stop));
-        }
-        for h in self.handles {
-            let _ = h.join();
-        }
-    }
-}
-
-/// The channel half of a [`ThreadCluster`] server: one inbox, every
-/// member's inbox to send to, and the event channels of the clients that
-/// registered here.
-struct ChannelHost {
-    me: PeerId,
-    rx: Receiver<Envelope>,
-    peers: Vec<Sender<Envelope>>,
-    clients: HashMap<ClientId, Sender<ClientEvent>>,
-}
-
-impl Host for ChannelHost {
-    type Probe = Sender<ServerStatus>;
-
-    fn next(&mut self, wait: Duration) -> Input<Self::Probe> {
-        match self.rx.recv_timeout(wait) {
-            Ok(Envelope::In(input)) => input,
-            Ok(Envelope::Register { client, events }) => {
-                self.clients.insert(client, events);
-                Input::Idle
-            }
-            Err(RecvTimeoutError::Timeout) => Input::Idle,
-            Err(RecvTimeoutError::Disconnected) => Input::Stop,
-        }
-    }
-
-    fn deliver(&mut self, to: ClientId, ev: ClientEvent) {
-        if let Some(tx) = self.clients.get(&to) {
-            let _ = tx.send(ev);
-        }
-    }
-
-    fn send_peer(&mut self, to: PeerId, msg: CoordMsg) {
-        if let Some(tx) = self.peers.get(to.0 as usize) {
-            let _ = tx.send(Envelope::In(Input::Server(ServerIn::Peer { from: self.me, msg })));
-        }
-    }
-
-    fn report(&mut self, probe: Self::Probe, status: ServerStatus) {
-        let _ = probe.send(status);
-    }
-}
-
 /// The error in `resp` if it is one [`ZkClient::request`] retries; a write
 /// that ends on one has an unknown outcome (it may still commit).
 fn transient_err(resp: &ZkResponse) -> Option<ZkError> {
@@ -326,10 +90,9 @@ fn transient_err(resp: &ZkResponse) -> Option<ZkError> {
 }
 
 /// Synchronous client handle — the `zoo_*` API surface. Generic over its
-/// [`ClientTransport`]: the default reaches a [`ThreadCluster`] server over
-/// an in-process channel; [`crate::tcp::TcpZkClient`] is the same client
-/// over a real socket.
-pub struct ZkClient<T: ClientTransport = ChannelTransport> {
+/// [`ClientTransport`]; [`crate::tcp::TcpZkClient`] is this client over a
+/// real socket.
+pub struct ZkClient<T: ClientTransport> {
     transport: T,
     session: u64,
     next_req: u64,

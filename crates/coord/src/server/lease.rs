@@ -12,7 +12,7 @@ use crate::txn::Txn;
 /// Staleness-lease window: a replica grants leases only while its quorum
 /// authority evidence is younger than this, so a leased client's cached
 /// read is never staler than `LEASE_MS` (plus the margin below). Sized to
-/// cover several leader ping rounds on both runtimes (100 virtual-ms sim
+/// cover several leader ping rounds in both drivers (100 virtual-ms sim
 /// pings, 300 real-ms dilated live pings) so healthy clusters renew
 /// continuously, while any partition stops grants within one window.
 pub const LEASE_MS: u64 = 2_000;

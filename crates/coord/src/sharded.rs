@@ -42,7 +42,7 @@
 //! use dufs_coord::cluster::ClusterBuilder;
 //! use dufs_coord::ClientOptions;
 //!
-//! let cluster = ClusterBuilder::new().voters(1).shards(2).sharded_threads();
+//! let cluster = ClusterBuilder::new().voters(1).shards(2).sharded_tcp();
 //! let mut client = cluster.client(ClientOptions::at(0).with_failover()).unwrap();
 //! client.create("/dir/a", Bytes::from_static(b"a")).unwrap();
 //! client.create("/dir/b", Bytes::from_static(b"b")).unwrap();
@@ -52,20 +52,20 @@
 //! ```
 
 use std::collections::{BTreeMap, VecDeque};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use bytes::Bytes;
 
 use dufs_zkstore::{path as zkpath, CreateMode, MultiOp, MultiResult, Stat, ZkError};
 
 use crate::api::{ClientOptions, LeaseGrant, ReadConsistency, Watch, ZkRequest, ZkResponse};
-use crate::runtime::{ClientTransport, ServerStatus, ThreadCluster, ZkClient};
+use crate::runtime::{ClientTransport, ServerStatus, ZkClient};
 use crate::server::TXN_PREFIX;
 use crate::session::CoordService;
 use crate::shard::{
     is_internal_path, logical_digest, HashRing, ShardConfig, DEFAULT_VNODES, SHARD_CONFIG_PATH,
 };
-use crate::tcp::TcpCluster;
+use crate::tcp::{TcpCluster, TcpTransport};
 use crate::txn::{Txn, TxnOp};
 use crate::watch::{WatchKind, WatchNotification};
 
@@ -76,95 +76,19 @@ pub fn txn_decision_path(txn_id: u64) -> String {
     format!("{TXN_PREFIX}/decided/{txn_id:016x}")
 }
 
-/// The ensemble operations [`ShardedCluster`] needs from a runtime, so one
-/// sharded implementation drives both the threaded and the TCP clusters.
-pub trait ClusterHandle: Sized {
-    /// The client transport this runtime hands out.
-    type Transport: ClientTransport;
-
-    /// Open a session against this ensemble.
-    fn client(&self, opts: ClientOptions) -> Result<ZkClient<Self::Transport>, ZkError>;
-    /// Block until the ensemble has an established leader.
-    fn await_leader(&self, timeout: Duration) -> Option<usize>;
-    /// Probe one member.
-    fn status(&self, server_idx: usize) -> ServerStatus;
-    /// Ensemble size.
-    fn members(&self) -> usize;
-    /// Tear the ensemble down.
-    fn shutdown(self);
-
-    /// Poll until every member reports one `digest` at one `last_applied`,
-    /// and return that status; `None` if they still differ after `timeout`.
-    fn converged(&self, timeout: Duration) -> Option<ServerStatus> {
-        let deadline = Instant::now() + timeout;
-        loop {
-            let first = self.status(0);
-            let same =
-                |s: ServerStatus| s.digest == first.digest && s.last_applied == first.last_applied;
-            if (1..self.members()).all(|i| same(self.status(i))) {
-                return Some(first);
-            }
-            if Instant::now() >= deadline {
-                return None;
-            }
-            std::thread::sleep(Duration::from_millis(50));
-        }
-    }
-}
-
-impl ClusterHandle for ThreadCluster {
-    type Transport = crate::runtime::ChannelTransport;
-
-    fn client(&self, opts: ClientOptions) -> Result<ZkClient<Self::Transport>, ZkError> {
-        ThreadCluster::client(self, opts)
-    }
-    fn await_leader(&self, timeout: Duration) -> Option<usize> {
-        ThreadCluster::await_leader(self, timeout)
-    }
-    fn status(&self, server_idx: usize) -> ServerStatus {
-        ThreadCluster::status(self, server_idx)
-    }
-    fn members(&self) -> usize {
-        ThreadCluster::len(self)
-    }
-    fn shutdown(self) {
-        ThreadCluster::shutdown(self);
-    }
-}
-
-impl ClusterHandle for TcpCluster {
-    type Transport = crate::tcp::TcpTransport;
-
-    fn client(&self, opts: ClientOptions) -> Result<ZkClient<Self::Transport>, ZkError> {
-        TcpCluster::client(self, opts)
-    }
-    fn await_leader(&self, timeout: Duration) -> Option<usize> {
-        TcpCluster::await_leader(self, timeout)
-    }
-    fn status(&self, server_idx: usize) -> ServerStatus {
-        TcpCluster::status(self, server_idx)
-    }
-    fn members(&self) -> usize {
-        TcpCluster::len(self)
-    }
-    fn shutdown(self) {
-        TcpCluster::shutdown(self);
-    }
-}
-
 /// N independent ensembles plus the replicated shard-layout config that
 /// lets every client compute the same routing table.
-pub struct ShardedCluster<C: ClusterHandle> {
-    shards: Vec<C>,
+pub struct ShardedCluster {
+    shards: Vec<TcpCluster>,
     config: ShardConfig,
 }
 
-impl<C: ClusterHandle> ShardedCluster<C> {
+impl ShardedCluster {
     /// Wrap already-started ensembles as a sharded namespace: waits for a
     /// leader in each shard, then writes the [`ShardConfig`] znode at
     /// [`SHARD_CONFIG_PATH`] to **every** shard so any single shard can
     /// bootstrap a client's routing table.
-    pub fn from_shards(shards: Vec<C>) -> Result<Self, ZkError> {
+    pub fn from_shards(shards: Vec<TcpCluster>) -> Result<Self, ZkError> {
         assert!(!shards.is_empty(), "a sharded cluster needs at least one shard");
         let config = ShardConfig { epoch: 1, shards: shards.len() as u32, vnodes: DEFAULT_VNODES };
         for shard in &shards {
@@ -202,12 +126,12 @@ impl<C: ClusterHandle> ShardedCluster<C> {
     }
 
     /// Direct access to one shard's ensemble (probes, crash injection).
-    pub fn shard(&self, shard: usize) -> &C {
+    pub fn shard(&self, shard: usize) -> &TcpCluster {
         &self.shards[shard]
     }
 
     /// Mutable access to one shard's ensemble (e.g. [`TcpCluster::stop`]).
-    pub fn shard_mut(&mut self, shard: usize) -> &mut C {
+    pub fn shard_mut(&mut self, shard: usize) -> &mut TcpCluster {
         &mut self.shards[shard]
     }
 
@@ -224,10 +148,9 @@ impl<C: ClusterHandle> ShardedCluster<C> {
     /// Open a routed client session: one inner session per shard, each
     /// opened with `opts` (server index, failover, read consistency), plus
     /// the ring read back from the config znode. Takes [`ClientOptions`]
-    /// like every other cluster handle ([`ClusterHandle::client`],
-    /// [`TcpCluster::client`], [`ThreadCluster::client`]); the old
-    /// zero-argument default was `ClientOptions::at(0).with_failover()`.
-    pub fn client(&self, opts: ClientOptions) -> Result<ShardedClient<C::Transport>, ZkError> {
+    /// like [`TcpCluster::client`]; the old zero-argument default was
+    /// `ClientOptions::at(0).with_failover()`.
+    pub fn client(&self, opts: ClientOptions) -> Result<ShardedClient<TcpTransport>, ZkError> {
         let clients = self.shards.iter().map(|s| s.client(opts)).collect::<Result<Vec<_>, _>>()?;
         ShardedClient::connect(clients)
     }
@@ -785,12 +708,6 @@ impl<T: ClientTransport> ShardedClient<T> {
         self.clients[shard].txn_commit(txn_id).map(|_| ())
     }
 
-    /// 2PC step: deliver the abort decision for `txn_id` to one shard
-    /// (succeeds whether a slice was discarded now or none was parked).
-    pub fn txn_abort_on(&mut self, shard: usize, txn_id: u64) -> Result<(), ZkError> {
-        self.clients[shard].txn_abort(txn_id).map(|_| ())
-    }
-
     /// Content digest of the **logical** user namespace, independent of the
     /// shard count it is spread over (see [`logical_digest`]).
     pub fn user_digest(&mut self) -> Result<u64, ZkError> {
@@ -996,12 +913,12 @@ mod tests {
     use super::*;
     use crate::cluster::ClusterBuilder;
 
-    fn two_shards() -> ShardedCluster<ThreadCluster> {
-        ClusterBuilder::new().voters(1).shards(2).sharded_threads()
+    fn two_shards() -> ShardedCluster {
+        ClusterBuilder::new().voters(1).shards(2).sharded_tcp()
     }
 
     /// Find sibling paths under `base` that land on different shards.
-    fn cross_shard_pair(c: &ShardedClient<crate::runtime::ChannelTransport>) -> (String, String) {
+    fn cross_shard_pair(c: &ShardedClient<TcpTransport>) -> (String, String) {
         let a = "/xsrc/file".to_string();
         for i in 0..10_000 {
             let b = format!("/xdst{i}/file");
@@ -1130,7 +1047,7 @@ mod tests {
     /// Per-shard rename slices plus the sorted participant list — the raw
     /// ingredients tests use to drive 2PC one step at a time.
     fn rename_parts(
-        c: &mut ShardedClient<crate::runtime::ChannelTransport>,
+        c: &mut ShardedClient<TcpTransport>,
         src: &str,
         dst: &str,
     ) -> (Vec<(usize, Vec<MultiOp>)>, Vec<u32>) {
@@ -1313,7 +1230,7 @@ mod tests {
             .collect();
         let mut digests = Vec::new();
         for shards in [1usize, 2, 3] {
-            let cluster = ClusterBuilder::new().voters(1).shards(shards).sharded_threads();
+            let cluster = ClusterBuilder::new().voters(1).shards(shards).sharded_tcp();
             let mut c = cluster.client(ClientOptions::at(0).with_failover()).unwrap();
             for (p, d) in &spec {
                 c.create(p, d.clone()).unwrap();

@@ -1,15 +1,14 @@
-//! TCP runtime: socket-backed ensembles and client sessions.
+//! The live runtime: socket-backed ensembles and client sessions.
 //!
-//! The same [`CoordServer`] state machine that [`crate::runtime`] hosts on
-//! crossbeam channels, hosted here on real sockets via `dufs-net`:
+//! The [`CoordServer`] state machine hosted on real sockets via `dufs-net`:
 //!
 //! * [`TcpServer`] — one coordination server listening on a TCP address:
-//!   an accept thread and one loop thread running the shared server event
-//!   loop (`event_loop::run`, the same one the threaded runtime runs) over
-//!   a single [`ConnEvent`] stream. Inbound connections are told apart by
-//!   their handshake [`Hello::kind`]: peers feed [`CoordMsg`] frames into
-//!   the loop, clients speak [`ClientFrame`]/[`ServerFrame`], admin
-//!   connections may probe [`ClientFrame::Status`]. Outbound peer traffic
+//!   an accept thread and one loop thread running the server event loop
+//!   (`event_loop::run`) over a single [`ConnEvent`] stream. Inbound
+//!   connections are told apart by their handshake [`Hello::kind`]: peers
+//!   feed [`CoordMsg`] frames into the loop, clients speak
+//!   [`ClientFrame`]/[`ServerFrame`], admin connections may probe
+//!   [`ClientFrame::Status`]. Outbound peer traffic
 //!   rides per-peer dial-out connections the loop thread sends on itself;
 //!   a dead or unreachable peer is redialed off-thread with exponential
 //!   backoff and messages to it are *dropped* meanwhile — ZAB's sync
@@ -17,8 +16,8 @@
 //!   and peer messages are queued as a pass produces them and written on
 //!   the loop thread when it next waits ([`Conn::flush`]), so no frame
 //!   wakes a reactor.
-//! * [`TcpCluster`] — a whole loopback ensemble of [`TcpServer`]s, a
-//!   drop-in sibling of [`crate::runtime::ThreadCluster`] for tests.
+//! * [`TcpCluster`] — a whole loopback ensemble of [`TcpServer`]s, for
+//!   tests, examples and benchmarks.
 //! * [`TcpTransport`] / [`TcpZkClient`] — the [`ZkClient`] session API over
 //!   a socket, with failover across server addresses and [`ZkError::Net`]
 //!   surfaced to the retry layer. Requests are queued on `send` and leave
@@ -26,14 +25,18 @@
 //! * [`remote_status`] — a one-shot out-of-process status probe, used by
 //!   the kill-9 recovery harness to interrogate `coord_server` processes.
 //!
-//! Unlike the threaded runtime there are no `Crash`/`Restart` envelopes:
-//! the failure model here is the real one (kill the process; the WAL
-//! directory is the durable identity, the socket address is not).
+//! Two failure models. The real one is to kill the process (or
+//! [`TcpCluster::stop`] a member): the WAL directory is the durable
+//! identity, the socket address is not. The in-process one is
+//! [`TcpCluster::crash`] and [`TcpCluster::restart`]: the member drops its
+//! volatile state and goes silent, but keeps its listener and every
+//! connection open, so a client notices only by timing out — the failure a
+//! closed socket never shows.
 
 use std::collections::HashMap;
 use std::net::SocketAddr;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::{Arc, Mutex as StdMutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -86,10 +89,17 @@ impl TcpServerConfig {
     }
 }
 
+// What a `TcpServer`'s control cell asks of its loop, which loads it once
+// a pass.
+const RUNNING: u8 = 0;
+const CRASHED: u8 = 1;
+const STOPPED: u8 = 2;
+
 /// One coordination server bound to a TCP address. Used in-process by
 /// [`TcpCluster`] and as the whole body of the `coord_server` binary.
 pub struct TcpServer {
-    stop: Arc<AtomicBool>,
+    /// [`RUNNING`], [`CRASHED`] or [`STOPPED`].
+    control: Arc<AtomicU8>,
     accept: Option<AcceptHandle>,
     join: Option<JoinHandle<()>>,
     addr: SocketAddr,
@@ -99,14 +109,14 @@ pub struct TcpServer {
 impl TcpServer {
     /// Start serving on `listener` (already bound — bind to port 0 first
     /// when the ensemble's addresses must be known before any member
-    /// starts). Panics on WAL recovery failure, like the threaded runtime.
+    /// starts). Panics on WAL recovery failure.
     pub fn spawn(listener: Listener, cfg: TcpServerConfig) -> TcpServer {
         let addr = listener.local_addr();
         let n = cfg.peer_addrs.len();
         assert!(cfg.voters >= 1 && cfg.voters <= n, "voters out of range");
         assert!((cfg.me.0 as usize) < n, "me out of range");
         let stats = NetStats::new();
-        let stop = Arc::new(AtomicBool::new(false));
+        let control = Arc::new(AtomicU8::new(RUNNING));
 
         // One event stream carries everything the loop reacts to: accepted
         // connections (any count, any kind), the dial-out peer links, and
@@ -119,7 +129,8 @@ impl TcpServer {
         let mut host = TcpHost {
             events,
             events_tx,
-            stop: stop.clone(),
+            control: control.clone(),
+            down: false,
             me: cfg.me,
             net: cfg.net,
             stats: stats.clone(),
@@ -144,7 +155,7 @@ impl TcpServer {
             .spawn(move || event_loop::run(me, ensemble, zab, wal_dir, Instant::now(), host))
             .expect("spawn tcp server loop");
 
-        TcpServer { stop, accept: Some(accept), join: Some(join), addr, stats }
+        TcpServer { control, accept: Some(accept), join: Some(join), addr, stats }
     }
 
     /// The bound listening address.
@@ -171,7 +182,7 @@ impl TcpServer {
     }
 
     fn shutdown_inner(&mut self) {
-        self.stop.store(true, Ordering::SeqCst);
+        self.control.store(STOPPED, Ordering::SeqCst);
         if let Some(accept) = self.accept.take() {
             accept.stop();
         }
@@ -210,7 +221,10 @@ struct TcpHost {
     events: Receiver<ConnEvent>,
     /// Handed to dial threads, which report on the same stream.
     events_tx: Sender<ConnEvent>,
-    stop: Arc<AtomicBool>,
+    /// The [`TcpServer`]'s control cell.
+    control: Arc<AtomicU8>,
+    /// The loop was last handed [`Input::Crash`], not [`Input::Restart`].
+    down: bool,
     me: PeerId,
     net: NetConfig,
     stats: NetStats,
@@ -389,9 +403,20 @@ impl Host for TcpHost {
         // Everything the last pass produced leaves before this thread waits.
         self.flush_written();
         // The stream itself never closes while this loop holds connections
-        // (each one's reactor state holds a sender), so stopping is a flag.
-        if self.stop.load(Ordering::SeqCst) {
-            return Input::Stop;
+        // (each one's reactor state holds a sender), so stopping is a flag —
+        // and so are crashing and restarting, which leave every connection
+        // open: the loop drops the traffic while the member is down.
+        match self.control.load(Ordering::SeqCst) {
+            STOPPED => return Input::Stop,
+            CRASHED if !self.down => {
+                self.down = true;
+                return Input::Crash;
+            }
+            RUNNING if self.down => {
+                self.down = false;
+                return Input::Restart;
+            }
+            _ => {}
         }
         match self.events.recv_timeout(wait) {
             Ok(ConnEvent::Frame { id, payload }) => return self.on_frame(id, &payload),
@@ -433,9 +458,10 @@ impl Host for TcpHost {
     }
 
     /// Refresh the shared grant for the idle-piggyback sources. Only while
-    /// clients are connected — `lease_grant` counts what it issues.
+    /// clients are connected — `lease_grant` counts what it issues — and
+    /// the member is up: a crashed member grants nothing.
     fn after_pass(&mut self, server: &mut CoordServer, now_ns: u64) {
-        let grant = if self.clients.is_empty() {
+        let grant = if self.down || self.clients.is_empty() {
             None
         } else {
             server.lease_grant(now_ns).map(|g| (Instant::now(), g))
@@ -444,10 +470,10 @@ impl Host for TcpHost {
     }
 }
 
-/// A whole coordination ensemble on loopback sockets — the TCP sibling of
-/// [`crate::runtime::ThreadCluster`], same probe/client surface. Members
-/// can be individually [`TcpCluster::stop`]ped (the real failure model:
-/// the process goes away, the address stays in everyone's member list).
+/// A whole coordination ensemble on loopback sockets. Members can be
+/// individually [`TcpCluster::stop`]ped (the real failure model: the
+/// process goes away, the address stays in everyone's member list), or
+/// [`TcpCluster::crash`]ed and [`TcpCluster::restart`]ed in place.
 pub struct TcpCluster {
     servers: Vec<Option<TcpServer>>,
     addrs: Vec<SocketAddr>,
@@ -512,6 +538,30 @@ impl TcpCluster {
         }
     }
 
+    /// Crash one member: it drops its volatile state (a durable member keeps
+    /// its log) and stops reacting, but keeps its listener and connections
+    /// open. While down it answers no request or peer message, pushes no
+    /// lease, and reports `alive: false` to status probes. Returns once the
+    /// member's status says so, so a request sent after this returns is
+    /// never served. Panics if the member was stopped.
+    pub fn crash(&self, server_idx: usize) {
+        self.control(server_idx, CRASHED);
+    }
+
+    /// Bring a [`TcpCluster::crash`]ed member back: it recovers from its log
+    /// and rejoins. Returns once its status reports it alive.
+    pub fn restart(&self, server_idx: usize) {
+        self.control(server_idx, RUNNING);
+    }
+
+    fn control(&self, server_idx: usize, state: u8) {
+        let server = self.servers[server_idx].as_ref().expect("member stopped");
+        server.control.store(state, Ordering::SeqCst);
+        while self.status(server_idx).alive != (state == RUNNING) {
+            std::thread::sleep(Duration::from_millis(5));
+        }
+    }
+
     /// Open a session per `opts`: first connects to member `opts.server`,
     /// optionally failing over across the whole address list, with reads
     /// served at `opts.consistency`.
@@ -568,6 +618,24 @@ impl TcpCluster {
         None
     }
 
+    /// Poll until every member reports one `digest` at one `last_applied`,
+    /// and return that status; `None` if they still differ after `timeout`.
+    pub fn converged(&self, timeout: Duration) -> Option<ServerStatus> {
+        let deadline = Instant::now() + timeout;
+        loop {
+            let first = self.status(0);
+            let same =
+                |s: ServerStatus| s.digest == first.digest && s.last_applied == first.last_applied;
+            if (1..self.len()).all(|i| same(self.status(i))) {
+                return Some(first);
+            }
+            if Instant::now() >= deadline {
+                return None;
+            }
+            std::thread::sleep(Duration::from_millis(50));
+        }
+    }
+
     /// Stop every server and join their threads.
     pub fn shutdown(self) {
         for s in self.servers.into_iter().flatten() {
@@ -598,8 +666,8 @@ pub fn remote_status(addr: SocketAddr, timeout: Duration) -> Option<ServerStatus
 /// TCP client transport: one live connection at a time, chosen from a
 /// failover list. A send on a dead link fails with [`ZkError::Net`] and the
 /// next send redials (possibly a different address);
-/// [`ZkClient::request`]'s retry loop turns that into the same
-/// at-least-once semantics the channel transport has through elections.
+/// [`ZkClient::request`]'s retry loop turns that into at-least-once
+/// semantics through elections and failovers.
 pub struct TcpTransport {
     addrs: Vec<SocketAddr>,
     cursor: usize,
@@ -728,11 +796,11 @@ impl ClientTransport for TcpTransport {
     }
 
     fn on_retry(&mut self) {
-        // A server that accepted our dial but stopped answering (e.g. it is
-        // partitioned from the leader) never breaks the socket, so the only
-        // failover signal is the timeout that brought us here. Pinned
-        // clients keep their link — redialing the same address buys
-        // nothing.
+        // A server that accepted our dial but stopped answering (it crashed
+        // in place, or is partitioned from the leader) never breaks the
+        // socket, so the only failover signal is the timeout that brought
+        // us here. Pinned clients keep their link — redialing the same
+        // address buys nothing.
         if self.addrs.len() > 1 {
             self.link = None;
             self.pushed_lease = None;
@@ -774,9 +842,11 @@ mod tests {
         let cluster = ClusterBuilder::new().voters(3).tcp();
         let leader = cluster.await_leader(Duration::from_secs(20)).expect("leader");
         let mut c = cluster.client(ClientOptions::at(leader)).unwrap();
+        assert!(c.session() > 0);
         c.create("/tcp", Bytes::from_static(b"hello"), CreateMode::Persistent).unwrap();
-        let (data, _) = c.get_data("/tcp", Watch::None).unwrap();
+        let (data, stat) = c.get_data("/tcp", Watch::None).unwrap();
         assert_eq!(&data[..], b"hello");
+        assert_eq!(stat.version, 0);
         // A follower serves the same data after sync.
         let follower = (0..3).find(|&i| i != leader).unwrap();
         let mut f = cluster.client(ClientOptions::at(follower)).unwrap();

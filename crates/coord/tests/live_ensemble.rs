@@ -1,10 +1,13 @@
-//! Integration tests for the threaded coordination ensemble: the live
-//! system a DUFS deployment would actually run against.
+//! Integration tests for a live coordination ensemble on loopback sockets:
+//! the system a DUFS deployment would actually run against. The crash tests
+//! use [`TcpCluster::crash`], which silences a member but leaves its
+//! listener and connections open, so clients see a server that stops
+//! answering rather than one that hangs up.
 
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use bytes::Bytes;
-use dufs_coord::{ClientOptions, ClusterBuilder, ThreadCluster, Watch};
+use dufs_coord::{ClientOptions, ClusterBuilder, TcpCluster, Watch, ZkRequest, ZkResponse};
 use dufs_zkstore::{CreateMode, MultiOp, ZkError};
 
 fn b(s: &str) -> Bytes {
@@ -23,49 +26,22 @@ fn serial() -> std::sync::MutexGuard<'static, ()> {
 /// Poll until the listed replicas hold identical digests (replication has
 /// drained). A fixed sleep is not enough on a loaded CI machine where many
 /// ensembles' threads compete for cores.
-fn await_converged(cluster: &ThreadCluster, replicas: &[usize], timeout: Duration) {
-    let deadline = std::time::Instant::now() + timeout;
+fn await_converged(cluster: &TcpCluster, replicas: &[usize], timeout: Duration) {
+    let deadline = Instant::now() + timeout;
     loop {
         let digests: Vec<u64> = replicas.iter().map(|&i| cluster.status(i).digest).collect();
         if digests.windows(2).all(|w| w[0] == w[1]) {
             return;
         }
-        assert!(
-            std::time::Instant::now() < deadline,
-            "replicas failed to converge: digests {digests:?}"
-        );
+        assert!(Instant::now() < deadline, "replicas failed to converge: digests {digests:?}");
         std::thread::sleep(Duration::from_millis(100));
     }
 }
 
 #[test]
-fn three_server_ensemble_serves_clients() {
-    let _g = serial();
-    let cluster = ClusterBuilder::new().voters(3).threads();
-    cluster.await_leader(Duration::from_secs(10)).expect("leader");
-
-    let mut c = cluster.client(ClientOptions::at(0)).unwrap();
-    assert!(c.session() > 0);
-    c.create("/app", b("root"), CreateMode::Persistent).unwrap();
-    c.create("/app/cfg", b("v1"), CreateMode::Persistent).unwrap();
-    let (data, stat) = c.get_data("/app/cfg", Watch::None).unwrap();
-    assert_eq!(&data[..], b"v1");
-    assert_eq!(stat.version, 0);
-
-    // A client on a different server sees the same namespace (after sync to
-    // defeat replication lag).
-    let mut c2 = cluster.client(ClientOptions::at(2 % cluster.len())).unwrap();
-    c2.sync().unwrap();
-    let (data, _) = c2.get_data("/app/cfg", Watch::None).unwrap();
-    assert_eq!(&data[..], b"v1");
-
-    cluster.shutdown();
-}
-
-#[test]
 fn replicas_converge_to_identical_digests() {
     let _g = serial();
-    let cluster = ClusterBuilder::new().voters(3).threads();
+    let cluster = ClusterBuilder::new().voters(3).tcp();
     cluster.await_leader(Duration::from_secs(10)).expect("leader");
     let mut c = cluster.client(ClientOptions::at(1)).unwrap();
     for i in 0..50 {
@@ -80,7 +56,7 @@ fn replicas_converge_to_identical_digests() {
 #[test]
 fn conditional_ops_and_errors() {
     let _g = serial();
-    let cluster = ClusterBuilder::new().voters(1).threads();
+    let cluster = ClusterBuilder::new().voters(1).tcp();
     cluster.await_leader(Duration::from_secs(5)).expect("leader");
     let mut c = cluster.client(ClientOptions::at(0)).unwrap();
 
@@ -98,7 +74,7 @@ fn conditional_ops_and_errors() {
 #[test]
 fn multi_rename_is_atomic_across_ensemble() {
     let _g = serial();
-    let cluster = ClusterBuilder::new().voters(3).threads();
+    let cluster = ClusterBuilder::new().voters(3).tcp();
     cluster.await_leader(Duration::from_secs(10)).expect("leader");
     let mut c = cluster.client(ClientOptions::at(0)).unwrap();
     c.create("/f", b("FID:1234"), CreateMode::Persistent).unwrap();
@@ -119,7 +95,7 @@ fn multi_rename_is_atomic_across_ensemble() {
 #[test]
 fn sequential_znodes_order_across_clients() {
     let _g = serial();
-    let cluster = ClusterBuilder::new().voters(3).threads();
+    let cluster = ClusterBuilder::new().voters(3).tcp();
     cluster.await_leader(Duration::from_secs(10)).expect("leader");
     let mut a = cluster.client(ClientOptions::at(0)).unwrap();
     let mut bb = cluster.client(ClientOptions::at(1)).unwrap();
@@ -134,7 +110,7 @@ fn sequential_znodes_order_across_clients() {
 #[test]
 fn watches_fire_across_clients() {
     let _g = serial();
-    let cluster = ClusterBuilder::new().voters(3).threads();
+    let cluster = ClusterBuilder::new().voters(3).tcp();
     cluster.await_leader(Duration::from_secs(10)).expect("leader");
     let mut watcher = cluster.client(ClientOptions::at(0)).unwrap();
     let mut mutator = cluster.client(ClientOptions::at(0)).unwrap(); // same server: watch + change visible there
@@ -151,7 +127,7 @@ fn watches_fire_across_clients() {
 #[test]
 fn ephemerals_vanish_when_session_closes() {
     let _g = serial();
-    let cluster = ClusterBuilder::new().voters(3).threads();
+    let cluster = ClusterBuilder::new().voters(3).tcp();
     cluster.await_leader(Duration::from_secs(10)).expect("leader");
     let ephemeral_owner = cluster.client(ClientOptions::at(1)).unwrap();
     let mut observer = cluster.client(ClientOptions::at(0)).unwrap();
@@ -171,7 +147,7 @@ fn ephemerals_vanish_when_session_closes() {
 #[test]
 fn follower_crash_does_not_lose_service_and_restarts_catch_up() {
     let _g = serial();
-    let cluster = ClusterBuilder::new().voters(3).threads();
+    let cluster = ClusterBuilder::new().voters(3).tcp();
     let leader = cluster.await_leader(Duration::from_secs(10)).expect("leader");
     let follower = (0..3).find(|&i| i != leader).unwrap();
     let surviving = (0..3).find(|&i| i != leader && i != follower).unwrap();
@@ -193,7 +169,7 @@ fn follower_crash_does_not_lose_service_and_restarts_catch_up() {
 fn observers_serve_reads_in_the_live_runtime() {
     let _g = serial();
     // 3 voters + 1 observer (server index 3).
-    let cluster = ClusterBuilder::new().voters(3).observers(1).threads();
+    let cluster = ClusterBuilder::new().voters(3).observers(1).tcp();
     cluster.await_leader(Duration::from_secs(10)).expect("leader");
     let leader = cluster.leader_index().unwrap();
     assert!(leader < 3, "observers never lead");
@@ -223,7 +199,7 @@ fn observers_serve_reads_in_the_live_runtime() {
 #[test]
 fn leader_crash_fails_over_and_preserves_data() {
     let _g = serial();
-    let cluster = ClusterBuilder::new().voters(3).threads();
+    let cluster = ClusterBuilder::new().voters(3).tcp();
     let leader = cluster.await_leader(Duration::from_secs(10)).expect("leader");
     let other = (0..3).find(|&i| i != leader).unwrap();
 
@@ -235,13 +211,13 @@ fn leader_crash_fails_over_and_preserves_data() {
     cluster.crash(leader);
     // A new leader must emerge among the survivors…
     let new_leader = {
-        let deadline = std::time::Instant::now() + Duration::from_secs(45);
+        let deadline = Instant::now() + Duration::from_secs(45);
         loop {
             if let Some(l) = (0..3).filter(|&i| i != leader).find(|&i| cluster.status(i).is_leader)
             {
                 break l;
             }
-            assert!(std::time::Instant::now() < deadline, "no failover leader");
+            assert!(Instant::now() < deadline, "no failover leader");
             std::thread::sleep(Duration::from_millis(100));
         }
     };
@@ -265,7 +241,7 @@ fn durable_ensemble_survives_whole_cluster_crash_and_cold_start() {
     let _ = std::fs::remove_dir_all(&dir);
 
     // Act 1: a durable ensemble takes writes (each fsynced before its ack).
-    let cluster = ClusterBuilder::new().voters(3).durable(&dir).threads();
+    let cluster = ClusterBuilder::new().voters(3).durable(&dir).tcp();
     cluster.await_leader(Duration::from_secs(10)).expect("leader");
     let mut c = cluster.client(ClientOptions::at(0)).unwrap();
     for i in 0..40 {
@@ -292,9 +268,9 @@ fn durable_ensemble_survives_whole_cluster_crash_and_cold_start() {
     c.create("/after-outage", b("new"), CreateMode::Persistent).unwrap();
     cluster.shutdown();
 
-    // Act 3: a brand-new process generation (fresh ThreadCluster) over the
+    // Act 3: a brand-new process generation (fresh TcpCluster) over the
     // same directory — cold start purely from disk.
-    let cluster = ClusterBuilder::new().voters(3).durable(&dir).threads();
+    let cluster = ClusterBuilder::new().voters(3).durable(&dir).tcp();
     cluster.await_leader(Duration::from_secs(10)).expect("leader from cold start");
     let mut c = cluster.client(ClientOptions::at(2)).unwrap();
     c.sync().unwrap();
@@ -302,4 +278,114 @@ fn durable_ensemble_survives_whole_cluster_crash_and_cold_start() {
     assert_eq!(&c.get_data("/d7", Watch::None).unwrap().0[..], b"payload");
     cluster.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Wait (up to 10 s) until the server has pushed `c` a lease on an idle
+/// heartbeat slot.
+fn await_pushed_lease(c: &mut dufs_coord::TcpZkClient) {
+    let deadline = Instant::now() + Duration::from_secs(10);
+    loop {
+        c.take_watch(); // drains the connection, parking any pushed grant
+        if c.pushed_lease().is_some() {
+            return;
+        }
+        assert!(Instant::now() < deadline, "no lease was ever pushed on the idle session");
+        std::thread::sleep(Duration::from_millis(50));
+    }
+}
+
+#[test]
+fn crashed_member_is_silent_until_restarted() {
+    let _g = serial();
+    let cluster = ClusterBuilder::new().voters(3).tcp();
+    let leader = cluster.await_leader(Duration::from_secs(10)).expect("leader");
+    let victim = (0..3).find(|&i| i != leader).unwrap();
+    let mut w = cluster.client(ClientOptions::at(leader)).unwrap();
+    let mut c = cluster.client(ClientOptions::at(victim)).unwrap();
+    w.create("/pre", b(""), CreateMode::Persistent).unwrap();
+    await_pushed_lease(&mut c);
+
+    cluster.crash(victim);
+    let down = cluster.status(victim);
+    assert!(!down.alive && !down.is_leader, "{down:?}");
+    // A grant pushed before the crash may still be on its way; after that,
+    // the idle connection's heartbeat slots (every 500 ms) carry no lease.
+    std::thread::sleep(Duration::from_millis(100));
+    c.take_watch();
+    c.pushed_lease();
+    // The quorum keeps committing without the victim, which applies none
+    // of it: it takes no peer message while down.
+    for i in 0..5 {
+        w.create(&format!("/during{i}"), b(""), CreateMode::Persistent).unwrap();
+    }
+    let asked = c.submit(ZkRequest::Exists { path: "/pre".into(), watch: false });
+    std::thread::sleep(Duration::from_millis(1100));
+    // Waiting for the answer also parks every frame that arrived meanwhile.
+    c.set_timeout(Duration::from_millis(300));
+    assert_eq!(c.next_completion(), None, "a crashed member answered request {asked}");
+    assert_eq!(c.pushed_lease(), None, "a crashed member pushed a lease");
+    assert_eq!(cluster.status(victim), down, "a crashed member applied peer traffic");
+
+    cluster.restart(victim);
+    assert!(cluster.status(victim).alive);
+    c.set_timeout(Duration::from_secs(5));
+    c.sync().expect("the restarted member serves its old connection");
+    for i in 0..5 {
+        assert!(c.exists(&format!("/during{i}"), Watch::None).unwrap().is_some());
+    }
+    await_converged(&cluster, &[0, 1, 2], Duration::from_secs(30));
+    cluster.shutdown();
+}
+
+#[test]
+fn request_sent_after_crash_returns_is_never_answered() {
+    let _g = serial();
+    let cluster = ClusterBuilder::new().voters(1).tcp();
+    cluster.await_leader(Duration::from_secs(10)).expect("leader");
+    let mut c = cluster.client(ClientOptions::at(0)).unwrap();
+    c.create("/x", b(""), CreateMode::Persistent).unwrap();
+
+    cluster.crash(0);
+    let lost = c.submit(ZkRequest::Exists { path: "/x".into(), watch: false });
+    c.set_timeout(Duration::from_millis(500));
+    assert_eq!(c.next_completion(), None, "request {lost} was answered by a crashed member");
+
+    // Still unanswered after the restart: the next completion on the same
+    // FIFO connection belongs to the next request.
+    cluster.restart(0);
+    cluster.await_leader(Duration::from_secs(10)).expect("leader after restart");
+    c.set_timeout(Duration::from_secs(5));
+    let ping = c.submit(ZkRequest::Ping);
+    let (id, resp) = c.next_completion().expect("the restarted member answers");
+    assert_eq!(id, ping, "request {lost} was answered after the restart");
+    assert!(matches!(resp, ZkResponse::Pong { .. }), "{resp:?}");
+    cluster.shutdown();
+}
+
+#[test]
+fn failover_session_leaves_a_silent_member_on_timeout() {
+    let _g = serial();
+    let cluster = ClusterBuilder::new().voters(3).tcp();
+    let leader = cluster.await_leader(Duration::from_secs(10)).expect("leader");
+    let victim = (0..3).find(|&i| i != leader).unwrap();
+    let mut c = cluster.client(ClientOptions::at(victim).with_failover()).unwrap();
+    c.create("/f", b(""), CreateMode::Persistent).unwrap();
+    assert_eq!(c.transport().connected_addr(), Some(cluster.addrs()[victim]));
+    let opened = c.transport().stats().conns_opened;
+
+    // The victim keeps the session's socket open, so nothing breaks: only
+    // the request timeout sends the transport to the next member.
+    cluster.crash(victim);
+    c.set_timeout(Duration::from_millis(300));
+    let asked = Instant::now();
+    assert!(c.exists("/f", Watch::None).unwrap().is_some());
+    assert!(
+        asked.elapsed() >= Duration::from_millis(300),
+        "the session never waited out a timeout"
+    );
+    let now = c.transport().connected_addr().expect("a live link");
+    assert_ne!(now, cluster.addrs()[victim], "the session stayed on the crashed member");
+    assert!(c.transport().stats().conns_opened > opened, "the session never redialed");
+    assert!(c.reconnects() >= 1);
+    cluster.shutdown();
 }

@@ -13,8 +13,9 @@
 //! Whenever that chain is broken — the write was abandoned with its outcome
 //! unknown, is still pipelined, or the session reconnected — `SyncThenLocal`
 //! inserts the no-op proposal through ZAB before the next read. The
-//! proptests below are the safety net for the whole rule on both the channel
-//! transport and the TCP transport; the plain tests pin each half: no
+//! proptests below are the safety net for the whole rule under both failure
+//! models — a member crashed in place, which keeps the session's socket
+//! open, and a member stopped for good; the plain tests pin each half: no
 //! barrier (exact zxid counts) where the ack suffices, exactly one where it
 //! does not, and no stale answer from a restarted replica.
 
@@ -27,7 +28,7 @@ use bytes::Bytes;
 use proptest::prelude::*;
 
 use dufs_coord::{
-    ClientOptions, ClusterBuilder, ReadConsistency, ThreadCluster, Watch, ZkRequest, ZkResponse,
+    ClientOptions, ClusterBuilder, ReadConsistency, TcpCluster, Watch, ZkRequest, ZkResponse,
 };
 use dufs_zkstore::{CreateMode, ZkError};
 
@@ -54,7 +55,7 @@ fn wal_dir(tag: &str) -> PathBuf {
 /// it. Until the replica is back inside an established regime and caught
 /// up, it must refuse the session's reads; it may never answer from a tree
 /// older than the acked write.
-fn restarted_replica_refuses_reads_until_caught_up(cluster: ThreadCluster) {
+fn restarted_replica_refuses_reads_until_caught_up(cluster: TcpCluster) {
     let leader = cluster.await_leader(Duration::from_secs(15)).expect("leader");
     let f = (0..3).find(|&i| i != leader).unwrap();
     let mut c = cluster
@@ -89,7 +90,7 @@ fn restarted_replica_refuses_reads_until_caught_up(cluster: ThreadCluster) {
 #[test]
 fn restarted_volatile_replica_never_serves_an_older_tree() {
     let _g = serial();
-    restarted_replica_refuses_reads_until_caught_up(ClusterBuilder::new().voters(3).threads());
+    restarted_replica_refuses_reads_until_caught_up(ClusterBuilder::new().voters(3).tcp());
 }
 
 #[test]
@@ -97,7 +98,7 @@ fn restarted_durable_replica_never_serves_an_older_tree() {
     let _g = serial();
     let dir = wal_dir("restart");
     restarted_replica_refuses_reads_until_caught_up(
-        ClusterBuilder::new().voters(3).durable(&dir).threads(),
+        ClusterBuilder::new().voters(3).durable(&dir).tcp(),
     );
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -177,7 +178,7 @@ fn acked_writes_cost_one_zab_round_and_reads_after_them_none() {
 fn abandoned_write_owes_exactly_one_barrier() {
     let _g = serial();
     let dir = wal_dir("abandoned");
-    let cluster = ClusterBuilder::new().voters(3).durable(&dir).threads();
+    let cluster = ClusterBuilder::new().voters(3).durable(&dir).tcp();
     let leader = cluster.await_leader(Duration::from_secs(15)).expect("leader");
     let f = (0..3).find(|&i| i != leader).unwrap();
     let mut c = cluster
@@ -224,17 +225,18 @@ fn abandoned_write_owes_exactly_one_barrier() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(3))]
 
-    /// Channel transport: the reader session starts on an OBSERVER (the
+    /// Crash failover: the reader session starts on an OBSERVER (the
     /// replica most likely to lag), writes through it, has it crashed out
-    /// from under itself mid-round, and must still see every one of its own
-    /// acked writes after failing over — while a second session hammers the
-    /// namespace from another member.
+    /// from under itself mid-round — the socket stays open, so only the
+    /// request timeout moves the session on — and must still see every one
+    /// of its own acked writes after failing over, while a second session
+    /// hammers the namespace from another member.
     #[test]
-    fn sync_then_local_reads_own_writes_across_thread_failover(
+    fn sync_then_local_reads_own_writes_across_crash_failover(
         tags in proptest::collection::vec(any::<u8>(), 2..5),
     ) {
         let _g = serial();
-        let cluster = Arc::new(ClusterBuilder::new().voters(3).observers(1).threads());
+        let cluster = Arc::new(ClusterBuilder::new().voters(3).observers(1).tcp());
         cluster.await_leader(Duration::from_secs(15)).expect("leader");
         let observer = 3;
 
@@ -296,12 +298,12 @@ proptest! {
         Arc::try_unwrap(cluster).ok().expect("all handles dropped").shutdown();
     }
 
-    /// TCP transport: same property over real sockets. A member is stopped
-    /// for good (kill-the-process failure model — no restart), so the
+    /// Stop failover: same property, but a member is stopped for good
+    /// (kill-the-process failure model — no restart), so the
     /// session's remaining reads all come from a replica the original
     /// barrier never touched.
     #[test]
-    fn sync_then_local_reads_own_writes_across_tcp_failover(
+    fn sync_then_local_reads_own_writes_across_stop_failover(
         tags in proptest::collection::vec(any::<u8>(), 2..4),
     ) {
         let _g = serial();

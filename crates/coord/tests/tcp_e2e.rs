@@ -1,20 +1,26 @@
-//! Runtime parity: the TCP runtime must be a drop-in behavioural sibling of
-//! the channel runtime. The same deterministic metadata workload is driven
-//! through a [`ThreadCluster`] and a [`TcpCluster`]; every replica of both
-//! ensembles must converge to the *same* namespace digest (the tree digest
-//! deliberately excludes zxids and timestamps, so cross-runtime equality is
-//! meaningful). The TCP run must additionally show real socket traffic in
-//! its [`NetStats`] counters — the satellite assertion that the bytes
-//! actually went over the wire.
+//! Runtime parity: a replicated ensemble on sockets must be semantically
+//! transparent. The same deterministic metadata workload is driven through
+//! a [`TcpCluster`] and through one single-voter [`CoordServer`] stepped in
+//! process; every replica of the ensemble must converge to the reference's
+//! namespace digest (the tree digest deliberately excludes zxids and
+//! timestamps, so the equality is meaningful). The TCP run must
+//! additionally show real socket traffic in its [`NetStats`] counters — the
+//! assertion that the bytes actually went over the wire.
+//!
+//! [`TcpCluster`]: dufs_coord::TcpCluster
+//! [`NetStats`]: dufs_net::NetStats
 
+use std::collections::VecDeque;
 use std::time::Duration;
 
 use bytes::Bytes;
 
+use dufs_coord::runtime::ClientEvent;
 use dufs_coord::{
-    ClientOptions, ClientTransport, ClusterBuilder, ClusterHandle, ReadConsistency, Watch,
-    ZkClient, ZkRequest, ZkResponse,
+    ClientOptions, ClientTransport, ClusterBuilder, CoordServer, ReadConsistency, ServerIn,
+    ServerOut, TcpCluster, Watch, ZkClient, ZkRequest, ZkResponse,
 };
+use dufs_zab::{EnsembleConfig, PeerId};
 use dufs_zkstore::{CreateMode, MultiOp, ZkError};
 
 const DIRS: usize = 3;
@@ -72,28 +78,54 @@ fn workload<T: ClientTransport>(c: &mut ZkClient<T>) {
 }
 
 /// The digest every member of `cluster` converges on.
-fn converged_digest(cluster: &impl ClusterHandle) -> u64 {
+fn converged_digest(cluster: &TcpCluster) -> u64 {
     cluster.converged(Duration::from_secs(30)).expect("replicas never converged").digest
 }
 
-#[test]
-fn thread_and_tcp_runtimes_agree_on_the_namespace_digest() {
-    // Channel runtime.
-    let tc = ClusterBuilder::new().voters(3).threads();
-    let leader = tc.await_leader(Duration::from_secs(20)).expect("thread leader");
-    let mut c = tc.client(ClientOptions::at(leader)).unwrap();
-    workload(&mut c);
-    let d_thread = converged_digest(&tc);
-    tc.shutdown();
+/// The in-process reference: a single-voter server, which answers every
+/// request within the `handle` call that delivers it.
+struct InProcess {
+    server: CoordServer,
+    clock_ns: u64,
+    events: VecDeque<ClientEvent>,
+}
 
-    // TCP runtime, same workload.
+impl ClientTransport for InProcess {
+    fn send(&mut self, req_id: u64, session: u64, req: ZkRequest) -> Result<(), ZkError> {
+        self.clock_ns += 1_000_000;
+        let input = ServerIn::Client { client: 1, req_id, session, req };
+        for out in self.server.handle(self.clock_ns, input) {
+            match out {
+                ServerOut::Client { req_id, resp, .. } => {
+                    self.events.push_back(ClientEvent::Resp { req_id, resp })
+                }
+                ServerOut::Watch { note, .. } => self.events.push_back(ClientEvent::Watch(note)),
+                ServerOut::Peer { .. } | ServerOut::Timer { .. } => {}
+            }
+        }
+        Ok(())
+    }
+
+    fn recv(&mut self, _timeout: Duration) -> Option<ClientEvent> {
+        self.events.pop_front()
+    }
+}
+
+#[test]
+fn tcp_ensemble_agrees_with_an_in_process_server_on_the_namespace_digest() {
+    let (server, _) = CoordServer::new(PeerId(0), EnsembleConfig::of_size(1));
+    let reference = InProcess { server, clock_ns: 0, events: VecDeque::new() };
+    let mut c = ZkClient::establish(reference).expect("in-process session");
+    workload(&mut c);
+    let d_reference = c.transport().server.tree().digest();
+
     let cluster = ClusterBuilder::new().voters(3).tcp();
     let leader = cluster.await_leader(Duration::from_secs(20)).expect("tcp leader");
     let mut c = cluster.client(ClientOptions::at(leader)).unwrap();
     workload(&mut c);
     let d_tcp = converged_digest(&cluster);
 
-    assert_eq!(d_thread, d_tcp, "TCP runtime diverged from the channel runtime");
+    assert_eq!(d_reference, d_tcp, "the TCP ensemble diverged from the in-process server");
 
     // The bytes really crossed sockets: every member moved frames, and the
     // client session dialed at least once.

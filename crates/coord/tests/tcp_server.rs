@@ -104,26 +104,19 @@ fn a_peer_sending_an_undecodable_frame_is_hung_up_on() {
     cluster.shutdown();
 }
 
-/// `ClientOptions::at` wraps around the member list on both runtimes, with
-/// and without failover (the TCP runtime used to index out of bounds when
-/// pinned).
+/// `ClientOptions::at` wraps around the member list, with and without
+/// failover (the TCP runtime used to index out of bounds when pinned).
 #[test]
-fn pinning_past_the_last_member_wraps_on_both_runtimes() {
+fn pinning_past_the_last_member_wraps() {
     let n = 3;
-    let threads = ClusterBuilder::new().voters(n).threads();
-    threads.await_leader(Duration::from_secs(20)).expect("leader");
     let tcp = ClusterBuilder::new().voters(n).tcp();
     tcp.await_leader(Duration::from_secs(20)).expect("leader");
     for server in [n, n + 1] {
         for opts in [ClientOptions::at(server), ClientOptions::at(server).with_failover()] {
-            let mut c = threads.client(opts).unwrap();
-            assert_eq!(c.transport().connected_index(), server - n);
-            assert!(c.exists("/", Watch::None).unwrap().is_some());
             let mut c = tcp.client(opts).unwrap();
             assert_eq!(c.transport().connected_addr(), Some(tcp.addrs()[server - n]));
             assert!(c.exists("/", Watch::None).unwrap().is_some());
         }
     }
     tcp.shutdown();
-    threads.shutdown();
 }

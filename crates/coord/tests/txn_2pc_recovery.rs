@@ -1,5 +1,5 @@
-//! Crash consistency of cross-shard two-phase commit on the thread
-//! runtime: a shard that is `kill -9`'d (crash + WAL recovery) **between
+//! Crash consistency of cross-shard two-phase commit with in-process crash
+//! injection: a shard that is `kill -9`'d (crash + WAL recovery) **between
 //! prepare and decision** must come back with the prepared slice still
 //! parked and fenced, and a *fresh* session's `recover_txns` sweep — which
 //! was never party to the prepare — must drive the transaction to the same
@@ -9,28 +9,27 @@
 //! recovered namespace is checked against an uncrashed control running the
 //! same workload, via the shard-count-independent logical digest.
 //!
-//! The TCP sibling (real processes, real `SIGKILL`) lives in
+//! The out-of-process sibling (real processes, real `SIGKILL`) lives in
 //! `kill9_recovery.rs`; this file exercises the same protocol states with
-//! in-process crash injection, which also lets it cover the abort path
-//! cheaply.
+//! [`dufs_coord::TcpCluster::crash`], which also lets it cover the abort
+//! path cheaply.
 
 use std::time::Duration;
 
 use bytes::Bytes;
 
-use dufs_coord::runtime::ThreadCluster;
 use dufs_coord::sharded::{txn_decision_path, ShardedClient, ShardedCluster};
 use dufs_coord::{ClientOptions, ClientTransport, ClusterBuilder};
 use dufs_zkstore::{CreateMode, MultiOp};
 
 const SHARDS: usize = 2;
 
-fn start(durable: Option<&std::path::Path>) -> ShardedCluster<ThreadCluster> {
+fn start(durable: Option<&std::path::Path>) -> ShardedCluster {
     let mut b = ClusterBuilder::new().voters(1).shards(SHARDS);
     if let Some(d) = durable {
         b = b.durable(d);
     }
-    b.sharded_threads()
+    b.sharded_tcp()
 }
 
 /// A `(src, dst)` leaf pair guaranteed to live on different shards. Pure

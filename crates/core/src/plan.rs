@@ -18,7 +18,7 @@
 //!
 //! Two drivers consume it:
 //! * [`crate::vfs::Dufs`] executes steps synchronously against live
-//!   services (the library / threaded runtime);
+//!   services (the library / live runtime);
 //! * the simulated DUFS client in `dufs-mdtest` turns each step into a
 //!   timed network message (the performance evaluation).
 //!

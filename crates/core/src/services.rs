@@ -6,8 +6,8 @@
 //! mounts. [`CoordService`] and [`BackendSet`] abstract those so the same
 //! [`crate::vfs::Dufs`] runs against:
 //!
-//! * any live session — [`dufs_coord::ZkClient`] over the thread or TCP
-//!   transport, [`dufs_coord::ShardedClient`], or either behind
+//! * any live session — [`dufs_coord::ZkClient`] over its TCP transport,
+//!   [`dufs_coord::ShardedClient`], or either behind
 //!   `dufs_cache::Cached` — the "real deployment" shapes ([`CoordService`]
 //!   itself is defined in `dufs-coord` and re-exported here);
 //! * an in-process single-server coordination service ([`SoloCoord`]) —

@@ -586,8 +586,8 @@ mod tests {
         // coordination service and the same physical mounts.
         let backends = LocalBackends::lustre(2);
         // SoloCoord is single-session; share the namespace by routing both
-        // clients through one coordination service is the ThreadCluster
-        // test's job. Here: distinct FID spaces at least never collide.
+        // clients through one coordination service is the live-cluster
+        // tests' job. Here: distinct FID spaces at least never collide.
         let mut a = Dufs::new(1, SoloCoord::new(), backends.clone());
         let mut b = Dufs::new(2, SoloCoord::new(), backends);
         let fa = a.create("/fa", 0o644).unwrap();

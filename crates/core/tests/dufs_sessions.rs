@@ -17,7 +17,7 @@ use dufs_core::vfs::{Dufs, NodeKind};
 
 #[test]
 fn linearizable_dufs_reads_pay_one_barrier_each() {
-    let cluster = ClusterBuilder::new().voters(3).threads();
+    let cluster = ClusterBuilder::new().voters(3).tcp();
     let leader = cluster.await_leader(Duration::from_secs(20)).expect("leader");
     let follower = (0..3).find(|&i| i != leader).unwrap();
     let session = |consistency| {

@@ -3,11 +3,11 @@
 //!
 //! Run `mdtest_sim --help` for the options.
 //!
-//! Live mode runs the same deterministic op streams through one `Dufs`
-//! client per process against an actual in-process (`thread`) or
-//! loopback-socket (`tcp`) ensemble and reports wall-clock rates plus the
-//! converged namespace digest — the digest the plain simulated run with
-//! the same `--procs/--items/--zk/--backends` prints.
+//! Live mode (`--live`) runs the same deterministic op streams through one
+//! `Dufs` client per process against an actual loopback-socket ensemble
+//! and reports wall-clock rates plus the converged namespace digest — the
+//! digest the plain simulated run with the same
+//! `--procs/--items/--zk/--backends` prints.
 //!
 //! Example:
 //! ```text
@@ -19,8 +19,8 @@ use std::time::Duration;
 
 use dufs_cache::CacheBuilder;
 use dufs_coord::{
-    ClientOptions, ClusterBuilder, ClusterHandle, CoordService, ReadConsistency, ShardedCluster,
-    TcpCluster, TcpTransport, ZkClient,
+    ClientOptions, ClusterBuilder, CoordService, ReadConsistency, ShardedCluster, TcpCluster,
+    TcpZkClient,
 };
 use dufs_mdtest::data::{expected_data_digest, DataSpec, DataTargets};
 use dufs_mdtest::live::{aggregate_cache_stats, run_live, DataPath, LiveRun};
@@ -44,8 +44,9 @@ Usage: mdtest_sim [OPTIONS]
   --crash <srv:ms:down_ms>  crash a coord server mid-run
   --durable          write-ahead log on every coord server
   --crash-all <ms:down_ms>  crash the WHOLE ensemble (needs --durable)
-  --live <thread|tcp>  drive a REAL cluster (wall-clock) instead of simnet
-  --net-stats        print per-endpoint transport counters (live tcp only)
+  --live             drive a REAL cluster on loopback sockets (wall-clock)
+                     instead of simnet
+  --net-stats        print per-endpoint transport counters (live only)
   --read-from <leader|spread>  live sessions: all at the leader, or spread
                      round-robin across every member (default leader)
   --consistency <local|sync|linear>  live read recency (default sync:
@@ -76,7 +77,7 @@ fn print_namespace(nodes: usize, digest: u64) {
 }
 
 /// The `--net-stats` block: per-member and summed client transport counters.
-fn print_net_stats(cluster: &TcpCluster, sessions: &[&mut ZkClient<TcpTransport>]) {
+fn print_net_stats(cluster: &TcpCluster, sessions: &[&mut TcpZkClient]) {
     println!("\nNET STATS (per endpoint):");
     let mut total = cluster.net_stats(0);
     println!("   server 0: {total}");
@@ -164,27 +165,21 @@ fn run_sessions<S: CoordService + Send>(
 }
 
 /// Live mode: the same `WorkloadSpec` op streams through `Dufs` against a
-/// real ensemble on the runtime `boot` starts. Unsharded, the line printed
-/// is the converged replicated digest (the simulated run's); with `shards`
-/// the namespace is sharded instead — one `ShardedClient` (a session per
-/// shard) per process — and the line is the shard-count-independent
-/// logical content digest. `net_report` gets the unsharded cluster and its
-/// bare sessions once the namespace has been printed.
-fn run_live_mode<C: ClusterHandle>(
-    boot: impl Fn(ClusterBuilder) -> C,
-    spec: &WorkloadSpec,
-    a: &LiveArgs,
-    net_report: impl FnOnce(&C, &[&mut ZkClient<C::Transport>]),
-) where
-    C::Transport: Send,
-{
+/// real loopback ensemble. Unsharded, the line printed is the converged
+/// replicated digest (the simulated run's); with `shards` the namespace is
+/// sharded instead — one `ShardedClient` (a session per shard) per process
+/// — and the line is the shard-count-independent logical content digest.
+/// `net_stats` prints the unsharded cluster's and its bare sessions'
+/// transport counters once the namespace has been printed.
+fn run_live_mode(spec: &WorkloadSpec, a: &LiveArgs, net_stats: bool) {
     let wal_dir = a.durable.then(|| ScratchDir::new("mdtest-live"));
     let ensemble = |shard: usize| {
         let b = ClusterBuilder::new().voters(a.zk);
-        boot(match &wal_dir {
+        match &wal_dir {
             Some(dir) => b.durable(dir.path().join(format!("shard-{shard}"))),
             None => b,
-        })
+        }
+        .tcp()
     };
     let at = |p: usize, home: usize| {
         let opts = ClientOptions::at(if a.spread { p % a.zk } else { home }).with_failover();
@@ -213,7 +208,9 @@ fn run_live_mode<C: ClusterHandle>(
             |sessions| {
                 let s = cluster.converged(Duration::from_secs(30)).expect("replicas converge");
                 print_namespace(s.node_count, s.digest);
-                net_report(&cluster, &sessions);
+                if net_stats {
+                    print_net_stats(&cluster, &sessions);
+                }
             },
         );
         cluster.shutdown();
@@ -238,7 +235,7 @@ fn main() {
     let mut crash: Option<CoordCrash> = None;
     let mut durable = false;
     let mut crash_all: Option<CoordOutage> = None;
-    let mut live: Option<String> = None;
+    let mut live = false;
     let mut net_stats = false;
     let mut read_from = "leader".to_string();
     let mut consistency = ReadConsistency::SyncThenLocal;
@@ -274,14 +271,7 @@ fn main() {
                 let [at_ms, down_ms] = millis(&next(&mut i));
                 crash_all = Some(CoordOutage { at_ms, down_ms });
             }
-            "--live" => {
-                let mode = next(&mut i);
-                if mode != "thread" && mode != "tcp" {
-                    eprintln!("--live must be 'thread' or 'tcp', got {mode:?}");
-                    usage();
-                }
-                live = Some(mode);
-            }
+            "--live" => live = true,
             "--net-stats" => net_stats = true,
             "--cache" => cache = true,
             "--cache-shared" => {
@@ -331,16 +321,16 @@ fn main() {
         eprintln!("--crash-all kills every coordination server; recovery needs --durable");
         usage();
     }
-    if net_stats && live.as_deref() != Some("tcp") {
-        eprintln!("--net-stats needs --live tcp (only sockets have transport counters)");
+    if net_stats && !live {
+        eprintln!("--net-stats needs --live (only sockets have transport counters)");
         usage();
     }
     if net_stats && shards.is_some() {
         eprintln!("--net-stats is not wired through sharded live runs yet");
         usage();
     }
-    if cache && live.is_none() {
-        eprintln!("--cache wraps live sessions; it needs --live thread|tcp");
+    if cache && !live {
+        eprintln!("--cache wraps live sessions; it needs --live");
         usage();
     }
     if no_lease && !cache {
@@ -359,14 +349,14 @@ fn main() {
         eprintln!("--zipf theta must be a non-negative number");
         usage();
     }
-    if data_bytes.is_some() && live.is_none() {
+    if data_bytes.is_some() && !live {
         eprintln!("--data drives the live data path beside the Dufs clients; it needs --live");
         usage();
     }
     let data_spec = data_bytes.map(|bytes| DataSpec { bytes, stripe, zipf: zipf_theta });
     let cache_builder = cache.then(|| CacheBuilder::new().lease(!no_lease));
 
-    if let Some(mode) = live {
+    if live {
         if crash.is_some() || crash_all.is_some() {
             eprintln!(
                 "--crash/--crash-all are simulation-only; the live kill-9 harness is \
@@ -383,19 +373,17 @@ fn main() {
         };
         let durable_tag = if durable { " (durable)" } else { "" };
         let ensembles = shards.map(|n| format!("{n} shards x ")).unwrap_or_default();
-        println!(
-            "-- mdtest-live: {mode} runtime, {ensembles}{zk} coordination servers{durable_tag} --"
-        );
+        println!("-- mdtest-live: {ensembles}{zk} coordination servers{durable_tag} over TCP --");
         println!(
             "   {procs} client sessions at the {read_from} ({consistency:?} reads{cached}), \
              {items} items/proc, all six phases"
         );
         if let Some(d) = data_spec {
             println!(
-                "   mixed data path: {} bytes/file, {} byte stripes over {backends} {}{}",
+                "   mixed data path: {} bytes/file, {} byte stripes over {backends} store \
+                 servers, group fsync{}",
                 d.bytes,
                 d.stripe,
-                if mode == "tcp" { "store servers, group fsync" } else { "in-memory targets" },
                 d.zipf.map(|t| format!(", zipf({t}) re-reads")).unwrap_or_default()
             );
         }
@@ -409,17 +397,9 @@ fn main() {
             consistency,
             cache: cache_builder,
             cache_shared,
-            data: data_spec.map(|d| (d, DataTargets::start(mode == "tcp", backends))),
+            data: data_spec.map(|d| (d, DataTargets::start(true, backends))),
         };
-        if mode == "thread" {
-            run_live_mode(ClusterBuilder::threads, &spec, &args, |_, _| {});
-        } else {
-            run_live_mode(ClusterBuilder::tcp, &spec, &args, |cluster, sessions| {
-                if net_stats {
-                    print_net_stats(cluster, sessions);
-                }
-            });
-        }
+        run_live_mode(&spec, &args, net_stats);
         return;
     }
 

@@ -1,7 +1,6 @@
 //! Live-cluster mdtest: drive the workload of [`crate::workload`] through
-//! the DUFS client library against a *real* coordination ensemble
-//! (in-process `ThreadCluster` or socket-backed `TcpCluster`) instead of
-//! the simulated testbed.
+//! the DUFS client library against a *real* coordination ensemble (a
+//! loopback `TcpCluster`) instead of the simulated testbed.
 //!
 //! Each mdtest "process" is a thread owning one [`Dufs`] client — the same
 //! POSIX calls (`mkdir`, `create`, `stat`, `unlink`, `rmdir`) over the same
@@ -128,7 +127,7 @@ fn exec<S: CoordService>(p: &mut Proc<S>, op: &NativeOp) -> DufsResult<()> {
 ///
 /// `client_for(proc)` must hand out an *established* session for mdtest
 /// process `proc`; sessions live for the whole run (one per thread). Any
-/// [`CoordService`] works — a plain `ZkClient` on either transport, a
+/// [`CoordService`] works — a plain `ZkClient`, a
 /// `ShardedClient`, or either behind `dufs_cache::Cached` (private, or
 /// attached to one process-wide `SharedCache`). `zk_servers` and `backends`
 /// are the simulated topology the run is comparable with: they fix the

@@ -66,12 +66,6 @@ impl ServiceQueue {
         self.accepted
     }
 
-    /// Earliest time at which some executor is free (i.e. when a request
-    /// arriving now would *start*).
-    pub fn next_free(&self) -> SimTime {
-        self.slots.peek().map(|&Reverse(t)| t).unwrap_or(SimTime::ZERO)
-    }
-
     /// Drop all backlog (used when a simulated server crashes).
     pub fn reset(&mut self) {
         let n = self.slots.len();

@@ -122,14 +122,6 @@ impl Throughput {
         }
     }
 
-    /// Record `n` completed operations at time `at`.
-    pub fn record_n(&mut self, at: SimTime, n: u64) {
-        self.ops += n;
-        if at > self.end {
-            self.end = at;
-        }
-    }
-
     /// Completed operations so far.
     pub fn ops(&self) -> u64 {
         self.ops

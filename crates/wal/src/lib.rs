@@ -20,7 +20,7 @@
 //!
 //! Storage goes through the [`LogStorage`] trait so the same `Wal` logic is
 //! exercised against three backends: real files ([`FileStorage`]) for the
-//! threaded runtime and benchmarks, a deterministic in-memory model
+//! live runtime and benchmarks, a deterministic in-memory model
 //! ([`MemStorage`]) that keeps the discrete-event simulator reproducible
 //! while still modelling fsync semantics (unsynced bytes vanish on crash),
 //! and an adversarial wrapper ([`FaultyStorage`]) injecting torn tail

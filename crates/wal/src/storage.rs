@@ -200,11 +200,6 @@ impl MemStorage {
     pub fn new() -> Self {
         Self::default()
     }
-
-    /// Total durable bytes across all segments (test observability).
-    pub fn durable_bytes(&self) -> usize {
-        self.segments.values().map(|s| s.durable).sum()
-    }
 }
 
 fn no_seg(id: u64) -> io::Error {

@@ -3,7 +3,7 @@
 //! A [`ZabPeer`] is a pure state machine: feed it messages and timer fires,
 //! execute the [`ZabAction`]s it returns. It never touches a clock, a
 //! socket, or a thread, which is what lets the same code run under the
-//! discrete-event simulator, the threaded runtime, and the randomized
+//! discrete-event simulator, the live runtime, and the randomized
 //! safety-test harnesses. It only routes: its state lives in four pieces —
 //! the `Log`, the `Election`, the leader's `Broadcast` and the follower's
 //! `LearnerSync` — and the timer generations.

@@ -54,7 +54,7 @@ fn help() {
 
 fn main() {
     println!("starting a 3-server coordination ensemble + 2 Lustre-profile mounts…");
-    let cluster = ClusterBuilder::new().voters(3).threads();
+    let cluster = ClusterBuilder::new().voters(3).tcp();
     cluster.await_leader(Duration::from_secs(10)).expect("leader elected");
     let mounts = vec![ParallelFs::lustre().into_shared(), ParallelFs::lustre().into_shared()];
     let mut fs = Dufs::new(

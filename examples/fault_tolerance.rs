@@ -23,7 +23,7 @@ fn main() {
     // directory before acknowledging anything.
     let wal_dir = std::env::temp_dir().join(format!("dufs-fault-tolerance-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&wal_dir);
-    let cluster = ClusterBuilder::new().voters(3).durable(&wal_dir).threads();
+    let cluster = ClusterBuilder::new().voters(3).durable(&wal_dir).tcp();
     let leader = cluster.await_leader(Duration::from_secs(10)).expect("leader");
     println!("durable ensemble of 3 up (WAL at {}); leader = server {leader}", wal_dir.display());
 

@@ -18,8 +18,8 @@ use dufs_repro::core::services::LocalBackends;
 use dufs_repro::core::vfs::Dufs;
 
 fn main() {
-    // A real coordination ensemble on 3 OS threads.
-    let cluster = ClusterBuilder::new().voters(3).threads();
+    // A real coordination ensemble of 3 servers on loopback sockets.
+    let cluster = ClusterBuilder::new().voters(3).tcp();
     let leader = cluster.await_leader(Duration::from_secs(10)).expect("leader elected");
     println!("coordination ensemble up; leader = server {leader}");
 

@@ -168,6 +168,17 @@ if [ "$writes" -ne 1 ]; then
 fi
 echo "==> one transport write routine: 1 writev_fd( call in non-test crates/net/src"
 
+# One live runtime: a coordination ensemble runs live on loopback sockets
+# (`TcpCluster`), which also crashes and restarts members in place. The
+# channel runtime it replaced, or a builder that starts one, is a second
+# runtime growing back beside it.
+runtime_pat='ThreadCluster|ChannelTransport|ChannelHost|sharded_threads|\.threads\(\)'
+if grep -rnE "$runtime_pat" crates tests examples src >&2; then
+    echo "FAIL: a second live runtime under crates/, tests/, examples/ or src/ (lines above)" >&2
+    exit 1
+fi
+echo "==> one live runtime: no channel runtime under crates/, tests/, examples/, src/"
+
 echo "==> cargo build --release"
 cargo build --release
 
@@ -182,7 +193,7 @@ cargo test -q --workspace
 # optimizer folds the framing code, and the 200-seed sweeps are slow
 # enough in debug that they'd otherwise get trimmed. This also rebuilds
 # the coord_server binary in release and runs the socket-backed suites:
-# wire-codec proptests, the TCP e2e (ThreadCluster-vs-TcpCluster digest
+# wire-codec proptests, the TCP e2e (TcpCluster-vs-in-process-server digest
 # parity + NetStats non-zero), and the out-of-process kill-9 recovery
 # harness (SIGKILL one member, then the whole ensemble; recovered
 # namespace must match an uncrashed control). read_consistency rides the
@@ -207,9 +218,9 @@ cargo test -q --release -p dufs-net crc
 
 # The Dufs stack matrix (tests/sim_vs_live.rs) again, optimised: the mdtest
 # op streams through one `Dufs` client and one thread per process over
-# SoloCoord, {thread, tcp} x {leader, spread} x {no cache, private, shared},
-# tcp durable, {thread, tcp} x {1, 2 shards} x {no cache, shared} and two
-# mixed metadata+data cells, every cell held to the simulated run's digest.
+# SoloCoord, {leader, spread} x {no cache, private, shared}, durable,
+# {1, 2 shards} x {no cache, shared} and two mixed metadata+data cells, all
+# on loopback TCP ensembles, every cell held to the simulated run's digest.
 echo "==> cargo test -q --release --test sim_vs_live (Dufs stack matrix)"
 cargo test -q --release --test sim_vs_live
 
@@ -221,8 +232,8 @@ cargo test -q --release --test sim_vs_live
 cargo build --release -p dufs-mdtest --bin mdtest_sim
 echo "==> mdtest_sim --live smoke runs against the simulated digest"
 d_sim=""
-for run in "" "--live tcp --durable --cache-shared" \
-           "--live tcp --data 700 --stripe 256 --zipf 0.9"; do
+for run in "" "--live --durable --cache-shared" \
+           "--live --data 700 --stripe 256 --zipf 0.9"; do
     digest=$(target/release/mdtest_sim $run --procs 4 --items 8 --zk 3 --backends 3 |
         grep -o 'replicated digest 0x[0-9a-f]*') || digest=""
     if [ -z "$digest" ] || [ "$digest" != "${d_sim:=$digest}" ]; then

@@ -5,7 +5,7 @@
 use std::time::Duration;
 
 use dufs_repro::backendfs::ParallelFs;
-use dufs_repro::coord::{ClientOptions, ClusterBuilder, ClusterHandle, ThreadCluster};
+use dufs_repro::coord::{ClientOptions, ClusterBuilder, TcpCluster};
 use dufs_repro::core::services::LocalBackends;
 use dufs_repro::core::vfs::Dufs;
 
@@ -17,7 +17,7 @@ fn serial() -> std::sync::MutexGuard<'static, ()> {
     GATE.lock().unwrap_or_else(|e| e.into_inner())
 }
 
-fn wait_converged(cluster: &ThreadCluster) {
+fn wait_converged(cluster: &TcpCluster) {
     cluster.converged(Duration::from_secs(10)).expect("replicas failed to converge");
 }
 
@@ -27,7 +27,7 @@ fn fig1_race_resolves_identically_on_all_replicas() {
     // Repeat the race a few times: outcomes may differ run to run (either
     // order is legal) but replicas must always agree with each other.
     for round in 0..3 {
-        let cluster = ClusterBuilder::new().voters(3).threads();
+        let cluster = ClusterBuilder::new().voters(3).tcp();
         cluster.await_leader(Duration::from_secs(15)).expect("leader");
         let mounts = vec![ParallelFs::lustre().into_shared()];
 
@@ -77,7 +77,7 @@ fn fig1_race_resolves_identically_on_all_replicas() {
 #[test]
 fn concurrent_creates_in_one_directory_lose_nothing() {
     let _g = serial();
-    let cluster = ClusterBuilder::new().voters(3).threads();
+    let cluster = ClusterBuilder::new().voters(3).tcp();
     cluster.await_leader(Duration::from_secs(15)).expect("leader");
     let mounts = vec![ParallelFs::lustre().into_shared(), ParallelFs::lustre().into_shared()];
 
@@ -120,7 +120,7 @@ fn concurrent_creates_in_one_directory_lose_nothing() {
 #[test]
 fn interleaved_mutation_converges_across_replicas() {
     let _g = serial();
-    let cluster = ClusterBuilder::new().voters(3).threads();
+    let cluster = ClusterBuilder::new().voters(3).tcp();
     cluster.await_leader(Duration::from_secs(15)).expect("leader");
     let mounts = vec![ParallelFs::lustre().into_shared()];
 

@@ -1,11 +1,11 @@
 //! End-to-end integration: the full DUFS stack — op planner → live
-//! threaded coordination ensemble → shared in-memory parallel filesystems —
-//! exercised the way a deployment would use it.
+//! coordination ensemble on loopback sockets → shared in-memory parallel
+//! filesystems — exercised the way a deployment would use it.
 
 use std::time::Duration;
 
 use dufs_repro::backendfs::ParallelFs;
-use dufs_repro::coord::{ClientOptions, ClusterBuilder, ThreadCluster};
+use dufs_repro::coord::{ClientOptions, ClusterBuilder, TcpCluster};
 use dufs_repro::core::services::LocalBackends;
 use dufs_repro::core::vfs::{Dufs, NodeKind};
 use dufs_repro::core::DufsError;
@@ -18,8 +18,8 @@ fn serial() -> std::sync::MutexGuard<'static, ()> {
     GATE.lock().unwrap_or_else(|e| e.into_inner())
 }
 
-fn cluster_and_mounts() -> (ThreadCluster, Vec<dufs_repro::backendfs::pfs::SharedPfs>) {
-    let cluster = ClusterBuilder::new().voters(3).threads();
+fn cluster_and_mounts() -> (TcpCluster, Vec<dufs_repro::backendfs::pfs::SharedPfs>) {
+    let cluster = ClusterBuilder::new().voters(3).tcp();
     cluster.await_leader(Duration::from_secs(15)).expect("leader");
     let mounts = vec![ParallelFs::lustre().into_shared(), ParallelFs::lustre().into_shared()];
     (cluster, mounts)

@@ -16,8 +16,8 @@ use std::time::Duration;
 
 use dufs_cache::{CacheBuilder, CacheStats, Cached};
 use dufs_repro::coord::{
-    ClientOptions, ClusterBuilder, ClusterHandle, ReadConsistency, ShardedClient, ShardedCluster,
-    ZkClient, ZkRequest, ZkResponse,
+    ClientOptions, ClusterBuilder, ReadConsistency, ShardedClient, ShardedCluster, TcpTransport,
+    TcpZkClient, ZkRequest, ZkResponse,
 };
 use dufs_repro::core::services::{CoordService, LocalBackends, SoloCoord};
 use dufs_repro::core::vfs::Dufs;
@@ -227,75 +227,68 @@ fn simulated_and_live_runs_produce_identical_namespaces() {
 /// Cluster cells use real-time election timers; run them one at a time.
 static GATE: Mutex<()> = Mutex::new(());
 
-/// One unsharded cell: a fresh `ZK`-voter ensemble on the thread or the TCP
-/// runtime, `SyncThenLocal` sessions (so the cached cells run the lease
-/// protocol) all at the leader or spread — process `p` at member `p % ZK`,
-/// follower reads.
+/// One unsharded cell: a fresh `ZK`-voter ensemble on loopback sockets,
+/// `SyncThenLocal` sessions (so the cached cells run the lease protocol)
+/// all at the leader or spread — process `p` at member `p % ZK`, follower
+/// reads.
 #[derive(Debug)]
 struct Cell {
-    tcp: bool,
     spread: bool,
     cache: Cache,
     /// A write-ahead log under every member.
     durable: bool,
-    /// A mixed run: in-memory data targets beside the thread runtime, store
-    /// servers over file-backed targets beside TCP.
-    data: bool,
+    /// A mixed run, and where its data goes.
+    data: Option<Targets>,
 }
 
-const fn cell(tcp: bool, spread: bool, cache: Cache) -> Cell {
-    Cell { tcp, spread, cache, durable: false, data: false }
+/// The data targets of a mixed cell.
+#[derive(Debug, Clone, Copy)]
+enum Targets {
+    /// Shared in-memory engines.
+    Memory,
+    /// Store servers over file-backed targets.
+    Servers,
 }
 
-const THREAD: bool = false;
-const TCP: bool = true;
+const fn cell(spread: bool, cache: Cache) -> Cell {
+    Cell { spread, cache, durable: false, data: None }
+}
+
 const LEADER: bool = false;
 const SPREAD: bool = true;
 
-const UNSHARDED: [Cell; 15] = [
-    cell(THREAD, LEADER, Off),
-    cell(THREAD, LEADER, Private),
-    cell(THREAD, LEADER, Shared),
-    cell(THREAD, SPREAD, Off),
-    cell(THREAD, SPREAD, Private),
-    cell(THREAD, SPREAD, Shared),
-    cell(TCP, LEADER, Off),
-    cell(TCP, LEADER, Private),
-    cell(TCP, LEADER, Shared),
-    cell(TCP, SPREAD, Off),
-    cell(TCP, SPREAD, Private),
-    cell(TCP, SPREAD, Shared),
-    Cell { durable: true, ..cell(TCP, LEADER, Off) },
-    Cell { data: true, ..cell(THREAD, LEADER, Off) },
-    Cell { data: true, ..cell(TCP, SPREAD, Off) },
+const UNSHARDED: [Cell; 9] = [
+    cell(LEADER, Off),
+    cell(LEADER, Private),
+    cell(LEADER, Shared),
+    cell(SPREAD, Off),
+    cell(SPREAD, Private),
+    cell(SPREAD, Shared),
+    Cell { durable: true, ..cell(LEADER, Off) },
+    Cell { data: Some(Targets::Memory), ..cell(LEADER, Off) },
+    Cell { data: Some(Targets::Servers), ..cell(SPREAD, Off) },
 ];
 
-/// Boot `cell`'s ensemble on the runtime `boot` starts and run it against
-/// `[simulated, SoloCoord after the tail]`. `over_sockets` says whether a
-/// session's transport moved real bytes (vacuously true on channels).
-fn unsharded_cell<C: ClusterHandle>(
-    cell: &Cell,
-    [populated, after_tail]: [Namespace; 2],
-    boot: impl Fn(ClusterBuilder) -> C,
-    over_sockets: impl Fn(&ZkClient<C::Transport>) -> bool,
-) where
-    C::Transport: Send,
-{
+/// Boot `cell`'s ensemble and run it against `[simulated, SoloCoord after
+/// the tail]`; every session must have moved real bytes over its socket.
+fn unsharded_cell(cell: &Cell, [populated, after_tail]: [Namespace; 2]) {
     let label = format!("{cell:?}");
     let wal = cell.durable.then(|| ScratchDir::new("matrix-wal"));
     let builder = ClusterBuilder::new().voters(ZK);
-    let cluster = boot(match &wal {
+    let cluster = match &wal {
         Some(dir) => builder.durable(dir.path()),
         None => builder,
-    });
+    }
+    .tcp();
     let leader = cluster.await_leader(Duration::from_secs(30)).expect("leader");
     let open = |p: usize| {
         let opts = ClientOptions::at(if cell.spread { p % ZK } else { leader }).with_failover();
         cluster.client(opts.with_consistency(ReadConsistency::SyncThenLocal)).expect("session")
     };
-    let targets = cell.data.then(|| DataTargets::start(cell.tcp, BACKENDS));
-    let probe = |session: &mut ZkClient<C::Transport>| {
-        assert!(over_sockets(session), "{label}: the session moved no bytes");
+    let targets = cell.data.map(|t| DataTargets::start(matches!(t, Targets::Servers), BACKENDS));
+    let probe = |session: &mut TcpZkClient| {
+        let net = session.transport().stats();
+        assert!(net.frames_sent > 0 && net.bytes_recv > 0, "{label}: the session moved no bytes");
         let s = cluster.converged(Duration::from_secs(30));
         let s = s.unwrap_or_else(|| panic!("{label}: replicas never converged"));
         (s.digest, s.node_count)
@@ -312,35 +305,20 @@ fn dufs_builds_the_same_namespace_over_every_unsharded_stack() {
     let populated = simulated_namespace();
     let reference = [populated, solo_cell(populated)];
     for cell in &UNSHARDED {
-        if cell.tcp {
-            unsharded_cell(cell, reference, ClusterBuilder::tcp, |session| {
-                let net = session.transport().stats();
-                net.frames_sent > 0 && net.bytes_recv > 0
-            })
-        } else {
-            unsharded_cell(cell, reference, ClusterBuilder::threads, |_| true)
-        }
+        unsharded_cell(cell, reference);
     }
 }
 
 /// One sharded cell — `shards` single-voter ensembles behind the hash ring,
 /// sessions bare or on one shared cache — held to the simulated logical
 /// digest. Returns the shard-count-independent `user_digest` after the tail.
-fn sharded_cell<C: ClusterHandle>(
-    boot: impl Fn(ClusterBuilder) -> C,
-    shards: usize,
-    cache: Cache,
-    logical_digest: u64,
-) -> u64
-where
-    C::Transport: Send,
-{
+fn sharded_cell(shards: usize, cache: Cache, logical_digest: u64) -> u64 {
     let label = format!("{shards} shards, cache {cache:?}");
-    let members = (0..shards).map(|_| boot(ClusterBuilder::new().voters(1))).collect();
+    let members = (0..shards).map(|_| ClusterBuilder::new().voters(1).tcp()).collect();
     let cluster = ShardedCluster::from_shards(members).expect("bootstrap shard config");
     let opts = ClientOptions::at(0).with_consistency(ReadConsistency::SyncThenLocal);
     let open = |_| cluster.client(opts).expect("session");
-    let probe = |s: &mut ShardedClient<C::Transport>| (s.user_digest().expect("digest"), 0);
+    let probe = |s: &mut ShardedClient<TcpTransport>| (s.user_digest().expect("digest"), 0);
     let found = run_cell(&label, (cache, false), 1, (open, None), probe, (logical_digest, 0));
     cluster.shutdown();
     found.0
@@ -354,8 +332,7 @@ fn dufs_builds_the_same_namespace_over_every_sharded_stack() {
     let mut tails = Vec::new();
     for shards in [1, 2] {
         for cache in [Off, Shared] {
-            tails.push(sharded_cell(ClusterBuilder::threads, shards, cache, logical));
-            tails.push(sharded_cell(ClusterBuilder::tcp, shards, cache, logical));
+            tails.push(sharded_cell(shards, cache, logical));
         }
     }
     assert!(tails.iter().all(|&d| d == tails[0]), "sharded cells diverged in the tail: {tails:x?}");
