@@ -9,7 +9,7 @@
 //!
 //! ```text
 //! coord_server --me 0 --peers 127.0.0.1:7001,127.0.0.1:7002,127.0.0.1:7003 \
-//!              [--wal-dir /var/lib/dufs/server-0] [--snap-chunk-bytes N]
+//!              [--wal-dir /var/lib/dufs/server-0]
 //! ```
 //!
 //! Runs until killed. Prints one `READY <addr>` line on stdout once the
@@ -20,14 +20,11 @@ use std::path::PathBuf;
 use std::process::exit;
 
 use dufs_coord::tcp::{TcpServer, TcpServerConfig};
-use dufs_net::{Listener, NetConfig};
-use dufs_zab::{PeerId, ZabConfig};
+use dufs_net::Listener;
+use dufs_zab::PeerId;
 
 fn usage() -> ! {
-    eprintln!(
-        "usage: coord_server --me N --peers ADDR,ADDR,... \
-         [--wal-dir DIR] [--snap-chunk-bytes N]"
-    );
+    eprintln!("usage: coord_server --me N --peers ADDR,ADDR,... [--wal-dir DIR]");
     exit(2);
 }
 
@@ -35,7 +32,6 @@ fn main() {
     let mut me: Option<u32> = None;
     let mut peers: Vec<SocketAddr> = Vec::new();
     let mut wal_dir: Option<PathBuf> = None;
-    let mut zab = ZabConfig::default();
 
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
@@ -64,14 +60,6 @@ fn main() {
                     .collect()
             }
             "--wal-dir" => wal_dir = Some(PathBuf::from(val("--wal-dir"))),
-            "--snap-chunk-bytes" => {
-                zab = zab.with_snap_chunk_bytes(val("--snap-chunk-bytes").parse().unwrap_or_else(
-                    |_| {
-                        eprintln!("coord_server: --snap-chunk-bytes must be an integer");
-                        usage()
-                    },
-                ))
-            }
             "--help" | "-h" => usage(),
             other => {
                 eprintln!("coord_server: unknown argument {other:?}");
@@ -95,14 +83,7 @@ fn main() {
     let voters = peers.len();
     let server = TcpServer::spawn(
         listener,
-        TcpServerConfig {
-            me: PeerId(me),
-            peer_addrs: peers,
-            voters,
-            zab,
-            net: NetConfig::default(),
-            wal_dir,
-        },
+        TcpServerConfig { me: PeerId(me), peer_addrs: peers, voters, wal_dir },
     );
 
     // The harness (and humans) wait for this line before dialing.

@@ -11,29 +11,24 @@
 
 use std::path::{Path, PathBuf};
 
-use dufs_net::NetConfig;
-use dufs_zab::ZabConfig;
-
 use crate::sharded::ShardedCluster;
 use crate::tcp::TcpCluster;
 
 /// Builder for a coordination ensemble. Configure the membership and
-/// tuning, then start it with [`ClusterBuilder::tcp`] (one ensemble) or
+/// durability, then start it with [`ClusterBuilder::tcp`] (one ensemble) or
 /// [`ClusterBuilder::sharded_tcp`] (several behind one namespace), real
 /// sockets on localhost either way.
 #[derive(Debug, Clone, Default)]
 pub struct ClusterBuilder {
     voters: Option<usize>,
     observers: usize,
-    zab: ZabConfig,
-    net: NetConfig,
     wal_dir: Option<PathBuf>,
     shards: usize,
 }
 
 impl ClusterBuilder {
-    /// A builder for the default shape: 3 voters, no observers, default
-    /// group-commit tuning, volatile state.
+    /// A builder for the default shape: 3 voters, no observers, volatile
+    /// state.
     pub fn new() -> Self {
         Self::default()
     }
@@ -51,19 +46,6 @@ impl ClusterBuilder {
         self
     }
 
-    /// Group-commit tuning for the write path (default
-    /// [`ZabConfig::default`], i.e. no batching).
-    pub fn zab(mut self, zab: ZabConfig) -> Self {
-        self.zab = zab;
-        self
-    }
-
-    /// Socket tuning (heartbeats, reconnect backoff).
-    pub fn net(mut self, net: NetConfig) -> Self {
-        self.net = net;
-        self
-    }
-
     /// Make the ensemble durable: each server runs a file-backed
     /// write-ahead log under `dir/server-<id>` and fsyncs every replicated
     /// batch before acknowledging it. An ensemble started over an existing
@@ -77,13 +59,7 @@ impl ClusterBuilder {
     /// Start the ensemble as TCP servers on ephemeral localhost ports —
     /// real sockets, real framing, the runtime the network benchmarks use.
     pub fn tcp(self) -> TcpCluster {
-        TcpCluster::start_inner(
-            self.voters.unwrap_or(3),
-            self.observers,
-            self.zab,
-            self.net,
-            self.wal_dir,
-        )
+        TcpCluster::start_inner(self.voters.unwrap_or(3), self.observers, self.wal_dir)
     }
 
     /// Number of independent shard ensembles [`ClusterBuilder::sharded_tcp`]
@@ -102,8 +78,6 @@ impl ClusterBuilder {
                 TcpCluster::start_inner(
                     self.voters.unwrap_or(3),
                     self.observers,
-                    self.zab,
-                    self.net,
                     self.wal_dir.as_ref().map(|d| d.join(format!("shard-{k}"))),
                 )
             })
@@ -126,11 +100,7 @@ mod tests {
 
     #[test]
     fn builder_composes() {
-        let b = ClusterBuilder::new()
-            .voters(5)
-            .observers(2)
-            .zab(ZabConfig::batched(8, 2))
-            .durable("/tmp/never-started");
+        let b = ClusterBuilder::new().voters(5).observers(2).durable("/tmp/never-started");
         assert_eq!(b.voters, Some(5));
         assert_eq!(b.observers, 2);
         assert_eq!(b.wal_dir.as_deref(), Some(Path::new("/tmp/never-started")));

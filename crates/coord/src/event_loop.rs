@@ -1,63 +1,28 @@
-//! The coordination-server event loop.
+//! One coordination member, whoever hosts it.
 //!
-//! A live server is a [`CoordServer`] state machine (DESIGN.md, "Anatomy of
-//! `CoordServer`") plus whatever moves its inputs and outputs: `dufs-net`
-//! connections in [`crate::tcp::TcpServer`]. Everything between —
-//! recovering the state machine from its WAL, the timer wheel under
-//! [`TIME_DILATION`], feeding [`ServerIn`]s, dispatching [`ServerOut`]s,
-//! crash/restart gating and the [`ServerStatus`] probe — is [`run`], generic
-//! over the [`Host`] that does the moving. (The `dufs-mdtest` simulator
-//! drives the same state machine under virtual time and charges modelled
-//! CPU per output; it is a different driver today, and the second `Host`
-//! to come.)
+//! A [`Member`] is a [`CoordServer`] state machine (DESIGN.md, "Anatomy of
+//! `CoordServer`") plus the decisions every host of one makes the same
+//! way: building the server, volatile or over a [`LogStorage`]; dropping
+//! inputs while the member is crashed; keeping its armed timers by token and
+//! voiding them all on a crash; routing [`ServerOut`]s to a [`Host`]; and
+//! reporting a [`ServerStatus`]. It does no I/O and reads no clock: a host
+//! passes `now_ns` in, and takes the outputs out through three calls.
+//!
+//! There are two hosts. [`crate::tcp::TcpServer`] drives a member from its
+//! socket wait loop under wall-clock time; the `dufs-mdtest` simulator
+//! drives one under virtual time and charges modelled CPU per output.
 
-use std::path::PathBuf;
-use std::time::{Duration, Instant};
+use std::collections::HashMap;
 
-use dufs_wal::FileStorage;
+use dufs_wal::LogStorage;
 use dufs_zab::{EnsembleConfig, PeerId, ZabConfig};
 
+use crate::api::LeaseGrant;
 use crate::runtime::{ClientEvent, ServerStatus};
 use crate::server::{ClientId, CoordMsg, CoordServer, CoordTimer, ServerIn, ServerOut};
 
-/// Multiplier applied to every protocol timer by the live runtimes. The
-/// state machines are tuned for a quiet network; on a loaded CI machine,
-/// scheduling jitter of hundreds of ms would otherwise trip watchdogs and
-/// flap elections. Relative timing is preserved.
-const TIME_DILATION: u64 = 3;
-
-/// Longest the loop sleeps when no timer is due sooner.
-const MAX_WAIT: Duration = Duration::from_millis(50);
-
-/// What a [`Host`] hands the loop on each pass. `P` says where a status
-/// probe's answer goes ([`Host::Probe`]).
-pub(crate) enum Input<P> {
-    /// A client request or peer message for the state machine (dropped
-    /// while the server is crashed).
-    Server(ServerIn),
-    /// Answer a status probe.
-    Inspect(P),
-    /// Drop volatile state and stop reacting, as a killed process would
-    /// (the log survives).
-    Crash,
-    /// Come back from [`Input::Crash`]: recover from the log and rejoin.
-    Restart,
-    /// Nothing for the state machine this pass: the wait ran out, or the
-    /// host consumed the traffic itself.
-    Idle,
-    /// Leave the loop.
-    Stop,
-}
-
-/// The transport half of a live server: where inputs come from and where
-/// outputs go.
-pub(crate) trait Host {
-    /// Where the answer to a status probe goes.
-    type Probe;
-
-    /// The next input, waiting at most `wait` for one.
-    fn next(&mut self, wait: Duration) -> Input<Self::Probe>;
-
+/// Where a [`Member`]'s outputs go.
+pub trait Host {
     /// Deliver a response or watch event to a connected client; silently
     /// dropped if the client is gone.
     fn deliver(&mut self, to: ClientId, ev: ClientEvent);
@@ -66,110 +31,200 @@ pub(crate) trait Host {
     /// is unreachable (ZAB resynchronizes through lossy links by design).
     fn send_peer(&mut self, to: PeerId, msg: CoordMsg);
 
-    /// Answer a status probe taken from [`Input::Inspect`].
-    fn report(&mut self, probe: Self::Probe, status: ServerStatus);
-
-    /// Called at the end of every pass, with the state machine at rest.
-    fn after_pass(&mut self, _server: &mut CoordServer, _now_ns: u64) {}
+    /// Call [`Member::fire`] with `token` in `after_ms` milliseconds of the
+    /// protocol's time.
+    fn arm(&mut self, token: u64, after_ms: u64);
 }
 
-fn status_of(server: &CoordServer, alive: bool) -> ServerStatus {
-    ServerStatus {
-        is_leader: alive && server.is_leader(),
-        last_applied: server.last_applied(),
-        committed: server.committed(),
-        node_count: server.tree().node_count(),
-        digest: server.tree().digest(),
-        alive,
-    }
+/// One member of a coordination ensemble, without its transport. Feed it
+/// inputs, pass what they emit to [`Member::route`].
+pub struct Member {
+    server: CoordServer,
+    /// `false` from [`Member::crash`] until [`Member::restart`].
+    alive: bool,
+    /// Armed protocol timers by token. An entry leaves when its timer
+    /// fires; a crash voids them all.
+    armed: HashMap<u64, CoordTimer>,
+    /// The last token handed out. Tokens count up from 1 for the member's
+    /// whole life, so a token voided by a crash is never armed again.
+    last_token: u64,
 }
 
-/// Route one batch of state-machine outputs: replies and watch events to
-/// clients, replication traffic to peers, timers onto the wheel.
-fn dispatch<H: Host>(outs: Vec<ServerOut>, host: &mut H, timers: &mut Vec<(Instant, CoordTimer)>) {
-    for o in outs {
-        match o {
-            ServerOut::Client { client, req_id, resp } => {
-                host.deliver(client, ClientEvent::Resp { req_id, resp })
-            }
-            ServerOut::Peer { to, msg } => host.send_peer(to, msg),
-            ServerOut::Timer { timer, after_ms } => timers
-                .push((Instant::now() + Duration::from_millis(after_ms * TIME_DILATION), timer)),
-            ServerOut::Watch { client, note } => host.deliver(client, ClientEvent::Watch(note)),
-        }
-    }
-}
-
-/// Host member `me` of the ensemble `config` until the host says
-/// [`Input::Stop`]. Runs on the calling thread — the state machine is built
-/// here because a durable server holds a `Box<dyn LogStorage>`, which is
-/// not `Send` — recovering from `wal_dir` when given (panics if the
-/// directory cannot be opened or recovered). `epoch` is the zero of the
-/// clock the state machine sees.
-pub(crate) fn run<H: Host>(
-    me: PeerId,
-    config: EnsembleConfig,
-    zab: ZabConfig,
-    wal_dir: Option<PathBuf>,
-    epoch: Instant,
-    mut host: H,
-) {
-    let (mut server, init) = match wal_dir {
-        Some(dir) => {
-            let storage = FileStorage::new(&dir).expect("open WAL directory");
-            CoordServer::new_durable(me, config, zab, Box::new(storage))
-                .expect("recover server state from its write-ahead log")
-        }
-        None => CoordServer::new_with_config(me, config, zab),
-    };
-    let now_ns = || epoch.elapsed().as_nanos() as u64;
-    let mut timers: Vec<(Instant, CoordTimer)> = Vec::new();
-    let mut alive = true;
-    dispatch(init, &mut host, &mut timers);
-
-    loop {
-        // Fire due timers. A crashed server has none: the crash cleared
-        // them and nothing arms one while it is down.
-        let now = Instant::now();
-        let mut due = Vec::new();
-        timers.retain(|&(at, t)| {
-            if at <= now {
-                due.push(t);
-                false
-            } else {
-                true
-            }
-        });
-        for t in due {
-            let outs = server.handle(now_ns(), ServerIn::Timer(t));
-            dispatch(outs, &mut host, &mut timers);
-        }
-        // Wait for traffic or the next timer.
-        let wait = timers
-            .iter()
-            .map(|&(at, _)| at.saturating_duration_since(Instant::now()))
-            .min()
-            .map_or(MAX_WAIT, |d| d.min(MAX_WAIT));
-        let outs = match host.next(wait) {
-            Input::Stop => return,
-            Input::Server(input) if alive => server.handle(now_ns(), input),
-            Input::Inspect(probe) => {
-                host.report(probe, status_of(&server, alive));
-                Vec::new()
-            }
-            Input::Crash if alive => {
-                alive = false;
-                timers.clear();
-                server.on_crash();
-                Vec::new()
-            }
-            Input::Restart if !alive => {
-                alive = true;
-                server.on_restart(now_ns())
-            }
-            Input::Server(_) | Input::Crash | Input::Restart | Input::Idle => Vec::new(),
+impl Member {
+    /// Build member `me` of `config`, durable over `log` when given (a log
+    /// that already holds history is recovered), and return it with its
+    /// startup outputs. Panics if the log cannot be recovered.
+    pub fn new(
+        me: PeerId,
+        config: EnsembleConfig,
+        zab: ZabConfig,
+        log: Option<Box<dyn LogStorage>>,
+    ) -> (Self, Vec<ServerOut>) {
+        let (server, startup) = match log {
+            Some(log) => CoordServer::new_durable(me, config, zab, log)
+                .expect("recover server state from its write-ahead log"),
+            None => CoordServer::new_with_config(me, config, zab),
         };
-        dispatch(outs, &mut host, &mut timers);
-        host.after_pass(&mut server, now_ns());
+        (Member { server, alive: true, armed: HashMap::new(), last_token: 0 }, startup)
+    }
+
+    /// The wrapped state machine.
+    pub fn server(&self) -> &CoordServer {
+        &self.server
+    }
+
+    /// How many timers are armed and not yet fired or voided.
+    pub fn armed(&self) -> usize {
+        self.armed.len()
+    }
+
+    /// Feed a client request or peer message; a crashed member drops it.
+    pub fn handle(&mut self, now_ns: u64, input: ServerIn) -> Vec<ServerOut> {
+        if !self.alive {
+            return Vec::new();
+        }
+        self.server.handle(now_ns, input)
+    }
+
+    /// Fire the timer armed under `token`; `None` if a crash voided it.
+    pub fn fire(&mut self, now_ns: u64, token: u64) -> Option<Vec<ServerOut>> {
+        let timer = self.armed.remove(&token)?;
+        Some(self.server.handle(now_ns, ServerIn::Timer(timer)))
+    }
+
+    /// Drop volatile state and every armed timer, and stop reacting, as a
+    /// killed process would (the log survives). Idempotent.
+    pub fn crash(&mut self) {
+        if self.alive {
+            self.alive = false;
+            self.armed.clear();
+            self.server.on_crash();
+        }
+    }
+
+    /// Come back from [`Member::crash`]: recover from the log and rejoin.
+    /// Nothing to do for a member that is up.
+    pub fn restart(&mut self, now_ns: u64) -> Vec<ServerOut> {
+        if self.alive {
+            return Vec::new();
+        }
+        self.alive = true;
+        self.server.on_restart(now_ns)
+    }
+
+    /// The freshest lease this member can grant; none while crashed.
+    pub fn lease_grant(&mut self, now_ns: u64) -> Option<LeaseGrant> {
+        if !self.alive {
+            return None;
+        }
+        self.server.lease_grant(now_ns)
+    }
+
+    /// What a status probe reports.
+    pub fn status(&self) -> ServerStatus {
+        let server = &self.server;
+        ServerStatus {
+            is_leader: self.alive && server.is_leader(),
+            last_applied: server.last_applied(),
+            committed: server.committed(),
+            node_count: server.tree().node_count(),
+            digest: server.tree().digest(),
+            alive: self.alive,
+        }
+    }
+
+    /// Route outputs in the order the state machine emitted them: replies
+    /// and watch events to clients, replication traffic to peers, timers
+    /// armed under fresh tokens.
+    pub fn route(&mut self, outs: Vec<ServerOut>, host: &mut impl Host) {
+        for o in outs {
+            match o {
+                ServerOut::Client { client, req_id, resp } => {
+                    host.deliver(client, ClientEvent::Resp { req_id, resp })
+                }
+                ServerOut::Peer { to, msg } => host.send_peer(to, msg),
+                ServerOut::Timer { timer, after_ms } => {
+                    self.last_token += 1;
+                    self.armed.insert(self.last_token, timer);
+                    host.arm(self.last_token, after_ms);
+                }
+                ServerOut::Watch { client, note } => host.deliver(client, ClientEvent::Watch(note)),
+            }
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::api::ZkRequest;
+
+    /// A host that records the clients it delivers to and the timers it
+    /// arms, in order, and sends nothing.
+    #[derive(Default)]
+    struct Recorder {
+        delivered: Vec<ClientId>,
+        armed: Vec<(u64, u64)>,
+    }
+
+    impl Host for Recorder {
+        fn deliver(&mut self, to: ClientId, _ev: ClientEvent) {
+            self.delivered.push(to);
+        }
+        fn send_peer(&mut self, _to: PeerId, _msg: CoordMsg) {}
+        fn arm(&mut self, token: u64, after_ms: u64) {
+            self.armed.push((token, after_ms));
+        }
+    }
+
+    fn connect(client: ClientId) -> ServerIn {
+        ServerIn::Client { client, req_id: 1, session: 0, req: ZkRequest::Connect }
+    }
+
+    /// The crash rule, over a recording host with explicit times and no
+    /// sockets: a crashed member answers nothing, its armed timers fire
+    /// nothing, and a restart arms the startup timers again under fresh
+    /// tokens.
+    #[test]
+    fn a_crash_silences_the_member_and_voids_its_timers() {
+        let (mut m, startup) =
+            Member::new(PeerId(0), EnsembleConfig::of_size(3), ZabConfig::default(), None);
+        let mut host = Recorder::default();
+        m.route(startup, &mut host);
+        let boot: Vec<u64> = host.armed.iter().map(|&(_, after_ms)| after_ms).collect();
+        assert_eq!(host.armed.iter().map(|&(t, _)| t).collect::<Vec<_>>(), [1, 2]);
+        assert_eq!(m.armed(), 2, "the election timer and the session sweep");
+        assert!(m.status().alive);
+        let outs = m.handle(1_000, connect(7));
+        m.route(outs, &mut host);
+        assert_eq!(host.delivered, [7], "a live member answers");
+
+        m.crash();
+        m.crash();
+        assert!(!m.status().alive);
+        assert!(!m.status().is_leader);
+        assert_eq!(m.armed(), 0);
+        assert!(m.handle(2_000, connect(8)).is_empty(), "a crashed member drops its inputs");
+        assert!(
+            m.fire(3_000, 1).is_none() && m.fire(3_000, 2).is_none(),
+            "voided timers fire nothing"
+        );
+        assert!(m.lease_grant(3_000).is_none());
+
+        host.armed.clear();
+        let outs = m.restart(4_000);
+        m.route(outs, &mut host);
+        assert!(m.status().alive);
+        let rearmed: Vec<u64> = host.armed.iter().map(|&(_, after_ms)| after_ms).collect();
+        assert_eq!(rearmed, boot, "a restart arms what a start arms");
+        assert_eq!(host.armed.iter().map(|&(t, _)| t).collect::<Vec<_>>(), [3, 4]);
+        assert_eq!(m.armed(), 2);
+        assert!(m.fire(5_000, 1).is_none(), "a voided token stays void");
+        assert!(m.restart(5_000).is_empty(), "restarting a live member does nothing");
+        assert!(m.fire(5_000, 3).is_some());
+        assert_eq!(m.armed(), 1);
+        let outs = m.handle(6_000, connect(9));
+        m.route(outs, &mut host);
+        assert_eq!(host.delivered, [7, 9]);
     }
 }

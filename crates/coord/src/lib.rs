@@ -19,15 +19,16 @@
 //! slow *down* — Fig 7 of the paper, regenerated in `dufs-bench`.
 //!
 //! Like the protocol crates underneath, the server is a pure state machine
-//! ([`server::CoordServer::handle`]). The crate also ships the live
-//! runtime that hosts it on loopback or real sockets ([`tcp::TcpServer`],
+//! ([`server::CoordServer::handle`]). [`event_loop::Member`] wraps it
+//! with the crash, timer and dispatch rules every host shares; the crate
+//! ships the live host on loopback or real sockets ([`tcp::TcpServer`],
 //! [`tcp::TcpCluster`]), and a synchronous client API
 //! ([`runtime::ZkClient`]) equivalent to the ZooKeeper sync API the paper's
 //! prototype uses.
 
 pub mod api;
 pub mod cluster;
-mod event_loop;
+pub mod event_loop;
 pub mod runtime;
 pub mod server;
 pub mod session;

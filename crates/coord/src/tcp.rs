@@ -1,10 +1,11 @@
 //! The live runtime: socket-backed ensembles and client sessions.
 //!
-//! The [`CoordServer`] state machine hosted on real sockets via `dufs-net`:
+//! The [`CoordServer`](crate::server::CoordServer) state machine hosted on
+//! real sockets via `dufs-net`:
 //!
 //! * [`TcpServer`] — one coordination server listening on a TCP address:
-//!   an accept thread and one loop thread running the server event loop
-//!   (`event_loop::run`) over a single [`ConnEvent`] stream. Inbound
+//!   an accept thread and one loop thread that drives a
+//!   [`Member`] from a single [`ConnEvent`] stream. Inbound
 //!   connections are told apart by their handshake [`Hello::kind`]: peers
 //!   feed [`CoordMsg`] frames into the loop, clients speak
 //!   [`ClientFrame`]/[`ServerFrame`], admin connections may probe
@@ -47,14 +48,24 @@ use dufs_net::{
     connect, connect_demux, AcceptHandle, Backoff, Conn, ConnEvent, EndpointKind, Hello, Listener,
     NetConfig, NetStats, NetStatsSnapshot, Wire,
 };
+use dufs_wal::FileStorage;
 use dufs_zab::{EnsembleConfig, PeerId, ZabConfig};
 use dufs_zkstore::ZkError;
 
 use crate::api::{ClientOptions, LeaseGrant, ZkRequest};
-use crate::event_loop::{self, Host, Input};
+use crate::event_loop::{Host, Member};
 use crate::runtime::{ClientEvent, ClientTransport, ServerStatus, ZkClient};
-use crate::server::{ClientId, CoordMsg, CoordServer, ServerIn};
+use crate::server::{ClientId, CoordMsg, ServerIn, ServerOut};
 use crate::wire::{ClientFrame, ServerFrame};
+
+/// Multiplier applied to every protocol timer by the live runtime. The
+/// state machines are tuned for a quiet network; on a loaded CI machine,
+/// scheduling jitter of hundreds of ms would otherwise trip watchdogs and
+/// flap elections. Relative timing is preserved.
+const TIME_DILATION: u64 = 3;
+
+/// Longest the loop sleeps when no timer is due sooner.
+const MAX_WAIT: Duration = Duration::from_millis(50);
 
 /// Everything a [`TcpServer`] needs to know at spawn time.
 #[derive(Debug, Clone)]
@@ -65,27 +76,16 @@ pub struct TcpServerConfig {
     pub peer_addrs: Vec<SocketAddr>,
     /// The first `voters` members vote; the rest are observers.
     pub voters: usize,
-    /// Group-commit / snapshot-chunk tuning.
-    pub zab: ZabConfig,
-    /// Transport tuning (heartbeats, reconnect backoff).
-    pub net: NetConfig,
     /// When set, run durably: WAL + checkpoints under this directory.
     pub wal_dir: Option<PathBuf>,
 }
 
 impl TcpServerConfig {
     /// A volatile (non-durable) member `me` of the ensemble at
-    /// `peer_addrs`, all voting, default tuning.
+    /// `peer_addrs`, all voting.
     pub fn new(me: PeerId, peer_addrs: Vec<SocketAddr>) -> Self {
         let voters = peer_addrs.len();
-        TcpServerConfig {
-            me,
-            peer_addrs,
-            voters,
-            zab: ZabConfig::default(),
-            net: NetConfig::default(),
-            wal_dir: None,
-        }
+        TcpServerConfig { me, peer_addrs, voters, wal_dir: None }
     }
 }
 
@@ -124,15 +124,17 @@ impl TcpServer {
         // path — the reactor pool carries the sockets.
         let (events_tx, events) = unbounded::<ConnEvent>();
         let my_hello = Hello { kind: EndpointKind::Server, id: cfg.me.0 as u64 };
-        let accept =
-            listener.spawn_accept_into(my_hello, cfg.net, stats.clone(), events_tx.clone());
+        let accept = listener.spawn_accept_into(
+            my_hello,
+            NetConfig::default(),
+            stats.clone(),
+            events_tx.clone(),
+        );
         let mut host = TcpHost {
             events,
             events_tx,
             control: control.clone(),
-            down: false,
             me: cfg.me,
-            net: cfg.net,
             stats: stats.clone(),
             clients: HashMap::new(),
             peers_in: HashMap::new(),
@@ -145,14 +147,22 @@ impl TcpServer {
             next_link_id: u64::MAX,
             lease_slot: Arc::new(StdMutex::new(None)),
             written: Vec::new(),
+            timers: Vec::new(),
         };
         (0..n).for_each(|to| host.dial(to, false));
 
         let ensemble = EnsembleConfig::with_observers(cfg.voters, n - cfg.voters);
-        let (me, zab, wal_dir) = (cfg.me, cfg.zab, cfg.wal_dir);
+        let (me, wal_dir) = (cfg.me, cfg.wal_dir);
         let join = std::thread::Builder::new()
             .name(format!("tcp-coord-{}", me.0))
-            .spawn(move || event_loop::run(me, ensemble, zab, wal_dir, Instant::now(), host))
+            .spawn(move || {
+                let epoch = Instant::now();
+                // Built here, on the loop thread: a durable member holds a
+                // `Box<dyn LogStorage>`, which is not `Send`.
+                let log = wal_dir.map(|d| Box::new(FileStorage::new(&d).expect("open WAL")) as _);
+                let (member, startup) = Member::new(me, ensemble, ZabConfig::default(), log);
+                host.serve(member, startup, epoch)
+            })
             .expect("spawn tcp server loop");
 
         TcpServer { control, accept: Some(accept), join: Some(join), addr, stats }
@@ -223,10 +233,7 @@ struct TcpHost {
     events_tx: Sender<ConnEvent>,
     /// The [`TcpServer`]'s control cell.
     control: Arc<AtomicU8>,
-    /// The loop was last handed [`Input::Crash`], not [`Input::Restart`].
-    down: bool,
     me: PeerId,
-    net: NetConfig,
     stats: NetStats,
     /// Accepted client and admin connections; the stream id doubles as the
     /// [`ClientId`].
@@ -245,8 +252,11 @@ struct TcpHost {
     /// quiet cached client thus renews without spending a Ping round trip.
     lease_slot: Arc<StdMutex<Option<(Instant, LeaseGrant)>>>,
     /// Event-stream ids of the client connections and dial-out links
-    /// queued on since the last wait; `next` flushes exactly these.
+    /// queued on since the last wait; the wait flushes exactly these.
     written: Vec<u64>,
+    /// Armed timer tokens and when they come due. A token a crash voided
+    /// stays until then, and fires nothing.
+    timers: Vec<(Instant, u64)>,
 }
 
 impl TcpHost {
@@ -261,7 +271,7 @@ impl TcpHost {
         self.next_link_id -= 1;
         link.id = self.next_link_id;
         link.conn = None;
-        let (id, addr, net) = (link.id, link.addr, self.net);
+        let (id, addr, net) = (link.id, link.addr, NetConfig::default());
         let (stats, events) = (self.stats.clone(), self.events_tx.clone());
         let hello = Hello { kind: EndpointKind::Peer, id: self.me.0 as u64 };
         std::thread::Builder::new()
@@ -339,28 +349,32 @@ impl TcpHost {
         }
     }
 
-    /// Decode one inbound frame in place. A frame that passed the CRC but
-    /// not the codec means the other end speaks something else: hang up (a
-    /// peer redials; a client's retry layer reconnects).
-    fn on_frame(&mut self, id: u64, payload: &[u8]) -> Input<(ClientId, u64)> {
+    /// Decode one inbound frame in place into the member's next input, or
+    /// answer it here if it is a status probe. A frame that passed the CRC
+    /// but not the codec means the other end speaks something else: hang
+    /// up (a peer redials; a client's retry layer reconnects).
+    fn on_frame(&mut self, id: u64, payload: &[u8], member: &Member) -> Option<ServerIn> {
         let decoded = if self.clients.contains_key(&id) {
             ClientFrame::from_wire(payload).map(|frame| match frame {
                 ClientFrame::Request { req_id, session, req } => {
-                    Input::Server(ServerIn::Client { client: id, req_id, session, req })
+                    Some(ServerIn::Client { client: id, req_id, session, req })
                 }
-                ClientFrame::Status { req_id } => Input::Inspect((id, req_id)),
+                ClientFrame::Status { req_id } => {
+                    self.send_client(id, ServerFrame::Status { req_id, status: member.status() });
+                    None
+                }
             })
         } else if let Some(&(from, _)) = self.peers_in.get(&id) {
-            CoordMsg::from_wire(payload).map(|msg| Input::Server(ServerIn::Peer { from, msg }))
+            CoordMsg::from_wire(payload).map(|msg| Some(ServerIn::Peer { from, msg }))
         } else {
             // A dial-out link (peers answer on their own), or a connection
             // already hung up on.
-            return Input::Idle;
+            return None;
         };
         decoded.unwrap_or_else(|_| {
             self.clients.remove(&id);
             self.peers_in.remove(&id);
-            Input::Idle
+            None
         })
     }
 
@@ -393,40 +407,62 @@ impl TcpHost {
             }
         }
     }
+
+    /// The loop thread's body, until the control cell says [`STOPPED`].
+    /// Each pass reads the control cell, fires due timers, flushes what was
+    /// written since the last wait, waits for one event and feeds it to the
+    /// member, and refreshes the lease slot. `epoch` is the zero of the
+    /// member's clock.
+    fn serve(mut self, mut member: Member, startup: Vec<ServerOut>, epoch: Instant) {
+        let now_ns = || epoch.elapsed().as_nanos() as u64;
+        member.route(startup, &mut self);
+        loop {
+            // The stream itself never closes while this loop holds
+            // connections (each one's reactor state holds a sender), so
+            // stopping is a flag — and so are crashing and restarting, which
+            // leave every connection open: the member drops the traffic.
+            let mut outs = match self.control.load(Ordering::SeqCst) {
+                STOPPED => return,
+                CRASHED => {
+                    member.crash();
+                    Vec::new()
+                }
+                _ => member.restart(now_ns()),
+            };
+            let now = Instant::now();
+            for (_, token) in self.timers.extract_if(.., |&mut (at, _)| at <= now) {
+                outs.extend(member.fire(now_ns(), token).into_iter().flatten());
+            }
+            member.route(outs, &mut self);
+            // Everything the pass produced leaves before this thread waits.
+            self.flush_written();
+            let wait = self
+                .timers
+                .iter()
+                .map(|&(at, _)| at.saturating_duration_since(Instant::now()))
+                .min()
+                .map_or(MAX_WAIT, |d| d.min(MAX_WAIT));
+            match self.events.recv_timeout(wait) {
+                Ok(ConnEvent::Frame { id, payload }) => {
+                    if let Some(input) = self.on_frame(id, &payload, &member) {
+                        let outs = member.handle(now_ns(), input);
+                        member.route(outs, &mut self);
+                    }
+                }
+                Ok(ConnEvent::Opened { id, conn }) => self.on_opened(id, conn),
+                Ok(ConnEvent::Closed { id }) => self.on_closed(id),
+                Err(_) => {}
+            }
+            // Refresh the shared grant for the idle-piggyback sources, only
+            // while clients are connected: `lease_grant` counts what it
+            // issues.
+            let grant = if self.clients.is_empty() { None } else { member.lease_grant(now_ns()) };
+            *self.lease_slot.lock().unwrap() = grant.map(|g| (Instant::now(), g));
+        }
+    }
 }
 
 impl Host for TcpHost {
-    /// The connection a [`ClientFrame::Status`] arrived on, and its request id.
-    type Probe = (ClientId, u64);
-
-    fn next(&mut self, wait: Duration) -> Input<Self::Probe> {
-        // Everything the last pass produced leaves before this thread waits.
-        self.flush_written();
-        // The stream itself never closes while this loop holds connections
-        // (each one's reactor state holds a sender), so stopping is a flag —
-        // and so are crashing and restarting, which leave every connection
-        // open: the loop drops the traffic while the member is down.
-        match self.control.load(Ordering::SeqCst) {
-            STOPPED => return Input::Stop,
-            CRASHED if !self.down => {
-                self.down = true;
-                return Input::Crash;
-            }
-            RUNNING if self.down => {
-                self.down = false;
-                return Input::Restart;
-            }
-            _ => {}
-        }
-        match self.events.recv_timeout(wait) {
-            Ok(ConnEvent::Frame { id, payload }) => return self.on_frame(id, &payload),
-            Ok(ConnEvent::Opened { id, conn }) => self.on_opened(id, conn),
-            Ok(ConnEvent::Closed { id }) => self.on_closed(id),
-            Err(_) => {}
-        }
-        Input::Idle
-    }
-
     fn deliver(&mut self, to: ClientId, ev: ClientEvent) {
         self.send_client(
             to,
@@ -453,20 +489,9 @@ impl Host for TcpHost {
         }
     }
 
-    fn report(&mut self, (to, req_id): Self::Probe, status: ServerStatus) {
-        self.send_client(to, ServerFrame::Status { req_id, status });
-    }
-
-    /// Refresh the shared grant for the idle-piggyback sources. Only while
-    /// clients are connected — `lease_grant` counts what it issues — and
-    /// the member is up: a crashed member grants nothing.
-    fn after_pass(&mut self, server: &mut CoordServer, now_ns: u64) {
-        let grant = if self.down || self.clients.is_empty() {
-            None
-        } else {
-            server.lease_grant(now_ns).map(|g| (Instant::now(), g))
-        };
-        *self.lease_slot.lock().unwrap() = grant;
+    fn arm(&mut self, token: u64, after_ms: u64) {
+        let at = Instant::now() + Duration::from_millis(after_ms * TIME_DILATION);
+        self.timers.push((at, token));
     }
 }
 
@@ -480,13 +505,7 @@ pub struct TcpCluster {
 }
 
 impl TcpCluster {
-    pub(crate) fn start_inner(
-        voters: usize,
-        observers: usize,
-        zab: ZabConfig,
-        net: NetConfig,
-        wal_dir: Option<PathBuf>,
-    ) -> Self {
+    pub(crate) fn start_inner(voters: usize, observers: usize, wal_dir: Option<PathBuf>) -> Self {
         let n = voters + observers;
         // Bind every listener first so each member knows the full address
         // list before any of them starts dialing.
@@ -504,8 +523,6 @@ impl TcpCluster {
                         me: PeerId(i as u32),
                         peer_addrs: addrs.clone(),
                         voters,
-                        zab,
-                        net,
                         wal_dir: wal_dir.as_ref().map(|d| d.join(format!("server-{i}"))),
                     },
                 ))
@@ -671,7 +688,6 @@ pub fn remote_status(addr: SocketAddr, timeout: Duration) -> Option<ServerStatus
 pub struct TcpTransport {
     addrs: Vec<SocketAddr>,
     cursor: usize,
-    net: NetConfig,
     stats: NetStats,
     link: Option<(Conn, Receiver<Vec<u8>>)>,
     ever_connected: bool,
@@ -682,19 +698,13 @@ pub struct TcpTransport {
 }
 
 impl TcpTransport {
-    /// A transport failing over across `addrs` (tried in order), default
-    /// tuning. Panics if `addrs` is empty.
+    /// A transport failing over across `addrs` (tried in order). Panics if
+    /// `addrs` is empty.
     pub fn new(addrs: Vec<SocketAddr>) -> Self {
-        Self::with_config(addrs, NetConfig::default())
-    }
-
-    /// [`TcpTransport::new`] with explicit transport tuning.
-    pub fn with_config(addrs: Vec<SocketAddr>, net: NetConfig) -> Self {
         assert!(!addrs.is_empty(), "need at least one server address");
         TcpTransport {
             addrs,
             cursor: 0,
-            net,
             stats: NetStats::new(),
             link: None,
             ever_connected: false,
@@ -719,7 +729,7 @@ impl TcpTransport {
         let hello = Hello { kind: EndpointKind::Client, id: 0 };
         for _ in 0..self.addrs.len() {
             let addr = self.addrs[self.cursor % self.addrs.len()];
-            match connect(addr, hello, &self.net, &self.stats) {
+            match connect(addr, hello, &NetConfig::default(), &self.stats) {
                 Ok(pair) => {
                     if self.ever_connected {
                         self.stats.on_reconnect();

@@ -29,10 +29,7 @@ fn a_member_started_late_catches_up() {
         (0..3).map(|_| Listener::bind("127.0.0.1:0".parse().unwrap()).unwrap()).collect();
     let addrs: Vec<_> = listeners.iter().map(Listener::local_addr).collect();
     let spawn = |i: usize, l: Listener| {
-        let mut cfg = TcpServerConfig::new(PeerId(i as u32), addrs.clone());
-        // A dial into the unserved backlog only fails by timing out.
-        cfg.net.connect_timeout_ms = 300;
-        TcpServer::spawn(l, cfg)
+        TcpServer::spawn(l, TcpServerConfig::new(PeerId(i as u32), addrs.clone()))
     };
     let mut listeners = listeners.into_iter();
     let early: Vec<TcpServer> = (0..2).map(|i| spawn(i, listeners.next().unwrap())).collect();
@@ -51,6 +48,10 @@ fn a_member_started_late_catches_up() {
     }
     let want = probe(addrs[leader]).expect("leader status");
     assert!(want.node_count >= 20, "the creates must have applied: {want:?}");
+    // A dial into the unserved backlog only fails by timing out: let the
+    // early members' first dials fail, so the late member is reached by a
+    // redial, not by a dial that was already waiting for it.
+    std::thread::sleep(Duration::from_millis(NetConfig::default().connect_timeout_ms + 500));
 
     let late = spawn(2, listeners.next().unwrap());
     let deadline = Instant::now() + Duration::from_secs(30);

@@ -1,10 +1,17 @@
 //! Simulated server processes: coordination servers and back-end
 //! metadata/IO servers.
-
-use std::collections::HashMap;
+//!
+//! A simulated coordination server is the second host of
+//! [`dufs_coord::event_loop::Member`], beside the live TCP server: the
+//! member builds the state machine, drops traffic while crashed, keeps and
+//! voids its timers and routes its outputs; [`CoordServerProc`] adds only
+//! what the simulation models — the pipeline queue, the CPU cost of each
+//! event, and the WAL fsync charge.
 
 use dufs_backendfs::{FsError, MetaOpKind, ParallelFs};
-use dufs_coord::server::{CoordMsg, CoordServer, CoordTimer, ServerIn, ServerOut};
+use dufs_coord::event_loop::{Host, Member};
+use dufs_coord::runtime::ClientEvent;
+use dufs_coord::server::{ClientId, CoordMsg, CoordServer, ServerIn, ServerOut};
 use dufs_coord::shard::parent_dir;
 use dufs_coord::{TxnOp, ZkRequest};
 use dufs_core::plan::BackendReq;
@@ -24,15 +31,10 @@ use crate::workload::NativeOp;
 /// follower adds propose/ack/commit CPU at the leader (Fig 7a–c) — while
 /// reads scale out across servers (Fig 7d).
 pub struct CoordServerProc {
-    server: CoordServer,
+    member: Member,
     /// Map peer id → sim node of that coordination server.
     peer_nodes: Vec<NodeId>,
     queue: ServiceQueue,
-    /// Armed protocol timers by token. An entry leaves when its timer
-    /// fires; a crash voids every armed timer and clears them all.
-    timers: HashMap<TimerToken, CoordTimer>,
-    /// The last timer token handed out.
-    last_timer: TimerToken,
     startup: Option<Vec<ServerOut>>,
     /// WAL fsyncs already charged on the pipeline (durable servers only):
     /// each increment of `wal_sync_count()` past this costs `FSYNC_US`.
@@ -55,26 +57,20 @@ impl CoordServerProc {
         zab: ZabConfig,
         durable: bool,
     ) -> Self {
-        let (server, startup) = if durable {
-            CoordServer::new_durable(peer, ensemble, zab, Box::new(MemStorage::new()))
-                .expect("in-memory WAL storage cannot fail")
-        } else {
-            CoordServer::new_with_config(peer, ensemble, zab)
-        };
+        let log = durable.then(|| Box::new(MemStorage::new()) as _);
+        let (member, startup) = Member::new(peer, ensemble, zab, log);
         CoordServerProc {
-            wal_synced: server.wal_sync_count(),
-            server,
+            wal_synced: member.server().wal_sync_count(),
+            member,
             peer_nodes,
             queue: ServiceQueue::new(costs::ZK_PIPELINE_WIDTH),
-            timers: HashMap::new(),
-            last_timer: 0,
             startup: Some(startup),
         }
     }
 
     /// The wrapped server (for digests/memory probes after a run).
     pub fn server(&self) -> &CoordServer {
-        &self.server
+        self.member.server()
     }
 
     /// Pipeline time of one replicated write that arrived in messages
@@ -98,43 +94,6 @@ impl CoordServerProc {
         }
     }
 
-    /// Execute server outputs, sending network messages after `delay`
-    /// (the request's residual service time).
-    fn dispatch(
-        &mut self,
-        ctx: &mut Ctx<'_, ClusterMsg>,
-        outs: Vec<ServerOut>,
-        delay: SimDuration,
-    ) {
-        for o in outs {
-            match o {
-                ServerOut::Client { client, req_id, resp } => {
-                    ctx.send_after(
-                        NodeId(client as u32),
-                        ClusterMsg::ZkResp { req_id, resp },
-                        delay,
-                    );
-                }
-                ServerOut::Peer { to, msg } => {
-                    let node = self.peer_nodes[to.0 as usize];
-                    ctx.send_after(
-                        node,
-                        ClusterMsg::CoordPeer { from: self.server.id(), msg },
-                        delay,
-                    );
-                }
-                ServerOut::Timer { timer, after_ms } => {
-                    self.last_timer += 1;
-                    self.timers.insert(self.last_timer, timer);
-                    ctx.set_timer(SimDuration::from_millis(after_ms) + delay, self.last_timer);
-                }
-                ServerOut::Watch { .. } => {
-                    // The simulated mdtest clients do not register watches.
-                }
-            }
-        }
-    }
-
     /// Charge `cost_us` (+ per-peer-message tx cost once outputs are known)
     /// on the pipeline and dispatch.
     fn charge_and_dispatch(
@@ -146,67 +105,97 @@ impl CoordServerProc {
         let peer_sends = outs.iter().filter(|o| matches!(o, ServerOut::Peer { .. })).count() as f64;
         // Durable servers block the pipeline for every WAL group fsync the
         // event triggered (ACKs only left the server after the flush).
-        let syncs = self.server.wal_sync_count().saturating_sub(self.wal_synced) as f64;
-        self.wal_synced = self.server.wal_sync_count();
+        let syncs = self.server().wal_sync_count().saturating_sub(self.wal_synced) as f64;
+        self.wal_synced = self.server().wal_sync_count();
         let cost =
             costs::us(base_cost_us + peer_sends * costs::ZK_PEER_MSG_US + syncs * costs::FSYNC_US);
         let done = self.queue.complete_at(ctx.now(), cost);
         let delay = done.since(ctx.now());
-        self.dispatch(ctx, outs, delay);
+        self.route(ctx, outs, delay);
+    }
+
+    /// Route outputs through the member, sending network messages and
+    /// arming timers `delay` late (the event's residual service time).
+    fn route(&mut self, ctx: &mut Ctx<'_, ClusterMsg>, outs: Vec<ServerOut>, delay: SimDuration) {
+        let me = self.server().id();
+        let mut host = SimHost { ctx, peer_nodes: &self.peer_nodes, me, delay };
+        self.member.route(outs, &mut host);
+    }
+}
+
+/// Where a simulated member's outputs go: into the simulation, `delay` late.
+struct SimHost<'a, 'c> {
+    ctx: &'a mut Ctx<'c, ClusterMsg>,
+    peer_nodes: &'a [NodeId],
+    me: PeerId,
+    delay: SimDuration,
+}
+
+impl Host for SimHost<'_, '_> {
+    fn deliver(&mut self, to: ClientId, ev: ClientEvent) {
+        // The simulated mdtest clients do not register watches.
+        if let ClientEvent::Resp { req_id, resp } = ev {
+            let msg = ClusterMsg::ZkResp { req_id, resp };
+            self.ctx.send_after(NodeId(to as u32), msg, self.delay);
+        }
+    }
+
+    fn send_peer(&mut self, to: PeerId, msg: CoordMsg) {
+        let msg = ClusterMsg::CoordPeer { from: self.me, msg };
+        self.ctx.send_after(self.peer_nodes[to.0 as usize], msg, self.delay);
+    }
+
+    fn arm(&mut self, token: TimerToken, after_ms: u64) {
+        self.ctx.set_timer(SimDuration::from_millis(after_ms) + self.delay, token);
     }
 }
 
 impl Process<ClusterMsg> for CoordServerProc {
     fn on_start(&mut self, ctx: &mut Ctx<'_, ClusterMsg>) {
         if let Some(outs) = self.startup.take() {
-            self.dispatch(ctx, outs, SimDuration::ZERO);
+            self.route(ctx, outs, SimDuration::ZERO);
         }
     }
 
     fn on_crash(&mut self) {
-        self.server.on_crash();
+        self.member.crash();
         self.queue.reset();
-        self.timers.clear();
     }
 
     fn on_restart(&mut self, ctx: &mut Ctx<'_, ClusterMsg>) {
-        let outs = self.server.on_restart(ctx.now().as_nanos());
+        let outs = self.member.restart(ctx.now().as_nanos());
         // Recovery replay (log scan + snapshot load) happens "during the
         // restart"; its fsync is not charged against the serving pipeline.
-        self.wal_synced = self.server.wal_sync_count();
-        self.dispatch(ctx, outs, SimDuration::ZERO);
+        self.wal_synced = self.server().wal_sync_count();
+        self.route(ctx, outs, SimDuration::ZERO);
     }
 
     fn on_message(&mut self, ctx: &mut Ctx<'_, ClusterMsg>, _from: NodeId, msg: ClusterMsg) {
-        match msg {
+        let (cost, input) = match msg {
             ClusterMsg::ZkReq { client, req_id, session, req } => {
-                let cost = Self::request_cost(&req);
-                let outs = self.server.handle(
-                    ctx.now().as_nanos(),
-                    ServerIn::Client { client, req_id, session, req },
-                );
-                self.charge_and_dispatch(ctx, outs, cost);
+                (Self::request_cost(&req), ServerIn::Client { client, req_id, session, req })
             }
+            // A forwarded client write costs the full transaction pipeline
+            // at the leader, exactly like a locally received one; protocol
+            // chatter costs one message's worth.
             ClusterMsg::CoordPeer { from, msg } => {
-                // A forwarded client write costs the full transaction
-                // pipeline at the leader, exactly like a locally received
-                // one; protocol chatter costs one message's worth.
                 let cost = match &msg {
                     CoordMsg::Forward { op, .. } => {
                         Self::write_cost(costs::ZK_PEER_MSG_US, Some(op))
                     }
                     _ => costs::ZK_PEER_MSG_US,
                 };
-                let outs = self.server.handle(ctx.now().as_nanos(), ServerIn::Peer { from, msg });
-                self.charge_and_dispatch(ctx, outs, cost);
+                (cost, ServerIn::Peer { from, msg })
             }
             other => panic!("coord server got unexpected message {other:?}"),
-        }
+        };
+        let outs = self.member.handle(ctx.now().as_nanos(), input);
+        self.charge_and_dispatch(ctx, outs, cost);
     }
 
     fn on_timer(&mut self, ctx: &mut Ctx<'_, ClusterMsg>, token: TimerToken) {
-        let timer = self.timers.remove(&token).expect("a timer fires only while armed");
-        let outs = self.server.handle(ctx.now().as_nanos(), ServerIn::Timer(timer));
+        let now = ctx.now().as_nanos();
+        let outs = self.member.fire(now, token).expect("a timer fires only while armed");
         // Protocol timers are cheap; only their sends cost.
         self.charge_and_dispatch(ctx, outs, 1.0);
     }
@@ -461,7 +450,7 @@ mod tests {
             sim.add_node(CoordServerProc::new(PeerId(i), ens, nodes.clone(), zab, false));
         }
         let table = |sim: &Sim<ClusterMsg>| -> Vec<usize> {
-            nodes.iter().map(|&n| sim.node_ref::<CoordServerProc>(n).timers.len()).collect()
+            nodes.iter().map(|&n| sim.node_ref::<CoordServerProc>(n).member.armed()).collect()
         };
         sim.run_until(SimTime::from_secs(30));
         assert_eq!(table(&sim), [2, 2, 2]);

@@ -1,5 +1,7 @@
 //! Out-of-process crash recovery for the data path: real `store_server`
-//! processes, real `SIGKILL` mid-write, no in-process shortcuts.
+//! processes, real `SIGKILL` mid-write, no in-process shortcuts. (One more
+//! test here holds a live `store_server` to its protocol-mismatch rule: a
+//! frame it cannot decode closes that connection at once.)
 //!
 //! The invariant under `--fsync group` is the WAL's: **an acked write is
 //! durable**. The harness streams striped writes from a client thread,
@@ -19,8 +21,10 @@ use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
 
+use crossbeam::channel::RecvTimeoutError;
 use dufs_core::Fid;
-use dufs_store::{crc32, StoreClient, StoreError};
+use dufs_net::{EndpointKind, Hello, NetConfig, NetStats};
+use dufs_store::{crc32, ReqOp, StoreClient, StoreError, StoreReq};
 
 // ------------------------------------------------------------ process tools
 
@@ -213,4 +217,47 @@ fn sigkill_whole_fleet_then_restart_recovers() {
     for d in &dirs {
         let _ = std::fs::remove_dir_all(d);
     }
+}
+
+/// A frame that passes the transport's CRC but not the store codec means
+/// the other end speaks something else. The server must close that
+/// connection at once — a client left waiting would only learn of it from
+/// its 30 s receive timeout — and go on serving every other connection.
+#[test]
+fn an_undecodable_frame_is_hung_up_at_once() {
+    /// Kills the server however the test ends, a failed assertion included.
+    struct Reaper(Child);
+    impl Drop for Reaper {
+        fn drop(&mut self) {
+            kill9(&mut self.0);
+        }
+    }
+    let dirs = target_dirs("rogue", 1);
+    let addr = free_addrs(1)[0];
+    let _server = Reaper(spawn_server(&dirs[0], addr, "group"));
+    let mut good = until_ok(|| StoreClient::tcp(&[addr], STRIPE, 1));
+    good.write(Fid::new(3, 1), 0, b"before the rogue").unwrap();
+
+    let hello = Hello { kind: EndpointKind::Client, id: 99 };
+    let (rogue, rogue_rx) =
+        dufs_net::connect(addr, hello, &NetConfig::default(), &NetStats::default()).unwrap();
+    // A write whose payload the frame does not hold: the decoder reads a
+    // length prefix it cannot satisfy.
+    let op = ReqOp::Write { obj: 9, stripe: 0, within: 0, data: &[1; 32] };
+    let raw = StoreReq { seq: 1, op }.encode();
+    let sent = Instant::now();
+    rogue.send(raw[..raw.len() - 1].to_vec()).unwrap();
+    // The channel disconnects when the server closes the socket; one that
+    // ignored the frame would leave it open and this would time out.
+    assert_eq!(rogue_rx.recv_timeout(Duration::from_secs(5)), Err(RecvTimeoutError::Disconnected));
+    assert!(sent.elapsed() < Duration::from_secs(5), "hung up after {:?}", sent.elapsed());
+
+    let mut back = [0u8; 16];
+    good.read_into(Fid::new(3, 1), 0, &mut back).unwrap();
+    assert_eq!(&back, b"before the rogue");
+    good.write(Fid::new(3, 2), 0, b"after").unwrap();
+    let mut after = [0u8; 5];
+    good.read_into(Fid::new(3, 2), 0, &mut after).unwrap();
+    assert_eq!(&after, b"after");
+    let _ = std::fs::remove_dir_all(&dirs[0]);
 }

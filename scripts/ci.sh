@@ -179,6 +179,23 @@ if grep -rnE "$runtime_pat" crates tests examples src >&2; then
 fi
 echo "==> one live runtime: no channel runtime under crates/, tests/, examples/, src/"
 
+# One member driver: `dufs_coord::event_loop::Member` builds the coordination
+# server, drops inputs while it is crashed, keeps and voids its timers and
+# routes its outputs, for both of its hosts — the TCP server and the
+# simulator's `CoordServerProc`. A host that matches the server's outputs,
+# names its timers or crashes the state machine itself is a second copy of
+# that glue growing back. (Test modules, below `#[cfg(test)]`, are exempt.)
+glue_pat='ServerOut::(Timer|Client|Watch)|CoordTimer|on_crash\(\)'
+glue=$(for f in crates/coord/src/tcp.rs crates/mdtest/src/*.rs; do
+    nontest "$f" | { grep -nE "$glue_pat" || true; } | sed "s|^|$f:|"
+done)
+if [ -n "$glue" ]; then
+    echo "FAIL: member glue outside event_loop.rs (outside #[cfg(test)]):" >&2
+    echo "$glue" >&2
+    exit 1
+fi
+echo "==> one member driver: no ServerOut::{Timer,Client,Watch}, CoordTimer or on_crash() in tcp.rs or crates/mdtest/src"
+
 echo "==> cargo build --release"
 cargo build --release
 
