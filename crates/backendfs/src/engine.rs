@@ -22,6 +22,7 @@
 
 use std::collections::BTreeMap;
 use std::io;
+use std::ops::Range;
 
 /// One storage target: fixed-size stripe chunks keyed by `(object, stripe)`.
 ///
@@ -166,6 +167,21 @@ impl StorageEngine for MemEngine {
     }
 }
 
+/// `[at, at + len)` split at `ss`-byte stripe boundaries: `(stripe,
+/// within, range)` per stripe touched, in order — the offset in that
+/// stripe's chunk, and the part of a `len`-byte buffer landing there.
+/// Which target holds a stripe is the caller's placement.
+pub fn stripes(ss: usize, at: u64, len: usize) -> impl Iterator<Item = (u64, u32, Range<usize>)> {
+    let mut pos = 0;
+    std::iter::from_fn(move || {
+        let abs = at + pos as u64;
+        let within = abs % ss as u64;
+        let take = (ss - within as usize).min(len - pos);
+        pos += take;
+        (take > 0).then(|| (abs / ss as u64, within as u32, pos - take..pos))
+    })
+}
+
 /// The striping layer over `N` engines: stripe `s` lives on target
 /// `s mod N`. Pure placement + chunk arithmetic; all storage behaviour
 /// comes from the engine.
@@ -207,13 +223,11 @@ impl<E: StorageEngine> StripedStore<E> {
     /// The distinct targets a `[offset, offset+len)` range touches
     /// (deduplicated, ascending) — the simulator's IO fan-out.
     pub fn targets_for_range(&self, offset: u64, len: usize) -> Vec<usize> {
-        if len == 0 {
-            return Vec::new();
-        }
-        let first = offset / self.stripe_size as u64;
-        let last = (offset + len as u64 - 1) / self.stripe_size as u64;
-        let span = (last - first + 1).min(self.engines.len() as u64);
-        let mut out: Vec<usize> = (first..first + span).map(|s| self.target_of(s)).collect();
+        // The first `N` stripes of the range visit every target it touches.
+        let mut out: Vec<usize> = stripes(self.stripe_size, offset, len)
+            .take(self.engines.len())
+            .map(|(s, _, _)| self.target_of(s))
+            .collect();
         out.sort_unstable();
         out.dedup();
         out
@@ -222,16 +236,9 @@ impl<E: StorageEngine> StripedStore<E> {
     /// Write `data` at byte `offset` of `obj`, splitting on stripe
     /// boundaries and placing each chunk round-robin.
     pub fn write(&mut self, obj: u128, offset: u64, data: &[u8]) -> io::Result<()> {
-        let ss = self.stripe_size as u64;
-        let mut pos = 0usize;
-        while pos < data.len() {
-            let abs = offset + pos as u64;
-            let stripe = abs / ss;
-            let within = (abs % ss) as u32;
-            let take = (self.stripe_size - within as usize).min(data.len() - pos);
+        for (stripe, within, range) in stripes(self.stripe_size, offset, data.len()) {
             let t = self.target_of(stripe);
-            self.engines[t].write(obj, stripe, within, &data[pos..pos + take])?;
-            pos += take;
+            self.engines[t].write(obj, stripe, within, &data[range])?;
         }
         Ok(())
     }
@@ -242,21 +249,14 @@ impl<E: StorageEngine> StripedStore<E> {
     /// to a logical size is the caller's job, since size is metadata this
     /// layer does not keep.
     pub fn read_into(&mut self, obj: u128, offset: u64, out: &mut [u8]) -> io::Result<()> {
-        let ss = self.stripe_size as u64;
-        let mut pos = 0usize;
-        while pos < out.len() {
-            let abs = offset + pos as u64;
-            let stripe = abs / ss;
-            let within = (abs % ss) as u32;
-            let take = (self.stripe_size - within as usize).min(out.len() - pos);
+        for (stripe, within, range) in stripes(self.stripe_size, offset, out.len()) {
             let t = self.target_of(stripe);
-            let dst = &mut out[pos..pos + take];
+            let dst = &mut out[range];
             let have = self.engines[t].read(obj, stripe, within, dst)?;
             // Anything the chunk did not cover reads as zeros.
             for b in &mut dst[have..] {
                 *b = 0;
             }
-            pos += take;
         }
         Ok(())
     }

@@ -174,17 +174,33 @@ impl<T: ClientTransport> ZkClient<T> {
         if let Err(e) = self.transport.send(req_id, self.session, req) {
             return ZkResponse::Error(e);
         }
-        let deadline = Instant::now() + self.timeout;
+        // Any other response is stale, from a timed-out request.
+        self.recv_until(self.timeout, |ev| match ev {
+            ClientEvent::Resp { req_id: rid, resp } if rid == req_id => Ok(resp),
+            ev => Err(ev),
+        })
+        .unwrap_or(ZkResponse::Error(ZkError::ConnectionLoss))
+    }
+
+    /// Take events off the transport until `pick` takes one (`Ok`) or
+    /// `timeout` runs out (`None`, as does a failed link). A watch note
+    /// `pick` hands back is buffered for `take_watch`; a response it hands
+    /// back is dropped.
+    fn recv_until<R>(
+        &mut self,
+        timeout: Duration,
+        mut pick: impl FnMut(ClientEvent) -> Result<R, ClientEvent>,
+    ) -> Option<R> {
+        let deadline = Instant::now() + timeout;
         loop {
             let left = deadline.saturating_duration_since(Instant::now());
             if left.is_zero() {
-                return ZkResponse::Error(ZkError::ConnectionLoss);
+                return None;
             }
-            match self.recv(left) {
-                Some(ClientEvent::Resp { req_id: rid, resp }) if rid == req_id => return resp,
-                Some(ClientEvent::Resp { .. }) => {} // stale response from a timed-out request
-                Some(ClientEvent::Watch(n)) => self.watches.push_back(n),
-                None => return ZkResponse::Error(ZkError::ConnectionLoss),
+            match pick(self.recv(left)?) {
+                Ok(r) => return Some(r),
+                Err(ClientEvent::Watch(n)) => self.watches.push_back(n),
+                Err(ClientEvent::Resp { .. }) => {}
             }
         }
     }
@@ -230,18 +246,10 @@ impl<T: ClientTransport> ZkClient<T> {
     /// notifications encountered on the way are buffered for `take_watch`.
     /// `None` means timeout or a dead server (treat as connection loss).
     pub fn next_completion(&mut self) -> Option<(u64, ZkResponse)> {
-        let deadline = Instant::now() + self.timeout;
-        loop {
-            let left = deadline.saturating_duration_since(Instant::now());
-            if left.is_zero() {
-                return None;
-            }
-            match self.recv(left) {
-                Some(ClientEvent::Resp { req_id, resp }) => return Some((req_id, resp)),
-                Some(ClientEvent::Watch(n)) => self.watches.push_back(n),
-                None => return None,
-            }
-        }
+        self.recv_until(self.timeout, |ev| match ev {
+            ClientEvent::Resp { req_id, resp } => Ok((req_id, resp)),
+            ev => Err(ev),
+        })
     }
 
     /// Issue a request, retrying on the transient errors —
@@ -408,43 +416,6 @@ impl<T: ClientTransport> ZkClient<T> {
         }
     }
 
-    /// 2PC phase one: validate and fence this shard's slice of transaction
-    /// `txn_id`, parking the ops (and the full participant list, for
-    /// recovery) durably until a decision.
-    pub fn txn_prepare(
-        &mut self,
-        txn_id: u64,
-        ops: Vec<MultiOp>,
-        participants: Vec<u32>,
-    ) -> Result<(), ZkError> {
-        match self.request(ZkRequest::TxnPrepare { txn_id, ops, participants }) {
-            ZkResponse::Prepared => Ok(()),
-            r => Err(r.err().unwrap_or(ZkError::ConnectionLoss)),
-        }
-    }
-
-    /// 2PC decision: commit the prepared slice of `txn_id`. `Ok(true)`
-    /// means the slice applied now; `Ok(false)` means the shard held no
-    /// prepared slice under the id (already decided here). Safe to retry.
-    pub fn txn_commit(&mut self, txn_id: u64) -> Result<bool, ZkError> {
-        match self.request(ZkRequest::TxnCommit { txn_id }) {
-            ZkResponse::Committed => Ok(true),
-            ZkResponse::TxnUnknown => Ok(false),
-            r => Err(r.err().unwrap_or(ZkError::ConnectionLoss)),
-        }
-    }
-
-    /// 2PC decision: abort the prepared slice of `txn_id`. `Ok(true)`
-    /// means a slice was discarded now; `Ok(false)` means nothing was
-    /// prepared under the id. Safe to retry.
-    pub fn txn_abort(&mut self, txn_id: u64) -> Result<bool, ZkError> {
-        match self.request(ZkRequest::TxnAbort { txn_id }) {
-            ZkResponse::Aborted => Ok(true),
-            ZkResponse::TxnUnknown => Ok(false),
-            r => Err(r.err().unwrap_or(ZkError::ConnectionLoss)),
-        }
-    }
-
     /// Barrier: propose a no-op through ZAB and wait for the serving
     /// replica to apply it. When it returns, that replica has applied every
     /// write committed before the barrier was issued (total order), so
@@ -548,20 +519,12 @@ impl<T: ClientTransport> ZkClient<T> {
 
     /// Block up to `timeout` for a watch notification.
     pub fn await_watch(&mut self, timeout: Duration) -> Option<WatchNotification> {
-        let deadline = Instant::now() + timeout;
-        loop {
-            if let Some(n) = self.take_watch() {
-                return Some(n);
-            }
-            let left = deadline.saturating_duration_since(Instant::now());
-            if left.is_zero() {
-                return None;
-            }
-            match self.recv(left) {
-                Some(ClientEvent::Watch(n)) => return Some(n),
-                Some(ClientEvent::Resp { .. }) => {}
-                None => return None,
-            }
+        if let Some(n) = self.take_watch() {
+            return Some(n);
         }
+        self.recv_until(timeout, |ev| match ev {
+            ClientEvent::Watch(n) => Ok(n),
+            ev => Err(ev),
+        })
     }
 }

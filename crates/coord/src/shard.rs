@@ -73,19 +73,21 @@ pub fn parent_dir(path: &str) -> &str {
 
 /// Content digest of a **logical** user namespace, independent of the
 /// shard count, and its node count. `candidates`: the paths present on any
-/// shard, coordination internals excluded; `owner_data(p)`: `p`'s data on
-/// its owner shard (`None`: not there). A path exists logically if its
-/// owner holds it or it is an ancestor of one that does, and adds FNV-1a of
-/// `path ‖ 0 ‖ owner data` (empty for an ancestor held only as materialized
-/// copies — what a single-shard `CreatePath` ancestor holds too). Equal
-/// digests across shard counts certify the namespaces match.
+/// shard, coordination internals excluded; `data(s, p)`: `p`'s data on
+/// shard `s` (`None`: not there), asked of `p`'s owner under `ring`. A
+/// path exists logically if its owner holds it or it is an ancestor of one
+/// that does, and adds FNV-1a of `path ‖ 0 ‖ owner data` (empty for an
+/// ancestor held only as materialized copies — what a single-shard
+/// `CreatePath` ancestor holds too). Equal digests across shard counts
+/// certify the namespaces match.
 pub fn logical_digest<E>(
+    ring: &HashRing,
     candidates: impl IntoIterator<Item = String>,
-    mut owner_data: impl FnMut(&str) -> Result<Option<Bytes>, E>,
+    mut data: impl FnMut(usize, &str) -> Result<Option<Bytes>, E>,
 ) -> Result<(u64, usize), E> {
     let mut owned: BTreeMap<String, Bytes> = BTreeMap::new();
     for p in candidates.into_iter().collect::<BTreeSet<_>>() {
-        if let Some(data) = owner_data(&p)? {
+        if let Some(data) = data(ring.route_path(&p) as usize, &p)? {
             owned.insert(p, data);
         }
     }

@@ -37,6 +37,12 @@
 //! participant. Writes that hit an orphaned fence (`TxnBusy`) trigger the
 //! sweep automatically, and every cluster bootstrap runs one.
 //!
+//! **One router, two hosts.** All of this request logic is one sans-I/O
+//! step machine, [`ShardOp`]: [`ShardedClient`] drives it over its
+//! per-shard sessions, and the simulator's DUFS client drives the same
+//! machine over simulated links, so the simulated and the live stack run
+//! one protocol.
+//!
 //! ```
 //! use bytes::Bytes;
 //! use dufs_coord::cluster::ClusterBuilder;
@@ -56,7 +62,7 @@ use std::time::Duration;
 
 use bytes::Bytes;
 
-use dufs_zkstore::{path as zkpath, CreateMode, MultiOp, MultiResult, Stat, ZkError};
+use dufs_zkstore::{path as zkpath, CreateMode, MultiOp, Stat, ZkError};
 
 use crate::api::{ClientOptions, LeaseGrant, ReadConsistency, Watch, ZkRequest, ZkResponse};
 use crate::runtime::{ClientTransport, ServerStatus, ZkClient};
@@ -163,16 +169,484 @@ impl ShardedCluster {
     }
 }
 
+/// What a [`ShardOp`] does next.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Step {
+    /// Send this request on the session to shard `.0`, then hand its reply
+    /// to [`ShardOp::feed`].
+    Send(usize, ZkRequest),
+    /// The operation is over; this is its reply.
+    Done(ZkResponse),
+}
+
+/// What a [`ShardOp`] was started to do.
+enum Job {
+    /// One request, routed.
+    Request(ZkRequest),
+    /// A recovery sweep (see [`ShardedClient::recover_txns`]). Answers
+    /// `Committed`; `resolved` counts what it resolved.
+    Recover,
+}
+
+/// The sharded client's request logic (see the module docs) as a sans-I/O
+/// step machine, in the shape of `dufs_core::plan::OpExec`:
+/// [`ShardOp::start`] takes one request and says which shard to send what
+/// to; [`ShardOp::feed`] takes each reply, until the op is [`Step::Done`].
+/// [`ShardedClient`] drives it over its per-shard sessions, the
+/// simulator's DUFS client over simulated links.
+///
+/// The caller supplies the transaction id; the `k`-th 2PC an op starts
+/// (a delete's purge retry, the rerun after a sweep, that rerun's purge
+/// retry) runs as `txn_id + k`, `k` ≤ 3, which [`TxnIds`] keeps clear of
+/// every other op's ids.
+///
+/// The protocol is written as plain sequential code over the replies
+/// received so far: each step re-runs it from the top, answering each
+/// request from those replies, and stops at the first request that has no
+/// reply yet. An op of n requests therefore costs O(n²) replay work. A
+/// routed single-path op is 1–3 requests and a cross-shard delete 6–7,
+/// but a ghost purge or a recovery sweep grows with what it finds (a
+/// sweep re-decodes every marker it has read on each step); EXPERIMENTS
+/// "One sharded client, two hosts" measures both.
+pub struct ShardOp {
+    job: Job,
+    txn_id: u64,
+    /// Replies to the requests sent so far, in order.
+    replies: Vec<ZkResponse>,
+    /// Transactions resolved by the recovery sweeps the op ran.
+    resolved: usize,
+}
+
+impl ShardOp {
+    /// Start routing `req` over `ring`. `Connect` and the `Txn*` 2PC steps
+    /// address a shard rather than a path and answer
+    /// [`ZkError::InvalidPath`].
+    pub fn start(req: ZkRequest, ring: &HashRing, txn_id: u64) -> (ShardOp, Step) {
+        ShardOp::new(Job::Request(req), ring, txn_id)
+    }
+
+    fn new(job: Job, ring: &HashRing, txn_id: u64) -> (ShardOp, Step) {
+        let mut op = ShardOp { job, txn_id, replies: Vec::new(), resolved: 0 };
+        let step = op.step(ring);
+        (op, step)
+    }
+
+    /// The reply to the request of the last [`Step::Send`]; `ring` must be
+    /// the one the op was started with.
+    pub fn feed(&mut self, reply: ZkResponse, ring: &HashRing) -> Step {
+        self.replies.push(reply);
+        self.step(ring)
+    }
+
+    fn step(&mut self, ring: &HashRing) -> Step {
+        let mut t = Tape { ring, replies: &self.replies, next_txn: self.txn_id, resolved: 0 };
+        let run = match &self.job {
+            Job::Request(req) => t.request(req.clone()),
+            Job::Recover => t.recover().map(|()| ZkResponse::Committed),
+        };
+        self.resolved = t.resolved;
+        match run {
+            Ok(reply) => Step::Done(reply),
+            Err(Halt::Send(shard, req)) => Step::Send(shard, req),
+            Err(Halt::Fail(_, e)) => Step::Done(ZkResponse::Error(e)),
+        }
+    }
+}
+
+/// Why the protocol code stopped before its answer.
+enum Halt {
+    /// It needs the reply to this request on shard `.0`.
+    Send(usize, ZkRequest),
+    /// Shard `.0` failed the op with `.1`.
+    Fail(usize, ZkError),
+}
+
+type Run<T> = Result<T, Halt>;
+
+/// The error `reply` (from `shard`) stands for: its own, or connection
+/// loss for a reply of the wrong kind.
+fn fail(shard: usize, reply: &ZkResponse) -> Halt {
+    Halt::Fail(shard, reply.err().unwrap_or(ZkError::ConnectionLoss))
+}
+
+/// One run of the protocol code over the replies received so far.
+struct Tape<'a> {
+    ring: &'a HashRing,
+    /// Replies not yet used in this run.
+    replies: &'a [ZkResponse],
+    /// The id the next 2PC of this run runs as.
+    next_txn: u64,
+    /// Transactions the sweeps of this run resolved.
+    resolved: usize,
+}
+
+impl<'a> Tape<'a> {
+    /// The reply to `req` on `shard`, or a halt to send it.
+    fn call(&mut self, shard: usize, req: ZkRequest) -> Run<&'a ZkResponse> {
+        let (reply, rest) = self.replies.split_first().ok_or(Halt::Send(shard, req))?;
+        self.replies = rest;
+        Ok(reply)
+    }
+
+    /// [`Tape::call`], with an error reply failing the op.
+    fn ask(&mut self, shard: usize, req: ZkRequest) -> Run<&'a ZkResponse> {
+        let reply = self.call(shard, req)?;
+        match reply.err() {
+            Some(e) => Err(Halt::Fail(shard, e)),
+            None => Ok(reply),
+        }
+    }
+
+    /// The shard of a single-path operation on `path`.
+    fn owner(&self, path: &str) -> usize {
+        self.ring.route_path(path) as usize
+    }
+
+    /// The shard holding directory `path`'s children and listing.
+    fn kids(&self, path: &str) -> usize {
+        self.ring.route_children(path) as usize
+    }
+
+    /// `req`, routed; a write that hits a fence left by a prepared
+    /// cross-shard transaction whose coordinator may be dead (`TxnBusy`;
+    /// reads are not fenced) resolves outstanding transactions and reruns
+    /// once. (Wound-wait: a sweep can abort a transaction whose coordinator
+    /// is merely slow; that coordinator then observes the recorded abort
+    /// and fails cleanly.)
+    fn request(&mut self, req: ZkRequest) -> Run<ZkResponse> {
+        match self.route(req.clone()) {
+            Err(Halt::Fail(_, ZkError::TxnBusy)) => {
+                self.recover()?;
+                self.route(req)
+            }
+            r => r,
+        }
+    }
+
+    fn route(&mut self, req: ZkRequest) -> Run<ZkResponse> {
+        match req {
+            ZkRequest::Create { path, data, mode } | ZkRequest::CreatePath { path, data, mode } => {
+                self.ask(self.owner(&path), ZkRequest::CreatePath { path, data, mode }).cloned()
+            }
+            ZkRequest::Delete { path, version } => self.delete(&path, version, true),
+            ZkRequest::SetData { ref path, .. }
+            | ZkRequest::GetData { ref path, .. }
+            | ZkRequest::Exists { ref path, .. } => {
+                let s = self.owner(path);
+                self.ask(s, req).cloned()
+            }
+            ZkRequest::GetChildren { ref path, .. }
+            | ZkRequest::GetChildrenData { ref path }
+            | ZkRequest::WarmChildren { ref path } => {
+                let path = path.clone();
+                self.listing(path, req)
+            }
+            ZkRequest::Multi { ops } => self.multi(ops),
+            // Session-wide requests visit every shard — `Sync` is a strict
+            // barrier on each of them whether or not it owes one (a caller
+            // that only wants owed barriers asks `is_dirty` per connection),
+            // and a failed `CloseSession` must not strand the later shards'
+            // sessions. The first error answers for the whole session.
+            ZkRequest::Sync { .. } | ZkRequest::Ping | ZkRequest::CloseSession => {
+                let shards = self.ring.shard_count() as usize;
+                let replies =
+                    (0..shards).map(|s| self.call(s, req.clone())).collect::<Run<Vec<_>>>()?;
+                let first_err = replies.iter().find(|r| r.err().is_some());
+                Ok((*first_err.or(replies.last()).expect("a ring has a shard")).clone())
+            }
+            ZkRequest::Connect
+            | ZkRequest::TxnPrepare { .. }
+            | ZkRequest::TxnCommit { .. }
+            | ZkRequest::TxnAbort { .. } => Err(Halt::Fail(0, ZkError::InvalidPath)),
+        }
+    }
+
+    /// Delete `path` (optionally version-checked).
+    ///
+    /// A directory's node can exist in two places: the real node on its
+    /// owner shard and a lazily-materialized copy on its children-owner
+    /// shard (put there by `CreatePath` when children were created). Both
+    /// copies must go or neither: the two legs run as one 2PC, so a
+    /// version/emptiness failure on either shard rejects at prepare and
+    /// leaves the other copy untouched, and the fences block a racing
+    /// create from re-materializing children between the legs.
+    fn delete(&mut self, path: &str, version: Option<u32>, may_purge: bool) -> Run<ZkResponse> {
+        let (owner, kids) = (self.owner(path), self.kids(path));
+        let delete = |version| ZkRequest::Delete { path: path.into(), version };
+        if kids == owner {
+            return self.ask(owner, delete(version)).cloned();
+        }
+        // The children-owner leg goes first in the prepare order so a
+        // still-populated directory fails `NotEmpty` before the owner copy
+        // is even examined.
+        let leg = |version| vec![MultiOp::Delete { path: path.into(), version }];
+        match self.two_pc(&[(kids, leg(None)), (owner, leg(version))]) {
+            Ok(()) => Ok(ZkResponse::Deleted),
+            // No ghost was ever materialized on the children-owner shard;
+            // the node (if any) lives solely on its owner.
+            Err(Halt::Fail(s, ZkError::NoNode)) if s == kids => {
+                self.ask(owner, delete(version)).cloned()
+            }
+            // Directory that only ever existed as a materialized ancestor.
+            Err(Halt::Fail(s, ZkError::NoNode)) if s == owner => {
+                self.ask(kids, delete(None)).cloned()
+            }
+            // The children-owner slice prepared, certifying the directory
+            // logically empty — a `NotEmpty` owner copy holds only ghost
+            // chains left by deeper `mkdir -p` materialization. Purge them
+            // and retry once.
+            Err(Halt::Fail(s, ZkError::NotEmpty)) if s == owner && may_purge => {
+                self.purge(owner, path)?;
+                self.delete(path, version, false)
+            }
+            Err(halt) => Err(halt),
+        }
+    }
+
+    /// Remove everything under `dir` on `shard`, deepest first. Only
+    /// called when the children-owner shard has certified the directory is
+    /// logically empty, so the subtree is materialized-ghost residue.
+    fn purge(&mut self, shard: usize, dir: &str) -> Run<()> {
+        for name in self.children(shard, dir)? {
+            let child = zkpath::join(dir, name);
+            self.purge(shard, &child)?;
+            match self.call(shard, ZkRequest::Delete { path: child, version: None })? {
+                ZkResponse::Deleted | ZkResponse::Error(ZkError::NoNode) => {}
+                r => return Err(fail(shard, r)),
+            }
+        }
+        Ok(())
+    }
+
+    /// The children of `dir` on `shard` (none if `dir` is not there).
+    fn children(&mut self, shard: usize, dir: &str) -> Run<&'a [String]> {
+        match self.call(shard, ZkRequest::GetChildren { path: dir.into(), watch: false })? {
+            ZkResponse::Children { names, .. } => Ok(names),
+            ZkResponse::Error(ZkError::NoNode) => Ok(&[]),
+            r => Err(fail(shard, r)),
+        }
+    }
+
+    /// Answer a `GetChildren` / `GetChildrenData` / `WarmChildren` request
+    /// on `path` from the children-owner shard in one round trip. A
+    /// directory never materialized there (nothing was ever created under
+    /// it) lists as empty if it exists on its *own* owner shard. That
+    /// synthesized empty listing is assembled from two shards and no watch
+    /// on either guards it (a create under the directory touches only the
+    /// children-owner shard, a delete of the never-materialized directory
+    /// only the owner), so it must not be cached: see
+    /// [`CoordService::connection_of`].
+    fn listing(&mut self, path: String, req: ZkRequest) -> Run<ZkResponse> {
+        let reply = self.call(self.kids(&path), req.clone())?;
+        if reply.err() != Some(ZkError::NoNode) {
+            return Ok(reply.clone());
+        }
+        let owner = self.owner(&path);
+        let stat = match self.call(owner, ZkRequest::Exists { path, watch: false })? {
+            ZkResponse::ExistsResult(Some(stat)) => *stat,
+            ZkResponse::ExistsResult(None) => return Err(Halt::Fail(owner, ZkError::NoNode)),
+            r => return Err(fail(owner, r)),
+        };
+        Ok(match req {
+            ZkRequest::GetChildren { .. } => ZkResponse::Children { names: Vec::new(), stat },
+            ZkRequest::GetChildrenData { .. } => ZkResponse::ChildrenData { entries: Vec::new() },
+            _ => ZkResponse::WarmedChildren { entries: Vec::new(), stat },
+        })
+    }
+
+    /// Atomic multi-op over any mix of shards. Every op routes like the
+    /// single-path operation it embeds; ops that all land on one shard run
+    /// as that shard's native multi, ops spanning shards as a 2PC (sliced
+    /// in ascending shard order, op order kept within a shard), whose
+    /// reply carries no per-op results.
+    fn multi(&mut self, ops: Vec<MultiOp>) -> Run<ZkResponse> {
+        let mut by_shard: BTreeMap<usize, Vec<MultiOp>> = BTreeMap::new();
+        for op in ops {
+            by_shard.entry(self.owner(op.path())).or_default().push(op);
+        }
+        let mut slices: Vec<_> = by_shard.into_iter().collect();
+        match slices.len() {
+            0 => Ok(ZkResponse::MultiResults(Vec::new())),
+            1 => {
+                let (s, ops) = slices.pop().expect("one slice");
+                self.ask(s, ZkRequest::Multi { ops }).cloned()
+            }
+            _ => {
+                self.two_pc(&slices)?;
+                Ok(ZkResponse::MultiResults(Vec::new()))
+            }
+        }
+    }
+
+    /// Run a two-phase commit over per-shard op slices, as this op's next
+    /// transaction id.
+    ///
+    /// Phase one prepares each participant in slice order (callers hand
+    /// the slices over in ascending shard order, which keeps concurrent
+    /// coordinators from deadlocking on each other's fences); a prepare
+    /// rejection aborts every already-prepared participant — safe and
+    /// final, because no commit decision record can exist yet. Once all
+    /// participants are prepared, the verdict is durably recorded on the
+    /// decision shard *before* any participant commits, so a coordinator
+    /// crash at any later point leaves enough state for a recovery sweep
+    /// to finish the commit — never half of it. After every participant
+    /// acknowledges, the record is deleted (forgotten).
+    fn two_pc(&mut self, slices: &[(usize, Vec<MultiOp>)]) -> Run<()> {
+        let txn_id = self.next_txn;
+        self.next_txn = txn_id.wrapping_add(1);
+        let mut participants: Vec<u32> = slices.iter().map(|&(s, _)| s as u32).collect();
+        participants.sort_unstable();
+        for (i, (s, ops)) in slices.iter().enumerate() {
+            let participants = participants.clone();
+            if let Err(halt) =
+                self.ask(*s, ZkRequest::TxnPrepare { txn_id, ops: ops.clone(), participants })
+            {
+                if let Halt::Fail(..) = halt {
+                    for (p, _) in &slices[..i] {
+                        self.call(*p, ZkRequest::TxnAbort { txn_id })?;
+                    }
+                }
+                return Err(halt);
+            }
+        }
+        let dshard = participants[0] as usize;
+        if self.decide(dshard, txn_id, b'C')? != b'C' {
+            // A recovery sweep presumed this coordinator dead and recorded
+            // an abort first; honor it.
+            for (s, _) in slices {
+                self.call(*s, ZkRequest::TxnAbort { txn_id })?;
+            }
+            return Err(Halt::Fail(dshard, ZkError::TxnBusy));
+        }
+        for (s, _) in slices {
+            self.ask(*s, ZkRequest::TxnCommit { txn_id })?;
+        }
+        // Every participant applied; the record has served its purpose.
+        // (If this delete is lost, recovery re-reads the verdict and the
+        // commits no-op as `TxnUnknown` — stale records are garbage, not
+        // hazards.)
+        self.call(dshard, ZkRequest::Delete { path: txn_decision_path(txn_id), version: None })?;
+        Ok(())
+    }
+
+    /// Durably record `verdict` for `txn_id` on its decision shard, or
+    /// adopt the verdict already recorded by whoever won the race. The
+    /// record znode is the transaction's single linearization point: the
+    /// first writer decides, everyone else reads.
+    fn decide(&mut self, shard: usize, txn_id: u64, verdict: u8) -> Run<u8> {
+        let path = txn_decision_path(txn_id);
+        let data = Bytes::copy_from_slice(&[verdict]);
+        let create =
+            ZkRequest::CreatePath { path: path.clone(), data, mode: CreateMode::Persistent };
+        match self.ask(shard, create) {
+            Err(Halt::Fail(_, ZkError::NodeExists)) => {}
+            r => return r.map(|_| verdict),
+        }
+        // Barrier before reading back: the losing create proves the record
+        // exists at the leader, but a follower read could still miss it.
+        self.ask(shard, ZkRequest::Sync { coalesce: false })?;
+        match self.ask(shard, ZkRequest::GetData { path, watch: false })? {
+            ZkResponse::Data { data, .. } => Ok(*data.first().unwrap_or(&b'A')),
+            r => Err(fail(shard, r)),
+        }
+    }
+
+    /// Resolve cross-shard transactions orphaned by dead coordinators:
+    /// scan every shard for prepared markers, and for each one read the
+    /// decision record on its decision shard — recording an abort
+    /// first-writer-wins if none exists (*presumed abort*: a missing
+    /// record proves no participant can have committed) — then drive that
+    /// verdict to all participants and drop the record. Counts the
+    /// transactions fully resolved in `resolved`.
+    fn recover(&mut self) -> Run<()> {
+        // Orphan candidates: txn id → participant shards, from the parked
+        // markers themselves.
+        let mut pending: BTreeMap<u64, Vec<u32>> = BTreeMap::new();
+        let shards = self.ring.shard_count() as usize;
+        for s in 0..shards {
+            for n in self.children(s, TXN_PREFIX)? {
+                let path = format!("{TXN_PREFIX}/{n}");
+                let ZkResponse::Data { data, .. } =
+                    self.call(s, ZkRequest::GetData { path, watch: false })?
+                else {
+                    continue; // resolved (or decided) since the listing
+                };
+                let Ok(marker) = Txn::decode(data) else {
+                    continue; // not a marker (e.g. the `decided` directory)
+                };
+                if let TxnOp::Prepare2pc { txn_id, participants, .. } = marker.op {
+                    pending.entry(txn_id).or_insert(participants);
+                }
+            }
+        }
+        for (txn_id, participants) in pending {
+            // A shard outside this layout is left for a matching client.
+            let Some(dshard) = participants.first().map(|&d| d as usize).filter(|&d| d < shards)
+            else {
+                continue;
+            };
+            let verdict = self.decide(dshard, txn_id, b'A')?;
+            let mut all_acked = true;
+            for p in participants.iter().map(|&p| p as usize) {
+                let req = if verdict == b'C' {
+                    ZkRequest::TxnCommit { txn_id }
+                } else {
+                    ZkRequest::TxnAbort { txn_id }
+                };
+                all_acked &= p < shards && self.call(p, req)?.err().is_none();
+            }
+            // Forget the record only once every participant has resolved;
+            // otherwise leave it for the next sweep.
+            if all_acked {
+                let path = txn_decision_path(txn_id);
+                self.call(dshard, ZkRequest::Delete { path, version: None })?;
+                self.resolved += 1;
+            }
+        }
+        Ok(())
+    }
+}
+
+/// Transaction ids for one coordinator: `nonce + k·φ` for its `k`-th op,
+/// φ = 2⁶⁴/golden ratio, `nonce` the first splitmix64 output of the seed.
+/// A [`ShardOp`] runs its 2PCs as `id` … `id + 3`, and a collision would
+/// let one transaction's decision apply another's parked ops, so no op's
+/// id may come within 3 of another's. One coordinator's ids come that
+/// close only ≥ 10¹⁴ ops apart.
+/// Two coordinators need distinct seeds; the mixing spreads even
+/// consecutive seeds across the whole id space, so their ids meet with
+/// odds of about 7·n²/2⁶⁴ over n ops each.
+#[derive(Debug, Clone)]
+pub struct TxnIds {
+    nonce: u64,
+    seq: u64,
+}
+
+impl TxnIds {
+    /// Ids for the coordinator seeded `seed`.
+    pub fn new(seed: u64) -> Self {
+        let mut z = seed.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        TxnIds { nonce: z ^ (z >> 31), seq: 0 }
+    }
+
+    /// The next op's transaction id.
+    pub fn next_id(&mut self) -> u64 {
+        self.seq += 1;
+        self.nonce.wrapping_add(self.seq.wrapping_mul(0x9E37_79B9_7F4A_7C15))
+    }
+}
+
 /// A routed session over a sharded namespace: one [`ZkClient`] per shard,
 /// a [`HashRing`] deciding which one each operation goes to, and a 2PC
-/// coordinator for the (rare) operations that span shards.
+/// coordinator for the (rare) operations that span shards — all of it a
+/// [`ShardOp`] driven over the per-shard sessions.
 pub struct ShardedClient<T: ClientTransport> {
     clients: Vec<ZkClient<T>>,
     ring: HashRing,
     epoch: u64,
-    /// High-entropy per-session nonce folded into every minted txn id.
-    txn_nonce: u64,
-    txn_seq: u64,
+    txn_ids: TxnIds,
     /// User watch notifications drained off shard 0 while polling for
     /// shard-config changes; surfaced by [`ShardedClient::take_watch`].
     pending_watches: VecDeque<WatchNotification>,
@@ -203,8 +677,7 @@ impl<T: ClientTransport> ShardedClient<T> {
         Ok(ShardedClient {
             ring: config.ring(),
             epoch: config.epoch,
-            txn_nonce: h.finish(),
-            txn_seq: 0,
+            txn_ids: TxnIds::new(h.finish()),
             pending_watches: VecDeque::new(),
             config_dirty: false,
             clients,
@@ -279,21 +752,16 @@ impl<T: ClientTransport> ShardedClient<T> {
         }
     }
 
-    /// Run `f`; on [`ZkError::TxnBusy`] — a fence left by a prepared
-    /// cross-shard transaction whose coordinator may be dead — resolve
-    /// outstanding transactions and retry once. (Wound-wait: a sweep can
-    /// abort a transaction whose coordinator is merely slow; that
-    /// coordinator then observes the recorded abort and fails cleanly.)
-    fn retry_after_recovery<R>(
-        &mut self,
-        mut f: impl FnMut(&mut Self) -> Result<R, ZkError>,
-    ) -> Result<R, ZkError> {
-        match f(self) {
-            Err(ZkError::TxnBusy) => {
-                self.recover_txns()?;
-                f(self)
+    /// Drive `op` from `step` over the per-shard sessions to its reply.
+    fn drive(&mut self, op: &mut ShardOp, mut step: Step) -> ZkResponse {
+        loop {
+            match step {
+                Step::Send(s, req) => {
+                    let reply = CoordService::request(&mut self.clients[s], req);
+                    step = op.feed(reply, &self.ring);
+                }
+                Step::Done(reply) => return reply,
             }
-            r => r,
         }
     }
 
@@ -301,94 +769,20 @@ impl<T: ClientTransport> ShardedClient<T> {
     /// owning shard (see the module docs for why sharded creates are
     /// `mkdir -p`). Returns the created path.
     pub fn create(&mut self, path: &str, data: Bytes) -> Result<String, ZkError> {
-        self.create_mode(path, data, CreateMode::Persistent)
+        let mode = CreateMode::Persistent;
+        match self.request(ZkRequest::CreatePath { path: path.into(), data, mode }) {
+            ZkResponse::Created { path } => Ok(path),
+            r => Err(r.err().unwrap_or(ZkError::ConnectionLoss)),
+        }
     }
 
-    fn create_mode(
-        &mut self,
-        path: &str,
-        data: Bytes,
-        mode: CreateMode,
-    ) -> Result<String, ZkError> {
-        self.maybe_refresh()?;
-        self.retry_after_recovery(|c| {
-            let s = c.route(path);
-            c.clients[s].create_path(path, data.clone(), mode)
-        })
-    }
-
-    /// Delete a znode (optionally version-checked).
-    ///
-    /// A directory's node can exist in two places: the real node on its
-    /// owner shard and a lazily-materialized copy on its children-owner
-    /// shard (put there by `CreatePath` when children were created). Both
-    /// copies must go or neither: the two legs run as one 2PC, so a
-    /// version/emptiness failure on either shard rejects at prepare and
-    /// leaves the other copy untouched, and the fences block a racing
-    /// create from re-materializing children between the legs.
+    /// Delete a znode (optionally version-checked). A directory whose
+    /// node and listing live on different shards loses both copies in one
+    /// 2PC, or neither (see [`ShardOp`]).
     pub fn delete(&mut self, path: &str, version: Option<u32>) -> Result<(), ZkError> {
-        self.maybe_refresh()?;
-        self.retry_after_recovery(|c| c.delete_inner(path, version, true))
-    }
-
-    fn delete_inner(
-        &mut self,
-        path: &str,
-        version: Option<u32>,
-        may_purge: bool,
-    ) -> Result<(), ZkError> {
-        let owner = self.route(path);
-        let kids = self.route_children(path);
-        if kids == owner {
-            return self.clients[owner].delete(path, version);
-        }
-        // The children-owner leg goes first in the prepare order so a
-        // still-populated directory fails `NotEmpty` before the owner copy
-        // is even examined.
-        let slices = vec![
-            (kids, vec![MultiOp::Delete { path: path.into(), version: None }]),
-            (owner, vec![MultiOp::Delete { path: path.into(), version }]),
-        ];
-        match self.txn_2pc_traced(slices) {
-            Ok(_) => Ok(()),
-            // No ghost was ever materialized on the children-owner shard;
-            // the node (if any) lives solely on its owner.
-            Err((s, ZkError::NoNode)) if s == kids => self.clients[owner].delete(path, version),
-            // Directory that only ever existed as a materialized ancestor.
-            Err((s, ZkError::NoNode)) if s == owner => self.clients[kids].delete(path, None),
-            // The children-owner slice prepared, certifying the directory
-            // logically empty — a `NotEmpty` owner copy holds only ghost
-            // chains left by deeper `mkdir -p` materialization. Purge them
-            // and retry once.
-            Err((s, ZkError::NotEmpty)) if s == owner && may_purge => {
-                Self::purge_local_subtree(&mut self.clients[owner], path)?;
-                self.delete_inner(path, version, false)
-            }
-            Err((_, e)) => Err(e),
-        }
-    }
-
-    /// Remove everything under `path` on one shard, deepest first. Only
-    /// called when the children-owner shard has certified the directory is
-    /// logically empty, so the subtree is materialized-ghost residue.
-    fn purge_local_subtree(c: &mut ZkClient<T>, path: &str) -> Result<(), ZkError> {
-        for k in Self::children(c, path)? {
-            let child = zkpath::join(path, &k);
-            Self::purge_local_subtree(c, &child)?;
-            match c.delete(&child, None) {
-                Ok(()) | Err(ZkError::NoNode) => {}
-                Err(e) => return Err(e),
-            }
-        }
-        Ok(())
-    }
-
-    /// The children of `dir` on one shard (none if `dir` is not there).
-    fn children(c: &mut ZkClient<T>, dir: &str) -> Result<Vec<String>, ZkError> {
-        match c.get_children(dir, Watch::None) {
-            Ok((kids, _)) => Ok(kids),
-            Err(ZkError::NoNode) => Ok(Vec::new()),
-            Err(e) => Err(e),
+        match self.request(ZkRequest::Delete { path: path.into(), version }) {
+            ZkResponse::Deleted => Ok(()),
+            r => Err(r.err().unwrap_or(ZkError::ConnectionLoss)),
         }
     }
 
@@ -399,33 +793,33 @@ impl<T: ClientTransport> ShardedClient<T> {
         data: Bytes,
         version: Option<u32>,
     ) -> Result<Stat, ZkError> {
-        self.maybe_refresh()?;
-        self.retry_after_recovery(|c| {
-            let s = c.route(path);
-            c.clients[s].set_data(path, data.clone(), version)
-        })
+        match self.request(ZkRequest::SetData { path: path.into(), data, version }) {
+            ZkResponse::Stat(stat) => Ok(stat),
+            r => Err(r.err().unwrap_or(ZkError::ConnectionLoss)),
+        }
     }
 
     /// Read a znode's data and stat.
     pub fn get_data(&mut self, path: &str) -> Result<(Bytes, Stat), ZkError> {
-        self.maybe_refresh()?;
-        let s = self.route(path);
-        self.clients[s].get_data(path, Watch::None)
+        match self.request(ZkRequest::GetData { path: path.into(), watch: false }) {
+            ZkResponse::Data { data, stat } => Ok((data, stat)),
+            r => Err(r.err().unwrap_or(ZkError::ConnectionLoss)),
+        }
     }
 
     /// Stat a znode, `None` if absent.
     pub fn exists(&mut self, path: &str) -> Result<Option<Stat>, ZkError> {
-        self.maybe_refresh()?;
-        let s = self.route(path);
-        self.clients[s].exists(path, Watch::None)
+        match self.request(ZkRequest::Exists { path: path.into(), watch: false }) {
+            ZkResponse::ExistsResult(stat) => Ok(stat),
+            r => Err(r.err().unwrap_or(ZkError::ConnectionLoss)),
+        }
     }
 
     /// List a directory's children (sorted). The listing is a single-shard
     /// read: placement by parent directory puts every child — and the
     /// listing itself — on [`ShardedClient::route_children`]`(path)`.
     pub fn get_children(&mut self, path: &str) -> Result<Vec<String>, ZkError> {
-        self.maybe_refresh()?;
-        match self.listing(ZkRequest::GetChildren { path: path.into(), watch: false }) {
+        match self.request(ZkRequest::GetChildren { path: path.into(), watch: false }) {
             ZkResponse::Children { names, .. } => Ok(names),
             r => Err(r.err().unwrap_or(ZkError::ConnectionLoss)),
         }
@@ -437,67 +831,19 @@ impl<T: ClientTransport> ShardedClient<T> {
     /// data watch on every child) behind in a single round trip to the
     /// children-owner shard.
     pub fn warm_children(&mut self, path: &str) -> Result<crate::WarmedDir, ZkError> {
-        self.maybe_refresh()?;
-        match self.listing(ZkRequest::WarmChildren { path: path.into() }) {
+        match self.request(ZkRequest::WarmChildren { path: path.into() }) {
             ZkResponse::WarmedChildren { entries, stat } => Ok((entries, stat)),
             r => Err(r.err().unwrap_or(ZkError::ConnectionLoss)),
         }
     }
 
-    /// Answer a `GetChildren` / `GetChildrenData` / `WarmChildren` request
-    /// from the children-owner shard in one round trip. A directory never
-    /// materialized there (nothing was ever created under it) lists as
-    /// empty if it exists on its *own* owner shard. That synthesized empty
-    /// listing is assembled from two shards and no watch on either guards
-    /// it (a create under the directory touches only the children-owner
-    /// shard, a delete of the never-materialized directory only the owner),
-    /// so it must not be cached: see [`CoordService::connection_of`].
-    fn listing(&mut self, req: ZkRequest) -> ZkResponse {
-        let path = match &req {
-            ZkRequest::GetChildren { path, .. }
-            | ZkRequest::GetChildrenData { path }
-            | ZkRequest::WarmChildren { path } => path.clone(),
-            other => unreachable!("listing() is only called with listing requests: {other:?}"),
-        };
-        let s = self.route_children(&path);
-        let resp = CoordService::request(&mut self.clients[s], req.clone());
-        if resp.err() != Some(ZkError::NoNode) {
-            return resp;
-        }
-        let owner = self.route(&path);
-        match self.clients[owner].exists(&path, Watch::None) {
-            Ok(Some(stat)) => match req {
-                ZkRequest::GetChildren { .. } => ZkResponse::Children { names: Vec::new(), stat },
-                ZkRequest::GetChildrenData { .. } => {
-                    ZkResponse::ChildrenData { entries: Vec::new() }
-                }
-                _ => ZkResponse::WarmedChildren { entries: Vec::new(), stat },
-            },
-            Ok(None) => ZkResponse::Error(ZkError::NoNode),
-            Err(e) => ZkResponse::Error(e),
-        }
-    }
-
     /// Atomic multi-op over any mix of shards. Ops that all land on one
     /// shard execute as that shard's native atomic multi; ops spanning
-    /// shards run as a two-phase commit (see [`ShardedClient::txn_2pc`]),
-    /// in which case partial per-op results are not reported.
+    /// shards run as a two-phase commit (see [`ShardOp`]).
     pub fn multi(&mut self, ops: Vec<MultiOp>) -> Result<(), ZkError> {
-        self.multi_results(ops).map(|_| ())
-    }
-
-    /// [`ShardedClient::multi`] with the native per-op results when the ops
-    /// land on one shard (empty for a cross-shard 2PC).
-    fn multi_results(&mut self, ops: Vec<MultiOp>) -> Result<Vec<MultiResult>, ZkError> {
-        self.maybe_refresh()?;
-        let slices = self.slice_by_shard(ops);
-        match slices.len() {
-            0 => Ok(Vec::new()),
-            1 => {
-                let (s, ops) = slices.into_iter().next().expect("one slice");
-                self.retry_after_recovery(|c| c.clients[s].multi(ops.clone()))
-            }
-            _ => self.retry_after_recovery(|c| c.txn_2pc(slices.clone()).map(|_| Vec::new())),
+        match self.request(ZkRequest::Multi { ops }) {
+            ZkResponse::MultiResults(_) => Ok(()),
+            r => Err(r.err().unwrap_or(ZkError::ConnectionLoss)),
         }
     }
 
@@ -505,188 +851,34 @@ impl<T: ClientTransport> ShardedClient<T> {
     /// source, create the destination with the source's data. Same-shard
     /// renames are one native multi; cross-shard renames are a 2PC.
     pub fn rename(&mut self, src: &str, dst: &str) -> Result<(), ZkError> {
-        self.maybe_refresh()?;
         let (data, stat) = self.get_data(src)?;
-        let ops = vec![
+        self.multi(vec![
             MultiOp::Check { path: src.into(), version: Some(stat.version) },
             MultiOp::Delete { path: src.into(), version: Some(stat.version) },
             MultiOp::Create { path: dst.into(), data, mode: CreateMode::Persistent },
-        ];
-        self.multi(ops)
+        ])
     }
 
-    /// Group ops into per-shard slices (ascending shard id, op order
-    /// preserved within a shard). Every op routes like the single-path
-    /// operation it embeds: by the parent directory of its path.
-    fn slice_by_shard(&self, ops: Vec<MultiOp>) -> Vec<(usize, Vec<MultiOp>)> {
-        let mut slices: Vec<(usize, Vec<MultiOp>)> = Vec::new();
-        for op in ops {
-            let s = self.route(op.path());
-            match slices.iter_mut().find(|(k, _)| *k == s) {
-                Some((_, v)) => v.push(op),
-                None => slices.push((s, vec![op])),
-            }
-        }
-        slices.sort_by_key(|&(s, _)| s);
-        slices
-    }
-
-    /// Mint a transaction id unique across concurrent sharded sessions: an
-    /// OS-seeded per-session nonce (see [`ShardedClient::connect`]) mixed
-    /// with a per-session counter. Collisions would let one transaction's
-    /// decision apply another's parked ops, so session ids alone (unique
-    /// only per shard ensemble) are not enough.
+    /// Mint a transaction id unique across concurrent sharded sessions
+    /// (see [`TxnIds`] and [`ShardedClient::connect`]).
     pub fn mint_txn_id(&mut self) -> u64 {
-        self.txn_seq += 1;
-        self.txn_nonce.wrapping_add(self.txn_seq.wrapping_mul(0x9E37_79B9_7F4A_7C15))
+        self.txn_ids.next_id()
     }
 
-    /// Run a two-phase commit over per-shard op slices.
-    ///
-    /// Phase one prepares each participant (`slice_by_shard` hands the
-    /// slices over in ascending shard order, which keeps concurrent
-    /// coordinators from deadlocking on each other's fences); a prepare
-    /// rejection
-    /// aborts every already-prepared participant — safe and final, because
-    /// no commit decision record can exist yet. Once all participants are
-    /// prepared, the verdict is durably recorded on the decision shard
-    /// *before* any participant commits, so a coordinator crash at any
-    /// later point leaves enough state for [`ShardedClient::recover_txns`]
-    /// to finish the commit — never half of it. After every participant
-    /// acknowledges, the record is deleted (forgotten).
-    pub fn txn_2pc(&mut self, slices: Vec<(usize, Vec<MultiOp>)>) -> Result<u64, ZkError> {
-        self.txn_2pc_traced(slices).map_err(|(_, e)| e)
-    }
-
-    /// [`ShardedClient::txn_2pc`] with the failing shard attached to the
-    /// error, so callers splitting one logical op across shards (delete's
-    /// two legs) can attribute a rejection to the copy that raised it.
-    fn txn_2pc_traced(
-        &mut self,
-        slices: Vec<(usize, Vec<MultiOp>)>,
-    ) -> Result<u64, (usize, ZkError)> {
-        let txn_id = self.mint_txn_id();
-        let mut participants: Vec<u32> = slices.iter().map(|&(s, _)| s as u32).collect();
-        participants.sort_unstable();
-        let mut prepared: Vec<usize> = Vec::new();
-        for (s, ops) in &slices {
-            match self.clients[*s].txn_prepare(txn_id, ops.clone(), participants.clone()) {
-                Ok(()) => prepared.push(*s),
-                Err(e) => {
-                    for p in prepared {
-                        let _ = self.clients[p].txn_abort(txn_id);
-                    }
-                    return Err((*s, e));
-                }
-            }
-        }
-        let dshard = participants[0] as usize;
-        match self.record_decision(dshard, txn_id, b'C') {
-            Ok(b'C') => {}
-            Ok(_) => {
-                // A recovery sweep presumed this coordinator dead and
-                // recorded an abort first; honor it.
-                for (s, _) in &slices {
-                    let _ = self.clients[*s].txn_abort(txn_id);
-                }
-                return Err((dshard, ZkError::TxnBusy));
-            }
-            Err(e) => return Err((dshard, e)),
-        }
-        for (s, _) in &slices {
-            self.clients[*s].txn_commit(txn_id).map_err(|e| (*s, e))?;
-        }
-        // Every participant applied; the record has served its purpose.
-        // (If this delete is lost, recovery re-reads the verdict and the
-        // commits no-op as `TxnUnknown` — stale records are garbage, not
-        // hazards.)
-        let _ = self.clients[dshard].delete(&txn_decision_path(txn_id), None);
-        Ok(txn_id)
-    }
-
-    /// Durably record `verdict` for `txn_id` on its decision shard, or
-    /// adopt the verdict already recorded by whoever won the race. The
-    /// record znode is the transaction's single linearization point: the
-    /// first writer decides, everyone else reads.
-    fn record_decision(&mut self, shard: usize, txn_id: u64, verdict: u8) -> Result<u8, ZkError> {
-        let path = txn_decision_path(txn_id);
-        let payload = Bytes::copy_from_slice(&[verdict]);
-        match self.clients[shard].create_path(&path, payload, CreateMode::Persistent) {
-            Ok(_) => Ok(verdict),
-            Err(ZkError::NodeExists) => {
-                // Barrier before reading back: the losing create proves the
-                // record exists at the leader, but a follower read could
-                // still miss it.
-                self.clients[shard].sync()?;
-                let (data, _) = self.clients[shard].get_data(&path, Watch::None)?;
-                Ok(*data.first().unwrap_or(&b'A'))
-            }
-            Err(e) => Err(e),
-        }
-    }
-
-    /// Resolve cross-shard transactions orphaned by dead coordinators:
-    /// scan every shard for prepared markers, and for each one read the
-    /// decision record on its decision shard — recording an abort
-    /// first-writer-wins if none exists (*presumed abort*: a missing
-    /// record proves no participant can have committed) — then drive that
-    /// verdict to all participants and drop the record. Returns how many
-    /// transactions were fully resolved.
+    /// Resolve cross-shard transactions orphaned by dead coordinators (see
+    /// [`ShardOp`]): every prepared marker on any shard gets the verdict
+    /// its decision record holds, or a recorded abort if none exists.
+    /// Returns how many transactions were fully resolved.
     ///
     /// Any session may run this; writes that trip over an orphaned fence
-    /// invoke it automatically (see `retry_after_recovery`), and
-    /// [`ShardedCluster::from_shards`] runs one at bootstrap.
+    /// invoke it automatically, and [`ShardedCluster::from_shards`] runs
+    /// one at bootstrap.
     pub fn recover_txns(&mut self) -> Result<usize, ZkError> {
-        // Orphan candidates: txn id → participant shards, from the parked
-        // markers themselves.
-        let mut pending: BTreeMap<u64, Vec<u32>> = BTreeMap::new();
-        for s in 0..self.clients.len() {
-            for n in Self::children(&mut self.clients[s], TXN_PREFIX)? {
-                let Ok((data, _)) =
-                    self.clients[s].get_data(&format!("{TXN_PREFIX}/{n}"), Watch::None)
-                else {
-                    continue; // resolved (or decided) since the listing
-                };
-                let Ok(marker) = Txn::decode(&data) else {
-                    continue; // not a marker (e.g. the `decided` directory)
-                };
-                if let TxnOp::Prepare2pc { txn_id, participants, .. } = marker.op {
-                    pending.entry(txn_id).or_insert(participants);
-                }
-            }
+        let (mut op, step) = ShardOp::new(Job::Recover, &self.ring, 0);
+        match self.drive(&mut op, step) {
+            ZkResponse::Error(e) => Err(e),
+            _ => Ok(op.resolved),
         }
-        let mut resolved = 0;
-        for (txn_id, participants) in pending {
-            let Some(&first) = participants.first() else { continue };
-            let dshard = first as usize;
-            if dshard >= self.clients.len() {
-                continue; // foreign layout; leave it for a matching client
-            }
-            let verdict = self.record_decision(dshard, txn_id, b'A')?;
-            let mut all_acked = true;
-            for &p in &participants {
-                let p = p as usize;
-                if p >= self.clients.len() {
-                    all_acked = false;
-                    continue;
-                }
-                let r = if verdict == b'C' {
-                    self.clients[p].txn_commit(txn_id)
-                } else {
-                    self.clients[p].txn_abort(txn_id)
-                };
-                if r.is_err() {
-                    all_acked = false;
-                }
-            }
-            // Forget the record only once every participant has resolved;
-            // otherwise leave it for the next sweep.
-            if all_acked {
-                let _ = self.clients[dshard].delete(&txn_decision_path(txn_id), None);
-                resolved += 1;
-            }
-        }
-        Ok(resolved)
     }
 
     /// 2PC step: prepare `ops` as transaction `txn_id` on one shard, with
@@ -699,13 +891,19 @@ impl<T: ClientTransport> ShardedClient<T> {
         ops: Vec<MultiOp>,
         participants: Vec<u32>,
     ) -> Result<(), ZkError> {
-        self.clients[shard].txn_prepare(txn_id, ops, participants)
+        match self.clients[shard].request(ZkRequest::TxnPrepare { txn_id, ops, participants }) {
+            ZkResponse::Prepared => Ok(()),
+            r => Err(r.err().unwrap_or(ZkError::ConnectionLoss)),
+        }
     }
 
     /// 2PC step: deliver the commit decision for `txn_id` to one shard
     /// (succeeds whether the slice applies now or was already decided).
     pub fn txn_commit_on(&mut self, shard: usize, txn_id: u64) -> Result<(), ZkError> {
-        self.clients[shard].txn_commit(txn_id).map(|_| ())
+        match self.clients[shard].request(ZkRequest::TxnCommit { txn_id }) {
+            ZkResponse::Committed | ZkResponse::TxnUnknown => Ok(()),
+            r => Err(r.err().unwrap_or(ZkError::ConnectionLoss)),
+        }
     }
 
     /// Content digest of the **logical** user namespace, independent of the
@@ -722,7 +920,12 @@ impl<T: ClientTransport> ShardedClient<T> {
         for c in &mut self.clients {
             let mut dirs = vec!["/".to_string()];
             while let Some(dir) = dirs.pop() {
-                for child in Self::children(c, &dir)?.iter().map(|k| zkpath::join(&dir, k)) {
+                let kids = match c.get_children(&dir, Watch::None) {
+                    Ok((kids, _)) => kids,
+                    Err(ZkError::NoNode) => Vec::new(),
+                    Err(e) => return Err(e),
+                };
+                for child in kids.iter().map(|k| zkpath::join(&dir, k)) {
                     if !is_internal_path(&child) {
                         dirs.push(child.clone());
                         candidates.push(child);
@@ -730,8 +933,7 @@ impl<T: ClientTransport> ShardedClient<T> {
                 }
             }
         }
-        logical_digest(candidates, |p| {
-            let s = self.route(p);
+        logical_digest(&self.ring, candidates, |s, p| {
             match self.clients[s].get_data(p, Watch::None) {
                 Ok((data, _)) => Ok(Some(data)),
                 Err(ZkError::NoNode) => Ok(None),
@@ -788,70 +990,28 @@ impl<T: ClientTransport> ShardedClient<T> {
         }
     }
 
-    /// Close every inner session.
-    pub fn close(self) -> Result<(), ZkError> {
-        // Every session is closed even if an earlier close failed; the
-        // first error is reported.
-        self.clients.into_iter().map(ZkClient::close).fold(Ok(()), Result::and)
+    /// Close every inner session, even if an earlier close failed; the
+    /// first error is reported. No layout refresh runs first, so a failed
+    /// config re-read cannot strand the sessions.
+    pub fn close(mut self) -> Result<(), ZkError> {
+        let (mut op, step) = ShardOp::start(ZkRequest::CloseSession, &self.ring, 0);
+        match self.drive(&mut op, step) {
+            ZkResponse::Closed => Ok(()),
+            r => Err(r.err().unwrap_or(ZkError::ConnectionLoss)),
+        }
     }
 }
 
-/// A sharded session is a [`CoordService`] like any other: each request is
-/// routed through the same `route` / `route_children` / `multi` / 2PC paths
-/// as the typed methods, and the freshness hooks index the per-shard inner
-/// sessions. Requests that address a *shard* rather than a path (`Connect`,
-/// the `Txn*` 2PC steps — use [`ShardedClient::txn_prepare_on`] and
-/// friends) answer [`ZkError::InvalidPath`].
+/// A sharded session is a [`CoordService`] like any other: each request
+/// runs through a [`ShardOp`] (after adopting any layout change), and the
+/// freshness hooks index the per-shard inner sessions.
 impl<T: ClientTransport> CoordService for ShardedClient<T> {
     fn request(&mut self, req: ZkRequest) -> ZkResponse {
-        let err = ZkResponse::Error;
-        match req {
-            ZkRequest::Create { path, data, mode } | ZkRequest::CreatePath { path, data, mode } => {
-                self.create_mode(&path, data, mode)
-                    .map_or_else(err, |path| ZkResponse::Created { path })
-            }
-            ZkRequest::Delete { path, version } => {
-                self.delete(&path, version).map_or_else(err, |()| ZkResponse::Deleted)
-            }
-            ZkRequest::SetData { path, data, version } => {
-                self.set_data(&path, data, version).map_or_else(err, ZkResponse::Stat)
-            }
-            ZkRequest::Multi { ops } => {
-                self.multi_results(ops).map_or_else(err, ZkResponse::MultiResults)
-            }
-            ZkRequest::GetData { .. }
-            | ZkRequest::Exists { .. }
-            | ZkRequest::GetChildren { .. }
-            | ZkRequest::GetChildrenData { .. }
-            | ZkRequest::WarmChildren { .. } => match self.maybe_refresh() {
-                Err(e) => err(e),
-                Ok(()) if matches!(req, ZkRequest::GetData { .. } | ZkRequest::Exists { .. }) => {
-                    let s = self.connection_of(&req);
-                    CoordService::request(&mut self.clients[s], req)
-                }
-                Ok(()) => self.listing(req),
-            },
-            // Session-wide requests visit every shard — `Sync` is a strict
-            // barrier on each of them whether or not it owes one (a caller
-            // that only wants owed barriers asks `is_dirty` per connection),
-            // and a failed `CloseSession` must not strand the later shards'
-            // sessions. The first error answers for the whole session.
-            ZkRequest::Sync { .. } | ZkRequest::Ping | ZkRequest::CloseSession => {
-                let mut failed = None;
-                let mut last = ZkResponse::Error(ZkError::ConnectionLoss);
-                for c in &mut self.clients {
-                    last = CoordService::request(c, req.clone());
-                    if last.err().is_some() && failed.is_none() {
-                        failed = Some(last.clone());
-                    }
-                }
-                failed.unwrap_or(last)
-            }
-            ZkRequest::Connect
-            | ZkRequest::TxnPrepare { .. }
-            | ZkRequest::TxnCommit { .. }
-            | ZkRequest::TxnAbort { .. } => err(ZkError::InvalidPath),
+        if let Err(e) = self.maybe_refresh() {
+            return ZkResponse::Error(e);
         }
+        let (mut op, step) = ShardOp::start(req, &self.ring, self.txn_ids.next_id());
+        self.drive(&mut op, step)
     }
 
     fn drain_watches(&mut self) -> Vec<WatchNotification> {
@@ -927,6 +1087,23 @@ mod tests {
             }
         }
         panic!("no cross-shard pair found");
+    }
+
+    #[test]
+    fn txn_ids_of_consecutive_seeds_stay_more_than_an_op_apart() {
+        // Every id an op may run a 2PC as (`id` … `id + 3`), for 256
+        // coordinators seeded 0, 1, 2, … (the simulator seeds by client
+        // id) over 256 ops each: no two ops share one.
+        let mut taken = std::collections::HashSet::new();
+        for seed in 0..256 {
+            let mut ids = TxnIds::new(seed);
+            for _ in 0..256 {
+                let id = ids.next_id();
+                for k in 0..4 {
+                    assert!(taken.insert(id.wrapping_add(k)), "seed {seed}: id {id} + {k} taken");
+                }
+            }
+        }
     }
 
     #[test]

@@ -474,6 +474,10 @@ impl Wire for CoordMsg {
             1 => CoordMsg::Zab(get_zab_msg(c)?),
             2 => {
                 let t = get_txn(c)?;
+                // Encoded with `time_ns: 0`: a stamped txn is not a Forward.
+                if t.time_ns != 0 {
+                    return Err(WireError::Invalid("forwarded txn carries a commit time"));
+                }
                 CoordMsg::Forward { session: t.session, op: t.op, origin: t.origin, tag: t.tag }
             }
             5 => CoordMsg::ForwardReject { tag: c.u64()? },

@@ -18,6 +18,7 @@ use dufs_coord::{
 use dufs_net::{Wire, WireCursor};
 use dufs_zab::{PeerId, Vote, ZabMsg, Zxid};
 use dufs_zkstore::{CreateMode, MultiOp, MultiResult, Stat, ZkError};
+use proptest::collection::vec;
 
 // ---------------------------------------------------------------- strategies
 
@@ -89,6 +90,7 @@ fn arb_zk_error() -> BoxedStrategy<ZkError> {
         Just(ZkError::RootReadOnly),
         Just(ZkError::CorruptSnapshot),
         Just(ZkError::Net),
+        Just(ZkError::TxnBusy),
     ]
     .boxed()
 }
@@ -132,6 +134,19 @@ fn arb_txn_op() -> BoxedStrategy<TxnOp> {
         any::<u64>().prop_map(|session| TxnOp::CreateSession { session }),
         any::<u64>().prop_map(|session| TxnOp::CloseSession { session }),
         Just(TxnOp::Noop),
+        (arb_string(), arb_bytes(), arb_mode()).prop_map(|(path, data, mode)| TxnOp::CreatePath {
+            path,
+            data,
+            mode
+        }),
+        (any::<u64>(), collection::vec(arb_multi_op(), 0..4), collection::vec(any::<u32>(), 0..4))
+            .prop_map(|(txn_id, ops, participants)| TxnOp::Prepare2pc {
+                txn_id,
+                ops,
+                participants
+            }),
+        any::<u64>().prop_map(|txn_id| TxnOp::Commit2pc { txn_id }),
+        any::<u64>().prop_map(|txn_id| TxnOp::Abort2pc { txn_id }),
     ]
     .boxed()
 }
@@ -231,6 +246,16 @@ fn arb_zk_request() -> BoxedStrategy<ZkRequest> {
         collection::vec(arb_multi_op(), 0..4).prop_map(|ops| ZkRequest::Multi { ops }),
         any::<bool>().prop_map(|coalesce| ZkRequest::Sync { coalesce }),
         Just(ZkRequest::Ping),
+        (arb_string(), arb_bytes(), arb_mode())
+            .prop_map(|(path, data, mode)| ZkRequest::CreatePath { path, data, mode }),
+        (any::<u64>(), collection::vec(arb_multi_op(), 0..4), collection::vec(any::<u32>(), 0..4))
+            .prop_map(|(txn_id, ops, participants)| ZkRequest::TxnPrepare {
+                txn_id,
+                ops,
+                participants
+            }),
+        any::<u64>().prop_map(|txn_id| ZkRequest::TxnCommit { txn_id }),
+        any::<u64>().prop_map(|txn_id| ZkRequest::TxnAbort { txn_id }),
     ]
     .boxed()
 }
@@ -256,6 +281,10 @@ fn arb_zk_response() -> BoxedStrategy<ZkResponse> {
         (any::<u64>(), option::of(arb_lease_grant()))
             .prop_map(|(zxid, lease)| ZkResponse::Pong { zxid, lease }),
         arb_zk_error().prop_map(ZkResponse::Error),
+        Just(ZkResponse::Prepared),
+        Just(ZkResponse::Committed),
+        Just(ZkResponse::Aborted),
+        Just(ZkResponse::TxnUnknown),
     ]
     .boxed()
 }
@@ -308,6 +337,31 @@ fn arb_server_frame() -> BoxedStrategy<ServerFrame> {
     .boxed()
 }
 
+/// Decode `raw` as every coordination message; whatever decodes must
+/// encode back to `raw` exactly (the encodings are canonical, so anything
+/// else is a value the sender never sent).
+fn decode_is_exact(raw: &[u8]) {
+    if let Ok(m) = CoordMsg::from_wire(raw) {
+        assert_eq!(m.to_wire(), raw, "CoordMsg {m:?} does not re-encode to its input");
+    }
+    if let Ok(f) = ClientFrame::from_wire(raw) {
+        assert_eq!(f.to_wire(), raw, "ClientFrame {f:?} does not re-encode to its input");
+    }
+    if let Ok(f) = ServerFrame::from_wire(raw) {
+        assert_eq!(f.to_wire(), raw, "ServerFrame {f:?} does not re-encode to its input");
+    }
+    if let Ok(t) = Txn::decode(raw) {
+        assert_eq!(&t.encode()[..], raw, "Txn {t:?} does not re-encode to its input");
+    }
+}
+
+fn flip(raw: &[u8], bit: usize) -> Vec<u8> {
+    let mut bad = raw.to_vec();
+    let i = bit % (bad.len() * 8);
+    bad[i / 8] ^= 1 << (i % 8);
+    bad
+}
+
 // ---------------------------------------------------------------- properties
 
 proptest! {
@@ -339,19 +393,72 @@ proptest! {
     }
 
     #[test]
-    fn truncated_coord_messages_error_never_panic(
+    fn txns_round_trip(t in arb_txn()) {
+        prop_assert_eq!(Txn::decode(&t.encode()).expect("round trip"), t);
+    }
+
+    #[test]
+    fn every_strict_prefix_is_an_error(
         msg in arb_coord_msg(),
-        cut_ppm in 0u64..1_000_000,
+        client in arb_client_frame(),
+        server in arb_server_frame(),
+        txn in arb_txn(),
     ) {
-        let full = msg.to_wire();
-        let cut = (full.len() as u64 * cut_ppm / 1_000_000) as usize;
-        // A strict prefix must never decode: cut == len is excluded by
-        // ppm < 1M except for zero-length encodings, which cannot exist —
-        // every message starts with a tag byte.
-        prop_assert!(
-            CoordMsg::from_wire(&full[..cut]).is_err(),
-            "a strict prefix decoded successfully"
-        );
+        // Every encoding starts with a tag byte (a txn with its header), so
+        // none is empty and the empty prefix is checked too.
+        let raw = msg.to_wire();
+        for n in 0..raw.len() {
+            prop_assert!(CoordMsg::from_wire(&raw[..n]).is_err(), "CoordMsg prefix of {} bytes", n);
+        }
+        let raw = client.to_wire();
+        for n in 0..raw.len() {
+            prop_assert!(ClientFrame::from_wire(&raw[..n]).is_err(), "ClientFrame prefix of {} bytes", n);
+        }
+        let raw = server.to_wire();
+        for n in 0..raw.len() {
+            prop_assert!(ServerFrame::from_wire(&raw[..n]).is_err(), "ServerFrame prefix of {} bytes", n);
+        }
+        let raw = txn.encode();
+        for n in 0..raw.len() {
+            prop_assert!(Txn::decode(&raw[..n]).is_err(), "Txn prefix of {} bytes", n);
+        }
+    }
+
+    #[test]
+    fn arbitrary_bytes_decode_exactly_or_fail(raw in vec(any::<u8>(), 0..160)) {
+        decode_is_exact(&raw);
+    }
+
+    /// The same, with valid tags in front — a message's, then the nested
+    /// one's — so the field decoders see the garbage rather than the tag
+    /// checks. The nested tag follows the outer one directly
+    /// (`CoordMsg::Zab`), after two ids (`ClientFrame::Request`) or one
+    /// (`ServerFrame::Resp`); a txn's op tag follows its 28-byte header.
+    #[test]
+    fn garbage_behind_valid_tags_decodes_exactly_or_fail(
+        outer in 1u8..7,
+        inner in 1u8..19,
+        ids in vec(any::<u8>(), 28),
+        rest in vec(any::<u8>(), 0..96),
+    ) {
+        decode_is_exact(&[&[outer, inner][..], &rest].concat());
+        decode_is_exact(&[&[outer][..], &ids[..16], &[inner], &rest].concat());
+        decode_is_exact(&[&[outer][..], &ids[..8], &[inner], &rest].concat());
+        decode_is_exact(&[&ids[..], &[inner], &rest].concat());
+    }
+
+    #[test]
+    fn single_bit_flips_decode_exactly_or_fail(
+        msg in arb_coord_msg(),
+        client in arb_client_frame(),
+        server in arb_server_frame(),
+        txn in arb_txn(),
+        bit in any::<usize>(),
+    ) {
+        decode_is_exact(&flip(&msg.to_wire(), bit));
+        decode_is_exact(&flip(&client.to_wire(), bit));
+        decode_is_exact(&flip(&server.to_wire(), bit));
+        decode_is_exact(&flip(&txn.encode(), bit));
     }
 
     #[test]
@@ -380,5 +487,102 @@ proptest! {
         let _ = ZkResponse::from_wire(&data);
         let mut c = WireCursor::new(&data);
         let _ = get_zab_msg(&mut c);
+    }
+}
+
+/// A count prefix claiming `u32::MAX` elements is refused before anything
+/// is allocated, in every counted field of the four decoders: multi ops,
+/// 2PC participants, child names, listings, multi results, proposal
+/// batches, sync entries.
+#[test]
+fn a_huge_count_prefix_is_refused() {
+    let path = || "/p".to_string();
+    let op = || MultiOp::Delete { path: path(), version: None };
+    let stat = Stat::default();
+    let txn = Txn { session: 1, op: TxnOp::Noop, origin: PeerId(0), tag: 2, time_ns: 3 };
+    let request = |req| ClientFrame::Request { req_id: 1, session: 2, req }.to_wire();
+    let response = |resp| ServerFrame::Resp { req_id: 1, resp }.to_wire();
+    let zab = |m| CoordMsg::Zab(m).to_wire();
+    let prepare = |ops, participants| ZkRequest::TxnPrepare { txn_id: 9, ops, participants };
+    // (decoder, encoding, offset of a count that is 1 in it)
+    type Decode = fn(&[u8]) -> bool;
+    let client: Decode = |raw| ClientFrame::from_wire(raw).is_err();
+    let server: Decode = |raw| ServerFrame::from_wire(raw).is_err();
+    let coord: Decode = |raw| CoordMsg::from_wire(raw).is_err();
+    let log: Decode = |raw| Txn::decode(raw).is_err();
+    let cases: Vec<(&str, Decode, Vec<u8>, usize)> = vec![
+        ("multi ops", client, request(ZkRequest::Multi { ops: vec![op()] }), 18),
+        ("prepared ops", client, request(prepare(vec![op()], vec![])), 26),
+        ("participants", client, request(prepare(vec![], vec![0])), 30),
+        ("names", server, response(ZkResponse::Children { names: vec![path()], stat }), 10),
+        (
+            "listing",
+            server,
+            response(ZkResponse::ChildrenData { entries: vec![(path(), Bytes::new(), stat)] }),
+            10,
+        ),
+        (
+            "warm listing",
+            server,
+            response(ZkResponse::WarmedChildren {
+                entries: vec![(path(), Bytes::new(), stat)],
+                stat,
+            }),
+            10,
+        ),
+        (
+            "multi results",
+            server,
+            response(ZkResponse::MultiResults(vec![MultiResult::Deleted])),
+            10,
+        ),
+        (
+            "proposal",
+            coord,
+            zab(ZabMsg::Propose { zxid: Zxid::new(1, 1), txns: vec![txn.clone()] }),
+            10,
+        ),
+        (
+            "inform",
+            coord,
+            zab(ZabMsg::Inform { zxid: Zxid::new(1, 1), txns: vec![txn.clone()] }),
+            10,
+        ),
+        (
+            "sync entries",
+            coord,
+            zab(ZabMsg::SyncLog {
+                epoch: 1,
+                snapshot: None,
+                entries: vec![(Zxid::new(1, 1), txn.clone())],
+                commit_to: Zxid::new(1, 1),
+                reset: false,
+                snap_chunks: 0,
+            }),
+            7,
+        ),
+        (
+            "logged multi",
+            log,
+            Txn { op: TxnOp::Multi { ops: vec![op()] }, ..txn.clone() }.encode().to_vec(),
+            29,
+        ),
+        (
+            "logged prepare",
+            log,
+            Txn {
+                op: TxnOp::Prepare2pc { txn_id: 9, ops: vec![], participants: vec![0] },
+                ..txn.clone()
+            }
+            .encode()
+            .to_vec(),
+            41,
+        ),
+    ];
+    for (what, refused, mut raw, at) in cases {
+        assert_eq!(raw[at..at + 4], 1u32.to_le_bytes(), "{what}: no count of 1 at {at}");
+        assert!(!refused(&raw), "{what}: the valid encoding does not decode");
+        raw[at..at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+        assert!(refused(&raw), "{what}: a u32::MAX count decoded");
     }
 }

@@ -17,8 +17,9 @@
 //!   (`zoo_acreate`-style; depth 1 is the paper's synchronous loop, event
 //!   for event);
 //! * DUFS: each mdtest op runs through the DUFS op planner ([`OpExec`]:
-//!   FUSE → coordination service → deterministic mapping → back-end),
-//!   routed across shards, with the two-leg sharded delete;
+//!   FUSE → coordination service → deterministic mapping → back-end), its
+//!   coordination steps routed across shards by the live client's
+//!   [`ShardOp`];
 //! * native: [`NativeOp`]s straight at one back-end, with no timeout.
 
 use std::cell::RefCell;
@@ -27,6 +28,7 @@ use std::rc::Rc;
 
 use bytes::Bytes;
 
+use dufs_coord::sharded::{self, ShardOp, TxnIds};
 use dufs_coord::{HashRing, ZkRequest, ZkResponse};
 use dufs_core::fid::{Fid, FidGenerator};
 use dufs_core::mapping::Md5Mapping;
@@ -401,7 +403,12 @@ impl Source {
             Source::Dufs(d) => {
                 let path = d.script.root(i)?;
                 let data = NodeMeta::dir(0o755).encode();
-                Some(d.route(ZkRequest::Create { path, data, mode: CreateMode::Persistent }))
+                let req = ZkRequest::Create { path, data, mode: CreateMode::Persistent };
+                let Some(ring) = &d.ring else { return Some(Req::Zk(0, req)) };
+                match ShardOp::start(req, ring, 0).1 {
+                    sharded::Step::Send(shard, req) => Some(Req::Zk(shard, req)),
+                    sharded::Step::Done(resp) => unreachable!("a create is sent: {resp:?}"),
+                }
             }
             Source::Native(script) => Some(Req::Native(NativeOp::Mkdir(script.root(i)?))),
         }
@@ -461,10 +468,7 @@ impl Source {
             Source::Dufs(d) if d.retry => Resume::Replanned(d.replan()),
             // Fail the step so the op completes with an error and the loop
             // continues (the live ZooKeeper client library does the same).
-            Source::Dufs(d) => {
-                d.sdel = SDel::Idle;
-                Resume::Go(d.feed(StepResponse::Zk(ZkResponse::Error(ZkError::ConnectionLoss))))
-            }
+            Source::Dufs(d) => Resume::Go(d.zk_reply(ZkResponse::Error(ZkError::ConnectionLoss))),
             Source::Native(_) => unreachable!("native filesystem calls have no timeout"),
         }
     }
@@ -565,47 +569,10 @@ fn native_to_meta(op: NativeOp) -> MetaOp {
     }
 }
 
-/// State machine of a sharded delete. A directory's node can exist on two
-/// shards (real copy on its owner, a lazily-materialized copy on its
-/// children-owner), and deeper `mkdir -p` materialization can leave empty
-/// ghost *chains* under the real copy too. The ghost leg runs first: if the
-/// children-owner copy holds anything, the directory is genuinely
-/// non-empty and the op fails before anything moved. Once it is gone, a
-/// `NotEmpty` from the owner copy can only be ghost residue, which is
-/// purged (BFS listing, then deepest-first deletes) before the final
-/// retry.
-#[derive(Debug, Clone, PartialEq, Eq)]
-enum SDel {
-    /// No sharded delete in flight.
-    Idle,
-    /// Awaiting the children-owner shard's delete of the ghost copy.
-    GhostLeg { path: String, version: Option<u32> },
-    /// Awaiting the owner shard's delete of the real copy.
-    OwnerLeg { path: String, version: Option<u32>, ghost_removed: bool },
-    /// Awaiting `GetChildren(expanding)` on the owner shard while walking
-    /// the ghost residue blocking the real copy.
-    PurgeExpand {
-        path: String,
-        version: Option<u32>,
-        owner: usize,
-        expanding: String,
-        /// Directories still to list.
-        expand: Vec<String>,
-        /// Everything discovered, BFS order (parents before children).
-        discovered: Vec<String>,
-    },
-    /// Awaiting one residue delete; `remaining` is deleted back to front
-    /// (deepest first), then the real copy is retried.
-    PurgeDelete { path: String, version: Option<u32>, owner: usize, remaining: Vec<String> },
-    /// Awaiting the post-purge retry of the owner copy's delete.
-    OwnerRetry,
-}
-
 /// DUFS ops: each mdtest op runs through the full DUFS op planner, with
-/// timing for every hop. Over a sharded namespace, creates become
-/// `CreatePath` (a shard owns a path without necessarily owning its
-/// ancestors) and deletes clean up the children-owner shard's materialized
-/// copy, mirroring the live `ShardedClient` semantics.
+/// timing for every hop. Over a sharded namespace each coordination step
+/// of the plan runs through the live `ShardedClient`'s step machine,
+/// [`ShardOp`], so both stacks send the same requests.
 pub(crate) struct DufsOps {
     script: Script,
     mapper: Md5Mapping,
@@ -620,9 +587,9 @@ pub(crate) struct DufsOps {
     op: Option<MetaOp>,
     exec: Option<OpExec>,
     fid: Option<Fid>,
-    /// Sharded delete in flight (see `ShardedClient::delete` for the
-    /// two-copy story this state machine mirrors).
-    sdel: SDel,
+    /// The plan's coordination step in flight, routed (sharded runs only).
+    shard_op: Option<ShardOp>,
+    txn_ids: TxnIds,
 }
 
 impl DufsOps {
@@ -630,7 +597,8 @@ impl DufsOps {
     /// under `fid_client`; they are baked into znode data and pick the
     /// back-end server, so runs that must build identical namespaces across
     /// node layouts (shard-count sweeps) mint under a layout-independent
-    /// id. `ring` routes a sharded namespace.
+    /// id. `ring` routes a sharded namespace; its transaction ids hang off
+    /// `fid_client` too, so a run is the same per seed.
     /// With `retry`, timed-out ops are replayed until they land
     /// (at-least-once submission; the namespace stays exactly-once because
     /// replayed creates hit `NodeExists` and replayed deletes `NoNode`) —
@@ -653,38 +621,17 @@ impl DufsOps {
             op: None,
             exec: None,
             fid: None,
-            sdel: SDel::Idle,
+            shard_op: None,
+            txn_ids: TxnIds::new(fid_client),
         }
-    }
-
-    /// Route a coordination request to the shard that owns it (always 0
-    /// when unsharded). A sharded create must materialize ancestors the
-    /// owning shard has never seen (`mkdir -p`).
-    fn route(&self, req: ZkRequest) -> Req {
-        let Some(ring) = &self.ring else { return Req::Zk(0, req) };
-        let req = match req {
-            ZkRequest::Create { path, data, mode } => ZkRequest::CreatePath { path, data, mode },
-            req => req,
-        };
-        let shard = match &req {
-            ZkRequest::CreatePath { path, .. }
-            | ZkRequest::Delete { path, .. }
-            | ZkRequest::SetData { path, .. }
-            | ZkRequest::GetData { path, .. }
-            | ZkRequest::Exists { path, .. } => ring.route_path(path),
-            ZkRequest::GetChildren { path, .. } | ZkRequest::GetChildrenData { path } => {
-                ring.route_children(path)
-            }
-            _ => 0,
-        };
-        Req::Zk(shard as usize, req)
     }
 
     /// (Re)plan the op in flight from its first step. The first plan mints
     /// a fresh FID on demand; a replan reuses it so both attempts describe
-    /// the identical file.
+    /// the identical file. A replan abandons the routed step in flight,
+    /// and with it any 2PC it had prepared (a later sweep resolves it).
     fn replan(&mut self) -> Step {
-        self.sdel = SDel::Idle;
+        self.shard_op = None;
         let op = self.op.clone().expect("an op is in flight");
         let (fids, fid) = (&mut self.fids, &mut self.fid);
         let (exec, step) =
@@ -700,22 +647,14 @@ impl DufsOps {
 
     fn dispatch(&mut self, step: PlanStep) -> Step {
         match step {
-            PlanStep::Zk(ZkRequest::Delete { path, version }) => {
-                if let Some(ring) = &self.ring {
-                    let kids = ring.route_children(&path) as usize;
-                    if kids != ring.route_path(&path) as usize {
-                        // Two-step sharded delete: the children-owner
-                        // shard's materialized copy first, so a populated
-                        // directory fails with NotEmpty before anything is
-                        // touched; the owner copy follows on its response.
-                        let ghost = ZkRequest::Delete { path: path.clone(), version: None };
-                        self.sdel = SDel::GhostLeg { path, version };
-                        return Step::Send(Req::Zk(kids, ghost));
-                    }
+            PlanStep::Zk(req) => match &self.ring {
+                None => Step::Send(Req::Zk(0, req)),
+                Some(ring) => {
+                    let (op, step) = ShardOp::start(req, ring, self.txn_ids.next_id());
+                    self.shard_op = Some(op);
+                    self.routed(step)
                 }
-                Step::Send(self.route(ZkRequest::Delete { path, version }))
-            }
-            PlanStep::Zk(req) => Step::Send(self.route(req)),
+            },
             PlanStep::Backend { backend, req } => Step::Send(Req::Be(backend, req)),
             PlanStep::Done(r) => {
                 self.exec = None;
@@ -724,107 +663,25 @@ impl DufsOps {
         }
     }
 
-    fn owner(&self, path: &str) -> usize {
-        self.ring.as_ref().expect("sharded delete").route_path(path) as usize
-    }
-
-    /// A coordination reply: one leg of the sharded delete in flight, if
-    /// that is what it answers, else the planner's.
+    /// A coordination reply: the routed step's, if one is in flight, else
+    /// the planner's.
     fn zk_reply(&mut self, resp: ZkResponse) -> Step {
-        let answer = |d: &mut Self, resp| d.feed(StepResponse::Zk(resp));
-        match std::mem::replace(&mut self.sdel, SDel::Idle) {
-            SDel::Idle => answer(self, resp),
-            SDel::GhostLeg { path, version } => match resp {
-                ZkResponse::Deleted | ZkResponse::Error(ZkError::NoNode) => {
-                    let ghost_removed = matches!(resp, ZkResponse::Deleted);
-                    let req = ZkRequest::Delete { path: path.clone(), version };
-                    let owner = self.owner(&path);
-                    self.sdel = SDel::OwnerLeg { path, version, ghost_removed };
-                    Step::Send(Req::Zk(owner, req))
-                }
-                // NotEmpty and friends fail the op before anything moved.
-                other => answer(self, other),
-            },
-            SDel::OwnerLeg { path, version, ghost_removed } => match resp {
-                // The directory only ever existed as a materialized copy;
-                // the ghost leg's removal completed the delete.
-                ZkResponse::Error(ZkError::NoNode) if ghost_removed => {
-                    answer(self, ZkResponse::Deleted)
-                }
-                // The ghost leg certified the directory has no real
-                // children, so only materialized ghost chains (left by
-                // deeper `mkdir -p`s that executed on this shard) block
-                // the real copy. Walk and purge them, then retry.
-                ZkResponse::Error(ZkError::NotEmpty) => {
-                    let owner = self.owner(&path);
-                    let req = ZkRequest::GetChildren { path: path.clone(), watch: false };
-                    self.sdel = SDel::PurgeExpand {
-                        expanding: path.clone(),
-                        path,
-                        version,
-                        owner,
-                        expand: Vec::new(),
-                        discovered: Vec::new(),
-                    };
-                    Step::Send(Req::Zk(owner, req))
-                }
-                other => answer(self, other),
-            },
-            SDel::PurgeExpand { path, version, owner, expanding, mut expand, mut discovered } => {
-                match resp {
-                    ZkResponse::Children { names, .. } => {
-                        for n in names {
-                            let child = if expanding == "/" {
-                                format!("/{n}")
-                            } else {
-                                format!("{expanding}/{n}")
-                            };
-                            expand.push(child.clone());
-                            discovered.push(child);
-                        }
-                    }
-                    ZkResponse::Error(ZkError::NoNode) => {}
-                    other => return answer(self, other),
-                }
-                let Some(next) = expand.pop() else {
-                    return self.purge_next(path, version, owner, discovered);
-                };
-                let req = ZkRequest::GetChildren { path: next.clone(), watch: false };
-                self.sdel =
-                    SDel::PurgeExpand { path, version, owner, expanding: next, expand, discovered };
-                Step::Send(Req::Zk(owner, req))
-            }
-            SDel::PurgeDelete { path, version, owner, remaining } => match resp {
-                ZkResponse::Deleted | ZkResponse::Error(ZkError::NoNode) => {
-                    self.purge_next(path, version, owner, remaining)
-                }
-                other => answer(self, other),
-            },
-            SDel::OwnerRetry => match resp {
-                // Everything — ghosts and real copy — is gone.
-                ZkResponse::Error(ZkError::NoNode) => answer(self, ZkResponse::Deleted),
-                other => answer(self, other),
-            },
-        }
+        let (Some(op), Some(ring)) = (&mut self.shard_op, &self.ring) else {
+            return self.feed(StepResponse::Zk(resp));
+        };
+        let step = op.feed(resp, ring);
+        self.routed(step)
     }
 
-    /// Delete the next discovered ghost (deepest first); once all are
-    /// gone, retry the owner copy's delete.
-    fn purge_next(
-        &mut self,
-        path: String,
-        version: Option<u32>,
-        owner: usize,
-        mut remaining: Vec<String>,
-    ) -> Step {
-        let req = if let Some(victim) = remaining.pop() {
-            self.sdel = SDel::PurgeDelete { path, version, owner, remaining };
-            ZkRequest::Delete { path: victim, version: None }
-        } else {
-            self.sdel = SDel::OwnerRetry;
-            ZkRequest::Delete { path, version }
-        };
-        Step::Send(Req::Zk(owner, req))
+    /// Send the routed step's request, or hand its reply to the planner.
+    fn routed(&mut self, step: sharded::Step) -> Step {
+        match step {
+            sharded::Step::Send(shard, req) => Step::Send(Req::Zk(shard, req)),
+            sharded::Step::Done(resp) => {
+                self.shard_op = None;
+                self.feed(StepResponse::Zk(resp))
+            }
+        }
     }
 }
 

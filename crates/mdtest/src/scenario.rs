@@ -463,9 +463,8 @@ pub fn run_mdtest_report(cfg: &MdtestConfig) -> MdtestReport {
             .iter()
             .flat_map(|t| t.subtree_paths("/").expect("root always exists"))
             .filter(|p| p != "/" && !is_internal_path(p));
-        let Ok((logical, logical_nodes)) = logical_digest(candidates, |p| {
-            let owner = trees[ring.route_path(p) as usize];
-            Ok::<_, Infallible>(owner.get_data(p).ok().map(|(data, _)| data))
+        let Ok((logical, logical_nodes)) = logical_digest(&ring, candidates, |s, p| {
+            Ok::<_, Infallible>(trees[s].get_data(p).ok().map(|(data, _)| data))
         });
         if shards == 1 {
             // Single ensemble: keep the historical raw-tree figures.
@@ -655,6 +654,43 @@ mod tests {
             sharded.logical_digest, base.logical_digest,
             "2-shard run diverged from the single-ensemble namespace"
         );
+    }
+
+    #[test]
+    fn sharded_sim_runs_its_two_phase_commits_to_the_end() {
+        // The remove phases delete each directory whose node and listing
+        // live on different shards as one 2PC over both copies, like the
+        // live client: every one must end committed or aborted, its
+        // fences lifted and its decision record forgotten.
+        let spec = small_spec(8);
+        let ring = HashRing::new(2, DEFAULT_VNODES);
+        let bed = Testbed {
+            seed: 11,
+            ensemble: Some(EnsembleConfig::of_size(1)),
+            shards: 2,
+            zab: ZabConfig::default(),
+            durable: false,
+            mounts: vec![ParallelFs::lustre(), ParallelFs::lustre()],
+            processes: spec.processes,
+            phases: spec.phases.len(),
+        };
+        let (mut sim, ctrl) = bed.build(|p, _| {
+            let (script, fid_client) = (Script::new(p, spec.clone()), client_id(1, 2, p));
+            Source::Dufs(Box::new(DufsOps::new(script, 2, fid_client, Some(ring.clone()), false)))
+        });
+        let tallies = run_to_completion(&mut sim, ctrl, SimTime::from_secs(30_000)).expect("run");
+        assert_eq!(tallies.len(), 6);
+        assert!(tallies.iter().all(|t| t.errors == 0), "errors in a phase");
+        let mut decided = 0;
+        for s in 0..2 {
+            let srv = sim.node_ref::<CoordServerProc>(NodeId(s)).server();
+            assert_eq!(srv.prepared_txn_count(), 0, "shard {s} kept a prepared slice");
+            if let Ok((records, _)) = srv.tree().get_children("/__txn/decided") {
+                assert!(records.is_empty(), "shard {s} kept decision records {records:?}");
+                decided += 1;
+            }
+        }
+        assert!(decided > 0, "no 2PC reached its decision");
     }
 
     #[test]

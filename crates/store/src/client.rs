@@ -25,6 +25,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use crossbeam::channel::Receiver;
+use dufs_backendfs::engine::stripes;
 use dufs_backendfs::StorageEngine;
 use dufs_core::{BackendMapper, Fid, Md5Mapping};
 use dufs_net::{connect, Conn, EndpointKind, Hello, NetConfig, NetError, NetStats};
@@ -206,18 +207,9 @@ impl StoreClient {
     /// Split `[offset, offset+len)` into per-stripe chunks:
     /// `(target, stripe, within, range-in-buffer)`.
     fn chunks(&self, fid: Fid, offset: u64, len: usize) -> Vec<(usize, u64, u32, Range<usize>)> {
-        let ss = self.stripe_size as u64;
-        let mut out = Vec::new();
-        let mut pos = 0usize;
-        while pos < len {
-            let abs = offset + pos as u64;
-            let stripe = abs / ss;
-            let within = (abs % ss) as u32;
-            let take = (self.stripe_size - within as usize).min(len - pos);
-            out.push((self.target_of(fid, stripe), stripe, within, pos..pos + take));
-            pos += take;
-        }
-        out
+        stripes(self.stripe_size, offset, len)
+            .map(|(stripe, within, range)| (self.target_of(fid, stripe), stripe, within, range))
+            .collect()
     }
 
     /// One pipelined exchange: request `i` of `n` is `op(i)`, a target and

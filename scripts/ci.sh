@@ -140,6 +140,22 @@ if [ "$procs" -ne 1 ] || [ "$reports" -ne 1 ] || [ "$sims" -ne 1 ] || [ "$fnv" -
 fi
 echo "==> one simulated client: 1 client Process, 1 PhaseDone, 1 Sim::new, FNV digest only in shard.rs"
 
+# One sharded router: the simulator's DUFS client sends every coordination
+# step through `dufs_coord::sharded::ShardOp`, the step machine the live
+# `ShardedClient` drives, so the two run one protocol. Routing by hand in
+# the simulator (`route_path(`, `route_children(`) or a delete state
+# machine of its own (`enum SDel`) is the second copy growing back. (Test
+# modules, below `#[cfg(test)]`, are exempt.)
+router=$(for f in crates/mdtest/src/*.rs; do
+    nontest "$f" | { grep -nE 'route_path\(|route_children\(|enum SDel' || true; } | sed "s|^|$f:|"
+done)
+if [ -n "$router" ]; then
+    echo "FAIL: sharded routing outside ShardOp in crates/mdtest/src (outside #[cfg(test)]):" >&2
+    echo "$router" >&2
+    exit 1
+fi
+echo "==> one sharded router: no route_path(, route_children( or enum SDel in non-test crates/mdtest/src"
+
 # One back-end hop in the DUFS op planner: `plan.rs::file_call` is the one
 # place a FID becomes a mount (`backend_of`) and a physical path
 # (`physical_path`), for every op's back-end request and for the `Dufs`
