@@ -12,7 +12,7 @@ use std::time::Duration;
 
 use bytes::Bytes;
 
-use dufs_coord::{ClientOptions, ClusterBuilder};
+use dufs_coord::{ClientOptions, ClusterBuilder, CoordService};
 use dufs_zkstore::{CreateMode, DataTree, MultiOp};
 
 use crate::{Report, Scale};

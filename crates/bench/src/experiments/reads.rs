@@ -62,8 +62,8 @@ use std::time::{Duration, Instant};
 use bytes::Bytes;
 use dufs_cache::{CacheBuilder, CacheStats};
 use dufs_coord::{
-    ClientOptions, ClusterBuilder, ReadConsistency, TcpCluster, TcpTransport, Watch, ZkClient,
-    ZkRequest,
+    ClientOptions, ClusterBuilder, CoordService, ReadConsistency, TcpCluster, TcpTransport, Watch,
+    ZkClient, ZkRequest,
 };
 use dufs_zkstore::{CreateMode, ZkError};
 
@@ -218,7 +218,8 @@ fn uncached_cell(
 #[derive(Clone, Copy)]
 struct CacheVariant {
     mode: &'static str,
-    builder: CacheBuilder,
+    /// Readers adopt staleness leases.
+    lease: bool,
     /// Each reader touches every path exactly once (all misses).
     cold: bool,
     /// All readers attach to one process-shared cache, bulk-warmed by a
@@ -239,7 +240,11 @@ fn cached_cell(
     variant: CacheVariant,
     ops_per_reader: usize,
 ) -> Cell {
-    let CacheVariant { mode, builder, cold, shared, negative } = variant;
+    let CacheVariant { mode, lease, cold, shared, negative } = variant;
+    // The trust window for foreign-installed entries must outlive the read
+    // window, or a shared pool re-fetches mid-run and the cell stops
+    // measuring shared serving (a private cache never consults it).
+    let builder = CacheBuilder::new().lease(lease).shared_max_age(Duration::from_secs(120));
     let store = shared.then(|| builder.shared());
     let mut sessions: Vec<_> = (0..READERS)
         .map(|i| {
@@ -266,7 +271,7 @@ fn cached_cell(
     // barrier through the churn-loaded leader. Start the clock once every
     // leased reader's replica grants: its first read then adopts a lease
     // with one ping, as at any renewal.
-    if builder.options().lease {
+    if lease {
         let deadline = Instant::now() + Duration::from_secs(10);
         for c in &mut sessions {
             while c.inner_mut().ping_lease().expect("lease probe").1.is_none() {
@@ -281,7 +286,7 @@ fn cached_cell(
 
     let (ops_per_sec, churn_per_sec) =
         read_window(cluster, leader, mode, &mut sessions, paths, per_reader, |c, p| {
-            match c.get_data(p) {
+            match c.get_data(p, Watch::None) {
                 Ok(_) => assert!(!negative, "phantom znode {p}"),
                 Err(ZkError::NoNode) if negative => {}
                 Err(e) => panic!("read {p}: {e:?}"),
@@ -314,28 +319,14 @@ pub fn run(scale: Scale) -> Report {
     // Cache axis: same follower-local spread, readers wrapped in the
     // dufs-cache layer. The uncached follower-local cells above are its
     // baseline, so only the cached modes boot fresh ensembles here.
-    let v = |mode, builder, cold, shared, negative| CacheVariant {
-        mode,
-        builder,
-        cold,
-        shared,
-        negative,
-    };
+    let v =
+        |mode, lease, cold, shared, negative| CacheVariant { mode, lease, cold, shared, negative };
     let cache_modes = [
-        v("cached-cold", CacheBuilder::new(), true, false, false),
-        v("cached-warm", CacheBuilder::new(), false, false, false),
-        v("cached-warm-nolease", CacheBuilder::new().lease(false), false, false, false),
-        // The trust window for foreign-installed entries must outlive the
-        // read window, or the pool re-fetches mid-run and the cell stops
-        // measuring shared serving.
-        v(
-            "shared-warm",
-            CacheBuilder::new().shared_max_age(Duration::from_secs(120)),
-            false,
-            true,
-            false,
-        ),
-        v("negative-hit", CacheBuilder::new(), false, false, true),
+        v("cached-cold", true, true, false, false),
+        v("cached-warm", true, false, false, false),
+        v("cached-warm-nolease", false, false, false, false),
+        v("shared-warm", true, false, true, false),
+        v("negative-hit", true, false, false, true),
     ];
     let mut cache_cells = Vec::new();
     for n in ENSEMBLES {

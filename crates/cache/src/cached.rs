@@ -74,17 +74,15 @@ use bytes::Bytes;
 use dufs_coord::server::LEASE_MS;
 use dufs_coord::{CoordService, LeaseGrant, ReadConsistency, ZkRequest, ZkResponse};
 use dufs_zkstore::path::{self as zkpath, parent};
-use dufs_zkstore::{CreateMode, MultiOp, MultiResult, Stat, ZkError};
+use dufs_zkstore::{MultiOp, Stat, ZkError};
 
 use crate::shared::{CacheRef, Lookup, SharedCache, DEFAULT_SHARED_MAX_AGE};
 use crate::CacheStats;
 
-/// Cache construction knobs — one shape for private and shared caches.
-/// Prefer building through [`CacheBuilder`], which also mints the shared
-/// handle; the struct stays public (and `..Default::default()`-friendly)
-/// for call sites that configure a field or two inline.
+/// Cache construction knobs — one shape for private and shared caches,
+/// set through [`CacheBuilder`].
 #[derive(Debug, Clone, Copy)]
-pub struct CacheOptions {
+pub(crate) struct CacheOptions {
     /// Maximum cached entries before a full flush (store-wide for a
     /// private cache; spread across lock shards for a shared one).
     pub capacity: usize,
@@ -171,12 +169,6 @@ impl CacheBuilder {
         self
     }
 
-    /// The assembled options (for call sites that still take
-    /// [`CacheOptions`] directly).
-    pub fn options(self) -> CacheOptions {
-        self.opts
-    }
-
     /// Mint a process-wide shared cache; attach sessions to it with
     /// [`SharedCache::session`].
     pub fn shared(self) -> SharedCache {
@@ -185,7 +177,7 @@ impl CacheBuilder {
 
     /// A cached session over a private cache.
     pub fn session<S: CoordService>(self, inner: S) -> Cached<S> {
-        Cached::with_options(inner, self.opts)
+        Cached::attached(inner, CacheRef::private(&self.opts), self.opts)
     }
 }
 
@@ -238,8 +230,8 @@ enum Read {
 
 /// A session with the client-side metadata cache and lease protocol in
 /// front of it. It is a [`CoordService`] itself (so `Dufs` runs over it
-/// unchanged); the typed `get_data` / `create` / … helpers are thin
-/// wrappers over [`CoordService::request`].
+/// unchanged, and the trait's typed `get_data` / `create` / … calls reach
+/// the cache through [`CoordService::request`]).
 pub struct Cached<S> {
     inner: S,
     cache: CacheRef,
@@ -251,28 +243,18 @@ pub struct Cached<S> {
 }
 
 impl<S: CoordService> Cached<S> {
-    /// Wrap `inner` with a private cache and the default options.
+    /// Wrap `inner` with a private cache and the default options
+    /// (`CacheBuilder::new().session(inner)`).
     pub fn new(inner: S) -> Self {
-        Self::with_options(inner, CacheOptions::default())
-    }
-
-    /// Wrap `inner` with a private cache of at most `capacity` entries.
-    pub fn with_capacity(inner: S, capacity: usize) -> Self {
-        Self::with_options(inner, CacheOptions { capacity, ..CacheOptions::default() })
-    }
-
-    /// Wrap `inner` with a private cache. The session's configured
-    /// [`ReadConsistency`] becomes the level this wrapper *provides*; the
-    /// inner session is downgraded to `Local` so the wrapper owns barriers
-    /// (unless `Linearizable`, which bypasses the cache and keeps the
-    /// inner session's sync-every-read behaviour).
-    pub fn with_options(inner: S, opts: CacheOptions) -> Self {
-        let cache = CacheRef::private(&opts);
-        Self::attached(inner, cache, opts)
+        CacheBuilder::new().session(inner)
     }
 
     /// Wrap a session around an already-built cache view (private or a
-    /// [`SharedCache`] attachment — see [`SharedCache::session`]).
+    /// [`SharedCache`] attachment — see [`SharedCache::session`]). The
+    /// session's configured [`ReadConsistency`] becomes the level this
+    /// wrapper *provides*; the inner session is downgraded to `Local` so
+    /// the wrapper owns barriers (unless `Linearizable`, which bypasses the
+    /// cache and keeps the inner session's sync-every-read behaviour).
     pub(crate) fn attached(mut inner: S, cache: CacheRef, opts: CacheOptions) -> Self {
         let desired = inner.consistency();
         if desired != ReadConsistency::Linearizable {
@@ -330,33 +312,6 @@ impl<S: CoordService> Cached<S> {
             .all(|(c, f)| f.lease.is_some_and(|l| l.valid(self.inner.reconnects(c))))
     }
 
-    // -------------------------------------------------------- typed helpers
-
-    /// Cached `zoo_get`.
-    pub fn get_data(&mut self, path: &str) -> Result<(Bytes, Stat), ZkError> {
-        match self.request(ZkRequest::GetData { path: path.into(), watch: false }) {
-            ZkResponse::Data { data, stat } => Ok((data, stat)),
-            r => Err(failure(r)),
-        }
-    }
-
-    /// Cached `zoo_exists` (absence is cached too — the existence watch
-    /// fires on creation).
-    pub fn exists(&mut self, path: &str) -> Result<Option<Stat>, ZkError> {
-        match self.request(ZkRequest::Exists { path: path.into(), watch: false }) {
-            ZkResponse::ExistsResult(stat) => Ok(stat),
-            r => Err(failure(r)),
-        }
-    }
-
-    /// Cached `zoo_get_children`.
-    pub fn get_children(&mut self, path: &str) -> Result<(Vec<String>, Stat), ZkError> {
-        match self.request(ZkRequest::GetChildren { path: path.into(), watch: false }) {
-            ZkResponse::Children { names, stat } => Ok((names, stat)),
-            r => Err(failure(r)),
-        }
-    }
-
     /// READDIRPLUS bulk warm: one round trip returns the listing with
     /// every child's data and stat and leaves one-shot watches behind
     /// (child watch on the parent, data watch on each child) — then the
@@ -375,53 +330,7 @@ impl<S: CoordService> Cached<S> {
             ZkResponse::WarmedChildren { entries, .. } | ZkResponse::ChildrenData { entries } => {
                 Ok(entries)
             }
-            r => Err(failure(r)),
-        }
-    }
-
-    /// `zoo_create`; evicts the path and its parent's listing.
-    pub fn create(&mut self, path: &str, data: Bytes, mode: CreateMode) -> Result<String, ZkError> {
-        match self.request(ZkRequest::Create { path: path.into(), data, mode }) {
-            ZkResponse::Created { path } => Ok(path),
-            r => Err(failure(r)),
-        }
-    }
-
-    /// `zoo_delete`.
-    pub fn delete(&mut self, path: &str, version: Option<u32>) -> Result<(), ZkError> {
-        match self.request(ZkRequest::Delete { path: path.into(), version }) {
-            ZkResponse::Deleted => Ok(()),
-            r => Err(failure(r)),
-        }
-    }
-
-    /// `zoo_set`.
-    pub fn set_data(
-        &mut self,
-        path: &str,
-        data: Bytes,
-        version: Option<u32>,
-    ) -> Result<Stat, ZkError> {
-        match self.request(ZkRequest::SetData { path: path.into(), data, version }) {
-            ZkResponse::Stat(stat) => Ok(stat),
-            r => Err(failure(r)),
-        }
-    }
-
-    /// Atomic multi-op; evicts every touched path.
-    pub fn multi(&mut self, ops: Vec<MultiOp>) -> Result<Vec<MultiResult>, ZkError> {
-        match self.request(ZkRequest::Multi { ops }) {
-            ZkResponse::MultiResults(r) => Ok(r),
-            r => Err(failure(r)),
-        }
-    }
-
-    /// Explicit strict barrier on every connection (flushes nothing; just
-    /// recency).
-    pub fn sync(&mut self) -> Result<u64, ZkError> {
-        match self.request(ZkRequest::Sync { coalesce: false }) {
-            ZkResponse::Synced { zxid, .. } => Ok(zxid),
-            r => Err(failure(r)),
+            r => Err(r.err().unwrap_or(ZkError::ConnectionLoss)),
         }
     }
 
@@ -691,11 +600,6 @@ impl<S: CoordService> Cached<S> {
         });
         self.cache.stats_mut().lease_renewals += 1;
     }
-}
-
-/// The error a non-matching response stands for.
-fn failure(resp: ZkResponse) -> ZkError {
-    resp.err().unwrap_or(ZkError::ConnectionLoss)
 }
 
 impl<S: CoordService> CoordService for Cached<S> {

@@ -45,6 +45,6 @@ pub mod cached;
 pub mod shared;
 pub mod stats;
 
-pub use cached::{CacheBuilder, CacheOptions, Cached};
+pub use cached::{CacheBuilder, Cached};
 pub use shared::SharedCache;
 pub use stats::CacheStats;

@@ -21,9 +21,9 @@ use std::time::{Duration, Instant};
 use bytes::Bytes;
 use proptest::prelude::*;
 
-use dufs_cache::{CacheBuilder, CacheOptions, Cached};
+use dufs_cache::CacheBuilder;
 use dufs_coord::server::{LEASE_MARGIN_MS, LEASE_MS};
-use dufs_coord::{ClientOptions, ClusterBuilder, ReadConsistency};
+use dufs_coord::{ClientOptions, ClusterBuilder, CoordService, ReadConsistency, Watch};
 use dufs_zkstore::CreateMode;
 
 /// Cluster tests use real-time election timers; serialize the ensembles.
@@ -112,7 +112,7 @@ proptest! {
                 crashed_rounds += 1;
             }
             for (p, want) in &written {
-                let (got, _) = c.get_data(p).unwrap_or_else(|e| {
+                let (got, _) = c.get_data(p, Watch::None).unwrap_or_else(|e| {
                     panic!("own acked write {p} invisible through the cache: {e:?}")
                 });
                 prop_assert_eq!(&got, want, "stale cached read of {}", p);
@@ -124,7 +124,7 @@ proptest! {
 
         // One more read so a reconnect in the very last round registers its
         // full invalidation (the flush lands on the NEXT cache access).
-        let _ = c.get_data("/ryw-0");
+        let _ = c.get_data("/ryw-0", Watch::None);
         let s = c.stats();
         prop_assert!(
             crashed_rounds == 0 || s.reconnect_invalidations >= 1,
@@ -150,16 +150,13 @@ proptest! {
         let leader = cluster.await_leader(Duration::from_secs(20)).expect("leader");
         let start = (0..3).find(|&i| i != leader).unwrap();
 
-        let mut c = Cached::with_options(
-            cluster
+        let mut c = CacheBuilder::new().session(cluster
                 .client(
                     ClientOptions::at(start)
                         .with_failover()
                         .with_consistency(ReadConsistency::SyncThenLocal),
                 )
-                .unwrap(),
-            CacheOptions::default(),
-        );
+                .unwrap());
         c.inner_mut().set_timeout(Duration::from_millis(500));
 
         let stop = Arc::new(AtomicBool::new(false));
@@ -188,7 +185,7 @@ proptest! {
                 Ok(_) | Err(dufs_zkstore::ZkError::NodeExists) => {}
                 Err(e) => panic!("create {path}: {e:?}"),
             }
-            let (got, _) = c.get_data(&path).unwrap();
+            let (got, _) = c.get_data(&path, Watch::None).unwrap();
             prop_assert_eq!(&got, &data);
             written.push((path, data));
         }
@@ -202,7 +199,7 @@ proptest! {
         let on = cluster.addrs().iter().position(|a| *a == on_addr).expect("known member");
         cluster.stop(on);
         for (p, want) in &written {
-            let (got, _) = c.get_data(p).unwrap_or_else(|e| {
+            let (got, _) = c.get_data(p, Watch::None).unwrap_or_else(|e| {
                 panic!("own acked write {p} invisible after tcp kill-9: {e:?}")
             });
             prop_assert_eq!(&got, want, "stale cached read of {} after kill-9", p);
@@ -211,7 +208,7 @@ proptest! {
             Ok(_) | Err(dufs_zkstore::ZkError::NodeExists) => {}
             Err(e) => panic!("create /ryw-post: {e:?}"),
         }
-        let (got, _) = c.get_data("/ryw-post").unwrap();
+        let (got, _) = c.get_data("/ryw-post", Watch::None).unwrap();
         prop_assert_eq!(&got[..], b"post");
         prop_assert!(c.stats().reconnect_invalidations >= 1, "stats: {:?}", c.stats());
 
@@ -289,7 +286,7 @@ fn leased_reads_bounded_staleness_across_leader_change() {
             crashed = true;
         }
         let t0 = Instant::now();
-        let val: u64 = match r.get_data("/clock") {
+        let val: u64 = match r.get_data("/clock", Watch::None) {
             Ok((data, _)) => String::from_utf8_lossy(&data).parse().unwrap_or(0),
             Err(_) => continue, // election in progress; the bound still applies to later reads
         };

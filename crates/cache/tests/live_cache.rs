@@ -16,9 +16,11 @@ use std::time::{Duration, Instant};
 
 use bytes::Bytes;
 
-use dufs_cache::{CacheOptions, Cached};
+use dufs_cache::{CacheBuilder, Cached};
 use dufs_coord::server::{LEASE_MARGIN_MS, LEASE_MS};
-use dufs_coord::{ClientOptions, ClusterBuilder, ReadConsistency, TcpZkClient, Watch, ZkRequest};
+use dufs_coord::{
+    ClientOptions, ClusterBuilder, CoordService, ReadConsistency, TcpZkClient, Watch, ZkRequest,
+};
 use dufs_zkstore::{CreateMode, ZkError};
 
 /// Cluster tests use real-time election timers; running several ensembles
@@ -43,7 +45,7 @@ fn miss_with_a_write_in_flight(c: &mut Cached<TcpZkClient>, i: usize) {
         data: Bytes::new(),
         mode: CreateMode::Persistent,
     });
-    assert_eq!(c.get_data(&path).unwrap().0, data);
+    assert_eq!(c.get_data(&path, Watch::None).unwrap().0, data);
     // A barrier (or the read itself) may already have collected the ack.
     if c.inner().is_dirty() {
         c.inner_mut().next_completion().expect("pipelined ack");
@@ -59,15 +61,14 @@ fn leases_skip_barriers_and_disabled_leases_do_not() {
 
     // Lease on: a miss after an acked write owes no barrier, so there is
     // nothing to skip; a miss that does owe one rides a grant instead.
-    let mut c = Cached::with_options(
+    let mut c = CacheBuilder::new().session(
         tc.client(ClientOptions::at(leader).with_consistency(ReadConsistency::SyncThenLocal))
             .unwrap(),
-        CacheOptions::default(),
     );
     for i in 0..8 {
         let path = format!("/lease-{i}");
         c.create(&path, Bytes::from(format!("v{i}").into_bytes()), CreateMode::Persistent).unwrap();
-        let (data, _) = c.get_data(&path).unwrap();
+        let (data, _) = c.get_data(&path, Watch::None).unwrap();
         assert_eq!(data, Bytes::from(format!("v{i}").into_bytes()));
     }
     let s = c.stats();
@@ -81,15 +82,14 @@ fn leases_skip_barriers_and_disabled_leases_do_not() {
     assert!(c.lease_valid(), "lease should still be live right after a renewal");
 
     // Lease off: same workload, PR 5 barrier semantics — no skips ever.
-    let mut c = Cached::with_options(
+    let mut c = CacheBuilder::new().lease(false).session(
         tc.client(ClientOptions::at(leader).with_consistency(ReadConsistency::SyncThenLocal))
             .unwrap(),
-        CacheOptions { lease: false, ..CacheOptions::default() },
     );
     for i in 0..8 {
         let path = format!("/strict-{i}");
         c.create(&path, Bytes::from(format!("v{i}").into_bytes()), CreateMode::Persistent).unwrap();
-        let (data, _) = c.get_data(&path).unwrap();
+        let (data, _) = c.get_data(&path, Watch::None).unwrap();
         assert_eq!(data, Bytes::from(format!("v{i}").into_bytes()));
     }
     for i in 8..16 {
@@ -120,22 +120,21 @@ fn reconnect_flushes_cache_instead_of_losing_watches() {
     let observer = 3;
 
     let mut w = tc.client(ClientOptions::at(0).with_failover()).unwrap();
-    let mut r = Cached::with_options(
+    let mut r = CacheBuilder::new().session(
         tc.client(
             ClientOptions::at(observer)
                 .with_failover()
                 .with_consistency(ReadConsistency::SyncThenLocal),
         )
         .unwrap(),
-        CacheOptions::default(),
     );
     r.inner_mut().set_timeout(Duration::from_millis(500));
 
     w.create("/g", Bytes::from_static(b"old"), CreateMode::Persistent).unwrap();
     // Cache the entry (arming a watch at the serving member)...
-    let (data, _) = r.get_data("/g").unwrap();
+    let (data, _) = r.get_data("/g", Watch::None).unwrap();
     assert_eq!(&data[..], b"old");
-    let _ = r.get_data("/g").unwrap(); // warm hit
+    let _ = r.get_data("/g", Watch::None).unwrap(); // warm hit
 
     // ...then kill the server holding that watch — whichever member the
     // session is actually on (a transient early failover can move it off
@@ -154,7 +153,7 @@ fn reconnect_flushes_cache_instead_of_losing_watches() {
     let bound = Duration::from_millis(LEASE_MS + LEASE_MARGIN_MS + 15_000);
     let start = Instant::now();
     loop {
-        match r.get_data("/g") {
+        match r.get_data("/g", Watch::None) {
             Ok((data, _)) if &data[..] == b"new" => break,
             Ok((data, _)) => assert_eq!(&data[..], b"old", "impossible third value"),
             Err(ZkError::ConnectionLoss | ZkError::Net) => {}
@@ -223,16 +222,15 @@ fn tcp_cached_session_hits_leases_and_invalidation() {
     let leader = cluster.await_leader(LEADER_WAIT).expect("leader");
 
     let mut w = cluster.client(ClientOptions::at(leader)).unwrap();
-    let mut r = Cached::with_options(
+    let mut r = CacheBuilder::new().session(
         cluster
             .client(ClientOptions::at(leader).with_consistency(ReadConsistency::SyncThenLocal))
             .unwrap(),
-        CacheOptions::default(),
     );
 
     w.create("/t", Bytes::from_static(b"v0"), CreateMode::Persistent).unwrap();
     for _ in 0..4 {
-        let (data, _) = r.get_data("/t").unwrap();
+        let (data, _) = r.get_data("/t", Watch::None).unwrap();
         assert_eq!(&data[..], b"v0");
     }
     let s = r.stats();
@@ -254,7 +252,7 @@ fn tcp_cached_session_hits_leases_and_invalidation() {
     w.set_data("/t", Bytes::from_static(b"v1"), None).unwrap();
     let deadline = Instant::now() + Duration::from_secs(10);
     loop {
-        let (data, _) = r.get_data("/t").unwrap();
+        let (data, _) = r.get_data("/t", Watch::None).unwrap();
         if &data[..] == b"v1" {
             break;
         }

@@ -21,8 +21,9 @@ use bytes::Bytes;
 use dufs_cache::{CacheBuilder, Cached};
 use dufs_coord::{
     ClientOptions, ClusterBuilder, CoordService, ReadConsistency, ShardedClient, TcpTransport,
+    Watch,
 };
-use dufs_zkstore::ZkError;
+use dufs_zkstore::{CreateMode, ZkError};
 
 /// Cluster tests use real-time election timers; serialize the ensembles.
 static GATE: std::sync::Mutex<()> = std::sync::Mutex::new(());
@@ -45,7 +46,12 @@ fn a_listing_is_one_request_and_errors_surface() {
     let mut cluster = ClusterBuilder::new().voters(1).shards(2).sharded_tcp();
     let mut w = cluster.client(ClientOptions::at(0)).unwrap();
     for i in 0..K {
-        w.create(&format!("/d/c{i}"), Bytes::from(format!("v{i}").into_bytes())).unwrap();
+        w.create(
+            &format!("/d/c{i}"),
+            Bytes::from(format!("v{i}").into_bytes()),
+            CreateMode::Persistent,
+        )
+        .unwrap();
     }
 
     let mut c = CacheBuilder::new().session(
@@ -67,8 +73,8 @@ fn a_listing_is_one_request_and_errors_surface() {
     // ... and arm no watches: a foreign create under the directory pushes
     // nothing onto this session (the round trip's reply would have queued
     // behind any notification on the same connection).
-    w.create("/d/late", Bytes::new()).unwrap();
-    c.inner_mut().get_data("/d/c0").unwrap();
+    w.create("/d/late", Bytes::new(), CreateMode::Persistent).unwrap();
+    c.inner_mut().get_data("/d/c0", Watch::None).unwrap();
     assert!(c.inner_mut().drain_watches().is_empty(), "a cache-less listing left a watch behind");
 
     // A missing directory is NoNode, not an empty listing ...
@@ -95,9 +101,9 @@ fn sharded_reads_hit_lease_per_shard_and_invalidate() {
         .find(|p| c.inner().route(p) != c.inner().route(&a))
         .expect("no cross-shard pair");
     for p in [&a, &b] {
-        w.create(p, Bytes::from_static(b"v0")).unwrap();
+        w.create(p, Bytes::from_static(b"v0"), CreateMode::Persistent).unwrap();
         for _ in 0..3 {
-            assert_eq!(&c.get_data(p).unwrap().0[..], b"v0");
+            assert_eq!(&c.get_data(p, Watch::None).unwrap().0[..], b"v0");
         }
     }
     let s = c.stats();
@@ -108,12 +114,16 @@ fn sharded_reads_hit_lease_per_shard_and_invalidate() {
     // A foreign write reaches the cache through the owning shard's watch.
     w.set_data(&b, Bytes::from_static(b"v1"), None).unwrap();
     let deadline = Instant::now() + Duration::from_secs(10);
-    while &c.get_data(&b).unwrap().0[..] != b"v1" {
+    while &c.get_data(&b, Watch::None).unwrap().0[..] != b"v1" {
         assert!(Instant::now() < deadline, "watch never invalidated the stale entry");
         std::thread::sleep(Duration::from_millis(20));
     }
     assert!(c.stats().watch_invalidations >= 1);
-    assert_eq!(&c.get_data(&a).unwrap().0[..], b"v0", "the other shard's entry is untouched");
+    assert_eq!(
+        &c.get_data(&a, Watch::None).unwrap().0[..],
+        b"v0",
+        "the other shard's entry is untouched"
+    );
     cluster.shutdown();
 }
 
@@ -132,29 +142,29 @@ fn synthesized_empty_listing_is_never_cached() {
         .map(|i| format!("/split{i}"))
         .find(|d| c.inner().route(d) != c.inner().route_children(d))
         .expect("no split directory");
-    w.create(&d, Bytes::from_static(b"dir")).unwrap();
+    w.create(&d, Bytes::from_static(b"dir"), CreateMode::Persistent).unwrap();
 
-    assert_eq!(c.get_children(&d).unwrap().0, empty);
+    assert_eq!(c.get_children(&d, Watch::None).unwrap().0, empty);
     let hits = c.stats().hits;
-    assert_eq!(c.get_children(&d).unwrap().0, empty);
+    assert_eq!(c.get_children(&d, Watch::None).unwrap().0, empty);
     assert_eq!(c.stats().hits, hits, "the synthesized listing must not be installed");
     assert!(c.lease_valid(), "both shards it was read from were licensed");
 
     // A foreign delete of the never-materialized directory touches only its
     // owner shard — no watch a listing could have left fires.
     w.delete(&d, None).unwrap();
-    assert_eq!(c.get_children(&d).unwrap_err(), ZkError::NoNode);
+    assert_eq!(c.get_children(&d, Watch::None).unwrap_err(), ZkError::NoNode);
 
     // Nor does the first create under it wait for a notification.
-    w.create(&d, Bytes::from_static(b"dir")).unwrap();
-    assert_eq!(c.get_children(&d).unwrap().0, empty);
-    w.create(&format!("{d}/x"), Bytes::new()).unwrap();
-    assert_eq!(c.get_children(&d).unwrap().0, ["x"]);
+    w.create(&d, Bytes::from_static(b"dir"), CreateMode::Persistent).unwrap();
+    assert_eq!(c.get_children(&d, Watch::None).unwrap().0, empty);
+    w.create(&format!("{d}/x"), Bytes::new(), CreateMode::Persistent).unwrap();
+    assert_eq!(c.get_children(&d, Watch::None).unwrap().0, ["x"]);
 
     // Materialized now: one shard answers and its child watch guards the
     // listing, so it is cached like any other.
     let hits = c.stats().hits;
-    assert_eq!(c.get_children(&d).unwrap().0, ["x"]);
+    assert_eq!(c.get_children(&d, Watch::None).unwrap().0, ["x"]);
     assert_eq!(c.stats().hits, hits + 1);
     cluster.shutdown();
 }

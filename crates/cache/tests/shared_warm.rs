@@ -19,7 +19,7 @@ use bytes::Bytes;
 
 use dufs_cache::CacheBuilder;
 use dufs_coord::server::{LEASE_MARGIN_MS, LEASE_MS};
-use dufs_coord::{ClientOptions, ClusterBuilder, ReadConsistency};
+use dufs_coord::{ClientOptions, ClusterBuilder, CoordService, ReadConsistency, Watch};
 use dufs_zkstore::{CreateMode, ZkError};
 
 /// Cluster tests use real-time election timers; serialize the ensembles.
@@ -68,7 +68,7 @@ fn bulk_warm_is_one_round_trip_and_shared_sessions_read_free() {
 
     // The warming session itself reads everything back warm.
     for i in 0..K {
-        let (data, _) = a.get_data(&format!("/d/c{i}")).unwrap();
+        let (data, _) = a.get_data(&format!("/d/c{i}"), Watch::None).unwrap();
         assert_eq!(&data[..], format!("v{i}").as_bytes());
     }
     let f2 = a.inner().transport().stats().frames_sent;
@@ -82,16 +82,16 @@ fn bulk_warm_is_one_round_trip_and_shared_sessions_read_free() {
             .client(ClientOptions::at(leader).with_consistency(ReadConsistency::SyncThenLocal))
             .unwrap(),
     );
-    let (data, _) = b.get_data("/d/c0").unwrap();
+    let (data, _) = b.get_data("/d/c0", Watch::None).unwrap();
     assert_eq!(&data[..], b"v0");
     assert!(b.lease_valid(), "first licensed hit should have adopted a grant");
 
     let g0 = b.inner().transport().stats().frames_sent;
     for i in 1..K {
-        let (data, _) = b.get_data(&format!("/d/c{i}")).unwrap();
+        let (data, _) = b.get_data(&format!("/d/c{i}"), Watch::None).unwrap();
         assert_eq!(&data[..], format!("v{i}").as_bytes());
     }
-    let (names, _) = b.get_children("/d").unwrap();
+    let (names, _) = b.get_children("/d", Watch::None).unwrap();
     assert_eq!(names.len(), K);
     let g1 = b.inner().transport().stats().frames_sent;
     assert_eq!(g1, g0, "second shared session must read warmed entries with zero round trips");
@@ -126,8 +126,8 @@ fn negative_entries_expire_or_flush_past_a_racing_create() {
     r.inner_mut().set_timeout(Duration::from_millis(500));
 
     // Cache the absence, then hit it.
-    assert!(matches!(r.get_data("/phoenix"), Err(ZkError::NoNode)));
-    assert!(matches!(r.get_data("/phoenix"), Err(ZkError::NoNode)));
+    assert!(matches!(r.get_data("/phoenix", Watch::None), Err(ZkError::NoNode)));
+    assert!(matches!(r.get_data("/phoenix", Watch::None), Err(ZkError::NoNode)));
     let s = r.stats();
     assert!(s.negative_hits >= 1, "second NoNode should be a negative hit: {s:?}");
 
@@ -142,7 +142,7 @@ fn negative_entries_expire_or_flush_past_a_racing_create() {
     let bound = neg_ttl + Duration::from_millis(LEASE_MS + LEASE_MARGIN_MS + 15_000);
     let start = Instant::now();
     loop {
-        match r.get_data("/phoenix") {
+        match r.get_data("/phoenix", Watch::None) {
             Ok((data, _)) => {
                 assert_eq!(&data[..], b"risen");
                 break;
@@ -184,9 +184,9 @@ fn shared_cache_invalidation_crosses_sessions() {
     let mut b = shared.session(tc.client(opts).unwrap());
 
     w.create("/x", Bytes::from_static(b"v0"), CreateMode::Persistent).unwrap();
-    let (data, _) = a.get_data("/x").unwrap();
+    let (data, _) = a.get_data("/x", Watch::None).unwrap();
     assert_eq!(&data[..], b"v0");
-    let (data, _) = b.get_data("/x").unwrap();
+    let (data, _) = b.get_data("/x", Watch::None).unwrap();
     assert_eq!(&data[..], b"v0");
     let s = b.stats();
     assert_eq!(s.misses, 0, "B's read must be served from A's installed entry: {s:?}");
@@ -197,7 +197,7 @@ fn shared_cache_invalidation_crosses_sessions() {
     w.set_data("/x", Bytes::from_static(b"v1"), None).unwrap();
     let deadline = Instant::now() + Duration::from_secs(10);
     loop {
-        let (data, _) = a.get_data("/x").unwrap();
+        let (data, _) = a.get_data("/x", Watch::None).unwrap();
         if &data[..] == b"v1" {
             break;
         }
@@ -205,7 +205,7 @@ fn shared_cache_invalidation_crosses_sessions() {
         std::thread::sleep(Duration::from_millis(20));
     }
     assert!(a.stats().watch_invalidations >= 1, "stats: {:?}", a.stats());
-    let (data, _) = b.get_data("/x").unwrap();
+    let (data, _) = b.get_data("/x", Watch::None).unwrap();
     assert_eq!(&data[..], b"v1", "B served stale bytes after the shared entry was evicted");
     tc.shutdown();
 }
@@ -245,7 +245,7 @@ fn bulk_warm_watches_invalidate_and_reconnect_flushes_the_warmed_set() {
     w.set_data("/d/c0", Bytes::from_static(b"new"), None).unwrap();
     let deadline = Instant::now() + Duration::from_secs(10);
     loop {
-        let (data, _) = r.get_data("/d/c0").unwrap();
+        let (data, _) = r.get_data("/d/c0", Watch::None).unwrap();
         if &data[..] == b"new" {
             break;
         }
@@ -264,7 +264,7 @@ fn bulk_warm_watches_invalidate_and_reconnect_flushes_the_warmed_set() {
     let bound = Duration::from_millis(LEASE_MS + LEASE_MARGIN_MS + 15_000);
     let start = Instant::now();
     loop {
-        match r.get_data("/d/c1") {
+        match r.get_data("/d/c1", Watch::None) {
             Ok((data, _)) if &data[..] == b"post-crash" => break,
             Ok((data, _)) => assert_eq!(&data[..], b"old", "impossible third value"),
             Err(ZkError::ConnectionLoss | ZkError::Net) => {}

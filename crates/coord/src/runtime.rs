@@ -1,7 +1,8 @@
 //! The synchronous client API the DUFS prototype uses (paper §IV-D: "The
-//! synchronous ZooKeeper API were used"): [`ZkClient`], the `zoo_*` surface
-//! with its retry, barrier and pipelining rules, over a [`ClientTransport`]
-//! that moves its requests and events. The live transport is
+//! synchronous ZooKeeper API were used"): [`ZkClient`], a session with its
+//! retry, barrier and pipelining rules, over a [`ClientTransport`] that
+//! moves its requests and events and keeps its clock. The typed `zoo_*`
+//! calls are [`CoordService`]'s, written once over `request`. The live transport is
 //! [`crate::tcp::TcpTransport`]; the performance figures use the
 //! deterministic simulator in `dufs-mdtest` instead (same
 //! [`crate::CoordServer`] state machine, different driver).
@@ -11,9 +12,10 @@ use std::time::{Duration, Instant};
 
 use bytes::Bytes;
 
-use dufs_zkstore::{CreateMode, MultiOp, MultiResult, Stat, ZkError};
+use dufs_zkstore::{MultiOp, MultiResult, Stat, ZkError};
 
 use crate::api::{ReadConsistency, Watch, ZkRequest, ZkResponse};
+use crate::session::{failure, CoordService};
 use crate::watch::WatchNotification;
 
 /// Events delivered to a client handle.
@@ -81,6 +83,18 @@ pub trait ClientTransport {
     fn pushed_lease(&mut self) -> Option<crate::api::LeaseGrant> {
         None
     }
+
+    /// The client's clock: request deadlines and the session's backoffs are
+    /// read from here. Default: the wall clock.
+    fn now(&self) -> Instant {
+        Instant::now()
+    }
+
+    /// Wait out a backoff of `d` on this transport's clock. Default: block
+    /// the calling thread.
+    fn sleep(&mut self, d: Duration) {
+        std::thread::sleep(d);
+    }
 }
 
 /// The error in `resp` if it is one [`ZkClient::request`] retries; a write
@@ -89,8 +103,9 @@ fn transient_err(resp: &ZkResponse) -> Option<ZkError> {
     resp.err().filter(|e| matches!(e, ZkError::ConnectionLoss | ZkError::Net | ZkError::TxnBusy))
 }
 
-/// Synchronous client handle — the `zoo_*` API surface. Generic over its
-/// [`ClientTransport`]; [`crate::tcp::TcpZkClient`] is this client over a
+/// Synchronous client handle: `request`, barriers, pipelining and watches;
+/// the typed `zoo_*` calls come from its [`CoordService`] impl. Generic
+/// over its [`ClientTransport`]; [`crate::tcp::TcpZkClient`] is this client over a
 /// real socket.
 pub struct ZkClient<T: ClientTransport> {
     transport: T,
@@ -114,7 +129,10 @@ pub struct ZkClient<T: ClientTransport> {
 
 impl<T: ClientTransport> ZkClient<T> {
     /// Wrap a transport and establish a session, retrying through
-    /// elections and reconnects (up to ~30 s).
+    /// elections and reconnects. No attempt starts more than 30 s (on the
+    /// transport's clock) after the first, so a server that accepts the
+    /// connection but never answers costs at most 30 s plus one request
+    /// timeout.
     pub fn establish(transport: T) -> Result<Self, ZkError> {
         let mut c = ZkClient {
             transport,
@@ -127,18 +145,15 @@ impl<T: ClientTransport> ZkClient<T> {
             inflight_writes: Vec::new(),
             seen_reconnects: 0,
         };
-        for _ in 0..300 {
-            match c.raw_request(ZkRequest::Connect) {
-                ZkResponse::Connected { session } => {
-                    c.session = session;
-                    c.seen_reconnects = c.transport.reconnects();
-                    return Ok(c);
-                }
-                _ => {
-                    c.transport.on_retry();
-                    std::thread::sleep(Duration::from_millis(100));
-                }
+        let deadline = c.transport.now() + Duration::from_secs(30);
+        while c.transport.now() < deadline {
+            if let ZkResponse::Connected { session } = c.raw_request(ZkRequest::Connect) {
+                c.session = session;
+                c.seen_reconnects = c.transport.reconnects();
+                return Ok(c);
             }
+            c.transport.on_retry();
+            c.transport.sleep(Duration::from_millis(100));
         }
         Err(ZkError::ConnectionLoss)
     }
@@ -191,9 +206,9 @@ impl<T: ClientTransport> ZkClient<T> {
         timeout: Duration,
         mut pick: impl FnMut(ClientEvent) -> Result<R, ClientEvent>,
     ) -> Option<R> {
-        let deadline = Instant::now() + timeout;
+        let deadline = self.transport.now() + timeout;
         loop {
-            let left = deadline.saturating_duration_since(Instant::now());
+            let left = deadline.saturating_duration_since(self.transport.now());
             if left.is_zero() {
                 return None;
             }
@@ -277,7 +292,7 @@ impl<T: ClientTransport> ZkClient<T> {
             };
             last = e;
             self.transport.on_retry();
-            std::thread::sleep(Duration::from_millis(50 << attempt.min(4)));
+            self.transport.sleep(Duration::from_millis(50 << attempt.min(4)));
         }
         self.dirty |= write;
         ZkResponse::Error(last)
@@ -314,71 +329,28 @@ impl<T: ClientTransport> ZkClient<T> {
         resp
     }
 
-    /// `zoo_create`: returns the actual created path.
-    pub fn create(&mut self, path: &str, data: Bytes, mode: CreateMode) -> Result<String, ZkError> {
-        match self.request(ZkRequest::Create { path: path.into(), data, mode }) {
-            ZkResponse::Created { path } => Ok(path),
-            r => Err(r.err().unwrap_or(ZkError::ConnectionLoss)),
-        }
-    }
-
-    /// `zoo_delete`.
-    pub fn delete(&mut self, path: &str, version: Option<u32>) -> Result<(), ZkError> {
-        match self.request(ZkRequest::Delete { path: path.into(), version }) {
-            ZkResponse::Deleted => Ok(()),
-            r => Err(r.err().unwrap_or(ZkError::ConnectionLoss)),
-        }
-    }
-
-    /// `zoo_set`.
-    pub fn set_data(
-        &mut self,
-        path: &str,
-        data: Bytes,
-        version: Option<u32>,
-    ) -> Result<Stat, ZkError> {
-        match self.request(ZkRequest::SetData { path: path.into(), data, version }) {
-            ZkResponse::Stat(s) => Ok(s),
-            r => Err(r.err().unwrap_or(ZkError::ConnectionLoss)),
-        }
-    }
-
-    /// `zoo_get`.
+    /// `zoo_get` ([`CoordService::get_data`]).
     pub fn get_data(&mut self, path: &str, watch: Watch) -> Result<(Bytes, Stat), ZkError> {
-        match self.read_request(ZkRequest::GetData { path: path.into(), watch: watch.is_set() }) {
-            ZkResponse::Data { data, stat } => Ok((data, stat)),
-            r => Err(r.err().unwrap_or(ZkError::ConnectionLoss)),
-        }
+        CoordService::get_data(self, path, watch)
     }
 
-    /// `zoo_exists`.
+    /// `zoo_exists` ([`CoordService::exists`]).
     pub fn exists(&mut self, path: &str, watch: Watch) -> Result<Option<Stat>, ZkError> {
-        match self.read_request(ZkRequest::Exists { path: path.into(), watch: watch.is_set() }) {
-            ZkResponse::ExistsResult(s) => Ok(s),
-            r => Err(r.err().unwrap_or(ZkError::ConnectionLoss)),
-        }
+        CoordService::exists(self, path, watch)
     }
 
-    /// `zoo_get_children`.
+    /// `zoo_get_children` ([`CoordService::get_children`]).
     pub fn get_children(
         &mut self,
         path: &str,
         watch: Watch,
     ) -> Result<(Vec<String>, Stat), ZkError> {
-        match self.read_request(ZkRequest::GetChildren { path: path.into(), watch: watch.is_set() })
-        {
-            ZkResponse::Children { names, stat } => Ok((names, stat)),
-            r => Err(r.err().unwrap_or(ZkError::ConnectionLoss)),
-        }
+        CoordService::get_children(self, path, watch)
     }
 
-    /// Batched listing: children plus each child's data and stat in one
-    /// round trip (the primitive behind DUFS `readdir_plus`).
+    /// Batched listing ([`CoordService::get_children_data`]).
     pub fn get_children_data(&mut self, path: &str) -> Result<Vec<(String, Bytes, Stat)>, ZkError> {
-        match self.read_request(ZkRequest::GetChildrenData { path: path.into() }) {
-            ZkResponse::ChildrenData { entries } => Ok(entries),
-            r => Err(r.err().unwrap_or(ZkError::ConnectionLoss)),
-        }
+        CoordService::get_children_data(self, path)
     }
 
     /// READDIRPLUS bulk warm: the [`ZkClient::get_children_data`] listing
@@ -389,31 +361,13 @@ impl<T: ClientTransport> ZkClient<T> {
     pub fn warm_children(&mut self, path: &str) -> Result<crate::WarmedDir, ZkError> {
         match self.read_request(ZkRequest::WarmChildren { path: path.into() }) {
             ZkResponse::WarmedChildren { entries, stat } => Ok((entries, stat)),
-            r => Err(r.err().unwrap_or(ZkError::ConnectionLoss)),
+            r => Err(failure(r)),
         }
     }
 
-    /// Atomic multi-op transaction.
+    /// Atomic multi-op transaction ([`CoordService::multi`]).
     pub fn multi(&mut self, ops: Vec<MultiOp>) -> Result<Vec<MultiResult>, ZkError> {
-        match self.request(ZkRequest::Multi { ops }) {
-            ZkResponse::MultiResults(r) => Ok(r),
-            r => Err(r.err().unwrap_or(ZkError::ConnectionLoss)),
-        }
-    }
-
-    /// Create with missing-ancestor materialization (`mkdir -p` for the
-    /// parent chain) — the create the sharded client routes everywhere,
-    /// since a shard owns a path without necessarily owning its ancestors.
-    pub fn create_path(
-        &mut self,
-        path: &str,
-        data: Bytes,
-        mode: CreateMode,
-    ) -> Result<String, ZkError> {
-        match self.request(ZkRequest::CreatePath { path: path.into(), data, mode }) {
-            ZkResponse::Created { path } => Ok(path),
-            r => Err(r.err().unwrap_or(ZkError::ConnectionLoss)),
-        }
+        CoordService::multi(self, ops)
     }
 
     /// Barrier: propose a no-op through ZAB and wait for the serving
@@ -457,7 +411,7 @@ impl<T: ClientTransport> ZkClient<T> {
                 self.seen_reconnects = self.transport.reconnects();
                 Ok((zxid, coalesced))
             }
-            r => Err(r.err().unwrap_or(ZkError::ConnectionLoss)),
+            r => Err(failure(r)),
         }
     }
 
@@ -480,7 +434,7 @@ impl<T: ClientTransport> ZkClient<T> {
     pub fn ping_lease(&mut self) -> Result<(u64, Option<crate::api::LeaseGrant>), ZkError> {
         match self.request(ZkRequest::Ping) {
             ZkResponse::Pong { zxid, lease } => Ok((zxid, lease)),
-            r => Err(r.err().unwrap_or(ZkError::ConnectionLoss)),
+            r => Err(failure(r)),
         }
     }
 
@@ -501,7 +455,7 @@ impl<T: ClientTransport> ZkClient<T> {
     pub fn close(mut self) -> Result<(), ZkError> {
         match self.request(ZkRequest::CloseSession) {
             ZkResponse::Closed => Ok(()),
-            r => Err(r.err().unwrap_or(ZkError::ConnectionLoss)),
+            r => Err(failure(r)),
         }
     }
 
@@ -526,5 +480,89 @@ impl<T: ClientTransport> ZkClient<T> {
             ClientEvent::Watch(n) => Ok(n),
             ev => Err(ev),
         })
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::cell::Cell;
+    use std::rc::Rc;
+
+    use super::*;
+
+    /// A transport on a manual clock: `recv` waits out its whole timeout
+    /// in virtual time and `sleep` advances it; `elapsed` is shared with
+    /// the test. Nothing ever answers except, when `connects`, the session
+    /// handshake — after which every send fails at once.
+    struct ManualClock {
+        start: Instant,
+        elapsed: Rc<Cell<Duration>>,
+        connects: bool,
+        events: VecDeque<ClientEvent>,
+    }
+
+    fn manual_clock(connects: bool) -> (ManualClock, Rc<Cell<Duration>>) {
+        let elapsed = Rc::new(Cell::new(Duration::ZERO));
+        let t = ManualClock {
+            start: Instant::now(),
+            elapsed: elapsed.clone(),
+            connects,
+            events: VecDeque::new(),
+        };
+        (t, elapsed)
+    }
+
+    impl ClientTransport for ManualClock {
+        fn send(&mut self, req_id: u64, _session: u64, req: ZkRequest) -> Result<(), ZkError> {
+            match (self.connects, req) {
+                (true, ZkRequest::Connect) => {
+                    let resp = ZkResponse::Connected { session: 1 };
+                    self.events.push_back(ClientEvent::Resp { req_id, resp });
+                    Ok(())
+                }
+                (true, _) => Err(ZkError::ConnectionLoss),
+                (false, _) => Ok(()),
+            }
+        }
+
+        fn recv(&mut self, timeout: Duration) -> Option<ClientEvent> {
+            let ev = self.events.pop_front();
+            if ev.is_none() {
+                self.sleep(timeout);
+            }
+            ev
+        }
+
+        fn now(&self) -> Instant {
+            self.start + self.elapsed.get()
+        }
+
+        fn sleep(&mut self, d: Duration) {
+            self.elapsed.set(self.elapsed.get() + d);
+        }
+    }
+
+    #[test]
+    fn establish_gives_up_on_a_silent_server_within_its_deadline() {
+        let wall = Instant::now();
+        let (t, elapsed) = manual_clock(false);
+        let err = ZkClient::establish(t).err().expect("a silent server grants no session");
+        assert_eq!(err, ZkError::ConnectionLoss);
+        // The last attempt starts before the 30 s deadline and waits out
+        // one 5 s request timeout plus one 100 ms backoff.
+        let virtual_s = elapsed.get().as_secs_f64();
+        assert!((30.0..=35.1).contains(&virtual_s), "gave up after {virtual_s} s");
+        assert!(wall.elapsed() < Duration::from_secs(1), "establish waited on the wall clock");
+    }
+
+    #[test]
+    fn a_request_backs_off_eight_times_on_the_transport_clock() {
+        let (t, elapsed) = manual_clock(true);
+        let mut c = ZkClient::establish(t).expect("session");
+        let before = elapsed.get();
+        let resp = c.request(ZkRequest::Exists { path: "/".into(), watch: false });
+        assert_eq!(resp.err(), Some(ZkError::ConnectionLoss));
+        // 50, 100, 200, 400, then 800 ms for each of the last four attempts.
+        assert_eq!(elapsed.get() - before, Duration::from_millis(3_950));
     }
 }

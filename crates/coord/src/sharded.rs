@@ -46,14 +46,15 @@
 //! ```
 //! use bytes::Bytes;
 //! use dufs_coord::cluster::ClusterBuilder;
-//! use dufs_coord::ClientOptions;
+//! use dufs_coord::{ClientOptions, CoordService, Watch};
+//! use dufs_zkstore::CreateMode;
 //!
 //! let cluster = ClusterBuilder::new().voters(1).shards(2).sharded_tcp();
 //! let mut client = cluster.client(ClientOptions::at(0).with_failover()).unwrap();
-//! client.create("/dir/a", Bytes::from_static(b"a")).unwrap();
-//! client.create("/dir/b", Bytes::from_static(b"b")).unwrap();
+//! client.create("/dir/a", Bytes::from_static(b"a"), CreateMode::Persistent).unwrap();
+//! client.create("/dir/b", Bytes::from_static(b"b"), CreateMode::Persistent).unwrap();
 //! // Siblings colocate: one shard owns both, and the listing.
-//! assert_eq!(client.get_children("/dir").unwrap(), vec!["a", "b"]);
+//! assert_eq!(client.get_children("/dir", Watch::None).unwrap().0, vec!["a", "b"]);
 //! cluster.shutdown();
 //! ```
 
@@ -62,12 +63,12 @@ use std::time::Duration;
 
 use bytes::Bytes;
 
-use dufs_zkstore::{path as zkpath, CreateMode, MultiOp, Stat, ZkError};
+use dufs_zkstore::{path as zkpath, CreateMode, MultiOp, ZkError};
 
 use crate::api::{ClientOptions, LeaseGrant, ReadConsistency, Watch, ZkRequest, ZkResponse};
 use crate::runtime::{ClientTransport, ServerStatus, ZkClient};
 use crate::server::TXN_PREFIX;
-use crate::session::CoordService;
+use crate::session::{failure, CoordService};
 use crate::shard::{
     is_internal_path, logical_digest, HashRing, ShardConfig, DEFAULT_VNODES, SHARD_CONFIG_PATH,
 };
@@ -765,67 +766,7 @@ impl<T: ClientTransport> ShardedClient<T> {
         }
     }
 
-    /// Create a persistent znode, materializing missing ancestors on the
-    /// owning shard (see the module docs for why sharded creates are
-    /// `mkdir -p`). Returns the created path.
-    pub fn create(&mut self, path: &str, data: Bytes) -> Result<String, ZkError> {
-        let mode = CreateMode::Persistent;
-        match self.request(ZkRequest::CreatePath { path: path.into(), data, mode }) {
-            ZkResponse::Created { path } => Ok(path),
-            r => Err(r.err().unwrap_or(ZkError::ConnectionLoss)),
-        }
-    }
-
-    /// Delete a znode (optionally version-checked). A directory whose
-    /// node and listing live on different shards loses both copies in one
-    /// 2PC, or neither (see [`ShardOp`]).
-    pub fn delete(&mut self, path: &str, version: Option<u32>) -> Result<(), ZkError> {
-        match self.request(ZkRequest::Delete { path: path.into(), version }) {
-            ZkResponse::Deleted => Ok(()),
-            r => Err(r.err().unwrap_or(ZkError::ConnectionLoss)),
-        }
-    }
-
-    /// Replace a znode's data (optionally version-checked).
-    pub fn set_data(
-        &mut self,
-        path: &str,
-        data: Bytes,
-        version: Option<u32>,
-    ) -> Result<Stat, ZkError> {
-        match self.request(ZkRequest::SetData { path: path.into(), data, version }) {
-            ZkResponse::Stat(stat) => Ok(stat),
-            r => Err(r.err().unwrap_or(ZkError::ConnectionLoss)),
-        }
-    }
-
-    /// Read a znode's data and stat.
-    pub fn get_data(&mut self, path: &str) -> Result<(Bytes, Stat), ZkError> {
-        match self.request(ZkRequest::GetData { path: path.into(), watch: false }) {
-            ZkResponse::Data { data, stat } => Ok((data, stat)),
-            r => Err(r.err().unwrap_or(ZkError::ConnectionLoss)),
-        }
-    }
-
-    /// Stat a znode, `None` if absent.
-    pub fn exists(&mut self, path: &str) -> Result<Option<Stat>, ZkError> {
-        match self.request(ZkRequest::Exists { path: path.into(), watch: false }) {
-            ZkResponse::ExistsResult(stat) => Ok(stat),
-            r => Err(r.err().unwrap_or(ZkError::ConnectionLoss)),
-        }
-    }
-
-    /// List a directory's children (sorted). The listing is a single-shard
-    /// read: placement by parent directory puts every child — and the
-    /// listing itself — on [`ShardedClient::route_children`]`(path)`.
-    pub fn get_children(&mut self, path: &str) -> Result<Vec<String>, ZkError> {
-        match self.request(ZkRequest::GetChildren { path: path.into(), watch: false }) {
-            ZkResponse::Children { names, .. } => Ok(names),
-            r => Err(r.err().unwrap_or(ZkError::ConnectionLoss)),
-        }
-    }
-
-    /// READDIRPLUS bulk warm, routed like [`ShardedClient::get_children`]:
+    /// READDIRPLUS bulk warm, routed like [`CoordService::get_children`]:
     /// the children listing with each child's data and stat plus the
     /// parent's stat, leaving one-shot watches (child watch on the parent,
     /// data watch on every child) behind in a single round trip to the
@@ -833,17 +774,7 @@ impl<T: ClientTransport> ShardedClient<T> {
     pub fn warm_children(&mut self, path: &str) -> Result<crate::WarmedDir, ZkError> {
         match self.request(ZkRequest::WarmChildren { path: path.into() }) {
             ZkResponse::WarmedChildren { entries, stat } => Ok((entries, stat)),
-            r => Err(r.err().unwrap_or(ZkError::ConnectionLoss)),
-        }
-    }
-
-    /// Atomic multi-op over any mix of shards. Ops that all land on one
-    /// shard execute as that shard's native atomic multi; ops spanning
-    /// shards run as a two-phase commit (see [`ShardOp`]).
-    pub fn multi(&mut self, ops: Vec<MultiOp>) -> Result<(), ZkError> {
-        match self.request(ZkRequest::Multi { ops }) {
-            ZkResponse::MultiResults(_) => Ok(()),
-            r => Err(r.err().unwrap_or(ZkError::ConnectionLoss)),
+            r => Err(failure(r)),
         }
     }
 
@@ -851,12 +782,13 @@ impl<T: ClientTransport> ShardedClient<T> {
     /// source, create the destination with the source's data. Same-shard
     /// renames are one native multi; cross-shard renames are a 2PC.
     pub fn rename(&mut self, src: &str, dst: &str) -> Result<(), ZkError> {
-        let (data, stat) = self.get_data(src)?;
+        let (data, stat) = self.get_data(src, Watch::None)?;
         self.multi(vec![
             MultiOp::Check { path: src.into(), version: Some(stat.version) },
             MultiOp::Delete { path: src.into(), version: Some(stat.version) },
             MultiOp::Create { path: dst.into(), data, mode: CreateMode::Persistent },
         ])
+        .map(drop)
     }
 
     /// Mint a transaction id unique across concurrent sharded sessions
@@ -893,7 +825,7 @@ impl<T: ClientTransport> ShardedClient<T> {
     ) -> Result<(), ZkError> {
         match self.clients[shard].request(ZkRequest::TxnPrepare { txn_id, ops, participants }) {
             ZkResponse::Prepared => Ok(()),
-            r => Err(r.err().unwrap_or(ZkError::ConnectionLoss)),
+            r => Err(failure(r)),
         }
     }
 
@@ -902,7 +834,7 @@ impl<T: ClientTransport> ShardedClient<T> {
     pub fn txn_commit_on(&mut self, shard: usize, txn_id: u64) -> Result<(), ZkError> {
         match self.clients[shard].request(ZkRequest::TxnCommit { txn_id }) {
             ZkResponse::Committed | ZkResponse::TxnUnknown => Ok(()),
-            r => Err(r.err().unwrap_or(ZkError::ConnectionLoss)),
+            r => Err(failure(r)),
         }
     }
 
@@ -997,7 +929,7 @@ impl<T: ClientTransport> ShardedClient<T> {
         let (mut op, step) = ShardOp::start(ZkRequest::CloseSession, &self.ring, 0);
         match self.drive(&mut op, step) {
             ZkResponse::Closed => Ok(()),
-            r => Err(r.err().unwrap_or(ZkError::ConnectionLoss)),
+            r => Err(failure(r)),
         }
     }
 }
@@ -1114,20 +1046,20 @@ mod tests {
         for d in 0..8 {
             for f in 0..4 {
                 let p = format!("/d{d}/f{f}");
-                c.create(&p, Bytes::from(p.clone().into_bytes())).unwrap();
+                c.create(&p, Bytes::from(p.clone().into_bytes()), CreateMode::Persistent).unwrap();
             }
         }
         for d in 0..8 {
-            let kids = c.get_children(&format!("/d{d}")).unwrap();
+            let kids = c.get_children(&format!("/d{d}"), Watch::None).unwrap().0;
             assert_eq!(kids, vec!["f0", "f1", "f2", "f3"]);
         }
-        let (data, stat) = c.get_data("/d3/f2").unwrap();
+        let (data, stat) = c.get_data("/d3/f2", Watch::None).unwrap();
         assert_eq!(&data[..], b"/d3/f2");
         c.set_data("/d3/f2", Bytes::from_static(b"new"), Some(stat.version)).unwrap();
-        assert_eq!(&c.get_data("/d3/f2").unwrap().0[..], b"new");
+        assert_eq!(&c.get_data("/d3/f2", Watch::None).unwrap().0[..], b"new");
         c.delete("/d3/f2", None).unwrap();
-        assert_eq!(c.exists("/d3/f2").unwrap(), None);
-        assert_eq!(c.get_children("/d3").unwrap(), vec!["f0", "f1", "f3"]);
+        assert_eq!(c.exists("/d3/f2", Watch::None).unwrap(), None);
+        assert_eq!(c.get_children("/d3", Watch::None).unwrap().0, vec!["f0", "f1", "f3"]);
         c.close().unwrap();
         cluster.shutdown();
     }
@@ -1145,8 +1077,8 @@ mod tests {
         };
         assert_eq!(owed(&c), [false, false], "clean session owes nothing");
         let (a, b) = cross_shard_pair(&c);
-        c.create(&a, Bytes::new()).unwrap();
-        c.create(&b, Bytes::new()).unwrap();
+        c.create(&a, Bytes::new(), CreateMode::Persistent).unwrap();
+        c.create(&b, Bytes::new(), CreateMode::Persistent).unwrap();
         assert_eq!(owed(&c), [false, false], "acked writes owe no barrier");
 
         let create = |path: &str| ZkRequest::Create {
@@ -1180,14 +1112,14 @@ mod tests {
         let mut c = cluster.client(ClientOptions::at(0).with_failover()).unwrap();
         let (src, dst) = cross_shard_pair(&c);
         assert_ne!(c.route(&src), c.route(&dst), "pair must span shards");
-        c.create(&src, Bytes::from_static(b"payload")).unwrap();
+        c.create(&src, Bytes::from_static(b"payload"), CreateMode::Persistent).unwrap();
         c.rename(&src, &dst).unwrap();
-        assert_eq!(c.exists(&src).unwrap(), None);
-        assert_eq!(&c.get_data(&dst).unwrap().0[..], b"payload");
+        assert_eq!(c.exists(&src, Watch::None).unwrap(), None);
+        assert_eq!(&c.get_data(&dst, Watch::None).unwrap().0[..], b"payload");
         // Same-shard rename takes the native-multi path.
         c.rename(&dst, &format!("{dst}2")).unwrap();
-        assert_eq!(c.exists(&dst).unwrap(), None);
-        assert_eq!(&c.get_data(&format!("{dst}2")).unwrap().0[..], b"payload");
+        assert_eq!(c.exists(&dst, Watch::None).unwrap(), None);
+        assert_eq!(&c.get_data(&format!("{dst}2"), Watch::None).unwrap().0[..], b"payload");
         c.close().unwrap();
         cluster.shutdown();
     }
@@ -1197,7 +1129,7 @@ mod tests {
         let cluster = two_shards();
         let mut c = cluster.client(ClientOptions::at(0).with_failover()).unwrap();
         let (a, b) = cross_shard_pair(&c);
-        c.create(&b, Bytes::new()).unwrap(); // make the Create on b collide
+        c.create(&b, Bytes::new(), CreateMode::Persistent).unwrap(); // make the Create on b collide
         let err = c
             .multi(vec![
                 MultiOp::Create {
@@ -1215,8 +1147,8 @@ mod tests {
         assert_eq!(err, ZkError::NodeExists);
         // The aborted slice left no trace: a's shard applied nothing and
         // nothing is fenced (a fresh create goes straight through).
-        assert_eq!(c.exists(&a).unwrap(), None);
-        c.create(&a, Bytes::new()).unwrap();
+        assert_eq!(c.exists(&a, Watch::None).unwrap(), None);
+        c.create(&a, Bytes::new(), CreateMode::Persistent).unwrap();
         c.close().unwrap();
         cluster.shutdown();
     }
@@ -1228,7 +1160,7 @@ mod tests {
         src: &str,
         dst: &str,
     ) -> (Vec<(usize, Vec<MultiOp>)>, Vec<u32>) {
-        let (data, stat) = c.get_data(src).unwrap();
+        let (data, stat) = c.get_data(src, Watch::None).unwrap();
         let slices = vec![
             (
                 c.route(src),
@@ -1258,14 +1190,14 @@ mod tests {
             .map(|i| format!("/w{i}/n"))
             .find(|p| w.route(p) == 0)
             .expect("no shard-0 path");
-        c.create(&p, Bytes::new()).unwrap();
+        c.create(&p, Bytes::new(), CreateMode::Persistent).unwrap();
         w.watch(&p, WatchKind::Data).unwrap();
         c.set_data(&p, Bytes::from_static(b"new"), None).unwrap();
         // Every operation polls shard 0's queue (the old code discarded
         // non-config notifications there); the watch must still surface.
         let deadline = std::time::Instant::now() + Duration::from_secs(10);
         let n = loop {
-            w.exists(&p).unwrap();
+            w.exists(&p, Watch::None).unwrap();
             if let Some(n) = w.take_watch() {
                 break n;
             }
@@ -1285,9 +1217,9 @@ mod tests {
             .map(|i| format!("/split{i}"))
             .find(|d| c.route(d) != c.route_children(d))
             .expect("no split directory");
-        c.create(&d, Bytes::from_static(b"dir")).unwrap();
+        c.create(&d, Bytes::from_static(b"dir"), CreateMode::Persistent).unwrap();
         let child = format!("{d}/f");
-        c.create(&child, Bytes::new()).unwrap(); // materializes the ghost copy
+        c.create(&child, Bytes::new(), CreateMode::Persistent).unwrap(); // materializes the ghost copy
         c.delete(&child, None).unwrap(); // ghost (now empty) stays behind
                                          // A version-mismatched delete must fail without touching either
                                          // copy — the old two-leg delete consumed the ghost before the
@@ -1298,11 +1230,11 @@ mod tests {
             c.shard_client(kids).exists(&d, Watch::None).unwrap().is_some(),
             "failed delete consumed the children-owner copy"
         );
-        assert_eq!(c.get_children(&d).unwrap(), Vec::<String>::new());
+        assert_eq!(c.get_children(&d, Watch::None).unwrap().0, Vec::<String>::new());
         // The correct version still deletes both copies.
-        let ver = c.get_data(&d).unwrap().1.version;
+        let ver = c.get_data(&d, Watch::None).unwrap().1.version;
         c.delete(&d, Some(ver)).unwrap();
-        assert_eq!(c.exists(&d).unwrap(), None);
+        assert_eq!(c.exists(&d, Watch::None).unwrap(), None);
         assert_eq!(
             c.shard_client(kids).exists(&d, Watch::None).unwrap(),
             None,
@@ -1317,7 +1249,7 @@ mod tests {
         let cluster = two_shards();
         let mut c = cluster.client(ClientOptions::at(0).with_failover()).unwrap();
         let (src, dst) = cross_shard_pair(&c);
-        c.create(&src, Bytes::from_static(b"payload")).unwrap();
+        c.create(&src, Bytes::from_static(b"payload"), CreateMode::Persistent).unwrap();
         let (slices, participants) = rename_parts(&mut c, &src, &dst);
         let txn_id = c.mint_txn_id();
         for (s, ops) in &slices {
@@ -1339,14 +1271,14 @@ mod tests {
         // shard — an abort there would half-apply the rename.
         let mut c2 = cluster.client(ClientOptions::at(0).with_failover()).unwrap();
         assert_eq!(c2.recover_txns().unwrap(), 1);
-        assert_eq!(c2.exists(&src).unwrap(), None, "committed leg reverted");
+        assert_eq!(c2.exists(&src, Watch::None).unwrap(), None, "committed leg reverted");
         assert_eq!(
-            &c2.get_data(&dst).unwrap().0[..],
+            &c2.get_data(&dst, Watch::None).unwrap().0[..],
             b"payload",
             "recovery aborted a committed txn"
         );
         // Fences lifted and the decision record forgotten.
-        c2.create(&src, Bytes::new()).unwrap();
+        c2.create(&src, Bytes::new(), CreateMode::Persistent).unwrap();
         let dp = txn_decision_path(txn_id);
         assert_eq!(c2.shard_client(dshard).exists(&dp, Watch::None).unwrap(), None);
         c2.close().unwrap();
@@ -1358,7 +1290,7 @@ mod tests {
         let cluster = two_shards();
         let mut c = cluster.client(ClientOptions::at(0).with_failover()).unwrap();
         let (src, dst) = cross_shard_pair(&c);
-        c.create(&src, Bytes::from_static(b"payload")).unwrap();
+        c.create(&src, Bytes::from_static(b"payload"), CreateMode::Persistent).unwrap();
         let (slices, participants) = rename_parts(&mut c, &src, &dst);
         let txn_id = c.mint_txn_id();
         for (s, ops) in &slices {
@@ -1368,8 +1300,8 @@ mod tests {
         let mut c2 = cluster.client(ClientOptions::at(0).with_failover()).unwrap();
         assert_eq!(c2.recover_txns().unwrap(), 1);
         // No record ⇒ nothing can have committed ⇒ abort everywhere.
-        assert_eq!(&c2.get_data(&src).unwrap().0[..], b"payload");
-        assert_eq!(c2.exists(&dst).unwrap(), None);
+        assert_eq!(&c2.get_data(&src, Watch::None).unwrap().0[..], b"payload");
+        assert_eq!(c2.exists(&dst, Watch::None).unwrap(), None);
         c2.close().unwrap();
         cluster.shutdown();
     }
@@ -1379,7 +1311,7 @@ mod tests {
         let cluster = two_shards();
         let mut c = cluster.client(ClientOptions::at(0).with_failover()).unwrap();
         let (src, dst) = cross_shard_pair(&c);
-        c.create(&src, Bytes::from_static(b"payload")).unwrap();
+        c.create(&src, Bytes::from_static(b"payload"), CreateMode::Persistent).unwrap();
         let (slices, participants) = rename_parts(&mut c, &src, &dst);
         let txn_id = c.mint_txn_id();
         for (s, ops) in &slices {
@@ -1390,7 +1322,7 @@ mod tests {
                  // own — no explicit sweep, no waiting for session expiry.
         let mut c2 = cluster.client(ClientOptions::at(0).with_failover()).unwrap();
         c2.set_data(&src, Bytes::from_static(b"overwritten"), None).unwrap();
-        c2.create(&dst, Bytes::new()).unwrap();
+        c2.create(&dst, Bytes::new(), CreateMode::Persistent).unwrap();
         c2.close().unwrap();
         cluster.shutdown();
     }
@@ -1410,7 +1342,7 @@ mod tests {
             let cluster = ClusterBuilder::new().voters(1).shards(shards).sharded_tcp();
             let mut c = cluster.client(ClientOptions::at(0).with_failover()).unwrap();
             for (p, d) in &spec {
-                c.create(p, d.clone()).unwrap();
+                c.create(p, d.clone(), CreateMode::Persistent).unwrap();
             }
             digests.push(c.user_digest().unwrap());
             c.close().unwrap();

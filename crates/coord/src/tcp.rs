@@ -844,6 +844,7 @@ mod tests {
     use super::*;
     use crate::api::Watch;
     use crate::cluster::ClusterBuilder;
+    use crate::session::CoordService;
     use bytes::Bytes;
     use dufs_zkstore::CreateMode;
 

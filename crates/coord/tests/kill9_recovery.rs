@@ -28,7 +28,7 @@ use bytes::Bytes;
 use dufs_coord::shard::{ShardConfig, DEFAULT_VNODES, SHARD_CONFIG_PATH};
 use dufs_coord::sharded::{txn_decision_path, ShardedClient};
 use dufs_coord::tcp::{remote_status, TcpTransport, TcpZkClient};
-use dufs_coord::{ClientOptions, ClusterBuilder, Watch, ZkClient};
+use dufs_coord::{ClientOptions, ClusterBuilder, CoordService, Watch, ZkClient};
 use dufs_zkstore::{CreateMode, MultiOp, ZkError};
 
 const DIRS: usize = 3;
@@ -316,15 +316,19 @@ fn sharded_seed(c: &mut ShardedClient<TcpTransport>, src: &str) {
     for d in 0..DIRS {
         for f in 0..FILES {
             let p = format!("/s{d}/f{f}");
-            until_ok(|| match c.create(&p, Bytes::copy_from_slice(p.as_bytes())) {
-                Ok(_) | Err(ZkError::NodeExists) => Ok(()),
-                Err(e) => Err(e),
+            until_ok(|| {
+                match c.create(&p, Bytes::copy_from_slice(p.as_bytes()), CreateMode::Persistent) {
+                    Ok(_) | Err(ZkError::NodeExists) => Ok(()),
+                    Err(e) => Err(e),
+                }
             });
         }
     }
-    until_ok(|| match c.create(src, Bytes::from_static(b"victim-payload")) {
-        Ok(_) | Err(ZkError::NodeExists) => Ok(()),
-        Err(e) => Err(e),
+    until_ok(|| {
+        match c.create(src, Bytes::from_static(b"victim-payload"), CreateMode::Persistent) {
+            Ok(_) | Err(ZkError::NodeExists) => Ok(()),
+            Err(e) => Err(e),
+        }
     });
 }
 
@@ -377,7 +381,7 @@ fn sharded_rename_commit_survives_kill9_of_a_shard_leader() {
 
     // 3. Prepare both slices of the rename, then SIGKILL the destination
     //    shard's member with the transaction undecided.
-    let (data, stat) = c.get_data(&src).unwrap();
+    let (data, stat) = c.get_data(&src, Watch::None).unwrap();
     let slices = vec![
         (
             c.route(&src),
@@ -431,8 +435,8 @@ fn sharded_rename_commit_survives_kill9_of_a_shard_leader() {
             Err(e) => panic!("recovery sweep failed: {e:?}"),
         }
     }
-    assert_eq!(c2.exists(&src).unwrap(), None, "rename source survived the commit");
-    assert_eq!(&c2.get_data(&dst).unwrap().0[..], b"victim-payload");
+    assert_eq!(c2.exists(&src, Watch::None).unwrap(), None, "rename source survived the commit");
+    assert_eq!(&c2.get_data(&dst, Watch::None).unwrap().0[..], b"victim-payload");
 
     let recovered = c2.user_digest().unwrap();
     assert_eq!(

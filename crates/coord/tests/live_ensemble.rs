@@ -7,7 +7,9 @@
 use std::time::{Duration, Instant};
 
 use bytes::Bytes;
-use dufs_coord::{ClientOptions, ClusterBuilder, TcpCluster, Watch, ZkRequest, ZkResponse};
+use dufs_coord::{
+    ClientOptions, ClusterBuilder, CoordService, TcpCluster, Watch, ZkRequest, ZkResponse,
+};
 use dufs_zkstore::{CreateMode, MultiOp, ZkError};
 
 fn b(s: &str) -> Bytes {

@@ -28,7 +28,8 @@ use bytes::Bytes;
 use proptest::prelude::*;
 
 use dufs_coord::{
-    ClientOptions, ClusterBuilder, ReadConsistency, TcpCluster, Watch, ZkRequest, ZkResponse,
+    ClientOptions, ClusterBuilder, CoordService, ReadConsistency, TcpCluster, Watch, ZkRequest,
+    ZkResponse,
 };
 use dufs_zkstore::{CreateMode, ZkError};
 

@@ -34,8 +34,8 @@ use dufs_coord::runtime::ClientEvent;
 use dufs_coord::shard::{ShardConfig, DEFAULT_VNODES};
 use dufs_coord::sharded::{ShardOp, Step};
 use dufs_coord::{
-    ClientTransport, CoordServer, CoordService, ServerIn, ServerOut, ShardedClient, ZkClient,
-    ZkRequest, ZkResponse, SHARD_CONFIG_PATH,
+    ClientTransport, CoordServer, CoordService, ServerIn, ServerOut, ShardedClient, Watch,
+    ZkClient, ZkRequest, ZkResponse, SHARD_CONFIG_PATH,
 };
 use dufs_zab::{EnsembleConfig, PeerId};
 use dufs_zkstore::{CreateMode, MultiOp, ZkError};
@@ -198,7 +198,7 @@ fn rows() -> Vec<(String, usize, String)> {
     // The orphaned prepare first, while no decision record directory
     // exists: the sweep's marker listing then holds only the marker.
     op("orphaned prepare of a cross-shard rename");
-    c.create(&leaf0, data("payload")).unwrap();
+    c.create(&leaf0, data("payload"), CreateMode::Persistent).unwrap();
     let txn_id = c.mint_txn_id();
     let (src_ops, dst_ops) = (
         vec![
@@ -214,23 +214,23 @@ fn rows() -> Vec<(String, usize, String)> {
 
     op("create on shard 0");
     let a = find("path", |i| Some(format!("/c{i}/a")).filter(|p| owner(p) == 0));
-    c.create(&a, data("a")).unwrap();
+    c.create(&a, data("a"), CreateMode::Persistent).unwrap();
     op("create on shard 1");
     let b = find("path", |i| Some(format!("/c{i}/b")).filter(|p| owner(p) == 1));
-    c.create(&b, data("b")).unwrap();
+    c.create(&b, data("b"), CreateMode::Persistent).unwrap();
 
     op("read, stat and set one path");
-    c.get_data(&a).unwrap();
-    c.exists(&b).unwrap();
+    c.get_data(&a, Watch::None).unwrap();
+    c.exists(&b, Watch::None).unwrap();
     c.set_data(&a, data("a2"), Some(0)).unwrap();
 
     op("delete a leaf whose node and listing share a shard");
     let same = find("leaf", |i| Some(format!("/s{i}/x")).filter(|p| owner(p) == kids(p)));
-    c.create(&same, Bytes::new()).unwrap();
+    c.create(&same, Bytes::new(), CreateMode::Persistent).unwrap();
     c.delete(&same, None).unwrap();
     op("delete a leaf whose listing would be on another shard");
     let split = find("leaf", |i| Some(format!("/t{i}/x")).filter(|p| owner(p) != kids(p)));
-    c.create(&split, Bytes::new()).unwrap();
+    c.create(&split, Bytes::new(), CreateMode::Persistent).unwrap();
     c.delete(&split, None).unwrap();
 
     // Directories whose node and children live on different shards.
@@ -239,17 +239,17 @@ fn rows() -> Vec<(String, usize, String)> {
     };
     op("delete a populated directory");
     let d = split_dir("full");
-    c.create(&d, data("dir")).unwrap();
-    c.create(&format!("{d}/f"), Bytes::new()).unwrap();
+    c.create(&d, data("dir"), CreateMode::Persistent).unwrap();
+    c.create(&format!("{d}/f"), Bytes::new(), CreateMode::Persistent).unwrap();
     assert_eq!(c.delete(&d, None), Err(ZkError::NotEmpty));
     op("delete a directory that only exists as a materialized ancestor");
     let d = split_dir("ghost");
-    c.create(&format!("{d}/f"), Bytes::new()).unwrap();
+    c.create(&format!("{d}/f"), Bytes::new(), CreateMode::Persistent).unwrap();
     c.delete(&format!("{d}/f"), None).unwrap();
     c.delete(&d, None).unwrap();
     op("delete a directory that only exists on its owner shard");
     let d = split_dir("own");
-    c.create(&d, data("dir")).unwrap();
+    c.create(&d, data("dir"), CreateMode::Persistent).unwrap();
     c.delete(&d, None).unwrap();
     op("delete a directory whose owner copy holds ghost chains");
     // `dir/gJ`'s children live on `dir`'s owner shard, so creating one
@@ -261,23 +261,23 @@ fn rows() -> Vec<(String, usize, String)> {
         let ghost = (0..100).map(|j| format!("{dir}/g{j}")).find(|g| kids(g) == owner(&dir))?;
         Some((dir, ghost))
     });
-    c.create(&dir, data("dir")).unwrap();
-    c.create(&format!("{dir}/f"), Bytes::new()).unwrap();
+    c.create(&dir, data("dir"), CreateMode::Persistent).unwrap();
+    c.create(&format!("{dir}/f"), Bytes::new(), CreateMode::Persistent).unwrap();
     c.delete(&format!("{dir}/f"), None).unwrap();
-    c.create(&format!("{ghost}/leaf"), Bytes::new()).unwrap();
+    c.create(&format!("{ghost}/leaf"), Bytes::new(), CreateMode::Persistent).unwrap();
     c.delete(&format!("{ghost}/leaf"), None).unwrap();
     c.delete(&dir, None).unwrap();
-    assert_eq!(c.exists(&dir).unwrap(), None);
+    assert_eq!(c.exists(&dir, Watch::None).unwrap(), None);
 
     op("list a directory nothing was ever created under");
     let d = split_dir("empty");
-    c.create(&d, data("dir")).unwrap();
-    assert_eq!(c.get_children(&d).unwrap(), Vec::<String>::new());
+    c.create(&d, data("dir"), CreateMode::Persistent).unwrap();
+    assert_eq!(c.get_children(&d, Watch::None).unwrap().0, Vec::<String>::new());
     let resp = CoordService::request(&mut c, ZkRequest::GetChildrenData { path: d.clone() });
     assert_eq!(resp, ZkResponse::ChildrenData { entries: Vec::new() });
     c.warm_children(&d).unwrap();
     op("list a directory that does not exist");
-    assert_eq!(c.get_children("/nowhere"), Err(ZkError::NoNode));
+    assert_eq!(c.get_children("/nowhere", Watch::None), Err(ZkError::NoNode));
 
     op("multi on one shard");
     let (m1, m2) = (format!("{a}1"), format!("{a}2"));
@@ -299,7 +299,10 @@ fn rows() -> Vec<(String, usize, String)> {
     log.borrow_mut().race_next_decision = true;
     let (r0, r1) = (n0.replace("/m", "/raced"), n1.replace("/m", "/raced"));
     c.multi(vec![create(&r0, Bytes::new()), create(&r1, Bytes::new())]).unwrap();
-    assert!(c.exists(&r0).unwrap().is_some() && c.exists(&r1).unwrap().is_some());
+    assert!(
+        c.exists(&r0, Watch::None).unwrap().is_some()
+            && c.exists(&r1, Watch::None).unwrap().is_some()
+    );
 
     op("recovery sweep with nothing to resolve");
     assert_eq!(c.recover_txns().unwrap(), 0);
@@ -378,7 +381,7 @@ fn sweeps_and_purges_send_each_request_once() {
     let owner = |p: &str| ring.route_path(p) as usize;
     let kids = |p: &str| ring.route_children(p) as usize;
 
-    c.create("/base", Bytes::new()).unwrap();
+    c.create("/base", Bytes::new(), CreateMode::Persistent).unwrap();
     for i in 0..n {
         let txn_id = c.mint_txn_id();
         for s in 0..SHARDS {
@@ -395,18 +398,18 @@ fn sweeps_and_purges_send_each_request_once() {
     println!("sweep over {n} orphans: {sent} requests, {replay:?} in feed");
 
     let dir = find("split directory", |i| Some(format!("/p{i}")).filter(|d| owner(d) != kids(d)));
-    c.create(&dir, Bytes::new()).unwrap();
-    c.create(&format!("{dir}/f"), Bytes::new()).unwrap();
+    c.create(&dir, Bytes::new(), CreateMode::Persistent).unwrap();
+    c.create(&format!("{dir}/f"), Bytes::new(), CreateMode::Persistent).unwrap();
     c.delete(&format!("{dir}/f"), None).unwrap();
     let mut ghosts = (0..).map(|j| format!("{dir}/g{j}")).filter(|g| kids(g) == owner(&dir));
     for ghost in ghosts.by_ref().take(n) {
-        c.create(&format!("{ghost}/leaf"), Bytes::new()).unwrap();
+        c.create(&format!("{ghost}/leaf"), Bytes::new(), CreateMode::Persistent).unwrap();
         c.delete(&format!("{ghost}/leaf"), None).unwrap();
     }
     let delete = ZkRequest::Delete { path: dir.clone(), version: None };
     let op = ShardOp::start(delete, &ring, c.mint_txn_id());
     let (sent, replay) = drive(&mut c, op, None);
     assert_eq!(sent, 2 * n + 10);
-    assert_eq!(c.exists(&dir).unwrap(), None);
+    assert_eq!(c.exists(&dir, Watch::None).unwrap(), None);
     println!("purge of {n} ghosts: {sent} requests, {replay:?} in feed");
 }

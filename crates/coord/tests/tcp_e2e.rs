@@ -5,7 +5,10 @@
 //! namespace digest (the tree digest deliberately excludes zxids and
 //! timestamps, so the equality is meaningful). The TCP run must
 //! additionally show real socket traffic in its [`NetStats`] counters — the
-//! assertion that the bytes actually went over the wire.
+//! assertion that the bytes actually went over the wire. The same workload,
+//! written once against [`CoordService`]'s typed calls, also runs over a
+//! cache in front of the in-process server and over two in-process shards,
+//! and all three must serve one logical namespace.
 //!
 //! [`TcpCluster`]: dufs_coord::TcpCluster
 //! [`NetStats`]: dufs_net::NetStats
@@ -15,13 +18,16 @@ use std::time::Duration;
 
 use bytes::Bytes;
 
+use dufs_cache::CacheBuilder;
 use dufs_coord::runtime::ClientEvent;
+use dufs_coord::shard::{is_internal_path, ShardConfig, DEFAULT_VNODES};
 use dufs_coord::{
-    ClientOptions, ClientTransport, ClusterBuilder, CoordServer, ReadConsistency, ServerIn,
-    ServerOut, TcpCluster, Watch, ZkClient, ZkRequest, ZkResponse,
+    ClientOptions, ClientTransport, ClusterBuilder, CoordServer, CoordService, ReadConsistency,
+    ServerIn, ServerOut, ShardedClient, TcpCluster, Watch, ZkClient, ZkRequest, ZkResponse,
+    SHARD_CONFIG_PATH,
 };
 use dufs_zab::{EnsembleConfig, PeerId};
-use dufs_zkstore::{CreateMode, MultiOp, ZkError};
+use dufs_zkstore::{path as zkpath, CreateMode, MultiOp, ZkError};
 
 const DIRS: usize = 3;
 const FILES: usize = 6;
@@ -30,7 +36,7 @@ const FILES: usize = 6;
 /// overwrite half, delete a quarter, one atomic rename. Safe to re-run
 /// (NodeExists / NoNode are successes), so at-least-once retries through
 /// connection loss cannot diverge the final tree.
-fn workload<T: ClientTransport>(c: &mut ZkClient<T>) {
+fn workload<S: CoordService>(c: &mut S) {
     for d in 0..DIRS {
         match c.create(&format!("/d{d}"), Bytes::new(), CreateMode::Persistent) {
             Ok(_) | Err(ZkError::NodeExists) => {}
@@ -90,6 +96,47 @@ struct InProcess {
     events: VecDeque<ClientEvent>,
 }
 
+/// A session on a fresh in-process server.
+fn in_process() -> ZkClient<InProcess> {
+    let (server, _) = CoordServer::new(PeerId(0), EnsembleConfig::of_size(1));
+    let reference = InProcess { server, clock_ns: 0, events: VecDeque::new() };
+    ZkClient::establish(reference).expect("in-process session")
+}
+
+/// A sharded session over two in-process shards, each holding the
+/// shard-layout config.
+fn two_in_process_shards() -> ShardedClient<InProcess> {
+    let config = ShardConfig { epoch: 1, shards: 2, vnodes: DEFAULT_VNODES };
+    let clients = (0..2)
+        .map(|_| {
+            let mut c = in_process();
+            let payload = Bytes::from(config.encode());
+            c.create(SHARD_CONFIG_PATH, payload, CreateMode::Persistent).expect("shard config");
+            c
+        })
+        .collect();
+    ShardedClient::connect(clients).expect("sharded session")
+}
+
+/// The logical namespace `s` serves — every user path with its data,
+/// sorted — read through the typed calls alone.
+fn namespace<S: CoordService>(s: &mut S) -> Vec<(String, Bytes)> {
+    let mut out = Vec::new();
+    let mut dirs = vec!["/".to_string()];
+    while let Some(dir) = dirs.pop() {
+        let (names, _) = s.get_children(&dir, Watch::None).expect("list");
+        for path in names.iter().map(|n| zkpath::join(&dir, n)) {
+            if !is_internal_path(&path) {
+                let (data, _) = s.get_data(&path, Watch::None).expect("read");
+                out.push((path.clone(), data));
+                dirs.push(path);
+            }
+        }
+    }
+    out.sort();
+    out
+}
+
 impl ClientTransport for InProcess {
     fn send(&mut self, req_id: u64, session: u64, req: ZkRequest) -> Result<(), ZkError> {
         self.clock_ns += 1_000_000;
@@ -112,10 +159,24 @@ impl ClientTransport for InProcess {
 }
 
 #[test]
+fn one_workload_leaves_one_namespace_over_plain_cached_and_sharded_sessions() {
+    let mut plain = in_process();
+    workload(&mut plain);
+    let want = namespace(&mut plain);
+    assert_eq!(want.len(), DIRS + DIRS * (FILES - 1), "{want:?}");
+
+    let mut cached = CacheBuilder::new().session(in_process());
+    workload(&mut cached);
+    assert_eq!(namespace(&mut cached), want, "the cached session diverged");
+
+    let mut sharded = two_in_process_shards();
+    workload(&mut sharded);
+    assert_eq!(namespace(&mut sharded), want, "the sharded session diverged");
+}
+
+#[test]
 fn tcp_ensemble_agrees_with_an_in_process_server_on_the_namespace_digest() {
-    let (server, _) = CoordServer::new(PeerId(0), EnsembleConfig::of_size(1));
-    let reference = InProcess { server, clock_ns: 0, events: VecDeque::new() };
-    let mut c = ZkClient::establish(reference).expect("in-process session");
+    let mut c = in_process();
     workload(&mut c);
     let d_reference = c.transport().server.tree().digest();
 
@@ -166,8 +227,6 @@ fn tcp_ensemble_agrees_with_an_in_process_server_on_the_namespace_digest() {
 /// renewals, and lease-licensed barrier skips.
 #[test]
 fn cached_tcp_sessions_keep_digest_parity_and_report_counters() {
-    use dufs_cache::{CacheOptions, Cached};
-
     // Uncached reference run.
     let cluster = ClusterBuilder::new().voters(3).tcp();
     let leader = cluster.await_leader(Duration::from_secs(20)).expect("tcp leader");
@@ -181,11 +240,10 @@ fn cached_tcp_sessions_keep_digest_parity_and_report_counters() {
     // pass must hit).
     let cluster = ClusterBuilder::new().voters(3).tcp();
     let leader = cluster.await_leader(Duration::from_secs(20)).expect("tcp leader");
-    let mut r = Cached::with_options(
+    let mut r = CacheBuilder::new().session(
         cluster
             .client(ClientOptions::at(leader).with_consistency(ReadConsistency::SyncThenLocal))
             .unwrap(),
-        CacheOptions::default(),
     );
     for d in 0..DIRS {
         match r.create(&format!("/d{d}"), Bytes::new(), CreateMode::Persistent) {
@@ -209,7 +267,7 @@ fn cached_tcp_sessions_keep_digest_parity_and_report_counters() {
     // write deletes a path that never existed: a full ZAB round that leaves
     // the namespace, and so the digest compared below, untouched.)
     r.inner_mut().submit(ZkRequest::Delete { path: "/never-existed".into(), version: None });
-    r.get_children("/d0").expect("list /d0");
+    r.get_children("/d0", Watch::None).expect("list /d0");
     if r.inner().is_dirty() {
         r.inner_mut().next_completion().expect("pipelined ack");
     }
@@ -219,7 +277,7 @@ fn cached_tcp_sessions_keep_digest_parity_and_report_counters() {
         for d in 0..DIRS {
             for f in 0..FILES {
                 let path = format!("/d{d}/f{f}");
-                let (data, _) = r.get_data(&path).unwrap();
+                let (data, _) = r.get_data(&path, Watch::None).unwrap();
                 assert_eq!(
                     &data[..],
                     format!("content-{d}-{f}").as_bytes(),
@@ -235,7 +293,7 @@ fn cached_tcp_sessions_keep_digest_parity_and_report_counters() {
                 .unwrap_or_else(|e| panic!("set {path}: {e:?}"));
             // The overwrite must have evicted the warm entry: the read-back
             // may not serve the stale pass-one bytes.
-            let (data, _) = r.get_data(&path).unwrap();
+            let (data, _) = r.get_data(&path, Watch::None).unwrap();
             assert_eq!(&data[..], format!("v2-{d}-{f}").as_bytes(), "cache hid own write");
         }
     }

@@ -8,7 +8,9 @@ use bytes::Bytes;
 
 use dufs_coord::runtime::ServerStatus;
 use dufs_coord::tcp::{TcpServer, TcpServerConfig};
-use dufs_coord::{remote_status, ClientOptions, ClusterBuilder, TcpTransport, Watch, ZkClient};
+use dufs_coord::{
+    remote_status, ClientOptions, ClusterBuilder, CoordService, TcpTransport, Watch, ZkClient,
+};
 use dufs_net::{connect, EndpointKind, Hello, Listener, NetConfig, NetStats};
 use dufs_zab::PeerId;
 use dufs_zkstore::CreateMode;

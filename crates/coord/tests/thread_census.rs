@@ -6,7 +6,7 @@ use std::time::{Duration, Instant};
 
 use bytes::Bytes;
 
-use dufs_coord::{ClientOptions, ClusterBuilder};
+use dufs_coord::{ClientOptions, ClusterBuilder, CoordService};
 use dufs_zkstore::CreateMode;
 
 fn thread_names() -> Vec<String> {

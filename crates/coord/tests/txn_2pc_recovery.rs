@@ -19,7 +19,7 @@ use std::time::Duration;
 use bytes::Bytes;
 
 use dufs_coord::sharded::{txn_decision_path, ShardedClient, ShardedCluster};
-use dufs_coord::{ClientOptions, ClientTransport, ClusterBuilder};
+use dufs_coord::{ClientOptions, ClientTransport, ClusterBuilder, CoordService, Watch};
 use dufs_zkstore::{CreateMode, MultiOp};
 
 const SHARDS: usize = 2;
@@ -50,10 +50,10 @@ fn seed<T: ClientTransport>(c: &mut ShardedClient<T>, src: &str) {
     for d in 0..3 {
         for f in 0..2 {
             let p = format!("/seed{d}/f{f}");
-            c.create(&p, Bytes::from(p.clone().into_bytes())).unwrap();
+            c.create(&p, Bytes::from(p.clone().into_bytes()), CreateMode::Persistent).unwrap();
         }
     }
-    c.create(src, Bytes::from_static(b"victim-payload")).unwrap();
+    c.create(src, Bytes::from_static(b"victim-payload"), CreateMode::Persistent).unwrap();
 }
 
 /// The per-shard slices of the cross-shard rename `src` → `dst`.
@@ -62,7 +62,7 @@ fn rename_slices<T: ClientTransport>(
     src: &str,
     dst: &str,
 ) -> Vec<(usize, Vec<MultiOp>)> {
-    let (data, stat) = c.get_data(src).unwrap();
+    let (data, stat) = c.get_data(src, Watch::None).unwrap();
     let src_slice = vec![
         MultiOp::Check { path: src.into(), version: Some(stat.version) },
         MultiOp::Delete { path: src.into(), version: Some(stat.version) },
@@ -87,13 +87,13 @@ fn probe<T: ClientTransport>(c: &mut ShardedClient<T>, src: &str, dst: &str, d: 
         Decision::Commit => {
             // dst exists now; src's slot is free again.
             c.set_data(dst, Bytes::from_static(b"victim-payload"), None).unwrap();
-            c.create(src, Bytes::new()).unwrap();
+            c.create(src, Bytes::new(), CreateMode::Persistent).unwrap();
             c.delete(src, None).unwrap();
         }
         Decision::Abort => {
             // src is untouched; dst was only ever fenced, never created.
             c.set_data(src, Bytes::from_static(b"victim-payload"), None).unwrap();
-            c.create(dst, Bytes::new()).unwrap();
+            c.create(dst, Bytes::new(), CreateMode::Persistent).unwrap();
             c.delete(dst, None).unwrap();
         }
     }

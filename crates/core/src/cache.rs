@@ -29,7 +29,7 @@ mod tests {
     use super::*;
     use crate::services::{CoordService, SoloCoord};
     use bytes::Bytes;
-    use dufs_coord::{ZkRequest, ZkResponse};
+    use dufs_coord::{Watch, ZkRequest, ZkResponse};
     use dufs_zkstore::CreateMode;
     use dufs_zkstore::MultiOp;
 
@@ -136,7 +136,7 @@ mod tests {
 
     #[test]
     fn capacity_bounds_the_cache() {
-        let mut c = CachingCoord::with_capacity(SoloCoord::new(), 4);
+        let mut c = dufs_cache::CacheBuilder::new().capacity(4).session(SoloCoord::new());
         for i in 0..10 {
             c.request(ZkRequest::Create {
                 path: format!("/n{i}"),
@@ -192,7 +192,7 @@ mod tests {
         // `Exists` is cached like the other two kinds.
         let c = fs.coord_mut();
         for _ in 0..3 {
-            assert!(c.exists("/d/a").unwrap().is_some());
+            assert!(c.exists("/d/a", Watch::None).unwrap().is_some());
         }
         assert!(c.stats().hits >= s.hits + 2, "exists never hit: {:?}", c.stats());
     }

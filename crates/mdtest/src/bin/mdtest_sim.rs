@@ -367,7 +367,7 @@ fn main() {
         let spec = WorkloadSpec { shared_dir: shared, ..WorkloadSpec::mdtest(procs, items) };
         let cached = match (cache_builder, cache_shared) {
             (Some(_), true) => ", shared cache",
-            (Some(b), false) if b.options().lease => ", cached+leased",
+            (Some(_), false) if !no_lease => ", cached+leased",
             (Some(_), false) => ", cached",
             (None, _) => "",
         };

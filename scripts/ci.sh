@@ -212,6 +212,27 @@ if [ -n "$glue" ]; then
 fi
 echo "==> one member driver: no ServerOut::{Timer,Client,Watch}, CoordTimer or on_crash() in tcp.rs or crates/mdtest/src"
 
+# One typed session surface: the `zoo_*` calls (`create`, `get_data`,
+# `multi`, …) are provided methods of `CoordService`, written once over
+# `request`, so `ZkClient`, `ShardedClient`, `Cached` and a test double that
+# writes only `request` all speak them with one signature. A `pub fn` of one
+# of those names in crates/{coord,cache}/src is a second copy growing back;
+# only `ZkClient` (runtime.rs) keeps one-line delegations for the read and
+# multi calls the benchmark names. (Test modules, below `#[cfg(test)]`, are
+# exempt.)
+typed=$(find crates/coord/src crates/cache/src -name '*.rs' | sort | while read -r f; do
+    pat='pub fn (create|create_path|delete|set_data)\('
+    [ "$f" = crates/coord/src/runtime.rs ] ||
+        pat='pub fn (create|create_path|delete|set_data|get_data|exists|get_children|get_children_data|multi)\('
+    nontest "$f" | { grep -nE "$pat" || true; } | sed "s|^|$f:|"
+done)
+if [ -n "$typed" ]; then
+    echo "FAIL: a typed zoo_* call defined outside CoordService (outside #[cfg(test)]):" >&2
+    echo "$typed" >&2
+    exit 1
+fi
+echo "==> one typed session surface: no pub fn create/delete/set_data/… in crates/{coord,cache}/src outside CoordService (ZkClient's frozen reads excepted)"
+
 echo "==> cargo build --release"
 cargo build --release
 
