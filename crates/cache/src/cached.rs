@@ -59,13 +59,12 @@
 //!
 //! Before every cached read the wrapper drains the session's pending watch
 //! notifications into evictions, and compares every connection's reconnect
-//! counter (and the routing epoch) against what the cache last trusted: any
-//! movement flushes the whole cache and drops that connection's lease,
-//! because watches armed on the lost session may have fired unseen — and
-//! entries are cheap, while reasoning about which paths routed through the
-//! lost connection is not. This session's own mutations evict exactly the
-//! paths they touch. [`ReadConsistency::Linearizable`] sessions bypass the
-//! cache entirely.
+//! counter against what the cache last trusted: any movement flushes the
+//! whole cache and drops that connection's lease, because watches armed on
+//! the lost session may have fired unseen — and entries are cheap, while
+//! reasoning about which paths routed through the lost connection is not.
+//! This session's own mutations evict exactly the paths they touch.
+//! [`ReadConsistency::Linearizable`] sessions bypass the cache entirely.
 
 use std::time::{Duration, Instant};
 
@@ -190,9 +189,10 @@ impl SharedCache {
     }
 }
 
-/// An adopted lease: valid while unexpired *and* the connection has not
-/// reconnected since the grant was received — a grant from the previous
-/// connection says nothing about the replica now serving us.
+/// An adopted lease: valid while unexpired, counted from the ping that
+/// asked for it, *and* while the connection has not reconnected since — a
+/// grant from the previous connection says nothing about the replica now
+/// serving us.
 #[derive(Debug, Clone, Copy)]
 struct LeaseState {
     granted: Instant,
@@ -238,8 +238,6 @@ pub struct Cached<S> {
     desired: ReadConsistency,
     use_lease: bool,
     conns: Vec<ConnFresh>,
-    /// `inner.epoch()` when the cache was last known coherent.
-    epoch: u64,
 }
 
 impl<S: CoordService> Cached<S> {
@@ -266,8 +264,7 @@ impl<S: CoordService> Cached<S> {
                 ConnFresh { lease: None, barrier_rc: rc, cache_rc: rc }
             })
             .collect();
-        let epoch = inner.epoch();
-        Cached { inner, cache, desired, use_lease: opts.lease, conns, epoch }
+        Cached { inner, cache, desired, use_lease: opts.lease, conns }
     }
 
     /// Counters (cache + lease + barrier, summed over connections).
@@ -471,17 +468,14 @@ impl<S: CoordService> Cached<S> {
         }
     }
 
-    /// Drain watch notifications into evictions and detect reconnects and
-    /// routing changes. MUST run before every cache lookup: a hit served
-    /// without it could predate a fired watch or a lost session.
+    /// Drain watch notifications into evictions and detect reconnects.
+    /// MUST run before every cache lookup: a hit served without it could
+    /// predate a fired watch or a lost session.
     fn maintain(&mut self) {
         for note in self.inner.drain_watches() {
             self.cache.invalidate_watch(&note);
         }
-        // Routing moved: entries may now be validated by watches on the
-        // wrong connection.
-        let epoch = self.inner.epoch();
-        let mut moved = std::mem::replace(&mut self.epoch, epoch) != epoch;
+        let mut moved = false;
         for (c, f) in self.conns.iter_mut().enumerate() {
             let rc = self.inner.reconnects(c);
             if rc != f.cache_rc {
@@ -500,13 +494,12 @@ impl<S: CoordService> Cached<S> {
     }
 
     /// Try to license local serving with a staleness lease on an unchanged
-    /// connection: adopt any pushed grant, fall back to the held one, renew
-    /// synchronously by ping as a last resort. `true` means a live grant
-    /// now covers this read. A ping that times out drives the transport's
-    /// normal retry/failover, so a silently-dead replica surfaces here as a
-    /// reconnect (and the caller's next `maintain` flushes the cache) —
-    /// this is what bounds hit staleness when no traffic would otherwise
-    /// flow.
+    /// connection: the held grant if it is still live, else a synchronous
+    /// renewal by ping. `true` means a live grant now covers this read. A
+    /// ping that times out drives the transport's normal retry/failover,
+    /// so a silently-dead replica surfaces here as a reconnect (and the
+    /// caller's next `maintain` flushes the cache) — this is what bounds
+    /// hit staleness when no traffic would otherwise flow.
     fn lease_license(&mut self, conn: usize) -> bool {
         if !self.use_lease {
             return false;
@@ -516,17 +509,18 @@ impl<S: CoordService> Cached<S> {
             // A grant only speaks for the replica it came from.
             return false;
         }
-        if let Some(g) = self.inner.pushed_lease(conn) {
-            self.adopt(conn, g);
-        }
         if self.conns[conn].lease.is_some_and(|l| l.valid(rc)) {
             return true;
         }
         // Renew synchronously: one RTT, same cost as the barrier it
-        // replaces, but the grant then covers reads for a whole ttl.
+        // replaces, but the grant then covers reads for a whole ttl. The
+        // server measured the ttl from some instant after this ask, so the
+        // grant is stamped with the ask: transit and any stall before
+        // adoption come off the client's window, never onto it.
+        let asked = Instant::now();
         if let Ok(Some(g)) = self.inner.ping_lease(conn) {
             if self.inner.reconnects(conn) == rc {
-                self.adopt(conn, g);
+                self.adopt(conn, g, asked);
                 return true;
             }
         }
@@ -592,9 +586,10 @@ impl<S: CoordService> Cached<S> {
         self.barrier(conn)
     }
 
-    fn adopt(&mut self, conn: usize, g: LeaseGrant) {
+    /// Hold `g`, which the server granted no earlier than `asked`.
+    fn adopt(&mut self, conn: usize, g: LeaseGrant, asked: Instant) {
         self.conns[conn].lease = Some(LeaseState {
-            granted: Instant::now(),
+            granted: asked,
             ttl: Duration::from_millis(u64::from(g.ttl_ms)),
             reconnects: self.inner.reconnects(conn),
         });
@@ -665,5 +660,62 @@ impl<S: CoordService> CoordService for Cached<S> {
 
     fn consistency(&self) -> ReadConsistency {
         self.desired
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use dufs_coord::Watch;
+
+    /// A `SyncThenLocal` session whose ping takes 80 ms to come back with
+    /// a 100 ms grant; it counts pings and barriers.
+    #[derive(Default)]
+    struct SlowGrant {
+        pings: u32,
+        barriers: u32,
+    }
+
+    impl CoordService for SlowGrant {
+        fn request(&mut self, req: ZkRequest) -> ZkResponse {
+            match req {
+                ZkRequest::GetData { .. } => {
+                    ZkResponse::Data { data: Bytes::from_static(b"d"), stat: Stat::default() }
+                }
+                other => panic!("unexpected request {other:?}"),
+            }
+        }
+
+        fn consistency(&self) -> ReadConsistency {
+            ReadConsistency::SyncThenLocal
+        }
+
+        fn ping_lease(&mut self, _conn: usize) -> Result<Option<LeaseGrant>, ZkError> {
+            self.pings += 1;
+            std::thread::sleep(Duration::from_millis(80));
+            Ok(Some(LeaseGrant { ttl_ms: 100, epoch: 1 }))
+        }
+
+        fn sync_coalesced(&mut self, _conn: usize) -> Result<bool, ZkError> {
+            self.barriers += 1;
+            Ok(false)
+        }
+    }
+
+    #[test]
+    fn a_pinged_lease_counts_from_the_ask() {
+        let mut c = Cached::new(SlowGrant::default());
+        // A miss, licensed by one ping, then a hit under the same grant.
+        c.get_data("/a", Watch::None).unwrap();
+        let returned = Instant::now();
+        c.get_data("/a", Watch::None).unwrap();
+        assert_eq!((c.inner().pings, c.inner().barriers), (1, 0), "two reads within the ttl");
+        // The grant's 100 ms ran from the ask, 80 ms before the first read
+        // returned: 40 ms after it, the lease is spent.
+        std::thread::sleep(Duration::from_millis(40).saturating_sub(returned.elapsed()));
+        assert!(!c.lease_valid(), "a grant outlived its ttl counted from the ask");
+        c.get_data("/a", Watch::None).unwrap();
+        assert_eq!((c.inner().pings, c.inner().barriers), (2, 0), "one renewal after expiry");
+        assert_eq!(c.stats().hits, 2);
     }
 }

@@ -16,11 +16,11 @@
 //!    prove its view is recent (see
 //!    [`dufs_coord::api::LeaseGrant`] for the quorum-evidence argument)
 //!    grants the client a short lease; while it holds, `SyncThenLocal`
-//!    reads skip the one-ZAB-round `sync` barrier entirely. Leases ride
-//!    the existing heartbeat path (piggybacked on idle TCP heartbeat
-//!    slots, or collected by explicit pings), and when no lease is
-//!    grantable everything degrades to the plain barrier protocol —
-//!    correctness never depends on clocks beyond the lease bound.
+//!    reads skip the one-ZAB-round `sync` barrier entirely. A lease is
+//!    collected by a liveness ping, at most once per ttl, and is counted
+//!    from the instant the ping was asked; when no lease is grantable
+//!    everything degrades to the plain barrier protocol — correctness
+//!    never depends on clocks beyond the lease bound.
 //!
 //! Barriers that *are* issued coalesce: concurrent `sync`s arriving at one
 //! replica while a no-op proposal is already in flight all ride that one

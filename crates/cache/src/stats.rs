@@ -20,7 +20,7 @@ pub struct CacheStats {
     /// Wholesale flushes forced by a transport reconnect (watches armed on
     /// the lost session may have fired unseen, so nothing cached survives).
     pub reconnect_invalidations: u64,
-    /// Staleness-lease grants adopted (piggybacked or ping-renewed).
+    /// Staleness-lease grants adopted (one per granting ping).
     pub lease_renewals: u64,
     /// Lease-licensed server reads that the lease-off rule would have
     /// barriered: the session owed a barrier (a write of its own abandoned

@@ -17,7 +17,6 @@ use std::collections::HashMap;
 use dufs_wal::LogStorage;
 use dufs_zab::{EnsembleConfig, PeerId, ZabConfig};
 
-use crate::api::LeaseGrant;
 use crate::runtime::{ClientEvent, ServerStatus};
 use crate::server::{ClientId, CoordMsg, CoordServer, CoordTimer, ServerIn, ServerOut};
 
@@ -112,14 +111,6 @@ impl Member {
         self.server.on_restart(now_ns)
     }
 
-    /// The freshest lease this member can grant; none while crashed.
-    pub fn lease_grant(&mut self, now_ns: u64) -> Option<LeaseGrant> {
-        if !self.alive {
-            return None;
-        }
-        self.server.lease_grant(now_ns)
-    }
-
     /// What a status probe reports.
     pub fn status(&self) -> ServerStatus {
         let server = &self.server;
@@ -209,7 +200,6 @@ mod tests {
             m.fire(3_000, 1).is_none() && m.fire(3_000, 2).is_none(),
             "voided timers fire nothing"
         );
-        assert!(m.lease_grant(3_000).is_none());
 
         host.armed.clear();
         let outs = m.restart(4_000);

@@ -76,14 +76,6 @@ pub trait ClientTransport {
         0
     }
 
-    /// Take the newest unsolicited lease grant the server pushed on this
-    /// connection (TCP piggybacks grants on idle heartbeat slots), with its
-    /// ttl already decayed to the call instant. Default: never (transports
-    /// without a push path renew via explicit [`ZkClient::ping_lease`]).
-    fn pushed_lease(&mut self) -> Option<crate::api::LeaseGrant> {
-        None
-    }
-
     /// The client's clock: request deadlines and the session's backoffs are
     /// read from here. Default: the wall clock.
     fn now(&self) -> Instant {
@@ -436,12 +428,6 @@ impl<T: ClientTransport> ZkClient<T> {
             ZkResponse::Pong { zxid, lease } => Ok((zxid, lease)),
             r => Err(failure(r)),
         }
-    }
-
-    /// Take the newest lease grant the server pushed unsolicited on this
-    /// session's connection (TCP heartbeat piggyback), if any.
-    pub fn pushed_lease(&mut self) -> Option<crate::api::LeaseGrant> {
-        self.transport.pushed_lease()
     }
 
     /// Monotone transport reconnect counter (see

@@ -64,7 +64,7 @@ pub(super) struct LeaseClock {
     /// Host clock of the newest event seen (ms), which lease ages are
     /// measured on.
     now_ms: u64,
-    /// Lease grants issued to clients (Pong piggyback and idle push).
+    /// Lease grants issued to clients, one per `Pong` that carried one.
     leases_granted: u64,
 }
 

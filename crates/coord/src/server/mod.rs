@@ -328,7 +328,7 @@ impl CoordServer {
     pub fn barriers_coalesced(&self) -> u64 {
         self.inflight.barriers_coalesced()
     }
-    /// Lease grants issued to clients so far.
+    /// Lease grants issued to clients so far (one per granting `Pong`).
     pub fn leases_granted(&self) -> u64 {
         self.lease.granted()
     }
@@ -337,9 +337,8 @@ impl CoordServer {
     /// leader grants from its own quorum evidence, a follower from the
     /// newest matured [`CoordMsg::LeaseAuth`] anchor. `None` whenever the
     /// authority window (minus margin) is exhausted — callers must then
-    /// fall back to the sync-barrier path. Hosting runtimes may call this
-    /// between events (e.g. to piggyback grants on idle heartbeat slots).
-    pub fn lease_grant(&mut self, now_ns: u64) -> Option<LeaseGrant> {
+    /// fall back to the sync-barrier path. A `Ping` is the one asker.
+    fn lease_grant(&mut self, now_ns: u64) -> Option<LeaseGrant> {
         self.lease.grant(now_ns, &self.peer, &self.config)
     }
     /// Total fsyncs the WAL has issued (0 without one). The simulator

@@ -79,11 +79,6 @@ pub trait CoordService {
     /// downgrades the session to `Local`). Default: nothing to change.
     fn set_consistency(&mut self, _consistency: ReadConsistency) {}
 
-    /// Newest lease grant the server pushed unsolicited on `conn`, if any.
-    fn pushed_lease(&mut self, _conn: usize) -> Option<LeaseGrant> {
-        None
-    }
-
     /// Liveness ping on `conn` that collects the replica's staleness lease
     /// when it can grant one. Default: alive, grants nothing.
     fn ping_lease(&mut self, _conn: usize) -> Result<Option<LeaseGrant>, ZkError> {
@@ -94,12 +89,6 @@ pub trait CoordService {
     /// (see [`ZkClient::sync_coalesced`]); returns whether it coalesced.
     fn sync_coalesced(&mut self, _conn: usize) -> Result<bool, ZkError> {
         Ok(false)
-    }
-
-    /// Routing epoch: moves when [`CoordService::connection_of`] may answer
-    /// differently for the same path (a shard-layout change).
-    fn epoch(&self) -> u64 {
-        0
     }
 
     /// `zoo_create`: returns the actual created path.
@@ -237,10 +226,6 @@ impl<T: ClientTransport> CoordService for ZkClient<T> {
 
     fn set_consistency(&mut self, consistency: ReadConsistency) {
         ZkClient::set_consistency(self, consistency);
-    }
-
-    fn pushed_lease(&mut self, _conn: usize) -> Option<LeaseGrant> {
-        ZkClient::pushed_lease(self)
     }
 
     fn ping_lease(&mut self, _conn: usize) -> Result<Option<LeaseGrant>, ZkError> {

@@ -24,12 +24,12 @@ use dufs_zkstore::{path as zkpath, ZkError, ZkResult};
 /// per-shard load imbalance within a few percent for realistic shard
 /// counts (relative arc-length spread shrinks like `1/sqrt(vnodes)`) while
 /// the full ring stays small (N×1024 points, binary-searched, built once
-/// per config change).
+/// per session).
 pub const DEFAULT_VNODES: u32 = 1024;
 
 /// Path of the replicated shard-layout config znode. Written to **every**
-/// shard by the sharded cluster bootstrap; clients read it at connect and
-/// leave a data watch so layout changes re-route live sessions.
+/// shard by the sharded cluster bootstrap; a client reads it once, at
+/// connect, and routes by it for the session's life.
 pub const SHARD_CONFIG_PATH: &str = "/__shards";
 
 /// Whether a path is coordination infrastructure (shard config, prepared
@@ -171,8 +171,8 @@ impl HashRing {
 /// The replicated shard-layout description stored at [`SHARD_CONFIG_PATH`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ShardConfig {
-    /// Monotonic layout version; clients adopt the config with the highest
-    /// epoch they have seen.
+    /// Layout version, written as 1 by the bootstrap. Nothing reads it
+    /// yet: a session routes by the layout it read at connect.
     pub epoch: u64,
     /// Number of shards.
     pub shards: u32,

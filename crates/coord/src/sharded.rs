@@ -58,7 +58,7 @@
 //! cluster.shutdown();
 //! ```
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
 use std::time::Duration;
 
 use bytes::Bytes;
@@ -646,23 +646,17 @@ impl TxnIds {
 pub struct ShardedClient<T: ClientTransport> {
     clients: Vec<ZkClient<T>>,
     ring: HashRing,
-    epoch: u64,
     txn_ids: TxnIds,
-    /// User watch notifications drained off shard 0 while polling for
-    /// shard-config changes; surfaced by [`ShardedClient::take_watch`].
-    pending_watches: VecDeque<WatchNotification>,
-    /// The config watch on shard 0 has fired; re-read on the next op.
-    config_dirty: bool,
 }
 
 impl<T: ClientTransport> ShardedClient<T> {
     /// Assemble a routed session from one established inner session per
-    /// shard. Reads the [`ShardConfig`] from shard 0 (leaving a data watch
-    /// so layout changes re-route this session) and checks it matches the
+    /// shard. Reads the [`ShardConfig`] from shard 0, once — the session
+    /// routes by that layout for its whole life — and checks it matches the
     /// number of sessions supplied.
     pub fn connect(mut clients: Vec<ZkClient<T>>) -> Result<Self, ZkError> {
         assert!(!clients.is_empty(), "a sharded client needs at least one shard session");
-        let (raw, _) = clients[0].get_data(SHARD_CONFIG_PATH, Watch::Set)?;
+        let (raw, _) = clients[0].get_data(SHARD_CONFIG_PATH, Watch::None)?;
         let config = ShardConfig::decode(&raw)?;
         if config.shards as usize != clients.len() {
             return Err(ZkError::CorruptSnapshot);
@@ -675,24 +669,12 @@ impl<T: ClientTransport> ShardedClient<T> {
         for c in &clients {
             h.write_u64(c.session());
         }
-        Ok(ShardedClient {
-            ring: config.ring(),
-            epoch: config.epoch,
-            txn_ids: TxnIds::new(h.finish()),
-            pending_watches: VecDeque::new(),
-            config_dirty: false,
-            clients,
-        })
+        Ok(ShardedClient { ring: config.ring(), txn_ids: TxnIds::new(h.finish()), clients })
     }
 
-    /// The routing table currently in force.
+    /// The routing table this session read at connect.
     pub fn ring(&self) -> &HashRing {
         &self.ring
-    }
-
-    /// Layout epoch this session last adopted.
-    pub fn epoch(&self) -> u64 {
-        self.epoch
     }
 
     /// Number of shards this session is connected to.
@@ -714,43 +696,6 @@ impl<T: ClientTransport> ShardedClient<T> {
     /// these; tests drive 2PC steps through them).
     pub fn shard_client(&mut self, shard: usize) -> &mut ZkClient<T> {
         &mut self.clients[shard]
-    }
-
-    /// Adopt any shard-layout change published since the last call: if the
-    /// data watch this session left on [`SHARD_CONFIG_PATH`] has fired,
-    /// re-read the config (re-arming the watch) and rebuild the ring if the
-    /// epoch advanced. Layouts whose shard count differs from this
-    /// session's connection count are ignored — re-routing to shards we
-    /// hold no session for needs a reconnect, not a ring swap.
-    pub fn maybe_refresh(&mut self) -> Result<(), ZkError> {
-        self.poll_shard0();
-        if !self.config_dirty {
-            return Ok(());
-        }
-        let (raw, _) = self.clients[0].get_data(SHARD_CONFIG_PATH, Watch::Set)?;
-        // Cleared only after the re-read succeeds, so a failed read leaves
-        // the refresh pending for the next operation.
-        self.config_dirty = false;
-        let config = ShardConfig::decode(&raw)?;
-        if config.epoch > self.epoch && config.shards as usize == self.clients.len() {
-            self.ring = config.ring();
-            self.epoch = config.epoch;
-        }
-        Ok(())
-    }
-
-    /// Drain shard 0's notification queue, which multiplexes the internal
-    /// shard-config watch with the user's watches: config notes set the
-    /// refresh flag, everything else is buffered for
-    /// [`ShardedClient::take_watch`] — never discarded.
-    fn poll_shard0(&mut self) {
-        while let Some(n) = self.clients[0].take_watch() {
-            if n.path == SHARD_CONFIG_PATH {
-                self.config_dirty = true;
-            } else {
-                self.pending_watches.push_back(n);
-            }
-        }
     }
 
     /// Drive `op` from `step` over the per-shard sessions to its reply.
@@ -878,7 +823,6 @@ impl<T: ClientTransport> ShardedClient<T> {
     /// Leave a one-shot watch of `kind` on `path`, routed to the shard the
     /// corresponding read would hit.
     pub fn watch(&mut self, path: &str, kind: WatchKind) -> Result<(), ZkError> {
-        self.maybe_refresh()?;
         match kind {
             WatchKind::Data => {
                 let s = self.route(path);
@@ -896,23 +840,9 @@ impl<T: ClientTransport> ShardedClient<T> {
     }
 
     /// Drain one pending watch notification from any shard, if one is
-    /// queued ([`SHARD_CONFIG_PATH`] notifications are consumed internally
-    /// by [`ShardedClient::maybe_refresh`] and never surface here). Shard
-    /// 0 notifications that were drained while polling for config changes
-    /// are buffered, not lost — they surface here first.
+    /// queued: each shard in turn, lowest index first.
     pub fn take_watch(&mut self) -> Option<WatchNotification> {
-        self.poll_shard0();
-        if let Some(n) = self.pending_watches.pop_front() {
-            return Some(n);
-        }
-        for c in &mut self.clients[1..] {
-            while let Some(n) = c.take_watch() {
-                if n.path != SHARD_CONFIG_PATH {
-                    return Some(n);
-                }
-            }
-        }
-        None
+        self.clients.iter_mut().find_map(ZkClient::take_watch)
     }
 
     /// Set the read-recency level on every inner session.
@@ -923,8 +853,7 @@ impl<T: ClientTransport> ShardedClient<T> {
     }
 
     /// Close every inner session, even if an earlier close failed; the
-    /// first error is reported. No layout refresh runs first, so a failed
-    /// config re-read cannot strand the sessions.
+    /// first error is reported.
     pub fn close(mut self) -> Result<(), ZkError> {
         let (mut op, step) = ShardOp::start(ZkRequest::CloseSession, &self.ring, 0);
         match self.drive(&mut op, step) {
@@ -935,21 +864,15 @@ impl<T: ClientTransport> ShardedClient<T> {
 }
 
 /// A sharded session is a [`CoordService`] like any other: each request
-/// runs through a [`ShardOp`] (after adopting any layout change), and the
-/// freshness hooks index the per-shard inner sessions.
+/// runs through a [`ShardOp`], and the freshness hooks index the per-shard
+/// inner sessions.
 impl<T: ClientTransport> CoordService for ShardedClient<T> {
     fn request(&mut self, req: ZkRequest) -> ZkResponse {
-        if let Err(e) = self.maybe_refresh() {
-            return ZkResponse::Error(e);
-        }
         let (mut op, step) = ShardOp::start(req, &self.ring, self.txn_ids.next_id());
         self.drive(&mut op, step)
     }
 
     fn drain_watches(&mut self) -> Vec<WatchNotification> {
-        // Re-arms the shard-config watch and adopts layout changes; a failed
-        // re-read stays pending for the next operation.
-        let _ = self.maybe_refresh();
         std::iter::from_fn(|| self.take_watch()).collect()
     }
 
@@ -983,20 +906,12 @@ impl<T: ClientTransport> CoordService for ShardedClient<T> {
         ShardedClient::set_consistency(self, consistency);
     }
 
-    fn pushed_lease(&mut self, conn: usize) -> Option<LeaseGrant> {
-        self.clients[conn].pushed_lease()
-    }
-
     fn ping_lease(&mut self, conn: usize) -> Result<Option<LeaseGrant>, ZkError> {
         self.clients[conn].ping_lease().map(|(_, lease)| lease)
     }
 
     fn sync_coalesced(&mut self, conn: usize) -> Result<bool, ZkError> {
         self.clients[conn].sync_coalesced().map(|(_, coalesced)| coalesced)
-    }
-
-    fn epoch(&self) -> u64 {
-        self.epoch
     }
 }
 

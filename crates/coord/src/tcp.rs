@@ -38,7 +38,7 @@ use std::collections::HashMap;
 use std::net::SocketAddr;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU8, Ordering};
-use std::sync::{Arc, Mutex as StdMutex};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -52,7 +52,7 @@ use dufs_wal::FileStorage;
 use dufs_zab::{EnsembleConfig, PeerId, ZabConfig};
 use dufs_zkstore::ZkError;
 
-use crate::api::{ClientOptions, LeaseGrant, ZkRequest};
+use crate::api::{ClientOptions, ZkRequest};
 use crate::event_loop::{Host, Member};
 use crate::runtime::{ClientEvent, ClientTransport, ServerStatus, ZkClient};
 use crate::server::{ClientId, CoordMsg, ServerIn, ServerOut};
@@ -145,7 +145,6 @@ impl TcpServer {
                 })
                 .collect(),
             next_link_id: u64::MAX,
-            lease_slot: Arc::new(StdMutex::new(None)),
             written: Vec::new(),
             timers: Vec::new(),
         };
@@ -245,12 +244,6 @@ struct TcpHost {
     links: Vec<Option<Link>>,
     /// Counts down from `u64::MAX`; accepted ids count up from 1.
     next_link_id: u64,
-    /// The freshest lease this server can grant, refreshed every loop pass
-    /// and shared with each client connection's idle source: when a conn's
-    /// heartbeat slot comes up empty, the reactor piggybacks a Lease frame
-    /// (ttl decayed by the slot's age) instead of the empty keepalive. A
-    /// quiet cached client thus renews without spending a Ping round trip.
-    lease_slot: Arc<StdMutex<Option<(Instant, LeaseGrant)>>>,
     /// Event-stream ids of the client connections and dial-out links
     /// queued on since the last wait; the wait flushes exactly these.
     written: Vec<u64>,
@@ -317,18 +310,6 @@ impl TcpHost {
                 self.peers_in.insert(id, (from, conn));
             }
             EndpointKind::Client | EndpointKind::Admin => {
-                let slot = self.lease_slot.clone();
-                conn.set_idle_source(move || {
-                    let (at, g) = (*slot.lock().unwrap())?;
-                    let elapsed = at.elapsed().as_millis() as u64;
-                    (u64::from(g.ttl_ms) > elapsed).then(|| {
-                        ServerFrame::Lease(LeaseGrant {
-                            ttl_ms: g.ttl_ms - elapsed as u32,
-                            epoch: g.epoch,
-                        })
-                        .to_wire()
-                    })
-                });
                 self.clients.insert(id, conn);
             }
             EndpointKind::Server => {} // nobody dials in as a server; the drop hangs up
@@ -410,9 +391,8 @@ impl TcpHost {
 
     /// The loop thread's body, until the control cell says [`STOPPED`].
     /// Each pass reads the control cell, fires due timers, flushes what was
-    /// written since the last wait, waits for one event and feeds it to the
-    /// member, and refreshes the lease slot. `epoch` is the zero of the
-    /// member's clock.
+    /// written since the last wait, and waits for one event and feeds it to
+    /// the member. `epoch` is the zero of the member's clock.
     fn serve(mut self, mut member: Member, startup: Vec<ServerOut>, epoch: Instant) {
         let now_ns = || epoch.elapsed().as_nanos() as u64;
         member.route(startup, &mut self);
@@ -453,11 +433,6 @@ impl TcpHost {
                 Ok(ConnEvent::Closed { id }) => self.on_closed(id),
                 Err(_) => {}
             }
-            // Refresh the shared grant for the idle-piggyback sources, only
-            // while clients are connected: `lease_grant` counts what it
-            // issues.
-            let grant = if self.clients.is_empty() { None } else { member.lease_grant(now_ns()) };
-            *self.lease_slot.lock().unwrap() = grant.map(|g| (Instant::now(), g));
         }
     }
 }
@@ -557,10 +532,10 @@ impl TcpCluster {
 
     /// Crash one member: it drops its volatile state (a durable member keeps
     /// its log) and stops reacting, but keeps its listener and connections
-    /// open. While down it answers no request or peer message, pushes no
-    /// lease, and reports `alive: false` to status probes. Returns once the
-    /// member's status says so, so a request sent after this returns is
-    /// never served. Panics if the member was stopped.
+    /// open. While down it answers no request or peer message and reports
+    /// `alive: false` to status probes. Returns once the member's status
+    /// says so, so a request sent after this returns is never served.
+    /// Panics if the member was stopped.
     pub fn crash(&self, server_idx: usize) {
         self.control(server_idx, CRASHED);
     }
@@ -691,10 +666,6 @@ pub struct TcpTransport {
     stats: NetStats,
     link: Option<(Conn, Receiver<Vec<u8>>)>,
     ever_connected: bool,
-    /// Newest unsolicited lease grant pushed by the server on the live
-    /// connection (heartbeat piggyback), with its receipt instant so the
-    /// ttl can be decayed when the client collects it.
-    pushed_lease: Option<(Instant, LeaseGrant)>,
 }
 
 impl TcpTransport {
@@ -702,14 +673,7 @@ impl TcpTransport {
     /// `addrs` is empty.
     pub fn new(addrs: Vec<SocketAddr>) -> Self {
         assert!(!addrs.is_empty(), "need at least one server address");
-        TcpTransport {
-            addrs,
-            cursor: 0,
-            stats: NetStats::new(),
-            link: None,
-            ever_connected: false,
-            pushed_lease: None,
-        }
+        TcpTransport { addrs, cursor: 0, stats: NetStats::new(), link: None, ever_connected: false }
     }
 
     /// This session's transport counters.
@@ -736,9 +700,6 @@ impl TcpTransport {
                     }
                     self.ever_connected = true;
                     self.link = Some(pair);
-                    // A grant pushed on the previous connection says nothing
-                    // about the replica behind this one.
-                    self.pushed_lease = None;
                     return Ok(());
                 }
                 Err(_) => self.cursor = (self.cursor + 1) % self.addrs.len(),
@@ -759,7 +720,6 @@ impl ClientTransport for TcpTransport {
             // Dead socket: drop it and advance the failover cursor so the
             // retry doesn't hammer the same dead address first.
             self.link = None;
-            self.pushed_lease = None;
             self.cursor = (self.cursor + 1) % self.addrs.len();
             return Err(ZkError::Net);
         }
@@ -780,25 +740,17 @@ impl ClientTransport for TcpTransport {
                         return Some(ClientEvent::Resp { req_id, resp })
                     }
                     Ok(ServerFrame::Watch(n)) => return Some(ClientEvent::Watch(n)),
-                    Ok(ServerFrame::Lease(g)) => {
-                        // Unsolicited lease push (heartbeat piggyback): park
-                        // it for `pushed_lease` and keep waiting for a real
-                        // event — it answers no request.
-                        self.pushed_lease = Some((Instant::now(), g));
-                    }
                     Ok(ServerFrame::Status { .. }) => {} // admin frame on a session: skip
                     Err(_) => {
                         // CRC-valid but undecodable: protocol confusion,
                         // the link is not trustworthy.
                         self.link = None;
-                        self.pushed_lease = None;
                         return None;
                     }
                 },
                 Err(RecvTimeoutError::Timeout) => return None,
                 Err(RecvTimeoutError::Disconnected) => {
                     self.link = None;
-                    self.pushed_lease = None;
                     return None;
                 }
             }
@@ -813,26 +765,12 @@ impl ClientTransport for TcpTransport {
         // address buys nothing.
         if self.addrs.len() > 1 {
             self.link = None;
-            self.pushed_lease = None;
             self.cursor = (self.cursor + 1) % self.addrs.len();
         }
     }
 
     fn reconnects(&self) -> u64 {
         self.stats.snapshot().reconnects
-    }
-
-    fn pushed_lease(&mut self) -> Option<LeaseGrant> {
-        // Decay the parked grant's ttl by its time on the shelf, so the
-        // caller can treat receipt as "now". Taken, not peeked: the cache
-        // layer owns lease state; this is just the mailbox.
-        let (taken_at, mut g) = self.pushed_lease.take()?;
-        let elapsed = taken_at.elapsed().as_millis() as u64;
-        if u64::from(g.ttl_ms) <= elapsed {
-            return None;
-        }
-        g.ttl_ms -= elapsed as u32;
-        Some(g)
     }
 }
 

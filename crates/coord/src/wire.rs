@@ -847,10 +847,6 @@ pub enum ServerFrame {
         /// The server's state snapshot.
         status: ServerStatus,
     },
-    /// Unsolicited staleness lease, piggybacked on the connection's idle
-    /// heartbeat slots (see [`crate::api::LeaseGrant`]). Keeps a quiet
-    /// cached client's lease fresh without it spending a Ping round trip.
-    Lease(LeaseGrant),
 }
 
 impl Wire for ServerFrame {
@@ -870,10 +866,6 @@ impl Wire for ServerFrame {
                 buf.extend_from_slice(&req_id.to_le_bytes());
                 status.wire_encode(buf);
             }
-            ServerFrame::Lease(g) => {
-                buf.push(4);
-                put_lease_grant(buf, g);
-            }
         }
     }
 
@@ -882,7 +874,6 @@ impl Wire for ServerFrame {
             1 => ServerFrame::Resp { req_id: c.u64()?, resp: ZkResponse::wire_decode(c)? },
             2 => ServerFrame::Watch(WatchNotification::wire_decode(c)?),
             3 => ServerFrame::Status { req_id: c.u64()?, status: ServerStatus::wire_decode(c)? },
-            4 => ServerFrame::Lease(get_lease_grant(c)?),
             t => return Err(WireError::BadTag(t)),
         })
     }
@@ -994,7 +985,6 @@ mod tests {
         rt(ZkResponse::Synced { zxid: 0, coalesced: false });
         rt(ZkResponse::Pong { zxid: 7, lease: None });
         rt(ZkResponse::Pong { zxid: 7, lease: Some(LeaseGrant { ttl_ms: 1_500, epoch: 3 }) });
-        rt(ServerFrame::Lease(LeaseGrant { ttl_ms: u32::MAX, epoch: 0 }));
         rt(CoordMsg::LeaseAuth { commit_to: 0xDEAD_BEEF, age_ms: 86 });
     }
 

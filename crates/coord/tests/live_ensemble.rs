@@ -282,20 +282,6 @@ fn durable_ensemble_survives_whole_cluster_crash_and_cold_start() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// Wait (up to 10 s) until the server has pushed `c` a lease on an idle
-/// heartbeat slot.
-fn await_pushed_lease(c: &mut dufs_coord::TcpZkClient) {
-    let deadline = Instant::now() + Duration::from_secs(10);
-    loop {
-        c.take_watch(); // drains the connection, parking any pushed grant
-        if c.pushed_lease().is_some() {
-            return;
-        }
-        assert!(Instant::now() < deadline, "no lease was ever pushed on the idle session");
-        std::thread::sleep(Duration::from_millis(50));
-    }
-}
-
 #[test]
 fn crashed_member_is_silent_until_restarted() {
     let _g = serial();
@@ -305,16 +291,10 @@ fn crashed_member_is_silent_until_restarted() {
     let mut w = cluster.client(ClientOptions::at(leader)).unwrap();
     let mut c = cluster.client(ClientOptions::at(victim)).unwrap();
     w.create("/pre", b(""), CreateMode::Persistent).unwrap();
-    await_pushed_lease(&mut c);
 
     cluster.crash(victim);
     let down = cluster.status(victim);
     assert!(!down.alive && !down.is_leader, "{down:?}");
-    // A grant pushed before the crash may still be on its way; after that,
-    // the idle connection's heartbeat slots (every 500 ms) carry no lease.
-    std::thread::sleep(Duration::from_millis(100));
-    c.take_watch();
-    c.pushed_lease();
     // The quorum keeps committing without the victim, which applies none
     // of it: it takes no peer message while down.
     for i in 0..5 {
@@ -322,10 +302,8 @@ fn crashed_member_is_silent_until_restarted() {
     }
     let asked = c.submit(ZkRequest::Exists { path: "/pre".into(), watch: false });
     std::thread::sleep(Duration::from_millis(1100));
-    // Waiting for the answer also parks every frame that arrived meanwhile.
     c.set_timeout(Duration::from_millis(300));
     assert_eq!(c.next_completion(), None, "a crashed member answered request {asked}");
-    assert_eq!(c.pushed_lease(), None, "a crashed member pushed a lease");
     assert_eq!(cluster.status(victim), down, "a crashed member applied peer traffic");
 
     cluster.restart(victim);

@@ -332,7 +332,6 @@ fn arb_server_frame() -> BoxedStrategy<ServerFrame> {
         arb_watch().prop_map(ServerFrame::Watch),
         (any::<u64>(), arb_server_status())
             .prop_map(|(req_id, status)| ServerFrame::Status { req_id, status }),
-        arb_lease_grant().prop_map(ServerFrame::Lease),
     ]
     .boxed()
 }

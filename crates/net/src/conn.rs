@@ -167,21 +167,6 @@ impl Conn {
         self.shared.flush()
     }
 
-    /// Install an idle-payload source: whenever this connection's heartbeat
-    /// interval elapses with nothing sent, the reactor asks `source` for a
-    /// payload and, if it returns `Some`, sends it as a real frame in the
-    /// empty keepalive's place. `None` (from the source, or clearing via
-    /// [`Conn::clear_idle_source`]) keeps the classic empty heartbeat. The
-    /// source runs on the reactor thread and must not block.
-    pub fn set_idle_source(&self, source: impl Fn() -> Option<Vec<u8>> + Send + 'static) {
-        self.shared.set_idle_source(Some(Box::new(source)));
-    }
-
-    /// Remove a previously installed idle-payload source.
-    pub fn clear_idle_source(&self) {
-        self.shared.set_idle_source(None);
-    }
-
     /// The peer's handshake.
     pub fn remote(&self) -> Hello {
         self.remote

@@ -109,10 +109,6 @@ impl OutFrame {
     }
 }
 
-/// A caller-installed source of piggyback payloads for otherwise-empty
-/// heartbeat slots (see [`ConnShared::set_idle_source`]).
-pub(crate) type IdleSource = Box<dyn Fn() -> Option<Vec<u8>> + Send>;
-
 /// Everything a writer needs, under one lock: the queued frames, when a
 /// byte last left, and whether the descriptor is still this connection's.
 struct Outbound {
@@ -135,7 +131,6 @@ pub(crate) struct ConnShared {
     stats: NetStats,
     flush_queued: AtomicBool,
     out: Mutex<Outbound>,
-    idle_source: Mutex<Option<IdleSource>>,
     reactor: ReactorRef,
 }
 
@@ -149,17 +144,6 @@ impl ConnShared {
     /// Whether the reactor has torn this connection down.
     pub(crate) fn is_closed(&self) -> bool {
         self.out().closed
-    }
-
-    /// Install (or clear) the idle-payload source. When this connection's
-    /// heartbeat interval elapses with nothing sent, the reactor asks the
-    /// source for a payload and sends it as a *real* frame in the empty
-    /// heartbeat's place — free piggyback bandwidth for small periodic
-    /// state (a coordination server rides its lease grants here). `None`
-    /// from the source falls back to the plain empty heartbeat. The source
-    /// runs on the reactor thread and must not block.
-    pub(crate) fn set_idle_source(&self, source: Option<IdleSource>) {
-        *self.idle_source.lock().unwrap() = source;
     }
 
     /// Queue one application frame without waking anyone. Fails once the
@@ -349,7 +333,6 @@ pub(crate) fn register(
             last_tx: Instant::now(),
             closed: false,
         }),
-        idle_source: Mutex::new(None),
         reactor: reactor.clone(),
     });
     reactor.send(Cmd::Register(Box::new(Registration {
@@ -575,27 +558,11 @@ impl Reactor {
             // between would make this heartbeat redundant.
             let mut out = st.shared.out();
             if !st.closing && now.duration_since(out.last_tx) >= st.tuning.heartbeat {
-                // An otherwise-empty heartbeat slot can carry a payload from
-                // the owner's idle source (lease piggyback): same keepalive
-                // effect on the peer's liveness window, one real frame of
-                // free bandwidth. No payload (or no source) sends the
-                // classic empty heartbeat.
-                let payload = st
-                    .shared
-                    .idle_source
-                    .lock()
-                    .unwrap()
-                    .as_ref()
-                    .and_then(|src| src())
-                    .filter(|p| !p.is_empty());
-                let frame = match payload {
-                    Some(p) => {
-                        st.shared.stats.on_idle_payload();
-                        OutFrame { head: frame_head(&p), payload: p, off: 0 }
-                    }
-                    None => OutFrame { head: frame_head(&[]), payload: Vec::new(), off: 0 },
-                };
-                out.frames.push_back(frame);
+                out.frames.push_back(OutFrame {
+                    head: frame_head(&[]),
+                    payload: Vec::new(),
+                    off: 0,
+                });
                 flush.push(token);
             }
             drop(out);

@@ -21,7 +21,6 @@ struct Counters {
     heartbeats_sent: AtomicU64,
     heartbeats_recv: AtomicU64,
     heartbeat_misses: AtomicU64,
-    idle_payloads: AtomicU64,
     reconnects: AtomicU64,
     conns_opened: AtomicU64,
     conns_failed: AtomicU64,
@@ -67,10 +66,6 @@ impl NetStats {
 
     pub(crate) fn on_heartbeat_miss(&self) {
         self.inner.heartbeat_misses.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub(crate) fn on_idle_payload(&self) {
-        self.inner.idle_payloads.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Record a successful re-establishment of a previously lost
@@ -124,7 +119,6 @@ impl NetStats {
             heartbeats_sent: c.heartbeats_sent.load(Ordering::Relaxed),
             heartbeats_recv: c.heartbeats_recv.load(Ordering::Relaxed),
             heartbeat_misses: c.heartbeat_misses.load(Ordering::Relaxed),
-            idle_payloads: c.idle_payloads.load(Ordering::Relaxed),
             reconnects: c.reconnects.load(Ordering::Relaxed),
             conns_opened: c.conns_opened.load(Ordering::Relaxed),
             conns_failed: c.conns_failed.load(Ordering::Relaxed),
@@ -155,10 +149,6 @@ pub struct NetStatsSnapshot {
     pub heartbeats_recv: u64,
     /// Heartbeat windows that passed with no traffic at all.
     pub heartbeat_misses: u64,
-    /// Heartbeat slots that carried a real frame instead of an empty one —
-    /// an idle-payload source (e.g. a coordination lease grant) was
-    /// piggybacked on the keepalive.
-    pub idle_payloads: u64,
     /// Connections re-established after a loss.
     pub reconnects: u64,
     /// Connections successfully handshaken (either direction).
@@ -193,7 +183,6 @@ impl NetStatsSnapshot {
         self.heartbeats_sent += o.heartbeats_sent;
         self.heartbeats_recv += o.heartbeats_recv;
         self.heartbeat_misses += o.heartbeat_misses;
-        self.idle_payloads += o.idle_payloads;
         self.reconnects += o.reconnects;
         self.conns_opened += o.conns_opened;
         self.conns_failed += o.conns_failed;
@@ -219,7 +208,7 @@ impl std::fmt::Display for NetStatsSnapshot {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "frames {}/{} tx/rx, bytes {}/{}, heartbeats {}/{} (misses {}, {} piggybacked), \
+            "frames {}/{} tx/rx, bytes {}/{}, heartbeats {}/{} (misses {}), \
              conns {} (+{} failed), reconnects {}, wakeups {}, \
              writev {} batches / {} frames ({:.2}/flush), pool {}/{} hit/miss, \
              registered {}",
@@ -230,7 +219,6 @@ impl std::fmt::Display for NetStatsSnapshot {
             self.heartbeats_sent,
             self.heartbeats_recv,
             self.heartbeat_misses,
-            self.idle_payloads,
             self.conns_opened,
             self.conns_failed,
             self.reconnects,

@@ -53,54 +53,6 @@ fn idle_connection_survives_many_heartbeat_intervals() {
     kill.store(true, Ordering::SeqCst);
 }
 
-/// An idle-payload source turns empty heartbeat slots into real frames:
-/// the peer receives them as ordinary messages, the sender's stats count
-/// them as piggybacked, and clearing the source restores plain
-/// keepalives.
-#[test]
-fn idle_source_piggybacks_payloads_on_heartbeat_slots() {
-    let cfg = NetConfig { heartbeat_ms: 25, max_misses: 4, ..NetConfig::default() };
-    let server_stats = NetStats::new();
-    let listener = Listener::bind("127.0.0.1:0".parse().unwrap()).unwrap();
-    let addr = listener.local_addr();
-    let (accept, events) = listener.spawn_accept_demux(server_hello(), cfg, server_stats.clone());
-    let client_stats = NetStats::new();
-    let (conn, rx) = connect(addr, client_hello(1), &cfg, &client_stats).unwrap();
-    // The *server* piggybacks on its idle slots, like a coordination
-    // server pushing lease grants to clients.
-    let Ok(ConnEvent::Opened { conn: server_conn, .. }) =
-        events.recv_timeout(Duration::from_secs(5))
-    else {
-        panic!("the accepted connection never surfaced")
-    };
-    server_conn.set_idle_source(|| Some(b"lease".to_vec()));
-    // The client stays idle; the server's heartbeat slots must deliver the
-    // piggybacked payload as ordinary frames.
-    let mut got = 0;
-    let deadline = Instant::now() + Duration::from_secs(5);
-    while got < 3 {
-        match rx.recv_timeout(Duration::from_millis(100)) {
-            Ok(frame) => {
-                assert_eq!(frame, b"lease");
-                got += 1;
-            }
-            Err(_) => assert!(Instant::now() < deadline, "piggybacked payloads never arrived"),
-        }
-    }
-    let s = server_stats.snapshot();
-    assert!(s.idle_payloads >= 3, "piggybacked slots must be counted: {s:?}");
-    // Clearing the source restores plain empty heartbeats; the connection
-    // stays alive and no further payload frames arrive.
-    server_conn.clear_idle_source();
-    // Drain anything already queued, then expect silence.
-    std::thread::sleep(Duration::from_millis(100));
-    while rx.try_recv().is_ok() {}
-    std::thread::sleep(Duration::from_millis(4 * 25));
-    assert!(rx.try_recv().is_err(), "cleared source must stop payload frames");
-    conn.send(b"still alive?".to_vec()).expect("connection must have stayed alive");
-    accept.stop();
-}
-
 /// A peer that completes the handshake and then goes silent — without
 /// closing its socket — must be declared dead after `max_misses` silent
 /// windows, and the miss counter must show up in the stats.

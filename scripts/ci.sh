@@ -233,6 +233,26 @@ if [ -n "$typed" ]; then
 fi
 echo "==> one typed session surface: no pub fn create/delete/set_data/… in crates/{coord,cache}/src outside CoordService (ZkClient's frozen reads excepted)"
 
+# One lease path, one layout read: a staleness lease is renewed only by the
+# `Ping` that `Cached::lease_license` sends (stamped at the ask), and a
+# `ShardedClient` reads `/__shards` once, at `connect`. A heartbeat slot
+# that carries a payload, a pushed grant, or a live layout re-read is a
+# second lease path or a second layout read growing back. (Test modules,
+# below `#[cfg(test)]`, are exempt.)
+once=$(find crates/net/src crates/coord/src crates/cache/src -name '*.rs' | sort | while read -r f; do
+    pat='idle_source|pushed_lease|ServerFrame::Lease|maybe_refresh|poll_shard0'
+    case "$f" in
+    crates/coord/src/session.rs | crates/coord/src/sharded.rs) pat="$pat|fn epoch\(" ;;
+    esac
+    nontest "$f" | { grep -nE "$pat" || true; } | sed "s|^|$f:|"
+done)
+if [ -n "$once" ]; then
+    echo "FAIL: a second lease path or layout read in crates/{net,coord,cache}/src (outside #[cfg(test)]):" >&2
+    echo "$once" >&2
+    exit 1
+fi
+echo "==> one lease path, one layout read: no idle_source, pushed_lease, ServerFrame::Lease, maybe_refresh, poll_shard0 or session/sharded fn epoch("
+
 echo "==> cargo build --release"
 cargo build --release
 
