@@ -220,19 +220,6 @@ impl<E: StorageEngine> StripedStore<E> {
         &mut self.engines[target]
     }
 
-    /// The distinct targets a `[offset, offset+len)` range touches
-    /// (deduplicated, ascending) — the simulator's IO fan-out.
-    pub fn targets_for_range(&self, offset: u64, len: usize) -> Vec<usize> {
-        // The first `N` stripes of the range visit every target it touches.
-        let mut out: Vec<usize> = stripes(self.stripe_size, offset, len)
-            .take(self.engines.len())
-            .map(|(s, _, _)| self.target_of(s))
-            .collect();
-        out.sort_unstable();
-        out.dedup();
-        out
-    }
-
     /// Write `data` at byte `offset` of `obj`, splitting on stripe
     /// boundaries and placing each chunk round-robin.
     pub fn write(&mut self, obj: u128, offset: u64, data: &[u8]) -> io::Result<()> {

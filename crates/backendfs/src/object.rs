@@ -88,12 +88,6 @@ impl ObjectStore {
         self.sizes.len()
     }
 
-    /// The distinct targets a `[offset, offset+len)` range touches
-    /// (deduplicated, ascending). Used by the simulator for IO fan-out.
-    pub fn targets_for_range(&self, offset: u64, len: usize) -> Vec<usize> {
-        self.store.targets_for_range(offset, len)
-    }
-
     /// Write `data` at `offset`, extending the object as needed. Returns the
     /// new logical size. `Err` if the object does not exist.
     pub fn write(&mut self, id: ObjectId, offset: u64, data: &[u8]) -> Result<u64, NoSuchObject> {
@@ -217,16 +211,6 @@ mod tests {
         s.write(id, 0, &[1u8; 64]).unwrap(); // 8 stripes over 4 targets
         let per = s.bytes_per_target();
         assert_eq!(per, vec![16, 16, 16, 16]);
-    }
-
-    #[test]
-    fn targets_for_range_identifies_fanout() {
-        let s = ObjectStore::new(4, 8);
-        assert_eq!(s.targets_for_range(0, 8), vec![0]);
-        assert_eq!(s.targets_for_range(0, 9), vec![0, 1]);
-        assert_eq!(s.targets_for_range(8, 8), vec![1]);
-        assert_eq!(s.targets_for_range(0, 64), vec![0, 1, 2, 3]);
-        assert_eq!(s.targets_for_range(0, 0), Vec::<usize>::new());
     }
 
     #[test]

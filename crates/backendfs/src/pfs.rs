@@ -180,13 +180,6 @@ impl ParallelFs {
         self.ns.set_size(path, new_size, now_ns)
     }
 
-    /// Distinct OSS targets a byte range of `path` touches (simulator IO
-    /// fan-out).
-    pub fn io_targets(&self, path: &str, offset: u64, len: usize) -> FsResult<Vec<usize>> {
-        self.ns.object_of(path)?;
-        Ok(self.objects.targets_for_range(offset, len))
-    }
-
     /// Total number of namespace entries (for sanity checks).
     pub fn entry_count(&self) -> usize {
         self.ns.len()
@@ -267,14 +260,6 @@ mod tests {
         assert!(fs.access("/f", 4).unwrap());
         assert!(!fs.access("/f", 2).unwrap());
         assert_eq!(fs.access("/nope", 4).unwrap_err(), FsError::NoEnt);
-    }
-
-    #[test]
-    fn io_targets_reports_fanout() {
-        let mut fs = ParallelFs::lustre(); // 4 OSTs, 1 MiB stripes
-        fs.create("/big", 0o644, 1).unwrap();
-        assert_eq!(fs.io_targets("/big", 0, 1 << 20).unwrap().len(), 1);
-        assert_eq!(fs.io_targets("/big", 0, 4 << 20).unwrap().len(), 4);
     }
 
     #[test]

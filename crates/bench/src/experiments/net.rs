@@ -4,9 +4,10 @@
 //!
 //! An echo server reflects every frame back on the same connection; the
 //! client keeps a window of `depth` frames in flight (send one for every
-//! receive), which is exactly the shape of the coordination client's
-//! depth-K session pipelining. The sweep shows the levers the transport
-//! design banks on:
+//! receive): transport pipelining, the shape of a server's reply stream to
+//! many synchronous sessions multiplexed on its loop, and of a raw window
+//! of requests down one connection (`dufs-bench reads`' churn writers). The
+//! sweep shows the levers the transport design banks on:
 //!
 //! * **depth** amortises per-round-trip latency — the depth-32 cell must
 //!   beat depth-1 on small frames by a comfortable factor, or the
@@ -361,7 +362,8 @@ pub fn run(scale: Scale) -> Report {
     owner_rows.into_iter().for_each(|row| report.row(row));
 
     // Headline: depth-32 pipelining must clearly beat stop-and-wait on small
-    // frames — that amortisation is why the client sessions pipeline at all.
+    // frames — that amortisation is why the transport queues frames and
+    // flushes at the wait point instead of writing each one through.
     let gain = d32 / f64::max(d1, f64::MIN_POSITIVE);
     report.field("pipelining_gain_64b", Value::unit(gain, 2, "x"));
     report.gate(

@@ -56,14 +56,16 @@
 //! noise) follower-local beats leader-only at 5 servers and warm cached
 //! reads move >= 2x the uncached follower-local ones.
 
+use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
 use bytes::Bytes;
 use dufs_cache::{CacheBuilder, CacheStats};
+use dufs_coord::runtime::ClientEvent;
 use dufs_coord::{
-    ClientOptions, ClusterBuilder, CoordService, ReadConsistency, TcpCluster, TcpTransport, Watch,
-    ZkClient, ZkRequest,
+    ClientOptions, ClientTransport, ClusterBuilder, CoordService, ReadConsistency, TcpCluster,
+    TcpTransport, Watch, ZkRequest, ZkResponse,
 };
 use dufs_zkstore::{CreateMode, ZkError};
 
@@ -86,32 +88,49 @@ struct Cell {
     cache: CacheStats,
 }
 
-/// Background write pressure for a read window: a pipelined session keeps
-/// a deep backlog of creates queued at the leader (`submit` is the
-/// zoo_acreate-style async API, so each writer holds `DEPTH` proposals in
-/// flight, not one) until `stop`, counting acknowledgements into `acked`.
-/// All placements face the same writers; only where the readers queue
-/// differs.
-fn churn(mut c: ZkClient<TcpTransport>, name: String, stop: &AtomicBool, acked: &AtomicUsize) {
-    const DEPTH: usize = 32;
-    let mut i = 0u64;
-    let mut inflight = 0usize;
-    while !stop.load(Ordering::Relaxed) {
-        while inflight < DEPTH {
-            c.submit(ZkRequest::Create {
-                path: format!("/churn-{name}-{i}"),
-                data: Bytes::from_static(b"w"),
-                mode: CreateMode::Persistent,
-            });
-            i += 1;
-            inflight += 1;
-        }
-        c.next_completion().expect("churn ack");
-        acked.fetch_add(1, Ordering::Relaxed);
-        inflight -= 1;
+/// A writer session at the leader on a bare [`TcpTransport`]: the transport
+/// and the session id its `Connect` was granted.
+fn writer_session(leader: SocketAddr) -> (TcpTransport, u64) {
+    let mut t = TcpTransport::new(vec![leader]);
+    t.send(0, 0, ZkRequest::Connect).expect("writer session");
+    let ZkResponse::Connected { session } = churn_reply(&mut t) else {
+        panic!("no writer session")
+    };
+    (t, session)
+}
+
+/// The next reply on a writer's connection (a writer sets no watches).
+fn churn_reply(t: &mut TcpTransport) -> ZkResponse {
+    match t.recv(Duration::from_secs(5)) {
+        Some(ClientEvent::Resp { resp, .. }) => resp,
+        other => panic!("churn writer got {other:?}"),
     }
-    while inflight > 0 && c.next_completion().is_some() {
-        inflight -= 1;
+}
+
+/// Background write pressure for a read window: a writer session keeps
+/// `DEPTH` creates outstanding at the leader (the zoo_acreate-style offered
+/// load, sent straight down its transport: the server answers one
+/// connection's requests in order) until `stop`, counting acknowledgements
+/// into `acked`. All placements face the same writers; only where the
+/// readers queue differs.
+fn churn(writer: (TcpTransport, u64), name: String, stop: &AtomicBool, acked: &AtomicUsize) {
+    const DEPTH: u64 = 32;
+    let (mut t, session) = writer;
+    let (mut sent, mut done) = (0u64, 0u64);
+    while !stop.load(Ordering::Relaxed) {
+        while sent - done < DEPTH {
+            let path = format!("/churn-{name}-{sent}");
+            let data = Bytes::from_static(b"w");
+            let req = ZkRequest::Create { path, data, mode: CreateMode::Persistent };
+            t.send(sent + 1, session, req).expect("churn send");
+            sent += 1;
+        }
+        churn_reply(&mut t);
+        acked.fetch_add(1, Ordering::Relaxed);
+        done += 1;
+    }
+    while done < sent && t.recv(Duration::from_secs(5)).is_some() {
+        done += 1;
     }
 }
 
@@ -132,9 +151,10 @@ fn read_window<S: Send>(
     let (stop, acked) = (AtomicBool::new(false), AtomicUsize::new(0));
     std::thread::scope(|scope| {
         for w in 0..WRITERS {
-            let c = cluster.client(ClientOptions::at(leader)).expect("writer session");
+            // Opened before the clock starts, like every reader session.
+            let writer = writer_session(cluster.addrs()[leader]);
             let (stop, acked) = (&stop, &acked);
-            scope.spawn(move || churn(c, format!("{mode}-{w}"), stop, acked));
+            scope.spawn(move || churn(writer, format!("{mode}-{w}"), stop, acked));
         }
         let start = Instant::now();
         let readers: Vec<_> = sessions
@@ -409,7 +429,6 @@ pub fn run(scale: Scale) -> Report {
             "bulk_warms",
             "lease_renewals",
             "barriers_skipped",
-            "barriers_coalesced",
         ],
     );
     for c in cells.iter().filter(|c| c.mode == "follower-local").chain(&cache_cells) {
@@ -426,7 +445,6 @@ pub fn run(scale: Scale) -> Report {
             c.cache.bulk_warms.into(),
             c.cache.lease_renewals.into(),
             c.cache.barriers_skipped.into(),
-            c.cache.barriers_coalesced.into(),
         ]);
     }
     let cache_gain5 = at(&cache_cells, 5, "cached-warm") / at(&cells, 5, "follower-local");

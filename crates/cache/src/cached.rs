@@ -22,21 +22,18 @@
 //! inserts `sync` barriers of its own; this wrapper re-implements the
 //! `SyncThenLocal` trigger (barrier owed — see
 //! [`CoordService::is_dirty`] — or replica switch since the last barrier)
-//! *around* the cache, with two upgrades:
-//!
-//! * **Lease skip** — while a [`LeaseGrant`] from the serving replica is
-//!   unexpired *and* the connection has not changed since it was adopted,
-//!   the barrier is skipped entirely: the grant bounds how far the replica
-//!   can lag behind anything committed cluster-wide, and this session's own
-//!   acked writes are already applied at the replica that acked them
-//!   (responses fire in `apply`), so read-your-writes holds without a
-//!   barrier on an unchanged connection. The bare session relies on that
-//!   same invariant, so an acked write owes no barrier with or without a
-//!   lease; what the lease still spares is the barrier owed for a write
-//!   whose ack has not been collected ([`CacheStats::barriers_skipped`]).
-//! * **Coalescing** — when a barrier *is* needed it is issued with
-//!   [`CoordService::sync_coalesced`], riding any no-op proposal already in
-//!   flight at the replica.
+//! *around* the cache, with one upgrade, the **lease skip**: while a
+//! [`LeaseGrant`] from the serving replica is unexpired *and* the
+//! connection has not changed since it was adopted, the barrier is skipped
+//! entirely: the grant bounds how far the replica can lag behind anything
+//! committed cluster-wide, and this session's own acked writes are already
+//! applied at the replica that acked them (responses fire in `apply`), so
+//! read-your-writes holds without a barrier on an unchanged connection. The bare session relies on that same
+//! invariant, so an acked write owes no barrier with or without a lease;
+//! what the lease still spares is the barrier owed for a write whose
+//! outcome is unknown ([`CacheStats::barriers_skipped`]). When a barrier
+//! *is* needed it is the strict one, [`CoordService::barrier`]: a no-op of
+//! its own on the read's connection.
 //!
 //! With leases on, cache **hits** are licensed too: a hit costs no round
 //! trip, so without licensing a silently-dead replica (whose watches
@@ -527,12 +524,9 @@ impl<S: CoordService> Cached<S> {
         false
     }
 
-    /// Issue the real barrier (coalesced when possible) and remember the
-    /// connection it certified.
+    /// Issue the real barrier and remember the connection it certified.
     fn barrier(&mut self, conn: usize) -> Result<(), ZkError> {
-        if self.inner.sync_coalesced(conn)? {
-            self.cache.stats_mut().barriers_coalesced += 1;
-        }
+        self.inner.barrier(conn)?;
         self.conns[conn].barrier_rc = self.inner.reconnects(conn);
         Ok(())
     }
@@ -640,7 +634,7 @@ impl<S: CoordService> CoordService for Cached<S> {
                 }
                 resp
             }
-            ZkRequest::Sync { .. } => {
+            ZkRequest::Sync => {
                 let resp = self.inner.request(req);
                 if resp.err().is_none() {
                     // A session-level barrier certifies every connection.
@@ -669,11 +663,13 @@ mod tests {
     use dufs_coord::Watch;
 
     /// A `SyncThenLocal` session whose ping takes 80 ms to come back with
-    /// a 100 ms grant; it counts pings and barriers.
+    /// a 100 ms grant; it counts pings and barriers, and owes a barrier
+    /// (`is_dirty`) for good when `dirty`.
     #[derive(Default)]
     struct SlowGrant {
         pings: u32,
         barriers: u32,
+        dirty: bool,
     }
 
     impl CoordService for SlowGrant {
@@ -696,9 +692,13 @@ mod tests {
             Ok(Some(LeaseGrant { ttl_ms: 100, epoch: 1 }))
         }
 
-        fn sync_coalesced(&mut self, _conn: usize) -> Result<bool, ZkError> {
+        fn is_dirty(&self, _conn: usize) -> bool {
+            self.dirty
+        }
+
+        fn barrier(&mut self, _conn: usize) -> Result<(), ZkError> {
             self.barriers += 1;
-            Ok(false)
+            Ok(())
         }
     }
 
@@ -717,5 +717,25 @@ mod tests {
         c.get_data("/a", Watch::None).unwrap();
         assert_eq!((c.inner().pings, c.inner().barriers), (2, 0), "one renewal after expiry");
         assert_eq!(c.stats().hits, 2);
+    }
+
+    /// A miss on a connection that owes a barrier: with leases on it rides
+    /// the held grant instead, and counts the barrier it skipped; with
+    /// leases off it pays exactly one barrier.
+    #[test]
+    fn an_owed_barrier_rides_a_held_lease() {
+        let owing = || SlowGrant { dirty: true, ..SlowGrant::default() };
+        let mut c = Cached::new(owing());
+        for (i, path) in ["/a", "/b", "/c"].into_iter().enumerate() {
+            c.get_data(path, Watch::None).unwrap();
+            assert_eq!(c.inner().barriers, 0, "miss {i} barriered under a lease");
+            assert_eq!(c.stats().barriers_skipped, i as u64 + 1);
+        }
+        let mut c = CacheBuilder::new().lease(false).session(owing());
+        for (i, path) in ["/a", "/b", "/c"].into_iter().enumerate() {
+            c.get_data(path, Watch::None).unwrap();
+            assert_eq!(c.inner().barriers, i as u32 + 1, "one barrier per miss");
+        }
+        assert_eq!((c.inner().pings, c.stats().barriers_skipped), (0, 0));
     }
 }

@@ -22,10 +22,6 @@
 //!    everything degrades to the plain barrier protocol — correctness
 //!    never depends on clocks beyond the lease bound.
 //!
-//! Barriers that *are* issued coalesce: concurrent `sync`s arriving at one
-//! replica while a no-op proposal is already in flight all ride that one
-//! proposal ([`dufs_coord::runtime::ZkClient::sync_coalesced`]).
-//!
 //! The crate is one wrapper over one store: [`Cached<S>`] puts the cache
 //! and the lease protocol in front of **any** [`dufs_coord::CoordService`]
 //! session — a `ZkClient`, a `ShardedClient` (leases

@@ -23,13 +23,12 @@ pub struct CacheStats {
     /// Staleness-lease grants adopted (one per granting ping).
     pub lease_renewals: u64,
     /// Lease-licensed server reads that the lease-off rule would have
-    /// barriered: the session owed a barrier (a write of its own abandoned
-    /// with its outcome unknown, or still pipelined). A read after an
-    /// *acked* write owes none and is not counted; a moved connection is
-    /// never lease-licensed, so it always pays the real barrier.
+    /// barriered: the session owed a barrier (a write of its own ended
+    /// with its outcome unknown: abandoned, or retried across a reconnect).
+    /// A read after an *acked* write owes none and is not counted; a moved
+    /// connection is never lease-licensed, so it always pays the real
+    /// barrier.
     pub barriers_skipped: u64,
-    /// Barriers that rode another session's in-flight no-op proposal.
-    pub barriers_coalesced: u64,
     /// Reads answered from a cached *absence* (`NoNode` without a round
     /// trip). Every negative hit is also counted in `hits`.
     pub negative_hits: u64,
@@ -61,7 +60,6 @@ impl CacheStats {
         self.reconnect_invalidations += o.reconnect_invalidations;
         self.lease_renewals += o.lease_renewals;
         self.barriers_skipped += o.barriers_skipped;
-        self.barriers_coalesced += o.barriers_coalesced;
         self.negative_hits += o.negative_hits;
         self.negative_expiries += o.negative_expiries;
         self.bulk_warms += o.bulk_warms;
@@ -77,7 +75,7 @@ impl fmt::Display for CacheStats {
             f,
             "hits {} misses {} (hit rate {:.1}%) | negative: hits {} expiries {} | \
              invalidations: watch {} local {} reconnect {} | \
-             leases: renewals {} barriers skipped {} coalesced {} | bulk warms {}",
+             leases: renewals {} barriers skipped {} | bulk warms {}",
             self.hits,
             self.misses,
             self.hit_rate() * 100.0,
@@ -88,7 +86,6 @@ impl fmt::Display for CacheStats {
             self.reconnect_invalidations,
             self.lease_renewals,
             self.barriers_skipped,
-            self.barriers_coalesced,
             self.bulk_warms,
         )
     }
@@ -109,7 +106,6 @@ mod tests {
             reconnect_invalidations: 3,
             lease_renewals: 4,
             barriers_skipped: 5,
-            barriers_coalesced: 6,
             negative_hits: 7,
             negative_expiries: 8,
             bulk_warms: 9,
@@ -122,7 +118,6 @@ mod tests {
         assert_eq!(a.reconnect_invalidations, 3);
         assert_eq!(a.lease_renewals, 4);
         assert_eq!(a.barriers_skipped, 5);
-        assert_eq!(a.barriers_coalesced, 6);
         assert_eq!(a.negative_hits, 7);
         assert_eq!(a.negative_expiries, 8);
         assert_eq!(a.bulk_warms, 9);

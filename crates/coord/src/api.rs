@@ -48,15 +48,15 @@ impl From<bool> for Watch {
 /// | Level | Barrier | Guarantee |
 /// |-------|---------|-----------|
 /// | `Local` | never | sequential consistency only |
-/// | `SyncThenLocal` | after a write whose ack was not collected on this connection / reconnects | read-your-writes |
+/// | `SyncThenLocal` | after a write whose outcome is unknown / reconnects | read-your-writes |
 /// | `Linearizable` | before every read | real-time ordering |
 ///
-/// The barrier is [`crate::ZkClient::sync`]: a no-op proposal through ZAB
-/// whose response proves this replica has applied everything committed
-/// before the barrier was issued. An *acked* write needs none: a write's
-/// reply leaves only the replica the session is connected to, and only
-/// after that replica applied it, so later reads on the same connection
-/// already see it.
+/// The barrier is [`crate::ZkClient::sync`]: a no-op proposal of its own
+/// through ZAB whose response proves this replica has applied everything
+/// committed before the barrier was issued. An *acked* write needs none: a
+/// session has one request in flight, a write's reply leaves only the
+/// replica the session is connected to, and only after that replica
+/// applied it, so later reads on the same connection already see it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ReadConsistency {
     /// Serve reads straight from the connected replica — fastest, may be
@@ -65,8 +65,8 @@ pub enum ReadConsistency {
     Local,
     /// `sync` before a read whenever a barrier is owed: a write of this
     /// client ended with its outcome unknown (abandoned on a transient
-    /// error, retried across a reconnect, or still pipelined), or the client
-    /// switched replica since its last barrier. Local reads, upgraded to
+    /// error, or retried across a reconnect), or the client switched
+    /// replica since its last barrier. Local reads, upgraded to
     /// read-your-writes exactly when staleness could be observed.
     SyncThenLocal,
     /// `sync` before *every* read: each read reflects all writes committed
@@ -211,16 +211,7 @@ pub enum ZkRequest {
     /// when it applies at the serving replica, that replica has applied
     /// everything committed before the barrier — so a subsequent local
     /// read observes all of it.
-    Sync {
-        /// Allow the server to satisfy this barrier by attaching it to a
-        /// barrier proposal that is already in flight on the same replica
-        /// (one no-op through ZAB answers every rider). Sound only while
-        /// the session's connection has not changed since its last write
-        /// ack: ack-implies-applied then guarantees the rider's own writes
-        /// predate any open barrier. After a reconnect the client must
-        /// send `coalesce: false` to force a fresh proposal.
-        coalesce: bool,
-    },
+    Sync,
     /// Session liveness ping (also returns the server's applied zxid, which
     /// doubles as a cheap progress probe in tests, and — when the serving
     /// replica holds fresh lease authority — a staleness lease grant).
@@ -333,9 +324,6 @@ pub enum ZkResponse {
     Synced {
         /// Applied zxid (raw form).
         zxid: u64,
-        /// Whether this barrier rode an already-open proposal instead of
-        /// paying for its own ZAB round (see [`ZkRequest::Sync`]).
-        coalesced: bool,
     },
     /// Ping reply with the server's applied zxid.
     Pong {
@@ -380,8 +368,7 @@ mod tests {
         assert!(ZkRequest::GetChildren { path: "/a".into(), watch: false }.is_read());
         assert!(ZkRequest::WarmChildren { path: "/a".into() }.is_read());
         assert!(ZkRequest::Ping.is_read());
-        assert!(!ZkRequest::Sync { coalesce: false }.is_read(), "sync consults the leader");
-        assert!(!ZkRequest::Sync { coalesce: true }.is_read(), "coalesced sync too");
+        assert!(!ZkRequest::Sync.is_read(), "sync consults the leader");
         assert!(!ZkRequest::Create {
             path: "/a".into(),
             data: Bytes::new(),

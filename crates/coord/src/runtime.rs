@@ -1,11 +1,11 @@
 //! The synchronous client API the DUFS prototype uses (paper §IV-D: "The
-//! synchronous ZooKeeper API were used"): [`ZkClient`], a session with its
-//! retry, barrier and pipelining rules, over a [`ClientTransport`] that
-//! moves its requests and events and keeps its clock. The typed `zoo_*`
-//! calls are [`CoordService`]'s, written once over `request`. The live transport is
-//! [`crate::tcp::TcpTransport`]; the performance figures use the
-//! deterministic simulator in `dufs-mdtest` instead (same
-//! [`crate::CoordServer`] state machine, different driver).
+//! synchronous ZooKeeper API were used"): [`ZkClient`], a session with one
+//! request in flight and its retry and barrier rules, over a
+//! [`ClientTransport`] that moves its requests and events and keeps its
+//! clock. The typed `zoo_*` calls are [`CoordService`]'s, written once over
+//! `request`. The live transport is [`crate::tcp::TcpTransport`]; the
+//! performance figures use the deterministic simulator in `dufs-mdtest`
+//! instead (same [`crate::CoordServer`] state machine, different driver).
 
 use std::collections::VecDeque;
 use std::time::{Duration, Instant};
@@ -51,8 +51,9 @@ pub struct ServerStatus {
 }
 
 /// How a [`ZkClient`] session reaches its server — live, a TCP connection
-/// ([`crate::tcp::TcpTransport`]). The client logic — request ids,
-/// pipelining, retry policy — is transport-agnostic.
+/// ([`crate::tcp::TcpTransport`]). The client logic — request ids, retry
+/// policy, barriers — is transport-agnostic. A transport carries any number
+/// of frames; the session sends one request and awaits its reply.
 pub trait ClientTransport {
     /// Queue one request. An error means the link is down *right now*
     /// (dead server / dropped socket); the request was not delivered.
@@ -95,10 +96,10 @@ fn transient_err(resp: &ZkResponse) -> Option<ZkError> {
     resp.err().filter(|e| matches!(e, ZkError::ConnectionLoss | ZkError::Net | ZkError::TxnBusy))
 }
 
-/// Synchronous client handle: `request`, barriers, pipelining and watches;
-/// the typed `zoo_*` calls come from its [`CoordService`] impl. Generic
-/// over its [`ClientTransport`]; [`crate::tcp::TcpZkClient`] is this client over a
-/// real socket.
+/// Synchronous client handle: `request`, barriers and watches, one request
+/// in flight at a time; the typed `zoo_*` calls come from its
+/// [`CoordService`] impl. Generic over its [`ClientTransport`];
+/// [`crate::tcp::TcpZkClient`] is this client over a real socket.
 pub struct ZkClient<T: ClientTransport> {
     transport: T,
     session: u64,
@@ -111,9 +112,6 @@ pub struct ZkClient<T: ClientTransport> {
     /// replica may not have applied it yet. An *acked* write owes nothing —
     /// the origin replica replies only after applying, on a FIFO link.
     dirty: bool,
-    /// Pipelined writes whose replies have not been collected yet, each with
-    /// the reconnect count it was sent under.
-    inflight_writes: Vec<(u64, u64)>,
     /// Transport reconnect count at the last barrier; a change means we may
     /// now be talking to a different (possibly lagging) replica.
     seen_reconnects: u64,
@@ -134,7 +132,6 @@ impl<T: ClientTransport> ZkClient<T> {
             watches: VecDeque::new(),
             consistency: ReadConsistency::Local,
             dirty: false,
-            inflight_writes: Vec::new(),
             seen_reconnects: 0,
         };
         let deadline = c.transport.now() + Duration::from_secs(30);
@@ -204,59 +201,12 @@ impl<T: ClientTransport> ZkClient<T> {
             if left.is_zero() {
                 return None;
             }
-            match pick(self.recv(left)?) {
+            match pick(self.transport.recv(left)?) {
                 Ok(r) => return Some(r),
                 Err(ClientEvent::Watch(n)) => self.watches.push_back(n),
                 Err(ClientEvent::Resp { .. }) => {}
             }
         }
-    }
-
-    /// Submit a request WITHOUT waiting for its response — the
-    /// `zoo_acreate`-style asynchronous API. Returns the request id; the
-    /// response arrives later via [`ZkClient::next_completion`].
-    ///
-    /// Per-session FIFO is preserved end to end: requests travel one
-    /// ordered channel to one server, which processes a session's requests
-    /// in arrival order, and responses come back on one ordered channel.
-    /// A session may keep any number of submissions outstanding
-    /// (pipelining); callers bound the depth themselves.
-    pub fn submit(&mut self, req: ZkRequest) -> u64 {
-        let req_id = self.next_req;
-        self.next_req += 1;
-        if !req.is_read() {
-            // Owes a barrier until its reply is collected (see `recv`).
-            self.inflight_writes.push((req_id, self.transport.reconnects()));
-        }
-        let _ = self.transport.send(req_id, self.session, req);
-        req_id
-    }
-
-    /// Take the next event off the transport. Every receive path goes
-    /// through here, so a pipelined write stops owing a barrier as soon as
-    /// its reply is collected, whoever collects it — unless the reply leaves
-    /// its outcome unknown or did not travel the connection it was sent on.
-    fn recv(&mut self, timeout: Duration) -> Option<ClientEvent> {
-        let ev = self.transport.recv(timeout)?;
-        if let ClientEvent::Resp { req_id, resp } = &ev {
-            if let Some(i) = self.inflight_writes.iter().position(|&(id, _)| id == *req_id) {
-                let (_, sent_rc) = self.inflight_writes.swap_remove(i);
-                if transient_err(resp).is_some() || self.transport.reconnects() != sent_rc {
-                    self.dirty = true;
-                }
-            }
-        }
-        Some(ev)
-    }
-
-    /// Await the next pipelined response, in submission order. Watch
-    /// notifications encountered on the way are buffered for `take_watch`.
-    /// `None` means timeout or a dead server (treat as connection loss).
-    pub fn next_completion(&mut self) -> Option<(u64, ZkResponse)> {
-        self.recv_until(self.timeout, |ev| match ev {
-            ClientEvent::Resp { req_id, resp } => Ok((req_id, resp)),
-            ev => Err(ev),
-        })
     }
 
     /// Issue a request, retrying on the transient errors —
@@ -303,7 +253,7 @@ impl<T: ClientTransport> ZkClient<T> {
             let need = match self.consistency {
                 ReadConsistency::Linearizable => true,
                 ReadConsistency::SyncThenLocal => {
-                    self.is_dirty() || self.transport.reconnects() != self.seen_reconnects
+                    self.dirty || self.transport.reconnects() != self.seen_reconnects
                 }
                 ReadConsistency::Local => false,
             };
@@ -362,57 +312,30 @@ impl<T: ClientTransport> ZkClient<T> {
         CoordService::multi(self, ops)
     }
 
-    /// Barrier: propose a no-op through ZAB and wait for the serving
-    /// replica to apply it. When it returns, that replica has applied every
-    /// write committed before the barrier was issued (total order), so
-    /// subsequent local reads observe them all.
+    /// Barrier: propose a no-op of its own through ZAB and wait for the
+    /// serving replica to apply it. When it returns, that replica has
+    /// applied every write committed before the barrier was issued (total
+    /// order), so subsequent local reads observe them all.
     pub fn sync(&mut self) -> Result<u64, ZkError> {
-        self.sync_with(false).map(|(zxid, _)| zxid)
-    }
-
-    /// Barrier that may ride another session's no-op proposal already in
-    /// flight at the serving replica (one ZAB round answers every rider).
-    /// Returns `(zxid, coalesced)`. Safe only on an unchanged connection —
-    /// this method enforces that: if the transport reconnected while a
-    /// coalesced barrier was in flight, the open barrier it rode may have
-    /// been proposed *before* this session's pre-reconnect writes
-    /// committed, so it silently re-issues a strict (uncoalesced) barrier
-    /// before trusting the result.
-    pub fn sync_coalesced(&mut self) -> Result<(u64, bool), ZkError> {
-        self.sync_with(self.transport.reconnects() == self.seen_reconnects)
-    }
-
-    fn sync_with(&mut self, coalesce: bool) -> Result<(u64, bool), ZkError> {
-        let before = self.transport.reconnects();
-        match self.request(ZkRequest::Sync { coalesce }) {
-            ZkResponse::Synced { zxid, coalesced } => {
+        match self.request(ZkRequest::Sync) {
+            ZkResponse::Synced { zxid } => {
                 // Reconnects only advance on send/on_retry, so reading the
                 // counter after the response still describes the replica
                 // that served it.
-                if coalesce && self.transport.reconnects() != before {
-                    // Mid-request reconnect: the ride is not trustworthy.
-                    return self.sync_with(false);
-                }
                 self.dirty = false;
-                if !coalesced {
-                    // Our own no-op followed every pipelined write down this
-                    // link, so it is ordered after them; a barrier we merely
-                    // rode may have been proposed before them.
-                    self.inflight_writes.clear();
-                }
                 self.seen_reconnects = self.transport.reconnects();
-                Ok((zxid, coalesced))
+                Ok(zxid)
             }
             r => Err(failure(r)),
         }
     }
 
     /// Whether this session owes a barrier — the next `SyncThenLocal` read
-    /// will be preceded by one. True while a write's outcome is unknown or
-    /// pipelined writes are outstanding; an acked write owes nothing. The
-    /// sharded client uses this to barrier only the shards that need it.
+    /// will be preceded by one. True while a write's outcome is unknown; an
+    /// acked write owes nothing. The sharded client uses this to barrier
+    /// only the shards that need it.
     pub fn is_dirty(&self) -> bool {
-        self.dirty || !self.inflight_writes.is_empty()
+        self.dirty
     }
 
     /// Liveness ping; returns the server's applied zxid.
@@ -448,7 +371,7 @@ impl<T: ClientTransport> ZkClient<T> {
     /// Pop a pending watch notification, if one arrived.
     pub fn take_watch(&mut self) -> Option<WatchNotification> {
         // Drain anything sitting in the transport first.
-        while let Some(ev) = self.recv(Duration::ZERO) {
+        while let Some(ev) = self.transport.recv(Duration::ZERO) {
             match ev {
                 ClientEvent::Watch(n) => self.watches.push_back(n),
                 ClientEvent::Resp { .. } => {}

@@ -324,10 +324,6 @@ impl CoordServer {
     pub fn is_fenced(&self) -> bool {
         self.durability.fenced()
     }
-    /// Barriers answered by riding another session's no-op proposal.
-    pub fn barriers_coalesced(&self) -> u64 {
-        self.inflight.barriers_coalesced()
-    }
     /// Lease grants issued to clients so far (one per granting `Pong`).
     pub fn leases_granted(&self) -> u64 {
         self.lease.granted()
@@ -349,11 +345,6 @@ impl CoordServer {
     /// Total records the WAL has appended (0 without one).
     pub fn wal_append_count(&self) -> u64 {
         self.durability.wal().map_or(0, |w| w.append_count())
-    }
-    /// Live WAL segment count (0 without one; diagnostics — checkpointing
-    /// must keep this bounded).
-    pub fn wal_segment_count(&self) -> usize {
-        self.durability.wal().map_or(0, |w| w.segment_count())
     }
 
     // ------------------------------------------------------------------
@@ -480,18 +471,12 @@ impl CoordServer {
                 (Ok(ZkResponse::Pong { zxid: self.last_applied, lease }), None)
             }
             // ---- sync: a no-op barrier proposed through ZAB ----
-            // The barrier rides the write path (forwarded to the leader
-            // like any mutation) and its response fires in `apply`, once
-            // *this* replica has applied it — and, by total order,
-            // everything committed before it.
-            ZkRequest::Sync { coalesce } => {
-                if coalesce && self.inflight.ride(client, req_id) {
-                    return;
-                }
-                let tag = self.submit_write(now_ns, client, req_id, session, TxnOp::Noop, out);
-                if let Some(tag) = tag {
-                    self.inflight.barrier_opened(tag);
-                }
+            // Every barrier is its own no-op: it rides the write path
+            // (forwarded to the leader like any mutation) and its response
+            // fires in `apply`, once *this* replica has applied it — and,
+            // by total order, everything committed before it.
+            ZkRequest::Sync => {
+                self.submit_write(now_ns, client, req_id, session, TxnOp::Noop, out);
                 return;
             }
             // ---- session management (a replicated mutation) ----
@@ -551,9 +536,7 @@ impl CoordServer {
                 && self.last_applied >= self.serve_floor)
     }
 
-    /// Originate a mutation for `client`. Returns the pending tag while the
-    /// write is in flight, `None` if it was answered on the spot — sync
-    /// coalescing tracks the returned tag as the open barrier.
+    /// Originate a mutation for `client`.
     fn submit_write(
         &mut self,
         now_ns: u64,
@@ -562,15 +545,12 @@ impl CoordServer {
         session: u64,
         op: TxnOp,
         out: &mut Vec<ServerOut>,
-    ) -> Option<u64> {
+    ) {
         let tag = self.inflight.alloc(client, req_id);
         let txn = Txn { session, op, origin: self.me, tag, time_ns: now_ns };
         if !self.propose_or_forward(txn, false, out) {
             self.inflight.fail(tag, out);
         }
-        // The proposal may have applied synchronously (single-node
-        // ensembles): only report a tag that is still pending.
-        self.inflight.is_pending(tag).then_some(tag)
     }
 
     /// The one way a transaction enters replication: proposed here if this
@@ -781,7 +761,7 @@ impl CoordServer {
                 // A sync barrier: nothing to mutate. The response below (at
                 // the origin) proves this replica has applied everything
                 // committed before the barrier.
-                TxnOp::Noop => Ok((ZkResponse::Synced { zxid: z, coalesced: false }, Vec::new())),
+                TxnOp::Noop => Ok((ZkResponse::Synced { zxid: z }, Vec::new())),
                 TxnOp::Prepare2pc { txn_id, ops, participants } => self
                     .txns
                     .prepare(tree, *txn_id, ops, participants, txn.session, z, t)
@@ -815,7 +795,7 @@ impl CoordServer {
             }
         }
         if txn.origin == self.me {
-            self.inflight.complete(txn.tag, resp, z, out);
+            self.inflight.complete(txn.tag, resp, out);
         }
     }
 }
@@ -1186,14 +1166,8 @@ mod tests {
                 mode: CreateMode::Persistent,
             },
         );
-        let resp = req(&mut s, 0, ZkRequest::Sync { coalesce: false });
-        match resp {
-            ZkResponse::Synced { zxid, coalesced } => {
-                assert_eq!(zxid, s.last_applied());
-                assert!(!coalesced, "a lone barrier pays for its own proposal");
-            }
-            other => panic!("unexpected {other:?}"),
-        }
+        let resp = req(&mut s, 0, ZkRequest::Sync);
+        assert_eq!(resp, ZkResponse::Synced { zxid: s.last_applied() });
     }
 
     #[test]

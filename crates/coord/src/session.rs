@@ -85,10 +85,11 @@ pub trait CoordService {
         Ok(None)
     }
 
-    /// Barrier on `conn`, riding an in-flight no-op when that is safe
-    /// (see [`ZkClient::sync_coalesced`]); returns whether it coalesced.
-    fn sync_coalesced(&mut self, _conn: usize) -> Result<bool, ZkError> {
-        Ok(false)
+    /// Strict barrier on `conn` alone (see [`ZkClient::sync`]): a no-op of
+    /// its own through that connection's ensemble, after which `conn` owes
+    /// nothing. Default: nothing to barrier.
+    fn barrier(&mut self, _conn: usize) -> Result<(), ZkError> {
+        Ok(())
     }
 
     /// `zoo_create`: returns the actual created path.
@@ -174,8 +175,8 @@ pub trait CoordService {
 
     /// Strict barrier on every connection; returns the barrier's zxid.
     fn sync(&mut self) -> Result<u64, ZkError> {
-        match self.request(ZkRequest::Sync { coalesce: false }) {
-            ZkResponse::Synced { zxid, .. } => Ok(zxid),
+        match self.request(ZkRequest::Sync) {
+            ZkResponse::Synced { zxid } => Ok(zxid),
             r => Err(failure(r)),
         }
     }
@@ -191,17 +192,8 @@ impl<T: ClientTransport> CoordService for ZkClient<T> {
     fn request(&mut self, req: ZkRequest) -> ZkResponse {
         match req {
             // Through the barrier bookkeeping, so the session stops owing.
-            ZkRequest::Sync { coalesce } => {
-                let synced = if coalesce {
-                    ZkClient::sync_coalesced(self)
-                } else {
-                    self.sync().map(|zxid| (zxid, false))
-                };
-                synced.map_or_else(ZkResponse::Error, |(zxid, coalesced)| ZkResponse::Synced {
-                    zxid,
-                    coalesced,
-                })
-            }
+            ZkRequest::Sync => ZkClient::sync(self)
+                .map_or_else(ZkResponse::Error, |zxid| ZkResponse::Synced { zxid }),
             ZkRequest::Ping => ZkClient::request(self, req),
             read if read.is_read() => self.read_request(read),
             other => ZkClient::request(self, other),
@@ -232,8 +224,8 @@ impl<T: ClientTransport> CoordService for ZkClient<T> {
         ZkClient::ping_lease(self).map(|(_, lease)| lease)
     }
 
-    fn sync_coalesced(&mut self, _conn: usize) -> Result<bool, ZkError> {
-        ZkClient::sync_coalesced(self).map(|(_, coalesced)| coalesced)
+    fn barrier(&mut self, _conn: usize) -> Result<(), ZkError> {
+        ZkClient::sync(self).map(drop)
     }
 }
 
@@ -275,7 +267,7 @@ mod tests {
             ZkRequest::Multi { ops } => {
                 ZkResponse::MultiResults(ops.iter().map(|_| MultiResult::Deleted).collect())
             }
-            ZkRequest::Sync { .. } => ZkResponse::Synced { zxid: 9, coalesced: false },
+            ZkRequest::Sync => ZkResponse::Synced { zxid: 9 },
             other => panic!("unexpected request {other:?}"),
         }
     }

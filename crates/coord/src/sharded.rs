@@ -348,7 +348,7 @@ impl<'a> Tape<'a> {
             // that only wants owed barriers asks `is_dirty` per connection),
             // and a failed `CloseSession` must not strand the later shards'
             // sessions. The first error answers for the whole session.
-            ZkRequest::Sync { .. } | ZkRequest::Ping | ZkRequest::CloseSession => {
+            ZkRequest::Sync | ZkRequest::Ping | ZkRequest::CloseSession => {
                 let shards = self.ring.shard_count() as usize;
                 let replies =
                     (0..shards).map(|s| self.call(s, req.clone())).collect::<Run<Vec<_>>>()?;
@@ -545,7 +545,7 @@ impl<'a> Tape<'a> {
         }
         // Barrier before reading back: the losing create proves the record
         // exists at the leader, but a follower read could still miss it.
-        self.ask(shard, ZkRequest::Sync { coalesce: false })?;
+        self.ask(shard, ZkRequest::Sync)?;
         match self.ask(shard, ZkRequest::GetData { path, watch: false })? {
             ZkResponse::Data { data, .. } => Ok(*data.first().unwrap_or(&b'A')),
             r => Err(fail(shard, r)),
@@ -692,8 +692,8 @@ impl<T: ClientTransport> ShardedClient<T> {
         self.ring.route_children(path) as usize
     }
 
-    /// Direct access to one shard's inner session (benchmarks pipeline on
-    /// these; tests drive 2PC steps through them).
+    /// Direct access to one shard's inner session (tests drive 2PC steps
+    /// and per-shard timeouts through them).
     pub fn shard_client(&mut self, shard: usize) -> &mut ZkClient<T> {
         &mut self.clients[shard]
     }
@@ -910,8 +910,8 @@ impl<T: ClientTransport> CoordService for ShardedClient<T> {
         self.clients[conn].ping_lease().map(|(_, lease)| lease)
     }
 
-    fn sync_coalesced(&mut self, conn: usize) -> Result<bool, ZkError> {
-        self.clients[conn].sync_coalesced().map(|(_, coalesced)| coalesced)
+    fn barrier(&mut self, conn: usize) -> Result<(), ZkError> {
+        self.clients[conn].sync().map(drop)
     }
 }
 
@@ -987,7 +987,7 @@ mod tests {
             (0..c.connections()).map(|s| c.is_dirty(s)).collect()
         };
         let settle = |c: &mut ShardedClient<_>| {
-            let resp = CoordService::request(c, ZkRequest::Sync { coalesce: false });
+            let resp = CoordService::request(c, ZkRequest::Sync);
             assert!(matches!(resp, ZkResponse::Synced { .. }), "{resp:?}");
         };
         assert_eq!(owed(&c), [false, false], "clean session owes nothing");
@@ -996,21 +996,16 @@ mod tests {
         c.create(&b, Bytes::new(), CreateMode::Persistent).unwrap();
         assert_eq!(owed(&c), [false, false], "acked writes owe no barrier");
 
-        let create = |path: &str| ZkRequest::Create {
-            path: path.into(),
+        // A write abandoned with its outcome unknown owes one, on its
+        // shard only.
+        cluster.shard(1).crash(0);
+        c.shard_client(1).set_timeout(Duration::from_millis(50));
+        let create = ZkRequest::Create {
+            path: "/abandoned".into(),
             data: Bytes::new(),
             mode: CreateMode::Persistent,
         };
-        // A pipelined write still in flight owes one, on its shard only.
-        c.shard_client(0).submit(create("/in-flight"));
-        assert_eq!(owed(&c), [true, false], "an outstanding write owes its shard a barrier");
-        settle(&mut c);
-        assert_eq!(owed(&c), [false, false], "the barrier is ordered after the write it was for");
-
-        // So does a write abandoned with its outcome unknown.
-        cluster.shard(1).crash(0);
-        c.shard_client(1).set_timeout(Duration::from_millis(50));
-        let resp = c.shard_client(1).request(create("/abandoned"));
+        let resp = c.shard_client(1).request(create);
         assert_eq!(resp.err(), Some(ZkError::ConnectionLoss));
         cluster.shard(1).restart(0);
         c.shard_client(1).set_timeout(Duration::from_secs(5));

@@ -715,7 +715,7 @@ impl ClientTransport for TcpTransport {
         let payload = ClientFrame::Request { req_id, session, req }.to_wire();
         let (conn, _) = self.link.as_ref().expect("link just ensured");
         // Leaves when the caller waits (`recv`), with whatever else was
-        // submitted before it: a pipelined burst is one write.
+        // sent before it: a burst of frames is one write.
         if conn.queue(payload).is_err() {
             // Dead socket: drop it and advance the failover cursor so the
             // retry doesn't hammer the same dead address first.

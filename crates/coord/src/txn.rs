@@ -108,7 +108,7 @@ impl TxnOp {
     /// The operation replicated for a client mutation that maps onto one
     /// 1:1 (`session` is the requesting session, for `CloseSession`).
     /// `None` for the requests that do not: reads, and `Sync` and `Connect`,
-    /// whose ops (a coalescible no-op, a freshly minted session id) the
+    /// whose ops (a no-op of its own, a freshly minted session id) the
     /// server makes up itself.
     pub fn from_request(req: ZkRequest, session: u64) -> Option<TxnOp> {
         Some(match req {
@@ -129,7 +129,7 @@ impl TxnOp {
             | ZkRequest::GetChildrenData { .. }
             | ZkRequest::WarmChildren { .. }
             | ZkRequest::Ping
-            | ZkRequest::Sync { .. }
+            | ZkRequest::Sync
             | ZkRequest::Connect => return None,
         })
     }

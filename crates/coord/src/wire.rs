@@ -536,10 +536,7 @@ impl Wire for ZkRequest {
                 buf.push(10);
                 put_multi_ops(buf, ops, WIRE_MODE);
             }
-            ZkRequest::Sync { coalesce } => {
-                buf.push(11);
-                buf.push(*coalesce as u8);
-            }
+            ZkRequest::Sync => buf.push(11),
             ZkRequest::Ping => buf.push(12),
             ZkRequest::CreatePath { path, data, mode } => {
                 buf.push(13);
@@ -584,7 +581,7 @@ impl Wire for ZkRequest {
             8 => ZkRequest::GetChildren { path: c.str()?, watch: c.bool()? },
             9 => ZkRequest::GetChildrenData { path: c.str()? },
             10 => ZkRequest::Multi { ops: get_multi_ops(c, WIRE_MODE)? },
-            11 => ZkRequest::Sync { coalesce: c.bool()? },
+            11 => ZkRequest::Sync,
             12 => ZkRequest::Ping,
             13 => ZkRequest::CreatePath {
                 path: c.str()?,
@@ -655,10 +652,9 @@ impl Wire for ZkResponse {
                     put_multi_result(buf, r);
                 }
             }
-            ZkResponse::Synced { zxid, coalesced } => {
+            ZkResponse::Synced { zxid } => {
                 buf.push(11);
                 buf.extend_from_slice(&zxid.to_le_bytes());
-                buf.push(*coalesced as u8);
             }
             ZkResponse::Pong { zxid, lease } => {
                 buf.push(12);
@@ -713,7 +709,7 @@ impl Wire for ZkResponse {
                 }
                 ZkResponse::MultiResults(rs)
             }
-            11 => ZkResponse::Synced { zxid: c.u64()?, coalesced: c.bool()? },
+            11 => ZkResponse::Synced { zxid: c.u64()? },
             12 => ZkResponse::Pong {
                 zxid: c.u64()?,
                 lease: if c.bool()? { Some(get_lease_grant(c)?) } else { None },
@@ -964,7 +960,7 @@ mod tests {
 
     #[test]
     fn frames_round_trip() {
-        rt(ClientFrame::Request { req_id: 1, session: 2, req: ZkRequest::Sync { coalesce: true } });
+        rt(ClientFrame::Request { req_id: 1, session: 2, req: ZkRequest::Sync });
         rt(ServerFrame::Status {
             req_id: 3,
             status: ServerStatus {
@@ -980,9 +976,9 @@ mod tests {
 
     #[test]
     fn lease_frames_round_trip() {
-        rt(ZkRequest::Sync { coalesce: false });
-        rt(ZkResponse::Synced { zxid: 42, coalesced: true });
-        rt(ZkResponse::Synced { zxid: 0, coalesced: false });
+        rt(ZkRequest::Sync);
+        rt(ZkResponse::Synced { zxid: 42 });
+        rt(ZkResponse::Synced { zxid: 0 });
         rt(ZkResponse::Pong { zxid: 7, lease: None });
         rt(ZkResponse::Pong { zxid: 7, lease: Some(LeaseGrant { ttl_ms: 1_500, epoch: 3 }) });
         rt(CoordMsg::LeaseAuth { commit_to: 0xDEAD_BEEF, age_ms: 86 });

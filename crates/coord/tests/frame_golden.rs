@@ -9,6 +9,7 @@ use dufs_coord::runtime::ServerStatus;
 use dufs_coord::watch::WatchEventKind;
 use dufs_coord::{ClientFrame, LeaseGrant, ServerFrame, WatchNotification, ZkRequest, ZkResponse};
 use dufs_net::Wire;
+use dufs_zkstore::{CreateMode, Stat};
 
 fn hex(bytes: &[u8]) -> String {
     bytes.iter().map(|b| format!("{b:02x}")).collect()
@@ -70,5 +71,73 @@ fn server_frames_are_pinned_byte_for_byte() {
             },
         },
         "03090000000000000001050000000200000006000000020000000c000000000000000df0ad0befbeadde01",
+    );
+}
+
+/// The hot-path frames of a metadata op: a create and a read, and their
+/// replies. Dumped before `Sync`/`Synced` lost their bool byte, and
+/// unchanged by it.
+#[test]
+fn create_and_read_frames_are_pinned_byte_for_byte() {
+    let session = 0x0102_0304_0506_0708;
+    pinned(
+        ClientFrame::Request {
+            req_id: 3,
+            session,
+            req: ZkRequest::Create {
+                path: "/d/f".into(),
+                data: Bytes::from_static(b"m"),
+                mode: CreateMode::PersistentSequential,
+            },
+        },
+        "010300000000000000080706050403020103040000002f642f66010000006d03",
+    );
+    pinned(
+        ClientFrame::Request {
+            req_id: 4,
+            session,
+            req: ZkRequest::GetData { path: "/d/f".into(), watch: true },
+        },
+        "010400000000000000080706050403020106040000002f642f6601",
+    );
+    pinned(
+        ServerFrame::Resp {
+            req_id: 3,
+            resp: ZkResponse::Created { path: "/d/f0000000001".into() },
+        },
+        "010300000000000000030e0000002f642f6630303030303030303031",
+    );
+    let stat = Stat {
+        czxid: 0x0000_0001_0000_0002,
+        mzxid: 0x0000_0001_0000_0003,
+        pzxid: 0x0000_0001_0000_0004,
+        ctime_ns: 5,
+        mtime_ns: 6,
+        version: 7,
+        cversion: 8,
+        ephemeral_owner: 0,
+        data_length: 1,
+        num_children: 0,
+    };
+    pinned(
+        ServerFrame::Resp {
+            req_id: 4,
+            resp: ZkResponse::Data { data: Bytes::from_static(b"m"), stat },
+        },
+        "01040000000000000006010000006d0200000001000000030000000100000004000000010000000500\
+         0000000000000600000000000000070000000800000000000000000000000100000000000000",
+    );
+}
+
+/// A barrier and its reply: tag 11 each way, and no bool byte after it.
+#[test]
+fn barrier_frames_are_pinned_byte_for_byte() {
+    pinned(
+        ClientFrame::Request { req_id: 5, session: 0x0102_0304_0506_0708, req: ZkRequest::Sync },
+        "01050000000000000008070605040302010b",
+    );
+    pinned(
+        ServerFrame::Resp { req_id: 5, resp: ZkResponse::Synced { zxid: 0x0000_0001_0000_0009 } },
+        "0105000000000000000b0900000001000000",
     );
 }

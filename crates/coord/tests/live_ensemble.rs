@@ -7,13 +7,29 @@
 use std::time::{Duration, Instant};
 
 use bytes::Bytes;
+use dufs_coord::runtime::ClientEvent;
 use dufs_coord::{
-    ClientOptions, ClusterBuilder, CoordService, TcpCluster, Watch, ZkRequest, ZkResponse,
+    ClientOptions, ClientTransport, ClusterBuilder, CoordService, TcpCluster, TcpTransport, Watch,
+    ZkRequest, ZkResponse,
 };
 use dufs_zkstore::{CreateMode, MultiOp, ZkError};
 
 fn b(s: &str) -> Bytes {
     Bytes::copy_from_slice(s.as_bytes())
+}
+
+/// A session on member `idx` over a bare transport (request 1 was its
+/// `Connect`), so a test can leave a request unanswered and watch what
+/// comes back on the same connection.
+fn raw_session(cluster: &TcpCluster, idx: usize) -> (TcpTransport, u64) {
+    let mut t = TcpTransport::new(vec![cluster.addrs()[idx]]);
+    t.send(1, 0, ZkRequest::Connect).expect("dial");
+    match t.recv(Duration::from_secs(5)) {
+        Some(ClientEvent::Resp { req_id: 1, resp: ZkResponse::Connected { session } }) => {
+            (t, session)
+        }
+        other => panic!("no session: {other:?}"),
+    }
 }
 
 /// Cluster tests use real-time election timers; running many 3-server
@@ -290,6 +306,7 @@ fn crashed_member_is_silent_until_restarted() {
     let victim = (0..3).find(|&i| i != leader).unwrap();
     let mut w = cluster.client(ClientOptions::at(leader)).unwrap();
     let mut c = cluster.client(ClientOptions::at(victim)).unwrap();
+    let (mut raw, session) = raw_session(&cluster, victim);
     w.create("/pre", b(""), CreateMode::Persistent).unwrap();
 
     cluster.crash(victim);
@@ -300,15 +317,14 @@ fn crashed_member_is_silent_until_restarted() {
     for i in 0..5 {
         w.create(&format!("/during{i}"), b(""), CreateMode::Persistent).unwrap();
     }
-    let asked = c.submit(ZkRequest::Exists { path: "/pre".into(), watch: false });
+    raw.send(2, session, ZkRequest::Exists { path: "/pre".into(), watch: false }).unwrap();
     std::thread::sleep(Duration::from_millis(1100));
-    c.set_timeout(Duration::from_millis(300));
-    assert_eq!(c.next_completion(), None, "a crashed member answered request {asked}");
+    let answer = raw.recv(Duration::from_millis(300));
+    assert!(answer.is_none(), "a crashed member answered: {answer:?}");
     assert_eq!(cluster.status(victim), down, "a crashed member applied peer traffic");
 
     cluster.restart(victim);
     assert!(cluster.status(victim).alive);
-    c.set_timeout(Duration::from_secs(5));
     c.sync().expect("the restarted member serves its old connection");
     for i in 0..5 {
         assert!(c.exists(&format!("/during{i}"), Watch::None).unwrap().is_some());
@@ -322,23 +338,24 @@ fn request_sent_after_crash_returns_is_never_answered() {
     let _g = serial();
     let cluster = ClusterBuilder::new().voters(1).tcp();
     cluster.await_leader(Duration::from_secs(10)).expect("leader");
+    let (mut raw, session) = raw_session(&cluster, 0);
     let mut c = cluster.client(ClientOptions::at(0)).unwrap();
     c.create("/x", b(""), CreateMode::Persistent).unwrap();
 
     cluster.crash(0);
-    let lost = c.submit(ZkRequest::Exists { path: "/x".into(), watch: false });
-    c.set_timeout(Duration::from_millis(500));
-    assert_eq!(c.next_completion(), None, "request {lost} was answered by a crashed member");
+    raw.send(2, session, ZkRequest::Exists { path: "/x".into(), watch: false }).unwrap();
+    let answer = raw.recv(Duration::from_millis(500));
+    assert!(answer.is_none(), "a crashed member answered: {answer:?}");
 
-    // Still unanswered after the restart: the next completion on the same
-    // FIFO connection belongs to the next request.
+    // Still unanswered after the restart: the next reply on the same FIFO
+    // connection belongs to the next request.
     cluster.restart(0);
     cluster.await_leader(Duration::from_secs(10)).expect("leader after restart");
-    c.set_timeout(Duration::from_secs(5));
-    let ping = c.submit(ZkRequest::Ping);
-    let (id, resp) = c.next_completion().expect("the restarted member answers");
-    assert_eq!(id, ping, "request {lost} was answered after the restart");
-    assert!(matches!(resp, ZkResponse::Pong { .. }), "{resp:?}");
+    raw.send(3, session, ZkRequest::Ping).unwrap();
+    match raw.recv(Duration::from_secs(5)) {
+        Some(ClientEvent::Resp { req_id: 3, resp: ZkResponse::Pong { .. } }) => {}
+        other => panic!("request 2 was answered after the restart, or 3 never: {other:?}"),
+    }
     cluster.shutdown();
 }
 

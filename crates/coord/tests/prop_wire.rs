@@ -244,7 +244,7 @@ fn arb_zk_request() -> BoxedStrategy<ZkRequest> {
         arb_string().prop_map(|path| ZkRequest::GetChildrenData { path }),
         arb_string().prop_map(|path| ZkRequest::WarmChildren { path }),
         collection::vec(arb_multi_op(), 0..4).prop_map(|ops| ZkRequest::Multi { ops }),
-        any::<bool>().prop_map(|coalesce| ZkRequest::Sync { coalesce }),
+        Just(ZkRequest::Sync),
         Just(ZkRequest::Ping),
         (arb_string(), arb_bytes(), arb_mode())
             .prop_map(|(path, data, mode)| ZkRequest::CreatePath { path, data, mode }),
@@ -276,8 +276,7 @@ fn arb_zk_response() -> BoxedStrategy<ZkResponse> {
         (collection::vec((arb_string(), arb_bytes(), arb_stat()), 0..4), arb_stat())
             .prop_map(|(entries, stat)| ZkResponse::WarmedChildren { entries, stat }),
         collection::vec(arb_multi_result(), 0..4).prop_map(ZkResponse::MultiResults),
-        (any::<u64>(), any::<bool>())
-            .prop_map(|(zxid, coalesced)| ZkResponse::Synced { zxid, coalesced }),
+        any::<u64>().prop_map(|zxid| ZkResponse::Synced { zxid }),
         (any::<u64>(), option::of(arb_lease_grant()))
             .prop_map(|(zxid, lease)| ZkResponse::Pong { zxid, lease }),
         arb_zk_error().prop_map(ZkResponse::Error),

@@ -11,13 +11,14 @@
 //! machine that refuses reads while it is not serving (restarted, electing,
 //! still syncing) — so later reads on the same connection already see it.
 //! Whenever that chain is broken — the write was abandoned with its outcome
-//! unknown, is still pipelined, or the session reconnected — `SyncThenLocal`
-//! inserts the no-op proposal through ZAB before the next read. The
-//! proptests below are the safety net for the whole rule under both failure
-//! models — a member crashed in place, which keeps the session's socket
-//! open, and a member stopped for good; the plain tests pin each half: no
-//! barrier (exact zxid counts) where the ack suffices, exactly one where it
-//! does not, and no stale answer from a restarted replica.
+//! unknown or retried across a reconnect, or the session failed over —
+//! `SyncThenLocal` inserts the no-op proposal through ZAB before the next
+//! read. The proptests below are the safety net for the whole rule under
+//! both failure models — a member crashed in place, which keeps the
+//! session's socket open, and a member stopped for good; the plain tests
+//! pin each half: no barrier (exact zxid counts) where the ack suffices,
+//! exactly one where it does not, and no stale answer from a restarted
+//! replica.
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -27,10 +28,7 @@ use std::time::{Duration, Instant};
 use bytes::Bytes;
 use proptest::prelude::*;
 
-use dufs_coord::{
-    ClientOptions, ClusterBuilder, CoordService, ReadConsistency, TcpCluster, Watch, ZkRequest,
-    ZkResponse,
-};
+use dufs_coord::{ClientOptions, ClusterBuilder, CoordService, ReadConsistency, TcpCluster, Watch};
 use dufs_zkstore::{CreateMode, ZkError};
 
 /// Cluster tests use real-time election timers; running several ensembles
@@ -134,27 +132,6 @@ fn acked_writes_cost_one_zab_round_and_reads_after_them_none() {
     // A definitive error is an ack too: ordered, applied, nothing owed.
     assert_eq!(c.delete("/exact-0", None), Err(ZkError::NoNode));
     assert!(!c.is_dirty());
-
-    // Pipelined writes owe a barrier until the last ack has been collected.
-    let ids: Vec<u64> = (0..3)
-        .map(|i| {
-            c.submit(ZkRequest::Create {
-                path: format!("/piped-{i}"),
-                data: payload(2, i),
-                mode: CreateMode::Persistent,
-            })
-        })
-        .collect();
-    for id in ids {
-        assert!(c.is_dirty(), "pipelined write {id} is still outstanding");
-        let (got, resp) = c.next_completion().expect("completion");
-        assert_eq!(got, id);
-        assert!(matches!(resp, ZkResponse::Created { .. }), "{resp:?}");
-    }
-    assert!(!c.is_dirty(), "the last pipelined ack was collected");
-    let base = cluster.status(f).committed;
-    assert_eq!(c.get_data("/piped-2", Watch::None).unwrap().0, payload(2, 2));
-    assert_eq!(cluster.status(f).committed, base, "a read after collected acks barriered");
     c.close().unwrap();
 
     // A failover between ack and read voids the invariant — the new replica

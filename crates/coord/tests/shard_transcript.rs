@@ -308,7 +308,7 @@ fn rows() -> Vec<(String, usize, String)> {
     assert_eq!(c.recover_txns().unwrap(), 0);
 
     op("sync and ping every shard");
-    let sync = CoordService::request(&mut c, ZkRequest::Sync { coalesce: false });
+    let sync = CoordService::request(&mut c, ZkRequest::Sync);
     assert!(matches!(sync, ZkResponse::Synced { .. }), "{sync:?}");
     let ping = CoordService::request(&mut c, ZkRequest::Ping);
     assert!(matches!(ping, ZkResponse::Pong { .. }), "{ping:?}");

@@ -63,7 +63,6 @@ mod tests {
         // The sim level has no transport: lease/barrier counters stay 0.
         assert_eq!(s.lease_renewals, 0);
         assert_eq!(s.barriers_skipped, 0);
-        assert_eq!(s.barriers_coalesced, 0);
         assert_eq!(s.reconnect_invalidations, 0);
     }
 

@@ -196,8 +196,7 @@ where
                         }
                     }
                     if phase.is_mutation() {
-                        let synced =
-                            proc.fs.coord_mut().request(ZkRequest::Sync { coalesce: false });
+                        let synced = proc.fs.coord_mut().request(ZkRequest::Sync);
                         assert!(synced.err().is_none(), "phase sync: {synced:?}");
                         if let Some(d) = proc.data.as_mut() {
                             d.store.sync().expect("data sync");

@@ -185,11 +185,6 @@ impl<M: 'static> Sim<M> {
         self.nodes.len()
     }
 
-    /// Whether the node is currently up.
-    pub fn is_alive(&self, id: NodeId) -> bool {
-        self.nodes[id.index()].alive
-    }
-
     /// Immutable access to a node, downcast to its concrete type.
     ///
     /// # Panics
@@ -306,15 +301,6 @@ impl<M: 'static> Sim<M> {
         if self.kernel.now < deadline {
             self.kernel.now = deadline;
         }
-    }
-
-    /// Run at most `n` more events; returns how many were executed.
-    pub fn run_steps(&mut self, n: u64) -> u64 {
-        let mut done = 0;
-        while done < n && self.step() {
-            done += 1;
-        }
-        done
     }
 }
 

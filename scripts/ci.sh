@@ -73,12 +73,12 @@ fi
 echo "==> one live mdtest client: no raw znode requests or path-derived FIDs in the live driver"
 
 # One owner per field of the coordination server's state: `CoordServer` is
-# the event router over five private types (in-flight writes, sessions,
+# the event router over five private types (requests in flight, sessions,
 # leases, 2PC table, durability — DESIGN.md, "Anatomy of `CoordServer`"),
 # each in its own file of crates/coord/src/server/ behind private fields. A
 # field name showing up in a second file, or a field made visible to the
 # module, is the 24-field struct every method could touch growing back.
-for field in txn_fences prepared_txns barrier_riders open_barrier next_session; do
+for field in txn_fences prepared_txns next_tag next_checkpoint next_session; do
     owners=$(grep -lw "$field" crates/coord/src/server/*.rs | wc -l)
     if [ "$owners" -ne 1 ]; then
         echo "FAIL: '$field' occurs in $owners files under crates/coord/src/server/ (want exactly 1):" >&2
@@ -252,6 +252,26 @@ if [ -n "$once" ]; then
     exit 1
 fi
 echo "==> one lease path, one layout read: no idle_source, pushed_lease, ServerFrame::Lease, maybe_refresh, poll_shard0 or session/sharded fn epoch("
+
+# One request in flight, one round per barrier: a live session sends one
+# request and awaits its reply (`ZkClient::request`), and every `Sync`
+# proposes a no-op of its own, answered from its own `Inflight` entry. A
+# second request path (`submit`/`next_completion`, pipelined-write
+# bookkeeping) or a barrier that rides another session's no-op is the
+# pipelining and coalescing growing back. (Test modules, below
+# `#[cfg(test)]`, are exempt; a transport still carries any number of
+# frames, so raw `ClientTransport::send` windows stay legal.)
+one=$(find crates/coord/src crates/cache/src -name '*.rs' | sort | while read -r f; do
+    nontest "$f" |
+        { grep -nE 'fn submit\(|next_completion|inflight_writes|coalesc|open_barrier|barrier_riders' || true; } |
+        sed "s|^|$f:|"
+done)
+if [ -n "$one" ]; then
+    echo "FAIL: a second request path or a coalesced barrier in crates/{coord,cache}/src (outside #[cfg(test)]):" >&2
+    echo "$one" >&2
+    exit 1
+fi
+echo "==> one request in flight, one round per barrier: no fn submit(, next_completion, inflight_writes, coalesc, open_barrier or barrier_riders in crates/{coord,cache}/src"
 
 echo "==> cargo build --release"
 cargo build --release

@@ -136,7 +136,7 @@ fn run_cell<B: CoordService + Send>(
             for path in files.iter().skip(1).step_by(2) {
                 fs.unlink(path).unwrap();
             }
-            let synced = fs.coord_mut().request(ZkRequest::Sync { coalesce: false });
+            let synced = fs.coord_mut().request(ZkRequest::Sync);
             assert!(synced.err().is_none(), "final sync: {synced:?}");
         }
         if let Some(stats) = stats {
