@@ -22,6 +22,10 @@
 //! `dufs_cache::Cached<S>` (which consumes the hooks and keeps the
 //! defaults for itself: it owns freshness).
 
+use std::future::Future;
+use std::pin::pin;
+use std::task::{Context, Poll, Waker};
+
 use bytes::Bytes;
 use dufs_zkstore::{CreateMode, MultiOp, MultiResult, Stat, ZkError};
 
@@ -186,6 +190,20 @@ pub trait CoordService {
 /// `ConnectionLoss` when it carries none.
 pub(crate) fn failure(resp: ZkResponse) -> ZkError {
     resp.err().unwrap_or(ZkError::ConnectionLoss)
+}
+
+/// Run a protocol future (`sharded::route`, `dufs_core::plan::run`) over
+/// an io that answers every call at once — a live session, a back-end set —
+/// to its output: one poll with a no-op waker, as no call ever waits.
+///
+/// # Panics
+/// If the future is pending: its io waited, which a live io never does.
+pub fn ready<F: Future>(fut: F) -> F::Output {
+    let mut cx = Context::from_waker(Waker::noop());
+    match pin!(fut).poll(&mut cx) {
+        Poll::Ready(out) => out,
+        Poll::Pending => panic!("a live io left its protocol pending"),
+    }
 }
 
 impl<T: ClientTransport> CoordService for ZkClient<T> {

@@ -37,11 +37,11 @@
 //! participant. Writes that hit an orphaned fence (`TxnBusy`) trigger the
 //! sweep automatically, and every cluster bootstrap runs one.
 //!
-//! **One router, two hosts.** All of this request logic is one sans-I/O
-//! step machine, [`ShardOp`]: [`ShardedClient`] drives it over its
-//! per-shard sessions, and the simulator's DUFS client drives the same
-//! machine over simulated links, so the simulated and the live stack run
-//! one protocol.
+//! **One router, two hosts.** All of this request logic is one `async fn`,
+//! [`route`], written as straight-line code over a [`ShardIo`] that sends
+//! one request to one shard: [`ShardedClient`] runs it over its per-shard
+//! sessions, and the simulator's DUFS client runs the same future over
+//! simulated links, so the simulated and the live stack run one protocol.
 //!
 //! ```
 //! use bytes::Bytes;
@@ -58,7 +58,9 @@
 //! cluster.shutdown();
 //! ```
 
+use std::cell::Cell;
 use std::collections::BTreeMap;
+use std::future::Future;
 use std::time::Duration;
 
 use bytes::Bytes;
@@ -68,7 +70,7 @@ use dufs_zkstore::{path as zkpath, CreateMode, MultiOp, ZkError};
 use crate::api::{ClientOptions, LeaseGrant, ReadConsistency, Watch, ZkRequest, ZkResponse};
 use crate::runtime::{ClientTransport, ServerStatus, ZkClient};
 use crate::server::TXN_PREFIX;
-use crate::session::{failure, CoordService};
+use crate::session::{failure, ready, CoordService};
 use crate::shard::{
     is_internal_path, logical_digest, HashRing, ShardConfig, DEFAULT_VNODES, SHARD_CONFIG_PATH,
 };
@@ -170,130 +172,70 @@ impl ShardedCluster {
     }
 }
 
-/// What a [`ShardOp`] does next.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Step {
-    /// Send this request on the session to shard `.0`, then hand its reply
-    /// to [`ShardOp::feed`].
-    Send(usize, ZkRequest),
-    /// The operation is over; this is its reply.
-    Done(ZkResponse),
+/// The requests a [`route`] sends: one call, to one shard's session, answered
+/// with that session's reply. [`ShardedClient`] implements it over its
+/// per-shard [`ZkClient`]s, the simulator's DUFS client over simulated
+/// links.
+pub trait ShardIo {
+    /// Send `req` on the session to `shard`; its reply.
+    fn call(&mut self, shard: usize, req: ZkRequest) -> impl Future<Output = ZkResponse>;
 }
 
-/// What a [`ShardOp`] was started to do.
-enum Job {
-    /// One request, routed.
-    Request(ZkRequest),
-    /// A recovery sweep (see [`ShardedClient::recover_txns`]). Answers
-    /// `Committed`; `resolved` counts what it resolved.
-    Recover,
+/// Route `req` over `ring` (see the module docs): single-path routing with
+/// creates as `CreatePath`, listings with the owner-shard fallback, `Multi`
+/// slicing, the two-copy directory delete with its ghost purge and the 2PC
+/// coordinator, each 2PC running as the next id of `ids`. A write that hits
+/// an orphaned fence (`TxnBusy`) runs a recovery sweep and is sent once
+/// more. `Connect` and the `Txn*` 2PC steps address a shard rather than a
+/// path and answer [`ZkError::InvalidPath`].
+pub async fn route(
+    req: ZkRequest,
+    ring: &HashRing,
+    ids: &TxnIds,
+    io: &mut impl ShardIo,
+) -> ZkResponse {
+    let mut r = Router { ring, ids, io };
+    r.request(req).await.unwrap_or_else(|(_, e)| ZkResponse::Error(e))
 }
 
-/// The sharded client's request logic (see the module docs) as a sans-I/O
-/// step machine, in the shape of `dufs_core::plan::OpExec`:
-/// [`ShardOp::start`] takes one request and says which shard to send what
-/// to; [`ShardOp::feed`] takes each reply, until the op is [`Step::Done`].
-/// [`ShardedClient`] drives it over its per-shard sessions, the
-/// simulator's DUFS client over simulated links.
-///
-/// The caller supplies the transaction id; the `k`-th 2PC an op starts
-/// (a delete's purge retry, the rerun after a sweep, that rerun's purge
-/// retry) runs as `txn_id + k`, `k` ≤ 3, which [`TxnIds`] keeps clear of
-/// every other op's ids.
-///
-/// The protocol is written as plain sequential code over the replies
-/// received so far: each step re-runs it from the top, answering each
-/// request from those replies, and stops at the first request that has no
-/// reply yet. An op of n requests therefore costs O(n²) replay work. A
-/// routed single-path op is 1–3 requests and a cross-shard delete 6–7,
-/// but a ghost purge or a recovery sweep grows with what it finds (a
-/// sweep re-decodes every marker it has read on each step); EXPERIMENTS
-/// "One sharded client, two hosts" measures both.
-pub struct ShardOp {
-    job: Job,
-    txn_id: u64,
-    /// Replies to the requests sent so far, in order.
-    replies: Vec<ZkResponse>,
-    /// Transactions resolved by the recovery sweeps the op ran.
-    resolved: usize,
+/// Resolve cross-shard transactions orphaned by dead coordinators (see
+/// [`ShardedClient::recover_txns`]); the number fully resolved.
+pub async fn recover(ring: &HashRing, io: &mut impl ShardIo) -> Result<usize, ZkError> {
+    // A sweep runs no 2PC of its own, so it never mints an id.
+    let mut r = Router { ring, ids: &TxnIds::new(0), io };
+    r.recover().await.map_err(|(_, e)| e)
 }
 
-impl ShardOp {
-    /// Start routing `req` over `ring`. `Connect` and the `Txn*` 2PC steps
-    /// address a shard rather than a path and answer
-    /// [`ZkError::InvalidPath`].
-    pub fn start(req: ZkRequest, ring: &HashRing, txn_id: u64) -> (ShardOp, Step) {
-        ShardOp::new(Job::Request(req), ring, txn_id)
-    }
+/// Shard `.0` failed the op with `.1`.
+type Fail = (usize, ZkError);
 
-    fn new(job: Job, ring: &HashRing, txn_id: u64) -> (ShardOp, Step) {
-        let mut op = ShardOp { job, txn_id, replies: Vec::new(), resolved: 0 };
-        let step = op.step(ring);
-        (op, step)
-    }
+type Run<T> = Result<T, Fail>;
 
-    /// The reply to the request of the last [`Step::Send`]; `ring` must be
-    /// the one the op was started with.
-    pub fn feed(&mut self, reply: ZkResponse, ring: &HashRing) -> Step {
-        self.replies.push(reply);
-        self.step(ring)
-    }
-
-    fn step(&mut self, ring: &HashRing) -> Step {
-        let mut t = Tape { ring, replies: &self.replies, next_txn: self.txn_id, resolved: 0 };
-        let run = match &self.job {
-            Job::Request(req) => t.request(req.clone()),
-            Job::Recover => t.recover().map(|()| ZkResponse::Committed),
-        };
-        self.resolved = t.resolved;
-        match run {
-            Ok(reply) => Step::Done(reply),
-            Err(Halt::Send(shard, req)) => Step::Send(shard, req),
-            Err(Halt::Fail(_, e)) => Step::Done(ZkResponse::Error(e)),
-        }
-    }
+/// The failure `reply` (from `shard`) stands for: its own error, or
+/// connection loss for a reply of the wrong kind.
+fn fail(shard: usize, reply: &ZkResponse) -> Fail {
+    (shard, reply.err().unwrap_or(ZkError::ConnectionLoss))
 }
 
-/// Why the protocol code stopped before its answer.
-enum Halt {
-    /// It needs the reply to this request on shard `.0`.
-    Send(usize, ZkRequest),
-    /// Shard `.0` failed the op with `.1`.
-    Fail(usize, ZkError),
-}
-
-type Run<T> = Result<T, Halt>;
-
-/// The error `reply` (from `shard`) stands for: its own, or connection
-/// loss for a reply of the wrong kind.
-fn fail(shard: usize, reply: &ZkResponse) -> Halt {
-    Halt::Fail(shard, reply.err().unwrap_or(ZkError::ConnectionLoss))
-}
-
-/// One run of the protocol code over the replies received so far.
-struct Tape<'a> {
+/// One routed op: the ring it routes by, the ids its 2PCs run as, and the
+/// sessions it sends on.
+struct Router<'a, I> {
     ring: &'a HashRing,
-    /// Replies not yet used in this run.
-    replies: &'a [ZkResponse],
-    /// The id the next 2PC of this run runs as.
-    next_txn: u64,
-    /// Transactions the sweeps of this run resolved.
-    resolved: usize,
+    ids: &'a TxnIds,
+    io: &'a mut I,
 }
 
-impl<'a> Tape<'a> {
-    /// The reply to `req` on `shard`, or a halt to send it.
-    fn call(&mut self, shard: usize, req: ZkRequest) -> Run<&'a ZkResponse> {
-        let (reply, rest) = self.replies.split_first().ok_or(Halt::Send(shard, req))?;
-        self.replies = rest;
-        Ok(reply)
+impl<I: ShardIo> Router<'_, I> {
+    /// `req`'s reply on `shard`.
+    async fn call(&mut self, shard: usize, req: ZkRequest) -> ZkResponse {
+        self.io.call(shard, req).await
     }
 
-    /// [`Tape::call`], with an error reply failing the op.
-    fn ask(&mut self, shard: usize, req: ZkRequest) -> Run<&'a ZkResponse> {
-        let reply = self.call(shard, req)?;
+    /// [`Router::call`], with an error reply failing the op.
+    async fn ask(&mut self, shard: usize, req: ZkRequest) -> Run<ZkResponse> {
+        let reply = self.call(shard, req).await;
         match reply.err() {
-            Some(e) => Err(Halt::Fail(shard, e)),
+            Some(e) => Err((shard, e)),
             None => Ok(reply),
         }
     }
@@ -314,51 +256,54 @@ impl<'a> Tape<'a> {
     /// once. (Wound-wait: a sweep can abort a transaction whose coordinator
     /// is merely slow; that coordinator then observes the recorded abort
     /// and fails cleanly.)
-    fn request(&mut self, req: ZkRequest) -> Run<ZkResponse> {
-        match self.route(req.clone()) {
-            Err(Halt::Fail(_, ZkError::TxnBusy)) => {
-                self.recover()?;
-                self.route(req)
+    async fn request(&mut self, req: ZkRequest) -> Run<ZkResponse> {
+        match self.route(req.clone()).await {
+            Err((_, ZkError::TxnBusy)) => {
+                self.recover().await?;
+                self.route(req).await
             }
             r => r,
         }
     }
 
-    fn route(&mut self, req: ZkRequest) -> Run<ZkResponse> {
+    async fn route(&mut self, req: ZkRequest) -> Run<ZkResponse> {
         match req {
             ZkRequest::Create { path, data, mode } | ZkRequest::CreatePath { path, data, mode } => {
-                self.ask(self.owner(&path), ZkRequest::CreatePath { path, data, mode }).cloned()
+                self.ask(self.owner(&path), ZkRequest::CreatePath { path, data, mode }).await
             }
-            ZkRequest::Delete { path, version } => self.delete(&path, version, true),
+            ZkRequest::Delete { path, version } => self.delete(&path, version).await,
             ZkRequest::SetData { ref path, .. }
             | ZkRequest::GetData { ref path, .. }
             | ZkRequest::Exists { ref path, .. } => {
                 let s = self.owner(path);
-                self.ask(s, req).cloned()
+                self.ask(s, req).await
             }
             ZkRequest::GetChildren { ref path, .. }
             | ZkRequest::GetChildrenData { ref path }
             | ZkRequest::WarmChildren { ref path } => {
                 let path = path.clone();
-                self.listing(path, req)
+                self.listing(path, req).await
             }
-            ZkRequest::Multi { ops } => self.multi(ops),
+            ZkRequest::Multi { ops } => self.multi(ops).await,
             // Session-wide requests visit every shard — `Sync` is a strict
             // barrier on each of them whether or not it owes one (a caller
             // that only wants owed barriers asks `is_dirty` per connection),
             // and a failed `CloseSession` must not strand the later shards'
             // sessions. The first error answers for the whole session.
             ZkRequest::Sync | ZkRequest::Ping | ZkRequest::CloseSession => {
-                let shards = self.ring.shard_count() as usize;
-                let replies =
-                    (0..shards).map(|s| self.call(s, req.clone())).collect::<Run<Vec<_>>>()?;
-                let first_err = replies.iter().find(|r| r.err().is_some());
-                Ok((*first_err.or(replies.last()).expect("a ring has a shard")).clone())
+                let mut answer = None;
+                for s in 0..self.ring.shard_count() as usize {
+                    let reply = self.call(s, req.clone()).await;
+                    if answer.as_ref().is_none_or(|a: &ZkResponse| a.err().is_none()) {
+                        answer = Some(reply);
+                    }
+                }
+                Ok(answer.expect("a ring has a shard"))
             }
             ZkRequest::Connect
             | ZkRequest::TxnPrepare { .. }
             | ZkRequest::TxnCommit { .. }
-            | ZkRequest::TxnAbort { .. } => Err(Halt::Fail(0, ZkError::InvalidPath)),
+            | ZkRequest::TxnAbort { .. } => Err((0, ZkError::InvalidPath)),
         }
     }
 
@@ -371,60 +316,61 @@ impl<'a> Tape<'a> {
     /// version/emptiness failure on either shard rejects at prepare and
     /// leaves the other copy untouched, and the fences block a racing
     /// create from re-materializing children between the legs.
-    fn delete(&mut self, path: &str, version: Option<u32>, may_purge: bool) -> Run<ZkResponse> {
+    async fn delete(&mut self, path: &str, version: Option<u32>) -> Run<ZkResponse> {
         let (owner, kids) = (self.owner(path), self.kids(path));
         let delete = |version| ZkRequest::Delete { path: path.into(), version };
         if kids == owner {
-            return self.ask(owner, delete(version)).cloned();
+            return self.ask(owner, delete(version)).await;
         }
         // The children-owner leg goes first in the prepare order so a
         // still-populated directory fails `NotEmpty` before the owner copy
         // is even examined.
         let leg = |version| vec![MultiOp::Delete { path: path.into(), version }];
-        match self.two_pc(&[(kids, leg(None)), (owner, leg(version))]) {
-            Ok(()) => Ok(ZkResponse::Deleted),
-            // No ghost was ever materialized on the children-owner shard;
-            // the node (if any) lives solely on its owner.
-            Err(Halt::Fail(s, ZkError::NoNode)) if s == kids => {
-                self.ask(owner, delete(version)).cloned()
-            }
-            // Directory that only ever existed as a materialized ancestor.
-            Err(Halt::Fail(s, ZkError::NoNode)) if s == owner => {
-                self.ask(kids, delete(None)).cloned()
-            }
-            // The children-owner slice prepared, certifying the directory
-            // logically empty — a `NotEmpty` owner copy holds only ghost
-            // chains left by deeper `mkdir -p` materialization. Purge them
-            // and retry once.
-            Err(Halt::Fail(s, ZkError::NotEmpty)) if s == owner && may_purge => {
-                self.purge(owner, path)?;
-                self.delete(path, version, false)
-            }
-            Err(halt) => Err(halt),
+        let mut may_purge = true;
+        loop {
+            return match self.two_pc(&[(kids, leg(None)), (owner, leg(version))]).await {
+                Ok(()) => Ok(ZkResponse::Deleted),
+                // No ghost was ever materialized on the children-owner
+                // shard; the node (if any) lives solely on its owner.
+                Err((s, ZkError::NoNode)) if s == kids => self.ask(owner, delete(version)).await,
+                // Directory that only ever existed as a materialized
+                // ancestor.
+                Err((s, ZkError::NoNode)) if s == owner => self.ask(kids, delete(None)).await,
+                // The children-owner slice prepared, certifying the
+                // directory logically empty — a `NotEmpty` owner copy holds
+                // only ghost chains left by deeper `mkdir -p`
+                // materialization. Purge them and retry once.
+                Err((s, ZkError::NotEmpty)) if s == owner && may_purge => {
+                    self.purge(owner, path).await?;
+                    may_purge = false;
+                    continue;
+                }
+                Err(f) => Err(f),
+            };
         }
     }
 
     /// Remove everything under `dir` on `shard`, deepest first. Only
     /// called when the children-owner shard has certified the directory is
     /// logically empty, so the subtree is materialized-ghost residue.
-    fn purge(&mut self, shard: usize, dir: &str) -> Run<()> {
-        for name in self.children(shard, dir)? {
-            let child = zkpath::join(dir, name);
-            self.purge(shard, &child)?;
-            match self.call(shard, ZkRequest::Delete { path: child, version: None })? {
+    async fn purge(&mut self, shard: usize, dir: &str) -> Run<()> {
+        for name in self.children(shard, dir).await? {
+            let child = zkpath::join(dir, &name);
+            Box::pin(self.purge(shard, &child)).await?;
+            match self.call(shard, ZkRequest::Delete { path: child, version: None }).await {
                 ZkResponse::Deleted | ZkResponse::Error(ZkError::NoNode) => {}
-                r => return Err(fail(shard, r)),
+                r => return Err(fail(shard, &r)),
             }
         }
         Ok(())
     }
 
     /// The children of `dir` on `shard` (none if `dir` is not there).
-    fn children(&mut self, shard: usize, dir: &str) -> Run<&'a [String]> {
-        match self.call(shard, ZkRequest::GetChildren { path: dir.into(), watch: false })? {
+    async fn children(&mut self, shard: usize, dir: &str) -> Run<Vec<String>> {
+        match self.call(shard, ZkRequest::GetChildren { path: dir.into(), watch: false }).await {
             ZkResponse::Children { names, .. } => Ok(names),
-            ZkResponse::Error(ZkError::NoNode) => Ok(&[]),
-            r => Err(fail(shard, r)),
+            ZkResponse::Error(ZkError::NoNode) => Ok(Vec::new()),
+            r => Err(fail(shard, &r)),
         }
     }
 
@@ -437,16 +383,16 @@ impl<'a> Tape<'a> {
     /// children-owner shard, a delete of the never-materialized directory
     /// only the owner), so it must not be cached: see
     /// [`CoordService::connection_of`].
-    fn listing(&mut self, path: String, req: ZkRequest) -> Run<ZkResponse> {
-        let reply = self.call(self.kids(&path), req.clone())?;
+    async fn listing(&mut self, path: String, req: ZkRequest) -> Run<ZkResponse> {
+        let reply = self.call(self.kids(&path), req.clone()).await;
         if reply.err() != Some(ZkError::NoNode) {
-            return Ok(reply.clone());
+            return Ok(reply);
         }
         let owner = self.owner(&path);
-        let stat = match self.call(owner, ZkRequest::Exists { path, watch: false })? {
-            ZkResponse::ExistsResult(Some(stat)) => *stat,
-            ZkResponse::ExistsResult(None) => return Err(Halt::Fail(owner, ZkError::NoNode)),
-            r => return Err(fail(owner, r)),
+        let stat = match self.call(owner, ZkRequest::Exists { path, watch: false }).await {
+            ZkResponse::ExistsResult(Some(stat)) => stat,
+            ZkResponse::ExistsResult(None) => return Err((owner, ZkError::NoNode)),
+            r => return Err(fail(owner, &r)),
         };
         Ok(match req {
             ZkRequest::GetChildren { .. } => ZkResponse::Children { names: Vec::new(), stat },
@@ -460,7 +406,7 @@ impl<'a> Tape<'a> {
     /// as that shard's native multi, ops spanning shards as a 2PC (sliced
     /// in ascending shard order, op order kept within a shard), whose
     /// reply carries no per-op results.
-    fn multi(&mut self, ops: Vec<MultiOp>) -> Run<ZkResponse> {
+    async fn multi(&mut self, ops: Vec<MultiOp>) -> Run<ZkResponse> {
         let mut by_shard: BTreeMap<usize, Vec<MultiOp>> = BTreeMap::new();
         for op in ops {
             by_shard.entry(self.owner(op.path())).or_default().push(op);
@@ -470,16 +416,16 @@ impl<'a> Tape<'a> {
             0 => Ok(ZkResponse::MultiResults(Vec::new())),
             1 => {
                 let (s, ops) = slices.pop().expect("one slice");
-                self.ask(s, ZkRequest::Multi { ops }).cloned()
+                self.ask(s, ZkRequest::Multi { ops }).await
             }
             _ => {
-                self.two_pc(&slices)?;
+                self.two_pc(&slices).await?;
                 Ok(ZkResponse::MultiResults(Vec::new()))
             }
         }
     }
 
-    /// Run a two-phase commit over per-shard op slices, as this op's next
+    /// Run a two-phase commit over per-shard op slices, as a fresh
     /// transaction id.
     ///
     /// Phase one prepares each participant in slice order (callers hand
@@ -492,41 +438,38 @@ impl<'a> Tape<'a> {
     /// crash at any later point leaves enough state for a recovery sweep
     /// to finish the commit — never half of it. After every participant
     /// acknowledges, the record is deleted (forgotten).
-    fn two_pc(&mut self, slices: &[(usize, Vec<MultiOp>)]) -> Run<()> {
-        let txn_id = self.next_txn;
-        self.next_txn = txn_id.wrapping_add(1);
+    async fn two_pc(&mut self, slices: &[(usize, Vec<MultiOp>)]) -> Run<()> {
+        let txn_id = self.ids.next_id();
         let mut participants: Vec<u32> = slices.iter().map(|&(s, _)| s as u32).collect();
         participants.sort_unstable();
         for (i, (s, ops)) in slices.iter().enumerate() {
             let participants = participants.clone();
-            if let Err(halt) =
-                self.ask(*s, ZkRequest::TxnPrepare { txn_id, ops: ops.clone(), participants })
-            {
-                if let Halt::Fail(..) = halt {
-                    for (p, _) in &slices[..i] {
-                        self.call(*p, ZkRequest::TxnAbort { txn_id })?;
-                    }
+            let prepare = ZkRequest::TxnPrepare { txn_id, ops: ops.clone(), participants };
+            if let Err(f) = self.ask(*s, prepare).await {
+                for (p, _) in &slices[..i] {
+                    self.call(*p, ZkRequest::TxnAbort { txn_id }).await;
                 }
-                return Err(halt);
+                return Err(f);
             }
         }
         let dshard = participants[0] as usize;
-        if self.decide(dshard, txn_id, b'C')? != b'C' {
+        if self.decide(dshard, txn_id, b'C').await? != b'C' {
             // A recovery sweep presumed this coordinator dead and recorded
             // an abort first; honor it.
             for (s, _) in slices {
-                self.call(*s, ZkRequest::TxnAbort { txn_id })?;
+                self.call(*s, ZkRequest::TxnAbort { txn_id }).await;
             }
-            return Err(Halt::Fail(dshard, ZkError::TxnBusy));
+            return Err((dshard, ZkError::TxnBusy));
         }
         for (s, _) in slices {
-            self.ask(*s, ZkRequest::TxnCommit { txn_id })?;
+            self.ask(*s, ZkRequest::TxnCommit { txn_id }).await?;
         }
         // Every participant applied; the record has served its purpose.
         // (If this delete is lost, recovery re-reads the verdict and the
         // commits no-op as `TxnUnknown` — stale records are garbage, not
         // hazards.)
-        self.call(dshard, ZkRequest::Delete { path: txn_decision_path(txn_id), version: None })?;
+        let path = txn_decision_path(txn_id);
+        self.call(dshard, ZkRequest::Delete { path, version: None }).await;
         Ok(())
     }
 
@@ -534,21 +477,21 @@ impl<'a> Tape<'a> {
     /// adopt the verdict already recorded by whoever won the race. The
     /// record znode is the transaction's single linearization point: the
     /// first writer decides, everyone else reads.
-    fn decide(&mut self, shard: usize, txn_id: u64, verdict: u8) -> Run<u8> {
+    async fn decide(&mut self, shard: usize, txn_id: u64, verdict: u8) -> Run<u8> {
         let path = txn_decision_path(txn_id);
         let data = Bytes::copy_from_slice(&[verdict]);
         let create =
             ZkRequest::CreatePath { path: path.clone(), data, mode: CreateMode::Persistent };
-        match self.ask(shard, create) {
-            Err(Halt::Fail(_, ZkError::NodeExists)) => {}
+        match self.ask(shard, create).await {
+            Err((_, ZkError::NodeExists)) => {}
             r => return r.map(|_| verdict),
         }
         // Barrier before reading back: the losing create proves the record
         // exists at the leader, but a follower read could still miss it.
-        self.ask(shard, ZkRequest::Sync)?;
-        match self.ask(shard, ZkRequest::GetData { path, watch: false })? {
+        self.ask(shard, ZkRequest::Sync).await?;
+        match self.ask(shard, ZkRequest::GetData { path, watch: false }).await? {
             ZkResponse::Data { data, .. } => Ok(*data.first().unwrap_or(&b'A')),
-            r => Err(fail(shard, r)),
+            r => Err(fail(shard, &r)),
         }
     }
 
@@ -557,22 +500,22 @@ impl<'a> Tape<'a> {
     /// decision record on its decision shard — recording an abort
     /// first-writer-wins if none exists (*presumed abort*: a missing
     /// record proves no participant can have committed) — then drive that
-    /// verdict to all participants and drop the record. Counts the
-    /// transactions fully resolved in `resolved`.
-    fn recover(&mut self) -> Run<()> {
+    /// verdict to all participants and drop the record. Returns the number
+    /// of transactions fully resolved.
+    async fn recover(&mut self) -> Run<usize> {
         // Orphan candidates: txn id → participant shards, from the parked
         // markers themselves.
         let mut pending: BTreeMap<u64, Vec<u32>> = BTreeMap::new();
         let shards = self.ring.shard_count() as usize;
         for s in 0..shards {
-            for n in self.children(s, TXN_PREFIX)? {
+            for n in self.children(s, TXN_PREFIX).await? {
                 let path = format!("{TXN_PREFIX}/{n}");
                 let ZkResponse::Data { data, .. } =
-                    self.call(s, ZkRequest::GetData { path, watch: false })?
+                    self.call(s, ZkRequest::GetData { path, watch: false }).await
                 else {
                     continue; // resolved (or decided) since the listing
                 };
-                let Ok(marker) = Txn::decode(data) else {
+                let Ok(marker) = Txn::decode(&data) else {
                     continue; // not a marker (e.g. the `decided` directory)
                 };
                 if let TxnOp::Prepare2pc { txn_id, participants, .. } = marker.op {
@@ -580,13 +523,14 @@ impl<'a> Tape<'a> {
                 }
             }
         }
+        let mut resolved = 0;
         for (txn_id, participants) in pending {
             // A shard outside this layout is left for a matching client.
             let Some(dshard) = participants.first().map(|&d| d as usize).filter(|&d| d < shards)
             else {
                 continue;
             };
-            let verdict = self.decide(dshard, txn_id, b'A')?;
+            let verdict = self.decide(dshard, txn_id, b'A').await?;
             let mut all_acked = true;
             for p in participants.iter().map(|&p| p as usize) {
                 let req = if verdict == b'C' {
@@ -594,33 +538,32 @@ impl<'a> Tape<'a> {
                 } else {
                     ZkRequest::TxnAbort { txn_id }
                 };
-                all_acked &= p < shards && self.call(p, req)?.err().is_none();
+                all_acked &= p < shards && self.call(p, req).await.err().is_none();
             }
             // Forget the record only once every participant has resolved;
             // otherwise leave it for the next sweep.
             if all_acked {
                 let path = txn_decision_path(txn_id);
-                self.call(dshard, ZkRequest::Delete { path, version: None })?;
-                self.resolved += 1;
+                self.call(dshard, ZkRequest::Delete { path, version: None }).await;
+                resolved += 1;
             }
         }
-        Ok(())
+        Ok(resolved)
     }
 }
 
-/// Transaction ids for one coordinator: `nonce + k·φ` for its `k`-th op,
+/// Transaction ids for one coordinator: `nonce + k·φ` for its `k`-th 2PC,
 /// φ = 2⁶⁴/golden ratio, `nonce` the first splitmix64 output of the seed.
-/// A [`ShardOp`] runs its 2PCs as `id` … `id + 3`, and a collision would
-/// let one transaction's decision apply another's parked ops, so no op's
-/// id may come within 3 of another's. One coordinator's ids come that
-/// close only ≥ 10¹⁴ ops apart.
-/// Two coordinators need distinct seeds; the mixing spreads even
-/// consecutive seeds across the whole id space, so their ids meet with
-/// odds of about 7·n²/2⁶⁴ over n ops each.
+/// A collision would let one transaction's decision apply another's parked
+/// ops; one coordinator's ids repeat only after 2⁶⁴ transactions. Two
+/// coordinators need distinct seeds; the mixing spreads even consecutive
+/// seeds across the whole id space, so their ids meet with odds of about
+/// n²/2⁶⁴ over n transactions each. The count lives in a [`Cell`], so the
+/// ops of one coordinator can share its ids by reference while each runs.
 #[derive(Debug, Clone)]
 pub struct TxnIds {
     nonce: u64,
-    seq: u64,
+    seq: Cell<u64>,
 }
 
 impl TxnIds {
@@ -629,20 +572,21 @@ impl TxnIds {
         let mut z = seed.wrapping_add(0x9E37_79B9_7F4A_7C15);
         z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
         z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        TxnIds { nonce: z ^ (z >> 31), seq: 0 }
+        TxnIds { nonce: z ^ (z >> 31), seq: Cell::new(0) }
     }
 
-    /// The next op's transaction id.
-    pub fn next_id(&mut self) -> u64 {
-        self.seq += 1;
-        self.nonce.wrapping_add(self.seq.wrapping_mul(0x9E37_79B9_7F4A_7C15))
+    /// The next transaction's id.
+    pub fn next_id(&self) -> u64 {
+        let seq = self.seq.get() + 1;
+        self.seq.set(seq);
+        self.nonce.wrapping_add(seq.wrapping_mul(0x9E37_79B9_7F4A_7C15))
     }
 }
 
 /// A routed session over a sharded namespace: one [`ZkClient`] per shard,
 /// a [`HashRing`] deciding which one each operation goes to, and a 2PC
-/// coordinator for the (rare) operations that span shards — all of it a
-/// [`ShardOp`] driven over the per-shard sessions.
+/// coordinator for the (rare) operations that span shards — all of it
+/// [`route`], run over the per-shard sessions.
 pub struct ShardedClient<T: ClientTransport> {
     clients: Vec<ZkClient<T>>,
     ring: HashRing,
@@ -698,19 +642,6 @@ impl<T: ClientTransport> ShardedClient<T> {
         &mut self.clients[shard]
     }
 
-    /// Drive `op` from `step` over the per-shard sessions to its reply.
-    fn drive(&mut self, op: &mut ShardOp, mut step: Step) -> ZkResponse {
-        loop {
-            match step {
-                Step::Send(s, req) => {
-                    let reply = CoordService::request(&mut self.clients[s], req);
-                    step = op.feed(reply, &self.ring);
-                }
-                Step::Done(reply) => return reply,
-            }
-        }
-    }
-
     /// READDIRPLUS bulk warm, routed like [`CoordService::get_children`]:
     /// the children listing with each child's data and stat plus the
     /// parent's stat, leaving one-shot watches (child watch on the parent,
@@ -743,7 +674,7 @@ impl<T: ClientTransport> ShardedClient<T> {
     }
 
     /// Resolve cross-shard transactions orphaned by dead coordinators (see
-    /// [`ShardOp`]): every prepared marker on any shard gets the verdict
+    /// the module docs): every prepared marker on any shard gets the verdict
     /// its decision record holds, or a recorded abort if none exists.
     /// Returns how many transactions were fully resolved.
     ///
@@ -751,11 +682,7 @@ impl<T: ClientTransport> ShardedClient<T> {
     /// invoke it automatically, and [`ShardedCluster::from_shards`] runs
     /// one at bootstrap.
     pub fn recover_txns(&mut self) -> Result<usize, ZkError> {
-        let (mut op, step) = ShardOp::new(Job::Recover, &self.ring, 0);
-        match self.drive(&mut op, step) {
-            ZkResponse::Error(e) => Err(e),
-            _ => Ok(op.resolved),
-        }
+        ready(recover(&self.ring, &mut self.clients))
     }
 
     /// 2PC step: prepare `ops` as transaction `txn_id` on one shard, with
@@ -855,21 +782,27 @@ impl<T: ClientTransport> ShardedClient<T> {
     /// Close every inner session, even if an earlier close failed; the
     /// first error is reported.
     pub fn close(mut self) -> Result<(), ZkError> {
-        let (mut op, step) = ShardOp::start(ZkRequest::CloseSession, &self.ring, 0);
-        match self.drive(&mut op, step) {
+        match ready(route(ZkRequest::CloseSession, &self.ring, &self.txn_ids, &mut self.clients)) {
             ZkResponse::Closed => Ok(()),
             r => Err(failure(r)),
         }
     }
 }
 
+/// The per-shard sessions answer each call at once, so [`route`] over them
+/// never waits.
+impl<T: ClientTransport> ShardIo for Vec<ZkClient<T>> {
+    async fn call(&mut self, shard: usize, req: ZkRequest) -> ZkResponse {
+        CoordService::request(&mut self[shard], req)
+    }
+}
+
 /// A sharded session is a [`CoordService`] like any other: each request
-/// runs through a [`ShardOp`], and the freshness hooks index the per-shard
+/// runs through [`route`], and the freshness hooks index the per-shard
 /// inner sessions.
 impl<T: ClientTransport> CoordService for ShardedClient<T> {
     fn request(&mut self, req: ZkRequest) -> ZkResponse {
-        let (mut op, step) = ShardOp::start(req, &self.ring, self.txn_ids.next_id());
-        self.drive(&mut op, step)
+        ready(route(req, &self.ring, &self.txn_ids, &mut self.clients))
     }
 
     fn drain_watches(&mut self) -> Vec<WatchNotification> {
@@ -937,18 +870,15 @@ mod tests {
     }
 
     #[test]
-    fn txn_ids_of_consecutive_seeds_stay_more_than_an_op_apart() {
-        // Every id an op may run a 2PC as (`id` … `id + 3`), for 256
-        // coordinators seeded 0, 1, 2, … (the simulator seeds by client
-        // id) over 256 ops each: no two ops share one.
+    fn txn_ids_of_256_seeds_are_pairwise_distinct() {
+        // 256 coordinators seeded 0, 1, 2, … (the simulator seeds by client
+        // id) over 256 transactions each: no two share an id.
         let mut taken = std::collections::HashSet::new();
         for seed in 0..256 {
-            let mut ids = TxnIds::new(seed);
+            let ids = TxnIds::new(seed);
             for _ in 0..256 {
                 let id = ids.next_id();
-                for k in 0..4 {
-                    assert!(taken.insert(id.wrapping_add(k)), "seed {seed}: id {id} + {k} taken");
-                }
+                assert!(taken.insert(id), "seed {seed}: id {id} taken");
             }
         }
     }

@@ -11,16 +11,16 @@
 //! ids (random per session) are masked as `T0`, `T1`, … in order of first
 //! appearance within the operation. The expected text
 //! (`shard_transcript.txt`) was dumped from the sharded client before its
-//! request logic moved into a step machine, so a change to how that logic
-//! is *written* cannot change what it *asks for*.
+//! request logic moved into a step machine, and kept when that machine
+//! became `sharded::route`, so a change to how that logic is *written*
+//! cannot change what it *asks for*.
 //!
 //! On a mismatch the whole transcript is written to
 //! `target/tmp/shard_transcript.txt` for diffing against the golden file.
 //!
-//! A second test drives [`ShardOp`] by hand through a recovery sweep and a
-//! ghost purge that grow with their input, and prints the time spent
-//! replaying the protocol in [`ShardOp::feed`] (run it with
-//! `--release -- --nocapture`).
+//! A second test runs [`route`] through a recovery sweep and a ghost purge
+//! that grow with their input, and prints the time spent in the protocol
+//! outside its requests (run it with `--release -- --nocapture`).
 
 use std::cell::RefCell;
 use std::collections::VecDeque;
@@ -31,8 +31,9 @@ use std::time::{Duration, Instant};
 use bytes::Bytes;
 
 use dufs_coord::runtime::ClientEvent;
+use dufs_coord::session::ready;
 use dufs_coord::shard::{ShardConfig, DEFAULT_VNODES};
-use dufs_coord::sharded::{ShardOp, Step};
+use dufs_coord::sharded::{route, ShardIo, TxnIds};
 use dufs_coord::{
     ClientTransport, CoordServer, CoordService, ServerIn, ServerOut, ShardedClient, Watch,
     ZkClient, ZkRequest, ZkResponse, SHARD_CONFIG_PATH,
@@ -340,36 +341,44 @@ fn every_sharded_op_sends_its_golden_requests() {
     assert_eq!(got.len(), want.len(), "a different number of operations");
 }
 
-/// Drive `op` from `step` over `c`'s shard sessions to a successful end,
-/// answering its first request with `first` instead, if given. Returns the
-/// number of requests and the time spent in [`ShardOp::feed`].
-fn drive(
-    c: &mut ShardedClient<Recording>,
-    (mut op, mut step): (ShardOp, Step),
-    mut first: Option<ZkResponse>,
-) -> (usize, Duration) {
-    let ring = c.ring().clone();
-    let (mut sent, mut replay) = (0, Duration::ZERO);
-    loop {
-        match step {
-            Step::Send(s, req) => {
-                let reply = first.take().unwrap_or_else(|| c.shard_client(s).request(req));
-                sent += 1;
-                let t = Instant::now();
-                step = op.feed(reply, &ring);
-                replay += t.elapsed();
-            }
-            Step::Done(reply) => {
-                assert_eq!(reply.err(), None, "{reply:?}");
-                return (sent, replay);
-            }
-        }
+/// `c`'s shard sessions, counting the requests sent and the time spent in
+/// them, and answering the first with `first` instead, if given.
+struct Timed<'a> {
+    c: &'a mut ShardedClient<Recording>,
+    first: Option<ZkResponse>,
+    sent: usize,
+    in_io: Duration,
+}
+
+impl ShardIo for Timed<'_> {
+    async fn call(&mut self, shard: usize, req: ZkRequest) -> ZkResponse {
+        self.sent += 1;
+        let t = Instant::now();
+        let reply = self.first.take().unwrap_or_else(|| self.c.shard_client(shard).request(req));
+        self.in_io += t.elapsed();
+        reply
     }
 }
 
-/// Each step of an op re-runs its protocol over every reply so far, so an
-/// op of n requests costs O(n²) replay work; the requests stay one per
-/// step. A sweep over `n` orphaned prepares sends 6 per transaction (its
+/// Route `req` over `c`'s shard sessions to a successful end, answering its
+/// first request with `first` instead, if given. Returns the number of
+/// requests and the time spent in the protocol outside them.
+fn drive(
+    c: &mut ShardedClient<Recording>,
+    req: ZkRequest,
+    first: Option<ZkResponse>,
+) -> (usize, Duration) {
+    let ring = c.ring().clone();
+    let mut io = Timed { c, first, sent: 0, in_io: Duration::ZERO };
+    let t = Instant::now();
+    let reply = ready(route(req, &ring, &TxnIds::new(1), &mut io));
+    let protocol = t.elapsed() - io.in_io;
+    assert_eq!(reply.err(), None, "{reply:?}");
+    (io.sent, protocol)
+}
+
+/// The protocol runs once, request after request, so its time grows with
+/// the requests it sends. A sweep over `n` orphaned prepares sends 6 per transaction (its
 /// marker read on each shard, the abort record, two aborts, the record
 /// delete) plus 4; a purge of `n` ghosts 2 per ghost plus 10.
 #[test]
@@ -392,10 +401,9 @@ fn sweeps_and_purges_send_each_request_once() {
     // A write into a fence: `TxnBusy`, the sweep, the rerun.
     let write = ZkRequest::SetData { path: "/base".into(), data: Bytes::new(), version: None };
     let busy = Some(ZkResponse::Error(ZkError::TxnBusy));
-    let op = ShardOp::start(write, &ring, c.mint_txn_id());
-    let (sent, replay) = drive(&mut c, op, busy);
+    let (sent, protocol) = drive(&mut c, write, busy);
     assert_eq!(sent, 6 * n + 4);
-    println!("sweep over {n} orphans: {sent} requests, {replay:?} in feed");
+    println!("sweep over {n} orphans: {sent} requests, {protocol:?} in the protocol");
 
     let dir = find("split directory", |i| Some(format!("/p{i}")).filter(|d| owner(d) != kids(d)));
     c.create(&dir, Bytes::new(), CreateMode::Persistent).unwrap();
@@ -407,9 +415,8 @@ fn sweeps_and_purges_send_each_request_once() {
         c.delete(&format!("{ghost}/leaf"), None).unwrap();
     }
     let delete = ZkRequest::Delete { path: dir.clone(), version: None };
-    let op = ShardOp::start(delete, &ring, c.mint_txn_id());
-    let (sent, replay) = drive(&mut c, op, None);
+    let (sent, protocol) = drive(&mut c, delete, None);
     assert_eq!(sent, 2 * n + 10);
     assert_eq!(c.exists(&dir, Watch::None).unwrap(), None);
-    println!("purge of {n} ghosts: {sent} requests, {replay:?} in feed");
+    println!("purge of {n} ghosts: {sent} requests, {protocol:?} in the protocol");
 }

@@ -1,31 +1,34 @@
-//! Metadata-operation planner: every DUFS operation as a resumable
-//! continuation over coordination-service and back-end requests.
+//! Metadata-operation planner: every DUFS operation as one `async fn`,
+//! [`run`], over coordination-service and back-end requests.
 //!
 //! The paper's Fig 3 decomposes `open()` into steps A–D: FUSE dispatch,
-//! ZooKeeper lookup, deterministic mapping, back-end access. [`OpExec`]
-//! encodes that decomposition — and the analogous ones for all other
-//! operations (Figs 5 and 6 give mkdir and stat) — as an explicit state
-//! machine: `start` yields the first request, `feed` consumes its response
-//! and yields the next, until [`PlanStep::Done`].
+//! ZooKeeper lookup, deterministic mapping, back-end access. [`run`]
+//! writes that decomposition — and the analogous ones for all other
+//! operations (Figs 5 and 6 give mkdir and stat) — as straight-line code
+//! that awaits each request's reply from a [`PlanIo`].
 //!
 //! Every operation is built from the same three moves, each written once:
-//! the *lookup* of the path's znode (one state decodes it, one function
-//! picks the op's next move per node kind), the *back-end hop* on a file's
-//! FID (one request builder, `file_call`, and one reply mapping,
+//! the *lookup* of the path's znode (one function decodes it, one picks
+//! the op's next move per node kind), the *back-end hop* on a file's FID
+//! (one request builder, `file_call`, and one reply mapping,
 //! `backend_output`), and the *final write* whose success is the answer.
 //! Every create — mkdir, creat, symlink and a rename's destination — first
 //! checks that its parent is a directory.
 //!
-//! Two drivers consume it:
-//! * [`crate::vfs::Dufs`] executes steps synchronously against live
-//!   services (the library / live runtime);
-//! * the simulated DUFS client in `dufs-mdtest` turns each step into a
-//!   timed network message (the performance evaluation).
+//! Two hosts run it:
+//! * [`crate::vfs::Dufs`] over live services, which answer each request
+//!   at once, so one poll runs an op to its end (the library / live
+//!   runtime);
+//! * the simulated DUFS client in `dufs-mdtest`, which parks each request
+//!   as a timed network message and polls again on its reply (the
+//!   performance evaluation).
 //!
 //! One implementation of the semantics, no divergence between what is
 //! functionally tested and what is measured.
 
 use std::collections::VecDeque;
+use std::fmt::Debug;
+use std::future::Future;
 
 use bytes::Bytes;
 
@@ -252,31 +255,6 @@ pub enum BackendResp {
     Usage(dufs_backendfs::MountUsage),
 }
 
-/// What the driver must do next.
-#[derive(Debug, Clone, PartialEq)]
-pub enum PlanStep {
-    /// Issue this request to the coordination service.
-    Zk(ZkRequest),
-    /// Issue this request to back-end `backend`.
-    Backend {
-        /// Which back-end mount.
-        backend: usize,
-        /// The request.
-        req: BackendReq,
-    },
-    /// The operation finished.
-    Done(DufsResult<OpOutput>),
-}
-
-/// A driver's reply to a non-`Done` step.
-#[derive(Debug, Clone, PartialEq)]
-pub enum StepResponse {
-    /// Coordination-service response.
-    Zk(ZkResponse),
-    /// Back-end response.
-    Backend(BackendResp),
-}
-
 /// Entry kinds in the virtual namespace.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum NodeKind {
@@ -423,367 +401,204 @@ pub(crate) fn backend_output(resp: BackendResp) -> DufsResult<OpOutput> {
     })
 }
 
-/// What a back-end reply means for the op that awaits it.
-#[derive(Debug)]
-enum Hop {
-    /// The reply is the op's answer.
-    Answer,
-    /// `open`: the physical file is there; the answer is its FID.
-    Opened(Fid),
-    /// `creat`: the answer is the FID; a failure rolls back the znode at
-    /// `path` so the namespace does not point at nothing.
-    Created { fid: Fid, path: String },
-    /// `unlink`: the name is gone either way; a failed reap is ignored, as
-    /// the prototype logs and ignores it.
-    Reap,
+/// The services an op runs against: the coordination service and the
+/// back-end mounts, one request and its reply at a time.
+pub trait PlanIo {
+    /// Send `req` to the coordination service; its reply.
+    fn coord(&mut self, req: ZkRequest) -> impl Future<Output = ZkResponse>;
+    /// Send `req` to back-end mount `backend`; its reply.
+    fn backend(&mut self, backend: usize, req: BackendReq) -> impl Future<Output = BackendResp>;
 }
 
-/// Internal continuation state: what the reply to the step in flight means.
-#[derive(Debug)]
-enum St {
-    /// Awaiting a parent's metadata before a namespace create (POSIX
-    /// requires ENOTDIR when the parent is a file; a bare znode create
-    /// would happily nest under anything). A directory sends `req` and
-    /// moves to `then`.
-    ParentCheck {
-        then: Box<St>,
-        req: ZkRequest,
-    },
-    /// Awaiting the `GetData` of the op's own path (Fig 3 step B).
-    Lookup(MetaOp),
-    /// Awaiting a coordination request whose success answers the op — a
-    /// final write, or readdir's listing — or, for creat and unlink, leads
-    /// to the file's one back-end hop.
-    Coord {
-        then: Option<(Hop, Call)>,
-    },
-    /// Awaiting the back-end call on the file's FID (Fig 3 step D).
-    Backend(Hop),
-    /// The physical create failed and the znode delete rolling it back is
-    /// in flight; whatever it answers, the op fails with this error.
-    Cleanup(DufsError),
-    /// readdir_plus: awaiting the batched listing.
-    RdPlusList,
-    /// readdir_plus: awaiting the back-end stat of file `current`.
-    RdPlusStats {
-        /// Completed entries (metadata-only kinds resolved immediately).
-        done: Vec<(String, DufsAttr)>,
-        /// Files still awaiting a back-end stat: (name, fid).
-        pending: VecDeque<(String, Fid)>,
-        /// The file whose stat is in flight.
-        current: String,
-    },
-    /// rename: walking the source subtree breadth-first.
-    RenameWalk {
-        /// Destination path.
-        to: String,
-        /// Directories whose children are still to be listed.
-        dirs: VecDeque<String>,
-        /// Entries whose metadata is still to be fetched.
-        gets: VecDeque<String>,
-        /// (path, data) of every entry fetched, the source root first.
-        moved: Vec<(String, Bytes)>,
-    },
-    /// statfs: awaiting the usage of mount `next - 1`.
-    StatFs {
-        acc: DufsStatFs,
-        next: usize,
-    },
-    Finished,
+/// Run `op` over `io`. `mint_fid` supplies a fresh FID if the op is a
+/// `Create` (minted by the client instance, §IV-E); `mapper` is the
+/// deterministic mapping function.
+///
+/// # Panics
+/// On a reply of the wrong kind for its request (an io bug).
+pub async fn run(
+    op: MetaOp,
+    mint_fid: impl FnOnce() -> Fid,
+    mapper: &dyn BackendMapper,
+    io: &mut impl PlanIo,
+) -> DufsResult<OpOutput> {
+    let mut p = Planner { mapper, io };
+    let path = match op {
+        MetaOp::Mkdir { path, mode } => return p.create(path, NodeMeta::dir(mode)).await,
+        MetaOp::Symlink { target, link } => {
+            return p.create(link, NodeMeta::symlink(target)).await;
+        }
+        MetaOp::Create { path, mode } => {
+            let fid = mint_fid();
+            p.create(path.clone(), NodeMeta::file(fid, mode)).await?;
+            let call = file_call(mapper, fid, |path| BackendReq::CreateFile { path, mode });
+            return match p.hop(call).await {
+                BackendResp::Unit(Ok(())) => Ok(OpOutput::Created(fid)),
+                // Roll the znode back so the namespace does not point at
+                // nothing; whatever that answers, the op fails.
+                BackendResp::Unit(Err(e)) => {
+                    p.io.coord(ZkRequest::Delete { path, version: None }).await;
+                    Err(e.into())
+                }
+                r => unexpected(r),
+            };
+        }
+        MetaOp::Readdir { path } => {
+            return match p.coord(ZkRequest::GetChildren { path, watch: false }).await? {
+                ZkResponse::Children { names, .. } => Ok(OpOutput::Names(names)),
+                r => unexpected(r),
+            };
+        }
+        MetaOp::ReaddirPlus { path } => return p.readdir_plus(path).await,
+        MetaOp::StatFs => return p.statfs().await,
+        MetaOp::Rename { ref from, ref to } => {
+            // The destination is a create inside the rename's multi.
+            p.parent_check(parent_dir(to)).await?;
+            from.clone()
+        }
+        MetaOp::Rmdir { ref path }
+        | MetaOp::Open { ref path }
+        | MetaOp::Unlink { ref path }
+        | MetaOp::Stat { ref path }
+        | MetaOp::Readlink { ref path }
+        | MetaOp::Chmod { ref path, .. }
+        | MetaOp::Access { ref path, .. }
+        | MetaOp::Truncate { ref path, .. }
+        | MetaOp::Read { ref path, .. }
+        | MetaOp::Write { ref path, .. }
+        | MetaOp::Utimens { ref path, .. } => path.clone(),
+    };
+    // Fig 3 step B: the lookup of the op's own path.
+    match p.coord(get_data(path)).await? {
+        ZkResponse::Data { data, stat } => {
+            let meta = NodeMeta::decode(&data)?;
+            p.looked_up(op, meta, data, &stat).await
+        }
+        r => unexpected(r),
+    }
 }
 
-/// The executor for one operation.
-#[derive(Debug)]
-pub struct OpExec {
-    st: St,
-    /// Count of driver round trips so far (for diagnostics/accounting).
-    steps: u32,
+/// A reply of the wrong kind for its request.
+fn unexpected(reply: impl Debug) -> ! {
+    panic!("unexpected reply {reply:?}")
 }
 
 fn get_data(path: String) -> ZkRequest {
     ZkRequest::GetData { path, watch: false }
 }
 
-/// `then` entered by sending `req`, behind a check that `parent` is a
-/// directory unless it is the root (always one).
-fn parent_checked(parent: &str, then: St, req: ZkRequest) -> (St, PlanStep) {
-    if parent == "/" {
-        (then, PlanStep::Zk(req))
-    } else {
-        let check = PlanStep::Zk(get_data(parent.to_string()));
-        (St::ParentCheck { then: Box::new(then), req }, check)
-    }
+/// One op in flight: the mapping it places files by and the services it
+/// sends on.
+struct Planner<'a, I> {
+    mapper: &'a dyn BackendMapper,
+    io: &'a mut I,
 }
 
-/// A namespace create of `meta` at `path`, then `then`'s back-end hop.
-fn create(path: String, meta: NodeMeta, then: Option<(Hop, Call)>) -> (St, PlanStep) {
-    let parent = parent_dir(&path).to_string();
-    let req = ZkRequest::Create { path, data: meta.encode(), mode: CreateMode::Persistent };
-    parent_checked(&parent, St::Coord { then }, req)
-}
-
-impl OpExec {
-    /// Begin executing `op`. `mint_fid` supplies a fresh FID if the op is a
-    /// `Create` (minted by the client instance, §IV-E); `mapper` is the
-    /// deterministic mapping function.
-    pub fn start(
-        op: MetaOp,
-        mint_fid: impl FnOnce() -> Fid,
-        mapper: &dyn BackendMapper,
-    ) -> (OpExec, PlanStep) {
-        let (st, step) = match op {
-            MetaOp::Mkdir { path, mode } => create(path, NodeMeta::dir(mode), None),
-            MetaOp::Symlink { target, link } => create(link, NodeMeta::symlink(target), None),
-            MetaOp::Create { path, mode } => {
-                let fid = mint_fid();
-                let call = file_call(mapper, fid, |path| BackendReq::CreateFile { path, mode });
-                let hop = Hop::Created { fid, path: path.clone() };
-                create(path, NodeMeta::file(fid, mode), Some((hop, call)))
-            }
-            MetaOp::Readdir { path } => (
-                St::Coord { then: None },
-                PlanStep::Zk(ZkRequest::GetChildren { path, watch: false }),
-            ),
-            MetaOp::ReaddirPlus { path } => {
-                (St::RdPlusList, PlanStep::Zk(ZkRequest::GetChildrenData { path }))
-            }
-            MetaOp::StatFs => {
-                let acc = DufsStatFs { backends: mapper.n_backends() as u64, ..Default::default() };
-                (
-                    St::StatFs { acc, next: 1 },
-                    PlanStep::Backend { backend: 0, req: BackendReq::StatFs },
-                )
-            }
-            MetaOp::Rename { ref from, ref to } => {
-                // The destination is a create inside the rename's multi.
-                let (parent, lookup) = (parent_dir(to).to_string(), get_data(from.clone()));
-                parent_checked(&parent, St::Lookup(op), lookup)
-            }
-            MetaOp::Rmdir { ref path }
-            | MetaOp::Open { ref path }
-            | MetaOp::Unlink { ref path }
-            | MetaOp::Stat { ref path }
-            | MetaOp::Readlink { ref path }
-            | MetaOp::Chmod { ref path, .. }
-            | MetaOp::Access { ref path, .. }
-            | MetaOp::Truncate { ref path, .. }
-            | MetaOp::Read { ref path, .. }
-            | MetaOp::Write { ref path, .. }
-            | MetaOp::Utimens { ref path, .. } => {
-                let lookup = PlanStep::Zk(get_data(path.clone()));
-                (St::Lookup(op), lookup)
-            }
-        };
-        (OpExec { st, steps: 1 }, step)
-    }
-
-    /// Driver round trips issued so far.
-    pub fn steps(&self) -> u32 {
-        self.steps
-    }
-
-    fn done(&mut self, r: DufsResult<OpOutput>) -> PlanStep {
-        self.st = St::Finished;
-        PlanStep::Done(r)
-    }
-
-    fn fail(&mut self, e: impl Into<DufsError>) -> PlanStep {
-        self.done(Err(e.into()))
-    }
-
-    /// Send coordination request `req`; its success answers the op, or
-    /// leads to `then`'s back-end hop.
-    fn coord(&mut self, req: ZkRequest, then: Option<(Hop, Call)>) -> PlanStep {
-        self.st = St::Coord { then };
-        PlanStep::Zk(req)
-    }
-
-    /// Send back-end call `(backend, req)`; `hop` says what its reply means.
-    fn hop(&mut self, hop: Hop, (backend, req): Call) -> PlanStep {
-        self.st = St::Backend(hop);
-        PlanStep::Backend { backend, req }
-    }
-
-    /// Feed the response for the previously returned step; get the next.
-    ///
-    /// # Panics
-    /// Panics if called after [`PlanStep::Done`] or with a response of the
-    /// wrong category (driver bug).
-    pub fn feed(&mut self, resp: StepResponse, mapper: &dyn BackendMapper) -> PlanStep {
-        use StepResponse::{Backend, Zk};
-        self.steps += 1;
-        match (std::mem::replace(&mut self.st, St::Finished), resp) {
-            (St::Finished, _) => panic!("feed() after Done"),
-            (St::ParentCheck { then, req }, Zk(ZkResponse::Data { data, .. })) => {
-                match NodeMeta::decode(&data) {
-                    Ok(meta) if meta.is_dir() => {
-                        self.st = *then;
-                        PlanStep::Zk(req)
-                    }
-                    r => self.fail(r.err().unwrap_or(DufsError::NotDir)),
-                }
-            }
-            (St::Lookup(op), Zk(ZkResponse::Data { data, stat })) => {
-                match NodeMeta::decode(&data) {
-                    Ok(meta) => self.looked_up(op, meta, data, &stat, mapper),
-                    Err(e) => self.fail(e),
-                }
-            }
-            (St::Coord { .. }, Zk(ZkResponse::Children { names, .. })) => {
-                self.done(Ok(OpOutput::Names(names)))
-            }
-            (
-                St::Coord { then },
-                Zk(
-                    ZkResponse::Created { .. }
-                    | ZkResponse::Deleted
-                    | ZkResponse::Stat(_)
-                    | ZkResponse::MultiResults(_),
-                ),
-            ) => match then {
-                None => self.done(Ok(OpOutput::Unit)),
-                Some((hop, call)) => self.hop(hop, call),
-            },
-            (St::Backend(Hop::Answer), Backend(resp)) => self.done(backend_output(resp)),
-            (St::Backend(Hop::Opened(fid)), Backend(BackendResp::Attr(r))) => {
-                self.done(r.map(|_| OpOutput::Opened(fid)).map_err(DufsError::from))
-            }
-            (St::Backend(Hop::Created { fid, .. }), Backend(BackendResp::Unit(Ok(())))) => {
-                self.done(Ok(OpOutput::Created(fid)))
-            }
-            (St::Backend(Hop::Created { path, .. }), Backend(BackendResp::Unit(Err(e)))) => {
-                self.st = St::Cleanup(e.into());
-                PlanStep::Zk(ZkRequest::Delete { path, version: None })
-            }
-            (St::Backend(Hop::Reap), Backend(BackendResp::Unit(_))) => {
-                self.done(Ok(OpOutput::Unit))
-            }
-            (St::Cleanup(err), _) => self.fail(err),
-            (St::RdPlusList, Zk(ZkResponse::ChildrenData { entries })) => {
-                let mut done = Vec::with_capacity(entries.len());
-                let mut pending = VecDeque::new();
-                for (name, data, stat) in entries {
-                    match NodeMeta::decode(&data) {
-                        Ok(NodeMeta::Dir { mode }) => {
-                            done.push((name, DufsAttr::from_znode_dir(&stat, mode)))
-                        }
-                        Ok(NodeMeta::Symlink { target, mode }) => done
-                            .push((name, DufsAttr::from_znode_symlink(&stat, mode, target.len()))),
-                        Ok(NodeMeta::File { fid, .. }) => pending.push_back((name, fid)),
-                        Err(e) => return self.fail(e),
-                    }
-                }
-                self.sweep(done, pending, mapper)
-            }
-            (St::RdPlusStats { mut done, pending, current }, Backend(BackendResp::Attr(r))) => {
-                match r {
-                    Ok(attr) => done.push((current, DufsAttr::from_backend_file(&attr))),
-                    // A racing unlink between listing and stat: skip the
-                    // entry rather than failing the whole listing.
-                    Err(FsError::NoEnt) => {}
-                    Err(e) => return self.fail(e),
-                }
-                if pending.is_empty() {
-                    done.sort_by(|a, b| a.0.cmp(&b.0));
-                }
-                self.sweep(done, pending, mapper)
-            }
-            (
-                St::RenameWalk { to, mut dirs, mut gets, moved },
-                Zk(ZkResponse::Children { names, .. }),
-            ) => {
-                // Children of the directory listed last: the front of `dirs`.
-                let dir = dirs.pop_front().expect("a listing was outstanding");
-                gets.extend(names.iter().map(|n| format!("{dir}/{n}")));
-                self.walk(to, dirs, gets, moved)
-            }
-            (
-                St::RenameWalk { to, mut dirs, mut gets, mut moved },
-                Zk(ZkResponse::Data { data, .. }),
-            ) => {
-                let path = gets.pop_front().expect("a get was outstanding");
-                if NodeMeta::decode(&data).is_ok_and(|m| m.is_dir()) {
-                    dirs.push_back(path.clone());
-                }
-                moved.push((path, data));
-                self.walk(to, dirs, gets, moved)
-            }
-            (St::StatFs { mut acc, next }, Backend(BackendResp::Usage(u))) => {
-                acc.physical_entries += u.entries;
-                acc.objects += u.objects;
-                acc.bytes_used += u.bytes_used;
-                if next as u64 >= acc.backends {
-                    self.done(Ok(OpOutput::StatFs(acc)))
-                } else {
-                    self.st = St::StatFs { acc, next: next + 1 };
-                    PlanStep::Backend { backend: next, req: BackendReq::StatFs }
-                }
-            }
-            (_, Zk(ZkResponse::Error(e))) => self.fail(e),
-            (st, resp) => panic!("{st:?}: unexpected {resp:?}"),
+impl<I: PlanIo> Planner<'_, I> {
+    /// Send coordination request `req`; an error reply fails the op.
+    async fn coord(&mut self, req: ZkRequest) -> DufsResult<ZkResponse> {
+        match self.io.coord(req).await {
+            ZkResponse::Error(e) => Err(e.into()),
+            reply => Ok(reply),
         }
     }
 
-    /// The op's next move once its path's znode is known: done from the
-    /// metadata alone, one more coordination request, or the back-end hop
-    /// on the file's FID.
-    fn looked_up(
+    /// Send write `req`; its success answers the op.
+    async fn write(&mut self, req: ZkRequest) -> DufsResult<OpOutput> {
+        match self.coord(req).await? {
+            ZkResponse::Created { .. }
+            | ZkResponse::Deleted
+            | ZkResponse::Stat(_)
+            | ZkResponse::MultiResults(_) => Ok(OpOutput::Unit),
+            r => unexpected(r),
+        }
+    }
+
+    /// The back-end hop (Fig 3 step D): send back-end call `(backend, req)`.
+    async fn hop(&mut self, (backend, req): Call) -> BackendResp {
+        self.io.backend(backend, req).await
+    }
+
+    /// Check that `parent` is a directory, unless it is the root (always
+    /// one). POSIX requires ENOTDIR when the parent is a file; a bare
+    /// znode create would happily nest under anything.
+    async fn parent_check(&mut self, parent: &str) -> DufsResult<()> {
+        if parent == "/" {
+            return Ok(());
+        }
+        match self.coord(get_data(parent.to_string())).await? {
+            ZkResponse::Data { data, .. } => match NodeMeta::decode(&data) {
+                Ok(meta) if meta.is_dir() => Ok(()),
+                r => Err(r.err().unwrap_or(DufsError::NotDir)),
+            },
+            r => unexpected(r),
+        }
+    }
+
+    /// A namespace create of `meta` at `path`, behind its parent check.
+    async fn create(&mut self, path: String, meta: NodeMeta) -> DufsResult<OpOutput> {
+        self.parent_check(parent_dir(&path)).await?;
+        self.write(ZkRequest::Create { path, data: meta.encode(), mode: CreateMode::Persistent })
+            .await
+    }
+
+    /// The op's answer once its path's znode is known: from the metadata
+    /// alone, after one more coordination request, or after the back-end
+    /// hop on the file's FID.
+    async fn looked_up(
         &mut self,
         op: MetaOp,
         meta: NodeMeta,
         data: Bytes,
         stat: &Stat,
-        mapper: &dyn BackendMapper,
-    ) -> PlanStep {
+    ) -> DufsResult<OpOutput> {
         use NodeMeta::{Dir, File, Symlink};
         match (op, meta) {
             (MetaOp::Rmdir { path }, Dir { .. }) => {
-                self.coord(ZkRequest::Delete { path, version: None }, None)
+                self.write(ZkRequest::Delete { path, version: None }).await
             }
-            (MetaOp::Rmdir { .. }, _) => self.fail(DufsError::NotDir),
-            (MetaOp::Unlink { .. }, Dir { .. }) => self.fail(DufsError::IsDir),
+            (MetaOp::Rmdir { .. }, _) => Err(DufsError::NotDir),
+            (MetaOp::Unlink { .. }, Dir { .. }) => Err(DufsError::IsDir),
             (MetaOp::Unlink { path }, meta) => {
-                // A symlink is metadata only; a file's data is reaped after.
-                let reap = meta.fid().map(|fid| {
-                    (Hop::Reap, file_call(mapper, fid, |path| BackendReq::Unlink { path }))
-                });
-                self.coord(ZkRequest::Delete { path, version: None }, reap)
+                self.write(ZkRequest::Delete { path, version: None }).await?;
+                // A symlink is metadata only; a file's data is reaped
+                // after. The name is gone either way: a failed reap is
+                // ignored, as the prototype logs and ignores it.
+                if let Some(fid) = meta.fid() {
+                    let call = file_call(self.mapper, fid, |path| BackendReq::Unlink { path });
+                    match self.hop(call).await {
+                        BackendResp::Unit(_) => {}
+                        r => unexpected(r),
+                    }
+                }
+                Ok(OpOutput::Unit)
             }
             // Paper Fig 6: a directory's `struct stat` is filled from the
             // coordination service alone; so is a symlink's.
             (MetaOp::Stat { .. }, Dir { mode }) => {
-                self.done(Ok(OpOutput::Attr(DufsAttr::from_znode_dir(stat, mode))))
+                Ok(OpOutput::Attr(DufsAttr::from_znode_dir(stat, mode)))
             }
-            (MetaOp::Stat { .. }, Symlink { target, mode }) => self
-                .done(Ok(OpOutput::Attr(DufsAttr::from_znode_symlink(stat, mode, target.len())))),
-            (MetaOp::Readlink { .. }, Symlink { target, .. }) => {
-                self.done(Ok(OpOutput::Target(target)))
+            (MetaOp::Stat { .. }, Symlink { target, mode }) => {
+                Ok(OpOutput::Attr(DufsAttr::from_znode_symlink(stat, mode, target.len())))
             }
-            (MetaOp::Readlink { .. }, _) => self.fail(DufsError::Inval),
+            (MetaOp::Readlink { .. }, Symlink { target, .. }) => Ok(OpOutput::Target(target)),
+            (MetaOp::Readlink { .. }, _) => Err(DufsError::Inval),
             (MetaOp::Chmod { path, mode }, meta @ (Dir { .. } | Symlink { .. })) => {
                 let data = meta.with_mode(mode & 0o7777).encode();
-                self.coord(ZkRequest::SetData { path, data, version: None }, None)
+                self.write(ZkRequest::SetData { path, data, version: None }).await
             }
             (MetaOp::Access { mask, .. }, meta @ (Dir { .. } | Symlink { .. })) => {
                 let owner = (meta.mode() >> 6) & 0o7;
-                self.done(Ok(OpOutput::Allowed(owner & mask == mask)))
+                Ok(OpOutput::Allowed(owner & mask == mask))
             }
             // Directory/symlink timestamps are transaction-clocked by the
             // coordination service; accept and ignore, as the FUSE
             // prototype does for metadata-only nodes.
-            (MetaOp::Utimens { .. }, Dir { .. } | Symlink { .. }) => self.done(Ok(OpOutput::Unit)),
-            // One atomic multi moves the name — after walking the subtree
-            // of a directory. The FID moves with the name; the data never
-            // does (§IV-A).
-            (MetaOp::Rename { from, to }, meta) => {
-                let dirs =
-                    if meta.is_dir() { VecDeque::from([from.clone()]) } else { VecDeque::new() };
-                self.walk(to, dirs, VecDeque::new(), vec![(from, data)])
-            }
+            (MetaOp::Utimens { .. }, Dir { .. } | Symlink { .. }) => Ok(OpOutput::Unit),
+            (MetaOp::Rename { from, to }, meta) => self.rename(from, to, meta, data).await,
             (op, File { fid, .. }) => {
-                let hop =
-                    if matches!(op, MetaOp::Open { .. }) { Hop::Opened(fid) } else { Hop::Answer };
-                let call = file_call(mapper, fid, |path| match op {
+                let open = matches!(op, MetaOp::Open { .. });
+                let call = file_call(self.mapper, fid, |path| match op {
                     MetaOp::Open { .. } | MetaOp::Stat { .. } => BackendReq::Stat { path },
                     MetaOp::Chmod { mode, .. } => BackendReq::Chmod { path, mode },
                     MetaOp::Access { mask, .. } => BackendReq::Access { path, mask },
@@ -795,59 +610,117 @@ impl OpExec {
                     }
                     op => unreachable!("{op:?} has no back-end hop after its lookup"),
                 });
-                self.hop(hop, call)
+                match self.hop(call).await {
+                    // `open`: the physical file is there; the answer is
+                    // its FID.
+                    BackendResp::Attr(r) if open => Ok(OpOutput::Opened(r.map(|_| fid)?)),
+                    r if open => unexpected(r),
+                    r => backend_output(r),
+                }
             }
             // open, truncate, read and write name a regular file.
-            (_, Dir { .. }) => self.fail(DufsError::IsDir),
-            (_, Symlink { .. }) => self.fail(DufsError::Inval),
+            (_, Dir { .. }) => Err(DufsError::IsDir),
+            (_, Symlink { .. }) => Err(DufsError::Inval),
         }
     }
 
-    /// readdir_plus: stat the next pending file, or answer with `done`.
-    fn sweep(
-        &mut self,
-        done: Vec<(String, DufsAttr)>,
-        mut pending: VecDeque<(String, Fid)>,
-        mapper: &dyn BackendMapper,
-    ) -> PlanStep {
-        let Some((current, fid)) = pending.pop_front() else {
-            return self.done(Ok(OpOutput::Entries(done)));
+    /// readdir_plus: the batched listing, then a back-end stat per regular
+    /// file.
+    async fn readdir_plus(&mut self, path: String) -> DufsResult<OpOutput> {
+        let entries = match self.coord(ZkRequest::GetChildrenData { path }).await? {
+            ZkResponse::ChildrenData { entries } => entries,
+            r => unexpected(r),
         };
-        let (backend, req) = file_call(mapper, fid, |path| BackendReq::Stat { path });
-        self.st = St::RdPlusStats { done, pending, current };
-        PlanStep::Backend { backend, req }
+        let mut done = Vec::with_capacity(entries.len());
+        let mut files = Vec::new();
+        for (name, data, stat) in entries {
+            match NodeMeta::decode(&data)? {
+                NodeMeta::Dir { mode } => done.push((name, DufsAttr::from_znode_dir(&stat, mode))),
+                NodeMeta::Symlink { target, mode } => {
+                    done.push((name, DufsAttr::from_znode_symlink(&stat, mode, target.len())))
+                }
+                NodeMeta::File { fid, .. } => files.push((name, fid)),
+            }
+        }
+        if files.is_empty() {
+            return Ok(OpOutput::Entries(done));
+        }
+        for (name, fid) in files {
+            match self.hop(file_call(self.mapper, fid, |path| BackendReq::Stat { path })).await {
+                BackendResp::Attr(Ok(attr)) => {
+                    done.push((name, DufsAttr::from_backend_file(&attr)))
+                }
+                // A racing unlink between listing and stat: skip the entry
+                // rather than failing the whole listing.
+                BackendResp::Attr(Err(FsError::NoEnt)) => {}
+                BackendResp::Attr(Err(e)) => return Err(e.into()),
+                r => unexpected(r),
+            }
+        }
+        // The files came after the rest: back to the listing's name order.
+        done.sort_by(|a, b| a.0.cmp(&b.0));
+        Ok(OpOutput::Entries(done))
     }
 
-    /// rename: the walk's next `GetData` or listing (entries before
-    /// listings, so `moved` is breadth-first, parents before children), or
-    /// once the walk is complete the one atomic multi — creates
-    /// parent-first, deletes children-first.
-    fn walk(
+    /// statfs: the usage of every mount, summed.
+    async fn statfs(&mut self) -> DufsResult<OpOutput> {
+        let backends = self.mapper.n_backends();
+        let mut acc = DufsStatFs { backends: backends as u64, ..Default::default() };
+        for backend in 0..backends {
+            match self.io.backend(backend, BackendReq::StatFs).await {
+                BackendResp::Usage(u) => {
+                    acc.physical_entries += u.entries;
+                    acc.objects += u.objects;
+                    acc.bytes_used += u.bytes_used;
+                }
+                r => unexpected(r),
+            }
+        }
+        Ok(OpOutput::StatFs(acc))
+    }
+
+    /// rename: walk the source subtree breadth-first (each listing's
+    /// entries fetched before the next listing, so `moved` holds parents
+    /// before children), then move every name in one atomic multi —
+    /// creates parent-first, deletes children-first. The FID moves with
+    /// the name; the data never does (§IV-A).
+    async fn rename(
         &mut self,
+        from: String,
         to: String,
-        dirs: VecDeque<String>,
-        gets: VecDeque<String>,
-        moved: Vec<(String, Bytes)>,
-    ) -> PlanStep {
-        let req = if let Some(path) = gets.front() {
-            get_data(path.clone())
-        } else if let Some(path) = dirs.front() {
-            ZkRequest::GetChildren { path: path.clone(), watch: false }
-        } else {
-            let root = moved[0].0.len();
-            let creates = moved.iter().map(|(old, data)| MultiOp::Create {
-                path: format!("{to}{}", &old[root..]),
-                data: data.clone(),
-                mode: CreateMode::Persistent,
-            });
-            let deletes = moved
-                .iter()
-                .rev()
-                .map(|(old, _)| MultiOp::Delete { path: old.clone(), version: None });
-            return self.coord(ZkRequest::Multi { ops: creates.chain(deletes).collect() }, None);
-        };
-        self.st = St::RenameWalk { to, dirs, gets, moved };
-        PlanStep::Zk(req)
+        meta: NodeMeta,
+        data: Bytes,
+    ) -> DufsResult<OpOutput> {
+        let mut dirs = if meta.is_dir() { VecDeque::from([from.clone()]) } else { VecDeque::new() };
+        let mut moved = vec![(from, data)];
+        while let Some(dir) = dirs.pop_front() {
+            let names =
+                match self.coord(ZkRequest::GetChildren { path: dir.clone(), watch: false }).await?
+                {
+                    ZkResponse::Children { names, .. } => names,
+                    r => unexpected(r),
+                };
+            for name in names {
+                let path = format!("{dir}/{name}");
+                let data = match self.coord(get_data(path.clone())).await? {
+                    ZkResponse::Data { data, .. } => data,
+                    r => unexpected(r),
+                };
+                if NodeMeta::decode(&data).is_ok_and(|m| m.is_dir()) {
+                    dirs.push_back(path.clone());
+                }
+                moved.push((path, data));
+            }
+        }
+        let root = moved[0].0.len();
+        let creates = moved.iter().map(|(old, data)| MultiOp::Create {
+            path: format!("{to}{}", &old[root..]),
+            data: data.clone(),
+            mode: CreateMode::Persistent,
+        });
+        let deletes =
+            moved.iter().rev().map(|(old, _)| MultiOp::Delete { path: old.clone(), version: None });
+        self.write(ZkRequest::Multi { ops: creates.chain(deletes).collect() }).await
     }
 }
 
@@ -855,8 +728,9 @@ impl OpExec {
 mod tests {
     use super::*;
     use crate::mapping::Md5Mapping;
+    use dufs_coord::session::ready;
 
-    // Every op's full step sequence is pinned by the golden transcript
+    // Every op's full request sequence is pinned by the golden transcript
     // (`tests/plan_transcript.rs`); these check the paper's invariants by
     // value.
 
@@ -864,39 +738,66 @@ mod tests {
         Md5Mapping::new(2)
     }
 
+    /// A request the op sent.
+    #[derive(Debug)]
+    enum Sent {
+        Zk(ZkRequest),
+        Backend(usize, BackendReq),
+    }
+
+    /// Scripted replies, in order; records every request.
+    #[derive(Default)]
+    struct Script {
+        zk: VecDeque<ZkResponse>,
+        backend: VecDeque<BackendResp>,
+        sent: Vec<Sent>,
+    }
+
+    impl PlanIo for Script {
+        async fn coord(&mut self, req: ZkRequest) -> ZkResponse {
+            self.sent.push(Sent::Zk(req));
+            self.zk.pop_front().expect("a scripted coordination reply")
+        }
+
+        async fn backend(&mut self, backend: usize, req: BackendReq) -> BackendResp {
+            self.sent.push(Sent::Backend(backend, req));
+            self.backend.pop_front().expect("a scripted back-end reply")
+        }
+    }
+
     #[test]
     fn create_goes_zk_then_backend() {
         let m = mapper();
         let fid = Fid::new(5, 1);
-        let (mut ex, step) =
-            OpExec::start(MetaOp::Create { path: "/f".into(), mode: 0o644 }, || fid, &m);
-        assert!(matches!(step, PlanStep::Zk(ZkRequest::Create { .. })));
-        let step = ex.feed(StepResponse::Zk(ZkResponse::Created { path: "/f".into() }), &m);
-        match step {
-            PlanStep::Backend { backend, req: BackendReq::CreateFile { path, mode } } => {
-                assert_eq!(backend, m.backend_of(fid));
-                assert_eq!(path, shard::physical_path("/", fid));
-                assert_eq!(mode, 0o644);
+        let mut io = Script {
+            zk: VecDeque::from([ZkResponse::Created { path: "/f".into() }]),
+            backend: VecDeque::from([BackendResp::Unit(Ok(()))]),
+            ..Script::default()
+        };
+        let op = MetaOp::Create { path: "/f".into(), mode: 0o644 };
+        assert_eq!(ready(run(op, || fid, &m, &mut io)), Ok(OpOutput::Created(fid)));
+        match &io.sent[..] {
+            [Sent::Zk(ZkRequest::Create { .. }), Sent::Backend(backend, BackendReq::CreateFile { path, mode })] =>
+            {
+                assert_eq!(*backend, m.backend_of(fid));
+                assert_eq!(*path, shard::physical_path("/", fid));
+                assert_eq!(*mode, 0o644);
             }
             other => panic!("unexpected {other:?}"),
         }
-        let done = ex.feed(StepResponse::Backend(BackendResp::Unit(Ok(()))), &m);
-        assert_eq!(done, PlanStep::Done(Ok(OpOutput::Created(fid))));
     }
 
     #[test]
     fn stat_of_directory_never_touches_backend() {
         // Paper §IV-B: "the directory stat() operation is satisfied at the
         // Zookeeper level itself".
-        let m = mapper();
-        let (mut ex, _) = OpExec::start(MetaOp::Stat { path: "/d".into() }, || unreachable!(), &m);
         let stat = Stat { num_children: 3, ctime_ns: 7, mtime_ns: 9, ..Default::default() };
-        let done = ex.feed(
-            StepResponse::Zk(ZkResponse::Data { data: NodeMeta::dir(0o700).encode(), stat }),
-            &m,
-        );
-        match done {
-            PlanStep::Done(Ok(OpOutput::Attr(a))) => {
+        let data = NodeMeta::dir(0o700).encode();
+        let mut io =
+            Script { zk: VecDeque::from([ZkResponse::Data { data, stat }]), ..Script::default() };
+        let op = MetaOp::Stat { path: "/d".into() };
+        match ready(run(op, || unreachable!(), &mapper(), &mut io)) {
+            Ok(OpOutput::Attr(a)) => {
                 assert_eq!(a.kind, NodeKind::Dir);
                 assert_eq!(a.mode, 0o700);
                 assert_eq!(a.nlink, 5);
@@ -904,30 +805,30 @@ mod tests {
             }
             other => panic!("unexpected {other:?}"),
         }
+        assert_eq!(io.sent.len(), 1, "{:?}", io.sent);
     }
 
     #[test]
     fn data_ops_route_to_the_mapped_backend() {
         let m = mapper();
         let fid = Fid::new(77, 3);
-        let meta = NodeMeta::file(fid, 0o644).encode();
-        let (mut ex, _) = OpExec::start(
-            MetaOp::Write { path: "/f".into(), offset: 4, data: Bytes::from_static(b"xy") },
-            || unreachable!(),
-            &m,
-        );
-        let step =
-            ex.feed(StepResponse::Zk(ZkResponse::Data { data: meta, stat: Stat::default() }), &m);
-        match step {
-            PlanStep::Backend { backend, req: BackendReq::Write { path, offset, data } } => {
-                assert_eq!(backend, m.backend_of(fid));
-                assert_eq!(path, shard::physical_path("/", fid));
-                assert_eq!(offset, 4);
+        let data = NodeMeta::file(fid, 0o644).encode();
+        let mut io = Script {
+            zk: VecDeque::from([ZkResponse::Data { data, stat: Stat::default() }]),
+            backend: VecDeque::from([BackendResp::Written(Ok(2))]),
+            ..Script::default()
+        };
+        let op = MetaOp::Write { path: "/f".into(), offset: 4, data: Bytes::from_static(b"xy") };
+        assert_eq!(ready(run(op, || unreachable!(), &m, &mut io)), Ok(OpOutput::Written(2)));
+        match &io.sent[..] {
+            [Sent::Zk(ZkRequest::GetData { .. }), Sent::Backend(backend, BackendReq::Write { path, offset, data })] =>
+            {
+                assert_eq!(*backend, m.backend_of(fid));
+                assert_eq!(*path, shard::physical_path("/", fid));
+                assert_eq!(*offset, 4);
                 assert_eq!(&data[..], b"xy");
             }
             other => panic!("unexpected {other:?}"),
         }
-        let done = ex.feed(StepResponse::Backend(BackendResp::Written(Ok(2))), &m);
-        assert_eq!(done, PlanStep::Done(Ok(OpOutput::Written(2))));
     }
 }

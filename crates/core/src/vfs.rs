@@ -5,8 +5,8 @@
 //! deterministic mapping function, and a FID generator. It exposes the
 //! POSIX-style operations the prototype implements ("mkdir, create, open,
 //! symlink, rename, stat, readdir, rmdir, unlink, truncate, chmod, access,
-//! read, write" — §IV-C), each executed by driving the [`crate::plan`]
-//! continuation against the live services.
+//! read, write" — §IV-C), each executed by running the [`crate::plan`]
+//! protocol over the live services.
 
 use std::collections::HashMap;
 
@@ -15,7 +15,10 @@ use bytes::Bytes;
 use crate::error::{DufsError, DufsResult};
 use crate::fid::{Fid, FidGenerator};
 use crate::mapping::{BackendMapper, Md5Mapping};
-use crate::plan::{self, BackendReq, MetaOp, OpExec, OpOutput, PlanStep, StepResponse};
+use dufs_coord::session::ready;
+use dufs_coord::{ZkRequest, ZkResponse};
+
+use crate::plan::{self, BackendReq, BackendResp, MetaOp, OpOutput, PlanIo};
 use crate::services::{BackendSet, CoordService};
 
 pub use crate::plan::{DufsAttr, NodeKind};
@@ -90,7 +93,6 @@ impl<C: CoordService, B: BackendSet> Dufs<C, B> {
     /// files, symlink target) — the raw coordination-service view behind
     /// the POSIX API.
     pub fn node_meta(&mut self, path: &str) -> DufsResult<crate::meta::NodeMeta> {
-        use dufs_coord::{ZkRequest, ZkResponse};
         match self.coord.request(ZkRequest::GetData { path: path.into(), watch: false }) {
             ZkResponse::Data { data, .. } => crate::meta::NodeMeta::decode(&data),
             ZkResponse::Error(e) => Err(e.into()),
@@ -98,26 +100,13 @@ impl<C: CoordService, B: BackendSet> Dufs<C, B> {
         }
     }
 
-    /// Drive one operation to completion.
+    /// Run one operation to completion.
     pub fn run(&mut self, op: MetaOp) -> DufsResult<OpOutput> {
         self.ops_executed += 1;
         let minted =
             if matches!(op, MetaOp::Create { .. }) { Some(self.fids.next_fid()) } else { None };
-        let (mut ex, mut step) =
-            OpExec::start(op, || minted.expect("minted for Create"), self.mapper.as_ref());
-        loop {
-            match step {
-                PlanStep::Done(r) => return r,
-                PlanStep::Zk(req) => {
-                    let resp = self.coord.request(req);
-                    step = ex.feed(StepResponse::Zk(resp), self.mapper.as_ref());
-                }
-                PlanStep::Backend { backend, req } => {
-                    let resp = self.backends.call(backend, req);
-                    step = ex.feed(StepResponse::Backend(resp), self.mapper.as_ref());
-                }
-            }
-        }
+        let io = &mut (&mut self.coord, &mut self.backends);
+        ready(plan::run(op, || minted.expect("minted for Create"), self.mapper.as_ref(), io))
     }
 
     // ------------------------------------------------------------------
@@ -315,6 +304,17 @@ impl<C: CoordService, B: BackendSet> Dufs<C, B> {
         let fid = *self.handles.get(&h.0).ok_or(DufsError::Inval)?;
         let (backend, req) = plan::file_call(self.mapper.as_ref(), fid, req);
         plan::backend_output(self.backends.call(backend, req))
+    }
+}
+
+/// The live services answer each request at once.
+impl<C: CoordService, B: BackendSet> PlanIo for (&mut C, &mut B) {
+    async fn coord(&mut self, req: ZkRequest) -> ZkResponse {
+        self.0.request(req)
+    }
+
+    async fn backend(&mut self, backend: usize, req: BackendReq) -> BackendResp {
+        self.1.call(backend, req)
     }
 }
 
@@ -524,26 +524,38 @@ mod tests {
         assert_eq!(fs.readdir_plus("/nope").unwrap_err(), DufsError::NoEnt);
     }
 
+    /// `SoloCoord` behind a session that implements only `request`,
+    /// counting the requests.
+    struct Counted {
+        inner: SoloCoord,
+        requests: usize,
+    }
+
+    impl CoordService for Counted {
+        fn request(&mut self, req: ZkRequest) -> ZkResponse {
+            self.requests += 1;
+            self.inner.request(req)
+        }
+    }
+
     #[test]
     fn readdir_plus_uses_fewer_coordination_round_trips() {
         // The point of the batched API: for a directory of D subdirectories,
         // readdir+stat pays 1 + D coordination reads; readdir_plus pays 1.
-        let mut fs = dufs();
+        let coord = Counted { inner: SoloCoord::new(), requests: 0 };
+        let mut fs = Dufs::new(42, coord, LocalBackends::lustre(2));
         fs.mkdir("/big", 0o755).unwrap();
         for i in 0..20 {
             fs.mkdir(&format!("/big/d{i}"), 0o755).unwrap();
         }
-        let before = fs.coord_mut().server().applied_count();
-        let _ = before; // applied_count tracks writes; count reads via steps:
-                        // Use the planner directly to count round trips.
-        use crate::mapping::Md5Mapping;
-        let mapper = Md5Mapping::new(2);
-        let (ex, _first) =
-            OpExec::start(MetaOp::ReaddirPlus { path: "/big".into() }, || unreachable!(), &mapper);
-        drop(ex);
-        // Functional check through the live stack with step counting.
-        let entries = fs.readdir_plus("/big").unwrap();
-        assert_eq!(entries.len(), 20);
+        let before = fs.coord_mut().requests;
+        assert_eq!(fs.readdir_plus("/big").unwrap().len(), 20);
+        assert_eq!(fs.coord_mut().requests - before, 1, "readdir_plus");
+        let before = fs.coord_mut().requests;
+        for name in fs.readdir("/big").unwrap() {
+            fs.stat(&format!("/big/{name}")).unwrap();
+        }
+        assert_eq!(fs.coord_mut().requests - before, 1 + 20, "readdir + a stat per entry");
     }
 
     #[test]

@@ -1,12 +1,14 @@
-//! Golden planner transcripts: every `MetaOp` driven through `OpExec`'s
-//! public API against a scripted namespace, one row per (op, situation).
-//! A row records every `PlanStep` the planner emits, its final output or
-//! error, and `steps()`. The expected text (`plan_transcript.txt`) was
-//! dumped from the planner before its continuation states were collapsed
-//! into lookup / back-end hop / final write, so a change to how the
-//! planner is *written* cannot change what it *asks for*. The rename rows
-//! whose destination parent is not `/` were re-dumped when rename started
-//! checking that parent like every other create.
+//! Golden planner transcripts: every `MetaOp` run through `plan::run`
+//! against a scripted namespace, one row per (op, situation). A row
+//! records every request the op sends (`Zk(..)` to the coordination
+//! service, `Backend { .. }` to a mount), its final output or error
+//! (`Done(..)`), and `steps`, the requests plus one. The expected text
+//! (`plan_transcript.txt`) was dumped from the planner before its
+//! continuation states were collapsed into lookup / back-end hop / final
+//! write, and kept when the planner became an `async fn`, so a change to
+//! how the planner is *written* cannot change what it *asks for*. The
+//! rename rows whose destination parent is not `/` were re-dumped when
+//! rename started checking that parent like every other create.
 //!
 //! On a mismatch the whole transcript is written to
 //! `target/tmp/plan_transcript.txt` for diffing against the golden file.
@@ -16,8 +18,9 @@ use std::fmt::Write as _;
 
 use bytes::Bytes;
 use dufs_backendfs::{FileAttr, FsError, MountUsage};
+use dufs_coord::session::ready;
 use dufs_coord::{ZkRequest, ZkResponse};
-use dufs_core::plan::{BackendReq, BackendResp, MetaOp, OpExec, PlanStep, StepResponse};
+use dufs_core::plan::{self, BackendReq, BackendResp, MetaOp, PlanIo};
 use dufs_core::{shard, Fid, Md5Mapping, NodeMeta};
 use dufs_zkstore::{MultiOp, MultiResult, Stat, ZkError};
 
@@ -196,24 +199,35 @@ impl World {
     }
 }
 
-/// Drive `op` to completion against `world`; one line per step.
-fn transcript(mut world: World, op: MetaOp, backends: usize) -> String {
-    let mapper = Md5Mapping::new(backends);
-    let (mut ex, mut step) = OpExec::start(op, || Fid::new(7, 1), &mapper);
-    let mut out = String::new();
-    loop {
-        writeln!(out, "  {step:?}").unwrap();
-        let resp = match step {
-            PlanStep::Done(_) => break,
-            PlanStep::Zk(req) => StepResponse::Zk(world.zk(req)),
-            PlanStep::Backend { backend, req } => {
-                StepResponse::Backend(world.backend(backend, req))
-            }
-        };
-        step = ex.feed(resp, &mapper);
+/// `World` behind the planner's io, writing one line per request.
+struct Recorder {
+    world: World,
+    out: String,
+    steps: u32,
+}
+
+impl PlanIo for Recorder {
+    async fn coord(&mut self, req: ZkRequest) -> ZkResponse {
+        writeln!(self.out, "  Zk({req:?})").unwrap();
+        self.steps += 1;
+        self.world.zk(req)
     }
-    writeln!(out, "  steps = {}", ex.steps()).unwrap();
-    out
+
+    async fn backend(&mut self, backend: usize, req: BackendReq) -> BackendResp {
+        writeln!(self.out, "  Backend {{ backend: {backend}, req: {req:?} }}").unwrap();
+        self.steps += 1;
+        self.world.backend(backend, req)
+    }
+}
+
+/// Run `op` to completion against `world`; one line per step.
+fn transcript(world: World, op: MetaOp, backends: usize) -> String {
+    let mapper = Md5Mapping::new(backends);
+    let mut io = Recorder { world, out: String::new(), steps: 1 };
+    let done = ready(plan::run(op, || Fid::new(7, 1), &mapper, &mut io));
+    writeln!(io.out, "  Done({done:?})").unwrap();
+    writeln!(io.out, "  steps = {}", io.steps).unwrap();
+    io.out
 }
 
 /// Every op, aimed at `path`.

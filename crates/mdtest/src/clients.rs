@@ -16,24 +16,27 @@
 //! * raw: [`RawOp`] requests, up to `depth` outstanding per session
 //!   (`zoo_acreate`-style; depth 1 is the paper's synchronous loop, event
 //!   for event);
-//! * DUFS: each mdtest op runs through the DUFS op planner ([`OpExec`]:
-//!   FUSE → coordination service → deterministic mapping → back-end), its
-//!   coordination steps routed across shards by the live client's
-//!   [`ShardOp`];
+//! * DUFS: each mdtest op runs as one future of the DUFS op planner
+//!   ([`plan::run`]: FUSE → coordination service → deterministic mapping →
+//!   back-end), its coordination requests routed across shards by the live
+//!   client's [`route`];
 //! * native: [`NativeOp`]s straight at one back-end, with no timeout.
 
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::collections::VecDeque;
+use std::future::{poll_fn, Future};
+use std::pin::Pin;
 use std::rc::Rc;
+use std::task::{Context, Poll, Waker};
 
 use bytes::Bytes;
 
-use dufs_coord::sharded::{self, ShardOp, TxnIds};
+use dufs_coord::sharded::{route, ShardIo, TxnIds};
 use dufs_coord::{HashRing, ZkRequest, ZkResponse};
 use dufs_core::fid::{Fid, FidGenerator};
 use dufs_core::mapping::Md5Mapping;
 use dufs_core::meta::NodeMeta;
-use dufs_core::plan::{BackendReq, MetaOp, OpExec, PlanStep, StepResponse};
+use dufs_core::plan::{self, BackendReq, BackendResp, MetaOp, PlanIo};
 use dufs_simnet::{
     Ctx, LatencyHist, NodeId, Process, ServiceQueue, SimDuration, SimTime, TimerToken,
 };
@@ -244,7 +247,12 @@ impl ClientProc {
                 return ctx.set_timer(SimDuration::from_millis(200), T_RETRY);
             }
             // NodeExists from the sibling processes is expected.
-            (&Stage::Root(i), _) => Stage::Root(i + 1),
+            (&Stage::Root(i), msg) => match self.source.reply(msg) {
+                Step::Send(req) => {
+                    return self.awaiting = Some(self.send(ctx, req, SimDuration::ZERO))
+                }
+                Step::Done { .. } => Stage::Root(i + 1),
+            },
             (Stage::Phases, _) => unreachable!("nothing is awaited once set up"),
         };
         self.send_setup(ctx);
@@ -389,29 +397,24 @@ impl Source {
         }
     }
 
-    /// The unmeasured create of set-up root `i` (`None` past the last).
-    fn root(&self, i: usize) -> Option<Req> {
-        match self {
+    /// Start the unmeasured create of set-up root `i` (`None` past the
+    /// last).
+    fn root(&mut self, i: usize) -> Option<Req> {
+        Some(match self {
             Source::Raw(raw) => {
                 let (path, data) = match i {
                     0 => ("/bench".to_string(), Bytes::new()),
                     1 => (raw.base.clone(), Bytes::from_static(b"seed")),
                     _ => return None,
                 };
-                Some(Req::Zk(0, ZkRequest::Create { path, data, mode: CreateMode::Persistent }))
+                Req::Zk(0, ZkRequest::Create { path, data, mode: CreateMode::Persistent })
             }
             Source::Dufs(d) => {
                 let path = d.script.root(i)?;
-                let data = NodeMeta::dir(0o755).encode();
-                let req = ZkRequest::Create { path, data, mode: CreateMode::Persistent };
-                let Some(ring) = &d.ring else { return Some(Req::Zk(0, req)) };
-                match ShardOp::start(req, ring, 0).1 {
-                    sharded::Step::Send(shard, req) => Some(Req::Zk(shard, req)),
-                    sharded::Step::Done(resp) => unreachable!("a create is sent: {resp:?}"),
-                }
+                d.root(path)
             }
-            Source::Native(script) => Some(Req::Native(NativeOp::Mkdir(script.root(i)?))),
-        }
+            Source::Native(script) => Req::Native(NativeOp::Mkdir(script.root(i)?)),
+        })
     }
 
     /// Begin phase `idx`; false if there is no such phase.
@@ -429,9 +432,10 @@ impl Source {
         match self {
             Source::Raw(raw) => raw.next_op(),
             Source::Dufs(d) => {
-                d.op = Some(native_to_meta(d.script.ops.next()?));
-                d.fid = None;
-                Some((d.replan(), true))
+                let op = native_to_meta(d.script.ops.next()?);
+                d.fid = matches!(op, MetaOp::Create { .. }).then(|| d.fids.next_fid());
+                d.op = Some(op);
+                Some((d.start(d.plan()), true))
             }
             Source::Native(script) => Some((Step::Send(Req::Native(script.ops.next()?)), true)),
         }
@@ -443,10 +447,7 @@ impl Source {
             (Source::Raw(_), ClusterMsg::ZkResp { resp, .. }) => {
                 Step::Done { ok: !matches!(resp, ZkResponse::Error(_)) }
             }
-            (Source::Dufs(d), ClusterMsg::ZkResp { resp, .. }) => d.zk_reply(resp),
-            (Source::Dufs(d), ClusterMsg::BeResp { resp, .. }) => {
-                d.feed(StepResponse::Backend(resp))
-            }
+            (Source::Dufs(d), msg) => d.reply(msg),
             (Source::Native(_), ClusterMsg::NativeResp { ok, .. }) => Step::Done { ok },
             (_, other) => unreachable!("reply of another kind of request: {other:?}"),
         }
@@ -464,11 +465,10 @@ impl Source {
             // Outage mode: throw the half-done plan away and replay the
             // whole op (same FID). Whatever the lost attempt already
             // applied surfaces as NodeExists/NoNode, which leaves the
-            // namespace exactly as if it ran once.
-            Source::Dufs(d) if d.retry => Resume::Replanned(d.replan()),
-            // Fail the step so the op completes with an error and the loop
-            // continues (the live ZooKeeper client library does the same).
-            Source::Dufs(d) => Resume::Go(d.zk_reply(ZkResponse::Error(ZkError::ConnectionLoss))),
+            // namespace exactly as if it ran once; a 2PC it had prepared is
+            // left to a later sweep.
+            Source::Dufs(d) if d.retry => Resume::Replanned(d.start(d.plan())),
+            Source::Dufs(d) => Resume::Go(d.lost()),
             Source::Native(_) => unreachable!("native filesystem calls have no timeout"),
         }
     }
@@ -569,27 +569,80 @@ fn native_to_meta(op: NativeOp) -> MetaOp {
     }
 }
 
-/// DUFS ops: each mdtest op runs through the full DUFS op planner, with
-/// timing for every hop. Over a sharded namespace each coordination step
-/// of the plan runs through the live `ShardedClient`'s step machine,
-/// [`ShardOp`], so both stacks send the same requests.
+/// The one-slot mailbox between a DUFS op's future and its process: the
+/// future parks its next request and returns `Pending`; the process sends
+/// it, leaves the reply and polls again.
+#[derive(Default)]
+struct Mailbox {
+    request: Cell<Option<Req>>,
+    reply: Cell<Option<ClusterMsg>>,
+}
+
+/// A DUFS op's services: its process's mailbox, behind the router over a
+/// sharded namespace (the ring every client computes from the shared
+/// `ShardConfig`, and this client's txn ids).
+#[derive(Clone, Default)]
+struct SimIo {
+    mail: Rc<Mailbox>,
+    routing: Option<Rc<(HashRing, TxnIds)>>,
+}
+
+impl SimIo {
+    /// Park `req`; its reply.
+    async fn exchange(&self, req: Req) -> ClusterMsg {
+        self.mail.request.set(Some(req));
+        poll_fn(|_| self.mail.reply.take().map_or(Poll::Pending, Poll::Ready)).await
+    }
+}
+
+impl ShardIo for SimIo {
+    async fn call(&mut self, shard: usize, req: ZkRequest) -> ZkResponse {
+        match self.exchange(Req::Zk(shard, req)).await {
+            ClusterMsg::ZkResp { resp, .. } => resp,
+            other => unreachable!("{other:?} answers a coordination request"),
+        }
+    }
+}
+
+impl PlanIo for SimIo {
+    async fn coord(&mut self, req: ZkRequest) -> ZkResponse {
+        match self.routing.clone() {
+            None => self.call(0, req).await,
+            Some(r) => route(req, &r.0, &r.1, self).await,
+        }
+    }
+
+    async fn backend(&mut self, backend: usize, req: BackendReq) -> BackendResp {
+        match self.exchange(Req::Be(backend, req)).await {
+            ClusterMsg::BeResp { resp, .. } => resp,
+            other => unreachable!("{other:?} answers a back-end request"),
+        }
+    }
+}
+
+/// A DUFS op (or set-up root create) as a future; its output says whether
+/// it succeeded.
+type OpFuture = Pin<Box<dyn Future<Output = bool>>>;
+
+/// DUFS ops: each mdtest op runs as one future of the full DUFS op
+/// planner, with timing for every hop. Over a sharded namespace each
+/// coordination request of the plan runs through the live
+/// `ShardedClient`'s router, [`route`], so both stacks send the same
+/// requests.
 pub(crate) struct DufsOps {
     script: Script,
     mapper: Md5Mapping,
     fids: FidGenerator,
-    /// The routing ring every client computes from the shared
-    /// `ShardConfig` (`None` = one unsharded ensemble, the paper's
-    /// deployment).
-    ring: Option<HashRing>,
+    io: SimIo,
     /// Replan timed-out ops until they complete instead of failing them.
     retry: bool,
-    /// The op in flight, its plan, and the FID its first plan minted.
+    /// The op in flight and the FID it creates.
     op: Option<MetaOp>,
-    exec: Option<OpExec>,
     fid: Option<Fid>,
-    /// The plan's coordination step in flight, routed (sharded runs only).
-    shard_op: Option<ShardOp>,
-    txn_ids: TxnIds,
+    /// The future of the op (or set-up root create) in flight, and whether
+    /// the request it waits on went to a back-end mount.
+    running: Option<OpFuture>,
+    at_backend: bool,
 }
 
 impl DufsOps {
@@ -612,83 +665,206 @@ impl DufsOps {
         ring: Option<HashRing>,
         retry: bool,
     ) -> Self {
+        let routing = ring.map(|ring| Rc::new((ring, TxnIds::new(fid_client))));
         DufsOps {
             script,
             mapper: Md5Mapping::new(backends),
             fids: FidGenerator::new(fid_client),
-            ring,
+            io: SimIo { routing, ..SimIo::default() },
             retry,
             op: None,
-            exec: None,
             fid: None,
-            shard_op: None,
-            txn_ids: TxnIds::new(fid_client),
+            running: None,
+            at_backend: false,
         }
     }
 
-    /// (Re)plan the op in flight from its first step. The first plan mints
-    /// a fresh FID on demand; a replan reuses it so both attempts describe
-    /// the identical file. A replan abandons the routed step in flight,
-    /// and with it any 2PC it had prepared (a later sweep resolves it).
-    fn replan(&mut self) -> Step {
-        self.shard_op = None;
+    /// The op in flight from its first step, creating the FID its first
+    /// plan minted, so a replan describes the identical file.
+    fn plan(&self) -> OpFuture {
         let op = self.op.clone().expect("an op is in flight");
-        let (fids, fid) = (&mut self.fids, &mut self.fid);
-        let (exec, step) =
-            OpExec::start(op, || *fid.get_or_insert_with(|| fids.next_fid()), &self.mapper);
-        self.exec = Some(exec);
-        self.dispatch(step)
+        let (fid, mapper, mut io) = (self.fid, self.mapper.clone(), self.io.clone());
+        Box::pin(async move {
+            plan::run(op, || fid.expect("minted for a create"), &mapper, &mut io).await.is_ok()
+        })
     }
 
-    fn feed(&mut self, resp: StepResponse) -> Step {
-        let step = self.exec.as_mut().expect("an op is in flight").feed(resp, &self.mapper);
-        self.dispatch(step)
+    /// Start the create of set-up root `path`, sent like any coordination
+    /// request of a plan; its first request.
+    fn root(&mut self, path: String) -> Req {
+        let data = NodeMeta::dir(0o755).encode();
+        let req = ZkRequest::Create { path, data, mode: CreateMode::Persistent };
+        let mut io = self.io.clone();
+        let step = self.start(Box::pin(async move { io.coord(req).await.err().is_none() }));
+        let Step::Send(req) = step else { unreachable!("a create sends a request") };
+        req
     }
 
-    fn dispatch(&mut self, step: PlanStep) -> Step {
-        match step {
-            PlanStep::Zk(req) => match &self.ring {
-                None => Step::Send(Req::Zk(0, req)),
-                Some(ring) => {
-                    let (op, step) = ShardOp::start(req, ring, self.txn_ids.next_id());
-                    self.shard_op = Some(op);
-                    self.routed(step)
-                }
-            },
-            PlanStep::Backend { backend, req } => Step::Send(Req::Be(backend, req)),
-            PlanStep::Done(r) => {
-                self.exec = None;
-                Step::Done { ok: r.is_ok() }
-            }
+    /// Run `fut` from its start.
+    fn start(&mut self, fut: OpFuture) -> Step {
+        self.running = Some(fut);
+        self.poll()
+    }
+
+    /// Poll the future in flight once: the request it parked, or its end.
+    fn poll(&mut self) -> Step {
+        let fut = self.running.as_mut().expect("an op is in flight");
+        if let Poll::Ready(ok) = fut.as_mut().poll(&mut Context::from_waker(Waker::noop())) {
+            self.running = None;
+            return Step::Done { ok };
         }
+        let req = self.io.mail.request.take().expect("a pending op parks its next request");
+        self.at_backend = matches!(req, Req::Be(..));
+        Step::Send(req)
     }
 
-    /// A coordination reply: the routed step's, if one is in flight, else
-    /// the planner's.
-    fn zk_reply(&mut self, resp: ZkResponse) -> Step {
-        let (Some(op), Some(ring)) = (&mut self.shard_op, &self.ring) else {
-            return self.feed(StepResponse::Zk(resp));
-        };
-        let step = op.feed(resp, ring);
-        self.routed(step)
+    /// The reply to the request the future waits on.
+    fn reply(&mut self, msg: ClusterMsg) -> Step {
+        self.io.mail.reply.set(Some(msg));
+        self.poll()
     }
 
-    /// Send the routed step's request, or hand its reply to the planner.
-    fn routed(&mut self, step: sharded::Step) -> Step {
-        match step {
-            sharded::Step::Send(shard, req) => Step::Send(Req::Zk(shard, req)),
-            sharded::Step::Done(resp) => {
-                self.shard_op = None;
-                self.feed(StepResponse::Zk(resp))
-            }
+    /// The request the future waits on timed out. A back-end request fails
+    /// the op; a coordination request fails with connection loss and the
+    /// op goes on (the live ZooKeeper client library does the same).
+    fn lost(&mut self) -> Step {
+        if self.at_backend {
+            self.running = None;
+            return Step::Done { ok: false };
         }
+        let resp = ZkResponse::Error(ZkError::ConnectionLoss);
+        self.reply(ClusterMsg::ZkResp { req_id: 0, resp })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dufs_coord::runtime::ClientEvent;
+    use dufs_coord::shard::{ShardConfig, DEFAULT_VNODES};
+    use dufs_coord::sharded::txn_decision_path;
+    use dufs_coord::{
+        ClientTransport, CoordServer, CoordService, ServerIn, ServerOut, ShardedClient, ZkClient,
+        SHARD_CONFIG_PATH,
+    };
+    use dufs_core::services::LocalBackends;
+    use dufs_core::Dufs;
     use dufs_simnet::{FixedLatency, Sim};
+    use dufs_zab::{EnsembleConfig, PeerId};
+    use std::time::Duration;
+
+    /// Every request a shard session sent, with its shard and reply.
+    type Log = Rc<RefCell<Vec<(usize, ZkRequest, ZkResponse)>>>;
+
+    /// One live shard in process: a single-voter server that answers each
+    /// request within `send`, logging it.
+    struct InProc {
+        shard: usize,
+        server: CoordServer,
+        clock_ns: u64,
+        events: VecDeque<ClientEvent>,
+        log: Log,
+    }
+
+    impl ClientTransport for InProc {
+        fn send(&mut self, req_id: u64, session: u64, req: ZkRequest) -> Result<(), ZkError> {
+            self.clock_ns += 1_000_000;
+            let input = ServerIn::Client { client: 1, req_id, session, req: req.clone() };
+            for out in self.server.handle(self.clock_ns, input) {
+                if let ServerOut::Client { req_id, resp, .. } = out {
+                    self.log.borrow_mut().push((self.shard, req.clone(), resp.clone()));
+                    self.events.push_back(ClientEvent::Resp { req_id, resp });
+                }
+            }
+            Ok(())
+        }
+
+        fn recv(&mut self, _timeout: Duration) -> Option<ClientEvent> {
+            self.events.pop_front()
+        }
+    }
+
+    /// `req` with its transaction id masked: each stack mints its own.
+    fn unminted(req: ZkRequest) -> ZkRequest {
+        let masked = |path: String| {
+            if path.starts_with(&txn_decision_path(0)[..15]) {
+                txn_decision_path(0)
+            } else {
+                path
+            }
+        };
+        match req {
+            ZkRequest::TxnPrepare { ops, participants, .. } => {
+                ZkRequest::TxnPrepare { txn_id: 0, ops, participants }
+            }
+            ZkRequest::TxnCommit { .. } => ZkRequest::TxnCommit { txn_id: 0 },
+            ZkRequest::TxnAbort { .. } => ZkRequest::TxnAbort { txn_id: 0 },
+            ZkRequest::CreatePath { path, data, mode } => {
+                ZkRequest::CreatePath { path: masked(path), data, mode }
+            }
+            ZkRequest::Delete { path, version } => {
+                ZkRequest::Delete { path: masked(path), version }
+            }
+            req => req,
+        }
+    }
+
+    /// A cross-shard rename through the simulator's DUFS client sends what
+    /// a live `Dufs` over a `ShardedClient` on the same ring sends, reply
+    /// for reply, and its future is polled once per request plus once to
+    /// start: linear in the requests, with nothing replayed.
+    #[test]
+    fn a_sharded_dufs_rename_sends_what_the_live_sharded_client_sends() {
+        let log = Log::default();
+        let config = ShardConfig { epoch: 1, shards: 2, vnodes: DEFAULT_VNODES };
+        let sessions = (0..2)
+            .map(|shard| {
+                let (server, _) = CoordServer::new(PeerId(0), EnsembleConfig::of_size(1));
+                let events = VecDeque::new();
+                let t = InProc { shard, server, clock_ns: 0, events, log: log.clone() };
+                let mut c = ZkClient::establish(t).unwrap();
+                c.create(SHARD_CONFIG_PATH, Bytes::from(config.encode()), CreateMode::Persistent)
+                    .unwrap();
+                c
+            })
+            .collect();
+        let live = ShardedClient::connect(sessions).unwrap();
+        let ring = live.ring().clone();
+        let from = "/src/f";
+        let to = (0..).map(|i| format!("/dst{i}/f")).find(|p| live.route(p) != live.route(from));
+        let to = to.unwrap();
+        let mut fs = Dufs::new(1, live, LocalBackends::lustre(2));
+        fs.mkdir("/src", 0o755).unwrap();
+        fs.mkdir(&to[..to.len() - 2], 0o755).unwrap();
+        fs.create(from, 0o644).unwrap();
+        log.borrow_mut().clear();
+        fs.rename(from, &to).unwrap();
+        let live_log = log.take();
+
+        let spec = WorkloadSpec::mdtest(1, 1);
+        let mut d = DufsOps::new(Script::new(0, spec), 2, 1, Some(ring), false);
+        d.op = Some(MetaOp::Rename { from: from.into(), to });
+        let polls = Rc::new(Cell::new(0));
+        let (p, mut fut) = (polls.clone(), d.plan());
+        let mut step = d.start(Box::pin(poll_fn(move |cx| {
+            p.set(p.get() + 1);
+            fut.as_mut().poll(cx)
+        })));
+        let mut sent = Vec::new();
+        while let Step::Send(req) = step {
+            let Req::Zk(shard, req) = req else { panic!("a rename sends no back-end request") };
+            let resp = live_log.get(sent.len()).map(|(.., resp)| resp.clone());
+            sent.push((shard, unminted(req)));
+            let resp = resp.expect("the live client sent as many requests");
+            step = d.reply(ClusterMsg::ZkResp { req_id: 0, resp });
+        }
+        assert!(matches!(step, Step::Done { ok: true }));
+        let live_sent: Vec<_> =
+            live_log.into_iter().map(|(s, req, _)| (s, unminted(req))).collect();
+        assert_eq!(sent, live_sent);
+        assert!(sent.iter().any(|(_, r)| matches!(r, ZkRequest::TxnPrepare { .. })), "no 2PC");
+        assert_eq!(polls.get(), sent.len() + 1);
+    }
 
     /// Coordination server and phase controller in one: answers every
     /// request at once, except that it loses its first reply to the

@@ -141,8 +141,8 @@ fi
 echo "==> one simulated client: 1 client Process, 1 PhaseDone, 1 Sim::new, FNV digest only in shard.rs"
 
 # One sharded router: the simulator's DUFS client sends every coordination
-# step through `dufs_coord::sharded::ShardOp`, the step machine the live
-# `ShardedClient` drives, so the two run one protocol. Routing by hand in
+# request through `dufs_coord::sharded::route`, the `async fn` the live
+# `ShardedClient` runs, so the two run one protocol. Routing by hand in
 # the simulator (`route_path(`, `route_children(`) or a delete state
 # machine of its own (`enum SDel`) is the second copy growing back. (Test
 # modules, below `#[cfg(test)]`, are exempt.)
@@ -150,11 +150,29 @@ router=$(for f in crates/mdtest/src/*.rs; do
     nontest "$f" | { grep -nE 'route_path\(|route_children\(|enum SDel' || true; } | sed "s|^|$f:|"
 done)
 if [ -n "$router" ]; then
-    echo "FAIL: sharded routing outside ShardOp in crates/mdtest/src (outside #[cfg(test)]):" >&2
+    echo "FAIL: sharded routing outside sharded::route in crates/mdtest/src (outside #[cfg(test)]):" >&2
     echo "$router" >&2
     exit 1
 fi
 echo "==> one sharded router: no route_path(, route_children( or enum SDel in non-test crates/mdtest/src"
+
+# One protocol idiom: the DUFS op planner (`plan::run`) and the shard
+# router (`sharded::route`) are `async fn`s over a small io trait, and the
+# simulator polls one future per op. A continuation enum (`enum St`,
+# `enum Hop`), a replay tape (`struct Tape`, `enum Halt`) or a hand-written
+# `fn feed(` in the planner, the router or the simulator's client is the
+# second idiom growing back. (Test modules, below `#[cfg(test)]`, are
+# exempt.)
+idiom=$(for f in crates/core/src/plan.rs crates/coord/src/sharded.rs crates/mdtest/src/clients.rs; do
+    nontest "$f" | { grep -nE 'struct Tape|enum Halt|enum St\b|enum Hop|fn feed\(' || true; } |
+        sed "s|^|$f:|"
+done)
+if [ -n "$idiom" ]; then
+    echo "FAIL: a step machine beside the async protocols (outside #[cfg(test)]):" >&2
+    echo "$idiom" >&2
+    exit 1
+fi
+echo "==> one protocol idiom: no struct Tape, enum Halt, enum St, enum Hop or fn feed( in plan.rs, sharded.rs or clients.rs"
 
 # One back-end hop in the DUFS op planner: `plan.rs::file_call` is the one
 # place a FID becomes a mount (`backend_of`) and a physical path
