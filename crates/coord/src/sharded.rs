@@ -377,18 +377,19 @@ impl<I: ShardIo> Router<'_, I> {
     /// Answer a `GetChildren` / `GetChildrenData` / `WarmChildren` request
     /// on `path` from the children-owner shard in one round trip. A
     /// directory never materialized there (nothing was ever created under
-    /// it) lists as empty if it exists on its *own* owner shard. That
+    /// it) lists as empty if it exists on its *own* owner shard, when that
+    /// is another shard. That
     /// synthesized empty listing is assembled from two shards and no watch
     /// on either guards it (a create under the directory touches only the
     /// children-owner shard, a delete of the never-materialized directory
     /// only the owner), so it must not be cached: see
     /// [`CoordService::connection_of`].
     async fn listing(&mut self, path: String, req: ZkRequest) -> Run<ZkResponse> {
-        let reply = self.call(self.kids(&path), req.clone()).await;
-        if reply.err() != Some(ZkError::NoNode) {
+        let (owner, kids) = (self.owner(&path), self.kids(&path));
+        let reply = self.call(kids, req.clone()).await;
+        if reply.err() != Some(ZkError::NoNode) || owner == kids {
             return Ok(reply);
         }
-        let owner = self.owner(&path);
         let stat = match self.call(owner, ZkRequest::Exists { path, watch: false }).await {
             ZkResponse::ExistsResult(Some(stat)) => stat,
             ZkResponse::ExistsResult(None) => return Err((owner, ZkError::NoNode)),

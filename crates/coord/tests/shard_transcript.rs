@@ -280,6 +280,10 @@ fn rows() -> Vec<(String, usize, String)> {
     op("list a directory that does not exist");
     assert_eq!(c.get_children("/nowhere", Watch::None), Err(ZkError::NoNode));
 
+    op("list a missing directory whose node and listing share a shard");
+    let d = find("directory", |i| Some(format!("/gone{i}")).filter(|d| owner(d) == kids(d)));
+    assert_eq!(c.get_children(&d, Watch::None), Err(ZkError::NoNode));
+
     op("multi on one shard");
     let (m1, m2) = (format!("{a}1"), format!("{a}2"));
     c.multi(vec![create(&m1, data("1")), create(&m2, data("2"))]).unwrap();
