@@ -200,7 +200,7 @@ pub async fn route(
 
 /// Resolve cross-shard transactions orphaned by dead coordinators (see
 /// [`ShardedClient::recover_txns`]); the number fully resolved.
-pub async fn recover(ring: &HashRing, io: &mut impl ShardIo) -> Result<usize, ZkError> {
+async fn recover(ring: &HashRing, io: &mut impl ShardIo) -> Result<usize, ZkError> {
     // A sweep runs no 2PC of its own, so it never mints an id.
     let mut r = Router { ring, ids: &TxnIds::new(0), io };
     r.recover().await.map_err(|(_, e)| e)
@@ -226,14 +226,9 @@ struct Router<'a, I> {
 }
 
 impl<I: ShardIo> Router<'_, I> {
-    /// `req`'s reply on `shard`.
-    async fn call(&mut self, shard: usize, req: ZkRequest) -> ZkResponse {
-        self.io.call(shard, req).await
-    }
-
-    /// [`Router::call`], with an error reply failing the op.
+    /// `req`'s reply on `shard`, with an error reply failing the op.
     async fn ask(&mut self, shard: usize, req: ZkRequest) -> Run<ZkResponse> {
-        let reply = self.call(shard, req).await;
+        let reply = self.io.call(shard, req).await;
         match reply.err() {
             Some(e) => Err((shard, e)),
             None => Ok(reply),
@@ -293,7 +288,7 @@ impl<I: ShardIo> Router<'_, I> {
             ZkRequest::Sync | ZkRequest::Ping | ZkRequest::CloseSession => {
                 let mut answer = None;
                 for s in 0..self.ring.shard_count() as usize {
-                    let reply = self.call(s, req.clone()).await;
+                    let reply = self.io.call(s, req.clone()).await;
                     if answer.as_ref().is_none_or(|a: &ZkResponse| a.err().is_none()) {
                         answer = Some(reply);
                     }
@@ -357,7 +352,7 @@ impl<I: ShardIo> Router<'_, I> {
         for name in self.children(shard, dir).await? {
             let child = zkpath::join(dir, &name);
             Box::pin(self.purge(shard, &child)).await?;
-            match self.call(shard, ZkRequest::Delete { path: child, version: None }).await {
+            match self.io.call(shard, ZkRequest::Delete { path: child, version: None }).await {
                 ZkResponse::Deleted | ZkResponse::Error(ZkError::NoNode) => {}
                 r => return Err(fail(shard, &r)),
             }
@@ -367,7 +362,7 @@ impl<I: ShardIo> Router<'_, I> {
 
     /// The children of `dir` on `shard` (none if `dir` is not there).
     async fn children(&mut self, shard: usize, dir: &str) -> Run<Vec<String>> {
-        match self.call(shard, ZkRequest::GetChildren { path: dir.into(), watch: false }).await {
+        match self.io.call(shard, ZkRequest::GetChildren { path: dir.into(), watch: false }).await {
             ZkResponse::Children { names, .. } => Ok(names),
             ZkResponse::Error(ZkError::NoNode) => Ok(Vec::new()),
             r => Err(fail(shard, &r)),
@@ -386,11 +381,11 @@ impl<I: ShardIo> Router<'_, I> {
     /// [`CoordService::connection_of`].
     async fn listing(&mut self, path: String, req: ZkRequest) -> Run<ZkResponse> {
         let (owner, kids) = (self.owner(&path), self.kids(&path));
-        let reply = self.call(kids, req.clone()).await;
+        let reply = self.io.call(kids, req.clone()).await;
         if reply.err() != Some(ZkError::NoNode) || owner == kids {
             return Ok(reply);
         }
-        let stat = match self.call(owner, ZkRequest::Exists { path, watch: false }).await {
+        let stat = match self.io.call(owner, ZkRequest::Exists { path, watch: false }).await {
             ZkResponse::ExistsResult(Some(stat)) => stat,
             ZkResponse::ExistsResult(None) => return Err((owner, ZkError::NoNode)),
             r => return Err(fail(owner, &r)),
@@ -448,7 +443,7 @@ impl<I: ShardIo> Router<'_, I> {
             let prepare = ZkRequest::TxnPrepare { txn_id, ops: ops.clone(), participants };
             if let Err(f) = self.ask(*s, prepare).await {
                 for (p, _) in &slices[..i] {
-                    self.call(*p, ZkRequest::TxnAbort { txn_id }).await;
+                    self.io.call(*p, ZkRequest::TxnAbort { txn_id }).await;
                 }
                 return Err(f);
             }
@@ -458,7 +453,7 @@ impl<I: ShardIo> Router<'_, I> {
             // A recovery sweep presumed this coordinator dead and recorded
             // an abort first; honor it.
             for (s, _) in slices {
-                self.call(*s, ZkRequest::TxnAbort { txn_id }).await;
+                self.io.call(*s, ZkRequest::TxnAbort { txn_id }).await;
             }
             return Err((dshard, ZkError::TxnBusy));
         }
@@ -470,7 +465,7 @@ impl<I: ShardIo> Router<'_, I> {
         // commits no-op as `TxnUnknown` — stale records are garbage, not
         // hazards.)
         let path = txn_decision_path(txn_id);
-        self.call(dshard, ZkRequest::Delete { path, version: None }).await;
+        self.io.call(dshard, ZkRequest::Delete { path, version: None }).await;
         Ok(())
     }
 
@@ -512,7 +507,7 @@ impl<I: ShardIo> Router<'_, I> {
             for n in self.children(s, TXN_PREFIX).await? {
                 let path = format!("{TXN_PREFIX}/{n}");
                 let ZkResponse::Data { data, .. } =
-                    self.call(s, ZkRequest::GetData { path, watch: false }).await
+                    self.io.call(s, ZkRequest::GetData { path, watch: false }).await
                 else {
                     continue; // resolved (or decided) since the listing
                 };
@@ -539,13 +534,13 @@ impl<I: ShardIo> Router<'_, I> {
                 } else {
                     ZkRequest::TxnAbort { txn_id }
                 };
-                all_acked &= p < shards && self.call(p, req).await.err().is_none();
+                all_acked &= p < shards && self.io.call(p, req).await.err().is_none();
             }
             // Forget the record only once every participant has resolved;
             // otherwise leave it for the next sweep.
             if all_acked {
                 let path = txn_decision_path(txn_id);
-                self.call(dshard, ZkRequest::Delete { path, version: None }).await;
+                self.io.call(dshard, ZkRequest::Delete { path, version: None }).await;
                 resolved += 1;
             }
         }

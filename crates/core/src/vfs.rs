@@ -11,13 +11,12 @@
 use std::collections::HashMap;
 
 use bytes::Bytes;
+use dufs_coord::session::ready;
+use dufs_coord::{ZkRequest, ZkResponse};
 
 use crate::error::{DufsError, DufsResult};
 use crate::fid::{Fid, FidGenerator};
 use crate::mapping::{BackendMapper, Md5Mapping};
-use dufs_coord::session::ready;
-use dufs_coord::{ZkRequest, ZkResponse};
-
 use crate::plan::{self, BackendReq, BackendResp, MetaOp, OpOutput, PlanIo};
 use crate::services::{BackendSet, CoordService};
 

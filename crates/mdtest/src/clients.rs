@@ -575,7 +575,8 @@ fn native_to_meta(op: NativeOp) -> MetaOp {
 #[derive(Default)]
 struct Mailbox {
     request: Cell<Option<Req>>,
-    reply: Cell<Option<ClusterMsg>>,
+    zk: Cell<Option<ZkResponse>>,
+    be: Cell<Option<BackendResp>>,
 }
 
 /// A DUFS op's services: its process's mailbox, behind the router over a
@@ -587,20 +588,10 @@ struct SimIo {
     routing: Option<Rc<(HashRing, TxnIds)>>,
 }
 
-impl SimIo {
-    /// Park `req`; its reply.
-    async fn exchange(&self, req: Req) -> ClusterMsg {
-        self.mail.request.set(Some(req));
-        poll_fn(|_| self.mail.reply.take().map_or(Poll::Pending, Poll::Ready)).await
-    }
-}
-
 impl ShardIo for SimIo {
     async fn call(&mut self, shard: usize, req: ZkRequest) -> ZkResponse {
-        match self.exchange(Req::Zk(shard, req)).await {
-            ClusterMsg::ZkResp { resp, .. } => resp,
-            other => unreachable!("{other:?} answers a coordination request"),
-        }
+        self.mail.request.set(Some(Req::Zk(shard, req)));
+        poll_fn(|_| self.mail.zk.take().map_or(Poll::Pending, Poll::Ready)).await
     }
 }
 
@@ -613,10 +604,8 @@ impl PlanIo for SimIo {
     }
 
     async fn backend(&mut self, backend: usize, req: BackendReq) -> BackendResp {
-        match self.exchange(Req::Be(backend, req)).await {
-            ClusterMsg::BeResp { resp, .. } => resp,
-            other => unreachable!("{other:?} answers a back-end request"),
-        }
+        self.mail.request.set(Some(Req::Be(backend, req)));
+        poll_fn(|_| self.mail.be.take().map_or(Poll::Pending, Poll::Ready)).await
     }
 }
 
@@ -700,7 +689,6 @@ impl DufsOps {
         req
     }
 
-    /// Run `fut` from its start.
     fn start(&mut self, fut: OpFuture) -> Step {
         self.running = Some(fut);
         self.poll()
@@ -720,7 +708,11 @@ impl DufsOps {
 
     /// The reply to the request the future waits on.
     fn reply(&mut self, msg: ClusterMsg) -> Step {
-        self.io.mail.reply.set(Some(msg));
+        match msg {
+            ClusterMsg::ZkResp { resp, .. } => self.io.mail.zk.set(Some(resp)),
+            ClusterMsg::BeResp { resp, .. } => self.io.mail.be.set(Some(resp)),
+            other => unreachable!("a DUFS op awaits no {other:?}"),
+        }
         self.poll()
     }
 
@@ -732,8 +724,8 @@ impl DufsOps {
             self.running = None;
             return Step::Done { ok: false };
         }
-        let resp = ZkResponse::Error(ZkError::ConnectionLoss);
-        self.reply(ClusterMsg::ZkResp { req_id: 0, resp })
+        self.io.mail.zk.set(Some(ZkResponse::Error(ZkError::ConnectionLoss)));
+        self.poll()
     }
 }
 
