@@ -200,10 +200,8 @@ pub async fn route(
 
 /// Resolve cross-shard transactions orphaned by dead coordinators (see
 /// [`ShardedClient::recover_txns`]); the number fully resolved.
-async fn recover(ring: &HashRing, io: &mut impl ShardIo) -> Result<usize, ZkError> {
-    // A sweep runs no 2PC of its own, so it never mints an id.
-    let mut r = Router { ring, ids: &TxnIds::new(0), io };
-    r.recover().await.map_err(|(_, e)| e)
+async fn recover(ring: &HashRing, ids: &TxnIds, io: &mut impl ShardIo) -> Result<usize, ZkError> {
+    Router { ring, ids, io }.recover().await.map_err(|(_, e)| e)
 }
 
 /// Shard `.0` failed the op with `.1`.
@@ -678,7 +676,7 @@ impl<T: ClientTransport> ShardedClient<T> {
     /// invoke it automatically, and [`ShardedCluster::from_shards`] runs
     /// one at bootstrap.
     pub fn recover_txns(&mut self) -> Result<usize, ZkError> {
-        ready(recover(&self.ring, &mut self.clients))
+        ready(recover(&self.ring, &self.txn_ids, &mut self.clients))
     }
 
     /// 2PC step: prepare `ops` as transaction `txn_id` on one shard, with
