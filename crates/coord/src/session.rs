@@ -23,7 +23,7 @@
 //! defaults for itself: it owns freshness).
 
 use std::future::Future;
-use std::pin::pin;
+use std::pin::{pin, Pin};
 use std::task::{Context, Poll, Waker};
 
 use bytes::Bytes;
@@ -192,15 +192,20 @@ pub(crate) fn failure(resp: ZkResponse) -> ZkError {
     resp.err().unwrap_or(ZkError::ConnectionLoss)
 }
 
-/// Run a protocol future (`sharded::route`, `dufs_core::plan::run`) over
-/// an io that answers every call at once — a live session, a back-end set —
-/// to its output: one poll with a no-op waker, as no call ever waits.
+/// Poll a protocol future (`sharded::route`, `dufs_core::plan::run`) once,
+/// with a no-op waker: no io wakes a protocol, its host polls again once
+/// the reply it waits for is in.
+pub fn poll_once<F: Future + ?Sized>(fut: Pin<&mut F>) -> Poll<F::Output> {
+    fut.poll(&mut Context::from_waker(Waker::noop()))
+}
+
+/// Run a protocol future over an io that answers every call at once — a
+/// live session, a back-end set — to its output, in one poll.
 ///
 /// # Panics
 /// If the future is pending: its io waited, which a live io never does.
 pub fn ready<F: Future>(fut: F) -> F::Output {
-    let mut cx = Context::from_waker(Waker::noop());
-    match pin!(fut).poll(&mut cx) {
+    match poll_once(pin!(fut)) {
         Poll::Ready(out) => out,
         Poll::Pending => panic!("a live io left its protocol pending"),
     }

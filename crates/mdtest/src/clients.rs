@@ -27,10 +27,11 @@ use std::collections::VecDeque;
 use std::future::{poll_fn, Future};
 use std::pin::Pin;
 use std::rc::Rc;
-use std::task::{Context, Poll, Waker};
+use std::task::Poll;
 
 use bytes::Bytes;
 
+use dufs_coord::session::poll_once;
 use dufs_coord::sharded::{route, ShardIo, TxnIds};
 use dufs_coord::{HashRing, ZkRequest, ZkResponse};
 use dufs_core::fid::{Fid, FidGenerator};
@@ -699,7 +700,7 @@ impl DufsOps {
     /// Poll the future in flight once: the request it parked, or its end.
     fn poll(&mut self) -> Step {
         let fut = self.running.as_mut().expect("an op is in flight");
-        if let Poll::Ready(ok) = fut.as_mut().poll(&mut Context::from_waker(Waker::noop())) {
+        if let Poll::Ready(ok) = poll_once(fut.as_mut()) {
             self.running = None;
             return Step::Done { ok };
         }
