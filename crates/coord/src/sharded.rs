@@ -194,8 +194,7 @@ pub async fn route(
     ids: &TxnIds,
     io: &mut impl ShardIo,
 ) -> ZkResponse {
-    let mut r = Router { ring, ids, io };
-    r.request(req).await.unwrap_or_else(|(_, e)| ZkResponse::Error(e))
+    Router { ring, ids, io }.request(req).await.unwrap_or_else(|(_, e)| ZkResponse::Error(e))
 }
 
 /// Resolve cross-shard transactions orphaned by dead coordinators (see
