@@ -491,6 +491,35 @@ mod tests {
         echo.join().unwrap();
     }
 
+    /// A payload over the cap is refused where it is queued, not sent as a
+    /// frame the peer must reject as corrupt and hang up on.
+    #[test]
+    fn an_over_cap_payload_is_refused_and_the_connection_lives_on() {
+        let cfg = fast_cfg();
+        let listener = Listener::bind("127.0.0.1:0".parse().unwrap()).unwrap();
+        let addr = listener.local_addr();
+        let (accept, echo) = spawn_echo(listener, cfg, NetStats::new());
+        let (conn, rx) = connect(
+            addr,
+            Hello { kind: crate::EndpointKind::Client, id: 8 },
+            &cfg,
+            &NetStats::new(),
+        )
+        .unwrap();
+        conn.send(b"before".to_vec()).unwrap();
+        match conn.queue(vec![0; MAX_FRAME + 1]) {
+            Err(NetError::Io(e)) => assert_eq!(e.kind(), std::io::ErrorKind::InvalidInput),
+            other => panic!("an over-cap payload was queued: {other:?}"),
+        }
+        conn.send(b"after".to_vec()).unwrap();
+        for want in [&b"before"[..], b"after"] {
+            assert_eq!(rx.recv_timeout(Duration::from_secs(5)).unwrap(), want);
+        }
+        drop((conn, rx));
+        accept.stop();
+        echo.join().unwrap();
+    }
+
     #[test]
     fn demux_stream_carries_many_sessions() {
         let cfg = fast_cfg();

@@ -46,7 +46,7 @@ use std::time::{Duration, Instant};
 use crossbeam::channel::{unbounded, Receiver, Sender};
 
 use crate::conn::{Conn, ConnEvent};
-use crate::frame::{frame_head, Frame, FrameDecoder, Hello};
+use crate::frame::{frame_head, Frame, FrameDecoder, Hello, MAX_FRAME};
 use crate::pool::{BufferPool, READ_BUF_BYTES};
 use crate::stats::NetStats;
 use crate::sys::{
@@ -147,8 +147,16 @@ impl ConnShared {
     }
 
     /// Queue one application frame without waking anyone. Fails once the
-    /// connection has died.
+    /// connection has died, and for a payload over [`MAX_FRAME`], which
+    /// the peer would have to reject as corrupt; the connection stays
+    /// usable after that refusal.
     pub(crate) fn queue(&self, payload: Vec<u8>) -> Result<(), NetError> {
+        if payload.len() > MAX_FRAME {
+            return Err(NetError::Io(std::io::Error::new(
+                std::io::ErrorKind::InvalidInput,
+                "payload exceeds the frame cap",
+            )));
+        }
         let head = frame_head(&payload);
         let mut out = self.out();
         if out.closed {

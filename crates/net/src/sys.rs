@@ -86,6 +86,8 @@ pub struct Epoll {
 impl Epoll {
     /// Create a close-on-exec epoll instance.
     pub fn new() -> io::Result<Epoll> {
+        // SAFETY: `epoll_create1` takes a flag word and touches no memory
+        // of ours; a failure comes back as -1, which `cvt` turns into an error.
         let fd = cvt(unsafe { epoll_create1(EPOLL_CLOEXEC) })?;
         Ok(Epoll { fd })
     }
@@ -93,6 +95,9 @@ impl Epoll {
     /// Register `fd` for `events`, tagging its results with `token`.
     pub fn add(&self, fd: RawFd, token: u64, events: u32) -> io::Result<()> {
         let mut ev = EpollEvent { events, data: token };
+        // SAFETY: `ev` is a live, kernel-layout `epoll_event` the call only
+        // reads; `self.fd` is our open epoll instance, and a bad `fd` is an
+        // error return, not undefined behaviour.
         cvt(unsafe { epoll_ctl(self.fd, EPOLL_CTL_ADD, fd, &mut ev) })?;
         Ok(())
     }
@@ -100,6 +105,8 @@ impl Epoll {
     /// Deregister `fd`.
     pub fn del(&self, fd: RawFd) -> io::Result<()> {
         let mut ev = EpollEvent { events: 0, data: 0 };
+        // SAFETY: as in `add`: `ev` is valid for the call (which ignores it
+        // for `EPOLL_CTL_DEL`) and `self.fd` is our open epoll instance.
         cvt(unsafe { epoll_ctl(self.fd, EPOLL_CTL_DEL, fd, &mut ev) })?;
         Ok(())
     }
@@ -108,6 +115,9 @@ impl Epoll {
     /// Returns how many slots of `events` were filled. `EINTR` is retried.
     pub fn wait(&self, events: &mut [EpollEvent], timeout_ms: i32) -> io::Result<usize> {
         loop {
+            // SAFETY: the kernel writes at most `events.len()` slots, all
+            // inside the exclusively borrowed slice, and `EpollEvent` has the
+            // kernel's layout (packed on x86, as the ABI requires).
             let n = unsafe {
                 epoll_wait(self.fd, events.as_mut_ptr(), events.len() as c_int, timeout_ms)
             };
@@ -124,6 +134,8 @@ impl Epoll {
 
 impl Drop for Epoll {
     fn drop(&mut self) {
+        // SAFETY: `self.fd` is the descriptor `new` opened, owned by this
+        // value alone and closed only here, once.
         unsafe { close(self.fd) };
     }
 }
@@ -138,6 +150,8 @@ pub struct WakeFd {
 impl WakeFd {
     /// Create a nonblocking, close-on-exec eventfd.
     pub fn new() -> io::Result<WakeFd> {
+        // SAFETY: `eventfd` takes two integers and touches no memory of
+        // ours; a failure comes back as -1, which `cvt` turns into an error.
         let fd = cvt(unsafe { eventfd(0, EFD_CLOEXEC | EFD_NONBLOCK) })?;
         Ok(WakeFd { fd })
     }
@@ -152,18 +166,24 @@ impl WakeFd {
     /// loop's next tick.
     pub fn wake(&self) {
         let one: u64 = 1;
+        // SAFETY: the kernel reads exactly 8 bytes from `one`, a live `u64`;
+        // `self.fd` is the eventfd this value owns.
         unsafe { write(self.fd, (&one as *const u64).cast(), 8) };
     }
 
     /// Consume all pending wakes (reads the counter down to zero).
     pub fn drain(&self) {
         let mut buf = [0u8; 8];
+        // SAFETY: the kernel writes at most 8 bytes into `buf`, which has 8;
+        // `self.fd` is the eventfd this value owns.
         unsafe { read(self.fd, buf.as_mut_ptr().cast(), 8) };
     }
 }
 
 impl Drop for WakeFd {
     fn drop(&mut self) {
+        // SAFETY: `self.fd` is the descriptor `new` opened, owned by this
+        // value alone and closed only here, once.
         unsafe { close(self.fd) };
     }
 }
@@ -176,6 +196,9 @@ pub fn writev_fd(fd: RawFd, bufs: &[&[u8]]) -> io::Result<usize> {
     let iov: Vec<IoVec> =
         bufs.iter().map(|b| IoVec { base: b.as_ptr().cast(), len: b.len() }).collect();
     loop {
+        // SAFETY: every `IoVec` points at a slice of `bufs`, borrowed for
+        // the whole call, with that slice's length; the kernel only reads
+        // them. A bad `fd` is an error return, not undefined behaviour.
         let n = unsafe { writev(fd, iov.as_ptr(), iov.len() as c_int) };
         if n >= 0 {
             return Ok(n as usize);

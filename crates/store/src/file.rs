@@ -34,9 +34,25 @@
 //! store server turns that into WAL-style group commit (one fsync per
 //! drained batch, acks after).
 //!
-//! The log is purely log-structured: overwrites and deletes append; space
-//! is reclaimed only by recreating the target (acceptable for benchmark
-//! lifetimes, noted in DESIGN.md).
+//! ## Reclaiming space
+//!
+//! Overwrites and deletes append, so the log holds dead bytes beside the
+//! live ones. After each [`StorageEngine::sync`] the engine compares them:
+//! once the dead bytes (log length − magic − live bytes) exceed the larger
+//! of the live bytes and `REWRITE_SLACK` (64 MiB), it rewrites the log
+//! with only the live chunks, as ordinary Put records — so the log never
+//! holds more than about twice its live bytes, or twice the slack, plus
+//! one batch. The rewrite is crash-safe in this order:
+//!
+//! 1. the live chunks go into `extents.tmp`, which is then synced;
+//! 2. `index.bin` is removed and the directory synced — its spans point
+//!    into the old log, and no later step may meet it beside the new one;
+//! 3. `extents.tmp` is renamed over `extents.dat`, the directory synced;
+//! 4. the spans are re-pointed into the new log and a checkpoint taken.
+//!
+//! A crash before step 3 leaves the old log (with or without its index),
+//! one after it the new log without an index: either replays to the same
+//! contents, and `open` deletes a leftover `extents.tmp`.
 
 use std::collections::BTreeMap;
 use std::fs::{File, OpenOptions};
@@ -59,6 +75,12 @@ const TAG_TRUNCATE: u8 = 3;
 const MAX_RECORD: u32 = 64 << 20;
 /// Bytes of new extent data between automatic index checkpoints.
 const CHECKPOINT_EVERY: u64 = 8 << 20;
+/// Dead extent bytes the log may carry before a sync rewrites it, when the
+/// live bytes are fewer than this.
+const REWRITE_SLACK: u64 = 64 << 20;
+/// Largest chunk piece the rewrite puts in one record, and the size of its
+/// one copy buffer.
+const REWRITE_PIECE: u32 = 1 << 20;
 /// Byte offset of a Put record's chunk data inside its payload:
 /// tag(1) + obj(16) + stripe(8) + within(4).
 const PUT_HDR: u64 = 29;
@@ -126,6 +148,8 @@ impl FileEngine {
     pub fn open(dir: impl AsRef<Path>, policy: FsyncPolicy) -> io::Result<Self> {
         let dir = dir.as_ref().to_path_buf();
         std::fs::create_dir_all(&dir)?;
+        // A rewrite that never reached its rename: the old log is whole.
+        remove_if_present(&dir.join("extents.tmp"))?;
         let log_path = dir.join("extents.dat");
         // Append mode: every write lands at the end of the file, which
         // `open` and `append` keep equal to `log_len` — so a record needs
@@ -293,9 +317,7 @@ impl FileEngine {
     /// record's length header.
     fn append(&mut self, fixed: &[u8], data: &[u8]) -> io::Result<u64> {
         let off = self.log_len;
-        let mut head = [0u8; 8];
-        head[..4].copy_from_slice(&((fixed.len() + data.len()) as u32).to_le_bytes());
-        head[4..].copy_from_slice(&crc32_parts(&[fixed, data]).to_le_bytes());
+        let head = record_head(fixed, data);
         let mut parts = [IoSlice::new(&head), IoSlice::new(fixed), IoSlice::new(data)];
         let mut left = &mut parts[..];
         while !left.is_empty() {
@@ -320,6 +342,55 @@ impl FileEngine {
     fn torn(&mut self, off: u64, e: io::Error) -> io::Result<u64> {
         let _ = self.log.set_len(off);
         Err(e)
+    }
+
+    /// Replace the log with one holding only the live chunks, each as Put
+    /// records of at most [`REWRITE_PIECE`] bytes (holes written as the
+    /// zeros they read as). The steps and their crash states are in the
+    /// module doc.
+    fn rewrite(&mut self) -> io::Result<()> {
+        let tmp = self.dir.join("extents.tmp");
+        remove_if_present(&tmp)?;
+        let new = OpenOptions::new().read(true).append(true).create_new(true).open(&tmp)?;
+        let mut out = io::BufWriter::new(&new);
+        out.write_all(MAGIC)?;
+        let mut len = MAGIC.len() as u64;
+        let mut chunks = BTreeMap::new();
+        let longest = self.chunks.values().map(|c| c.len).max().unwrap_or(0);
+        let mut buf = vec![0u8; REWRITE_PIECE.min(longest) as usize];
+        for (&(obj, stripe), chunk) in &self.chunks {
+            let mut spans = Vec::new();
+            let mut within = 0;
+            // A zero-length chunk still gets its (empty) record.
+            loop {
+                let piece = &mut buf[..REWRITE_PIECE.min(chunk.len - within) as usize];
+                read_chunk(&self.log, chunk, within, piece)?;
+                let fixed = put_header(obj, stripe, within);
+                out.write_all(&record_head(&fixed, piece))?;
+                out.write_all(&fixed)?;
+                out.write_all(piece)?;
+                if !piece.is_empty() {
+                    spans.push(Span { within, len: piece.len() as u32, off: len + 8 + PUT_HDR });
+                }
+                len += 8 + PUT_HDR + piece.len() as u64;
+                within += piece.len() as u32;
+                if within == chunk.len {
+                    break;
+                }
+            }
+            chunks.insert((obj, stripe), Chunk { len: chunk.len, spans });
+        }
+        out.flush()?;
+        drop(out);
+        new.sync_data()?;
+        remove_if_present(&self.dir.join("index.bin"))?;
+        sync_dir(&self.dir)?;
+        std::fs::rename(&tmp, self.dir.join("extents.dat"))?;
+        self.log = new;
+        self.log_len = len;
+        self.chunks = chunks;
+        sync_dir(&self.dir)?;
+        self.checkpoint()
     }
 
     // ------------------------------------------------------------------
@@ -384,6 +455,53 @@ impl FileEngine {
     }
 }
 
+/// The 8-byte `len | crc` head of a record whose payload is `fixed ‖ data`.
+fn record_head(fixed: &[u8], data: &[u8]) -> [u8; 8] {
+    let mut head = [0u8; 8];
+    head[..4].copy_from_slice(&((fixed.len() + data.len()) as u32).to_le_bytes());
+    head[4..].copy_from_slice(&crc32_parts(&[fixed, data]).to_le_bytes());
+    head
+}
+
+/// A Put record's payload up to its chunk bytes: tag, obj, stripe, within.
+fn put_header(obj: u128, stripe: u64, within: u32) -> Vec<u8> {
+    let mut fixed = Vec::with_capacity(PUT_HDR as usize);
+    fixed.push(TAG_PUT);
+    put_u128(&mut fixed, obj);
+    put_u64(&mut fixed, stripe);
+    put_u32(&mut fixed, within);
+    fixed
+}
+
+/// Read `chunk`'s bytes from `within` into `out`, up to the chunk's end;
+/// returns how many. Later spans overlay earlier ones, and holes read as
+/// zeros.
+fn read_chunk(log: &File, chunk: &Chunk, within: u32, out: &mut [u8]) -> io::Result<usize> {
+    if within >= chunk.len {
+        return Ok(0);
+    }
+    let have = ((chunk.len - within) as usize).min(out.len());
+    let dst = &mut out[..have];
+    let (lo, hi) = (within as u64, within as u64 + have as u64);
+    // Holes inside the chunk read as zeros; when one span covers the
+    // whole range (a chunk written in one piece) there are none.
+    if !chunk.spans.iter().any(|s| s.within as u64 <= lo && hi <= s.within as u64 + s.len as u64) {
+        dst.fill(0);
+    }
+    for s in &chunk.spans {
+        let (s_lo, s_hi) = (s.within as u64, s.within as u64 + s.len as u64);
+        let ov_lo = lo.max(s_lo);
+        let ov_hi = hi.min(s_hi);
+        if ov_lo >= ov_hi {
+            continue;
+        }
+        let file_off = s.off + (ov_lo - s_lo);
+        let dst_range = &mut dst[(ov_lo - lo) as usize..(ov_hi - lo) as usize];
+        log.read_exact_at(dst_range, file_off)?;
+    }
+    Ok(have)
+}
+
 /// Decode the body of `index.bin`: the covered log offset, then the chunks.
 #[allow(clippy::type_complexity)]
 fn parse_index(body: &[u8]) -> Result<(BTreeMap<(u128, u64), Chunk>, u64), WireError> {
@@ -406,47 +524,25 @@ fn sync_dir(dir: &Path) -> io::Result<()> {
     File::open(dir)?.sync_all()
 }
 
+fn remove_if_present(path: &Path) -> io::Result<()> {
+    match std::fs::remove_file(path) {
+        Err(e) if e.kind() != io::ErrorKind::NotFound => Err(e),
+        _ => Ok(()),
+    }
+}
+
 impl StorageEngine for FileEngine {
     fn write(&mut self, obj: u128, stripe: u64, within: u32, data: &[u8]) -> io::Result<()> {
-        let mut fixed = Vec::with_capacity(PUT_HDR as usize);
-        fixed.push(TAG_PUT);
-        put_u128(&mut fixed, obj);
-        put_u64(&mut fixed, stripe);
-        put_u32(&mut fixed, within);
-        let off = self.append(&fixed, data)?;
+        let off = self.append(&put_header(obj, stripe, within), data)?;
         self.index_put(obj, stripe, within, data.len() as u32, off + 8 + PUT_HDR);
         Ok(())
     }
 
     fn read(&mut self, obj: u128, stripe: u64, within: u32, out: &mut [u8]) -> io::Result<usize> {
-        let Some(chunk) = self.chunks.get(&(obj, stripe)) else { return Ok(0) };
-        if within >= chunk.len {
-            return Ok(0);
+        match self.chunks.get(&(obj, stripe)) {
+            Some(chunk) => read_chunk(&self.log, chunk, within, out),
+            None => Ok(0),
         }
-        let have = ((chunk.len - within) as usize).min(out.len());
-        let dst = &mut out[..have];
-        let (lo, hi) = (within as u64, within as u64 + have as u64);
-        // Holes inside the chunk read as zeros; when one span covers the
-        // whole range (a chunk written in one piece) there are none.
-        if !chunk
-            .spans
-            .iter()
-            .any(|s| s.within as u64 <= lo && hi <= s.within as u64 + s.len as u64)
-        {
-            dst.fill(0);
-        }
-        for s in &chunk.spans {
-            let (s_lo, s_hi) = (s.within as u64, s.within as u64 + s.len as u64);
-            let ov_lo = lo.max(s_lo);
-            let ov_hi = hi.min(s_hi);
-            if ov_lo >= ov_hi {
-                continue;
-            }
-            let file_off = s.off + (ov_lo - s_lo);
-            let dst_range = &mut dst[(ov_lo - lo) as usize..(ov_hi - lo) as usize];
-            self.log.read_exact_at(dst_range, file_off)?;
-        }
-        Ok(have)
     }
 
     fn truncate(
@@ -494,7 +590,10 @@ impl StorageEngine for FileEngine {
 
     fn sync(&mut self) -> io::Result<()> {
         self.log.sync_data()?;
-        if self.since_checkpoint >= CHECKPOINT_EVERY {
+        let dead = (self.log_len - MAGIC.len() as u64).saturating_sub(self.bytes);
+        if dead > self.bytes.max(REWRITE_SLACK) {
+            self.rewrite()?;
+        } else if self.since_checkpoint >= CHECKPOINT_EVERY {
             self.checkpoint()?;
         }
         Ok(())
@@ -664,6 +763,162 @@ mod tests {
         for d in &dirs {
             std::fs::remove_dir_all(d).unwrap();
         }
+    }
+
+    /// Every chunk's full contents, in key order: what a reopen must
+    /// reproduce byte for byte.
+    fn contents(e: &mut FileEngine) -> Vec<((u128, u64), Vec<u8>)> {
+        let keys: Vec<(u128, u64, u32)> =
+            e.chunks.iter().map(|(&(o, s), c)| (o, s, c.len)).collect();
+        keys.into_iter()
+            .map(|(obj, stripe, len)| {
+                let mut buf = vec![0u8; len as usize];
+                assert_eq!(e.read(obj, stripe, 0, &mut buf).unwrap(), len as usize);
+                ((obj, stripe), buf)
+            })
+            .collect()
+    }
+
+    /// Bytes of 1 MiB object `obj`, generation `gen`.
+    fn object(obj: u128, gen: u64) -> Vec<u8> {
+        let mut buf = vec![(obj as u8) ^ (gen as u8); 1 << 20];
+        buf[..16].copy_from_slice(&obj.to_le_bytes());
+        buf[16..24].copy_from_slice(&gen.to_le_bytes());
+        buf
+    }
+
+    #[test]
+    fn rewrite_bounds_the_log_by_live_bytes() {
+        let dir = tmp("bound");
+        let log = dir.join("extents.dat");
+        let mut e = FileEngine::open(&dir, FsyncPolicy::Group).unwrap();
+        // Sixteen live slots; each batch of four 1 MiB objects overwrites
+        // one slot's object in place, deletes another's and writes its
+        // successor, or truncates one and rewrites it, then syncs.
+        const BATCH: u64 = 4;
+        let mut live: Vec<(u128, u64)> = (0..16).map(|i| (i as u128, 0)).collect();
+        let mut next_obj = 16u128;
+        let mut peak = 0;
+        for round in 0..80u64 {
+            for k in 0..BATCH {
+                let slot = ((round * BATCH + k) * 7 % 16) as usize;
+                let (obj, gen) = live[slot];
+                live[slot] = match k % 3 {
+                    0 => (obj, gen + 1),
+                    1 => {
+                        e.delete(obj).unwrap();
+                        next_obj += 1;
+                        (next_obj, 0)
+                    }
+                    _ => {
+                        e.truncate(obj, 0, None).unwrap();
+                        (obj, gen + 1)
+                    }
+                };
+                let (obj, gen) = live[slot];
+                e.write(obj, 0, 0, &object(obj, gen)).unwrap();
+            }
+            e.sync().unwrap();
+            peak = peak.max(std::fs::metadata(&log).unwrap().len());
+        }
+        let batch_bytes = BATCH * ((1 << 20) + 8 + PUT_HDR + 64);
+        assert!(peak <= 2 * REWRITE_SLACK + batch_bytes, "extents.dat peaked at {peak} bytes");
+        let check = |e: &mut FileEngine| {
+            let mut buf = vec![0u8; 1 << 20];
+            for &(obj, gen) in &live {
+                assert_eq!(e.read(obj, 0, 0, &mut buf).unwrap(), 1 << 20, "object {obj}");
+                assert!(buf == object(obj, gen), "object {obj} generation {gen}");
+            }
+            assert_eq!(e.bytes_stored(), 16 << 20);
+            assert_eq!(e.objects().len(), 16);
+        };
+        check(&mut e);
+        drop(e);
+        check(&mut FileEngine::open(&dir, FsyncPolicy::Group).unwrap());
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A synced target with overwrites, a delete, a truncate, holes and an
+    /// empty chunk, and a checkpoint part-way: the state a rewrite starts
+    /// from. Returns its contents.
+    fn pre_rewrite(dir: &Path) -> Vec<((u128, u64), Vec<u8>)> {
+        let mut e = FileEngine::open(dir, FsyncPolicy::Group).unwrap();
+        e.write(1, 0, 0, b"first version").unwrap();
+        e.write(1, 0, 6, b"VERSION").unwrap();
+        e.write(1, 2, 5, b"after a hole").unwrap();
+        e.write(2, 0, 0, &object(2, 0)).unwrap();
+        e.write(2, 1, 0, &[7; 3 << 20]).unwrap();
+        e.checkpoint().unwrap();
+        e.write(3, 0, 0, b"doomed").unwrap();
+        assert!(e.delete(3).unwrap());
+        e.write(4, 0, 0, b"cut short here").unwrap();
+        e.truncate(4, 1, Some((0, 3))).unwrap();
+        e.write(5, 0, 0, b"").unwrap();
+        e.sync().unwrap();
+        contents(&mut e)
+    }
+
+    /// The bytes a completed rewrite of [`pre_rewrite`]'s target leaves as
+    /// `extents.dat`, made in a directory of its own.
+    fn rewritten_log(name: &str) -> Vec<u8> {
+        let dir = tmp(name);
+        let before = pre_rewrite(&dir);
+        let mut e = FileEngine::open(&dir, FsyncPolicy::Group).unwrap();
+        e.rewrite().unwrap();
+        assert_eq!(contents(&mut e), before, "the rewrite itself keeps the contents");
+        drop(e);
+        let log = std::fs::read(dir.join("extents.dat")).unwrap();
+        std::fs::remove_dir_all(&dir).unwrap();
+        log
+    }
+
+    /// Reopen `dir` and compare with `before`; writes go on afterwards.
+    fn reopens_to(dir: &Path, before: &[((u128, u64), Vec<u8>)]) {
+        let mut e = FileEngine::open(dir, FsyncPolicy::Group).unwrap();
+        assert_eq!(contents(&mut e), before);
+        assert_eq!(e.last_stripe(4), Some((0, 3)));
+        assert_eq!(e.last_stripe(3), None);
+        assert!(!dir.join("extents.tmp").exists(), "open deletes a leftover extents.tmp");
+        e.write(6, 0, 0, b"after reopen").unwrap();
+        e.sync().unwrap();
+        drop(e);
+        let mut e = FileEngine::open(dir, FsyncPolicy::Group).unwrap();
+        let mut buf = [0u8; 12];
+        assert_eq!(e.read(6, 0, 0, &mut buf).unwrap(), 12);
+        assert_eq!(&buf, b"after reopen");
+        std::fs::remove_dir_all(dir).unwrap();
+    }
+
+    #[test]
+    fn crash_after_writing_the_new_log_keeps_the_old_one() {
+        let new_log = rewritten_log("crash-tmp-new");
+        let dir = tmp("crash-tmp");
+        let before = pre_rewrite(&dir);
+        std::fs::write(dir.join("extents.tmp"), new_log).unwrap();
+        assert!(dir.join("index.bin").exists());
+        reopens_to(&dir, &before);
+    }
+
+    #[test]
+    fn crash_after_removing_the_index_replays_the_old_log() {
+        let new_log = rewritten_log("crash-index-new");
+        let dir = tmp("crash-index");
+        let before = pre_rewrite(&dir);
+        std::fs::write(dir.join("extents.tmp"), new_log).unwrap();
+        std::fs::remove_file(dir.join("index.bin")).unwrap();
+        reopens_to(&dir, &before);
+    }
+
+    #[test]
+    fn crash_after_the_rename_replays_the_new_log() {
+        let new_log = rewritten_log("crash-rename-new");
+        let dir = tmp("crash-rename");
+        let before = pre_rewrite(&dir);
+        std::fs::remove_file(dir.join("index.bin")).unwrap();
+        let old_len = std::fs::metadata(dir.join("extents.dat")).unwrap().len();
+        assert!((new_log.len() as u64) < old_len, "the rewrite drops dead bytes");
+        std::fs::write(dir.join("extents.dat"), new_log).unwrap();
+        reopens_to(&dir, &before);
     }
 
     #[test]

@@ -41,7 +41,8 @@ pub fn apply_req<E: StorageEngine>(engine: &mut E, req: &StoreReq<'_>) -> Vec<u8
         ReqOp::Write { obj, stripe, within, data } => {
             engine.write(obj, stripe, within, data).map(|()| reply(RepBody::Written))
         }
-        ReqOp::Read { len, .. } if len as usize > MAX_FRAME => {
+        // The reply carries `DATA_AT` bytes of its own before the data.
+        ReqOp::Read { len, .. } if StoreRep::DATA_AT + len as usize > MAX_FRAME => {
             Err(io::Error::new(io::ErrorKind::InvalidInput, "read longer than a frame"))
         }
         ReqOp::Read { obj, stripe, within, len } => {
@@ -226,11 +227,27 @@ mod tests {
         apply(5, ReqOp::Sync, RepBody::Synced);
         apply(6, ReqOp::Delete(5), RepBody::Deleted(true));
         apply(7, ReqOp::Delete(5), RepBody::Deleted(false));
-        // A read no frame could carry is refused before any allocation.
-        let huge = ReqOp::Read { obj: 5, stripe: 0, within: 0, len: u32::MAX };
-        let frame = apply_req(&mut e, &StoreReq { seq: 8, op: huge });
-        let rep = StoreRep::decode(&frame).unwrap();
-        assert!(matches!(rep, StoreRep { seq: 8, body: RepBody::Err(_) }), "{rep:?}");
+        // A read whose reply no frame could carry is refused before any
+        // allocation: one the size of a frame leaves no room for the
+        // reply's own head.
+        for (seq, len) in [(8, u32::MAX), (9, MAX_FRAME as u32)] {
+            let op = ReqOp::Read { obj: 5, stripe: 0, within: 0, len };
+            let frame = apply_req(&mut e, &StoreReq { seq, op });
+            assert!(frame.len() <= MAX_FRAME, "len {len}: a {}-byte reply", frame.len());
+            let rep = StoreRep::decode(&frame).unwrap();
+            assert!(matches!(rep, StoreRep { body: RepBody::Err(_), .. }), "{rep:?}");
+            assert_eq!(rep.seq, seq);
+        }
+        // The largest read a frame can carry is served.
+        let len = (MAX_FRAME - StoreRep::DATA_AT) as u32;
+        let frame = apply_req(
+            &mut e,
+            &StoreReq { seq: 10, op: ReqOp::Read { obj: 5, stripe: 0, within: 0, len } },
+        );
+        assert_eq!(frame.len(), MAX_FRAME);
+        assert!(
+            matches!(StoreRep::decode(&frame).unwrap().body, RepBody::Data(d) if d.len() == len as usize)
+        );
     }
 
     #[test]
