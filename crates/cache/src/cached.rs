@@ -46,6 +46,10 @@
 //! otherwise), which preserves read-your-writes but does not bound how
 //! stale a foreign write may appear.
 //!
+//! Every stamp — an entry's install, a foreign entry's age, a negative
+//! entry's TTL, a lease's ask and expiry — reads the inner session's clock
+//! ([`CoordService::now`]), once per cache call.
+//!
 //! Correctness never depends on clocks beyond the lease bound: with leases
 //! disabled (or none grantable — elections, partitioned replica, a session
 //! with the default hooks) every path degrades to the plain barrier
@@ -67,67 +71,53 @@ use std::time::{Duration, Instant};
 
 use bytes::Bytes;
 
-use dufs_coord::server::LEASE_MS;
 use dufs_coord::{CoordService, LeaseGrant, ReadConsistency, ZkRequest, ZkResponse};
-use dufs_zkstore::path::{self as zkpath, parent};
+use dufs_zkstore::path::parent;
 use dufs_zkstore::{MultiOp, Stat, ZkError};
 
-use crate::shared::{CacheRef, Lookup, SharedCache, DEFAULT_SHARED_MAX_AGE};
+use crate::shared::{CacheRef, Read, SharedCache, CAPACITY, DEFAULT_SHARED_MAX_AGE};
 use crate::CacheStats;
 
 /// Cache construction knobs — one shape for private and shared caches,
-/// set through [`CacheBuilder`].
+/// set through [`CacheBuilder`]. The store's size is [`CAPACITY`] and a
+/// cached absence lives for the lease quantum; neither is a knob.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct CacheOptions {
-    /// Maximum cached entries before a full flush (store-wide for a
-    /// private cache; spread across lock shards for a shared one).
-    pub capacity: usize,
     /// Adopt staleness leases to skip `SyncThenLocal` barriers. Off, the
     /// wrapper still caches but barriers exactly like the bare session.
     pub lease: bool,
-    /// How long a cached absence (`exists == None`, `NoNode` on
-    /// `get_data`) may be served. `NoNode` installs no watch, so negative
-    /// entries are time-bounded for every reader and evicted early by any
-    /// observed mutation on the path or under its parent.
-    pub negative_ttl: Duration,
     /// How long a shared-cache entry installed by *another* session may be
     /// served (the installing session's watches do not arrive on this
     /// session's transport). Irrelevant for a private cache.
     pub shared_max_age: Duration,
 }
 
-impl CacheOptions {
-    /// Default capacity (total entries across all kinds).
-    pub const DEFAULT_CAPACITY: usize = 16_384;
-
-    /// Default negative-entry TTL: the lease quantum. An unexpired lease
-    /// already licenses reads up to this staleness, so a cached absence no
-    /// older than it adds no new staleness class.
-    pub const DEFAULT_NEGATIVE_TTL: Duration = Duration::from_millis(LEASE_MS);
-}
-
 impl Default for CacheOptions {
     fn default() -> Self {
-        CacheOptions {
-            capacity: Self::DEFAULT_CAPACITY,
-            lease: true,
-            negative_ttl: Self::DEFAULT_NEGATIVE_TTL,
-            shared_max_age: DEFAULT_SHARED_MAX_AGE,
-        }
+        CacheOptions { lease: true, shared_max_age: DEFAULT_SHARED_MAX_AGE }
     }
 }
 
 /// The one construction path for cached sessions — private or shared, over
 /// any [`CoordService`]:
 ///
-/// ```ignore
+/// ```no_run
+/// use dufs_cache::CacheBuilder;
+/// use dufs_coord::{ClientOptions, ClusterBuilder};
+///
+/// # fn main() -> Result<(), dufs_zkstore::ZkError> {
+/// let cluster = ClusterBuilder::new().voters(3).tcp();
+/// let sharded_cluster = ClusterBuilder::new().voters(1).shards(2).sharded_tcp();
+///
 /// // One process-wide cache, many sessions:
-/// let shared = CacheBuilder::new().capacity(32_768).shared();
-/// let mut a = shared.session(cluster.client(opts)?);
-/// let mut b = shared.session(sharded_cluster.client(opts)?);
+/// let shared = CacheBuilder::new().shared();
+/// let mut a = shared.session(cluster.client(ClientOptions::at(0))?);
+/// let mut b = shared.session(sharded_cluster.client(ClientOptions::at(0))?);
 ///
 /// // A private per-session cache:
-/// let mut c = CacheBuilder::new().lease(false).session(cluster.client(opts)?);
+/// let mut c = CacheBuilder::new().lease(false).session(cluster.client(ClientOptions::at(1))?);
+/// # Ok(())
+/// # }
 /// ```
 #[derive(Debug, Clone, Copy, Default)]
 pub struct CacheBuilder {
@@ -140,21 +130,9 @@ impl CacheBuilder {
         Self::default()
     }
 
-    /// Maximum cached entries before a full flush.
-    pub fn capacity(mut self, capacity: usize) -> Self {
-        self.opts.capacity = capacity;
-        self
-    }
-
     /// Enable or disable staleness-lease licensing.
     pub fn lease(mut self, lease: bool) -> Self {
         self.opts.lease = lease;
-        self
-    }
-
-    /// TTL for cached absences.
-    pub fn negative_ttl(mut self, ttl: Duration) -> Self {
-        self.opts.negative_ttl = ttl;
         self
     }
 
@@ -168,12 +146,12 @@ impl CacheBuilder {
     /// Mint a process-wide shared cache; attach sessions to it with
     /// [`SharedCache::session`].
     pub fn shared(self) -> SharedCache {
-        SharedCache::from_options(self.opts)
+        SharedCache::new(CAPACITY, self.opts)
     }
 
     /// A cached session over a private cache.
     pub fn session<S: CoordService>(self, inner: S) -> Cached<S> {
-        Cached::attached(inner, CacheRef::private(&self.opts), self.opts)
+        Cached::attached(inner, CacheRef::private(CAPACITY), self.opts)
     }
 }
 
@@ -192,14 +170,13 @@ impl SharedCache {
 /// serving us.
 #[derive(Debug, Clone, Copy)]
 struct LeaseState {
-    granted: Instant,
-    ttl: Duration,
+    expires: Instant,
     reconnects: u64,
 }
 
 impl LeaseState {
-    fn valid(&self, reconnects: u64) -> bool {
-        self.reconnects == reconnects && self.granted.elapsed() < self.ttl
+    fn valid(&self, reconnects: u64, now: Instant) -> bool {
+        self.reconnects == reconnects && now < self.expires
     }
 }
 
@@ -211,18 +188,6 @@ struct ConnFresh {
     barrier_rc: u64,
     /// The connection's reconnect count when the cache last trusted it.
     cache_rc: u64,
-}
-
-/// The three cached read kinds plus the two listing reads that are always
-/// served by the session (but still licensed, and — for the warm —
-/// installed).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Read {
-    Data,
-    Exists,
-    Children,
-    ChildrenData,
-    Warm,
 }
 
 /// A session with the client-side metadata cache and lease protocol in
@@ -292,18 +257,14 @@ impl<S: CoordService> Cached<S> {
         &mut self.inner
     }
 
-    /// Unwrap.
-    pub fn into_inner(self) -> S {
-        self.inner
-    }
-
     /// Whether every connection holds a lease that currently licenses
     /// barrier-free reads.
     pub fn lease_valid(&self) -> bool {
+        let now = self.inner.now();
         self.conns
             .iter()
             .enumerate()
-            .all(|(c, f)| f.lease.is_some_and(|l| l.valid(self.inner.reconnects(c))))
+            .all(|(c, f)| f.lease.is_some_and(|l| l.valid(self.inner.reconnects(c), now)))
     }
 
     /// READDIRPLUS bulk warm: one round trip returns the listing with
@@ -346,39 +307,46 @@ impl<S: CoordService> Cached<S> {
         {
             *watch = true;
         }
+        // The two listing reads are always served by the session (but
+        // still licensed, and — for the warm — installed).
         let (kind, path) = match &req {
-            ZkRequest::GetData { path, .. } => (Read::Data, path.as_str()),
-            ZkRequest::Exists { path, .. } => (Read::Exists, path.as_str()),
-            ZkRequest::GetChildren { path, .. } => (Read::Children, path.as_str()),
-            ZkRequest::GetChildrenData { path } => (Read::ChildrenData, path.as_str()),
-            ZkRequest::WarmChildren { path } => (Read::Warm, path.as_str()),
+            ZkRequest::GetData { path, .. } => (Some(Read::Data), path.as_str()),
+            ZkRequest::Exists { path, .. } => (Some(Read::Exists), path.as_str()),
+            ZkRequest::GetChildren { path, .. } => (Some(Read::Children), path.as_str()),
+            ZkRequest::GetChildrenData { path } | ZkRequest::WarmChildren { path } => {
+                (None, path.as_str())
+            }
             other => unreachable!("read() is only called with read requests: {other:?}"),
         };
+        let now = self.inner.now();
         let conn = self.inner.connection_of(&req);
         let sync_then_local = self.desired == ReadConsistency::SyncThenLocal;
-        if sync_then_local && self.peek(kind, path) {
-            // Licensing may talk to the server; anything it learns (fired
-            // watches, a reconnect) must land before the entry is served.
-            if let Err(e) = self.license_hit(conn) {
-                return ZkResponse::Error(e);
+        if let Some(kind) = kind {
+            if sync_then_local && self.cache.has(kind, path, now) {
+                // Licensing may talk to the server; anything it learns
+                // (fired watches, a reconnect) must land before the entry
+                // is served.
+                if let Err(e) = self.license_hit(conn, now) {
+                    return ZkResponse::Error(e);
+                }
+                self.maintain();
             }
-            self.maintain();
-        }
-        if let Some(hit) = self.lookup(kind, path) {
-            return hit;
+            if let Some(hit) = self.cache.lookup(kind, path, now) {
+                return hit;
+            }
         }
         // A listing is served by the connection holding the directory's
         // children; the directory node itself may sit behind another one,
         // which then vouches for an empty listing (see `connection_of`).
         let node_conn = match kind {
-            Read::Data | Read::Exists => conn,
+            Some(Read::Data | Read::Exists) => conn,
             _ if self.conns.len() == 1 => conn,
             _ => self.inner.connection_of(&ZkRequest::Exists { path: path.into(), watch: false }),
         };
         if sync_then_local {
-            let mut fresh = self.ensure_fresh(conn);
+            let mut fresh = self.ensure_fresh(conn, now);
             if fresh.is_ok() && node_conn != conn {
-                fresh = self.ensure_fresh(node_conn);
+                fresh = self.ensure_fresh(node_conn, now);
             }
             if let Err(e) = fresh {
                 return ZkResponse::Error(e);
@@ -398,71 +366,18 @@ impl<S: CoordService> Cached<S> {
             };
         // A reply that crossed a reconnect may come from a replica the
         // freshness decision above never covered: serve it, cache nothing.
+        // What is installed is stamped with the instant before the ask, so
+        // it ages from no later than the state it shows.
         if !unguarded && self.inner.reconnects(conn) == rc {
-            self.install(kind, &path, &resp);
+            match (kind, &resp) {
+                (Some(kind), _) => self.cache.put(kind, &path, &resp, now),
+                (None, ZkResponse::WarmedChildren { entries, stat }) => {
+                    self.cache.put_warm(&path, entries, *stat, now)
+                }
+                _ => {}
+            }
         }
         resp
-    }
-
-    /// Whether an entry that could answer the read is present. Counts
-    /// nothing — the peek before deciding whether a hit needs licensing.
-    fn peek(&self, kind: Read, path: &str) -> bool {
-        match kind {
-            Read::Data => self.cache.has_data(path),
-            Read::Exists => self.cache.has_exists(path),
-            Read::Children => self.cache.has_children(path),
-            Read::ChildrenData | Read::Warm => false,
-        }
-    }
-
-    /// The counting lookup.
-    fn lookup(&mut self, kind: Read, path: &str) -> Option<ZkResponse> {
-        match kind {
-            Read::Data => match self.cache.lookup_data(path) {
-                Lookup::Hit((data, stat)) => Some(ZkResponse::Data { data, stat }),
-                Lookup::Negative => Some(ZkResponse::Error(ZkError::NoNode)),
-                Lookup::Miss => None,
-            },
-            Read::Exists => match self.cache.lookup_exists(path) {
-                Lookup::Hit(stat) => Some(ZkResponse::ExistsResult(Some(stat))),
-                Lookup::Negative => Some(ZkResponse::ExistsResult(None)),
-                Lookup::Miss => None,
-            },
-            Read::Children => self
-                .cache
-                .get_children(path)
-                .map(|(names, stat)| ZkResponse::Children { names, stat }),
-            Read::ChildrenData | Read::Warm => None,
-        }
-    }
-
-    /// Install what a watched read returned.
-    fn install(&mut self, kind: Read, path: &str, resp: &ZkResponse) {
-        match (kind, resp) {
-            (Read::Data, ZkResponse::Data { data, stat }) => {
-                self.cache.put_data(path, data.clone(), *stat)
-            }
-            // NoNode leaves no watch behind on a get, so the absence is
-            // cached as a TTL-bounded negative entry.
-            (Read::Data, ZkResponse::Error(ZkError::NoNode)) => self.cache.put_negative(path),
-            // Absence lands in the negative store: still evicted by the
-            // existence watch the read left behind, but TTL-bounded like
-            // every negative so shared readers age it out too.
-            (Read::Exists, ZkResponse::ExistsResult(stat)) => self.cache.put_exists(path, *stat),
-            (Read::Children, ZkResponse::Children { names, stat }) => {
-                self.cache.put_children(path, names.clone(), *stat)
-            }
-            (Read::Warm, ZkResponse::WarmedChildren { entries, stat }) => {
-                let names = entries.iter().map(|(n, _, _)| n.clone()).collect();
-                self.cache.put_children(path, names, *stat);
-                for (name, data, cstat) in entries {
-                    let child = zkpath::join(path, name);
-                    self.cache.put_data(&child, data.clone(), *cstat);
-                }
-                self.cache.stats_mut().bulk_warms += 1;
-            }
-            _ => {}
-        }
     }
 
     /// Drain watch notifications into evictions and detect reconnects.
@@ -497,7 +412,7 @@ impl<S: CoordService> Cached<S> {
     /// so a silently-dead replica surfaces here as a reconnect (and the
     /// caller's next `maintain` flushes the cache) — this is what bounds
     /// hit staleness when no traffic would otherwise flow.
-    fn lease_license(&mut self, conn: usize) -> bool {
+    fn lease_license(&mut self, conn: usize, now: Instant) -> bool {
         if !self.use_lease {
             return false;
         }
@@ -506,18 +421,18 @@ impl<S: CoordService> Cached<S> {
             // A grant only speaks for the replica it came from.
             return false;
         }
-        if self.conns[conn].lease.is_some_and(|l| l.valid(rc)) {
+        if self.conns[conn].lease.is_some_and(|l| l.valid(rc, now)) {
             return true;
         }
         // Renew synchronously: one RTT, same cost as the barrier it
         // replaces, but the grant then covers reads for a whole ttl. The
         // server measured the ttl from some instant after this ask, so the
-        // grant is stamped with the ask: transit and any stall before
-        // adoption come off the client's window, never onto it.
-        let asked = Instant::now();
+        // grant is stamped with the ask (`now`, read before it): transit
+        // and any stall before adoption come off the client's window, never
+        // onto it.
         if let Ok(Some(g)) = self.inner.ping_lease(conn) {
             if self.inner.reconnects(conn) == rc {
-                self.adopt(conn, g, asked);
+                self.adopt(conn, g, now);
                 return true;
             }
         }
@@ -542,9 +457,9 @@ impl<S: CoordService> Cached<S> {
     /// flag is irrelevant here: this session's own mutations already
     /// evicted exactly the paths they touched, so a surviving entry cannot
     /// hide one of our writes.
-    fn license_hit(&mut self, conn: usize) -> Result<(), ZkError> {
+    fn license_hit(&mut self, conn: usize, now: Instant) -> Result<(), ZkError> {
         if self.use_lease {
-            if self.lease_license(conn) {
+            if self.lease_license(conn, now) {
                 return Ok(());
             }
         } else if self.inner.reconnects(conn) == self.conns[conn].barrier_rc {
@@ -555,7 +470,7 @@ impl<S: CoordService> Cached<S> {
 
     /// The `SyncThenLocal` freshness decision for a read that is about to
     /// go to the server (misses only — hits go through `license_hit`).
-    fn ensure_fresh(&mut self, conn: usize) -> Result<(), ZkError> {
+    fn ensure_fresh(&mut self, conn: usize, now: Instant) -> Result<(), ZkError> {
         if self.use_lease {
             // Every cached read is lease-or-barrier licensed — even a
             // clean-session miss, whose local read at a lagging replica
@@ -563,7 +478,7 @@ impl<S: CoordService> Cached<S> {
             // connection our own acked writes are already applied at the
             // serving replica, and a live lease bounds everyone else's —
             // so a valid lease substitutes for the barrier.
-            if self.lease_license(conn) {
+            if self.lease_license(conn, now) {
                 if self.inner.is_dirty(conn) {
                     // Only count skips where the lease-off protocol would
                     // actually have barriered (a moved connection never
@@ -583,8 +498,7 @@ impl<S: CoordService> Cached<S> {
     /// Hold `g`, which the server granted no earlier than `asked`.
     fn adopt(&mut self, conn: usize, g: LeaseGrant, asked: Instant) {
         self.conns[conn].lease = Some(LeaseState {
-            granted: asked,
-            ttl: Duration::from_millis(u64::from(g.ttl_ms)),
+            expires: asked + Duration::from_millis(u64::from(g.ttl_ms)),
             reconnects: self.inner.reconnects(conn),
         });
         self.cache.stats_mut().lease_renewals += 1;
@@ -662,14 +576,28 @@ mod tests {
     use super::*;
     use dufs_coord::Watch;
 
-    /// A `SyncThenLocal` session whose ping takes 80 ms to come back with
-    /// a 100 ms grant; it counts pings and barriers, and owes a barrier
-    /// (`is_dirty`) for good when `dirty`.
-    #[derive(Default)]
+    /// A `SyncThenLocal` session on a manual clock (`start + elapsed`)
+    /// whose ping takes 80 ms of it to come back with a 100 ms grant; it
+    /// counts pings and barriers, and owes a barrier (`is_dirty`) for good
+    /// when `dirty`.
     struct SlowGrant {
+        start: Instant,
+        elapsed: Duration,
         pings: u32,
         barriers: u32,
         dirty: bool,
+    }
+
+    impl Default for SlowGrant {
+        fn default() -> Self {
+            SlowGrant {
+                start: Instant::now(),
+                elapsed: Duration::ZERO,
+                pings: 0,
+                barriers: 0,
+                dirty: false,
+            }
+        }
     }
 
     impl CoordService for SlowGrant {
@@ -688,7 +616,7 @@ mod tests {
 
         fn ping_lease(&mut self, _conn: usize) -> Result<Option<LeaseGrant>, ZkError> {
             self.pings += 1;
-            std::thread::sleep(Duration::from_millis(80));
+            self.elapsed += Duration::from_millis(80);
             Ok(Some(LeaseGrant { ttl_ms: 100, epoch: 1 }))
         }
 
@@ -700,6 +628,10 @@ mod tests {
             self.barriers += 1;
             Ok(())
         }
+
+        fn now(&self) -> Instant {
+            self.start + self.elapsed
+        }
     }
 
     #[test]
@@ -707,16 +639,28 @@ mod tests {
         let mut c = Cached::new(SlowGrant::default());
         // A miss, licensed by one ping, then a hit under the same grant.
         c.get_data("/a", Watch::None).unwrap();
-        let returned = Instant::now();
         c.get_data("/a", Watch::None).unwrap();
         assert_eq!((c.inner().pings, c.inner().barriers), (1, 0), "two reads within the ttl");
         // The grant's 100 ms ran from the ask, 80 ms before the first read
         // returned: 40 ms after it, the lease is spent.
-        std::thread::sleep(Duration::from_millis(40).saturating_sub(returned.elapsed()));
+        c.inner_mut().elapsed += Duration::from_millis(40);
         assert!(!c.lease_valid(), "a grant outlived its ttl counted from the ask");
         c.get_data("/a", Watch::None).unwrap();
         assert_eq!((c.inner().pings, c.inner().barriers), (2, 0), "one renewal after expiry");
         assert_eq!(c.stats().hits, 2);
+    }
+
+    /// A grant of 100 ms asked at `t` licenses reads up to `t + 100 ms − 1 ns`
+    /// and none at `t + 100 ms`.
+    #[test]
+    fn a_lease_expires_exactly_a_ttl_after_the_ask() {
+        let mut c = Cached::new(SlowGrant::default());
+        c.get_data("/a", Watch::None).unwrap();
+        let ttl = Duration::from_millis(100);
+        c.inner_mut().elapsed = ttl - Duration::from_nanos(1);
+        assert!(c.lease_valid(), "a grant lapsed before its ttl");
+        c.inner_mut().elapsed = ttl;
+        assert!(!c.lease_valid(), "a grant outlived its ttl");
     }
 
     /// A miss on a connection that owes a barrier: with leases on it rides

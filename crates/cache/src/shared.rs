@@ -9,7 +9,12 @@
 //! bounded per shard, handed around as a cheaply-cloneable [`SharedCache`]
 //! handle. A *private* cache is the same store built with a single lock
 //! shard and a single owner: its capacity bound is then store-wide (one
-//! full flush at `capacity` entries) and lookups skip the shard hash.
+//! full flush before an insert would pass [`CAPACITY`] entries) and
+//! lookups skip the shard hash.
+//!
+//! The store reads no clock. Every call that stamps or ages an entry takes
+//! `now` from the session that makes it, so a test drives the store on a
+//! clock of its own.
 //!
 //! ## Why sharing is sound — the ownership tag
 //!
@@ -19,7 +24,8 @@
 //! foreign session attached to the same store never sees those
 //! notifications — so a foreign entry cannot be trusted indefinitely.
 //! Every entry therefore carries the attach id of the session that
-//! installed it plus its install time, and a lookup applies two rules:
+//! installed it plus its install time (on that session's clock,
+//! [`dufs_coord::CoordService::now`]), and a lookup applies two rules:
 //!
 //! * **own entry** — trusted as long as it sits in the cache (the watch
 //!   protocol makes it exactly as fresh as a private cache's entry);
@@ -57,9 +63,9 @@ use bytes::Bytes;
 use parking_lot::Mutex;
 
 use dufs_coord::server::{LEASE_MARGIN_MS, LEASE_MS};
-use dufs_coord::WatchNotification;
-use dufs_zkstore::path::parent;
-use dufs_zkstore::Stat;
+use dufs_coord::{WatchNotification, ZkResponse};
+use dufs_zkstore::path::{self as zkpath, parent};
+use dufs_zkstore::{Stat, ZkError};
 
 use crate::cached::CacheOptions;
 use crate::CacheStats;
@@ -68,66 +74,80 @@ use crate::CacheStats;
 /// different shards never contend.
 const LOCK_SHARDS: usize = 16;
 
+/// Entries the store holds before it flushes (store-wide for a private
+/// cache; spread across lock shards for a shared one). An 8 000-file hot
+/// set (two entries per file) fits whole.
+pub const CAPACITY: usize = 16_384;
+
+/// How long a cached absence may be served: the lease quantum. An
+/// unexpired lease already licenses reads up to this staleness, so a
+/// cached absence no older than it adds no new staleness class.
+const NEGATIVE_TTL: Duration = Duration::from_millis(LEASE_MS);
+
 /// Default trust window for entries installed by *another* session: the
 /// lease quantum plus its grant margin. A reader licensed by an unexpired
 /// lease already accepts this much staleness, so a foreign entry no older
 /// than it introduces no new staleness class.
 pub const DEFAULT_SHARED_MAX_AGE: Duration = Duration::from_millis(LEASE_MS + LEASE_MARGIN_MS);
 
-/// A cached value tagged with who installed it and when.
-#[derive(Debug, Clone)]
-struct Entry<V> {
-    v: V,
+/// The cached read kinds; each has its own map in a lock shard.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Read {
+    Data,
+    Exists,
+    Children,
+}
+
+impl Read {
+    /// The reply that says the node is absent — cached as a negative entry
+    /// — or `None` for a kind whose absence is an error nobody caches.
+    fn absence(self) -> Option<ZkResponse> {
+        match self {
+            Read::Data => Some(ZkResponse::Error(ZkError::NoNode)),
+            Read::Exists => Some(ZkResponse::ExistsResult(None)),
+            Read::Children => None,
+        }
+    }
+}
+
+/// A cached reply tagged with who installed it and when.
+#[derive(Debug)]
+struct Entry {
+    v: ZkResponse,
     owner: u64,
     installed: Instant,
 }
 
-impl<V> Entry<V> {
-    fn new(v: V, owner: u64) -> Self {
-        Entry { v, owner, installed: Instant::now() }
-    }
-}
-
-/// Outcome of a counting lookup that may be served by a negative entry.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub(crate) enum Lookup<T> {
-    /// A cached positive result.
-    Hit(T),
-    /// A valid cached absence: answer `NoNode` with no round trip.
+/// What the store holds for a read (the per-session [`CacheRef`] counts
+/// it against its own stats).
+#[derive(Debug)]
+pub(crate) enum Lookup {
+    /// A cached positive reply.
+    Hit(ZkResponse),
+    /// A valid cached absence: answer it with no round trip.
     Negative,
-    /// Nothing cached (an expired negative entry counts here, after being
-    /// dropped): go to the coordination service.
-    Miss,
-}
-
-/// Non-counting lookup outcome (the per-session [`CacheRef`] does the
-/// accounting against its own stats).
-enum Raw<T> {
-    Hit(T),
-    Negative,
+    /// A cached absence past its TTL, now dropped: go to the service.
     Expired,
+    /// Nothing cached: go to the service.
     Miss,
 }
 
 #[derive(Debug, Default)]
 struct Shard {
-    data: HashMap<String, Entry<(Bytes, Stat)>>,
-    exists: HashMap<String, Entry<Stat>>,
-    children: HashMap<String, Entry<(Vec<String>, Stat)>>,
-    /// Cached absences; `Entry<()>` for the owner/installed stamps.
-    neg: HashMap<String, Entry<()>>,
+    /// Positive replies, one map per [`Read`] kind.
+    pos: [HashMap<String, Entry>; 3],
+    /// Cached absences and when they were installed.
+    neg: HashMap<String, Instant>,
 }
 
 impl Shard {
     fn len(&self) -> usize {
-        self.data.len() + self.exists.len() + self.children.len() + self.neg.len()
+        self.pos.iter().map(HashMap::len).sum::<usize>() + self.neg.len()
     }
 
     fn clear(&mut self) -> bool {
         let any = self.len() > 0;
-        self.data.clear();
-        self.exists.clear();
-        self.children.clear();
+        self.pos.iter_mut().for_each(HashMap::clear);
         self.neg.clear();
         any
     }
@@ -150,26 +170,24 @@ impl Shard {
 /// * a transport reconnect evicts **everything** — watches armed on the
 ///   lost session may have fired while disconnected, and the server does
 ///   not replay them;
-/// * inserting into a full lock shard flushes that shard (correct — only
-///   cached reads are dropped — and adequate for metadata working sets).
+/// * an insert that would take a lock shard past its slice of the capacity
+///   flushes that shard first (correct — only cached reads are dropped —
+///   and adequate for metadata working sets).
 #[derive(Debug)]
 pub struct SharedMetaCache {
     shards: Vec<Mutex<Shard>>,
     /// Entries per lock shard before that shard is flushed wholesale.
     shard_capacity: usize,
-    negative_ttl: Duration,
     shared_max_age: Duration,
     next_attach: AtomicU64,
 }
 
 impl SharedMetaCache {
-    fn new(opts: &CacheOptions, lock_shards: usize) -> Self {
-        assert!(opts.capacity >= 1);
+    fn new(capacity: usize, lock_shards: usize, shared_max_age: Duration) -> Self {
         SharedMetaCache {
             shards: (0..lock_shards).map(|_| Mutex::new(Shard::default())).collect(),
-            shard_capacity: opts.capacity.div_ceil(lock_shards),
-            negative_ttl: opts.negative_ttl,
-            shared_max_age: opts.shared_max_age,
+            shard_capacity: capacity.div_ceil(lock_shards),
+            shared_max_age,
             next_attach: AtomicU64::new(1),
         }
     }
@@ -183,9 +201,9 @@ impl SharedMetaCache {
         &self.shards[(h.finish() as usize) % self.shards.len()]
     }
 
-    /// Whether `me` may trust a positive entry.
-    fn fresh<V>(&self, e: &Entry<V>, me: u64) -> bool {
-        e.owner == me || e.installed.elapsed() < self.shared_max_age
+    /// Whether `me` may trust a positive entry at `now`.
+    fn fresh(&self, e: &Entry, me: u64, now: Instant) -> bool {
+        e.owner == me || now.saturating_duration_since(e.installed) < self.shared_max_age
     }
 
     fn len(&self) -> usize {
@@ -200,102 +218,73 @@ impl SharedMetaCache {
         any
     }
 
-    fn lookup_data(&self, path: &str, me: u64) -> Raw<(Bytes, Stat)> {
+    /// What the store holds for a `kind` read of `path` at `now`. A stale
+    /// foreign entry or a lapsed absence is dropped on the way.
+    fn lookup(&self, kind: Read, path: &str, me: u64, now: Instant) -> Lookup {
         let mut s = self.shard(path).lock();
-        match s.data.get(path) {
-            Some(e) if self.fresh(e, me) => return Raw::Hit(e.v.clone()),
+        let map = &mut s.pos[kind as usize];
+        match map.get(path) {
+            Some(e) if self.fresh(e, me, now) => return Lookup::Hit(e.v.clone()),
             Some(_) => {
-                s.data.remove(path);
+                map.remove(path);
             }
             None => {}
         }
-        self.lookup_negative(&mut s, path)
-    }
-
-    fn lookup_exists(&self, path: &str, me: u64) -> Raw<Stat> {
-        let mut s = self.shard(path).lock();
-        match s.exists.get(path) {
-            Some(e) if self.fresh(e, me) => return Raw::Hit(e.v),
-            Some(_) => {
-                s.exists.remove(path);
-            }
-            None => {}
+        if kind.absence().is_none() {
+            return Lookup::Miss;
         }
-        self.lookup_negative(&mut s, path)
-    }
-
-    fn lookup_negative<T>(&self, s: &mut Shard, path: &str) -> Raw<T> {
         match s.neg.get(path) {
-            Some(e) if e.installed.elapsed() < self.negative_ttl => Raw::Negative,
+            Some(&at) if now.saturating_duration_since(at) < NEGATIVE_TTL => Lookup::Negative,
             Some(_) => {
                 s.neg.remove(path);
-                Raw::Expired
+                Lookup::Expired
             }
-            None => Raw::Miss,
+            None => Lookup::Miss,
         }
     }
 
-    fn lookup_children(&self, path: &str, me: u64) -> Option<(Vec<String>, Stat)> {
-        let mut s = self.shard(path).lock();
-        match s.children.get(path) {
-            Some(e) if self.fresh(e, me) => Some(e.v.clone()),
-            Some(_) => {
-                s.children.remove(path);
-                None
-            }
-            None => None,
-        }
-    }
-
-    fn has_data(&self, path: &str, me: u64) -> bool {
+    /// Whether a `kind` read of `path` would be answered at `now`, without
+    /// dropping anything.
+    fn has(&self, kind: Read, path: &str, me: u64, now: Instant) -> bool {
         let s = self.shard(path).lock();
-        s.data.get(path).is_some_and(|e| self.fresh(e, me))
-            || s.neg.get(path).is_some_and(|e| e.installed.elapsed() < self.negative_ttl)
+        s.pos[kind as usize].get(path).is_some_and(|e| self.fresh(e, me, now))
+            || kind.absence().is_some()
+                && s.neg
+                    .get(path)
+                    .is_some_and(|&at| now.saturating_duration_since(at) < NEGATIVE_TTL)
     }
 
-    fn has_exists(&self, path: &str, me: u64) -> bool {
-        let s = self.shard(path).lock();
-        s.exists.get(path).is_some_and(|e| self.fresh(e, me))
-            || s.neg.get(path).is_some_and(|e| e.installed.elapsed() < self.negative_ttl)
-    }
-
-    fn has_children(&self, path: &str, me: u64) -> bool {
-        self.shard(path).lock().children.get(path).is_some_and(|e| self.fresh(e, me))
-    }
-
-    fn put_data(&self, path: &str, data: Bytes, stat: Stat, me: u64) {
+    /// Install what a watched `kind` read of `path` returned, stamped
+    /// `now`: a positive reply (a data reply answers `Exists` too), or an
+    /// absence as a negative entry. Any other reply installs nothing.
+    fn put(&self, kind: Read, path: &str, resp: &ZkResponse, me: u64, now: Instant) {
+        let absent = kind.absence().as_ref() == Some(resp);
+        let adds = match (kind, resp) {
+            (Read::Data, ZkResponse::Data { .. }) => 2,
+            (Read::Exists, ZkResponse::ExistsResult(Some(_)))
+            | (Read::Children, ZkResponse::Children { .. }) => 1,
+            _ if absent => 1,
+            _ => return,
+        };
         let mut s = self.shard(path).lock();
-        self.make_room(&mut s);
-        s.neg.remove(path);
-        s.data.insert(path.into(), Entry::new((data, stat), me));
-        s.exists.insert(path.into(), Entry::new(stat, me));
-    }
-
-    fn put_exists(&self, path: &str, stat: Stat, me: u64) {
-        let mut s = self.shard(path).lock();
-        self.make_room(&mut s);
-        s.neg.remove(path);
-        s.exists.insert(path.into(), Entry::new(stat, me));
-    }
-
-    fn put_children(&self, path: &str, names: Vec<String>, stat: Stat, me: u64) {
-        let mut s = self.shard(path).lock();
-        self.make_room(&mut s);
-        s.children.insert(path.into(), Entry::new((names, stat), me));
-    }
-
-    fn put_negative(&self, path: &str, me: u64) {
-        let mut s = self.shard(path).lock();
-        self.make_room(&mut s);
-        s.data.remove(path);
-        s.exists.remove(path);
-        s.neg.insert(path.into(), Entry::new((), me));
-    }
-
-    fn make_room(&self, s: &mut Shard) {
-        if s.len() >= self.shard_capacity {
+        if s.len() + adds > self.shard_capacity {
             s.clear();
         }
+        if absent {
+            s.pos[Read::Data as usize].remove(path);
+            s.pos[Read::Exists as usize].remove(path);
+            s.neg.insert(path.into(), now);
+            return;
+        }
+        let entry = |v| Entry { v, owner: me, installed: now };
+        if let ZkResponse::Data { stat, .. } = resp {
+            let exists = ZkResponse::ExistsResult(Some(*stat));
+            s.pos[Read::Exists as usize].insert(path.into(), entry(exists));
+        }
+        if kind != Read::Children {
+            s.neg.remove(path);
+        }
+        s.pos[kind as usize].insert(path.into(), entry(resp.clone()));
     }
 
     /// Evict everything invalidated by an observed mutation of `path`:
@@ -305,14 +294,14 @@ impl SharedMetaCache {
     fn evict(&self, path: &str) -> bool {
         let mut any = {
             let mut s = self.shard(path).lock();
-            let mut a = s.data.remove(path).is_some();
-            a |= s.exists.remove(path).is_some();
-            a |= s.children.remove(path).is_some();
-            a |= s.neg.remove(path).is_some();
+            let mut a = s.neg.remove(path).is_some();
+            for map in &mut s.pos {
+                a |= map.remove(path).is_some();
+            }
             a
         };
         if let Some(dir) = parent(path) {
-            any |= self.shard(dir).lock().children.remove(dir).is_some();
+            any |= self.shard(dir).lock().pos[Read::Children as usize].remove(dir).is_some();
         }
         // Negatives for children of `path` hash to arbitrary shards: scan
         // them all (each lock taken and released independently — never
@@ -340,8 +329,10 @@ pub struct SharedCache {
 }
 
 impl SharedCache {
-    pub(crate) fn from_options(opts: CacheOptions) -> Self {
-        SharedCache { store: Arc::new(SharedMetaCache::new(&opts, LOCK_SHARDS)), opts }
+    /// A store of `capacity` entries over [`LOCK_SHARDS`] lock shards.
+    pub(crate) fn new(capacity: usize, opts: CacheOptions) -> Self {
+        let store = SharedMetaCache::new(capacity, LOCK_SHARDS, opts.shared_max_age);
+        SharedCache { store: Arc::new(store), opts }
     }
 
     /// Total cached entries across all lock shards (negatives included).
@@ -352,11 +343,6 @@ impl SharedCache {
     /// Whether nothing is cached.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    /// Drop every cached entry (all attached sessions start cold).
-    pub fn flush(&self) {
-        self.store.flush();
     }
 }
 
@@ -374,9 +360,9 @@ pub(crate) struct CacheRef {
 
 impl CacheRef {
     /// A private store: one owner and one lock shard, so `capacity` bounds
-    /// the whole store exactly.
-    pub(crate) fn private(opts: &CacheOptions) -> Self {
-        let store = Arc::new(SharedMetaCache::new(opts, 1));
+    /// the whole store exactly (and no entry is foreign, so none ages).
+    pub(crate) fn private(capacity: usize) -> Self {
+        let store = Arc::new(SharedMetaCache::new(capacity, 1, Duration::ZERO));
         CacheRef { store, owner: 0, stats: CacheStats::default() }
     }
 
@@ -399,87 +385,59 @@ impl CacheRef {
         &mut self.stats
     }
 
-    // ---------------------------------------------------------------- peeks
-
-    pub(crate) fn has_data(&self, path: &str) -> bool {
-        self.store.has_data(path, self.owner)
+    /// Whether an entry that could answer the read is present. Counts
+    /// nothing — the peek before deciding whether a hit needs licensing.
+    pub(crate) fn has(&self, kind: Read, path: &str, now: Instant) -> bool {
+        self.store.has(kind, path, self.owner, now)
     }
 
-    pub(crate) fn has_exists(&self, path: &str) -> bool {
-        self.store.has_exists(path, self.owner)
-    }
-
-    pub(crate) fn has_children(&self, path: &str) -> bool {
-        self.store.has_children(path, self.owner)
-    }
-
-    // -------------------------------------------------------- counting gets
-
-    pub(crate) fn lookup_data(&mut self, path: &str) -> Lookup<(Bytes, Stat)> {
-        let raw = self.store.lookup_data(path, self.owner);
-        self.count(raw)
-    }
-
-    pub(crate) fn lookup_exists(&mut self, path: &str) -> Lookup<Stat> {
-        let raw = self.store.lookup_exists(path, self.owner);
-        self.count(raw)
-    }
-
-    /// A valid cached absence counts as a hit *and* a negative hit; an
-    /// expired one (already dropped by the store) as a miss plus a negative
-    /// expiry.
-    fn count<T>(&mut self, raw: Raw<T>) -> Lookup<T> {
-        match raw {
-            Raw::Hit(v) => {
+    /// The counting lookup: the cached reply, if any. A valid cached
+    /// absence counts as a hit *and* a negative hit; an expired one
+    /// (dropped by the store) as a miss plus a negative expiry.
+    pub(crate) fn lookup(&mut self, kind: Read, path: &str, now: Instant) -> Option<ZkResponse> {
+        match self.store.lookup(kind, path, self.owner, now) {
+            Lookup::Hit(v) => {
                 self.stats.hits += 1;
-                Lookup::Hit(v)
+                Some(v)
             }
-            Raw::Negative => {
+            Lookup::Negative => {
                 self.stats.hits += 1;
                 self.stats.negative_hits += 1;
-                Lookup::Negative
+                kind.absence()
             }
-            Raw::Expired => {
+            Lookup::Expired => {
                 self.stats.negative_expiries += 1;
                 self.stats.misses += 1;
-                Lookup::Miss
+                None
             }
-            Raw::Miss => {
+            Lookup::Miss => {
                 self.stats.misses += 1;
-                Lookup::Miss
+                None
             }
         }
     }
 
-    pub(crate) fn get_children(&mut self, path: &str) -> Option<(Vec<String>, Stat)> {
-        let hit = self.store.lookup_children(path, self.owner);
-        if hit.is_some() {
-            self.stats.hits += 1;
-        } else {
-            self.stats.misses += 1;
+    /// Install what a watched `kind` read returned (see
+    /// [`SharedMetaCache::put`]).
+    pub(crate) fn put(&mut self, kind: Read, path: &str, resp: &ZkResponse, now: Instant) {
+        self.store.put(kind, path, resp, self.owner, now);
+    }
+
+    /// Install a READDIRPLUS warm: the listing, then each child's data.
+    pub(crate) fn put_warm(
+        &mut self,
+        path: &str,
+        entries: &[(String, Bytes, Stat)],
+        stat: Stat,
+        now: Instant,
+    ) {
+        let names = entries.iter().map(|(n, _, _)| n.clone()).collect();
+        self.put(Read::Children, path, &ZkResponse::Children { names, stat }, now);
+        for (name, data, stat) in entries {
+            let child = ZkResponse::Data { data: data.clone(), stat: *stat };
+            self.put(Read::Data, &zkpath::join(path, name), &child, now);
         }
-        hit
-    }
-
-    // ----------------------------------------------------------------- puts
-
-    pub(crate) fn put_data(&mut self, path: &str, data: Bytes, stat: Stat) {
-        self.store.put_data(path, data, stat, self.owner);
-    }
-
-    pub(crate) fn put_exists(&mut self, path: &str, stat: Option<Stat>) {
-        match stat {
-            Some(s) => self.store.put_exists(path, s, self.owner),
-            None => self.store.put_negative(path, self.owner),
-        }
-    }
-
-    pub(crate) fn put_children(&mut self, path: &str, names: Vec<String>, stat: Stat) {
-        self.store.put_children(path, names, stat, self.owner);
-    }
-
-    pub(crate) fn put_negative(&mut self, path: &str) {
-        self.store.put_negative(path, self.owner);
+        self.stats.bulk_warms += 1;
     }
 
     // ---------------------------------------------------------- invalidation
@@ -506,33 +464,52 @@ impl CacheRef {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cached::CacheOptions;
 
     fn stat() -> Stat {
         Stat::default()
     }
 
-    fn shared(opts: CacheOptions) -> SharedCache {
-        SharedCache::from_options(opts)
+    fn data(v: &'static [u8]) -> ZkResponse {
+        ZkResponse::Data { data: Bytes::from_static(v), stat: stat() }
     }
 
-    fn private(opts: CacheOptions) -> CacheRef {
-        CacheRef::private(&opts)
+    fn listing(names: &[&str]) -> ZkResponse {
+        ZkResponse::Children { names: names.iter().map(|n| n.to_string()).collect(), stat: stat() }
+    }
+
+    const NO_NODE: ZkResponse = ZkResponse::Error(ZkError::NoNode);
+    const ABSENT: ZkResponse = ZkResponse::ExistsResult(None);
+
+    fn shared() -> SharedCache {
+        shared_with(CAPACITY, DEFAULT_SHARED_MAX_AGE)
+    }
+
+    fn shared_with(capacity: usize, shared_max_age: Duration) -> SharedCache {
+        SharedCache::new(capacity, CacheOptions { shared_max_age, ..CacheOptions::default() })
+    }
+
+    fn private() -> CacheRef {
+        CacheRef::private(CAPACITY)
     }
 
     fn note(path: &str, event: dufs_coord::watch::WatchEventKind) -> WatchNotification {
         WatchNotification { path: path.into(), event }
     }
 
+    fn is_hit(r: Option<ZkResponse>) -> bool {
+        matches!(r, Some(ZkResponse::Data { .. } | ZkResponse::ExistsResult(Some(_))))
+    }
+
     // ---- the private (one owner, one lock shard) face of the store
 
     #[test]
     fn hits_misses_and_rate() {
-        let mut c = private(CacheOptions::default());
-        assert_eq!(c.lookup_data("/x"), Lookup::Miss);
-        c.put_data("/x", Bytes::from_static(b"v"), stat());
-        assert!(matches!(c.lookup_data("/x"), Lookup::Hit(_)));
-        assert!(matches!(c.lookup_exists("/x"), Lookup::Hit(_)), "put_data also answers exists");
+        let t = Instant::now();
+        let mut c = private();
+        assert_eq!(c.lookup(Read::Data, "/x", t), None);
+        c.put(Read::Data, "/x", &data(b"v"), t);
+        assert!(is_hit(c.lookup(Read::Data, "/x", t)));
+        assert!(is_hit(c.lookup(Read::Exists, "/x", t)), "a data install also answers exists");
         let s = c.stats();
         assert_eq!((s.hits, s.misses), (2, 1));
         assert!((s.hit_rate() - 2.0 / 3.0).abs() < 1e-9);
@@ -540,21 +517,23 @@ mod tests {
 
     #[test]
     fn watch_evicts_path_and_parent_listing() {
-        let mut c = private(CacheOptions::default());
-        c.put_data("/d/f", Bytes::new(), stat());
-        c.put_children("/d", vec!["f".into()], stat());
+        let t = Instant::now();
+        let mut c = private();
+        c.put(Read::Data, "/d/f", &data(b""), t);
+        c.put(Read::Children, "/d", &listing(&["f"]), t);
         c.invalidate_watch(&note("/d/f", dufs_coord::watch::WatchEventKind::DataChanged));
-        assert_eq!(c.lookup_data("/d/f"), Lookup::Miss);
-        assert!(c.get_children("/d").is_none(), "parent listing evicted too");
+        assert_eq!(c.lookup(Read::Data, "/d/f", t), None);
+        assert!(c.lookup(Read::Children, "/d", t).is_none(), "parent listing evicted too");
         assert_eq!(c.stats().watch_invalidations, 1);
     }
 
     #[test]
     fn local_mutation_evicts() {
-        let mut c = private(CacheOptions::default());
-        c.put_exists("/a", None);
+        let t = Instant::now();
+        let mut c = private();
+        c.put(Read::Exists, "/a", &ABSENT, t);
         c.invalidate_local("/a");
-        assert_eq!(c.lookup_exists("/a"), Lookup::Miss);
+        assert_eq!(c.lookup(Read::Exists, "/a", t), None);
         assert_eq!(c.stats().local_invalidations, 1);
         // Evicting a cold path counts nothing.
         c.invalidate_local("/cold");
@@ -563,9 +542,10 @@ mod tests {
 
     #[test]
     fn reconnect_flushes_everything() {
-        let mut c = private(CacheOptions::default());
-        c.put_data("/a", Bytes::new(), stat());
-        c.put_children("/", vec!["a".into()], stat());
+        let t = Instant::now();
+        let mut c = private();
+        c.put(Read::Data, "/a", &data(b""), t);
+        c.put(Read::Children, "/", &listing(&["a"]), t);
         c.invalidate_reconnect();
         assert_eq!(c.len(), 0);
         assert_eq!(c.stats().reconnect_invalidations, 1);
@@ -576,151 +556,191 @@ mod tests {
 
     #[test]
     fn private_capacity_bounds_total_entries() {
-        let mut c = private(CacheOptions { capacity: 4, ..CacheOptions::default() });
+        let t = Instant::now();
+        let mut c = CacheRef::private(4);
         for i in 0..10 {
-            c.put_data(&format!("/n{i}"), Bytes::new(), stat());
+            c.put(Read::Data, &format!("/n{i}"), &data(b""), t);
         }
         assert!(c.len() <= 4 + 1, "full flush keeps the cache bounded");
     }
 
+    /// The bound counts what an insert adds: a data install is two entries,
+    /// so three exists entries and then one data install in a store of four
+    /// flush first instead of leaving five.
+    #[test]
+    fn a_data_install_makes_room_for_both_its_entries() {
+        let t = Instant::now();
+        let mut c = CacheRef::private(4);
+        for p in ["/a", "/b", "/c"] {
+            c.put(Read::Exists, p, &ZkResponse::ExistsResult(Some(stat())), t);
+        }
+        c.put(Read::Data, "/d", &data(b"v"), t);
+        assert!(c.len() <= 4, "{} entries in a store of 4", c.len());
+        assert!(is_hit(c.lookup(Read::Data, "/d", t)), "the install itself survives its flush");
+    }
+
     /// A private cache's capacity is store-wide, not sliced per lock shard:
-    /// a working set just under the default capacity (8 000 `put_data`s =
+    /// a working set just under the default capacity (8 000 data installs =
     /// 16 000 entries, the end-to-end benchmark's hot set) must fit whole.
     #[test]
     fn private_default_capacity_holds_an_8000_file_hot_set() {
-        let mut c = private(CacheOptions::default());
+        let t = Instant::now();
+        let mut c = private();
         for i in 0..8_000 {
-            c.put_data(&format!("/r{:03}/f{i:05}", i % 16), Bytes::from_static(b"meta"), stat());
+            c.put(Read::Data, &format!("/r{:03}/f{i:05}", i % 16), &data(b"meta"), t);
         }
         for i in 0..8_000 {
             let p = format!("/r{:03}/f{i:05}", i % 16);
-            assert!(matches!(c.lookup_data(&p), Lookup::Hit(_)), "{p} was flushed");
+            assert!(is_hit(c.lookup(Read::Data, &p, t)), "{p} was flushed");
         }
         assert_eq!((c.stats().hits, c.stats().misses), (8_000, 0));
     }
 
     #[test]
     fn negative_entries_hit_then_expire() {
-        let mut c = private(CacheOptions {
-            negative_ttl: Duration::from_millis(40),
-            ..CacheOptions::default()
-        });
-        assert_eq!(c.lookup_data("/gone"), Lookup::Miss);
-        c.put_negative("/gone");
-        assert!(c.has_data("/gone"), "the peek sees a valid absence");
-        assert_eq!(c.lookup_data("/gone"), Lookup::Negative);
+        let t = Instant::now();
+        let mut c = private();
+        assert_eq!(c.lookup(Read::Data, "/gone", t), None);
+        c.put(Read::Data, "/gone", &NO_NODE, t);
+        assert!(c.has(Read::Data, "/gone", t), "the peek sees a valid absence");
+        assert_eq!(c.lookup(Read::Data, "/gone", t), Some(NO_NODE));
         let s = c.stats();
         assert_eq!((s.hits, s.misses, s.negative_hits), (1, 1, 1));
-        std::thread::sleep(Duration::from_millis(60));
-        assert!(!c.has_data("/gone"), "TTL lapsed");
-        assert_eq!(c.lookup_data("/gone"), Lookup::Miss);
+        let lapsed = t + NEGATIVE_TTL + Duration::from_millis(20);
+        assert!(!c.has(Read::Data, "/gone", lapsed), "TTL lapsed");
+        assert_eq!(c.lookup(Read::Data, "/gone", lapsed), None);
         let s = c.stats();
         assert_eq!(s.negative_expiries, 1);
         assert_eq!(s.misses, 2);
     }
 
+    /// An absence and a foreign entry serve up to `installed + ttl − 1 ns`
+    /// and not at `installed + ttl`.
+    #[test]
+    fn absences_and_foreign_entries_lapse_exactly_at_their_ttl() {
+        let t = Instant::now();
+        let age = Duration::from_millis(40);
+        let h = shared_with(CAPACITY, age);
+        let mut a = CacheRef::attach(&h);
+        let mut b = CacheRef::attach(&h);
+        let ns = Duration::from_nanos(1);
+        a.put(Read::Exists, "/gone", &ABSENT, t);
+        a.put(Read::Data, "/x", &data(b"v"), t);
+        assert!(b.has(Read::Exists, "/gone", t + NEGATIVE_TTL - ns));
+        assert_eq!(b.lookup(Read::Exists, "/gone", t + NEGATIVE_TTL - ns), Some(ABSENT));
+        assert!(!b.has(Read::Exists, "/gone", t + NEGATIVE_TTL));
+        assert_eq!(b.lookup(Read::Exists, "/gone", t + NEGATIVE_TTL), None);
+        assert!(b.has(Read::Data, "/x", t + age - ns));
+        assert!(is_hit(b.lookup(Read::Data, "/x", t + age - ns)));
+        assert!(!b.has(Read::Data, "/x", t + age));
+        assert_eq!(b.lookup(Read::Data, "/x", t + age), None);
+        let s = b.stats();
+        assert_eq!((s.hits, s.negative_hits, s.negative_expiries, s.misses), (2, 1, 1, 2));
+    }
+
     #[test]
     fn observed_create_under_parent_drops_sibling_negatives() {
-        let mut c = private(CacheOptions::default());
-        c.put_negative("/d/missing-a");
-        c.put_negative("/d/missing-b");
-        c.put_negative("/e/other");
+        let t = Instant::now();
+        let mut c = private();
+        c.put(Read::Data, "/d/missing-a", &NO_NODE, t);
+        c.put(Read::Data, "/d/missing-b", &NO_NODE, t);
+        c.put(Read::Data, "/e/other", &NO_NODE, t);
         // A children-changed watch on /d (some create happened under it).
         c.invalidate_watch(&note("/d", dufs_coord::watch::WatchEventKind::ChildrenChanged));
-        assert!(!c.has_data("/d/missing-a"));
-        assert!(!c.has_data("/d/missing-b"));
-        assert!(c.has_data("/e/other"), "unrelated negatives survive");
+        assert!(!c.has(Read::Data, "/d/missing-a", t));
+        assert!(!c.has(Read::Data, "/d/missing-b", t));
+        assert!(c.has(Read::Data, "/e/other", t), "unrelated negatives survive");
         assert_eq!(c.stats().watch_invalidations, 1);
     }
 
     #[test]
     fn positive_results_and_own_mutations_override_negatives() {
-        let mut c = private(CacheOptions::default());
-        c.put_negative("/f");
-        c.put_data("/f", Bytes::from_static(b"v"), stat());
-        assert_eq!(c.lookup_data("/f"), Lookup::Hit((Bytes::from_static(b"v"), stat())));
+        let t = Instant::now();
+        let mut c = private();
+        c.put(Read::Data, "/f", &NO_NODE, t);
+        c.put(Read::Data, "/f", &data(b"v"), t);
+        assert_eq!(c.lookup(Read::Data, "/f", t), Some(data(b"v")));
         assert_eq!(c.stats().negative_hits, 0, "the positive result replaced the absence");
-        c.put_negative("/g");
+        c.put(Read::Data, "/g", &NO_NODE, t);
         c.invalidate_local("/g");
-        assert!(!c.has_data("/g"), "own create evicts the cached absence");
+        assert!(!c.has(Read::Data, "/g", t), "own create evicts the cached absence");
     }
 
     // ---- the shared (many owners, sharded locks) face
 
     #[test]
     fn own_entries_trusted_foreign_entries_age_out() {
-        let h = shared(CacheOptions {
-            shared_max_age: Duration::from_millis(40),
-            ..CacheOptions::default()
-        });
+        let t = Instant::now();
+        let h = shared_with(CAPACITY, Duration::from_millis(40));
         let mut a = CacheRef::attach(&h);
         let mut b = CacheRef::attach(&h);
-        a.put_data("/x", Bytes::from_static(b"v"), stat());
-        assert!(matches!(b.lookup_data("/x"), Lookup::Hit(_)), "fresh foreign entry serves");
-        std::thread::sleep(Duration::from_millis(60));
-        assert!(matches!(a.lookup_data("/x"), Lookup::Hit(_)), "owner trusts it indefinitely");
-        assert!(matches!(b.lookup_data("/x"), Lookup::Miss), "foreign reader ages it out");
+        a.put(Read::Data, "/x", &data(b"v"), t);
+        assert!(is_hit(b.lookup(Read::Data, "/x", t)), "fresh foreign entry serves");
+        let later = t + Duration::from_millis(60);
+        assert!(is_hit(a.lookup(Read::Data, "/x", later)), "owner trusts it indefinitely");
+        assert_eq!(b.lookup(Read::Data, "/x", later), None, "foreign reader ages it out");
         assert_eq!(b.stats().hits, 1);
         assert_eq!(b.stats().misses, 1);
     }
 
     #[test]
     fn one_sessions_eviction_clears_for_all() {
-        let h = shared(CacheOptions::default());
+        let t = Instant::now();
+        let h = shared();
         let mut a = CacheRef::attach(&h);
         let mut b = CacheRef::attach(&h);
-        a.put_data("/d/f", Bytes::new(), stat());
-        a.put_children("/d", vec!["f".into()], stat());
+        a.put(Read::Data, "/d/f", &data(b""), t);
+        a.put(Read::Children, "/d", &listing(&["f"]), t);
         b.invalidate_local("/d/f");
-        assert!(matches!(a.lookup_data("/d/f"), Lookup::Miss));
-        assert!(a.get_children("/d").is_none(), "parent listing evicted for everyone");
+        assert_eq!(a.lookup(Read::Data, "/d/f", t), None);
+        assert!(a.lookup(Read::Children, "/d", t).is_none(), "parent listing evicted for everyone");
         assert_eq!(b.stats().local_invalidations, 1, "the evicting session counts it");
         assert_eq!(a.stats().local_invalidations, 0);
     }
 
     #[test]
     fn reconnect_on_any_session_flushes_the_store() {
-        let h = shared(CacheOptions::default());
+        let t = Instant::now();
+        let h = shared();
         let mut a = CacheRef::attach(&h);
         let mut b = CacheRef::attach(&h);
-        a.put_data("/x", Bytes::new(), stat());
+        a.put(Read::Data, "/x", &data(b""), t);
         b.invalidate_reconnect();
         assert_eq!(h.len(), 0);
-        assert!(matches!(a.lookup_data("/x"), Lookup::Miss));
+        assert_eq!(a.lookup(Read::Data, "/x", t), None);
         assert_eq!(b.stats().reconnect_invalidations, 1);
     }
 
     #[test]
     fn negatives_are_ttl_bounded_for_everyone_and_evicted_by_sibling_creates() {
-        let h = shared(CacheOptions {
-            negative_ttl: Duration::from_millis(40),
-            ..CacheOptions::default()
-        });
+        let t = Instant::now();
+        let h = shared();
         let mut a = CacheRef::attach(&h);
         let mut b = CacheRef::attach(&h);
-        a.put_negative("/d/missing");
-        assert!(matches!(a.lookup_data("/d/missing"), Lookup::Negative));
-        assert!(matches!(b.lookup_exists("/d/missing"), Lookup::Negative), "absence shared too");
+        a.put(Read::Data, "/d/missing", &NO_NODE, t);
+        assert_eq!(a.lookup(Read::Data, "/d/missing", t), Some(NO_NODE));
+        assert_eq!(b.lookup(Read::Exists, "/d/missing", t), Some(ABSENT), "absence shared too");
         assert_eq!(b.stats().negative_hits, 1);
         // A create observed under the parent clears the cached absence.
         b.invalidate_watch(&WatchNotification {
             path: "/d".into(),
             event: dufs_coord::watch::WatchEventKind::ChildrenChanged,
         });
-        assert!(matches!(a.lookup_data("/d/missing"), Lookup::Miss));
+        assert_eq!(a.lookup(Read::Data, "/d/missing", t), None);
         // TTL expiry, for the owner as much as anyone.
-        a.put_negative("/d/missing");
-        std::thread::sleep(Duration::from_millis(60));
-        assert!(matches!(a.lookup_data("/d/missing"), Lookup::Miss));
+        a.put(Read::Data, "/d/missing", &NO_NODE, t);
+        let lapsed = t + NEGATIVE_TTL + Duration::from_millis(20);
+        assert_eq!(a.lookup(Read::Data, "/d/missing", lapsed), None);
         assert_eq!(a.stats().negative_expiries, 1);
     }
 
     #[test]
     fn shard_capacity_bounds_the_store() {
-        let h = shared(CacheOptions { capacity: 64, ..CacheOptions::default() });
+        let t = Instant::now();
+        let h = shared_with(64, DEFAULT_SHARED_MAX_AGE);
         let mut a = CacheRef::attach(&h);
         for i in 0..1_000 {
-            a.put_data(&format!("/n{i}"), Bytes::new(), stat());
+            a.put(Read::Data, &format!("/n{i}"), &data(b""), t);
         }
         // Each put inserts a data + exists pair; a lock shard flushes when
         // it reaches its slice of the capacity, so the store stays within
@@ -730,16 +750,17 @@ mod tests {
 
     #[test]
     fn concurrent_sessions_do_not_corrupt_the_store() {
-        let h = shared(CacheOptions::default());
+        let h = shared();
         let mut joins = Vec::new();
         for t in 0..8 {
             let h = h.clone();
             joins.push(std::thread::spawn(move || {
+                let now = Instant::now();
                 let mut c = CacheRef::attach(&h);
                 for i in 0..500 {
                     let p = format!("/t{}/n{}", t % 4, i % 50);
-                    c.put_data(&p, Bytes::from_static(b"v"), stat());
-                    let _ = c.lookup_data(&p);
+                    c.put(Read::Data, &p, &data(b"v"), now);
+                    let _ = c.lookup(Read::Data, &p, now);
                     if i % 7 == 0 {
                         c.invalidate_local(&p);
                     }

@@ -114,8 +114,9 @@ fn negative_entries_expire_or_flush_past_a_racing_create() {
     let observer = 3;
 
     let mut w = tc.client(ClientOptions::at(0).with_failover()).unwrap();
-    let neg_ttl = Duration::from_millis(400);
-    let mut r = CacheBuilder::new().negative_ttl(neg_ttl).session(
+    // A cached absence lives for the lease quantum.
+    let neg_ttl = Duration::from_millis(LEASE_MS);
+    let mut r = CacheBuilder::new().session(
         tc.client(
             ClientOptions::at(observer)
                 .with_failover()

@@ -6,15 +6,15 @@
 //! are provided methods written once over `request`, so every session —
 //! a test double that writes only `request` included — speaks the same
 //! typed API with the same signatures. Everything else on the trait is the
-//! **per-connection
-//! freshness surface** the cache's lease protocol needs — how many server
-//! connections sit behind the session, which one serves a given read, and
-//! for each connection: has it moved, does it owe a barrier, can it grant a
-//! lease. Every hook has a default describing *one connection that never
-//! moves and grants nothing*, so an implementation that only writes
-//! `request` (a test double, an in-process server) behaves exactly as a
-//! plain request pipe and a cache in front of it issues no barrier, ping or
-//! lease traffic of its own.
+//! **per-connection freshness surface** the cache's lease protocol needs —
+//! how many server connections sit behind the session, which one serves a
+//! given read, and for each connection: has it moved, does it owe a
+//! barrier, can it grant a lease — and the session's clock, which stamps
+//! the cache's entries and leases. Every hook has a default describing *one
+//! connection that never moves and grants nothing* on the wall clock, so an
+//! implementation that only writes `request` (a test double, an in-process
+//! server) behaves exactly as a plain request pipe and a cache in front of
+//! it issues no barrier, ping or lease traffic of its own.
 //!
 //! Implementations: [`ZkClient`] over any [`ClientTransport`] (here),
 //! [`crate::ShardedClient`] (one connection per shard, in
@@ -25,6 +25,7 @@
 use std::future::Future;
 use std::pin::{pin, Pin};
 use std::task::{Context, Poll, Waker};
+use std::time::Instant;
 
 use bytes::Bytes;
 use dufs_zkstore::{CreateMode, MultiOp, MultiResult, Stat, ZkError};
@@ -94,6 +95,12 @@ pub trait CoordService {
     /// nothing. Default: nothing to barrier.
     fn barrier(&mut self, _conn: usize) -> Result<(), ZkError> {
         Ok(())
+    }
+
+    /// The session's clock: what a cache stamps its entries and leases
+    /// with. Default: the wall clock.
+    fn now(&self) -> Instant {
+        Instant::now()
     }
 
     /// `zoo_create`: returns the actual created path.
@@ -249,6 +256,10 @@ impl<T: ClientTransport> CoordService for ZkClient<T> {
 
     fn barrier(&mut self, _conn: usize) -> Result<(), ZkError> {
         ZkClient::sync(self).map(drop)
+    }
+
+    fn now(&self) -> Instant {
+        self.transport().now()
     }
 }
 

@@ -61,7 +61,7 @@
 use std::cell::Cell;
 use std::collections::BTreeMap;
 use std::future::Future;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use bytes::Bytes;
 
@@ -838,6 +838,10 @@ impl<T: ClientTransport> CoordService for ShardedClient<T> {
 
     fn barrier(&mut self, conn: usize) -> Result<(), ZkError> {
         self.clients[conn].sync().map(drop)
+    }
+
+    fn now(&self) -> Instant {
+        self.clients[0].now()
     }
 }
 

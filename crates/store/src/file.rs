@@ -60,6 +60,7 @@ use std::io::{self, IoSlice, Read, Seek, SeekFrom, Write};
 use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 use std::str::FromStr;
+use std::thread::{self, JoinHandle};
 
 use dufs_backendfs::StorageEngine;
 use dufs_net::{crc32, crc32_parts, WireCursor, WireError};
@@ -140,6 +141,8 @@ pub struct FileEngine {
     policy: FsyncPolicy,
     chunks: BTreeMap<(u128, u64), Chunk>,
     bytes: u64,
+    /// Closes the log the last rewrite replaced; joined by the next and on drop.
+    closer: Option<JoinHandle<()>>,
 }
 
 impl FileEngine {
@@ -182,6 +185,7 @@ impl FileEngine {
             policy,
             chunks: BTreeMap::new(),
             bytes: 0,
+            closer: None,
         };
 
         let mut covered = MAGIC.len() as u64;
@@ -349,6 +353,7 @@ impl FileEngine {
     /// zeros they read as). The steps and their crash states are in the
     /// module doc.
     fn rewrite(&mut self) -> io::Result<()> {
+        self.closer.take().map(JoinHandle::join);
         let tmp = self.dir.join("extents.tmp");
         remove_if_present(&tmp)?;
         let new = OpenOptions::new().read(true).append(true).create_new(true).open(&tmp)?;
@@ -386,7 +391,9 @@ impl FileEngine {
         remove_if_present(&self.dir.join("index.bin"))?;
         sync_dir(&self.dir)?;
         std::fs::rename(&tmp, self.dir.join("extents.dat"))?;
-        self.log = new;
+        let old = std::mem::replace(&mut self.log, new);
+        // Freeing a full log's blocks takes tens of ms: not on this thread.
+        self.closer = thread::Builder::new().name("store-close".into()).spawn(|| drop(old)).ok();
         self.log_len = len;
         self.chunks = chunks;
         sync_dir(&self.dir)?;
@@ -528,6 +535,12 @@ fn remove_if_present(path: &Path) -> io::Result<()> {
     match std::fs::remove_file(path) {
         Err(e) if e.kind() != io::ErrorKind::NotFound => Err(e),
         _ => Ok(()),
+    }
+}
+
+impl Drop for FileEngine {
+    fn drop(&mut self) {
+        self.closer.take().map(JoinHandle::join);
     }
 }
 

@@ -290,6 +290,21 @@ if [ -n "$once" ]; then
 fi
 echo "==> one lease path, one layout read: no idle_source, pushed_lease, ServerFrame::Lease, maybe_refresh, poll_shard0 or session/sharded fn epoch("
 
+# One clock in the cache: every stamp the cache makes (an entry's install,
+# a foreign entry's age, a negative entry's TTL, a lease's ask and expiry)
+# reads the session's clock, `CoordService::now`, which a test drives by
+# hand. A wall-clock read in the cache is a second clock growing back.
+# (Test modules, below `#[cfg(test)]`, are exempt.)
+clock=$(for f in crates/cache/src/*.rs; do
+    nontest "$f" | { grep -nE 'Instant::now|\.elapsed\(\)|SystemTime' || true; } | sed "s|^|$f:|"
+done)
+if [ -n "$clock" ]; then
+    echo "FAIL: $(echo "$clock" | wc -l) wall-clock reads in non-test crates/cache/src:" >&2
+    echo "$clock" >&2
+    exit 1
+fi
+echo "==> one clock in the cache: no Instant::now, .elapsed() or SystemTime in non-test crates/cache/src"
+
 # One request in flight, one round per barrier: a live session sends one
 # request and awaits its reply (`ZkClient::request`), and every `Sync`
 # proposes a no-op of its own, answered from its own `Inflight` entry. A
