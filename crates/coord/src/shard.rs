@@ -18,6 +18,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use bytes::Bytes;
+use dufs_net::Wire;
 use dufs_zkstore::{path as zkpath, ZkError, ZkResult};
 
 /// Default virtual nodes per shard. 1024 points per shard keeps the
@@ -180,29 +181,21 @@ pub struct ShardConfig {
     pub vnodes: u32,
 }
 
+dufs_net::wire! { ShardConfig { epoch: u64, shards: u32, vnodes: u32 } }
+
 impl ShardConfig {
     /// Fixed-width little-endian encoding (16 bytes).
     pub fn encode(&self) -> Vec<u8> {
-        let mut buf = Vec::with_capacity(16);
-        buf.extend_from_slice(&self.epoch.to_le_bytes());
-        buf.extend_from_slice(&self.shards.to_le_bytes());
-        buf.extend_from_slice(&self.vnodes.to_le_bytes());
-        buf
+        self.to_wire()
     }
 
     /// Decode; malformed bytes (or a zero shard/vnode count) are
     /// [`ZkError::CorruptSnapshot`].
     pub fn decode(raw: &[u8]) -> ZkResult<Self> {
-        if raw.len() != 16 {
-            return Err(ZkError::CorruptSnapshot);
+        match Self::from_wire(raw) {
+            Ok(cfg) if cfg.shards != 0 && cfg.vnodes != 0 => Ok(cfg),
+            _ => Err(ZkError::CorruptSnapshot),
         }
-        let epoch = u64::from_le_bytes(raw[0..8].try_into().expect("checked length"));
-        let shards = u32::from_le_bytes(raw[8..12].try_into().expect("checked length"));
-        let vnodes = u32::from_le_bytes(raw[12..16].try_into().expect("checked length"));
-        if shards == 0 || vnodes == 0 {
-            return Err(ZkError::CorruptSnapshot);
-        }
-        Ok(ShardConfig { epoch, shards, vnodes })
     }
 
     /// The ring this config describes.

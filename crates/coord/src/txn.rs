@@ -5,18 +5,20 @@
 //! the leader stamps the wall-clock used for ctime/mtime, and sequential
 //! names/results are computed deterministically at apply time on each
 //! replica.
+//!
+//! A txn's layout is declared once, below, with [`dufs_net::wire!`]: the
+//! write-ahead log stores that record, and a proposal carries the same
+//! bytes in place behind a length — one canonical byte form on disk and on
+//! the wire.
 
 use bytes::Bytes;
 
-use dufs_net::{put_blob, put_str, WireCursor, WireError};
-use dufs_zab::PeerId;
+use dufs_net::{wire, Wire};
+use dufs_zab::{Data, PeerId};
 use dufs_zkstore::{CreateMode, MultiOp, ZkError, ZkResult};
 
 use crate::api::ZkRequest;
-use crate::wire::{
-    get_bytes, get_multi_ops, get_opt_u32, get_u32s, mode_byte, mode_from, put_multi_ops,
-    put_opt_u32, put_u32s, ModeCodec,
-};
+use crate::wire::MultiOpCodec;
 
 /// The mutation kinds that get replicated.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -153,118 +155,57 @@ pub struct Txn {
 }
 
 // ----------------------------------------------------------------------
-// Binary codec (for the write-ahead log)
+// Layout (the write-ahead log's record)
 // ----------------------------------------------------------------------
 //
-// Little-endian, length-prefixed, over the same cursor and field helpers
-// as the wire codecs. The WAL frames each record with a CRC, so this codec
-// only needs to be unambiguous; still, every decode path is bounds-checked
-// and malformed input returns `ZkError::CorruptSnapshot` (never a panic) so
-// CRC-valid-but-impossible bytes fail recovery loudly.
+// The WAL frames each record with a CRC, so this layout only needs to be
+// unambiguous; still, every decode is bounds-checked and malformed input
+// returns `ZkError::CorruptSnapshot` (never a panic) so CRC-valid-but-
+// impossible bytes fail recovery loudly. The op tags are the log's own,
+// not `ZkRequest`'s: logs written by an older build must replay.
 
-/// The log stores a create mode as the wire codec's byte minus one: the
-/// record format predates the wire rule that discriminants start at 1.
-const LOG_MODE: ModeCodec = (|m| mode_byte(m) - 1, |b| mode_from(b.wrapping_add(1)));
+wire! { Txn { session: u64, origin: PeerId, tag: u64, time_ns: u64, op: TxnOp } }
+
+wire! {
+    TxnOp {
+        1 => Create { path: String, data: Data, mode: LogMode },
+        2 => Delete { path: String, version: Option<u32> },
+        3 => SetData { path: String, data: Data, version: Option<u32> },
+        4 => Multi { ops: Vec<MultiOpCodec<LogMode>> },
+        5 => CreateSession { session: u64 },
+        6 => CloseSession { session: u64 },
+        7 => Noop,
+        8 => CreatePath { path: String, data: Data, mode: LogMode },
+        9 => Prepare2pc { txn_id: u64, ops: Vec<MultiOpCodec<LogMode>>, participants: Vec<u32> },
+        10 => Commit2pc { txn_id: u64 },
+        11 => Abort2pc { txn_id: u64 },
+    }
+}
+
+/// [`CreateMode`] in the log: the wire's byte ([`crate::wire::WireMode`])
+/// minus one, because the record format predates the wire rule that tags
+/// start at 1.
+pub struct LogMode;
+
+wire! {
+    CreateMode as LogMode {
+        0 => Persistent,
+        1 => Ephemeral,
+        2 => PersistentSequential,
+        3 => EphemeralSequential,
+    }
+}
 
 impl Txn {
     /// Serialize for the write-ahead log.
     pub fn encode(&self) -> Bytes {
-        let mut buf = Vec::with_capacity(64);
-        buf.extend_from_slice(&self.session.to_le_bytes());
-        buf.extend_from_slice(&self.origin.0.to_le_bytes());
-        buf.extend_from_slice(&self.tag.to_le_bytes());
-        buf.extend_from_slice(&self.time_ns.to_le_bytes());
-        match &self.op {
-            TxnOp::Create { path, data, mode } => {
-                buf.push(1);
-                put_str(&mut buf, path);
-                put_blob(&mut buf, data);
-                buf.push(LOG_MODE.0(*mode));
-            }
-            TxnOp::Delete { path, version } => {
-                buf.push(2);
-                put_str(&mut buf, path);
-                put_opt_u32(&mut buf, *version);
-            }
-            TxnOp::SetData { path, data, version } => {
-                buf.push(3);
-                put_str(&mut buf, path);
-                put_blob(&mut buf, data);
-                put_opt_u32(&mut buf, *version);
-            }
-            TxnOp::Multi { ops } => {
-                buf.push(4);
-                put_multi_ops(&mut buf, ops, LOG_MODE);
-            }
-            TxnOp::CreateSession { session } => {
-                buf.push(5);
-                buf.extend_from_slice(&session.to_le_bytes());
-            }
-            TxnOp::CloseSession { session } => {
-                buf.push(6);
-                buf.extend_from_slice(&session.to_le_bytes());
-            }
-            TxnOp::Noop => buf.push(7),
-            TxnOp::CreatePath { path, data, mode } => {
-                buf.push(8);
-                put_str(&mut buf, path);
-                put_blob(&mut buf, data);
-                buf.push(LOG_MODE.0(*mode));
-            }
-            TxnOp::Prepare2pc { txn_id, ops, participants } => {
-                buf.push(9);
-                buf.extend_from_slice(&txn_id.to_le_bytes());
-                put_multi_ops(&mut buf, ops, LOG_MODE);
-                put_u32s(&mut buf, participants);
-            }
-            TxnOp::Commit2pc { txn_id } => {
-                buf.push(10);
-                buf.extend_from_slice(&txn_id.to_le_bytes());
-            }
-            TxnOp::Abort2pc { txn_id } => {
-                buf.push(11);
-                buf.extend_from_slice(&txn_id.to_le_bytes());
-            }
-        }
-        Bytes::from(buf)
+        Bytes::from(self.to_wire())
     }
 
     /// Deserialize a WAL record payload. Malformed or trailing bytes are
     /// [`ZkError::CorruptSnapshot`].
     pub fn decode(raw: &[u8]) -> ZkResult<Txn> {
-        let mut c = WireCursor::new(raw);
-        let txn = Self::decode_from(&mut c).and_then(|t| c.expect_end().map(|()| t));
-        txn.map_err(|_| ZkError::CorruptSnapshot)
-    }
-
-    fn decode_from(c: &mut WireCursor<'_>) -> Result<Txn, WireError> {
-        let session = c.u64()?;
-        let origin = PeerId(c.u32()?);
-        let tag = c.u64()?;
-        let time_ns = c.u64()?;
-        let op = match c.u8()? {
-            1 => TxnOp::Create { path: c.str()?, data: get_bytes(c)?, mode: LOG_MODE.1(c.u8()?)? },
-            2 => TxnOp::Delete { path: c.str()?, version: get_opt_u32(c)? },
-            3 => TxnOp::SetData { path: c.str()?, data: get_bytes(c)?, version: get_opt_u32(c)? },
-            4 => TxnOp::Multi { ops: get_multi_ops(c, LOG_MODE)? },
-            5 => TxnOp::CreateSession { session: c.u64()? },
-            6 => TxnOp::CloseSession { session: c.u64()? },
-            7 => TxnOp::Noop,
-            8 => TxnOp::CreatePath {
-                path: c.str()?,
-                data: get_bytes(c)?,
-                mode: LOG_MODE.1(c.u8()?)?,
-            },
-            9 => TxnOp::Prepare2pc {
-                txn_id: c.u64()?,
-                ops: get_multi_ops(c, LOG_MODE)?,
-                participants: get_u32s(c)?,
-            },
-            10 => TxnOp::Commit2pc { txn_id: c.u64()? },
-            11 => TxnOp::Abort2pc { txn_id: c.u64()? },
-            t => return Err(WireError::BadTag(t)),
-        };
-        Ok(Txn { session, op, origin, tag, time_ns })
+        Txn::from_wire(raw).map_err(|_| ZkError::CorruptSnapshot)
     }
 }
 

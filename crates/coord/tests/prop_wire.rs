@@ -9,13 +9,14 @@ use bytes::Bytes;
 use proptest::prelude::*;
 
 use dufs_coord::runtime::ServerStatus;
+use dufs_coord::txn::LogMode;
 use dufs_coord::watch::WatchEventKind;
-use dufs_coord::wire::{get_zab_msg, put_zab_msg};
+use dufs_coord::wire::{MultiOpCodec, MultiResultCodec, WireMode, ZkErrorCodec};
 use dufs_coord::{
     ClientFrame, CoordMsg, LeaseGrant, ServerFrame, Txn, TxnOp, WatchNotification, ZkRequest,
     ZkResponse,
 };
-use dufs_net::{Wire, WireCursor};
+use dufs_net::{Codec, Wire};
 use dufs_zab::{PeerId, Vote, ZabMsg, Zxid};
 use dufs_zkstore::{CreateMode, MultiOp, MultiResult, Stat, ZkError};
 use proptest::collection::vec;
@@ -367,12 +368,7 @@ proptest! {
 
     #[test]
     fn zab_messages_round_trip(msg in arb_zab_msg()) {
-        let mut buf = Vec::new();
-        put_zab_msg(&msg, &mut buf);
-        let mut c = WireCursor::new(&buf);
-        let back = get_zab_msg(&mut c).expect("decode what we encoded");
-        prop_assert!(c.expect_end().is_ok());
-        prop_assert_eq!(back, msg);
+        prop_assert_eq!(ZabMsg::from_wire(&msg.to_wire()).expect("round trip"), msg);
     }
 
     #[test]
@@ -483,8 +479,7 @@ proptest! {
         let _ = ServerFrame::from_wire(&data);
         let _ = ZkRequest::from_wire(&data);
         let _ = ZkResponse::from_wire(&data);
-        let mut c = WireCursor::new(&data);
-        let _ = get_zab_msg(&mut c);
+        let _ = ZabMsg::<Txn>::from_wire(&data);
     }
 }
 
@@ -583,4 +578,50 @@ fn a_huge_count_prefix_is_refused() {
         raw[at..at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
         assert!(refused(&raw), "{what}: a u32::MAX count decoded");
     }
+}
+
+/// Every tag `C`'s declaration lists is one `strategy` draws, as `C` writes
+/// it (tag first); every drawn encoding is at least `C`'s declared minimum
+/// size, which the count checks above rely on.
+fn covers<V: std::fmt::Debug, C: for<'a> Codec<'a, Value = V>>(strategy: BoxedStrategy<V>) {
+    let mut rng = proptest::TestRng::seed_from_u64(46);
+    let mut drawn: Vec<u8> = (0..2_000)
+        .map(|_| {
+            let v = strategy.generate(&mut rng);
+            let mut raw = Vec::new();
+            C::put(&v, &mut raw);
+            assert!(raw.len() >= <C as Codec<'_>>::MIN, "{v:?} is shorter than its minimum");
+            raw[0]
+        })
+        .collect();
+    drawn.sort_unstable();
+    drawn.dedup();
+    let mut declared = <C as Codec<'_>>::TAGS.to_vec();
+    declared.sort_unstable();
+    assert_eq!(
+        drawn,
+        declared,
+        "{}: a declared tag without a strategy arm",
+        std::any::type_name::<C>()
+    );
+}
+
+/// A variant added to a declaration without an arm in its strategy above
+/// fails here.
+#[test]
+fn strategies_cover_every_declared_tag() {
+    covers::<_, CoordMsg>(arb_coord_msg());
+    covers::<_, ZabMsg<Txn>>(arb_zab_msg());
+    covers::<_, TxnOp>(arb_txn_op());
+    covers::<_, ZkRequest>(arb_zk_request());
+    covers::<_, ZkResponse>(arb_zk_response());
+    covers::<_, ClientFrame>(arb_client_frame());
+    covers::<_, ServerFrame>(arb_server_frame());
+    covers::<_, WatchEventKind>(arb_watch().prop_map(|w| w.event).boxed());
+    covers::<_, MultiOpCodec<WireMode>>(arb_multi_op());
+    covers::<_, MultiOpCodec<LogMode>>(arb_multi_op());
+    covers::<_, MultiResultCodec>(arb_multi_result());
+    covers::<_, ZkErrorCodec>(arb_zk_error());
+    covers::<_, WireMode>(arb_mode());
+    covers::<_, LogMode>(arb_mode());
 }

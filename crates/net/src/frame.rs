@@ -13,7 +13,7 @@
 use std::io::{ErrorKind, Read, Write};
 
 use crate::stats::NetStats;
-use crate::wire::{WireCursor, WireError};
+use crate::wire::{Codec, WireCursor, WireError};
 use crate::{crc32, NetError};
 
 /// Hard cap on a frame payload (the WAL's `MAX_RECORD`): anything larger is
@@ -39,25 +39,8 @@ pub enum EndpointKind {
     Server,
 }
 
-impl EndpointKind {
-    fn byte(self) -> u8 {
-        match self {
-            EndpointKind::Peer => 0,
-            EndpointKind::Client => 1,
-            EndpointKind::Admin => 2,
-            EndpointKind::Server => 3,
-        }
-    }
-
-    fn from_byte(b: u8) -> Result<Self, WireError> {
-        match b {
-            0 => Ok(EndpointKind::Peer),
-            1 => Ok(EndpointKind::Client),
-            2 => Ok(EndpointKind::Admin),
-            3 => Ok(EndpointKind::Server),
-            t => Err(WireError::BadTag(t)),
-        }
-    }
+crate::wire! {
+    EndpointKind { 0 => Peer, 1 => Client, 2 => Admin, 3 => Server }
 }
 
 /// The handshake message: who is speaking, and in which protocol version.
@@ -70,18 +53,25 @@ pub struct Hello {
     pub id: u64,
 }
 
+/// A [`Hello`]'s fields, which follow the magic and version.
+struct HelloFields;
+
+crate::wire! {
+    Hello as HelloFields { kind: EndpointKind, id: u64 }
+}
+
 impl Hello {
-    /// Encode to a frame payload.
+    /// Encode to a frame payload: magic, version, then the fields.
     pub fn encode(&self) -> Vec<u8> {
         let mut buf = Vec::with_capacity(19);
         buf.extend_from_slice(MAGIC);
         buf.extend_from_slice(&PROTO_VERSION.to_le_bytes());
-        buf.push(self.kind.byte());
-        buf.extend_from_slice(&self.id.to_le_bytes());
+        HelloFields::put(self, &mut buf);
         buf
     }
 
-    /// Decode a frame payload, verifying magic and version.
+    /// Decode a frame payload, verifying magic and version before the
+    /// fields are read.
     pub fn decode(raw: &[u8]) -> Result<Hello, WireError> {
         let mut c = WireCursor::new(raw);
         if c.take(8)? != MAGIC {
@@ -91,10 +81,9 @@ impl Hello {
         if version != PROTO_VERSION {
             return Err(WireError::BadVersion(version));
         }
-        let kind = EndpointKind::from_byte(c.u8()?)?;
-        let id = c.u64()?;
+        let hello = HelloFields::get(&mut c)?;
         c.expect_end()?;
-        Ok(Hello { kind, id })
+        Ok(hello)
     }
 }
 
@@ -430,5 +419,25 @@ mod tests {
         for cut in 0..enc.len() {
             assert!(Hello::decode(&enc[..cut]).is_err(), "cut={cut}");
         }
+    }
+
+    /// Every endpoint kind keeps its tag byte (from 0), pinned with the
+    /// whole handshake.
+    #[test]
+    fn hello_bytes_are_pinned_for_every_kind() {
+        use EndpointKind::*;
+        for (kind, tag) in [(Peer, 0), (Client, 1), (Admin, 2), (Server, 3)] {
+            let enc = Hello { kind, id: 0x0102_0304_0506_0708 }.encode();
+            let mut want = b"DUFSNET1\x01\x00".to_vec();
+            want.push(tag);
+            want.extend_from_slice(&[8, 7, 6, 5, 4, 3, 2, 1]);
+            assert_eq!(enc, want, "{kind:?}");
+            assert_eq!(Hello::decode(&enc).map(|h| h.kind), Ok(kind));
+        }
+        assert_eq!(<EndpointKind as Codec<'_>>::TAGS, [0, 1, 2, 3]);
+        assert_eq!(
+            Hello::decode(b"DUFSNET1\x01\x00\x04\0\0\0\0\0\0\0\0"),
+            Err(WireError::BadTag(4))
+        );
     }
 }

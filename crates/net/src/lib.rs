@@ -3,8 +3,9 @@
 //! Everything above this crate (ZAB, the coord server, clients) exchanges
 //! *opaque byte payloads*; this crate moves them over blocking sockets:
 //!
-//! - [`wire`]: a bounds-checked binary codec ([`Wire`], [`WireCursor`]) the
-//!   upper layers implement for their message types. Decoding malformed
+//! - [`mod@wire`]: a bounds-checked binary codec ([`Codec`], [`Wire`],
+//!   [`WireCursor`]) and the [`wire!`] declaration through which the upper
+//!   layers give each message type its layout once. Decoding malformed
 //!   bytes returns [`WireError`], never panics.
 //! - [`frame`]: the on-the-wire framing — `len u32 | crc32 u32 | payload`,
 //!   little-endian, the same CRC discipline as the write-ahead log — plus
@@ -43,7 +44,7 @@ pub use frame::{
     PROTO_VERSION,
 };
 pub use stats::{NetStats, NetStatsSnapshot};
-pub use wire::{put_blob, put_str, Wire, WireCursor, WireError};
+pub use wire::{put_nested, Codec, Nested, Wire, WireCursor, WireError};
 
 /// Transport-level failure.
 #[derive(Debug)]

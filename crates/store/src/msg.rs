@@ -7,13 +7,14 @@
 //! batch FIFO), so `seq` is a cross-check rather than a matching
 //! necessity — a mismatch means a protocol bug and fails loudly.
 //!
-//! Both messages *borrow* the bytes they carry: a `Write` is encoded straight
-//! from the caller's buffer into the frame the transport sends, and a
-//! received frame is decoded into a view over itself — no stripe-sized
-//! copy on either side. (That is why they do not implement
-//! [`dufs_net::Wire`], whose decoder cannot lend from its input.)
+//! Both layouts are declared once with [`dufs_net::wire!`]: a tag byte, the
+//! `seq`, then the variant's fields. Both messages *borrow* the bytes they
+//! carry: a `Write` is encoded straight from the caller's buffer into the
+//! frame the transport sends, and a received frame is decoded into a view
+//! over itself (`&'a [u8]`, `&'a str` fields) — no stripe-sized copy on
+//! either side.
 
-use dufs_net::{put_blob, put_str, WireCursor, WireError};
+use dufs_net::{wire, Codec, WireCursor, WireError};
 
 pub(crate) fn put_u32(buf: &mut Vec<u8>, v: u32) {
     buf.extend_from_slice(&v.to_le_bytes());
@@ -29,6 +30,20 @@ pub(crate) fn get_u128(c: &mut WireCursor<'_>) -> Result<u128, WireError> {
     let hi = c.u64()? as u128;
     let lo = c.u64()? as u128;
     Ok((hi << 64) | lo)
+}
+
+/// A `u128` object id on the wire: its high `u64`, then its low one.
+pub struct HiLo;
+
+impl<'a> Codec<'a> for HiLo {
+    type Value = u128;
+    const MIN: usize = 16;
+    fn put(v: &u128, buf: &mut Vec<u8>) {
+        put_u128(buf, *v);
+    }
+    fn get(c: &mut WireCursor<'a>) -> Result<u128, WireError> {
+        get_u128(c)
+    }
 }
 
 /// A request to one storage target.
@@ -88,59 +103,33 @@ impl<'a> StoreReq<'a> {
     pub fn encode(&self) -> Vec<u8> {
         let data_len = if let ReqOp::Write { data, .. } = self.op { data.len() } else { 0 };
         let mut buf = Vec::with_capacity(41 + data_len);
-        buf.push(match self.op {
-            ReqOp::Write { .. } => 1,
-            ReqOp::Read { .. } => 2,
-            ReqOp::Stat(_) => 3,
-            ReqOp::Delete(_) => 4,
-            ReqOp::Sync => 5,
-        });
-        put_u64(&mut buf, self.seq);
-        match self.op {
-            ReqOp::Write { obj, stripe, within, data } => {
-                put_u128(&mut buf, obj);
-                put_u64(&mut buf, stripe);
-                put_u32(&mut buf, within);
-                put_blob(&mut buf, data);
-            }
-            ReqOp::Read { obj, stripe, within, len } => {
-                put_u128(&mut buf, obj);
-                put_u64(&mut buf, stripe);
-                put_u32(&mut buf, within);
-                put_u32(&mut buf, len);
-            }
-            ReqOp::Stat(obj) | ReqOp::Delete(obj) => put_u128(&mut buf, obj),
-            ReqOp::Sync => {}
-        }
+        Self::put(self, &mut buf);
         buf
     }
 
     /// Decode a complete frame into a view over it, rejecting trailing
     /// bytes.
     pub fn decode(raw: &'a [u8]) -> Result<Self, WireError> {
-        let mut c = WireCursor::new(raw);
-        let (tag, seq) = (c.u8()?, c.u64()?);
-        let op = match tag {
-            1 => ReqOp::Write {
-                obj: get_u128(&mut c)?,
-                stripe: c.u64()?,
-                within: c.u32()?,
-                data: c.blob()?,
-            },
-            2 => ReqOp::Read {
-                obj: get_u128(&mut c)?,
-                stripe: c.u64()?,
-                within: c.u32()?,
-                len: c.u32()?,
-            },
-            3 => ReqOp::Stat(get_u128(&mut c)?),
-            4 => ReqOp::Delete(get_u128(&mut c)?),
-            5 => ReqOp::Sync,
-            t => return Err(WireError::BadTag(t)),
-        };
-        c.expect_end()?;
-        Ok(StoreReq { seq, op })
+        decode_all::<Self>(raw)
     }
+}
+
+wire! {
+    StoreReq<'a> { seq: u64 } op: ReqOp {
+        1 => Write { obj: HiLo, stripe: u64, within: u32, data: &'a [u8] },
+        2 => Read { obj: HiLo, stripe: u64, within: u32, len: u32 },
+        3 => Stat { 0: HiLo },
+        4 => Delete { 0: HiLo },
+        5 => Sync,
+    }
+}
+
+/// Decode a complete frame as `C`, rejecting trailing bytes.
+fn decode_all<'a, C: Codec<'a>>(raw: &'a [u8]) -> Result<C::Value, WireError> {
+    let mut c = WireCursor::new(raw);
+    let v = C::get(&mut c)?;
+    c.expect_end()?;
+    Ok(v)
 }
 
 /// A target's reply. Ordering matches the request order on the connection.
@@ -192,49 +181,25 @@ impl<'a> StoreRep<'a> {
     /// with [`Self::zeroed_data_frame`], not here.)
     pub fn encode(&self) -> Vec<u8> {
         let mut buf = Vec::with_capacity(32);
-        buf.push(match self.body {
-            RepBody::Written => 1,
-            RepBody::Data(_) => 2,
-            RepBody::Statted(_) => 3,
-            RepBody::Deleted(_) => 4,
-            RepBody::Synced => 5,
-            RepBody::Err(_) => 6,
-        });
-        put_u64(&mut buf, self.seq);
-        match self.body {
-            RepBody::Written | RepBody::Synced => {}
-            RepBody::Data(data) => put_blob(&mut buf, data),
-            RepBody::Statted(None) => buf.push(0),
-            RepBody::Statted(Some((stripe, len))) => {
-                buf.push(1);
-                put_u64(&mut buf, stripe);
-                put_u32(&mut buf, len);
-            }
-            RepBody::Deleted(existed) => buf.push(u8::from(existed)),
-            RepBody::Err(msg) => put_str(&mut buf, msg),
-        }
+        Self::put(self, &mut buf);
         buf
     }
 
     /// Decode a complete frame into a view over it, rejecting trailing
     /// bytes.
     pub fn decode(raw: &'a [u8]) -> Result<Self, WireError> {
-        let mut c = WireCursor::new(raw);
-        let (tag, seq) = (c.u8()?, c.u64()?);
-        let body = match tag {
-            1 => RepBody::Written,
-            2 => RepBody::Data(c.blob()?),
-            3 => RepBody::Statted(if c.bool()? { Some((c.u64()?, c.u32()?)) } else { None }),
-            4 => RepBody::Deleted(c.bool()?),
-            5 => RepBody::Synced,
-            6 => RepBody::Err(
-                std::str::from_utf8(c.blob()?)
-                    .map_err(|_| WireError::Invalid("non-UTF-8 string"))?,
-            ),
-            t => return Err(WireError::BadTag(t)),
-        };
-        c.expect_end()?;
-        Ok(StoreRep { seq, body })
+        decode_all::<Self>(raw)
+    }
+}
+
+wire! {
+    StoreRep<'a> { seq: u64 } body: RepBody {
+        1 => Written,
+        2 => Data { 0: &'a [u8] },
+        3 => Statted { 0: Option<(u64, u32)> },
+        4 => Deleted { 0: bool },
+        5 => Synced,
+        6 => Err { 0: &'a str },
     }
 }
 

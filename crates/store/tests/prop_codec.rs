@@ -195,3 +195,35 @@ fn an_oversized_length_prefix_is_refused() {
     rep[9..StoreRep::DATA_AT].copy_from_slice(&u32::MAX.to_le_bytes());
     assert!(StoreRep::decode(&rep).is_err());
 }
+
+/// The tags of the values `strategy` draws, each encoded by `encode` (tag
+/// first), sorted; also checks every encoding against the declared `min`.
+fn drawn_tags<T: std::fmt::Debug>(
+    strategy: impl Strategy<Value = T>,
+    encode: impl Fn(&T) -> Vec<u8>,
+    min: usize,
+) -> Vec<u8> {
+    let mut rng = proptest::TestRng::seed_from_u64(46);
+    let mut tags: Vec<u8> = (0..500)
+        .map(|_| {
+            let v = strategy.generate(&mut rng);
+            let raw = encode(&v);
+            assert!(raw.len() >= min, "{v:?} encodes shorter than its declared minimum {min}");
+            raw[0]
+        })
+        .collect();
+    tags.sort_unstable();
+    tags.dedup();
+    tags
+}
+
+/// Every tag the declarations list is one the strategies above draw: a
+/// variant added without an arm in `Req::view` / `Rep::view` fails here.
+#[test]
+fn strategies_cover_every_declared_tag() {
+    use dufs_net::Codec;
+    let req = drawn_tags(arb_req(), |r| r.view().encode(), <StoreReq<'_> as Codec<'_>>::MIN);
+    assert_eq!(req, <StoreReq<'_> as Codec<'_>>::TAGS);
+    let rep = drawn_tags(arb_rep(), |r| r.view().encode(), <StoreRep<'_> as Codec<'_>>::MIN);
+    assert_eq!(rep, <StoreRep<'_> as Codec<'_>>::TAGS);
+}

@@ -44,6 +44,6 @@ pub mod peer;
 pub mod zxid;
 
 pub use config::{EnsembleConfig, PeerId, ZabConfig};
-pub use msg::{PersistEvent, Vote, ZabAction, ZabMsg, ZabTimer};
+pub use msg::{Data, PersistEvent, Vote, ZabAction, ZabMsg, ZabTimer};
 pub use peer::{DurableState, Role, ZabPeer};
 pub use zxid::Zxid;

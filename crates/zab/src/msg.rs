@@ -1,6 +1,9 @@
-//! Wire messages, timers, and output actions of the ZAB state machine.
+//! Wire messages, timers, and output actions of the ZAB state machine,
+//! and the layout of every message on the wire (declared once, with
+//! [`dufs_net::wire!`]).
 
 use bytes::Bytes;
+use dufs_net::{wire, Codec, Nested, WireCursor, WireError};
 
 use crate::config::PeerId;
 use crate::zxid::Zxid;
@@ -145,6 +148,61 @@ pub enum ZabMsg<T> {
     },
     /// Follower heartbeat response.
     Pong,
+}
+
+wire! {
+    [T: Codec<'a, Value = T>] ZabMsg<T> {
+        1 => Notification { vote: Vote, established: Option<PeerId> },
+        2 => FollowerInfo { last_zxid: Zxid, accepted_epoch: u32 },
+        3 => SyncLog {
+            epoch: u32,
+            snapshot: Option<(Zxid, Data)>,
+            entries: Vec<(Zxid, Nested<T>)>,
+            commit_to: Zxid,
+            reset: bool,
+            snap_chunks: u32,
+        },
+        4 => SnapChunk { epoch: u32, zxid: Zxid, seq: u32, total: u32, crc: u32, data: Data },
+        5 => AckSync { epoch: u32 },
+        6 => Propose { zxid: Zxid, txns: Vec<Nested<T>> },
+        7 => Ack { zxid: Zxid },
+        8 => Commit { zxid: Zxid },
+        9 => Inform { zxid: Zxid, txns: Vec<Nested<T>> },
+        10 => Ping { epoch: u32, commit_to: Zxid },
+        11 => Pong,
+    }
+}
+
+wire! { Vote { candidate: PeerId, candidate_zxid: Zxid, round: u64 } }
+
+wire! { PeerId { 0: u32 } }
+
+/// A zxid on the wire: its epoch, then its counter.
+impl<'a> Codec<'a> for Zxid {
+    type Value = Zxid;
+    const MIN: usize = 8;
+    fn put(z: &Zxid, buf: &mut Vec<u8>) {
+        u32::put(&z.epoch(), buf);
+        u32::put(&z.counter(), buf);
+    }
+    fn get(c: &mut WireCursor<'a>) -> Result<Zxid, WireError> {
+        Ok(Zxid::new(c.u32()?, c.u32()?))
+    }
+}
+
+/// A [`Bytes`] payload on the wire: a `u32`-length-prefixed byte run,
+/// copied out of the input on decode.
+pub struct Data;
+
+impl<'a> Codec<'a> for Data {
+    type Value = Bytes;
+    const MIN: usize = 4;
+    fn put(v: &Bytes, buf: &mut Vec<u8>) {
+        <&[u8]>::put(&&v[..], buf);
+    }
+    fn get(c: &mut WireCursor<'a>) -> Result<Bytes, WireError> {
+        Ok(Bytes::copy_from_slice(c.blob()?))
+    }
 }
 
 /// Timers the state machine asks its runtime to arm. All are periodic

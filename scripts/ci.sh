@@ -9,6 +9,12 @@
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
+repo=$(pwd)
+
+# The committed results/ are paper-scale runs; nothing CI runs may rewrite
+# them. Their contents now are what the last step compares against.
+results_sums() { git ls-files -z results | xargs -0 sha256sum; }
+results_at_start=$(results_sums)
 
 # The session-count benches hold thousands of sockets at once (the 10k
 # cell splits ~10k fds into each of two processes). Raise the soft fd
@@ -158,6 +164,23 @@ if [ "$procs" -ne 1 ] || [ "$reports" -ne 1 ] || [ "$sims" -ne 1 ] || [ "$fnv" -
     exit 1
 fi
 echo "==> one simulated client: 1 client Process, 1 PhaseDone, 1 Sim::new, FNV digest only in shard.rs"
+
+# One layout per message: every wire, WAL and store message is declared
+# once with `dufs_net::wire!`, which emits its encoder, decoder and tag
+# list. A hand-written decoder (`fn wire_decode`) or tag check (`BadTag(`)
+# outside the macro is a second copy of a layout growing back. (The extent
+# log in crates/store/src/file.rs keeps its own record codec; test modules,
+# below `#[cfg(test)]`, are exempt.)
+layouts=$(find crates/*/src -name '*.rs' | sort | while read -r f; do
+    case "$f" in crates/net/src/wire.rs | crates/store/src/file.rs) continue ;; esac
+    nontest "$f" | { grep -nE 'BadTag\(|fn wire_decode' || true; } | sed "s|^|$f:|"
+done)
+if [ -n "$layouts" ]; then
+    echo "FAIL: a hand-written codec outside dufs_net::wire! (outside #[cfg(test)]):" >&2
+    echo "$layouts" >&2
+    exit 1
+fi
+echo "==> one layout per message: no BadTag( or fn wire_decode outside crates/net/src/wire.rs and the extent log"
 
 # One sharded router: the simulator's DUFS client sends every coordination
 # request through `dufs_coord::sharded::route`, the `async fn` the live
@@ -448,9 +471,16 @@ if ! git diff --exit-code results/fig07_zk_throughput.txt results/fig08_zkserver
 fi
 
 # Loopback transport sweep (gates the depth-K pipelining gain and the flat
-# thread count over the full 1/100/1k/10k connection-count axis).
-echo "==> dufs-bench net -> results/BENCH_net.json"
-cargo run --release -q -p dufs-bench -- net
+# thread count over the full 1/100/1k/10k connection-count axis). It runs at
+# quick scale, so it writes its report into a scratch directory's results/,
+# never over the committed paper-scale results/BENCH_net.json; a failed gate
+# still exits non-zero and fails CI.
+net_dir=$(mktemp -d "${TMPDIR:-/tmp}/dufs-ci-net.XXXXXX")
+trap 'rm -rf "${TMPDIR:-/tmp}"/dufs-store-* "$net_dir"' EXIT
+mkdir "$net_dir/results"
+echo "==> dufs-bench net -> $net_dir/results/BENCH_net.json"
+cargo build --release -q -p dufs-bench
+(cd "$net_dir" && "$repo/target/release/dufs-bench" net)
 
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
@@ -460,5 +490,13 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet
 
 echo "==> cargo fmt --check"
 cargo fmt --all --check
+
+# Nothing above may have rewritten a committed result.
+if [ "$(results_sums)" != "$results_at_start" ]; then
+    echo "FAIL: tracked files under results/ changed while CI ran:" >&2
+    diff <(echo "$results_at_start") <(results_sums) >&2 || true
+    exit 1
+fi
+echo "==> results/ unchanged since CI started"
 
 echo "CI green."
