@@ -44,7 +44,7 @@ wire! {
 /// [`CoordMsg::Forward`]'s layout: a [`Txn`] with a zero commit time (the
 /// leader stamps the real one), in place behind its length like the txns
 /// of a proposal.
-pub struct Forwarded;
+pub(crate) struct Forwarded;
 
 impl<'a> Codec<'a> for Forwarded {
     type Value = CoordMsg;
@@ -146,7 +146,7 @@ wire! {
 
 /// A `usize` count carried as a `u64`, so the layout does not depend on
 /// the word size of either end.
-pub struct AsU64;
+pub(crate) struct AsU64;
 
 impl<'a> Codec<'a> for AsU64 {
     type Value = usize;
@@ -164,7 +164,7 @@ impl<'a> Codec<'a> for AsU64 {
 // ---------------------------------------------------------------------
 
 /// [`Stat`]'s layout.
-pub struct StatCodec;
+pub(crate) struct StatCodec;
 
 wire! {
     Stat as StatCodec {
@@ -310,10 +310,6 @@ mod tests {
         assert_eq!(T::from_wire(&bytes).unwrap(), v, "round trip");
     }
 
-    fn rt_zab(m: ZabMsg<Txn>) {
-        rt(m)
-    }
-
     #[test]
     fn zab_messages_round_trip() {
         let txn = Txn {
@@ -327,8 +323,8 @@ mod tests {
             tag: 9,
             time_ns: 123,
         };
-        rt_zab(ZabMsg::Propose { zxid: Zxid::new(3, 4), txns: vec![txn.clone()] });
-        rt_zab(ZabMsg::<Txn>::SyncLog {
+        rt(ZabMsg::Propose { zxid: Zxid::new(3, 4), txns: vec![txn.clone()] });
+        rt(ZabMsg::<Txn>::SyncLog {
             epoch: 5,
             snapshot: Some((Zxid::new(1, 2), Bytes::from_static(b"snap"))),
             entries: vec![(Zxid::new(1, 3), txn)],
@@ -336,7 +332,7 @@ mod tests {
             reset: true,
             snap_chunks: 0,
         });
-        rt_zab(ZabMsg::<Txn>::SnapChunk {
+        rt(ZabMsg::<Txn>::SnapChunk {
             epoch: 5,
             zxid: Zxid::new(1, 2),
             seq: 1,
@@ -344,7 +340,7 @@ mod tests {
             crc: 0xDEAD_BEEF,
             data: Bytes::from_static(b"chunk"),
         });
-        rt_zab(ZabMsg::<Txn>::Pong);
+        rt(ZabMsg::<Txn>::Pong);
     }
 
     #[test]

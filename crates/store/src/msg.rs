@@ -33,7 +33,7 @@ pub(crate) fn get_u128(c: &mut WireCursor<'_>) -> Result<u128, WireError> {
 }
 
 /// A `u128` object id on the wire: its high `u64`, then its low one.
-pub struct HiLo;
+pub(crate) struct HiLo;
 
 impl<'a> Codec<'a> for HiLo {
     type Value = u128;
