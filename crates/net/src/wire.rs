@@ -195,9 +195,11 @@ macro_rules! le_codecs {
         impl<'a> Codec<'a> for $t {
             type Value = $t;
             const MIN: usize = std::mem::size_of::<$t>();
+            #[inline]
             fn put(v: &$t, buf: &mut Vec<u8>) {
                 buf.extend_from_slice(&v.to_le_bytes());
             }
+            #[inline]
             fn get(c: &mut WireCursor<'a>) -> Result<$t, WireError> {
                 c.$t()
             }
@@ -209,9 +211,11 @@ le_codecs!(u32, u64);
 impl<'a> Codec<'a> for bool {
     type Value = bool;
     const MIN: usize = 1;
+    #[inline]
     fn put(v: &bool, buf: &mut Vec<u8>) {
         buf.push(u8::from(*v));
     }
+    #[inline]
     fn get(c: &mut WireCursor<'a>) -> Result<bool, WireError> {
         c.bool()
     }
@@ -221,10 +225,12 @@ impl<'a> Codec<'a> for bool {
 impl<'a> Codec<'a> for &'a [u8] {
     type Value = &'a [u8];
     const MIN: usize = 4;
+    #[inline]
     fn put(v: &&'a [u8], buf: &mut Vec<u8>) {
         buf.extend_from_slice(&(v.len() as u32).to_le_bytes());
         buf.extend_from_slice(v);
     }
+    #[inline]
     fn get(c: &mut WireCursor<'a>) -> Result<&'a [u8], WireError> {
         c.blob()
     }
@@ -234,9 +240,11 @@ impl<'a> Codec<'a> for &'a [u8] {
 impl<'a> Codec<'a> for &'a str {
     type Value = &'a str;
     const MIN: usize = 4;
+    #[inline]
     fn put(v: &&'a str, buf: &mut Vec<u8>) {
         <&[u8]>::put(&v.as_bytes(), buf)
     }
+    #[inline]
     fn get(c: &mut WireCursor<'a>) -> Result<&'a str, WireError> {
         std::str::from_utf8(c.blob()?).map_err(|_| WireError::Invalid("non-UTF-8 string"))
     }
@@ -246,9 +254,11 @@ impl<'a> Codec<'a> for &'a str {
 impl<'a> Codec<'a> for String {
     type Value = String;
     const MIN: usize = 4;
+    #[inline]
     fn put(v: &String, buf: &mut Vec<u8>) {
         <&[u8]>::put(&v.as_bytes(), buf)
     }
+    #[inline]
     fn get(c: &mut WireCursor<'a>) -> Result<String, WireError> {
         c.str()
     }
@@ -382,9 +392,11 @@ macro_rules! wire {
             type Value = $val;
             const MIN: usize = $($min)*;
             const TAGS: &'static [u8] = &[$($tag),*];
+            #[inline]
             fn put($v: &$val, $buf: &mut Vec<u8>) {
                 $($put)*
             }
+            #[inline]
             fn get($c: &mut $crate::WireCursor<'a>) -> Result<$val, $crate::WireError> {
                 $($get)*
             }

@@ -181,10 +181,12 @@ wire! { PeerId { 0: u32 } }
 impl<'a> Codec<'a> for Zxid {
     type Value = Zxid;
     const MIN: usize = 8;
+    #[inline]
     fn put(z: &Zxid, buf: &mut Vec<u8>) {
         u32::put(&z.epoch(), buf);
         u32::put(&z.counter(), buf);
     }
+    #[inline]
     fn get(c: &mut WireCursor<'a>) -> Result<Zxid, WireError> {
         Ok(Zxid::new(c.u32()?, c.u32()?))
     }
@@ -197,9 +199,11 @@ pub struct Data;
 impl<'a> Codec<'a> for Data {
     type Value = Bytes;
     const MIN: usize = 4;
+    #[inline]
     fn put(v: &Bytes, buf: &mut Vec<u8>) {
         <&[u8]>::put(&&v[..], buf);
     }
+    #[inline]
     fn get(c: &mut WireCursor<'a>) -> Result<Bytes, WireError> {
         Ok(Bytes::copy_from_slice(c.blob()?))
     }
