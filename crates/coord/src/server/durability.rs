@@ -84,6 +84,9 @@ pub(super) struct Durability {
     /// by the simulator's baseline figures).
     wal: Option<Wal>,
     fenced: bool,
+    /// Something was written since the last [`Durability::sync`] that a
+    /// crash may still take back.
+    owed: bool,
     /// Transactions applied: perf accounting, and the checkpoint clock.
     applied_count: u64,
     /// `applied_count` at which the next checkpoint is due.
@@ -94,7 +97,13 @@ impl Durability {
     /// No log yet: a volatile server stays this way, a durable one calls
     /// [`Durability::recover`] with its storage next.
     pub(super) fn new() -> Self {
-        Durability { wal: None, fenced: false, applied_count: 0, next_checkpoint: CHECKPOINT_EVERY }
+        Durability {
+            wal: None,
+            fenced: false,
+            owed: false,
+            applied_count: 0,
+            next_checkpoint: CHECKPOINT_EVERY,
+        }
     }
 
     pub(super) fn wal(&self) -> Option<&Wal> {
@@ -103,6 +112,10 @@ impl Durability {
 
     pub(super) fn fenced(&self) -> bool {
         self.fenced
+    }
+
+    pub(super) fn owed(&self) -> bool {
+        self.owed
     }
 
     pub(super) fn applied_count(&self) -> u64 {
@@ -119,8 +132,10 @@ impl Durability {
         self.crash();
     }
 
-    /// Crash: the storage backend drops every unsynced byte.
+    /// Crash: the storage backend drops every unsynced byte, and with them
+    /// the sync they owed.
     pub(super) fn crash(&mut self) {
+        self.owed = false;
         if let Some(wal) = self.wal.as_mut() {
             wal.crash();
         }
@@ -130,10 +145,12 @@ impl Durability {
     /// the actions that start it, and the first tag and session counter the
     /// history leaves free). The one sequence for a cold start (`fresh` is
     /// the storage to open, which a previous incarnation may have written)
-    /// and for a restart (`None`: re-scan the log already held). On failure
-    /// the server stays fenced until the next attempt — serving would risk
-    /// a forked history — and the half-opened log is crashed so its
-    /// buffered tail-segment header cannot leak into a sealed segment later.
+    /// and for a restart (`None`: re-scan the log already held). The
+    /// recovery truncation and the fresh tail segment are owed a sync,
+    /// which the server takes before it emits anything. On failure the
+    /// server stays fenced until the next attempt — serving would risk a
+    /// forked history — and the half-opened log is crashed so its buffered
+    /// tail-segment header cannot leak into a sealed segment later.
     pub(super) fn recover(
         &mut self,
         fresh: Option<Box<dyn LogStorage>>,
@@ -151,8 +168,7 @@ impl Durability {
                 }
                 None => self.wal.as_mut().expect("only a durable server restarts here").reopen()?,
             };
-            // Recovery truncation + the fresh tail segment are durable.
-            self.wal.as_mut().expect("opened above").sync()?;
+            self.owed = true;
             decode_recovered(&rec)
         })();
         match durable {
@@ -168,10 +184,10 @@ impl Durability {
         }
     }
 
-    /// Mirror one ZAB durability event into the log. Returns whether a
-    /// [`Durability::sync`] is now owed. Log failure ⇒ fence.
-    pub(super) fn persist(&mut self, ev: PersistEvent<Txn>) -> bool {
-        let Some(wal) = self.wal.as_mut() else { return false };
+    /// Mirror one ZAB durability event into the log, and note whether it
+    /// owes a [`Durability::sync`]. Log failure ⇒ fence.
+    pub(super) fn persist(&mut self, ev: PersistEvent<Txn>) {
+        let Some(wal) = self.wal.as_mut() else { return };
         let result: WalResult<bool> = (|| match ev {
             PersistEvent::Append { entries } => {
                 for (zxid, txn) in &entries {
@@ -191,15 +207,19 @@ impl Durability {
                 Ok(false) // reset is durable on return
             }
         })();
-        result.unwrap_or_else(|_| {
-            self.fence();
-            false
-        })
+        match result {
+            Ok(owed) => self.owed |= owed,
+            Err(_) => self.fence(),
+        }
     }
 
-    /// The group fsync: one durability point for everything persisted since
-    /// the last one. Failure ⇒ fence.
+    /// The group fsync: one for everything persisted since the last one,
+    /// none if nothing was. The only place the log is synced; the server's
+    /// durability point is its only caller. Failure ⇒ fence.
     pub(super) fn sync(&mut self) {
+        if !std::mem::take(&mut self.owed) {
+            return;
+        }
         if self.wal.as_mut().is_some_and(|wal| wal.sync().is_err()) {
             self.fence();
         }
@@ -232,7 +252,7 @@ mod tests {
     use dufs_zkstore::{CreateMode, MultiOp};
 
     use super::super::tests::{client_resp, req, single};
-    use super::super::{CoordMsg, CoordServer, CoordTimer, ServerIn};
+    use super::super::{CoordMsg, CoordServer, CoordTimer, ServerIn, ServerOut};
     use super::*;
     use crate::api::{ZkRequest, ZkResponse};
 
@@ -308,6 +328,71 @@ mod tests {
         }
         assert!(fenced_runs >= 10, "only {fenced_runs} of 40 seeds fenced");
         assert!(failed_restarts >= 3, "only {failed_restarts} restarts failed: nothing retried");
+    }
+
+    /// A pass of two events shares one durability point. When that sync
+    /// fails, the replies both events hold must never leave: the server
+    /// says so (`sync` is `false`), and stays silent until a restart.
+    #[test]
+    fn a_failed_sync_drops_the_whole_pass() {
+        let cfg = FaultConfig {
+            p_sync_fail: 0.2,
+            p_torn_tail: 0.0,
+            p_bit_flip: 0.0,
+            p_short_read: 0.0,
+            p_snapshot_fail: 0.0,
+        };
+        let replies = |out: &[ServerOut]| {
+            out.iter().filter(|o| matches!(o, ServerOut::Client { .. })).count()
+        };
+        let mut failed_passes = 0;
+        for seed in 0..20 {
+            let storage = Box::new(FaultyStorage::new(MemStorage::new(), seed, cfg));
+            let (me, ens) = (PeerId(0), EnsembleConfig::of_size(1));
+            let Ok((mut s, _)) = CoordServer::new_durable(me, ens, ZabConfig::default(), storage)
+            else {
+                continue;
+            };
+            let mut acked = Vec::new();
+            for pass in 0..50 {
+                let (a, b) = (2 * pass, 2 * pass + 1);
+                let held: Vec<ServerOut> = [a, b]
+                    .into_iter()
+                    .flat_map(|i| s.handle_unsynced(1_000_000, create(i)))
+                    .collect();
+                assert_eq!(replies(&held), 2, "seed {seed}: each event holds its reply");
+                if s.sync() {
+                    acked.extend([a, b]);
+                    continue;
+                }
+                // The host drops `held`; nothing the server says from here
+                // on may stand in for it.
+                failed_passes += 1;
+                assert!(s.is_fenced());
+                let appended = s.wal_append_count();
+                for input in [create(998), create(999), ServerIn::Timer(CoordTimer::SessionSweep)] {
+                    assert!(s.handle_unsynced(2_000_000, input).is_empty(), "seed {seed}");
+                    assert!(!s.sync(), "seed {seed}: a fenced server synced");
+                }
+                assert_eq!(s.wal_append_count(), appended, "seed {seed}: fenced yet logging");
+                let mut up = Vec::new();
+                for _ in 0..64 {
+                    up = s.on_restart(3_000_000);
+                    if !s.is_fenced() {
+                        break;
+                    }
+                }
+                assert!(!up.is_empty(), "seed {seed}: never came back");
+                for i in &acked {
+                    assert!(
+                        s.tree().get_data(&format!("/n{i}")).is_ok(),
+                        "seed {seed}: lost /n{i}"
+                    );
+                }
+                break;
+            }
+        }
+        assert!(failed_passes >= 5, "only {failed_passes} of 20 seeds failed a pass's sync");
     }
 
     #[test]

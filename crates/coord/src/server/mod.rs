@@ -1,11 +1,12 @@
 //! The coordination server: ZAB replication + znode tree + sessions +
 //! watches, as one pure state machine.
 //!
-//! Runtimes (the discrete-event simulator in `dufs-mdtest`, the threaded
-//! cluster in [`crate::runtime`]) feed [`ServerIn`] events in and execute
-//! the returned [`ServerOut`] actions. All clocking comes in through the
-//! `now_ns` argument, so replicas stay deterministic and the same code runs
-//! in virtual or real time.
+//! Hosts (the discrete-event simulator in `dufs-mdtest`, the TCP server in
+//! [`crate::tcp`], both through [`crate::event_loop::Member`]) feed
+//! [`ServerIn`] events in, take the durability point
+//! ([`CoordServer::sync`]) and execute the returned [`ServerOut`] actions.
+//! All clocking comes in through the `now_ns` argument, so replicas stay
+//! deterministic and the same code runs in virtual or real time.
 //!
 //! [`CoordServer`] itself is the event router: it owns the ZAB peer, the
 //! tree replica and the watches, decides where each input goes and in what
@@ -194,12 +195,14 @@ impl CoordServer {
     }
 
     /// Build a server backed by a write-ahead log: ZAB appends are fsynced
-    /// (one group fsync per batch) *before* the dependent protocol messages
-    /// go out, checkpoints mirror into the log directory, and a cold start
-    /// recovers from the newest decodable snapshot plus the log tail.
+    /// at the host's durability point ([`CoordServer::sync`]) *before* any
+    /// output that depends on them leaves but a leader's proposals,
+    /// checkpoints mirror into the log directory, and a cold start recovers
+    /// from the newest decodable snapshot plus the log tail.
     ///
     /// If `storage` already holds a log (a previous incarnation's), the
-    /// server resumes from it.
+    /// server resumes from it. Fails if the log cannot be read back or
+    /// synced.
     pub fn new_durable(
         me: PeerId,
         config: EnsembleConfig,
@@ -235,6 +238,10 @@ impl CoordServer {
             acts = s.recover(storage)?;
         }
         let out = s.boot(acts);
+        if s.is_fenced() {
+            let failed = std::io::Error::other("the log failed while the server started");
+            return Err(failed.into());
+        }
         Ok((s, out))
     }
 
@@ -250,12 +257,14 @@ impl CoordServer {
     }
 
     /// Run the replication layer's opening actions and arm the session
-    /// sweep: what a server emits when it comes up.
+    /// sweep: what a server emits when it comes up, behind a durability
+    /// point of its own (which also makes a recovered log's truncation and
+    /// fresh tail segment durable).
     fn boot(&mut self, acts: Vec<ZabAction<Txn>>) -> Vec<ServerOut> {
         let mut out = Vec::new();
         self.absorb_zab(acts, &mut out);
         out.push(ServerOut::Timer { timer: CoordTimer::SessionSweep, after_ms: SESSION_SWEEP_MS });
-        if self.durability.fenced() {
+        if !self.sync() {
             return Vec::new();
         }
         out
@@ -351,9 +360,27 @@ impl CoordServer {
     // Event entry point
     // ------------------------------------------------------------------
 
-    /// Feed one input event; returns the actions to execute. `now_ns` is
-    /// the host's clock (virtual or real).
+    /// Feed one input event and take the durability point; returns the
+    /// actions to execute. `now_ns` is the host's clock (virtual or real).
+    /// The synchronous form, for hosts that take one event at a time:
+    /// [`CoordServer::handle_unsynced`] then [`CoordServer::sync`].
     pub fn handle(&mut self, now_ns: u64, input: ServerIn) -> Vec<ServerOut> {
+        let out = self.handle_unsynced(now_ns, input);
+        if !self.sync() {
+            return Vec::new();
+        }
+        out
+    }
+
+    /// Feed one input event without taking the durability point. What it
+    /// persisted is owed a [`CoordServer::sync`] ([`CoordServer::sync_owed`]),
+    /// and until that returns `true` no output emitted since the sync was
+    /// first owed may leave but a leader's proposals
+    /// ([`crate::event_loop::Member::route_proposals`]): a reply, an ack or
+    /// a commit may promise what is not durable yet. A host may feed several
+    /// events before one sync, and routes the held outputs of all of them
+    /// after it.
+    pub fn handle_unsynced(&mut self, now_ns: u64, input: ServerIn) -> Vec<ServerOut> {
         if self.durability.fenced() {
             // A WAL write failed earlier: the durable suffix is unknown, so
             // the server behaves as crashed until restarted from disk.
@@ -376,6 +403,32 @@ impl CoordServer {
             return Vec::new();
         }
         out
+    }
+
+    /// Whether the inputs fed since the last [`CoordServer::sync`] logged
+    /// anything that it must make durable. Until one has, what they emitted
+    /// rests on nothing the sync adds.
+    pub fn sync_owed(&self) -> bool {
+        self.durability.owed()
+    }
+
+    /// The durability point: one fsync for everything the replication
+    /// layer persisted since the last one, none if nothing was. `false`
+    /// means the log failed (now or earlier): the server is fenced, and
+    /// every output held since the last durability point must be dropped —
+    /// the events that produced them may have queued sends that promise
+    /// un-durable state. The only caller of the log's sync.
+    ///
+    /// A leader may send its proposals before this (ZooKeeper logs a
+    /// proposal on the leader while the followers log it too). Its own
+    /// implicit ack still counts only after it: an `Ack` to a proposal is
+    /// handled in a later pass than the one that sent it, past that pass's
+    /// durability point.
+    pub fn sync(&mut self) -> bool {
+        if !self.durability.fenced() {
+            self.durability.sync();
+        }
+        !self.durability.fenced()
     }
 
     /// The tree replica is void (crashed, or about to be rebuilt from
@@ -656,14 +709,17 @@ impl CoordServer {
     // ZAB action absorption and transaction application
     // ------------------------------------------------------------------
 
+    /// Carry out the replication layer's actions. A `Persist` is written
+    /// to the log here and owes the next durability point
+    /// ([`CoordServer::sync`]); the outputs it guards wait for that point
+    /// in the host, not here.
     fn absorb_zab(&mut self, acts: Vec<ZabAction<Txn>>, out: &mut Vec<ServerOut>) {
-        let mut unsynced = false;
         for a in acts {
             if self.durability.fenced() {
                 return;
             }
             match a {
-                ZabAction::Persist(ev) => unsynced |= self.durability.persist(ev),
+                ZabAction::Persist(ev) => self.durability.persist(ev),
                 ZabAction::Send { to, msg } => {
                     // Ship lease authority alongside every heartbeat ping.
                     let auth = match &msg {
@@ -705,13 +761,6 @@ impl CoordServer {
                     self.inflight.fail_all(out);
                 }
             }
-        }
-        // Group fsync: ONE durability point per absorbed action batch. ZAB
-        // emits one `Persist` per proposal batch, so fsync frequency scales
-        // with batches, not transactions — this is where group commit
-        // recovers the throughput a per-transaction fsync would cost.
-        if unsynced && !self.durability.fenced() {
-            self.durability.sync();
         }
     }
 

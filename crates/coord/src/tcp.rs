@@ -13,10 +13,13 @@
 //!   rides per-peer dial-out connections the loop thread sends on itself;
 //!   a dead or unreachable peer is redialed off-thread with exponential
 //!   backoff and messages to it are *dropped* meanwhile — ZAB's sync
-//!   protocol is built to recover from exactly that. Replies, watch events
-//!   and peer messages are queued as a pass produces them and written on
-//!   the loop thread when it next waits ([`Conn::flush`]), so no frame
-//!   wakes a reactor.
+//!   protocol is built to recover from exactly that. Each pass of the loop
+//!   takes every event that is ready (up to 1 000), sends the leader's
+//!   proposals among their outputs (and whatever the pass emitted before
+//!   it logged anything), takes one durability point for all of them, and
+//!   only then sends the other replies, watch events and peer messages.
+//!   Frames are queued as a pass produces them and written on the loop
+//!   thread ([`Conn::flush`]), so no frame wakes a reactor.
 //! * [`TcpCluster`] — a whole loopback ensemble of [`TcpServer`]s, for
 //!   tests, examples and benchmarks.
 //! * [`TcpTransport`] / [`TcpZkClient`] — the [`ZkClient`] session API over
@@ -37,7 +40,7 @@
 use std::collections::HashMap;
 use std::net::SocketAddr;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicU8, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -66,6 +69,11 @@ const TIME_DILATION: u64 = 3;
 
 /// Longest the loop sleeps when no timer is due sooner.
 const MAX_WAIT: Duration = Duration::from_millis(50);
+
+/// Most events one pass of the loop takes before its durability point —
+/// ZooKeeper's bound on one group fsync, too (`SyncRequestProcessor` flushes
+/// after 1 000 requests). A pass takes what is ready, never waits for more.
+const PASS_EVENTS: usize = 1_000;
 
 /// Everything a [`TcpServer`] needs to know at spawn time.
 #[derive(Debug, Clone)]
@@ -104,6 +112,8 @@ pub struct TcpServer {
     join: Option<JoinHandle<()>>,
     addr: SocketAddr,
     stats: NetStats,
+    /// The member's WAL fsyncs, stored at each durability point.
+    wal_syncs: Arc<AtomicU64>,
 }
 
 impl TcpServer {
@@ -117,6 +127,7 @@ impl TcpServer {
         assert!((cfg.me.0 as usize) < n, "me out of range");
         let stats = NetStats::new();
         let control = Arc::new(AtomicU8::new(RUNNING));
+        let wal_syncs = Arc::new(AtomicU64::new(0));
 
         // One event stream carries everything the loop reacts to: accepted
         // connections (any count, any kind), the dial-out peer links, and
@@ -136,6 +147,7 @@ impl TcpServer {
             control: control.clone(),
             me: cfg.me,
             stats: stats.clone(),
+            wal_syncs: wal_syncs.clone(),
             clients: HashMap::new(),
             peers_in: HashMap::new(),
             links: (0..n as u32)
@@ -164,7 +176,7 @@ impl TcpServer {
             })
             .expect("spawn tcp server loop");
 
-        TcpServer { control, accept: Some(accept), join: Some(join), addr, stats }
+        TcpServer { control, accept: Some(accept), join: Some(join), addr, stats, wal_syncs }
     }
 
     /// The bound listening address.
@@ -175,6 +187,12 @@ impl TcpServer {
     /// This server's transport counters (all its connections share them).
     pub fn stats(&self) -> NetStatsSnapshot {
         self.stats.snapshot()
+    }
+
+    /// WAL fsyncs this member has issued (0 for a volatile one), as of its
+    /// last durability point.
+    pub fn wal_syncs(&self) -> u64 {
+        self.wal_syncs.load(Ordering::Relaxed)
     }
 
     /// Block the calling thread until the event loop exits (the
@@ -234,6 +252,8 @@ struct TcpHost {
     control: Arc<AtomicU8>,
     me: PeerId,
     stats: NetStats,
+    /// The [`TcpServer`]'s copy of the member's WAL fsync count.
+    wal_syncs: Arc<AtomicU64>,
     /// Accepted client and admin connections; the stream id doubles as the
     /// [`ClientId`].
     clients: HashMap<ClientId, Conn>,
@@ -390,30 +410,56 @@ impl TcpHost {
     }
 
     /// The loop thread's body, until the control cell says [`STOPPED`].
-    /// Each pass reads the control cell, fires due timers, flushes what was
-    /// written since the last wait, and waits for one event and feeds it to
-    /// the member. `epoch` is the zero of the member's clock.
+    /// Each pass reads the control cell, fires due timers and feeds the
+    /// member every event the last wait took in (routing their outputs as
+    /// they come until one of them logs something); sends the leader's
+    /// proposals among the rest and flushes them; takes one durability
+    /// point for the whole pass; routes and flushes the rest; then waits
+    /// for the next events. `epoch` is the zero of the member's clock.
     fn serve(mut self, mut member: Member, startup: Vec<ServerOut>, epoch: Instant) {
         let now_ns = || epoch.elapsed().as_nanos() as u64;
-        member.route(startup, &mut self);
+        let mut outs = startup;
+        let mut ready = Vec::new();
         loop {
             // The stream itself never closes while this loop holds
             // connections (each one's reactor state holds a sender), so
             // stopping is a flag — and so are crashing and restarting, which
             // leave every connection open: the member drops the traffic.
-            let mut outs = match self.control.load(Ordering::SeqCst) {
+            match self.control.load(Ordering::SeqCst) {
                 STOPPED => return,
-                CRASHED => {
-                    member.crash();
-                    Vec::new()
-                }
-                _ => member.restart(now_ns()),
-            };
+                CRASHED => member.crash(),
+                _ => outs.extend(member.restart(now_ns())),
+            }
             let now = Instant::now();
             for (_, token) in self.timers.extract_if(.., |&mut (at, _)| at <= now) {
                 outs.extend(member.fire(now_ns(), token).into_iter().flatten());
             }
-            member.route(outs, &mut self);
+            for event in ready.drain(..) {
+                // What the pass emitted before it logged anything leaves at
+                // once: no later sync makes it any more durable.
+                if !member.server().sync_owed() {
+                    member.route(std::mem::take(&mut outs), &mut self);
+                }
+                match event {
+                    ConnEvent::Frame { id, payload } => {
+                        if let Some(input) = self.on_frame(id, &payload, &member) {
+                            outs.extend(member.handle(now_ns(), input));
+                        }
+                    }
+                    ConnEvent::Opened { id, conn } => self.on_opened(id, conn),
+                    ConnEvent::Closed { id } => self.on_closed(id),
+                }
+            }
+            // The proposals leave first, so the followers log them while
+            // this member syncs its own copy.
+            member.route_proposals(&mut outs, &mut self);
+            self.flush_written();
+            if member.sync() {
+                member.route(std::mem::take(&mut outs), &mut self);
+            } else {
+                outs.clear();
+            }
+            self.wal_syncs.store(member.server().wal_sync_count(), Ordering::Relaxed);
             // Everything the pass produced leaves before this thread waits.
             self.flush_written();
             let wait = self
@@ -422,16 +468,11 @@ impl TcpHost {
                 .map(|&(at, _)| at.saturating_duration_since(Instant::now()))
                 .min()
                 .map_or(MAX_WAIT, |d| d.min(MAX_WAIT));
-            match self.events.recv_timeout(wait) {
-                Ok(ConnEvent::Frame { id, payload }) => {
-                    if let Some(input) = self.on_frame(id, &payload, &member) {
-                        let outs = member.handle(now_ns(), input);
-                        member.route(outs, &mut self);
-                    }
-                }
-                Ok(ConnEvent::Opened { id, conn }) => self.on_opened(id, conn),
-                Ok(ConnEvent::Closed { id }) => self.on_closed(id),
-                Err(_) => {}
+            if let Ok(event) = self.events.recv_timeout(wait) {
+                ready.push(event);
+                ready.extend(
+                    std::iter::from_fn(|| self.events.try_recv().ok()).take(PASS_EVENTS - 1),
+                );
             }
         }
     }
@@ -590,6 +631,12 @@ impl TcpCluster {
     /// This server's transport counters. Panics if the member was stopped.
     pub fn net_stats(&self, server_idx: usize) -> NetStatsSnapshot {
         self.servers[server_idx].as_ref().expect("member stopped").stats()
+    }
+
+    /// WAL fsyncs this member has issued, as of its last durability point
+    /// (0 for a volatile ensemble). Panics if the member was stopped.
+    pub fn wal_syncs(&self, server_idx: usize) -> u64 {
+        self.servers[server_idx].as_ref().expect("member stopped").wal_syncs()
     }
 
     /// Index of the established leader, if any. Stopped / unresponsive

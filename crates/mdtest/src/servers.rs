@@ -6,7 +6,9 @@
 //! member builds the state machine, drops traffic while crashed, keeps and
 //! voids its timers and routes its outputs; [`CoordServerProc`] adds only
 //! what the simulation models — the pipeline queue, the CPU cost of each
-//! event, and the WAL fsync charge.
+//! event, and the WAL fsync charge. Each event is a pass of its own: the
+//! member's durability point follows it, and its outputs all leave after
+//! the one lumped charge.
 
 use dufs_backendfs::{FsError, MetaOpKind, ParallelFs};
 use dufs_coord::event_loop::{Host, Member};
@@ -94,17 +96,23 @@ impl CoordServerProc {
         }
     }
 
-    /// Charge `cost_us` (+ per-peer-message tx cost once outputs are known)
-    /// on the pipeline and dispatch.
+    /// Take the event's durability point, charge `cost_us` (+ per-peer-
+    /// message tx cost once outputs are known) on the pipeline and
+    /// dispatch.
     fn charge_and_dispatch(
         &mut self,
         ctx: &mut Ctx<'_, ClusterMsg>,
-        outs: Vec<ServerOut>,
+        mut outs: Vec<ServerOut>,
         base_cost_us: f64,
     ) {
+        if !self.member.sync() {
+            outs.clear();
+        }
         let peer_sends = outs.iter().filter(|o| matches!(o, ServerOut::Peer { .. })).count() as f64;
-        // Durable servers block the pipeline for every WAL group fsync the
-        // event triggered (ACKs only left the server after the flush).
+        // Durable servers block the pipeline for the WAL group fsync the
+        // event triggered, and send its proposals and its acks alike after
+        // it: the model keeps the leader's and the followers' fsyncs in
+        // series.
         let syncs = self.server().wal_sync_count().saturating_sub(self.wal_synced) as f64;
         self.wal_synced = self.server().wal_sync_count();
         let cost =

@@ -234,9 +234,13 @@ pub enum ZabTimer {
 /// [`ZabAction::Persist`] *before* any dependent [`ZabAction::Send`] in the
 /// same action batch: the host must make the event durable (append to its
 /// write-ahead log and fsync) before transmitting those later sends,
-/// because they acknowledge the logged state to other peers. A host without
-/// durability (pure simulation) may ignore these events entirely — the
-/// in-memory fields of the peer carry the same information.
+/// because they acknowledge the logged state to other peers. The one
+/// exception is a leader's [`ZabMsg::Propose`], which hands the entries on
+/// rather than acknowledging them: it may leave before the fsync, provided
+/// the host feeds the peer no input until the fsync is done (so no ack can
+/// meet the leader's implicit vote before its copy is durable). A host
+/// without durability (pure simulation) may ignore these events entirely —
+/// the in-memory fields of the peer carry the same information.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum PersistEvent<T> {
     /// Append these entries to the durable log, in order.

@@ -86,6 +86,13 @@ impl Election {
         self.my_vote = Vote { candidate: leader, candidate_zxid: Zxid::ZERO, round: self.round };
     }
 
+    /// Stand for `candidate`'s `history` in this round instead of our own.
+    pub(super) fn stand_for(&mut self, candidate: PeerId, history: Zxid) {
+        self.my_vote = Vote { candidate, candidate_zxid: history, round: self.round };
+        self.votes.clear();
+        self.votes.insert(self.me, self.my_vote);
+    }
+
     pub(super) fn note_epoch(&mut self, epoch: u32) {
         self.max_seen_epoch = self.max_seen_epoch.max(epoch);
     }

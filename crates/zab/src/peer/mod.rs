@@ -310,7 +310,9 @@ impl<T: Clone> ZabPeer<T> {
         let b = self.leader.as_mut().expect("flushing implies leading");
         b.open_round(self.log.last_zxid());
         // The leader's own (implicit) ack is only valid once the batch is
-        // durable: persist before any Propose goes out or a commit forms.
+        // durable. The host may send the Proposes below before it syncs this
+        // append, but takes no input until it has: any ack that could form
+        // a commit with that implicit one arrives after the sync.
         out.push(ZabAction::Persist(PersistEvent::Append { entries }));
         for f in b.followers() {
             // Observers get one INFORM at commit time instead.
@@ -567,6 +569,13 @@ impl<T: Clone> ZabPeer<T> {
             // minting above every epoch seen, where a longer history wins.
             self.election.note_epoch(f_last.epoch());
             self.start_election(out);
+            if f_last > last && self.role == Role::Looking {
+                // Stand for that history, not ours: the followers we led
+                // still vouch for us, and their support alone would elect
+                // us over it again, round after round.
+                self.election.stand_for(from, f_last);
+                self.election.broadcast(&self.config, out);
+            }
             return;
         }
         // A suffix from where the follower is, or — if the prefix it needs
@@ -806,6 +815,34 @@ mod tests {
         // Single-node ensemble: leads again with a higher epoch.
         assert!(p.is_established_leader());
         assert_eq!(p.epoch(), 512, "epoch base advanced, id preserved in the low byte");
+    }
+
+    /// A leader that yields to a follower's longer history stands for that
+    /// history in the election it starts. Its other follower, still loyal,
+    /// answers "established: you", which used to count as a vote for the
+    /// yielding leader's own candidacy and re-elect it over the longer
+    /// history, round after round.
+    #[test]
+    fn a_leader_yielding_to_a_longer_history_is_not_reelected_by_its_followers() {
+        let (l, f1, f2) = (PeerId(0), PeerId(1), PeerId(2));
+        let (mut p, _) = ZabPeer::<u32>::new(l, EnsembleConfig::of_size(3));
+        let loyal = |p: &P| ZabMsg::Notification { vote: p.election.vote(), established: Some(l) };
+        p.on_message(f2, loyal(&p));
+        assert_eq!(p.role(), Role::Leading { established: false });
+        p.on_message(f2, ZabMsg::FollowerInfo { last_zxid: Zxid::ZERO, accepted_epoch: 0 });
+        p.on_message(f2, ZabMsg::AckSync { epoch: p.epoch() });
+        assert!(p.is_established_leader());
+
+        let longer = Zxid::new(p.epoch() - 1, 5);
+        let acts = p.on_message(f1, ZabMsg::FollowerInfo { last_zxid: longer, accepted_epoch: 0 });
+        assert_eq!(p.role(), Role::Looking, "yields to the longer history");
+        let last_vote = acts.iter().rev().find_map(|a| match a {
+            ZabAction::Send { msg: ZabMsg::Notification { vote, .. }, .. } => Some(*vote),
+            _ => None,
+        });
+        assert_eq!(last_vote.map(|v| (v.candidate, v.candidate_zxid)), Some((f1, longer)));
+        p.on_message(f2, loyal(&p));
+        assert_eq!(p.role(), Role::Looking, "re-elected over the longer history");
     }
 
     #[test]

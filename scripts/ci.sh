@@ -348,6 +348,32 @@ if [ -n "$one" ]; then
 fi
 echo "==> one request in flight, one round per barrier: no fn submit(, next_completion, inflight_writes, coalesc, open_barrier or barrier_riders in crates/{coord,cache}/src"
 
+# One durability point: a coordination member syncs its log once per pass
+# of its host's loop, after that pass's proposals left and before anything
+# else does. `CoordServer::sync` is that point and the only caller of
+# `Durability::sync`, which is the only caller of `Wal::sync`. A sync
+# anywhere else (in the ZAB action loop, in recovery, in a host) is a second
+# durability point growing back beside it, and with it the leader's fsync
+# ahead of its proposals. (Test modules, below `#[cfg(test)]`, are exempt.)
+# Only `Durability` holds the log, and only the server module holds a
+# `Durability`: so every `.sync(` in durability.rs and every
+# `durability.sync(` in the rest of the module is listed with its function.
+syncs=$(for f in crates/coord/src/server/*.rs; do
+    call='durability\.sync\('
+    [ "$f" = crates/coord/src/server/durability.rs ] && call='[a-z_)]*\.sync\('
+    nontest "$f" | awk -v f="$f" -v call="$call" '
+        /^[ \t]*(pub[^ ]* )?fn [a-z_0-9]+/ { name = $0; sub(/.*fn /, "", name); sub(/[^a-z_0-9].*/, "", name) }
+        match($0, call) { print f ": fn " name ": " substr($0, RSTART, RLENGTH) }'
+done)
+want_syncs='crates/coord/src/server/durability.rs: fn sync: wal.sync(
+crates/coord/src/server/mod.rs: fn sync: durability.sync('
+if [ "$syncs" != "$want_syncs" ]; then
+    echo "FAIL: the log is synced outside the one durability point (want Wal::sync only in Durability::sync, Durability::sync only in CoordServer::sync):" >&2
+    echo "$syncs" >&2
+    exit 1
+fi
+echo "==> one durability point: the log's one .sync( in Durability::sync, durability.sync( only in CoordServer::sync"
+
 echo "==> cargo build --release"
 cargo build --release
 
