@@ -10,13 +10,12 @@
 //!
 //! A host runs the member in passes. It feeds a pass's inputs
 //! ([`Member::handle`], [`Member::fire`], [`Member::restart`]) and gathers
-//! their outputs. What they emit before any of them logs something
-//! ([`CoordServer::sync_owed`]) it may route at once; after that, only the
-//! leader's proposals ([`Member::route_proposals`]). Then it takes the
-//! pass's one durability point ([`Member::sync`]), and only then routes
-//! everything else ([`Member::route`]). No input is handled between a
-//! pass's proposals leaving and its sync, so an `Ack` to a proposal always
-//! finds the leader's own copy durable.
+//! their outputs; routes only the leader's proposals among them
+//! ([`Member::route_proposals`]); takes the pass's one durability point
+//! ([`Member::sync`]); and only then routes everything else
+//! ([`Member::route`]). No input is handled between a pass's proposals
+//! leaving and its sync, so an `Ack` to a proposal always finds the
+//! leader's own copy durable.
 //!
 //! There are two hosts. [`crate::tcp::TcpServer`] drives a member from its
 //! socket wait loop under wall-clock time, draining every ready event into
@@ -174,8 +173,7 @@ impl Member {
 
     /// Route outputs in the order the state machine emitted them: replies
     /// and watch events to clients, replication traffic to peers, timers
-    /// armed under fresh tokens. Only past the pass's [`Member::sync`], or
-    /// before it while the pass owes none ([`CoordServer::sync_owed`]).
+    /// armed under fresh tokens. Only past the pass's [`Member::sync`].
     pub fn route(&mut self, outs: Vec<ServerOut>, host: &mut impl Host) {
         for o in outs {
             match o {
@@ -467,10 +465,10 @@ mod tests {
     }
 
     /// The pass rule, watched from a recording host: on the leader nothing
-    /// but `Propose` is routed before the durability point once the pass
-    /// has logged something, and the fsync comes after those proposals
-    /// left; on a follower the `Ack` is routed only after its own fsync.
-    /// What a pass emits before it logs anything owes no sync.
+    /// but `Propose` is routed before the durability point (not the reply to
+    /// a read the pass also took), and the fsync comes after those
+    /// proposals left; on a follower the `Ack` is routed only after its own
+    /// fsync.
     #[test]
     fn a_leader_proposes_before_its_sync_and_a_follower_acks_after_its_own() {
         #[derive(Default)]
@@ -501,13 +499,10 @@ mod tests {
         let syncs = |t: &Trio, i: usize| t.members[i].server().wal_sync_count();
         let before = syncs(&t, l);
         let read = ZkRequest::GetData { path: "/warm".into(), watch: false };
-        let outs = t.members[l]
+        let mut outs = t.members[l]
             .handle(now, ServerIn::Client { client: 1, req_id: 3, session: 0, req: read });
-        assert!(!t.members[l].server().sync_owed(), "a read logged something");
-        assert!(matches!(outs[..], [ServerOut::Client { req_id: 3, .. }]));
         let input = ServerIn::Client { client: 1, req_id: 2, session: 0, req: create("/w") };
-        let mut outs = t.members[l].handle(now, input);
-        assert!(t.members[l].server().sync_owed());
+        outs.extend(t.members[l].handle(now, input));
         let mut early = Recorder::default();
         t.members[l].route_proposals(&mut outs, &mut early);
         let followers: Vec<usize> = (0..3).filter(|&i| i != l).collect();
@@ -515,7 +510,6 @@ mod tests {
         assert_eq!(early.0, proposed, "the leader routed more than its proposals early");
         assert_eq!(syncs(&t, l), before, "the leader synced before its proposals left");
         assert!(t.members[l].sync());
-        assert!(!t.members[l].server().sync_owed());
         assert_eq!(syncs(&t, l), before + 1, "one fsync for the pass");
         let mut late = Recorder::default();
         t.members[l].route(outs, &mut late);

@@ -114,10 +114,6 @@ impl Durability {
         self.fenced
     }
 
-    pub(super) fn owed(&self) -> bool {
-        self.owed
-    }
-
     pub(super) fn applied_count(&self) -> u64 {
         self.applied_count
     }
@@ -214,8 +210,10 @@ impl Durability {
     }
 
     /// The group fsync: one for everything persisted since the last one,
-    /// none if nothing was. The only place the log is synced; the server's
-    /// durability point is its only caller. Failure ⇒ fence.
+    /// none if nothing was. The only place the server asks the log to sync
+    /// (the log syncs itself, too, where it rotates a segment, writes a
+    /// checkpoint or resets); the server's durability point is its only
+    /// caller. Failure ⇒ fence.
     pub(super) fn sync(&mut self) {
         if !std::mem::take(&mut self.owed) {
             return;
@@ -393,6 +391,51 @@ mod tests {
             }
         }
         assert!(failed_passes >= 5, "only {failed_passes} of 20 seeds failed a pass's sync");
+    }
+
+    /// A log failure partway through a pass fails the pass's durability
+    /// point too. A checkpoint that cannot be written fences the server on
+    /// one write of a pass of two; when that is the second, the first
+    /// one's reply is held behind the sync it owes, whose bytes the failure
+    /// just discarded, so the sync must say `false` and the reply drop.
+    #[test]
+    fn a_fence_partway_through_a_pass_fails_its_sync() {
+        let cfg = FaultConfig {
+            p_sync_fail: 0.0,
+            p_torn_tail: 0.0,
+            p_bit_flip: 0.0,
+            p_short_read: 0.0,
+            p_snapshot_fail: 1.0,
+        };
+        let mut fenced_second = 0;
+        // A lead-in write moves the due checkpoint to the pass's other write.
+        for lead_in in 0..2 {
+            let storage = Box::new(FaultyStorage::new(MemStorage::new(), 7, cfg));
+            let (me, ens) = (PeerId(0), EnsembleConfig::of_size(1));
+            let (mut s, _) = CoordServer::new_durable(me, ens, ZabConfig::default(), storage)
+                .expect("only snapshot writes fail");
+            for i in 0..lead_in {
+                assert!(matches!(
+                    client_resp(&s.handle(0, create(10_000 + i))),
+                    ZkResponse::Created { .. }
+                ));
+            }
+            for pass in 0..CHECKPOINT_EVERY {
+                let first = s.handle_unsynced(0, create(2 * pass as usize));
+                let held_reply = !first.is_empty() && !s.is_fenced();
+                let second = s.handle_unsynced(0, create(2 * pass as usize + 1));
+                if !s.is_fenced() {
+                    assert!(s.sync(), "lead-in {lead_in}: a faithful fsync failed");
+                    continue;
+                }
+                assert!(second.is_empty(), "lead-in {lead_in}: the fencing event spoke");
+                assert!(!s.sync(), "lead-in {lead_in}: the pass synced past its log's failure");
+                fenced_second += usize::from(held_reply);
+                break;
+            }
+            assert!(s.is_fenced(), "lead-in {lead_in}: no checkpoint came due");
+        }
+        assert_eq!(fenced_second, 1, "the fence never fell on a pass's second write");
     }
 
     #[test]

@@ -373,13 +373,12 @@ impl CoordServer {
     }
 
     /// Feed one input event without taking the durability point. What it
-    /// persisted is owed a [`CoordServer::sync`] ([`CoordServer::sync_owed`]),
-    /// and until that returns `true` no output emitted since the sync was
-    /// first owed may leave but a leader's proposals
-    /// ([`crate::event_loop::Member::route_proposals`]): a reply, an ack or
-    /// a commit may promise what is not durable yet. A host may feed several
-    /// events before one sync, and routes the held outputs of all of them
-    /// after it.
+    /// persisted is owed a [`CoordServer::sync`], and until that returns
+    /// `true` no output emitted since the last one may leave but a leader's
+    /// proposals ([`crate::event_loop::Member::route_proposals`]): a reply,
+    /// an ack or a commit may promise what is not durable yet. A host may
+    /// feed several events before one sync, and routes the held outputs of
+    /// all of them after it.
     pub fn handle_unsynced(&mut self, now_ns: u64, input: ServerIn) -> Vec<ServerOut> {
         if self.durability.fenced() {
             // A WAL write failed earlier: the durable suffix is unknown, so
@@ -405,19 +404,13 @@ impl CoordServer {
         out
     }
 
-    /// Whether the inputs fed since the last [`CoordServer::sync`] logged
-    /// anything that it must make durable. Until one has, what they emitted
-    /// rests on nothing the sync adds.
-    pub fn sync_owed(&self) -> bool {
-        self.durability.owed()
-    }
-
     /// The durability point: one fsync for everything the replication
     /// layer persisted since the last one, none if nothing was. `false`
     /// means the log failed (now or earlier): the server is fenced, and
     /// every output held since the last durability point must be dropped —
     /// the events that produced them may have queued sends that promise
-    /// un-durable state. The only caller of the log's sync.
+    /// un-durable state. The only fsync the server asks of its log (which
+    /// also syncs itself where it rotates, checkpoints or resets).
     ///
     /// A leader may send its proposals before this (ZooKeeper logs a
     /// proposal on the leader while the followers log it too). Its own

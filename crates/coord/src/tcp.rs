@@ -15,9 +15,9 @@
 //!   backoff and messages to it are *dropped* meanwhile — ZAB's sync
 //!   protocol is built to recover from exactly that. Each pass of the loop
 //!   takes every event that is ready (up to 1 000), sends the leader's
-//!   proposals among their outputs (and whatever the pass emitted before
-//!   it logged anything), takes one durability point for all of them, and
-//!   only then sends the other replies, watch events and peer messages.
+//!   proposals among their outputs, takes one durability point for all of
+//!   them, and only then sends the other replies, watch events and peer
+//!   messages.
 //!   Frames are queued as a pass produces them and written on the loop
 //!   thread ([`Conn::flush`]), so no frame wakes a reactor.
 //! * [`TcpCluster`] — a whole loopback ensemble of [`TcpServer`]s, for
@@ -411,9 +411,8 @@ impl TcpHost {
 
     /// The loop thread's body, until the control cell says [`STOPPED`].
     /// Each pass reads the control cell, fires due timers and feeds the
-    /// member every event the last wait took in (routing their outputs as
-    /// they come until one of them logs something); sends the leader's
-    /// proposals among the rest and flushes them; takes one durability
+    /// member every event the last wait took in; sends the leader's
+    /// proposals among their outputs and flushes them; takes one durability
     /// point for the whole pass; routes and flushes the rest; then waits
     /// for the next events. `epoch` is the zero of the member's clock.
     fn serve(mut self, mut member: Member, startup: Vec<ServerOut>, epoch: Instant) {
@@ -435,11 +434,6 @@ impl TcpHost {
                 outs.extend(member.fire(now_ns(), token).into_iter().flatten());
             }
             for event in ready.drain(..) {
-                // What the pass emitted before it logged anything leaves at
-                // once: no later sync makes it any more durable.
-                if !member.server().sync_owed() {
-                    member.route(std::mem::take(&mut outs), &mut self);
-                }
                 match event {
                     ConnEvent::Frame { id, payload } => {
                         if let Some(input) = self.on_frame(id, &payload, &member) {

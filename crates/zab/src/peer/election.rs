@@ -52,10 +52,11 @@ impl Election {
         self.my_vote
     }
 
-    /// A new round, standing with history `last`; an observer only asks.
-    pub(super) fn begin(&mut self, last: Zxid, voter: bool) {
+    /// A new round, standing for `candidate`'s `history`; an observer only
+    /// asks.
+    pub(super) fn begin(&mut self, candidate: PeerId, history: Zxid, voter: bool) {
         self.round += 1;
-        self.my_vote = Vote { candidate: self.me, candidate_zxid: last, round: self.round };
+        self.my_vote = Vote { candidate, candidate_zxid: history, round: self.round };
         self.votes.clear();
         if voter {
             self.votes.insert(self.me, self.my_vote);
@@ -84,13 +85,6 @@ impl Election {
     pub(super) fn follow(&mut self, leader: PeerId) {
         self.distrusted = None;
         self.my_vote = Vote { candidate: leader, candidate_zxid: Zxid::ZERO, round: self.round };
-    }
-
-    /// Stand for `candidate`'s `history` in this round instead of our own.
-    pub(super) fn stand_for(&mut self, candidate: PeerId, history: Zxid) {
-        self.my_vote = Vote { candidate, candidate_zxid: history, round: self.round };
-        self.votes.clear();
-        self.votes.insert(self.me, self.my_vote);
     }
 
     pub(super) fn note_epoch(&mut self, epoch: u32) {
@@ -200,8 +194,8 @@ mod tests {
         let config = EnsembleConfig::of_size(5);
         let me = PeerId(4);
         let mut e = Election::new(me, 0);
-        e.begin(Zxid::ZERO, true);
-        e.begin(Zxid::ZERO, true); // round 2
+        e.begin(me, Zxid::ZERO, true);
+        e.begin(me, Zxid::ZERO, true); // round 2
         let mut out: Acts = Vec::new();
         for _ in 0..3 {
             let got = e.hear(&config, PeerId(0), vote(4, 2), None, Zxid::ZERO, &mut out);
@@ -229,7 +223,7 @@ mod tests {
         let (me, dead) = (PeerId(0), PeerId(2));
         let mut e = Election::new(me, 0);
         e.distrust(dead);
-        e.begin(Zxid::ZERO, true);
+        e.begin(me, Zxid::ZERO, true);
         let mut out: Acts = Vec::new();
         for _ in 0..DISTRUST_PERIODS {
             let got = e.hear(&config, PeerId(1), vote(2, 1), Some(dead), Zxid::ZERO, &mut out);

@@ -146,7 +146,7 @@ impl<T: Clone> ZabPeer<T> {
         let fresh = DurableState { epoch: 0, snapshot: None, log: Vec::new() };
         let mut peer = Self::assemble(id, config, zcfg, fresh);
         let mut out = Vec::new();
-        peer.start_election(&mut out);
+        peer.start_election(peer.id, peer.log.last_zxid(), &mut out);
         (peer, out)
     }
 
@@ -389,7 +389,7 @@ impl<T: Clone> ZabPeer<T> {
             (ZabTimer::LeaderPing(_), Role::Leading { .. }) => {
                 let b = self.leader.as_mut().expect("leading implies a regime");
                 if b.lost_quorum(&self.config) {
-                    self.start_election(&mut out);
+                    self.start_election(self.id, self.log.last_zxid(), &mut out);
                     return out;
                 }
                 let (epoch, commit_to) = (self.log.epoch(), self.log.committed());
@@ -403,7 +403,7 @@ impl<T: Clone> ZabPeer<T> {
                     self.timers.arm(ZabTimer::FollowerWatchdog, WATCHDOG_MS, &mut out);
                 } else {
                     self.election.distrust(leader);
-                    self.start_election(&mut out);
+                    self.start_election(self.id, self.log.last_zxid(), &mut out);
                 }
             }
             // The one-shot Nagle flush (a stale generation already went out
@@ -432,7 +432,7 @@ impl<T: Clone> ZabPeer<T> {
     pub fn on_restart(&mut self) -> Vec<ZabAction<T>> {
         let mut out = Vec::new();
         self.replay(&mut out);
-        self.start_election(&mut out);
+        self.start_election(self.id, self.log.last_zxid(), &mut out);
         out
     }
 
@@ -463,12 +463,14 @@ impl<T: Clone> ZabPeer<T> {
         self.timers.arm(ZabTimer::Election, after_ms, out);
     }
 
-    fn start_election(&mut self, out: &mut Actions<T>) {
+    /// Look for a leader, standing for `candidate`'s `history`: our own,
+    /// except where a leader yields to a follower's longer one.
+    fn start_election(&mut self, candidate: PeerId, history: Zxid, out: &mut Actions<T>) {
         self.role = Role::Looking;
         self.leader = None;
         self.learner.reset();
         let voter = !self.is_observer();
-        self.election.begin(self.log.last_zxid(), voter);
+        self.election.begin(candidate, history, voter);
         out.push(ZabAction::StartedElection);
         if voter && self.config.len() == 1 {
             self.become_leader(out);
@@ -567,15 +569,12 @@ impl<T: Clone> ZabPeer<T> {
             // ever voting) — truncating it could destroy a committed entry.
             // Either way our leadership is illegitimate: yield and re-elect,
             // minting above every epoch seen, where a longer history wins.
+            // A longer history is the one to stand for, not ours: the
+            // followers we led still vouch for us, and their support alone
+            // would elect us over it again, round after round.
             self.election.note_epoch(f_last.epoch());
-            self.start_election(out);
-            if f_last > last && self.role == Role::Looking {
-                // Stand for that history, not ours: the followers we led
-                // still vouch for us, and their support alone would elect
-                // us over it again, round after round.
-                self.election.stand_for(from, f_last);
-                self.election.broadcast(&self.config, out);
-            }
+            let (candidate, history) = if f_last > last { (from, f_last) } else { (self.id, last) };
+            self.start_election(candidate, history, out);
             return;
         }
         // A suffix from where the follower is, or — if the prefix it needs
@@ -818,10 +817,10 @@ mod tests {
     }
 
     /// A leader that yields to a follower's longer history stands for that
-    /// history in the election it starts. Its other follower, still loyal,
-    /// answers "established: you", which used to count as a vote for the
-    /// yielding leader's own candidacy and re-elect it over the longer
-    /// history, round after round.
+    /// history in the election it starts, with one vote to each peer. Its
+    /// other follower, still loyal, answers "established: you", which used
+    /// to count as a vote for the yielding leader's own candidacy and
+    /// re-elect it over the longer history, round after round.
     #[test]
     fn a_leader_yielding_to_a_longer_history_is_not_reelected_by_its_followers() {
         let (l, f1, f2) = (PeerId(0), PeerId(1), PeerId(2));
@@ -836,11 +835,16 @@ mod tests {
         let longer = Zxid::new(p.epoch() - 1, 5);
         let acts = p.on_message(f1, ZabMsg::FollowerInfo { last_zxid: longer, accepted_epoch: 0 });
         assert_eq!(p.role(), Role::Looking, "yields to the longer history");
-        let last_vote = acts.iter().rev().find_map(|a| match a {
-            ZabAction::Send { msg: ZabMsg::Notification { vote, .. }, .. } => Some(*vote),
-            _ => None,
-        });
-        assert_eq!(last_vote.map(|v| (v.candidate, v.candidate_zxid)), Some((f1, longer)));
+        let votes: Vec<(PeerId, PeerId, Zxid)> = acts
+            .iter()
+            .filter_map(|a| match a {
+                ZabAction::Send { to, msg: ZabMsg::Notification { vote, .. } } => {
+                    Some((*to, vote.candidate, vote.candidate_zxid))
+                }
+                _ => None,
+            })
+            .collect();
+        assert_eq!(votes, [(f1, f1, longer), (f2, f1, longer)], "one vote each, for f1");
         p.on_message(f2, loyal(&p));
         assert_eq!(p.role(), Role::Looking, "re-elected over the longer history");
     }

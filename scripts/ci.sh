@@ -348,13 +348,16 @@ if [ -n "$one" ]; then
 fi
 echo "==> one request in flight, one round per barrier: no fn submit(, next_completion, inflight_writes, coalesc, open_barrier or barrier_riders in crates/{coord,cache}/src"
 
-# One durability point: a coordination member syncs its log once per pass
-# of its host's loop, after that pass's proposals left and before anything
-# else does. `CoordServer::sync` is that point and the only caller of
-# `Durability::sync`, which is the only caller of `Wal::sync`. A sync
-# anywhere else (in the ZAB action loop, in recovery, in a host) is a second
-# durability point growing back beside it, and with it the leader's fsync
-# ahead of its proposals. (Test modules, below `#[cfg(test)]`, are exempt.)
+# One durability point: a coordination member asks its log for a sync once
+# per pass of its host's loop, after that pass's proposals left and before
+# anything else does. `CoordServer::sync` is that point and the only caller
+# of `Durability::sync`, which is the only caller of `Wal::sync` in
+# `crates/coord/src/server`. (The log's own syncs where it rotates a
+# segment, writes a checkpoint or resets stay inside `dufs-wal`, out of this
+# gate's scope.) A sync anywhere else (in the ZAB action loop, in recovery,
+# in a host) is a second durability point growing back beside it, and with
+# it the leader's fsync ahead of its proposals. (Test modules, below
+# `#[cfg(test)]`, are exempt.)
 # Only `Durability` holds the log, and only the server module holds a
 # `Durability`: so every `.sync(` in durability.rs and every
 # `durability.sync(` in the rest of the module is listed with its function.
