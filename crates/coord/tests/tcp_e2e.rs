@@ -195,8 +195,8 @@ fn tcp_ensemble_agrees_with_an_in_process_server_on_the_namespace_digest() {
         assert!(s.frames_sent > 0 && s.frames_recv > 0, "server {i} moved no frames: {s:?}");
         assert!(s.bytes_sent > 0 && s.bytes_recv > 0, "server {i} moved no bytes: {s:?}");
         // ... and they moved through the readiness event loop: readiness
-        // wakeups were attributed, every send went out via a writev flush,
-        // and read buffers came from the reactor pool.
+        // wakeups were attributed, and every send went out via a writev
+        // flush.
         assert!(s.wakeups > 0, "server {i} saw no event-loop wakeups: {s:?}");
         assert!(s.writev_batches > 0, "server {i} never flushed via writev: {s:?}");
         // All post-handshake traffic leaves through flushes (only the
@@ -206,7 +206,6 @@ fn tcp_ensemble_agrees_with_an_in_process_server_on_the_namespace_digest() {
             "server {i} frames must leave through flushes: {s:?}"
         );
         assert!(s.frames_per_flush() >= 1.0, "server {i} flushed empty batches: {s:?}");
-        assert!(s.pool_hits + s.pool_misses > 0, "server {i} never borrowed a read buffer: {s:?}");
         // Inbound peer links plus whatever sessions are still parked on
         // this member are live registrations; the gauge must not have
         // leaked below zero (u64 underflow would make it enormous).

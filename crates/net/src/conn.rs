@@ -33,8 +33,9 @@ use std::time::{Duration, Instant};
 
 use crossbeam::channel::{unbounded, Receiver, Sender};
 
-use crate::frame::{read_frame, write_frame, Frame, Hello, MAX_FRAME};
+use crate::frame::{read_frame, write_frame, Frame, Hello};
 use crate::reactor::{self, ConnShared, Delivery, Phase, Tuning};
+use crate::record::MAX_FRAME;
 use crate::stats::NetStats;
 use crate::NetError;
 
@@ -46,8 +47,6 @@ pub struct NetConfig {
     pub heartbeat_ms: u64,
     /// Consecutive silent inbound windows before the peer is declared dead.
     pub max_misses: u32,
-    /// Per-frame payload cap (≤ [`MAX_FRAME`]).
-    pub max_frame: usize,
     /// First reconnect delay.
     pub reconnect_min_ms: u64,
     /// Reconnect delay ceiling (exponential backoff saturates here).
@@ -61,7 +60,6 @@ impl Default for NetConfig {
         NetConfig {
             heartbeat_ms: 500,
             max_misses: 4,
-            max_frame: MAX_FRAME,
             reconnect_min_ms: 10,
             reconnect_max_ms: 1_000,
             connect_timeout_ms: 2_000,
@@ -70,11 +68,7 @@ impl Default for NetConfig {
 }
 
 fn tuning(cfg: &NetConfig) -> Tuning {
-    Tuning {
-        heartbeat: Duration::from_millis(cfg.heartbeat_ms),
-        max_misses: cfg.max_misses,
-        max_frame: cfg.max_frame,
-    }
+    Tuning { heartbeat: Duration::from_millis(cfg.heartbeat_ms), max_misses: cfg.max_misses }
 }
 
 /// Exponential-backoff schedule for reconnect attempts.
@@ -209,12 +203,8 @@ impl Drop for Conn {
     }
 }
 
-fn read_hello(
-    stream: &mut TcpStream,
-    cfg: &NetConfig,
-    stats: &NetStats,
-) -> Result<Hello, NetError> {
-    match read_frame(stream, cfg.max_frame, 0, stats)? {
+fn read_hello(stream: &mut TcpStream, stats: &NetStats) -> Result<Hello, NetError> {
+    match read_frame(stream, MAX_FRAME, 0, stats)? {
         Frame::Msg(payload) => {
             Hello::decode(&payload).map_err(|_| NetError::Handshake("bad hello"))
         }
@@ -238,7 +228,7 @@ fn dial(
     stream.set_nodelay(true).ok();
     stream.set_read_timeout(Some(Duration::from_millis(cfg.connect_timeout_ms)))?;
     write_frame(&mut stream, &hello.encode(), stats)?;
-    let remote = read_hello(&mut stream, cfg, stats)?;
+    let remote = read_hello(&mut stream, stats)?;
     stream.set_read_timeout(None)?;
     Ok((stream, remote))
 }

@@ -1,10 +1,11 @@
 //! On-the-wire framing and the connection handshake.
 //!
-//! Every frame is `len: u32 | crc32: u32 | payload[len]`, little-endian,
-//! with the CRC computed over the payload — the WAL's record framing
-//! applied to the socket. A zero-length payload is a transport heartbeat
-//! (its CRC must be the CRC of the empty string, i.e. 0) and is consumed
-//! by the transport, never delivered to the application.
+//! Every frame is one [`record`] — `len: u32 | crc32: u32 |
+//! payload[len]`, little-endian, with the CRC computed over the payload —
+//! the frame the write-ahead log and the extent log store. A zero-length
+//! payload is a transport heartbeat (its CRC must be the CRC of the empty
+//! string, i.e. 0) and is consumed by the transport, never delivered to the
+//! application.
 //!
 //! The first frame in each direction is a [`Hello`]: magic, protocol
 //! version, endpoint kind, endpoint id. A version or magic mismatch aborts
@@ -12,13 +13,10 @@
 
 use std::io::{ErrorKind, Read, Write};
 
+use crate::record::{self, HEAD};
 use crate::stats::NetStats;
 use crate::wire::{Codec, WireCursor, WireError};
 use crate::{crc32, NetError};
-
-/// Hard cap on a frame payload (the WAL's `MAX_RECORD`): anything larger is
-/// framing corruption, not data.
-pub const MAX_FRAME: usize = 64 << 20;
 
 /// Handshake magic.
 pub const MAGIC: &[u8; 8] = b"DUFSNET1";
@@ -87,25 +85,15 @@ impl Hello {
     }
 }
 
-/// The 8-byte frame header for `payload`: length then CRC32, little-endian.
-pub fn frame_head(payload: &[u8]) -> [u8; 8] {
-    debug_assert!(payload.len() <= MAX_FRAME);
-    let mut head = [0u8; 8];
-    head[..4].copy_from_slice(&(payload.len() as u32).to_le_bytes());
-    head[4..].copy_from_slice(&crc32(payload).to_le_bytes());
-    head
-}
-
 /// Write one frame (header + payload) and flush it.
 pub fn write_frame(w: &mut impl Write, payload: &[u8], stats: &NetStats) -> std::io::Result<()> {
-    let head = frame_head(payload);
-    w.write_all(&head)?;
+    w.write_all(&record::head(&[payload]))?;
     w.write_all(payload)?;
     w.flush()?;
     if payload.is_empty() {
         stats.on_heartbeat_sent();
     } else {
-        stats.on_frame_sent(8 + payload.len() as u64);
+        stats.on_frame_sent((HEAD + payload.len()) as u64);
     }
     Ok(())
 }
@@ -177,34 +165,44 @@ pub fn read_frame(
     stall_tries: u32,
     stats: &NetStats,
 ) -> Result<Frame, NetError> {
-    let mut head = [0u8; 8];
+    let mut head = [0u8; HEAD];
     match fill(r, &mut head, true, stall_tries)? {
         Fill::Idle => return Ok(Frame::Idle),
         Fill::Eof => return Ok(Frame::Eof),
         Fill::Full => {}
     }
-    let len = u32::from_le_bytes(head[..4].try_into().unwrap()) as usize;
-    let crc = u32::from_le_bytes(head[4..].try_into().unwrap());
-    if len > max_frame {
-        return Err(NetError::Corrupt("frame length exceeds cap"));
-    }
-    if len == 0 {
-        if crc != 0 {
-            return Err(NetError::Corrupt("heartbeat with nonzero CRC"));
-        }
+    let Some((len, crc)) = check_head(&head, max_frame)? else {
         stats.on_heartbeat_recv();
         return Ok(Frame::Heartbeat);
-    }
+    };
     let mut payload = vec![0u8; len];
     match fill(r, &mut payload, false, stall_tries)? {
         Fill::Full => {}
         _ => return Err(NetError::Closed),
     }
-    if crc32(&payload) != crc {
+    check_payload(crc, &payload)?;
+    stats.on_frame_recv((HEAD + len) as u64);
+    Ok(Frame::Msg(payload))
+}
+
+/// What both readers check of a frame's head before its payload: a length
+/// within `max_frame`, and a heartbeat's CRC (that of the empty string).
+/// `None` is a heartbeat; otherwise the payload's length and CRC.
+fn check_head(head: &[u8; HEAD], max_frame: usize) -> Result<Option<(usize, u32)>, NetError> {
+    match record::split(head) {
+        (len, _) if len > max_frame => Err(NetError::Corrupt("frame length exceeds cap")),
+        (0, 0) => Ok(None),
+        (0, _) => Err(NetError::Corrupt("heartbeat with nonzero CRC")),
+        body => Ok(Some(body)),
+    }
+}
+
+/// The check of a whole payload against its head's CRC.
+fn check_payload(crc: u32, payload: &[u8]) -> Result<(), NetError> {
+    if crc32(payload) != crc {
         return Err(NetError::Corrupt("frame CRC mismatch"));
     }
-    stats.on_frame_recv(8 + len as u64);
-    Ok(Frame::Msg(payload))
+    Ok(())
 }
 
 /// Incremental frame decoder for nonblocking sockets.
@@ -224,7 +222,7 @@ pub fn read_frame(
 #[derive(Debug)]
 pub struct FrameDecoder {
     max_frame: usize,
-    head: [u8; 8],
+    head: [u8; HEAD],
     head_got: usize,
     /// `Some` while mid-payload: expected CRC and the accumulating bytes
     /// (capacity = the full expected length).
@@ -234,7 +232,7 @@ pub struct FrameDecoder {
 impl FrameDecoder {
     /// A decoder enforcing `max_frame` as its payload cap.
     pub fn new(max_frame: usize) -> FrameDecoder {
-        FrameDecoder { max_frame, head: [0u8; 8], head_got: 0, body: None }
+        FrameDecoder { max_frame, head: [0u8; HEAD], head_got: 0, body: None }
     }
 
     /// Whether the decoder is mid-frame (a partial header or payload is
@@ -253,26 +251,17 @@ impl FrameDecoder {
             match &mut self.body {
                 None => {
                     // Assemble the 8-byte header.
-                    let take = (8 - self.head_got).min(chunk.len());
+                    let take = (HEAD - self.head_got).min(chunk.len());
                     self.head[self.head_got..self.head_got + take].copy_from_slice(&chunk[..take]);
                     self.head_got += take;
                     chunk = &chunk[take..];
-                    if self.head_got < 8 {
+                    if self.head_got < HEAD {
                         return Ok(());
                     }
                     self.head_got = 0;
-                    let len = u32::from_le_bytes(self.head[..4].try_into().unwrap()) as usize;
-                    let crc = u32::from_le_bytes(self.head[4..].try_into().unwrap());
-                    if len > self.max_frame {
-                        return Err(NetError::Corrupt("frame length exceeds cap"));
-                    }
-                    if len == 0 {
-                        if crc != 0 {
-                            return Err(NetError::Corrupt("heartbeat with nonzero CRC"));
-                        }
-                        sink(Frame::Heartbeat);
-                    } else {
-                        self.body = Some((crc, Vec::with_capacity(len)));
+                    match check_head(&self.head, self.max_frame)? {
+                        None => sink(Frame::Heartbeat),
+                        Some((len, crc)) => self.body = Some((crc, Vec::with_capacity(len))),
                     }
                 }
                 Some((crc, payload)) => {
@@ -285,9 +274,7 @@ impl FrameDecoder {
                     }
                     let (crc, payload) = (*crc, std::mem::take(payload));
                     self.body = None;
-                    if crc32(&payload) != crc {
-                        return Err(NetError::Corrupt("frame CRC mismatch"));
-                    }
+                    check_payload(crc, &payload)?;
                     sink(Frame::Msg(payload));
                 }
             }
@@ -299,6 +286,7 @@ impl FrameDecoder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::MAX_FRAME;
 
     fn round_trip(payload: &[u8]) -> Frame {
         let stats = NetStats::default();

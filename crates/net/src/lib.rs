@@ -1,24 +1,26 @@
 //! `dufs-net` — the framed TCP transport under the coordination service.
 //!
 //! Everything above this crate (ZAB, the coord server, clients) exchanges
-//! *opaque byte payloads*; this crate moves them over blocking sockets:
+//! *opaque byte payloads*; this crate moves them over TCP sockets:
 //!
 //! - [`mod@wire`]: a bounds-checked binary codec ([`Codec`], [`Wire`],
 //!   [`WireCursor`]) and the [`wire!`] declaration through which the upper
 //!   layers give each message type its layout once. Decoding malformed
 //!   bytes returns [`WireError`], never panics.
-//! - [`frame`]: the on-the-wire framing — `len u32 | crc32 u32 | payload`,
-//!   little-endian, the same CRC discipline as the write-ahead log — plus
-//!   the versioned connection handshake ([`Hello`]).
+//! - [`record`]: the one record frame — `len u32 | crc32 u32 | payload`,
+//!   little-endian — its head builder, log scanner, sealed checkpoint file
+//!   and atomic replace, shared by the socket, the write-ahead log (which
+//!   compiles this file) and the data servers' extent log.
+//! - [`frame`]: records on the socket — blocking and incremental readers,
+//!   heartbeats — plus the versioned connection handshake ([`Hello`]).
 //! - [`conn`]: connection management over a nonblocking readiness event
 //!   loop: a small fixed pool of epoll reactor threads multiplexes every
 //!   connection's reads, vectored (`writev`) write flushes, idle-time
 //!   heartbeats, and liveness, with per-connection channels or a
 //!   demultiplexed [`ConnEvent`] stream toward the owner, an accept loop,
 //!   and exponential-backoff reconnect ([`Backoff`]).
-//! - [`pool`]: the reactors' reusable read-buffer pool ([`pool::BufferPool`]).
 //! - [`stats`]: per-endpoint transport counters ([`NetStats`]), including
-//!   event-loop mechanics (wakeups, writev batching, pool hits).
+//!   event-loop mechanics (wakeups, writev batching).
 //!
 //! The crate knows nothing about ZAB or ZooKeeper semantics; it never
 //! inspects payloads beyond the heartbeat/app distinction (an empty payload
@@ -29,8 +31,8 @@
 pub mod conn;
 mod crc;
 pub mod frame;
-pub mod pool;
 mod reactor;
+pub mod record;
 pub mod stats;
 mod sys;
 pub mod wire;
@@ -39,10 +41,8 @@ pub use conn::{
     connect, connect_demux, AcceptHandle, Backoff, Conn, ConnEvent, Listener, NetConfig,
 };
 pub use crc::{crc32, crc32_parts};
-pub use frame::{
-    frame_head, read_frame, write_frame, EndpointKind, Frame, FrameDecoder, Hello, MAX_FRAME,
-    PROTO_VERSION,
-};
+pub use frame::{read_frame, write_frame, EndpointKind, Frame, FrameDecoder, Hello, PROTO_VERSION};
+pub use record::MAX_FRAME;
 pub use stats::{NetStats, NetStatsSnapshot};
 pub use wire::{put_nested, Codec, Nested, Wire, WireCursor, WireError};
 

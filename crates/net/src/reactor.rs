@@ -5,9 +5,10 @@
 //! instance in edge-triggered mode plus an `eventfd` other threads use to
 //! kick it, and keeps a per-connection state machine:
 //!
-//! * **reads** drain the socket until `EWOULDBLOCK` into a pooled scratch
-//!   buffer ([`BufferPool`]), feeding an incremental [`FrameDecoder`] that
-//!   tolerates frames split across arbitrary read boundaries;
+//! * **reads** drain the socket until `EWOULDBLOCK` into the reactor's one
+//!   scratch buffer (it reads one connection at a time), feeding an
+//!   incremental [`FrameDecoder`] that tolerates frames split across
+//!   arbitrary read boundaries;
 //! * **writes** go through a per-connection outbound queue that any thread
 //!   fills. Whoever flushes it — the owner on its own thread just before it
 //!   waits ([`Conn::flush`]), or the reactor after a [`Conn::send`] nudge,
@@ -46,8 +47,8 @@ use std::time::{Duration, Instant};
 use crossbeam::channel::{unbounded, Receiver, Sender};
 
 use crate::conn::{Conn, ConnEvent};
-use crate::frame::{frame_head, Frame, FrameDecoder, Hello, MAX_FRAME};
-use crate::pool::{BufferPool, READ_BUF_BYTES};
+use crate::frame::{Frame, FrameDecoder, Hello};
+use crate::record::{self, MAX_FRAME};
 use crate::stats::NetStats;
 use crate::sys::{
     writev_fd, Epoll, EpollEvent, WakeFd, EPOLLERR, EPOLLET, EPOLLHUP, EPOLLIN, EPOLLOUT,
@@ -66,15 +67,15 @@ const WAKE_TOKEN: u64 = 0;
 /// tighter schedule.
 const DEFAULT_TICK: Duration = Duration::from_millis(250);
 
-/// Read-scratch buffers parked per reactor.
-const POOLED_BUFS: usize = 64;
+/// Bytes of a reactor's read scratch buffer: enough to drain a socket's
+/// receive buffer in one `read`.
+const READ_BUF_BYTES: usize = 64 << 10;
 
 /// Per-connection transport tuning, frozen at registration.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Tuning {
     pub heartbeat: Duration,
     pub max_misses: u32,
-    pub max_frame: usize,
 }
 
 /// Where a connection's decoded inbound frames go.
@@ -157,7 +158,7 @@ impl ConnShared {
                 "payload exceeds the frame cap",
             )));
         }
-        let head = frame_head(&payload);
+        let head = record::head(&[&payload]);
         let mut out = self.out();
         if out.closed {
             return Err(NetError::Closed);
@@ -398,7 +399,8 @@ struct Reactor {
     wake: Arc<WakeShared>,
     cmd_rx: Receiver<Cmd>,
     conns: HashMap<u64, ConnState>,
-    pool: BufferPool,
+    /// What `read_drain` reads into, one connection at a time.
+    scratch: Vec<u8>,
     decoded: Vec<Frame>,
     next_tick: Instant,
     tick_every: Duration,
@@ -413,7 +415,7 @@ impl Reactor {
             wake,
             cmd_rx,
             conns: HashMap::new(),
-            pool: BufferPool::new(POOLED_BUFS, READ_BUF_BYTES),
+            scratch: vec![0; READ_BUF_BYTES],
             decoded: Vec::new(),
             next_tick: Instant::now() + DEFAULT_TICK,
             tick_every: DEFAULT_TICK,
@@ -510,7 +512,7 @@ impl Reactor {
                 shared: reg.shared,
                 delivery: reg.delivery,
                 tuning: reg.tuning,
-                decoder: FrameDecoder::new(reg.tuning.max_frame),
+                decoder: FrameDecoder::new(MAX_FRAME),
                 phase: reg.phase,
                 peer_addr,
                 rx_window: now,
@@ -525,7 +527,7 @@ impl Reactor {
         let Some(st) = self.conns.get_mut(&token) else { return };
         st.shared.stats.on_wakeup();
         if flags & (EPOLLIN | EPOLLRDHUP | EPOLLHUP | EPOLLERR) != 0 {
-            match read_drain(st, &mut self.pool, &mut self.decoded) {
+            match read_drain(st, &mut self.scratch, &mut self.decoded) {
                 Ok(()) => {}
                 Err(close) => {
                     self.close_conn(token, close);
@@ -567,7 +569,7 @@ impl Reactor {
             let mut out = st.shared.out();
             if !st.closing && now.duration_since(out.last_tx) >= st.tuning.heartbeat {
                 out.frames.push_back(OutFrame {
-                    head: frame_head(&[]),
+                    head: record::head(&[]),
                     payload: Vec::new(),
                     off: 0,
                 });
@@ -631,21 +633,12 @@ fn st_queue_empty(conns: &HashMap<u64, ConnState>, token: u64) -> bool {
 }
 
 /// Drain the socket until `EWOULDBLOCK`, decoding and dispatching frames.
-fn read_drain(
-    st: &mut ConnState,
-    pool: &mut BufferPool,
-    decoded: &mut Vec<Frame>,
-) -> Result<(), Close> {
-    let mut buf = pool.acquire(&st.shared.stats);
-    let mut outcome = Ok(());
+fn read_drain(st: &mut ConnState, buf: &mut [u8], decoded: &mut Vec<Frame>) -> Result<(), Close> {
     loop {
-        match st.stream.read(&mut buf[..]) {
-            Ok(0) => {
-                // EOF. Mid-frame it is an abrupt death; either way the
-                // connection is over (matching the blocking reader).
-                outcome = Err(st.death());
-                break;
-            }
+        match st.stream.read(buf) {
+            // EOF. Mid-frame it is an abrupt death; either way the
+            // connection is over (matching the blocking reader).
+            Ok(0) => return Err(st.death()),
             Ok(n) => {
                 let now = Instant::now();
                 st.rx_window = now;
@@ -653,37 +646,21 @@ fn read_drain(
                 decoded.clear();
                 if st.decoder.feed(&buf[..n], &mut |f| decoded.push(f)).is_err() {
                     // Framing corruption: the stream cannot be resynced.
-                    outcome = Err(st.death());
-                    break;
+                    return Err(st.death());
                 }
-                let mut failed = false;
                 for frame in decoded.drain(..) {
                     match frame {
                         Frame::Heartbeat => st.shared.stats.on_heartbeat_recv(),
-                        Frame::Msg(payload) => {
-                            if let Err(close) = dispatch_msg(st, payload) {
-                                outcome = Err(close);
-                                failed = true;
-                                break;
-                            }
-                        }
+                        Frame::Msg(payload) => dispatch_msg(st, payload)?,
                         Frame::Idle | Frame::Eof => unreachable!("decoder never yields these"),
                     }
                 }
-                if failed {
-                    break;
-                }
             }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
+            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return Ok(()),
             Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-            Err(_) => {
-                outcome = Err(st.death());
-                break;
-            }
+            Err(_) => return Err(st.death()),
         }
     }
-    pool.release(buf);
-    outcome
 }
 
 /// Route one complete application frame: handshake processing while in
@@ -696,7 +673,7 @@ fn dispatch_msg(st: &mut ConnState, payload: Vec<u8>) -> Result<(), Close> {
             };
             // Answer with our own hello, then open.
             let reply = my_hello.encode();
-            let head = frame_head(&reply);
+            let head = record::head(&[&reply]);
             st.shared.out().frames.push_back(OutFrame { head, payload: reply, off: 0 });
             st.phase = Phase::Open;
             st.shared.stats.on_conn_opened();

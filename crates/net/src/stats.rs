@@ -6,8 +6,7 @@
 //! Beyond the frame/byte/heartbeat counters the blocking transport kept,
 //! the readiness event loop reports its own mechanics: reactor wakeups
 //! attributable to this endpoint's connections, `writev` flush batches and
-//! the frames they coalesced, read-buffer pool hits/misses, and a live
-//! gauge of registered connections.
+//! the frames they coalesced, and a live gauge of registered connections.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -27,8 +26,6 @@ struct Counters {
     wakeups: AtomicU64,
     writev_batches: AtomicU64,
     frames_flushed: AtomicU64,
-    pool_hits: AtomicU64,
-    pool_misses: AtomicU64,
     conns_registered: AtomicU64,
 }
 
@@ -92,14 +89,6 @@ impl NetStats {
         self.inner.frames_flushed.fetch_add(frames_completed, Ordering::Relaxed);
     }
 
-    pub(crate) fn on_pool_hit(&self) {
-        self.inner.pool_hits.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub(crate) fn on_pool_miss(&self) {
-        self.inner.pool_misses.fetch_add(1, Ordering::Relaxed);
-    }
-
     pub(crate) fn on_conn_registered(&self) {
         self.inner.conns_registered.fetch_add(1, Ordering::Relaxed);
     }
@@ -125,8 +114,6 @@ impl NetStats {
             wakeups: c.wakeups.load(Ordering::Relaxed),
             writev_batches: c.writev_batches.load(Ordering::Relaxed),
             frames_flushed: c.frames_flushed.load(Ordering::Relaxed),
-            pool_hits: c.pool_hits.load(Ordering::Relaxed),
-            pool_misses: c.pool_misses.load(Ordering::Relaxed),
             conns_registered: c.conns_registered.load(Ordering::Relaxed),
         }
     }
@@ -163,10 +150,6 @@ pub struct NetStatsSnapshot {
     /// Frames whose final byte left in one of those batches; divided by
     /// `writev_batches` this is the mean frames-per-flush coalescing.
     pub frames_flushed: u64,
-    /// Read-scratch buffers served from the reactor's pool.
-    pub pool_hits: u64,
-    /// Read-scratch buffers that had to be freshly allocated.
-    pub pool_misses: u64,
     /// Connections currently registered with a reactor (a live gauge, not
     /// a running total — `absorb` sums gauges across endpoints).
     pub conns_registered: u64,
@@ -189,8 +172,6 @@ impl NetStatsSnapshot {
         self.wakeups += o.wakeups;
         self.writev_batches += o.writev_batches;
         self.frames_flushed += o.frames_flushed;
-        self.pool_hits += o.pool_hits;
-        self.pool_misses += o.pool_misses;
         self.conns_registered += o.conns_registered;
     }
 
@@ -210,8 +191,7 @@ impl std::fmt::Display for NetStatsSnapshot {
             f,
             "frames {}/{} tx/rx, bytes {}/{}, heartbeats {}/{} (misses {}), \
              conns {} (+{} failed), reconnects {}, wakeups {}, \
-             writev {} batches / {} frames ({:.2}/flush), pool {}/{} hit/miss, \
-             registered {}",
+             writev {} batches / {} frames ({:.2}/flush), registered {}",
             self.frames_sent,
             self.frames_recv,
             self.bytes_sent,
@@ -226,8 +206,6 @@ impl std::fmt::Display for NetStatsSnapshot {
             self.writev_batches,
             self.frames_flushed,
             self.frames_per_flush(),
-            self.pool_hits,
-            self.pool_misses,
             self.conns_registered,
         )
     }

@@ -106,7 +106,6 @@ fn hard_dropped_peer_is_redialed_with_backoff() {
         reconnect_min_ms: 5,
         reconnect_max_ms: 80,
         connect_timeout_ms: 500,
-        ..NetConfig::default()
     };
     let stats = NetStats::new();
 

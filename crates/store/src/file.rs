@@ -5,26 +5,32 @@
 //! Each target directory holds two files:
 //!
 //! * `extents.dat` — an append-only extent log. 8-byte magic `DUFSSTO1`,
-//!   then records framed exactly like the WAL and the wire protocol:
-//!   `len: u32 LE | crc32: u32 LE | payload`. The payload's first byte is
+//!   then records in the one record frame the WAL and the wire protocol use
+//!   (`dufs_net::record`): `len: u32 LE | crc32: u32 LE | payload`. The
+//!   payload's layout is this file's own. Its first byte is
 //!   a tag — `1` Put, `2` Delete, `3` Truncate — followed by the record
 //!   fields; a Put carries the stripe-chunk bytes inline, and reads later
 //!   `pread` them straight off the log (data is written once and never
 //!   copied into the heap index).
 //! * `index.bin` — a checkpoint of the in-memory allocation index (which
-//!   byte spans of which records make up each chunk), framed with the same
-//!   `len|crc` discipline and replaced atomically (tmp file + rename +
-//!   directory fsync, the WAL snapshot idiom). It records how many extent
-//!   bytes it covers; open() replays only the tail past the checkpoint.
+//!   byte spans of which records make up each chunk): a sealed file
+//!   (`DUFSSIX1 | len | crc | body`, as the WAL's snapshots are) put in
+//!   place by the shared atomic replace (tmp file + rename + directory
+//!   fsync). It records how many extent bytes it covers; open() replays
+//!   only the tail past the checkpoint.
 //!
 //! ## Recovery
 //!
 //! On open the engine loads the checkpoint if present and intact, then
-//! scans `extents.dat` from the covered offset. The first torn or corrupt
-//! frame ends the scan and the file is truncated back to the last good
-//! record — a torn final write (the only kind of damage a crash can leave
-//! on an append-only log) is discarded, never misread. A stale or damaged
-//! checkpoint degrades to a full log scan, never to wrong data.
+//! scans `extents.dat` from the covered offset with the shared log scanner.
+//! The first torn or corrupt frame ends the scan and the file is truncated
+//! back to the last good record — a torn final write (the only kind of
+//! damage a crash can leave on an append-only log) is discarded, never
+//! misread. A record whose frame is intact but whose payload does not
+//! decode (an unknown tag from a newer build, a codec bug) is no torn
+//! write: open fails with `InvalidData` and leaves the file as it is, as
+//! the WAL refuses the same case. A stale or damaged checkpoint degrades to
+//! a full log scan, never to wrong data.
 //!
 //! ## Durability knob
 //!
@@ -56,14 +62,15 @@
 
 use std::collections::BTreeMap;
 use std::fs::{File, OpenOptions};
-use std::io::{self, IoSlice, Read, Seek, SeekFrom, Write};
+use std::io::{self, IoSlice, Seek, SeekFrom, Write};
 use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 use std::str::FromStr;
 use std::thread::{self, JoinHandle};
 
 use dufs_backendfs::StorageEngine;
-use dufs_net::{crc32, crc32_parts, WireCursor, WireError};
+use dufs_net::record::{self, sync_dir};
+use dufs_net::{WireCursor, WireError};
 
 use crate::msg::{get_u128, put_u128, put_u32, put_u64};
 
@@ -72,8 +79,6 @@ const INDEX_MAGIC: &[u8; 8] = b"DUFSSIX1";
 const TAG_PUT: u8 = 1;
 const TAG_DELETE: u8 = 2;
 const TAG_TRUNCATE: u8 = 3;
-/// Frame-size sanity bound, matching the transport's `MAX_FRAME`.
-const MAX_RECORD: u32 = 64 << 20;
 /// Bytes of new extent data between automatic index checkpoints.
 const CHECKPOINT_EVERY: u64 = 8 << 20;
 /// Dead extent bytes the log may carry before a sync rewrites it, when the
@@ -201,39 +206,19 @@ impl FileEngine {
     }
 
     /// Replay extent records in `[from, to)`, truncating at the first torn
-    /// or corrupt frame.
+    /// or corrupt frame; an intact record that does not decode is an error.
     fn replay_from(&mut self, from: u64, to: u64) -> io::Result<()> {
-        let mut pos = from;
         // A cloned handle for the scan so `self` stays free for index
         // mutation; both handles share the file offset's underlying file.
         let mut scan = self.log.try_clone()?;
-        scan.seek(SeekFrom::Start(pos))?;
-        let mut rd = io::BufReader::new(scan);
-        loop {
-            if pos + 8 > to {
-                break;
-            }
-            let mut head = [0u8; 8];
-            if rd.read_exact(&mut head).is_err() {
-                break;
-            }
-            let len = u32::from_le_bytes(head[0..4].try_into().unwrap());
-            let crc = u32::from_le_bytes(head[4..8].try_into().unwrap());
-            if len == 0 || len > MAX_RECORD || pos + 8 + len as u64 > to {
-                break;
-            }
-            let mut payload = vec![0u8; len as usize];
-            if rd.read_exact(&mut payload).is_err() {
-                break;
-            }
-            if crc32(&payload) != crc {
-                break;
-            }
-            if self.apply_record(&payload, pos).is_err() {
-                break;
-            }
-            pos += 8 + len as u64;
-        }
+        scan.seek(SeekFrom::Start(from))?;
+        let valid = record::scan(io::BufReader::new(scan), to - from, |off, payload| {
+            self.apply_record(payload, from + off).map_err(|e| {
+                let at = format!("{}: record at {}", self.dir.display(), from + off);
+                io::Error::new(io::ErrorKind::InvalidData, format!("{at}: {e}"))
+            })
+        })?;
+        let pos = from + valid;
         if pos < to {
             // Torn tail: cut the log back to the last intact record.
             self.log.set_len(pos)?;
@@ -245,7 +230,7 @@ impl FileEngine {
 
     /// Apply one decoded record to the in-memory index. `record_off` is the
     /// file offset of the record's length header. A malformed payload is an
-    /// error (treated like a torn frame by the caller).
+    /// error.
     fn apply_record(&mut self, payload: &[u8], record_off: u64) -> Result<(), WireError> {
         let mut rd = WireCursor::new(payload);
         match rd.u8()? {
@@ -321,7 +306,7 @@ impl FileEngine {
     /// record's length header.
     fn append(&mut self, fixed: &[u8], data: &[u8]) -> io::Result<u64> {
         let off = self.log_len;
-        let head = record_head(fixed, data);
+        let head = record::head(&[fixed, data]);
         let mut parts = [IoSlice::new(&head), IoSlice::new(fixed), IoSlice::new(data)];
         let mut left = &mut parts[..];
         while !left.is_empty() {
@@ -371,7 +356,7 @@ impl FileEngine {
                 let piece = &mut buf[..REWRITE_PIECE.min(chunk.len - within) as usize];
                 read_chunk(&self.log, chunk, within, piece)?;
                 let fixed = put_header(obj, stripe, within);
-                out.write_all(&record_head(&fixed, piece))?;
+                out.write_all(&record::head(&[&fixed, piece]))?;
                 out.write_all(&fixed)?;
                 out.write_all(piece)?;
                 if !piece.is_empty() {
@@ -405,7 +390,8 @@ impl FileEngine {
     // ------------------------------------------------------------------
 
     /// Atomically checkpoint the in-memory index so the next open replays
-    /// only the log tail. tmp + rename + dir fsync, the WAL snapshot idiom.
+    /// only the log tail: a sealed file, put in place by the shared atomic
+    /// replace, as the WAL's snapshots are.
     pub fn checkpoint(&mut self) -> io::Result<()> {
         let mut body = Vec::new();
         put_u64(&mut body, self.log_len);
@@ -421,19 +407,8 @@ impl FileEngine {
                 put_u64(&mut body, s.off);
             }
         }
-        let mut out = Vec::with_capacity(16 + body.len());
-        out.extend_from_slice(INDEX_MAGIC);
-        put_u32(&mut out, body.len() as u32);
-        put_u32(&mut out, crc32(&body));
-        out.extend_from_slice(&body);
-
-        let tmp = self.dir.join("index.tmp");
-        let final_path = self.dir.join("index.bin");
-        let mut f = File::create(&tmp)?;
-        f.write_all(&out)?;
-        f.sync_data()?;
-        std::fs::rename(&tmp, &final_path)?;
-        sync_dir(&self.dir)?;
+        let head = record::seal(INDEX_MAGIC, &body);
+        record::replace(&self.dir.join("index.bin"), &[&head, &body])?;
         self.since_checkpoint = 0;
         Ok(())
     }
@@ -448,26 +423,8 @@ impl FileEngine {
             Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(None),
             Err(e) => return Err(e),
         };
-        let Some((magic, rest)) = raw.split_at_checked(8) else { return Ok(None) };
-        if magic != INDEX_MAGIC {
-            return Ok(None);
-        }
-        let Some((head, body)) = rest.split_at_checked(8) else { return Ok(None) };
-        let len = u32::from_le_bytes(head[0..4].try_into().unwrap()) as usize;
-        let crc = u32::from_le_bytes(head[4..8].try_into().unwrap());
-        if body.len() != len || crc32(body) != crc {
-            return Ok(None);
-        }
-        Ok(parse_index(body).ok())
+        Ok(record::unseal(INDEX_MAGIC, &raw).and_then(|body| parse_index(body).ok()))
     }
-}
-
-/// The 8-byte `len | crc` head of a record whose payload is `fixed ‖ data`.
-fn record_head(fixed: &[u8], data: &[u8]) -> [u8; 8] {
-    let mut head = [0u8; 8];
-    head[..4].copy_from_slice(&((fixed.len() + data.len()) as u32).to_le_bytes());
-    head[4..].copy_from_slice(&crc32_parts(&[fixed, data]).to_le_bytes());
-    head
 }
 
 /// A Put record's payload up to its chunk bytes: tag, obj, stripe, within.
@@ -525,10 +482,6 @@ fn parse_index(body: &[u8]) -> Result<(BTreeMap<(u128, u64), Chunk>, u64), WireE
         chunks.insert((obj, stripe), Chunk { len, spans });
     }
     Ok((chunks, covered))
-}
-
-fn sync_dir(dir: &Path) -> io::Result<()> {
-    File::open(dir)?.sync_all()
 }
 
 fn remove_if_present(path: &Path) -> io::Result<()> {
@@ -712,6 +665,29 @@ mod tests {
         assert_eq!(e.read(1, 0, 0, &mut buf).unwrap(), 5);
         assert_eq!(&buf[..5], b"first");
         assert_eq!(e.read(1, 1, 0, &mut buf).unwrap(), 0);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn an_intact_record_that_does_not_decode_fails_the_open_and_keeps_the_log() {
+        let dir = tmp("unknown-tag");
+        {
+            let mut e = FileEngine::open(&dir, FsyncPolicy::Group).unwrap();
+            e.write(1, 0, 0, b"A").unwrap();
+            e.sync().unwrap();
+        }
+        // A record of a newer build (tag 9), then an acked Put after it.
+        let log = dir.join("extents.dat");
+        let mut raw = std::fs::read(&log).unwrap();
+        for (fixed, data) in [(vec![9, 1, 2, 3], &b""[..]), (put_header(1, 1, 0), &b"B"[..])] {
+            raw.extend_from_slice(&record::head(&[&fixed, data]));
+            raw.extend_from_slice(&fixed);
+            raw.extend_from_slice(data);
+        }
+        std::fs::write(&log, &raw).unwrap();
+        let err = FileEngine::open(&dir, FsyncPolicy::Group).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+        assert_eq!(std::fs::read(&log).unwrap(), raw, "open leaves the log as it was");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

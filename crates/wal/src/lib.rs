@@ -8,8 +8,9 @@
 //! crate is that missing durability layer for the DUFS reproduction:
 //!
 //! * a **segmented, CRC32-framed, append-only log** ([`Wal`]) whose fsync
-//!   boundaries align with the ZAB group-commit batches from
-//!   `ZabConfig{max_batch, flush_ms}` — one `sync` per batch, not per txn;
+//!   is the coordination server's one durability point: one `sync` per
+//!   drained pass of its loop, covering every record the pass appended,
+//!   not one per txn;
 //! * **snapshot checkpointing**: the coordination server periodically writes
 //!   a `dufs-zkstore` snapshot blob through the same storage, after which
 //!   log segments fully covered by the checkpoint are deleted;
@@ -31,12 +32,15 @@
 //! ever possible in the unsynced tail, and recovery only ever discards from
 //! the tail of the final segment.
 
-// The transport's CRC-32, compiled in from its source: the same checksum
-// frames the wire and the log, and a Cargo dependency on `dufs-net` would
-// have to be recorded in lock files this crate does not own.
+// The transport's CRC-32 and record frame, compiled in from their source:
+// the same record frames the wire and the log, and a Cargo dependency on
+// `dufs-net` would have to be recorded in lock files this crate does not
+// own.
 #[path = "../../net/src/crc.rs"]
 mod crc;
 mod log;
+#[path = "../../net/src/record.rs"]
+mod record;
 mod storage;
 
 pub use crate::crc::{crc32, crc32_parts};

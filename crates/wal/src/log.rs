@@ -11,6 +11,10 @@
 //! snapshot file: magic "DUFSSNP1" | zxid u64 | len u32 | crc32 u32 | blob
 //! ```
 //!
+//! Records and snapshots are the shared record frame and sealed file of
+//! `dufs_net::record` (compiled here as `crate::record`), which builds
+//! their heads and scans a segment's records.
+//!
 //! Recovery scans segments in id order. A record that fails validation in
 //! the **final** segment is a torn tail from a crash mid-write: it and
 //! everything after it are discarded (after one re-read, to heal transient
@@ -18,17 +22,15 @@
 //! fsynced before the next segment was opened — is genuine corruption and
 //! recovery refuses to proceed.
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{Buf, BufMut, Bytes};
 
+use crate::record::{self, HEAD};
 use crate::storage::LogStorage;
-use crate::{crc32, WalError, WalResult};
+use crate::{WalError, WalResult};
 
 const SEG_MAGIC: &[u8; 8] = b"DUFSWAL1";
 const SNAP_MAGIC: &[u8; 8] = b"DUFSSNP1";
 const SEG_HEADER: usize = 16;
-/// Sanity cap on a single framed record (a torn length field must not make
-/// recovery attempt a multi-gigabyte allocation).
-const MAX_RECORD: usize = 64 << 20;
 
 /// One logical log entry.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -51,8 +53,10 @@ pub enum WalRecord {
 }
 
 impl WalRecord {
-    fn encode(&self) -> BytesMut {
-        let mut p = BytesMut::with_capacity(32);
+    /// The record as a segment stores it: head, then payload.
+    fn frame(&self) -> Vec<u8> {
+        let mut p = Vec::with_capacity(32);
+        p.put_slice(&[0; HEAD]);
         match self {
             WalRecord::Txn { zxid, payload } => {
                 p.put_u8(1);
@@ -68,6 +72,8 @@ impl WalRecord {
                 p.put_u64_le(*snapshot_zxid);
             }
         }
+        let head = record::head(&[&p[HEAD..]]);
+        p[..HEAD].copy_from_slice(&head);
         p
     }
 
@@ -130,64 +136,51 @@ pub struct Recovered {
     pub torn_tail: bool,
 }
 
-struct SegScan {
-    records: Vec<WalRecord>,
-    /// Byte offset up to which the segment is well-formed.
-    valid_len: usize,
-    /// True if trailing bytes past `valid_len` failed validation.
-    torn: bool,
+/// The header that opens segment `id`.
+fn seg_header(id: u64) -> [u8; SEG_HEADER] {
+    let mut hdr = [0u8; SEG_HEADER];
+    hdr[..8].copy_from_slice(SEG_MAGIC);
+    hdr[8..].copy_from_slice(&id.to_le_bytes());
+    hdr
 }
 
-/// Scan one segment. In the final (tail) segment a record that fails
-/// validation is a torn write: the scan stops there and reports `torn`.
-/// Anywhere else the same failure is genuine corruption → `Err`.
-fn parse_segment(id: u64, data: &[u8], is_last: bool) -> WalResult<SegScan> {
-    let corrupt = |what: &str| -> WalResult<SegScan> {
-        if is_last {
-            // The tail segment can legitimately die mid-header (created but
-            // never synced) or mid-record; everything unparsable is torn.
-            Ok(SegScan { records: Vec::new(), valid_len: 0, torn: true })
-        } else {
-            Err(WalError::Corrupt(format!("sealed segment {id}: {what}")))
+/// Scan one segment: its records, and where it is torn, if it is. In the
+/// final (tail) segment a record that fails validation is a torn write:
+/// the scan stops there and reports the length of the well-formed prefix.
+/// Anywhere else the same failure is genuine corruption → `Err`, and so
+/// is, in any segment, a record whose CRC passes but whose payload does
+/// not decode (a codec bug or tampering, never a torn write).
+fn parse_segment(
+    id: u64,
+    data: &[u8],
+    is_last: bool,
+) -> WalResult<(Vec<WalRecord>, Option<usize>)> {
+    let mut records = Vec::new();
+    // The tail segment can legitimately die mid-header (created but never
+    // synced): nothing of it is valid then.
+    let valid_len = match data.strip_prefix(&seg_header(id)) {
+        None => 0,
+        Some(body) => {
+            let valid = record::scan::<WalError>(body, body.len() as u64, |off, payload| {
+                let r = WalRecord::decode(payload).ok_or_else(|| {
+                    WalError::Corrupt(format!(
+                        "segment {id}: bad record at {}",
+                        SEG_HEADER as u64 + off
+                    ))
+                })?;
+                records.push(r);
+                Ok(())
+            })?;
+            SEG_HEADER + valid as usize
         }
     };
-    if data.len() < SEG_HEADER {
-        return corrupt("short header");
+    if valid_len == data.len() && valid_len > 0 {
+        Ok((records, None))
+    } else if is_last {
+        Ok((records, Some(valid_len)))
+    } else {
+        Err(WalError::Corrupt(format!("sealed segment {id}: bad record at {valid_len}")))
     }
-    if &data[..8] != SEG_MAGIC || (&data[8..16]).get_u64_le() != id {
-        return corrupt("bad header");
-    }
-    let mut recs = Vec::new();
-    let mut pos = SEG_HEADER;
-    while pos < data.len() {
-        let torn = |recs: Vec<WalRecord>, pos: usize, what: &str| -> WalResult<SegScan> {
-            if is_last {
-                Ok(SegScan { records: recs, valid_len: pos, torn: true })
-            } else {
-                Err(WalError::Corrupt(format!("sealed segment {id}: {what} at {pos}")))
-            }
-        };
-        if data.len() - pos < 8 {
-            return torn(recs, pos, "truncated frame");
-        }
-        let len = (&data[pos..]).get_u32_le() as usize;
-        let crc = (&data[pos + 4..]).get_u32_le();
-        if len == 0 || len > MAX_RECORD || data.len() - pos - 8 < len {
-            return torn(recs, pos, "bad frame length");
-        }
-        let payload = &data[pos + 8..pos + 8 + len];
-        if crc32(payload) != crc {
-            return torn(recs, pos, "crc mismatch");
-        }
-        match WalRecord::decode(payload) {
-            Some(r) => recs.push(r),
-            // CRC passed but the payload is malformed: a codec bug or
-            // deliberate tampering, never a torn write — refuse everywhere.
-            None => return Err(WalError::Corrupt(format!("segment {id}: bad record at {pos}"))),
-        }
-        pos += 8 + len;
-    }
-    Ok(SegScan { records: recs, valid_len: pos, torn: false })
 }
 
 /// The write-ahead log: owns a [`LogStorage`] and layers record framing,
@@ -246,8 +239,8 @@ impl Wal {
         snaps.sort_unstable_by(|a, b| b.cmp(a));
         for zxid in snaps {
             let raw = self.storage.read_snapshot(zxid)?;
-            if let Some(blob) = decode_snapshot_frame(zxid, &raw) {
-                rec.snapshots.push((zxid, blob));
+            if let Some(blob) = record::unseal(&snap_prefix(zxid), &raw) {
+                rec.snapshots.push((zxid, Bytes::copy_from_slice(blob)));
             }
         }
 
@@ -260,19 +253,19 @@ impl Wal {
             let is_last = i + 1 == ids.len();
             max_id = id;
             let data = self.read_segment_stable(id)?;
-            let scan = parse_segment(id, &data, is_last)?;
-            if scan.torn {
+            let (records, torn_at) = parse_segment(id, &data, is_last)?;
+            if let Some(valid_len) = torn_at {
                 rec.torn_tail = true;
-                if scan.valid_len < SEG_HEADER {
+                if valid_len < SEG_HEADER {
                     // Not even a durable header: the segment carries nothing.
                     self.storage.remove_segment(id)?;
                     continue;
                 }
                 // Erase the torn bytes so this segment is well-formed once it
                 // stops being the tail.
-                self.storage.truncate_segment(id, scan.valid_len as u64)?;
+                self.storage.truncate_segment(id, valid_len as u64)?;
             }
-            for r in scan.records {
+            for r in records {
                 match r {
                     WalRecord::Txn { zxid, payload } => {
                         // A smaller-or-equal zxid after a larger one marks a
@@ -301,15 +294,18 @@ impl Wal {
         self.epoch = rec.epoch;
 
         // Fresh tail segment strictly after everything that exists.
-        self.open = max_id + 1;
-        self.storage.create_segment(self.open)?;
-        let mut hdr = BytesMut::with_capacity(SEG_HEADER);
-        hdr.put_slice(SEG_MAGIC);
-        hdr.put_u64_le(self.open);
-        self.storage.append(self.open, &hdr)?;
+        self.open_segment(max_id + 1)?;
+        Ok(rec)
+    }
+
+    /// Create segment `id`, write its header, and make it the tail.
+    fn open_segment(&mut self, id: u64) -> WalResult<()> {
+        self.open = id;
+        self.storage.create_segment(id)?;
+        self.storage.append(id, &seg_header(id))?;
         self.open_bytes = SEG_HEADER;
         self.dirty = true;
-        Ok(rec)
+        Ok(())
     }
 
     /// Read a segment until two consecutive reads agree on length, keeping
@@ -332,11 +328,7 @@ impl Wal {
     }
 
     fn append_record(&mut self, r: &WalRecord) -> WalResult<()> {
-        let payload = r.encode();
-        let mut frame = BytesMut::with_capacity(8 + payload.len());
-        frame.put_u32_le(payload.len() as u32);
-        frame.put_u32_le(crc32(&payload));
-        frame.put_slice(&payload);
+        let frame = r.frame();
         if self.open_bytes + frame.len() > self.cfg.segment_bytes && self.open_bytes > SEG_HEADER {
             self.rotate()?;
         }
@@ -358,15 +350,7 @@ impl Wal {
     fn rotate(&mut self) -> WalResult<()> {
         self.sync()?;
         self.sealed.push((self.open, self.last_zxid));
-        self.open += 1;
-        self.storage.create_segment(self.open)?;
-        let mut hdr = BytesMut::with_capacity(SEG_HEADER);
-        hdr.put_slice(SEG_MAGIC);
-        hdr.put_u64_le(self.open);
-        self.storage.append(self.open, &hdr)?;
-        self.open_bytes = SEG_HEADER;
-        self.dirty = true;
-        Ok(())
+        self.open_segment(self.open + 1)
     }
 
     /// Append one transaction (buffered until [`Wal::sync`]).
@@ -410,14 +394,7 @@ impl Wal {
         let old: Vec<u64> = self.sealed.iter().map(|&(id, _)| id).collect();
         let old_open = self.open;
         self.sealed.clear();
-        self.open += 1;
-        self.storage.create_segment(self.open)?;
-        let mut hdr = BytesMut::with_capacity(SEG_HEADER);
-        hdr.put_slice(SEG_MAGIC);
-        hdr.put_u64_le(self.open);
-        self.storage.append(self.open, &hdr)?;
-        self.open_bytes = SEG_HEADER;
-        self.dirty = true;
+        self.open_segment(old_open + 1)?;
         self.last_zxid = snap_zxid;
         self.append_record(&WalRecord::Reset { snapshot_zxid: snap_zxid })?;
         if epoch > 0 {
@@ -459,11 +436,7 @@ impl Wal {
     fn write_snapshot_framed(&mut self, zxid: u64, blob: &[u8]) -> WalResult<()> {
         // The header goes to storage beside the blob, not joined to a copy
         // of it: a checkpoint's blob is as large as the whole tree.
-        let mut head = BytesMut::with_capacity(24);
-        head.put_slice(SNAP_MAGIC);
-        head.put_u64_le(zxid);
-        head.put_u32_le(blob.len() as u32);
-        head.put_u32_le(crc32(blob));
+        let head = record::seal(&snap_prefix(zxid), blob);
         self.storage.write_snapshot(zxid, &head, blob)?;
         Ok(())
     }
@@ -515,20 +488,12 @@ impl Wal {
     }
 }
 
-fn decode_snapshot_frame(zxid: u64, raw: &[u8]) -> Option<Bytes> {
-    if raw.len() < 24 || &raw[..8] != SNAP_MAGIC {
-        return None;
-    }
-    let mut b = &raw[8..];
-    if b.get_u64_le() != zxid {
-        return None;
-    }
-    let len = b.get_u32_le() as usize;
-    let crc = b.get_u32_le();
-    if b.remaining() != len || crc32(b) != crc {
-        return None;
-    }
-    Some(Bytes::copy_from_slice(b))
+/// What a snapshot file starts with: the magic, then the zxid it covers.
+fn snap_prefix(zxid: u64) -> [u8; 16] {
+    let mut prefix = [0u8; 16];
+    prefix[..8].copy_from_slice(SNAP_MAGIC);
+    prefix[8..].copy_from_slice(&zxid.to_le_bytes());
+    prefix
 }
 
 #[cfg(test)]
@@ -643,20 +608,12 @@ mod tests {
 
     /// Build the raw bytes of one well-formed segment holding `n` txns.
     fn raw_segment(id: u64, n: u64) -> Vec<u8> {
-        let mut buf = BytesMut::new();
-        buf.put_slice(SEG_MAGIC);
-        buf.put_u64_le(id);
+        let mut buf = seg_header(id).to_vec();
         for z in 1..=n {
-            let payload = WalRecord::Txn {
-                zxid: z,
-                payload: Bytes::copy_from_slice(format!("payload-{z}").as_bytes()),
-            }
-            .encode();
-            buf.put_u32_le(payload.len() as u32);
-            buf.put_u32_le(crc32(&payload));
-            buf.put_slice(&payload);
+            let payload = Bytes::copy_from_slice(format!("payload-{z}").as_bytes());
+            buf.extend_from_slice(&WalRecord::Txn { zxid: z, payload }.frame());
         }
-        buf.to_vec()
+        buf
     }
 
     #[test]

@@ -8,7 +8,9 @@
 //! The contract every backend upholds: bytes covered by a successful
 //! [`LogStorage::sync`] survive [`LogStorage::crash`] unaltered; bytes not
 //! yet covered may vanish, be truncated at an arbitrary point, or (for the
-//! adversarial backend) be bit-flipped — but *only* those bytes.
+//! adversarial backend) be bit-flipped — but *only* those bytes. Every
+//! backend drops them at a crash, the file backend included, so a
+//! restarted log never replays a record it did not sync.
 
 use std::collections::{BTreeMap, HashMap};
 use std::fs::{File, OpenOptions};
@@ -17,6 +19,8 @@ use std::path::{Path, PathBuf};
 
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
+
+use crate::record;
 
 /// Byte-level storage the WAL writes through.
 ///
@@ -53,10 +57,9 @@ pub trait LogStorage {
     fn write_snapshot(&mut self, zxid: u64, head: &[u8], blob: &[u8]) -> io::Result<()>;
     /// Delete a snapshot.
     fn remove_snapshot(&mut self, zxid: u64) -> io::Result<()>;
-    /// Simulation hook: the machine dies now. Backends that model buffering
-    /// drop (or corrupt) everything not covered by a successful `sync`.
-    /// File backends do nothing — the kernel's page cache is out of scope.
-    fn crash(&mut self) {}
+    /// The machine dies now: everything not covered by a successful `sync`
+    /// is dropped (or, by the adversarial backend, corrupted).
+    fn crash(&mut self);
 }
 
 // ---------------------------------------------------------------------------
@@ -65,11 +68,28 @@ pub trait LogStorage {
 
 /// Directory-of-files backend: `seg-<id>.wal` plus `snap-<zxid>.bin`,
 /// appends through cached handles, `fsync` via `File::sync_data`, snapshots
-/// written to a temp file then renamed (with a directory fsync) so they are
-/// atomic.
+/// put in place by the shared atomic replace (temp file, rename, directory
+/// fsync). A crash cuts each segment appended to back to its last sync,
+/// as a power loss would.
 pub struct FileStorage {
     dir: PathBuf,
-    handles: HashMap<u64, File>,
+    handles: HashMap<u64, Segment>,
+}
+
+/// An open segment: its handle, how long it is, and how much of that the
+/// last sync covered.
+struct Segment {
+    file: File,
+    len: u64,
+    synced: u64,
+}
+
+impl Segment {
+    fn open(path: &Path, create: bool) -> io::Result<Segment> {
+        let file = OpenOptions::new().create(create).append(true).open(path)?;
+        let len = file.metadata()?.len();
+        Ok(Segment { file, len, synced: len })
+    }
 }
 
 impl FileStorage {
@@ -85,11 +105,6 @@ impl FileStorage {
 
     fn snap_path(&self, zxid: u64) -> PathBuf {
         self.dir.join(format!("snap-{zxid:016x}.bin"))
-    }
-
-    fn sync_dir(&self) -> io::Result<()> {
-        // Make directory entries (new/renamed files) durable.
-        File::open(&self.dir)?.sync_all()
     }
 
     fn scan(&self, prefix: &str, suffix: &str) -> io::Result<Vec<u64>> {
@@ -118,22 +133,27 @@ impl LogStorage for FileStorage {
     }
 
     fn create_segment(&mut self, id: u64) -> io::Result<()> {
-        let f = OpenOptions::new().create(true).append(true).open(self.seg_path(id))?;
-        self.handles.insert(id, f);
-        self.sync_dir()
+        self.handles.insert(id, Segment::open(&self.seg_path(id), true)?);
+        record::sync_dir(&self.dir)
     }
 
     fn append(&mut self, id: u64, data: &[u8]) -> io::Result<()> {
         if !self.handles.contains_key(&id) {
-            let f = OpenOptions::new().append(true).open(self.seg_path(id))?;
-            self.handles.insert(id, f);
+            self.handles.insert(id, Segment::open(&self.seg_path(id), false)?);
         }
-        self.handles.get_mut(&id).unwrap().write_all(data)
+        let seg = self.handles.get_mut(&id).expect("opened above");
+        seg.file.write_all(data)?;
+        seg.len += data.len() as u64;
+        Ok(())
     }
 
     fn sync(&mut self, id: u64) -> io::Result<()> {
         match self.handles.get_mut(&id) {
-            Some(f) => f.sync_data(),
+            Some(seg) => {
+                seg.file.sync_data()?;
+                seg.synced = seg.len;
+                Ok(())
+            }
             None => Ok(()), // nothing appended through this handle yet
         }
     }
@@ -159,18 +179,21 @@ impl LogStorage for FileStorage {
     }
 
     fn write_snapshot(&mut self, zxid: u64, head: &[u8], blob: &[u8]) -> io::Result<()> {
-        let tmp = self.dir.join(format!("snap-{zxid:016x}.tmp"));
-        let mut f = File::create(&tmp)?;
-        f.write_all(head)?;
-        f.write_all(blob)?;
-        f.sync_data()?;
-        drop(f);
-        std::fs::rename(&tmp, self.snap_path(zxid))?;
-        self.sync_dir()
+        record::replace(&self.snap_path(zxid), &[head, blob])
     }
 
     fn remove_snapshot(&mut self, zxid: u64) -> io::Result<()> {
         std::fs::remove_file(self.snap_path(zxid))
+    }
+
+    fn crash(&mut self) {
+        // The page cache would keep what `write` handed it; a power loss
+        // does not. (A cut that fails leaves bytes recovery still scans.)
+        for (_, seg) in self.handles.drain() {
+            if seg.len > seg.synced {
+                let _ = seg.file.set_len(seg.synced);
+            }
+        }
     }
 }
 
@@ -464,6 +487,25 @@ mod tests {
         s.append(1, b" lost").unwrap();
         s.crash();
         assert_eq!(s.read_segment(1).unwrap(), b"durable");
+    }
+
+    #[test]
+    fn file_storage_drops_unsynced_bytes_on_crash() {
+        let dir = std::env::temp_dir().join(format!("dufs-wal-crash-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut s = FileStorage::new(&dir).unwrap();
+        s.create_segment(1).unwrap();
+        s.append(1, b"durable").unwrap();
+        s.sync(1).unwrap();
+        s.append(1, b" lost").unwrap();
+        s.crash();
+        assert_eq!(s.read_segment(1).unwrap(), b"durable");
+        // Appends go on from the cut.
+        s.append(1, b"!").unwrap();
+        s.sync(1).unwrap();
+        s.crash();
+        assert_eq!(s.read_segment(1).unwrap(), b"durable!");
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

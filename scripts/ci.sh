@@ -377,6 +377,28 @@ if [ "$syncs" != "$want_syncs" ]; then
 fi
 echo "==> one durability point: the log's one .sync( in Durability::sync, durability.sync( only in CoordServer::sync"
 
+# One record frame: the socket, the write-ahead log and the extent log all
+# frame their bytes as `len | crc32 | payload` records, and the log's
+# snapshots and the extent log's index.bin are sealed files around one;
+# `dufs_net::record` (which dufs-wal compiles through `#[path]`) builds their
+# heads, scans the logs and seals the files. A CRC taken by hand in the log
+# or the extent log, or a second definition of the record cap (a constant or
+# a config field), is a private copy of the frame growing back. (Test
+# modules, below `#[cfg(test)]`, are exempt.)
+crcs=$(for f in crates/wal/src/log.rs crates/store/src/file.rs; do
+    nontest "$f" | { grep -nE '(^|[^[:alnum:]_])crc32(_parts)?\(' || true; } | sed "s|^|$f:|"
+done)
+caps=$(find crates/*/src -name '*.rs' | sort | while read -r f; do
+    nontest "$f" | { grep -nE 'const (MAX_FRAME|MAX_RECORD)\b|pub max_frame:' || true; } | sed "s|^|$f:|"
+done)
+if [ -n "$crcs" ] || [ "$(echo "$caps" | grep -c .)" -ne 1 ]; then
+    echo "FAIL: a record framed outside dufs_net::record (crc32( / crc32_parts( calls in log.rs or file.rs, or not exactly one record cap under crates/*/src):" >&2
+    echo "${crcs:-(no crc32 calls)}" >&2
+    echo "${caps:-(no cap)}" >&2
+    exit 1
+fi
+echo "==> one record frame: no crc32( in non-test wal/src/log.rs or store/src/file.rs, one cap: ${caps%%:*}"
+
 echo "==> cargo build --release"
 cargo build --release
 
@@ -465,8 +487,9 @@ cargo build --release -p dufs-store --bin store_server
 echo "==> cargo test -q --release -p dufs-store (incl. golden + kill9_store)"
 cargo test -q --release -p dufs-store
 
-# Every experiment with a smoke gate, reduced: 1->4-target parallel reads
-# scale >= 2x over file-backed targets (data); 1-vs-2-shard simulated runs
+# Every experiment with a smoke gate, reduced: the 4-target parallel-read
+# pass keeps all 4 file-backed targets in service at once, an exact count
+# (data); 1-vs-2-shard simulated runs
 # agree on the logical namespace, error-free, the 1-shard run bit-identical
 # to the unsharded one (shards); every (ensemble, placement) and cache-axis
 # cell of the follower-read sweep serves reads, warm cells hit, shared cells
