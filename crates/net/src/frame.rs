@@ -197,7 +197,6 @@ fn check_head(head: &[u8; HEAD], max_frame: usize) -> Result<Option<(usize, u32)
     }
 }
 
-/// The check of a whole payload against its head's CRC.
 fn check_payload(crc: u32, payload: &[u8]) -> Result<(), NetError> {
     if crc32(payload) != crc {
         return Err(NetError::Corrupt("frame CRC mismatch"));

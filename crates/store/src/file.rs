@@ -214,8 +214,8 @@ impl FileEngine {
         scan.seek(SeekFrom::Start(from))?;
         let valid = record::scan(io::BufReader::new(scan), to - from, |off, payload| {
             self.apply_record(payload, from + off).map_err(|e| {
-                let at = format!("{}: record at {}", self.dir.display(), from + off);
-                io::Error::new(io::ErrorKind::InvalidData, format!("{at}: {e}"))
+                let at = format!("{}: record at {}: {e}", self.dir.display(), from + off);
+                io::Error::new(io::ErrorKind::InvalidData, at)
             })
         })?;
         let pos = from + valid;
