@@ -185,3 +185,35 @@ fn a_torn_tail_is_cut_at_the_last_intact_record() {
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }
+
+/// `extents.dat` after a Put, a Truncate without a trim and a zero-length
+/// Put (the record a rewrite writes for an empty chunk), as the parent
+/// commit wrote it: the two record shapes [`EXTENTS`] never holds.
+const EDGES: &str = "4455465353544f31\
+    20000000022aabed0100000000000000000300000000000000010000000000000000000000616263\
+    1a0000004e08210e0300000000000000000300000000000000000000000000000000\
+    1d0000001dccd9430100000000000000000500000000000000000000000000000000000000";
+
+#[test]
+fn a_truncate_without_a_trim_and_an_empty_put_are_pinned_byte_for_byte() {
+    let dir = tmp("edges");
+    let mut e = FileEngine::open(&dir, FsyncPolicy::None).unwrap();
+    e.write(3, 1, 0, b"abc").unwrap();
+    e.truncate(3, 0, None).unwrap();
+    e.write(5, 0, 0, b"").unwrap();
+    e.sync().unwrap();
+    drop(e);
+    assert_eq!(std::fs::read(dir.join("extents.dat")).unwrap(), unhex(EDGES));
+    std::fs::remove_dir_all(&dir).unwrap();
+    // And the parent's bytes replay to the same state.
+    let dir = tmp("edges-open");
+    std::fs::create_dir_all(&dir).unwrap();
+    std::fs::write(dir.join("extents.dat"), unhex(EDGES)).unwrap();
+    let e = FileEngine::open(&dir, FsyncPolicy::Group).unwrap();
+    assert_eq!(e.last_stripe(3), None, "truncated away");
+    assert_eq!(e.last_stripe(5), Some((0, 0)), "an empty chunk is still a chunk");
+    assert_eq!(e.objects(), vec![5]);
+    assert_eq!(e.bytes_stored(), 0);
+    drop(e);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
