@@ -15,7 +15,11 @@
 
 use std::marker::PhantomData;
 
-use dufs_net::{put_nested, wire, Codec, Nested, WireCursor, WireError};
+use dufs_net::{put_nested, Nested};
+// The codec, for the layouts of crates above this one (the znode data
+// field) that reach `dufs-net` only through here. Beside the messages, not
+// at the crate root: `dufs_net::wire` names both the macro and its module.
+pub use dufs_net::{wire, Codec, RestStr, Wire, WireCursor, WireError};
 use dufs_zab::{Data, PeerId, ZabMsg};
 use dufs_zkstore::{CreateMode, MultiOp, MultiResult, Stat, ZkError};
 

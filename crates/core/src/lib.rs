@@ -19,10 +19,10 @@
 //! * [`shard`] — FID → physical path sharding (`cdef/89ab/4567/0123`),
 //!   avoiding single-directory congestion on the back-end (§IV-G, Fig 4).
 //! * [`meta`] — the znode data field: node type + FID + mode (§IV-D).
-//! * [`plan`] — every metadata operation expressed as a resumable
-//!   continuation over coordination-service and back-end requests. One
-//!   implementation of the semantics serves both the synchronous library
-//!   and the discrete-event simulator.
+//! * [`plan`] — every metadata operation as one `async fn` over
+//!   coordination-service and back-end requests, polled once per reply.
+//!   One implementation of the semantics serves both the synchronous
+//!   library and the discrete-event simulator.
 //! * [`vfs`] — the synchronous POSIX-style filesystem API ([`vfs::Dufs`]).
 //! * [`services`] — the service traits the VFS runs against, plus local
 //!   (in-process) implementations.

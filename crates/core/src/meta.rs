@@ -5,15 +5,17 @@
 //! file is also stored in this field." We additionally keep the mode bits
 //! for directories/symlinks (their POSIX attributes live entirely in the
 //! coordination service) and the symlink target.
+//!
+//! The layout is declared once with the transport's `wire!` (reached
+//! through `dufs_coord::wire`): a kind tag, the mode (`u32` LE), then a
+//! file's FID as 16 big-endian bytes or a symlink's target as the rest of
+//! the field. A directory is exactly 5 bytes and a file exactly 21.
 
-use bytes::{BufMut, Bytes, BytesMut};
+use bytes::Bytes;
+use dufs_coord::wire::{wire, Codec, RestStr, Wire, WireCursor, WireError};
 
 use crate::error::DufsError;
 use crate::fid::Fid;
-
-const TAG_DIR: u8 = 1;
-const TAG_FILE: u8 = 2;
-const TAG_SYMLINK: u8 = 3;
 
 /// Decoded znode payload.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -87,51 +89,61 @@ impl NodeMeta {
 
     /// Serialize into the znode data field.
     pub fn encode(&self) -> Bytes {
-        let mut b = BytesMut::with_capacity(24);
-        match self {
-            NodeMeta::Dir { mode } => {
-                b.put_u8(TAG_DIR);
-                b.put_u32_le(*mode);
-            }
-            NodeMeta::File { fid, mode } => {
-                b.put_u8(TAG_FILE);
-                b.put_u32_le(*mode);
-                b.put_slice(&fid.to_be_bytes());
-            }
-            NodeMeta::Symlink { target, mode } => {
-                b.put_u8(TAG_SYMLINK);
-                b.put_u32_le(*mode);
-                b.put_slice(target.as_bytes());
-            }
-        }
-        b.freeze()
+        Bytes::copy_from_slice(&self.to_wire())
     }
 
     /// Parse a znode data field.
     pub fn decode(data: &[u8]) -> Result<Self, DufsError> {
-        if data.len() < 5 {
-            return Err(DufsError::CorruptMetadata);
-        }
-        let mode = u32::from_le_bytes(data[1..5].try_into().expect("4 bytes"));
-        match data[0] {
-            TAG_DIR if data.len() == 5 => Ok(NodeMeta::Dir { mode }),
-            TAG_FILE if data.len() == 21 => {
-                let raw: [u8; 16] = data[5..21].try_into().expect("16 bytes");
-                Ok(NodeMeta::File { fid: Fid(u128::from_be_bytes(raw)), mode })
-            }
-            TAG_SYMLINK => {
-                let target =
-                    std::str::from_utf8(&data[5..]).map_err(|_| DufsError::CorruptMetadata)?;
-                Ok(NodeMeta::Symlink { target: target.to_string(), mode })
-            }
-            _ => Err(DufsError::CorruptMetadata),
-        }
+        NodeMeta::from_wire(data).map_err(|_| DufsError::CorruptMetadata)
+    }
+}
+
+wire! {
+    NodeMeta {
+        1 => Dir { mode: u32 },
+        2 => File { mode: u32, fid: FidBe },
+        3 => Symlink { mode: u32, target: RestStr },
+    }
+}
+
+/// A [`Fid`] as 16 big-endian bytes.
+struct FidBe;
+
+impl<'a> Codec<'a> for FidBe {
+    type Value = Fid;
+    const MIN: usize = 16;
+    fn put(v: &Fid, buf: &mut Vec<u8>) {
+        buf.extend_from_slice(&v.to_be_bytes());
+    }
+    fn get(c: &mut WireCursor<'a>) -> Result<Fid, WireError> {
+        Ok(Fid(u128::from_be_bytes(c.take(16)?.try_into().expect("16 bytes"))))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    const TAG_DIR: u8 = 1;
+    const TAG_FILE: u8 = 2;
+    const TAG_SYMLINK: u8 = 3;
+
+    /// One value of every kind; a kind added to [`NodeMeta`] without an
+    /// entry here fails [`every_declared_tag_is_covered`].
+    fn one_of_each() -> [NodeMeta; 3] {
+        [NodeMeta::dir(0o755), NodeMeta::file(Fid::new(3, 9), 0o640), NodeMeta::symlink("/a/b")]
+    }
+
+    #[test]
+    fn every_declared_tag_is_covered() {
+        let mut tags: Vec<u8> = one_of_each().iter().map(|m| m.encode()[0]).collect();
+        tags.sort_unstable();
+        assert_eq!(tags, <NodeMeta as Codec<'_>>::TAGS);
+        assert_eq!(tags, [TAG_DIR, TAG_FILE, TAG_SYMLINK]);
+        for m in one_of_each() {
+            assert!(m.encode().len() >= <NodeMeta as Codec<'_>>::MIN, "{m:?}");
+        }
+    }
 
     #[test]
     fn roundtrip_all_kinds() {
@@ -166,5 +178,13 @@ mod tests {
         assert!(NodeMeta::decode(&[TAG_FILE, 0, 0, 0, 0, 1, 2]).is_err(), "short FID");
         assert!(NodeMeta::decode(&[TAG_DIR, 0, 0, 0, 0, 99]).is_err(), "trailing junk on dir");
         assert!(NodeMeta::decode(&[TAG_SYMLINK, 0, 0, 0, 0, 0xFF, 0xFE]).is_err(), "bad utf8");
+    }
+
+    #[test]
+    fn a_file_payload_with_a_trailing_byte_is_refused() {
+        let mut raw = NodeMeta::file(Fid::new(1, 2), 0o644).encode().to_vec();
+        assert_eq!(raw.len(), 21);
+        raw.push(0);
+        assert!(NodeMeta::decode(&raw).is_err());
     }
 }

@@ -44,7 +44,7 @@ pub use crc::{crc32, crc32_parts};
 pub use frame::{read_frame, write_frame, EndpointKind, Frame, FrameDecoder, Hello, PROTO_VERSION};
 pub use record::MAX_FRAME;
 pub use stats::{NetStats, NetStatsSnapshot};
-pub use wire::{put_nested, Codec, Nested, Wire, WireCursor, WireError};
+pub use wire::{put_nested, Codec, Nested, Rest, RestStr, Wire, WireCursor, WireError};
 
 /// Transport-level failure.
 #[derive(Debug)]

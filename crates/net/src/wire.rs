@@ -172,8 +172,8 @@ impl<T: for<'a> Codec<'a, Value = T>> Wire for T {
 /// A field's codec is named in its declaration, never inferred from the
 /// field's type: the integers, `bool`, `String`, `&'a str`, `&'a [u8]`,
 /// `Option<C>`, `Vec<C>`, tuples and every declared type are their own
-/// codecs; an irregular layout is a named one ([`Nested`], or a zero-sized
-/// type of the crate that owns the layout).
+/// codecs; an irregular layout is a named one ([`Nested`], [`Rest`],
+/// [`RestStr`], or a zero-sized type of the crate that owns the layout).
 pub trait Codec<'a> {
     /// The type this codec writes and reads.
     type Value;
@@ -261,6 +261,37 @@ impl<'a> Codec<'a> for String {
     #[inline]
     fn get(c: &mut WireCursor<'a>) -> Result<String, WireError> {
         c.str()
+    }
+}
+
+/// The rest of the input, unprefixed and borrowed: only ever a layout's
+/// last field, whose end is the end of the record.
+pub struct Rest;
+
+impl<'a> Codec<'a> for Rest {
+    type Value = &'a [u8];
+    const MIN: usize = 0;
+    fn put(v: &&'a [u8], buf: &mut Vec<u8>) {
+        buf.extend_from_slice(v);
+    }
+    fn get(c: &mut WireCursor<'a>) -> Result<&'a [u8], WireError> {
+        c.take(c.remaining())
+    }
+}
+
+/// The rest of the input as an owned UTF-8 string, unprefixed: only ever a
+/// layout's last field.
+pub struct RestStr;
+
+impl<'a> Codec<'a> for RestStr {
+    type Value = String;
+    const MIN: usize = 0;
+    fn put(v: &String, buf: &mut Vec<u8>) {
+        buf.extend_from_slice(v.as_bytes());
+    }
+    fn get(c: &mut WireCursor<'a>) -> Result<String, WireError> {
+        let s = std::str::from_utf8(Rest::get(c)?);
+        s.map(str::to_owned).map_err(|_| WireError::Invalid("non-UTF-8 string"))
     }
 }
 
@@ -359,9 +390,11 @@ pub const fn min_of(xs: &[usize]) -> usize {
     m
 }
 
-/// Declare a type's layout once; its [`Codec`] — `put`, `get`, `MIN` and
-/// `TAGS` — follows from the declaration. Each field names its codec
-/// ([`Codec`]), and fields are written in the order declared.
+/// Declare a type's layout once; its `Codec` — `put`, `get`, `MIN` and
+/// `TAGS` — follows from the declaration. Each field names its codec, and
+/// fields are written in the order declared. (Plain names, not links:
+/// `dufs-wal` compiles this file too, and exports the macro beside a
+/// private `Codec`.)
 ///
 /// ```text
 /// wire! { Vote { candidate: PeerId, candidate_zxid: Zxid, round: u64 } }
@@ -378,7 +411,7 @@ pub const fn min_of(xs: &[usize]) -> usize {
 /// ```
 ///
 /// A variant without fields is written bare (`11 => Pong`). An unknown tag
-/// decodes to [`WireError::BadTag`]. A new variant is one line with a new
+/// decodes to `WireError::BadTag`. A new variant is one line with a new
 /// tag; a format version is one more field (or tag) in the declaration.
 #[macro_export]
 macro_rules! wire {

@@ -7,17 +7,21 @@
 //! * `extents.dat` — an append-only extent log. 8-byte magic `DUFSSTO1`,
 //!   then records in the one record frame the WAL and the wire protocol use
 //!   (`dufs_net::record`): `len: u32 LE | crc32: u32 LE | payload`. The
-//!   payload's layout is this file's own. Its first byte is
-//!   a tag — `1` Put, `2` Delete, `3` Truncate — followed by the record
-//!   fields; a Put carries the stripe-chunk bytes inline, and reads later
-//!   `pread` them straight off the log (data is written once and never
-//!   copied into the heap index).
+//!   payload is an [`Extent`], declared once with `dufs_net::wire!`: a
+//!   tag — `1` Put, `2` Delete, `3` Truncate — followed by the record
+//!   fields. A Put's stripe-chunk bytes follow its fields, outside the
+//!   declaration: they go from the caller's buffer to the file in the same
+//!   `writev` as the head and fields, and reads later `pread` them straight
+//!   off the log (data is written once and never copied into the heap
+//!   index). Chunk offsets are `u32`: a write ending past `u32::MAX` is
+//!   refused, and such a record, found on replay, fails the open.
 //! * `index.bin` — a checkpoint of the in-memory allocation index (which
 //!   byte spans of which records make up each chunk): a sealed file
 //!   (`DUFSSIX1 | len | crc | body`, as the WAL's snapshots are) put in
 //!   place by the shared atomic replace (tmp file + rename + directory
-//!   fsync). It records how many extent bytes it covers; open() replays
-//!   only the tail past the checkpoint.
+//!   fsync). Its body is the extent bytes it covers and a chunk count, then
+//!   each chunk's key and its declared `Chunk`; open() replays only the
+//!   tail past the checkpoint.
 //!
 //! ## Recovery
 //!
@@ -70,15 +74,12 @@ use std::thread::{self, JoinHandle};
 
 use dufs_backendfs::StorageEngine;
 use dufs_net::record::{self, sync_dir};
-use dufs_net::{WireCursor, WireError};
+use dufs_net::{wire, Codec, Wire, WireCursor, WireError};
 
-use crate::msg::{get_u128, put_u128, put_u32, put_u64};
+use crate::msg::HiLo;
 
 const MAGIC: &[u8; 8] = b"DUFSSTO1";
 const INDEX_MAGIC: &[u8; 8] = b"DUFSSIX1";
-const TAG_PUT: u8 = 1;
-const TAG_DELETE: u8 = 2;
-const TAG_TRUNCATE: u8 = 3;
 /// Bytes of new extent data between automatic index checkpoints.
 const CHECKPOINT_EVERY: u64 = 8 << 20;
 /// Dead extent bytes the log may carry before a sync rewrites it, when the
@@ -117,6 +118,43 @@ impl FromStr for FsyncPolicy {
     }
 }
 
+/// One extent-log record: the payload of a record frame in `extents.dat`.
+/// A Put's chunk bytes follow its fields, outside the declaration, so a
+/// Put is written as its encoding and the caller's bytes side by side.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Extent {
+    /// Bytes stored at `within` of chunk `stripe` of `obj`; they are the
+    /// rest of the record.
+    Put {
+        /// Object (FID) the chunk belongs to.
+        obj: u128,
+        /// Global stripe index.
+        stripe: u64,
+        /// Byte offset inside the chunk.
+        within: u32,
+    },
+    /// Every chunk of the object is dropped.
+    Delete(u128),
+    /// Every chunk of `obj` from stripe `keep` on is dropped, and chunk
+    /// `trim.0`, if given, is cut to `trim.1` bytes.
+    Truncate {
+        /// Object (FID).
+        obj: u128,
+        /// First stripe dropped.
+        keep: u64,
+        /// A chunk to cut, and the length it keeps.
+        trim: Option<(u64, u32)>,
+    },
+}
+
+wire! {
+    Extent {
+        1 => Put { obj: HiLo, stripe: u64, within: u32 },
+        2 => Delete { 0: HiLo },
+        3 => Truncate { obj: HiLo, keep: u64, trim: Option<(u64, u32)> },
+    }
+}
+
 /// One byte span of a chunk, resolved to its location in `extents.dat`.
 #[derive(Debug, Clone, Copy)]
 struct Span {
@@ -133,6 +171,11 @@ struct Chunk {
     len: u32,
     spans: Vec<Span>,
 }
+
+// `index.bin`'s body: a `(covered, count)` head of two `u64`s, then
+// `count` times an object (`HiLo`), a stripe (`u64`) and its chunk.
+wire! { Span { within: u32, len: u32, off: u64 } }
+wire! { Chunk { len: u32, spans: Vec<Span> } }
 
 /// Durable [`StorageEngine`] over one target directory.
 #[derive(Debug)]
@@ -230,22 +273,19 @@ impl FileEngine {
 
     /// Apply one decoded record to the in-memory index. `record_off` is the
     /// file offset of the record's length header. A malformed payload is an
-    /// error.
+    /// error, and so is a Put no chunk could hold.
     fn apply_record(&mut self, payload: &[u8], record_off: u64) -> Result<(), WireError> {
         let mut rd = WireCursor::new(payload);
-        match rd.u8()? {
-            TAG_PUT => {
-                let (obj, stripe, within) = (get_u128(&mut rd)?, rd.u64()?, rd.u32()?);
-                let data_len = rd.remaining() as u32;
-                self.index_put(obj, stripe, within, data_len, record_off + 8 + PUT_HDR);
+        // What follows a Put's fields is its chunk bytes.
+        match Extent::get(&mut rd)? {
+            Extent::Put { obj, stripe, within } => {
+                let len = rd.remaining();
+                chunk_end(within, len).map_err(|_| WireError::Invalid("a Put past its chunk"))?;
+                self.index_put(obj, stripe, within, len as u32, record_off + 8 + PUT_HDR);
             }
-            TAG_DELETE => self.index_delete(get_u128(&mut rd)?),
-            TAG_TRUNCATE => {
-                let (obj, keep) = (get_u128(&mut rd)?, rd.u64()?);
-                let trim = if rd.u8()? != 0 { Some((rd.u64()?, rd.u32()?)) } else { None };
-                self.index_truncate(obj, keep, trim);
-            }
-            t => return Err(WireError::BadTag(t)),
+            _ if rd.remaining() > 0 => return Err(WireError::Trailing),
+            Extent::Delete(obj) => self.index_delete(obj),
+            Extent::Truncate { obj, keep, trim } => self.index_truncate(obj, keep, trim),
         }
         Ok(())
     }
@@ -355,7 +395,7 @@ impl FileEngine {
             loop {
                 let piece = &mut buf[..REWRITE_PIECE.min(chunk.len - within) as usize];
                 read_chunk(&self.log, chunk, within, piece)?;
-                let fixed = put_header(obj, stripe, within);
+                let fixed = Extent::Put { obj, stripe, within }.to_wire();
                 out.write_all(&record::head(&[&fixed, piece]))?;
                 out.write_all(&fixed)?;
                 out.write_all(piece)?;
@@ -394,18 +434,11 @@ impl FileEngine {
     /// replace, as the WAL's snapshots are.
     pub fn checkpoint(&mut self) -> io::Result<()> {
         let mut body = Vec::new();
-        put_u64(&mut body, self.log_len);
-        put_u64(&mut body, self.chunks.len() as u64);
+        <(u64, u64)>::put(&(self.log_len, self.chunks.len() as u64), &mut body);
         for (&(obj, stripe), chunk) in &self.chunks {
-            put_u128(&mut body, obj);
-            put_u64(&mut body, stripe);
-            put_u32(&mut body, chunk.len);
-            put_u32(&mut body, chunk.spans.len() as u32);
-            for s in &chunk.spans {
-                put_u32(&mut body, s.within);
-                put_u32(&mut body, s.len);
-                put_u64(&mut body, s.off);
-            }
+            HiLo::put(&obj, &mut body);
+            u64::put(&stripe, &mut body);
+            Chunk::put(chunk, &mut body);
         }
         let head = record::seal(INDEX_MAGIC, &body);
         record::replace(&self.dir.join("index.bin"), &[&head, &body])?;
@@ -427,14 +460,12 @@ impl FileEngine {
     }
 }
 
-/// A Put record's payload up to its chunk bytes: tag, obj, stripe, within.
-fn put_header(obj: u128, stripe: u64, within: u32) -> Vec<u8> {
-    let mut fixed = Vec::with_capacity(PUT_HDR as usize);
-    fixed.push(TAG_PUT);
-    put_u128(&mut fixed, obj);
-    put_u64(&mut fixed, stripe);
-    put_u32(&mut fixed, within);
-    fixed
+/// Where `len` bytes written at `within` end in their chunk; an error if
+/// they end past what a chunk's `u32` offsets can say.
+pub(crate) fn chunk_end(within: u32, len: usize) -> io::Result<u32> {
+    let end = u32::try_from(len).ok().and_then(|n| n.checked_add(within));
+    let past = "a write ending past a chunk's u32 offsets";
+    end.ok_or_else(|| io::Error::new(io::ErrorKind::InvalidInput, past))
 }
 
 /// Read `chunk`'s bytes from `within` into `out`, up to the chunk's end;
@@ -470,16 +501,11 @@ fn read_chunk(log: &File, chunk: &Chunk, within: u32, out: &mut [u8]) -> io::Res
 #[allow(clippy::type_complexity)]
 fn parse_index(body: &[u8]) -> Result<(BTreeMap<(u128, u64), Chunk>, u64), WireError> {
     let mut rd = WireCursor::new(body);
-    let (covered, n_chunks) = (rd.u64()?, rd.u64()?);
+    let (covered, n_chunks) = <(u64, u64)>::get(&mut rd)?;
     let mut chunks = BTreeMap::new();
     for _ in 0..n_chunks {
-        let (obj, stripe, len) = (get_u128(&mut rd)?, rd.u64()?, rd.u32()?);
-        let n_spans = rd.count(16)?;
-        let mut spans = Vec::with_capacity(n_spans);
-        for _ in 0..n_spans {
-            spans.push(Span { within: rd.u32()?, len: rd.u32()?, off: rd.u64()? });
-        }
-        chunks.insert((obj, stripe), Chunk { len, spans });
+        let (obj, stripe, chunk) = <(HiLo, u64, Chunk)>::get(&mut rd)?;
+        chunks.insert((obj, stripe), chunk);
     }
     Ok((chunks, covered))
 }
@@ -499,7 +525,8 @@ impl Drop for FileEngine {
 
 impl StorageEngine for FileEngine {
     fn write(&mut self, obj: u128, stripe: u64, within: u32, data: &[u8]) -> io::Result<()> {
-        let off = self.append(&put_header(obj, stripe, within), data)?;
+        chunk_end(within, data.len())?;
+        let off = self.append(&Extent::Put { obj, stripe, within }.to_wire(), data)?;
         self.index_put(obj, stripe, within, data.len() as u32, off + 8 + PUT_HDR);
         Ok(())
     }
@@ -517,19 +544,7 @@ impl StorageEngine for FileEngine {
         keep_stripes: u64,
         trim: Option<(u64, u32)>,
     ) -> io::Result<()> {
-        let mut payload = Vec::with_capacity(30);
-        payload.push(TAG_TRUNCATE);
-        put_u128(&mut payload, obj);
-        put_u64(&mut payload, keep_stripes);
-        match trim {
-            Some((s, l)) => {
-                payload.push(1);
-                put_u64(&mut payload, s);
-                put_u32(&mut payload, l);
-            }
-            None => payload.push(0),
-        }
-        self.append(&payload, &[])?;
+        self.append(&Extent::Truncate { obj, keep: keep_stripes, trim }.to_wire(), &[])?;
         self.index_truncate(obj, keep_stripes, trim);
         Ok(())
     }
@@ -537,10 +552,7 @@ impl StorageEngine for FileEngine {
     fn delete(&mut self, obj: u128) -> io::Result<bool> {
         let existed = self.chunks.range((obj, 0)..=(obj, u64::MAX)).next().is_some();
         if existed {
-            let mut payload = Vec::with_capacity(17);
-            payload.push(TAG_DELETE);
-            put_u128(&mut payload, obj);
-            self.append(&payload, &[])?;
+            self.append(&Extent::Delete(obj).to_wire(), &[])?;
             self.index_delete(obj);
         }
         Ok(existed)
@@ -679,11 +691,38 @@ mod tests {
         // A record of a newer build (tag 9), then an acked Put after it.
         let log = dir.join("extents.dat");
         let mut raw = std::fs::read(&log).unwrap();
-        for (fixed, data) in [(vec![9, 1, 2, 3], &b""[..]), (put_header(1, 1, 0), &b"B"[..])] {
+        for (fixed, data) in [
+            (vec![9, 1, 2, 3], &b""[..]),
+            (Extent::Put { obj: 1, stripe: 1, within: 0 }.to_wire(), &b"B"[..]),
+        ] {
             raw.extend_from_slice(&record::head(&[&fixed, data]));
             raw.extend_from_slice(&fixed);
             raw.extend_from_slice(data);
         }
+        std::fs::write(&log, &raw).unwrap();
+        let err = FileEngine::open(&dir, FsyncPolicy::Group).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+        assert_eq!(std::fs::read(&log).unwrap(), raw, "open leaves the log as it was");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_put_ending_past_a_chunks_u32_offsets_fails_the_open_and_keeps_the_log() {
+        let dir = tmp("past-u32");
+        {
+            let mut e = FileEngine::open(&dir, FsyncPolicy::Group).unwrap();
+            e.write(1, 0, 0, b"A").unwrap();
+            let err = e.write(1, 1, u32::MAX, b"ab").unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidInput, "{err}");
+            e.sync().unwrap();
+        }
+        // The record an older build appended for the same write.
+        let log = dir.join("extents.dat");
+        let mut raw = std::fs::read(&log).unwrap();
+        let fixed = Extent::Put { obj: 1, stripe: 1, within: u32::MAX }.to_wire();
+        raw.extend_from_slice(&record::head(&[&fixed, b"ab"]));
+        raw.extend_from_slice(&fixed);
+        raw.extend_from_slice(b"ab");
         std::fs::write(&log, &raw).unwrap();
         let err = FileEngine::open(&dir, FsyncPolicy::Group).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");

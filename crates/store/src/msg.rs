@@ -16,22 +16,6 @@
 
 use dufs_net::{wire, Codec, WireCursor, WireError};
 
-pub(crate) fn put_u32(buf: &mut Vec<u8>, v: u32) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-pub(crate) fn put_u64(buf: &mut Vec<u8>, v: u64) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-pub(crate) fn put_u128(buf: &mut Vec<u8>, v: u128) {
-    put_u64(buf, (v >> 64) as u64);
-    put_u64(buf, v as u64);
-}
-pub(crate) fn get_u128(c: &mut WireCursor<'_>) -> Result<u128, WireError> {
-    let hi = c.u64()? as u128;
-    let lo = c.u64()? as u128;
-    Ok((hi << 64) | lo)
-}
-
 /// A `u128` object id on the wire: its high `u64`, then its low one.
 pub(crate) struct HiLo;
 
@@ -39,10 +23,11 @@ impl<'a> Codec<'a> for HiLo {
     type Value = u128;
     const MIN: usize = 16;
     fn put(v: &u128, buf: &mut Vec<u8>) {
-        put_u128(buf, *v);
+        <(u64, u64)>::put(&((*v >> 64) as u64, *v as u64), buf);
     }
     fn get(c: &mut WireCursor<'a>) -> Result<u128, WireError> {
-        get_u128(c)
+        let (hi, lo) = <(u64, u64)>::get(c)?;
+        Ok((hi as u128) << 64 | lo as u128)
     }
 }
 

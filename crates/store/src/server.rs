@@ -25,7 +25,7 @@ use crossbeam::channel::RecvTimeoutError;
 use dufs_backendfs::StorageEngine;
 use dufs_net::{ConnEvent, EndpointKind, Hello, Listener, NetConfig, NetStats, MAX_FRAME};
 
-use crate::file::FsyncPolicy;
+use crate::file::{chunk_end, FsyncPolicy};
 use crate::msg::{RepBody, ReqOp, StoreRep, StoreReq};
 
 /// Apply one request to an engine and build the encoded reply frame.
@@ -38,9 +38,10 @@ pub fn apply_req<E: StorageEngine>(engine: &mut E, req: &StoreReq<'_>) -> Vec<u8
     let seq = req.seq;
     let reply = |body: RepBody<'_>| StoreRep { seq, body }.encode();
     let result = match req.op {
-        ReqOp::Write { obj, stripe, within, data } => {
-            engine.write(obj, stripe, within, data).map(|()| reply(RepBody::Written))
-        }
+        // A write ending past a chunk's `u32` offsets never reaches an engine.
+        ReqOp::Write { obj, stripe, within, data } => chunk_end(within, data.len())
+            .and_then(|_| engine.write(obj, stripe, within, data))
+            .map(|()| reply(RepBody::Written)),
         // The reply carries `DATA_AT` bytes of its own before the data.
         ReqOp::Read { len, .. } if StoreRep::DATA_AT + len as usize > MAX_FRAME => {
             Err(io::Error::new(io::ErrorKind::InvalidInput, "read longer than a frame"))
@@ -248,6 +249,37 @@ mod tests {
         assert!(
             matches!(StoreRep::decode(&frame).unwrap().body, RepBody::Data(d) if d.len() == len as usize)
         );
+    }
+
+    #[test]
+    fn a_write_ending_past_a_chunks_u32_offsets_is_refused_and_the_server_goes_on() {
+        use crate::{FileEngine, StoreTarget, TcpTarget};
+
+        let dir = std::env::temp_dir().join(format!("dufs-store-past-u32-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let engine = FileEngine::open(&dir, FsyncPolicy::Group).unwrap();
+        let any = "127.0.0.1:0".parse().unwrap();
+        let server = StoreServer::spawn(any, engine, FsyncPolicy::Group, 1).unwrap();
+        let mut t = TcpTarget::connect(server.addr(), 7).unwrap();
+        let mut ask = |seq, op| {
+            t.submit(&StoreReq { seq, op }).unwrap();
+            let raw = t.recv().unwrap();
+            let rep = StoreRep::decode(&raw).unwrap();
+            assert_eq!(rep.seq, seq);
+            format!("{:?}", rep.body)
+        };
+        let past = ReqOp::Write { obj: 1, stripe: 0, within: u32::MAX, data: b"ab" };
+        assert!(ask(1, past).starts_with("Err("), "an over-long write is refused");
+        let last = ReqOp::Write { obj: 1, stripe: 0, within: u32::MAX - 2, data: b"ab" };
+        assert_eq!(ask(2, last), "Written", "one ending inside the chunk is served");
+        assert_eq!(ask(3, ReqOp::Stat(1)), format!("Statted(Some((0, {})))", u32::MAX));
+        server.stop();
+        // Nothing unreadable reached the log: it reopens.
+        assert_eq!(
+            FileEngine::open(&dir, FsyncPolicy::Group).unwrap().last_stripe(1).unwrap().1,
+            u32::MAX
+        );
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

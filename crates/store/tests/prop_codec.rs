@@ -6,11 +6,14 @@
 //! to exactly those bytes, never a panic and never a silently different
 //! value. Both decoders lend from their input, and every length prefix is
 //! checked against the bytes left before it is used, so a corrupt length
-//! cannot make them allocate or read past the frame.
+//! cannot make them allocate or read past the frame. The extent log's
+//! records ([`Extent`]) round-trip too.
 
 use proptest::collection::vec;
 use proptest::prelude::*;
 
+use dufs_net::Wire;
+use dufs_store::file::Extent;
 use dufs_store::{RepBody, ReqOp, StoreRep, StoreReq};
 
 /// The fields a [`ReqOp`] borrows from, with a variant selector.
@@ -105,6 +108,17 @@ fn arb_rep() -> impl Strategy<Value = Rep> {
         })
 }
 
+fn arb_extent() -> impl Strategy<Value = Extent> {
+    let trim = proptest::option::of((any::<u64>(), any::<u32>()));
+    (0u8..3, arb_u128(), any::<u64>(), any::<u32>(), trim).prop_map(
+        |(kind, obj, stripe, within, trim)| match kind {
+            0 => Extent::Put { obj, stripe, within },
+            1 => Extent::Delete(obj),
+            _ => Extent::Truncate { obj, keep: stripe, trim },
+        },
+    )
+}
+
 /// Decode `raw` both ways; whatever decodes must encode back to `raw`
 /// exactly (the encodings are canonical, so anything else is a value the
 /// sender never sent).
@@ -137,6 +151,11 @@ proptest! {
     fn replies_round_trip(r in arb_rep()) {
         let (m, raw) = (r.view(), r.view().encode());
         prop_assert_eq!(StoreRep::decode(&raw).unwrap(), m);
+    }
+
+    #[test]
+    fn extents_round_trip(e in arb_extent()) {
+        prop_assert_eq!(Extent::from_wire(&e.to_wire()).unwrap(), e);
     }
 
     #[test]
@@ -218,7 +237,8 @@ fn drawn_tags<T: std::fmt::Debug>(
 }
 
 /// Every tag the declarations list is one the strategies above draw: a
-/// variant added without an arm in `Req::view` / `Rep::view` fails here.
+/// variant added without an arm in `Req::view` / `Rep::view` /
+/// `arb_extent` fails here.
 #[test]
 fn strategies_cover_every_declared_tag() {
     use dufs_net::Codec;
@@ -226,4 +246,6 @@ fn strategies_cover_every_declared_tag() {
     assert_eq!(req, <StoreReq<'_> as Codec<'_>>::TAGS);
     let rep = drawn_tags(arb_rep(), |r| r.view().encode(), <StoreRep<'_> as Codec<'_>>::MIN);
     assert_eq!(rep, <StoreRep<'_> as Codec<'_>>::TAGS);
+    let ext = drawn_tags(arb_extent(), Extent::to_wire, <Extent as Codec<'_>>::MIN);
+    assert_eq!(ext, <Extent as Codec<'_>>::TAGS);
 }

@@ -32,20 +32,26 @@
 //! ever possible in the unsynced tail, and recovery only ever discards from
 //! the tail of the final segment.
 
-// The transport's CRC-32 and record frame, compiled in from their source:
-// the same record frames the wire and the log, and a Cargo dependency on
+// The transport's CRC-32, record frame and layout codec, compiled in from
+// their source: the same record frames the wire and the log, the log's
+// records are declared with the same `wire!`, and a Cargo dependency on
 // `dufs-net` would have to be recorded in lock files this crate does not
-// own.
+// own. The log uses only part of the codec file, and the `wire!` it
+// exports resolves its paths only inside this crate.
 #[path = "../../net/src/crc.rs"]
 mod crc;
 mod log;
 #[path = "../../net/src/record.rs"]
 mod record;
 mod storage;
+#[path = "../../net/src/wire.rs"]
+#[allow(dead_code)]
+mod wire;
 
 pub use crate::crc::{crc32, crc32_parts};
-pub use crate::log::{Recovered, Wal, WalConfig, WalRecord};
+pub use crate::log::{Recovered, Wal, WalConfig};
 pub use crate::storage::{FaultConfig, FaultyStorage, FileStorage, LogStorage, MemStorage};
+use crate::wire::{Codec, WireCursor, WireError};
 
 use std::fmt;
 

@@ -13,7 +13,10 @@
 //!
 //! Records and snapshots are the shared record frame and sealed file of
 //! `dufs_net::record` (compiled here as `crate::record`), which builds
-//! their heads and scans a segment's records.
+//! their heads and scans a segment's records. The payload is [`WalRecord`],
+//! declared once with the transport's `wire!` (compiled here as
+//! `crate::wire`): a txn is written from the caller's slice straight behind
+//! the record's head, and read back as a view over the segment's bytes.
 //!
 //! Recovery scans segments in id order. A record that fails validation in
 //! the **final** segment is a torn tail from a crash mid-write: it and
@@ -22,87 +25,55 @@
 //! fsynced before the next segment was opened — is genuine corruption and
 //! recovery refuses to proceed.
 
-use bytes::{Buf, BufMut, Bytes};
+use bytes::Bytes;
 
 use crate::record::{self, HEAD};
 use crate::storage::LogStorage;
-use crate::{WalError, WalResult};
+use crate::wire::Rest;
+use crate::{wire, Codec, WalError, WalResult, WireCursor, WireError};
 
 const SEG_MAGIC: &[u8; 8] = b"DUFSWAL1";
 const SNAP_MAGIC: &[u8; 8] = b"DUFSSNP1";
 const SEG_HEADER: usize = 16;
 
-/// One logical log entry.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum WalRecord {
+/// One logical log entry, borrowing its txn from the caller or, on
+/// recovery, from the segment's bytes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum WalRecord<'a> {
     /// A replicated transaction at `zxid` (payload is the coord-layer codec).
-    Txn {
-        /// Transaction id.
-        zxid: u64,
-        /// Opaque encoded transaction.
-        payload: Bytes,
-    },
+    Txn { zxid: u64, payload: &'a [u8] },
     /// The peer accepted (promised) this leader epoch.
     Epoch(u32),
     /// The peer's history was replaced by a leader sync: everything before
     /// this record is void; state restarts from `snapshot_zxid` (0 = empty).
-    Reset {
-        /// Zxid of the snapshot the new history starts from.
-        snapshot_zxid: u64,
-    },
+    Reset { snapshot_zxid: u64 },
 }
 
-impl WalRecord {
-    /// The record as a segment stores it: head, then payload.
+wire! {
+    WalRecord<'a> {
+        1 => Txn { zxid: u64, payload: Rest },
+        2 => Epoch { 0: u32 },
+        3 => Reset { snapshot_zxid: u64 },
+    }
+}
+
+impl WalRecord<'_> {
+    /// The record as a segment stores it: head, then payload, in one
+    /// buffer sized for it.
     fn frame(&self) -> Vec<u8> {
-        let mut p = Vec::with_capacity(32);
-        p.put_slice(&[0; HEAD]);
-        match self {
-            WalRecord::Txn { zxid, payload } => {
-                p.put_u8(1);
-                p.put_u64_le(*zxid);
-                p.put_slice(payload);
-            }
-            WalRecord::Epoch(e) => {
-                p.put_u8(2);
-                p.put_u32_le(*e);
-            }
-            WalRecord::Reset { snapshot_zxid } => {
-                p.put_u8(3);
-                p.put_u64_le(*snapshot_zxid);
-            }
-        }
+        let txn = if let WalRecord::Txn { payload, .. } = self { payload.len() } else { 0 };
+        let mut p = Vec::with_capacity(HEAD + 9 + txn);
+        p.extend_from_slice(&[0; HEAD]);
+        WalRecord::put(self, &mut p);
         let head = record::head(&[&p[HEAD..]]);
         p[..HEAD].copy_from_slice(&head);
         p
     }
 
-    fn decode(mut p: &[u8]) -> Option<WalRecord> {
-        if p.is_empty() {
-            return None;
-        }
-        match p.get_u8() {
-            1 => {
-                if p.remaining() < 8 {
-                    return None;
-                }
-                let zxid = p.get_u64_le();
-                Some(WalRecord::Txn { zxid, payload: Bytes::copy_from_slice(p) })
-            }
-            2 => {
-                if p.remaining() != 4 {
-                    return None;
-                }
-                Some(WalRecord::Epoch(p.get_u32_le()))
-            }
-            3 => {
-                if p.remaining() != 8 {
-                    return None;
-                }
-                Some(WalRecord::Reset { snapshot_zxid: p.get_u64_le() })
-            }
-            _ => None,
-        }
+    /// Decode one record's whole payload, rejecting trailing bytes.
+    fn decode(p: &[u8]) -> Result<WalRecord<'_>, WireError> {
+        let mut c = WireCursor::new(p);
+        WalRecord::get(&mut c).and_then(|r| c.expect_end().map(|()| r))
     }
 }
 
@@ -144,40 +115,40 @@ fn seg_header(id: u64) -> [u8; SEG_HEADER] {
     hdr
 }
 
-/// Scan one segment: its records, and where it is torn, if it is. In the
-/// final (tail) segment a record that fails validation is a torn write:
-/// the scan stops there and reports the length of the well-formed prefix.
-/// Anywhere else the same failure is genuine corruption → `Err`, and so
-/// is, in any segment, a record whose CRC passes but whose payload does
-/// not decode (a codec bug or tampering, never a torn write).
+/// Scan one segment, handing each record to `sink`, and report where it is
+/// torn, if it is. In the final (tail) segment a record that fails
+/// validation is a torn write: the scan stops there and reports the length
+/// of the well-formed prefix. Anywhere else the same failure is genuine
+/// corruption → `Err`, and so is, in any segment, a record whose CRC passes
+/// but whose payload does not decode (a codec bug or tampering, never a
+/// torn write).
 fn parse_segment(
     id: u64,
     data: &[u8],
     is_last: bool,
-) -> WalResult<(Vec<WalRecord>, Option<usize>)> {
-    let mut records = Vec::new();
+    mut sink: impl FnMut(WalRecord<'_>),
+) -> WalResult<Option<usize>> {
     // The tail segment can legitimately die mid-header (created but never
     // synced): nothing of it is valid then.
     let valid_len = match data.strip_prefix(&seg_header(id)) {
         None => 0,
         Some(body) => {
             let valid = record::scan::<WalError>(body, body.len() as u64, |off, payload| {
-                let r = WalRecord::decode(payload).ok_or_else(|| {
+                sink(WalRecord::decode(payload).map_err(|_| {
                     WalError::Corrupt(format!(
                         "segment {id}: bad record at {}",
                         SEG_HEADER as u64 + off
                     ))
-                })?;
-                records.push(r);
+                })?);
                 Ok(())
             })?;
             SEG_HEADER + valid as usize
         }
     };
     if valid_len == data.len() && valid_len > 0 {
-        Ok((records, None))
+        Ok(None)
     } else if is_last {
-        Ok((records, Some(valid_len)))
+        Ok(Some(valid_len))
     } else {
         Err(WalError::Corrupt(format!("sealed segment {id}: bad record at {valid_len}")))
     }
@@ -253,7 +224,25 @@ impl Wal {
             let is_last = i + 1 == ids.len();
             max_id = id;
             let data = self.read_segment_stable(id)?;
-            let (records, torn_at) = parse_segment(id, &data, is_last)?;
+            let torn_at = parse_segment(id, &data, is_last, |r| match r {
+                WalRecord::Txn { zxid, payload } => {
+                    // A smaller-or-equal zxid after a larger one marks a
+                    // history rewrite point: drop the stale suffix.
+                    while rec.entries.last().is_some_and(|&(z, _)| z >= zxid) {
+                        rec.entries.pop();
+                    }
+                    rec.entries.push((zxid, Bytes::copy_from_slice(payload)));
+                    self.last_zxid = zxid;
+                }
+                WalRecord::Epoch(e) => {
+                    rec.epoch = rec.epoch.max(e);
+                }
+                WalRecord::Reset { snapshot_zxid } => {
+                    rec.entries.clear();
+                    rec.reset_snapshot_zxid = snapshot_zxid;
+                    self.last_zxid = snapshot_zxid;
+                }
+            })?;
             if let Some(valid_len) = torn_at {
                 rec.torn_tail = true;
                 if valid_len < SEG_HEADER {
@@ -264,27 +253,6 @@ impl Wal {
                 // Erase the torn bytes so this segment is well-formed once it
                 // stops being the tail.
                 self.storage.truncate_segment(id, valid_len as u64)?;
-            }
-            for r in records {
-                match r {
-                    WalRecord::Txn { zxid, payload } => {
-                        // A smaller-or-equal zxid after a larger one marks a
-                        // history rewrite point: drop the stale suffix.
-                        while rec.entries.last().is_some_and(|&(z, _)| z >= zxid) {
-                            rec.entries.pop();
-                        }
-                        rec.entries.push((zxid, payload));
-                        self.last_zxid = zxid;
-                    }
-                    WalRecord::Epoch(e) => {
-                        rec.epoch = rec.epoch.max(e);
-                    }
-                    WalRecord::Reset { snapshot_zxid } => {
-                        rec.entries.clear();
-                        rec.reset_snapshot_zxid = snapshot_zxid;
-                        self.last_zxid = snapshot_zxid;
-                    }
-                }
             }
             // The old tail is never appended to again (its end may be torn);
             // it becomes sealed *logically* at its surviving prefix, which
@@ -327,7 +295,7 @@ impl Wal {
         Ok(best)
     }
 
-    fn append_record(&mut self, r: &WalRecord) -> WalResult<()> {
+    fn append_record(&mut self, r: &WalRecord<'_>) -> WalResult<()> {
         let frame = r.frame();
         if self.open_bytes + frame.len() > self.cfg.segment_bytes && self.open_bytes > SEG_HEADER {
             self.rotate()?;
@@ -355,7 +323,7 @@ impl Wal {
 
     /// Append one transaction (buffered until [`Wal::sync`]).
     pub fn append_txn(&mut self, zxid: u64, payload: &[u8]) -> WalResult<()> {
-        self.append_record(&WalRecord::Txn { zxid, payload: Bytes::copy_from_slice(payload) })
+        self.append_record(&WalRecord::Txn { zxid, payload })
     }
 
     /// Record an accepted leader epoch (buffered until [`Wal::sync`]).
@@ -401,7 +369,7 @@ impl Wal {
             self.append_record(&WalRecord::Epoch(epoch))?;
         }
         for (zxid, payload) in entries {
-            self.append_record(&WalRecord::Txn { zxid: *zxid, payload: payload.clone() })?;
+            self.append_record(&WalRecord::Txn { zxid: *zxid, payload })?;
         }
         self.sync()?;
         // New history is durable; old segments and stale snapshots can go.
@@ -606,12 +574,39 @@ mod tests {
         assert_eq!(got, vec![(5, &b"a"[..]), (6, b"b-final"), (7, b"c-final")]);
     }
 
+    /// One record of every kind, framed and read back; a kind added to
+    /// [`WalRecord`] without an entry here fails the tag check.
+    #[test]
+    fn every_declared_tag_is_framed_and_read_back() {
+        let records = [
+            WalRecord::Txn { zxid: 7, payload: b"txn" },
+            WalRecord::Epoch(2),
+            WalRecord::Reset { snapshot_zxid: 5 },
+        ];
+        let mut tags = Vec::new();
+        for r in records {
+            let frame = r.frame();
+            if let WalRecord::Txn { .. } = r {
+                assert_eq!(frame.len(), frame.capacity(), "a txn's frame is sized for it");
+            }
+            assert!(frame.len() - HEAD >= <WalRecord<'_> as Codec<'_>>::MIN, "{r:?}");
+            assert_eq!(WalRecord::decode(&frame[HEAD..]), Ok(r));
+            let mut long = frame[HEAD..].to_vec();
+            long.push(0);
+            let decoded = WalRecord::decode(&long);
+            assert!(decoded.is_err() || matches!(r, WalRecord::Txn { .. }), "{r:?}: trailing byte");
+            assert!(WalRecord::decode(&frame[HEAD..HEAD + 4]).is_err(), "{r:?}: cut short");
+            tags.push(frame[HEAD]);
+        }
+        assert_eq!(tags, <WalRecord<'_> as Codec<'_>>::TAGS);
+    }
+
     /// Build the raw bytes of one well-formed segment holding `n` txns.
     fn raw_segment(id: u64, n: u64) -> Vec<u8> {
         let mut buf = seg_header(id).to_vec();
         for z in 1..=n {
-            let payload = Bytes::copy_from_slice(format!("payload-{z}").as_bytes());
-            buf.extend_from_slice(&WalRecord::Txn { zxid: z, payload }.frame());
+            let payload = format!("payload-{z}");
+            buf.extend_from_slice(&WalRecord::Txn { zxid: z, payload: payload.as_bytes() }.frame());
         }
         buf
     }

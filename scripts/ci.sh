@@ -165,22 +165,28 @@ if [ "$procs" -ne 1 ] || [ "$reports" -ne 1 ] || [ "$sims" -ne 1 ] || [ "$fnv" -
 fi
 echo "==> one simulated client: 1 client Process, 1 PhaseDone, 1 Sim::new, FNV digest only in shard.rs"
 
-# One layout per message: every wire, WAL and store message is declared
-# once with `dufs_net::wire!`, which emits its encoder, decoder and tag
-# list. A hand-written decoder (`fn wire_decode`) or tag check (`BadTag(`)
-# outside the macro is a second copy of a layout growing back. (The extent
-# log in crates/store/src/file.rs keeps its own record codec; test modules,
-# below `#[cfg(test)]`, are exempt.)
+# One layout per message: every wire, WAL, extent-log and znode-data
+# layout is declared once with `dufs_net::wire!`, which emits its encoder,
+# decoder and tag list. A hand-written decoder (`fn wire_decode`), tag
+# check (`BadTag(`) or field writer/reader (`put_u64(`, `get_u32_le(`, …)
+# is a second copy of a layout growing back. Exempt: the codec itself
+# (crates/net/src/wire.rs), and the snapshot (crates/zkstore/src/
+# snapshot.rs), which sizes a tree-sized blob first and writes it once into
+# the shared buffer — a declared layout appends to a `Vec`, which the
+# `bytes` shim then copies, so two blobs would be held at once. (Test
+# modules, below `#[cfg(test)]`, are exempt.)
 layouts=$(find crates/*/src -name '*.rs' | sort | while read -r f; do
-    case "$f" in crates/net/src/wire.rs | crates/store/src/file.rs) continue ;; esac
-    nontest "$f" | { grep -nE 'BadTag\(|fn wire_decode' || true; } | sed "s|^|$f:|"
+    case "$f" in crates/net/src/wire.rs | crates/zkstore/src/snapshot.rs) continue ;; esac
+    nontest "$f" |
+        { grep -nE 'BadTag\(|fn wire_decode|(get|put)_u(8|16|32|64|128)(_le)?\(' || true; } |
+        sed "s|^|$f:|"
 done)
 if [ -n "$layouts" ]; then
     echo "FAIL: a hand-written codec outside dufs_net::wire! (outside #[cfg(test)]):" >&2
     echo "$layouts" >&2
     exit 1
 fi
-echo "==> one layout per message: no BadTag( or fn wire_decode outside crates/net/src/wire.rs and the extent log"
+echo "==> one layout per message: no BadTag(, fn wire_decode or get_/put_u<N>( outside crates/net/src/wire.rs and the snapshot"
 
 # One sharded router: the simulator's DUFS client sends every coordination
 # request through `dufs_coord::sharded::route`, the `async fn` the live
