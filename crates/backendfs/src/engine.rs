@@ -1,19 +1,19 @@
-//! The per-target storage-engine abstraction under every striped store.
+//! The per-target storage-engine abstraction under every data path.
 //!
 //! A parallel filesystem's data path is a client-side striping layer over N
 //! independent storage targets (Lustre OSTs, PVFS2 IO servers). This module
-//! separates the two concerns so they can be recombined freely:
+//! holds the target half and the one byte-range split:
 //!
 //! - [`StorageEngine`] is ONE target: it stores fixed-size stripe chunks
 //!   keyed by `(object, stripe index)` and knows nothing about striping,
 //!   routing, or other targets. [`MemEngine`] is the in-memory
 //!   implementation (the simulator's model); `dufs-store` provides the
 //!   durable file-backed one and a networked server per target.
-//! - [`StripedStore`] is the striping layer, generic over the engine: it
-//!   splits byte ranges into stripe chunks, places stripe `s` on target
-//!   `s mod N` (round-robin, the way Lustre stripes file objects across
-//!   OSTs), and reads **directly into a caller-provided buffer** — one
-//!   allocation-free assembly path shared by every engine.
+//! - [`stripes`] splits a byte range at stripe boundaries. The networked
+//!   `StoreClient` in `dufs-store` places each stripe on a target;
+//!   [`write_at`], [`read_at`] (which zero-fills holes, **directly into a
+//!   caller-provided buffer**) and [`truncate_at`] keep every stripe of an
+//!   object on one engine, as [`ParallelFs`](crate::ParallelFs) does.
 //!
 //! Logical object *size* deliberately lives above this layer (in DUFS the
 //! paper keeps it in the metadata service): an engine only reports the
@@ -63,13 +63,10 @@ pub trait StorageEngine: Send {
 
     /// Make every acknowledged write durable. No-op for volatile engines.
     fn sync(&mut self) -> io::Result<()>;
-
-    /// Objects with at least one stripe on this target, ascending.
-    fn objects(&self) -> Vec<u128>;
 }
 
 /// In-memory [`StorageEngine`]: one `BTreeMap` of chunks. This is the
-/// engine under the simulator's [`ObjectStore`](crate::ObjectStore) and the
+/// engine under the simulator's [`ParallelFs`](crate::ParallelFs) and the
 /// volatile baseline the durable file engine is differential-tested
 /// against.
 #[derive(Debug, Clone, Default)]
@@ -159,18 +156,20 @@ impl StorageEngine for MemEngine {
     fn sync(&mut self) -> io::Result<()> {
         Ok(())
     }
+}
 
-    fn objects(&self) -> Vec<u128> {
-        let mut out: Vec<u128> = self.chunks.keys().map(|&(o, _)| o).collect();
-        out.dedup();
-        out
-    }
+/// One past the last byte of `[at, at + len)`, or `None` when the range
+/// ends past `u64::MAX`. Every data path refuses such a range where it
+/// enters, so [`stripes`] never sees one.
+pub fn range_end(at: u64, len: usize) -> Option<u64> {
+    at.checked_add(len as u64)
 }
 
 /// `[at, at + len)` split at `ss`-byte stripe boundaries: `(stripe,
 /// within, range)` per stripe touched, in order — the offset in that
 /// stripe's chunk, and the part of a `len`-byte buffer landing there.
-/// Which target holds a stripe is the caller's placement.
+/// Which target holds a stripe is the caller's placement. The range must
+/// end within `u64` (see [`range_end`]).
 pub fn stripes(ss: usize, at: u64, len: usize) -> impl Iterator<Item = (u64, u32, Range<usize>)> {
     let mut pos = 0;
     std::iter::from_fn(move || {
@@ -182,133 +181,52 @@ pub fn stripes(ss: usize, at: u64, len: usize) -> impl Iterator<Item = (u64, u32
     })
 }
 
-/// The striping layer over `N` engines: stripe `s` lives on target
-/// `s mod N`. Pure placement + chunk arithmetic; all storage behaviour
-/// comes from the engine.
-#[derive(Debug, Clone)]
-pub struct StripedStore<E> {
-    stripe_size: usize,
-    engines: Vec<E>,
+/// Write `data` at byte `offset` of `obj`, split into `ss`-byte stripe
+/// chunks of one engine.
+pub fn write_at(
+    engine: &mut impl StorageEngine,
+    ss: usize,
+    obj: u128,
+    offset: u64,
+    data: &[u8],
+) -> io::Result<()> {
+    for (stripe, within, range) in stripes(ss, offset, data.len()) {
+        engine.write(obj, stripe, within, &data[range])?;
+    }
+    Ok(())
 }
 
-impl<E: StorageEngine> StripedStore<E> {
-    /// A store striping over the given targets with `stripe_size`-byte
-    /// stripes.
-    pub fn new(engines: Vec<E>, stripe_size: usize) -> Self {
-        assert!(!engines.is_empty(), "need at least one storage target");
-        assert!(stripe_size >= 1, "stripe size must be positive");
-        StripedStore { stripe_size, engines }
+/// Read `out.len()` bytes at byte `offset` of `obj` **into `out`** — no
+/// intermediate allocation. Byte ranges the engine does not hold (holes,
+/// and anything past the written extent) are zero-filled; clamping the
+/// read to a logical size is the caller's job, since size is metadata.
+pub fn read_at(
+    engine: &mut impl StorageEngine,
+    ss: usize,
+    obj: u128,
+    offset: u64,
+    out: &mut [u8],
+) -> io::Result<()> {
+    for (stripe, within, range) in stripes(ss, offset, out.len()) {
+        let dst = &mut out[range];
+        let have = engine.read(obj, stripe, within, dst)?;
+        dst[have..].fill(0);
     }
-
-    /// Number of storage targets.
-    pub fn n_targets(&self) -> usize {
-        self.engines.len()
-    }
-
-    /// The configured stripe size in bytes.
-    pub fn stripe_size(&self) -> usize {
-        self.stripe_size
-    }
-
-    /// Which target stripe `stripe` lives on.
-    pub fn target_of(&self, stripe: u64) -> usize {
-        (stripe % self.engines.len() as u64) as usize
-    }
-
-    /// Direct access to one target's engine (tests, digests, sync).
-    pub fn engine(&mut self, target: usize) -> &mut E {
-        &mut self.engines[target]
-    }
-
-    /// Write `data` at byte `offset` of `obj`, splitting on stripe
-    /// boundaries and placing each chunk round-robin.
-    pub fn write(&mut self, obj: u128, offset: u64, data: &[u8]) -> io::Result<()> {
-        for (stripe, within, range) in stripes(self.stripe_size, offset, data.len()) {
-            let t = self.target_of(stripe);
-            self.engines[t].write(obj, stripe, within, &data[range])?;
-        }
-        Ok(())
-    }
-
-    /// Read `out.len()` bytes at `offset` of `obj` **into `out`** — no
-    /// intermediate allocation. Byte ranges no engine holds (holes, and
-    /// anything past the written extent) are zero-filled; clamping the read
-    /// to a logical size is the caller's job, since size is metadata this
-    /// layer does not keep.
-    pub fn read_into(&mut self, obj: u128, offset: u64, out: &mut [u8]) -> io::Result<()> {
-        for (stripe, within, range) in stripes(self.stripe_size, offset, out.len()) {
-            let t = self.target_of(stripe);
-            let dst = &mut out[range];
-            let have = self.engines[t].read(obj, stripe, within, dst)?;
-            // Anything the chunk did not cover reads as zeros.
-            for b in &mut dst[have..] {
-                *b = 0;
-            }
-        }
-        Ok(())
-    }
-
-    /// Cut `obj`'s stored data down to `new_size` bytes (a pure data-side
-    /// truncate: growing is a metadata change and stores nothing).
-    pub fn truncate_data(&mut self, obj: u128, new_size: u64) -> io::Result<()> {
-        let ss = self.stripe_size as u64;
-        let keep_stripes = new_size.div_ceil(ss);
-        let trim = if !new_size.is_multiple_of(ss) && new_size > 0 {
-            Some((new_size / ss, (new_size % ss) as u32))
-        } else {
-            None
-        };
-        let n = self.engines.len() as u64;
-        for (t, e) in self.engines.iter_mut().enumerate() {
-            // `trim` applies only to the engine owning the final stripe.
-            let local_trim = trim.filter(|&(s, _)| (s % n) as usize == t);
-            e.truncate(obj, keep_stripes, local_trim)?;
-        }
-        Ok(())
-    }
-
-    /// Drop every stripe of `obj` everywhere. Returns whether any target
-    /// stored it.
-    pub fn delete(&mut self, obj: u128) -> io::Result<bool> {
-        let mut existed = false;
-        for e in &mut self.engines {
-            existed |= e.delete(obj)?;
-        }
-        Ok(existed)
-    }
-
-    /// The written extent of `obj`: one past the last stored byte, 0 when
-    /// nothing is stored. Truncate-up holes beyond the last write are not
-    /// visible here — logical size is metadata.
-    pub fn written_extent(&self, obj: u128) -> u64 {
-        let ss = self.stripe_size as u64;
-        self.engines
-            .iter()
-            .filter_map(|e| e.last_stripe(obj))
-            .map(|(s, len)| s * ss + len as u64)
-            .max()
-            .unwrap_or(0)
-    }
-
-    /// Bytes stored per target — for load-balance assertions.
-    pub fn bytes_per_target(&self) -> Vec<usize> {
-        self.engines.iter().map(|e| e.bytes_stored() as usize).collect()
-    }
-
-    /// Sync every target.
-    pub fn sync(&mut self) -> io::Result<()> {
-        for e in &mut self.engines {
-            e.sync()?;
-        }
-        Ok(())
-    }
+    Ok(())
 }
 
-impl StripedStore<MemEngine> {
-    /// A purely in-memory striped store with `n_targets` targets.
-    pub fn in_memory(n_targets: usize, stripe_size: usize) -> Self {
-        Self::new((0..n_targets).map(|_| MemEngine::new()).collect(), stripe_size)
-    }
+/// Cut `obj`'s stored data down to `new_size` bytes: drop every stripe
+/// past it and trim the one it ends in. Growing is a metadata change and
+/// stores nothing.
+pub fn truncate_at(
+    engine: &mut impl StorageEngine,
+    ss: usize,
+    obj: u128,
+    new_size: u64,
+) -> io::Result<()> {
+    let ss = ss as u64;
+    let trim = (!new_size.is_multiple_of(ss)).then(|| (new_size / ss, (new_size % ss) as u32));
+    engine.truncate(obj, new_size.div_ceil(ss), trim)
 }
 
 #[cfg(test)]
@@ -327,43 +245,49 @@ mod tests {
     }
 
     #[test]
-    fn read_into_zero_fills_holes() {
-        let mut s = StripedStore::in_memory(2, 8);
-        s.write(1, 20, b"xy").unwrap();
+    fn read_at_zero_fills_holes() {
+        let mut e = MemEngine::new();
+        write_at(&mut e, 8, 1, 20, b"xy").unwrap();
         let mut buf = vec![0xAAu8; 22];
-        s.read_into(1, 0, &mut buf).unwrap();
+        read_at(&mut e, 8, 1, 0, &mut buf).unwrap();
         assert_eq!(&buf[..20], &[0u8; 20]);
         assert_eq!(&buf[20..], b"xy");
-        assert_eq!(s.written_extent(1), 22);
+        assert_eq!(e.last_stripe(1), Some((2, 6)));
     }
 
     #[test]
-    fn truncate_trims_final_stripe_on_owner_only() {
-        let mut s = StripedStore::in_memory(2, 8);
-        s.write(1, 0, &[7u8; 20]).unwrap(); // stripes 0,1,2 on targets 0,1,0
-        s.truncate_data(1, 10).unwrap();
-        assert_eq!(s.written_extent(1), 10);
+    fn truncate_at_trims_the_final_stripe() {
+        let mut e = MemEngine::new();
+        write_at(&mut e, 8, 1, 0, &[7u8; 20]).unwrap(); // stripes 0, 1, 2
+        truncate_at(&mut e, 8, 1, 10).unwrap();
+        assert_eq!(e.last_stripe(1), Some((1, 2)));
+        assert_eq!(e.bytes_stored(), 10);
         let mut buf = vec![0u8; 20];
-        s.read_into(1, 0, &mut buf).unwrap();
+        read_at(&mut e, 8, 1, 0, &mut buf).unwrap();
         assert_eq!(&buf[..10], &[7u8; 10]);
         assert_eq!(&buf[10..], &[0u8; 10]);
+        truncate_at(&mut e, 8, 1, 8).unwrap();
+        assert_eq!(e.last_stripe(1), Some((0, 8)));
+        truncate_at(&mut e, 8, 1, 0).unwrap();
+        assert_eq!(e.last_stripe(1), None);
     }
 
     #[test]
-    fn delete_reports_existence() {
-        let mut s = StripedStore::in_memory(2, 8);
-        s.write(1, 0, &[1u8; 32]).unwrap();
-        assert!(s.delete(1).unwrap());
-        assert!(!s.delete(1).unwrap());
-        assert_eq!(s.bytes_per_target(), vec![0, 0]);
-    }
-
-    #[test]
-    fn engine_objects_enumerates_distinct() {
+    fn delete_takes_one_object_and_reports_existence() {
         let mut e = MemEngine::new();
-        e.write(3, 0, 0, b"a").unwrap();
-        e.write(3, 5, 0, b"b").unwrap();
-        e.write(9, 0, 0, b"c").unwrap();
-        assert_eq!(e.objects(), vec![3, 9]);
+        write_at(&mut e, 8, 1, 0, &[1u8; 32]).unwrap();
+        write_at(&mut e, 8, 2, 0, b"two").unwrap();
+        assert!(e.delete(1).unwrap());
+        assert!(!e.delete(1).unwrap());
+        assert_eq!(e.last_stripe(1), None);
+        assert_eq!(e.last_stripe(2), Some((0, 3)));
+        assert_eq!(e.bytes_stored(), 3);
+    }
+
+    #[test]
+    fn a_range_ending_past_u64_max_has_no_end() {
+        assert_eq!(range_end(u64::MAX - 4, 4), Some(u64::MAX));
+        assert_eq!(range_end(u64::MAX - 1, 4), None);
+        assert_eq!(range_end(u64::MAX, 0), Some(u64::MAX));
     }
 }

@@ -9,9 +9,10 @@
 //! a faithful stand-in with two halves:
 //!
 //! * a **functional core** — a real in-memory POSIX-style namespace
-//!   ([`namespace::Namespace`]) plus a striped object store
-//!   ([`object::ObjectStore`]), so DUFS actually stores file bytes and the
-//!   baselines actually run mdtest workloads against a working filesystem;
+//!   ([`namespace::Namespace`], which keeps each file's size) plus the
+//!   files' bytes as stripe chunks of one [`engine::MemEngine`], so DUFS
+//!   actually stores file bytes and the baselines actually run mdtest
+//!   workloads against a working filesystem;
 //! * a **timing model** — [`timing::PfsTimingProfile`] gives per-operation
 //!   MDS service times with a contention term that grows with the number of
 //!   in-flight requests, reproducing the paper's headline phenomenon: a
@@ -28,14 +29,12 @@ pub mod attr;
 pub mod engine;
 pub mod error;
 pub mod namespace;
-pub mod object;
 pub mod pfs;
 pub mod timing;
 
 pub use attr::{FileAttr, FileKind};
-pub use engine::{MemEngine, StorageEngine, StripedStore};
+pub use engine::{MemEngine, StorageEngine};
 pub use error::{FsError, FsResult};
-pub use namespace::Namespace;
-pub use object::{ObjectId, ObjectStore};
+pub use namespace::{Namespace, ObjectId};
 pub use pfs::{MountUsage, ParallelFs};
 pub use timing::{MetaOpKind, PfsTimingProfile};

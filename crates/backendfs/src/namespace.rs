@@ -3,12 +3,17 @@
 //! This is the metadata half of the stand-in for Lustre/PVFS2: a real
 //! hierarchical namespace with files, directories and symlinks, so mdtest
 //! workloads and DUFS's physical FID paths operate against working storage.
+//! A regular file's size lives here, in its attribute, beside the
+//! [`ObjectId`] its bytes are stored under.
 
 use std::collections::{BTreeSet, HashMap};
 
 use crate::attr::{FileAttr, FileKind};
 use crate::error::{FsError, FsResult};
-use crate::object::ObjectId;
+
+/// Identifies the data object holding one regular file's bytes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub struct ObjectId(pub u64);
 
 /// Minimal path helpers (absolute, `/`-separated, no `.`/`..`).
 mod pathutil {

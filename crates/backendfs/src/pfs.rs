@@ -1,30 +1,40 @@
-//! A complete simulated parallel filesystem instance: namespace + striped
-//! object store + timing profile.
+//! A complete simulated parallel filesystem instance: namespace + file
+//! bytes + timing profile.
 //!
 //! One [`ParallelFs`] corresponds to one mounted filesystem instance in the
 //! paper's testbed (the cluster exported *multiple instances* of Lustre and
 //! PVFS2, which DUFS merges). The functional API below is what both the
 //! Basic-Lustre/PVFS2 baselines and DUFS's back-end storage layer call; the
-//! simulator wraps each call with the profile's service time on the MDS/OSS
-//! queues.
+//! simulator wraps each call with the profile's service time on the MDS
+//! queue. A file's size is its namespace attribute; its bytes are stripe
+//! chunks of one [`MemEngine`], keyed by its [`ObjectId`], so a sparse
+//! write far into a file stores only the chunk it lands in. Striping over
+//! storage targets is the client's data path (`dufs-store`'s
+//! `StoreClient`), which the simulator does not time.
 
 use bytes::Bytes;
 use parking_lot::Mutex;
 use std::sync::Arc;
 
 use crate::attr::FileAttr;
-#[cfg(test)]
-use crate::attr::FileKind;
+use crate::engine::{range_end, read_at, truncate_at, write_at, MemEngine, StorageEngine};
 use crate::error::{FsError, FsResult};
-use crate::namespace::Namespace;
-use crate::object::ObjectStore;
+use crate::namespace::{Namespace, ObjectId};
 use crate::timing::PfsTimingProfile;
+
+/// Stripe chunk size of a file's bytes.
+const STRIPE: usize = 1 << 20;
 
 /// One mounted parallel-filesystem instance.
 #[derive(Debug)]
 pub struct ParallelFs {
     ns: Namespace,
-    objects: ObjectStore,
+    /// Every file's bytes, keyed by its object.
+    data: MemEngine,
+    /// Objects minted so far: the next file's object is `created + 1`.
+    created: u64,
+    /// Live files.
+    objects: u64,
     profile: PfsTimingProfile,
 }
 
@@ -34,20 +44,19 @@ pub struct ParallelFs {
 pub type SharedPfs = Arc<Mutex<ParallelFs>>;
 
 impl ParallelFs {
-    /// A filesystem with the given profile and `n_oss` object storage
-    /// targets.
-    pub fn new(profile: PfsTimingProfile, n_oss: usize) -> Self {
-        ParallelFs { ns: Namespace::new(), objects: ObjectStore::with_targets(n_oss), profile }
+    /// An empty filesystem with the given profile.
+    pub fn new(profile: PfsTimingProfile) -> Self {
+        ParallelFs { ns: Namespace::new(), data: MemEngine::new(), created: 0, objects: 0, profile }
     }
 
-    /// Lustre-flavoured instance with 4 OSTs.
+    /// Lustre-flavoured instance.
     pub fn lustre() -> Self {
-        Self::new(PfsTimingProfile::lustre(), 4)
+        Self::new(PfsTimingProfile::lustre())
     }
 
-    /// PVFS2-flavoured instance with 4 IO servers.
+    /// PVFS2-flavoured instance.
     pub fn pvfs2() -> Self {
-        Self::new(PfsTimingProfile::pvfs2(), 4)
+        Self::new(PfsTimingProfile::pvfs2())
     }
 
     /// Wrap into a shared handle.
@@ -63,11 +72,6 @@ impl ParallelFs {
     /// Direct namespace access (read-only helpers for tests/benches).
     pub fn namespace(&self) -> &Namespace {
         &self.ns
-    }
-
-    /// Number of object-store targets.
-    pub fn n_oss(&self) -> usize {
-        self.objects.n_targets()
     }
 
     // ------------------------------------------------------------------
@@ -89,25 +93,19 @@ impl ParallelFs {
         self.ns.rmdir(path, now_ns)
     }
 
-    /// `creat(2)`: allocate a data object and a namespace entry.
+    /// `creat(2)`: a namespace entry backed by a fresh data object.
     pub fn create(&mut self, path: &str, mode: u32, now_ns: u64) -> FsResult<()> {
-        if self.ns.exists(path) {
-            return Err(FsError::Exists);
-        }
-        let obj = self.objects.create();
-        match self.ns.create_file(path, mode, obj, now_ns) {
-            Ok(()) => Ok(()),
-            Err(e) => {
-                let _ = self.objects.delete(obj);
-                Err(e)
-            }
-        }
+        self.ns.create_file(path, mode, ObjectId(self.created + 1), now_ns)?;
+        self.created += 1;
+        self.objects += 1;
+        Ok(())
     }
 
     /// `unlink(2)`: drop the entry and reap its object.
     pub fn unlink(&mut self, path: &str, now_ns: u64) -> FsResult<()> {
         if let Some(obj) = self.ns.unlink(path, now_ns)? {
-            let _ = self.objects.delete(obj);
+            self.data.delete(obj.0 as u128).expect("MemEngine is infallible");
+            self.objects -= 1;
         }
         Ok(())
     }
@@ -156,27 +154,36 @@ impl ParallelFs {
     // Data operations
     // ------------------------------------------------------------------
 
-    /// `pwrite(2)`; updates size and mtime; returns bytes written.
+    /// `pwrite(2)`; updates size and mtime; returns bytes written. A range
+    /// ending past `u64::MAX` is `Inval` and changes nothing.
     pub fn write(&mut self, path: &str, offset: u64, data: &[u8], now_ns: u64) -> FsResult<usize> {
         let obj = self.ns.object_of(path)?;
-        let new_size = self.objects.write(obj, offset, data).map_err(|_| FsError::Stale)?;
-        self.ns.set_size(path, new_size, now_ns)?;
+        let end = range_end(offset, data.len()).ok_or(FsError::Inval)?;
+        let size = self.ns.stat(path)?.size.max(end);
+        write_at(&mut self.data, STRIPE, obj.0 as u128, offset, data)
+            .expect("MemEngine is infallible");
+        self.ns.set_size(path, size, now_ns)?;
         Ok(data.len())
     }
 
-    /// `pread(2)`; updates atime ("transparently updated when the physical
-    /// file is accessed", paper §IV-D).
+    /// `pread(2)`, short at end of file, holes read as zeros; updates atime
+    /// ("transparently updated when the physical file is accessed", paper
+    /// §IV-D).
     pub fn read(&mut self, path: &str, offset: u64, len: usize, now_ns: u64) -> FsResult<Bytes> {
         let obj = self.ns.object_of(path)?;
-        let data = self.objects.read(obj, offset, len).map_err(|_| FsError::Stale)?;
+        let size = self.ns.stat(path)?.size;
+        let mut out = vec![0u8; len.min(size.saturating_sub(offset) as usize)];
+        read_at(&mut self.data, STRIPE, obj.0 as u128, offset, &mut out)
+            .expect("MemEngine is infallible");
         self.ns.touch_atime(path, now_ns)?;
-        Ok(Bytes::from(data))
+        Ok(Bytes::from(out))
     }
 
-    /// `truncate(2)`.
+    /// `truncate(2)`: cut the bytes past `new_size`; growing leaves a hole.
     pub fn truncate(&mut self, path: &str, new_size: u64, now_ns: u64) -> FsResult<()> {
         let obj = self.ns.object_of(path)?;
-        self.objects.truncate(obj, new_size).map_err(|_| FsError::Stale)?;
+        truncate_at(&mut self.data, STRIPE, obj.0 as u128, new_size)
+            .expect("MemEngine is infallible");
         self.ns.set_size(path, new_size, now_ns)
     }
 
@@ -200,9 +207,8 @@ impl ParallelFs {
     pub fn statvfs(&self) -> MountUsage {
         MountUsage {
             entries: self.ns.len() as u64,
-            objects: self.objects.object_count() as u64,
-            bytes_used: self.objects.bytes_per_target().iter().map(|&b| b as u64).sum(),
-            oss_targets: self.objects.n_targets() as u64,
+            objects: self.objects,
+            bytes_used: self.data.bytes_stored(),
         }
     }
 }
@@ -212,17 +218,27 @@ impl ParallelFs {
 pub struct MountUsage {
     /// Namespace entries (files + directories + symlinks).
     pub entries: u64,
-    /// Live data objects.
+    /// Live data objects (one per regular file).
     pub objects: u64,
-    /// Bytes stored across all OSS targets.
+    /// Bytes of file data stored.
     pub bytes_used: u64,
-    /// Number of OSS targets.
-    pub oss_targets: u64,
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::attr::FileKind;
+
+    /// A Lustre-flavoured mount holding one empty file at `/f`.
+    fn with_file() -> ParallelFs {
+        let mut fs = ParallelFs::lustre();
+        fs.create("/f", 0o644, 1).unwrap();
+        fs
+    }
+
+    fn read_all(fs: &mut ParallelFs, path: &str) -> Vec<u8> {
+        fs.read(path, 0, usize::MAX, 0).unwrap().to_vec()
+    }
 
     #[test]
     fn end_to_end_file_io() {
@@ -249,8 +265,107 @@ mod tests {
         assert_eq!(fs.create("/f", 0o644, 2).unwrap_err(), FsError::Exists);
         // Creating under a file (not a dir) also cleans up.
         assert_eq!(fs.create("/f/x", 0o644, 3).unwrap_err(), FsError::NotDir);
+        assert_eq!(fs.statvfs().objects, 1);
         fs.unlink("/f", 4).unwrap();
         assert_eq!(fs.entry_count(), 0);
+        assert_eq!(fs.statvfs().objects, 0);
+    }
+
+    #[test]
+    fn write_read_round_trip() {
+        let mut fs = with_file();
+        assert_eq!(fs.write("/f", 0, b"hello world, striped!", 2).unwrap(), 21);
+        assert_eq!(read_all(&mut fs, "/f"), b"hello world, striped!");
+        assert_eq!(&fs.read("/f", 6, 5, 3).unwrap()[..], b"world");
+        assert_eq!(fs.stat("/f").unwrap().size, 21);
+    }
+
+    #[test]
+    fn read_past_end_of_file_is_short() {
+        let mut fs = with_file();
+        fs.write("/f", 0, b"abc", 2).unwrap();
+        assert_eq!(&fs.read("/f", 2, 10, 3).unwrap()[..], b"c");
+        assert_eq!(&fs.read("/f", 3, 10, 3).unwrap()[..], b"");
+        assert_eq!(&fs.read("/f", 100, 10, 3).unwrap()[..], b"");
+    }
+
+    #[test]
+    fn sparse_writes_read_zeros_and_store_only_what_was_written() {
+        let mut fs = with_file();
+        fs.write("/f", 20, b"xy", 2).unwrap();
+        assert_eq!(fs.stat("/f").unwrap().size, 22);
+        assert_eq!(read_all(&mut fs, "/f"), [&[0u8; 20][..], b"xy"].concat());
+        // A write 1 GiB in is one chunk, not a gigabyte.
+        fs.write("/f", 1 << 30, b"far", 3).unwrap();
+        assert_eq!(fs.stat("/f").unwrap().size, (1 << 30) + 3);
+        assert_eq!(&fs.read("/f", (1 << 30) - 2, 8, 4).unwrap()[..], b"\0\0far");
+        assert_eq!(fs.statvfs().bytes_used, 22 + 3);
+    }
+
+    #[test]
+    fn truncate_shrinks_and_extends() {
+        let mut fs = with_file();
+        fs.write("/f", 0, &[7u8; 20], 2).unwrap();
+        fs.truncate("/f", 10, 3).unwrap();
+        assert_eq!(fs.stat("/f").unwrap().size, 10);
+        assert_eq!(read_all(&mut fs, "/f"), [7u8; 10]);
+        fs.truncate("/f", 15, 4).unwrap();
+        assert_eq!(read_all(&mut fs, "/f"), [[7u8; 10].as_slice(), &[0u8; 5]].concat());
+    }
+
+    #[test]
+    fn truncate_then_write_does_not_bring_cut_bytes_back() {
+        let mut fs = with_file();
+        fs.write("/f", 0, &[9u8; 16], 2).unwrap();
+        fs.truncate("/f", 4, 3).unwrap();
+        fs.write("/f", 12, b"end!", 4).unwrap();
+        let want = [[9u8; 4].as_slice(), &[0u8; 8], b"end!"].concat();
+        assert_eq!(read_all(&mut fs, "/f"), want);
+    }
+
+    #[test]
+    fn unlink_frees_everything() {
+        let mut fs = with_file();
+        fs.write("/f", 0, &[1u8; 32], 2).unwrap();
+        fs.write("/f", 3 << 20, b"far", 2).unwrap();
+        assert_eq!(fs.statvfs().bytes_used, 35);
+        fs.unlink("/f", 3).unwrap();
+        let usage = fs.statvfs();
+        assert_eq!((usage.objects, usage.bytes_used), (0, 0));
+        assert_eq!(fs.read("/f", 0, 1, 4).unwrap_err(), FsError::NoEnt);
+        assert_eq!(fs.unlink("/f", 5).unwrap_err(), FsError::NoEnt);
+        // A file created at the same path starts empty.
+        fs.create("/f", 0o644, 6).unwrap();
+        assert_eq!(read_all(&mut fs, "/f"), b"");
+    }
+
+    #[test]
+    fn each_file_has_its_own_object() {
+        let mut fs = with_file();
+        fs.create("/g", 0o644, 2).unwrap();
+        assert_ne!(fs.namespace().object_of("/f"), fs.namespace().object_of("/g"));
+        fs.write("/f", 0, b"eff", 3).unwrap();
+        fs.write("/g", 1, b"gee", 3).unwrap();
+        assert_eq!(read_all(&mut fs, "/f"), b"eff");
+        assert_eq!(read_all(&mut fs, "/g"), b"\0gee");
+        fs.unlink("/f", 4).unwrap();
+        assert_eq!(read_all(&mut fs, "/g"), b"\0gee");
+        assert_eq!(fs.statvfs().objects, 1);
+    }
+
+    #[test]
+    fn a_write_ending_past_u64_max_is_refused_and_changes_nothing() {
+        let mut fs = with_file();
+        fs.write("/f", 0, b"head", 2).unwrap();
+        assert_eq!(fs.write("/f", u64::MAX - 1, b"abcd", 3).unwrap_err(), FsError::Inval);
+        assert_eq!(read_all(&mut fs, "/f"), b"head");
+        let st = fs.stat("/f").unwrap();
+        assert_eq!((st.size, st.mtime_ns), (4, 2));
+        assert_eq!(fs.statvfs().bytes_used, 4);
+        // A range ending exactly at `u64::MAX` is still a file's range.
+        assert_eq!(fs.write("/f", u64::MAX - 4, b"tail", 4).unwrap(), 4);
+        assert_eq!(&fs.read("/f", u64::MAX - 4, 8, 5).unwrap()[..], b"tail");
+        assert_eq!(&fs.read("/f", 0, 4, 5).unwrap()[..], b"head");
     }
 
     #[test]

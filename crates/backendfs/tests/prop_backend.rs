@@ -1,11 +1,11 @@
 //! Property tests for the back-end filesystem substrate: the namespace
-//! against a path-set oracle, and the striped object store against a flat
-//! byte-array shadow.
+//! against a path-set oracle, and a file's bytes against a flat byte-array
+//! shadow.
 
 use proptest::prelude::*;
 use std::collections::HashMap;
 
-use dufs_backendfs::{FsError, ObjectStore, ParallelFs};
+use dufs_backendfs::{FsError, ParallelFs};
 
 // ---------------------------------------------------------------------
 // Namespace vs oracle
@@ -186,21 +186,22 @@ proptest! {
         }
     }
 
-    /// The striped object store reads back exactly what was written,
-    /// across random offsets/lengths/stripe configurations.
+    /// A file reads back exactly what was written, across writes, reads
+    /// and a truncate that land within a few hundred bytes of the model's
+    /// 1 MiB stripe boundaries, so they cross stripes.
     #[test]
-    fn object_store_matches_flat_shadow(
-        n_targets in 1usize..6,
-        stripe in 1usize..64,
-        writes in proptest::collection::vec((0u64..2000, 1usize..300), 1..15),
-        truncate_to in proptest::option::of(0u64..2500),
+    fn file_bytes_match_flat_shadow(
+        writes in proptest::collection::vec(near_stripe_edge(), 1..15),
+        lens in proptest::collection::vec(1usize..600, 15),
+        truncate_to in proptest::option::of(near_stripe_edge()),
+        read_at in near_stripe_edge(),
     ) {
-        let mut store = ObjectStore::new(n_targets, stripe);
-        let id = store.create();
+        let mut fs = ParallelFs::lustre();
+        fs.create("/f", 0o644, 1).unwrap();
         let mut shadow: Vec<u8> = Vec::new();
-        for (i, &(off, len)) in writes.iter().enumerate() {
+        for (i, (&off, &len)) in writes.iter().zip(&lens).enumerate() {
             let data: Vec<u8> = (0..len).map(|k| ((i * 31 + k) % 251) as u8).collect();
-            store.write(id, off, &data).unwrap();
+            prop_assert_eq!(fs.write("/f", off, &data, 2).unwrap(), len);
             let end = off as usize + len;
             if shadow.len() < end {
                 shadow.resize(end, 0);
@@ -208,17 +209,23 @@ proptest! {
             shadow[off as usize..end].copy_from_slice(&data);
         }
         if let Some(tr) = truncate_to {
-            store.truncate(id, tr).unwrap();
+            fs.truncate("/f", tr, 3).unwrap();
             shadow.resize(tr as usize, 0);
         }
-        prop_assert_eq!(store.size(id), Some(shadow.len() as u64));
-        let got = store.read(id, 0, shadow.len() + 64).unwrap();
+        prop_assert_eq!(fs.stat("/f").unwrap().size, shadow.len() as u64);
+        let got = fs.read("/f", 0, shadow.len() + 64, 4).unwrap();
         prop_assert_eq!(&got[..], &shadow[..]);
-        // Random interior range as well.
-        if !shadow.is_empty() {
-            let mid = shadow.len() / 2;
-            let got = store.read(id, mid as u64, shadow.len()).unwrap();
-            prop_assert_eq!(&got[..], &shadow[mid..]);
-        }
+        // An interior range across a stripe edge as well.
+        let got = fs.read("/f", read_at, 700, 5).unwrap();
+        let from = (read_at as usize).min(shadow.len());
+        prop_assert_eq!(&got[..], &shadow[from..(from + 700).min(shadow.len())]);
+        fs.unlink("/f", 6).unwrap();
+        prop_assert_eq!(fs.statvfs().bytes_used, 0);
     }
+}
+
+/// An offset within 300 bytes of one of the first three 1 MiB stripe
+/// boundaries (0, 1 MiB, 2 MiB).
+fn near_stripe_edge() -> impl Strategy<Value = u64> {
+    (0u64..3, 0u64..600).prop_map(|(k, d)| (k << 20).saturating_sub(300) + d)
 }

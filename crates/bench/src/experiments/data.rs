@@ -122,10 +122,6 @@ impl StorageEngine for ModelDisk {
         self.service(0);
         self.inner.sync()
     }
-
-    fn objects(&self) -> Vec<u128> {
-        self.inner.objects()
-    }
 }
 
 /// Sweep geometry: `objects` objects of `object_bytes` each, striped at

@@ -152,8 +152,7 @@ impl World {
         let n = backend as u64 + 1;
         let path = match &req {
             BackendReq::StatFs => {
-                let usage =
-                    MountUsage { entries: 10 * n, objects: n, bytes_used: 100 * n, oss_targets: 2 };
+                let usage = MountUsage { entries: 10 * n, objects: n, bytes_used: 100 * n };
                 return BackendResp::Usage(usage);
             }
             BackendReq::CreateFile { path, .. }

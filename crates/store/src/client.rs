@@ -6,9 +6,11 @@
 //!
 //! * **Placement**: `MD5(fid) mod N` (the paper's mapping, via
 //!   [`Md5Mapping`]) picks the FID's *starting* target; stripe `s` then
-//!   lands on `(start + s) mod N` — round-robin exactly like
-//!   `backendfs::ObjectStore`, but rotated per FID so object 0-stripes
-//!   spread over all targets instead of piling onto target 0.
+//!   lands on `(start + s) mod N` — round-robin, the way Lustre stripes a
+//!   file's objects over OSTs, rotated per FID so object 0-stripes spread
+//!   over all targets instead of piling onto target 0. The byte-range
+//!   split is `backendfs::engine::stripes`, the one the in-memory model
+//!   uses to keep a file's stripe chunks on one engine.
 //! * **Pipelining**: a striped transfer submits every chunk request to
 //!   every target *before* collecting any reply, so all N targets work the
 //!   transfer concurrently; per-target FIFO ordering makes matching
@@ -25,7 +27,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use crossbeam::channel::Receiver;
-use dufs_backendfs::engine::stripes;
+use dufs_backendfs::engine::{range_end, stripes};
 use dufs_backendfs::StorageEngine;
 use dufs_core::{BackendMapper, Fid, Md5Mapping};
 use dufs_net::{connect, Conn, EndpointKind, Hello, NetConfig, NetError, NetStats};
@@ -33,6 +35,10 @@ use parking_lot::Mutex;
 
 use crate::msg::{RepBody, ReqOp, StoreRep, StoreReq};
 use crate::server::apply_req;
+
+/// One stripe chunk of a transfer: `(target, stripe, within,
+/// range-in-buffer)`.
+type Chunk = (usize, u64, u32, Range<usize>);
 
 /// How long a [`TcpTarget`] waits for a reply before declaring the server
 /// gone. Generous: a group-commit batch under fsync pressure is slow, a
@@ -48,6 +54,13 @@ pub enum StoreError {
     Remote(String),
     /// A reply that violates the protocol (bad decode, seq mismatch).
     Protocol(String),
+    /// A byte range that ends past `u64::MAX`; nothing was sent.
+    Range {
+        /// First byte of the range.
+        offset: u64,
+        /// Its length.
+        len: usize,
+    },
 }
 
 impl std::fmt::Display for StoreError {
@@ -56,6 +69,9 @@ impl std::fmt::Display for StoreError {
             StoreError::Net(e) => write!(f, "store transport: {e}"),
             StoreError::Remote(m) => write!(f, "store server error: {m}"),
             StoreError::Protocol(m) => write!(f, "store protocol violation: {m}"),
+            StoreError::Range { offset, len } => {
+                write!(f, "byte range {offset}+{len} ends past u64::MAX")
+            }
         }
     }
 }
@@ -204,12 +220,13 @@ impl StoreClient {
         ((start + stripe) % self.targets.len() as u64) as usize
     }
 
-    /// Split `[offset, offset+len)` into per-stripe chunks:
-    /// `(target, stripe, within, range-in-buffer)`.
-    fn chunks(&self, fid: Fid, offset: u64, len: usize) -> Vec<(usize, u64, u32, Range<usize>)> {
-        stripes(self.stripe_size, offset, len)
+    /// Split `[offset, offset+len)` into per-stripe chunks, or refuse a
+    /// range that ends past `u64::MAX`.
+    fn chunks(&self, fid: Fid, offset: u64, len: usize) -> Result<Vec<Chunk>, StoreError> {
+        range_end(offset, len).ok_or(StoreError::Range { offset, len })?;
+        Ok(stripes(self.stripe_size, offset, len)
             .map(|(stripe, within, range)| (self.target_of(fid, stripe), stripe, within, range))
-            .collect()
+            .collect())
     }
 
     /// One pipelined exchange: request `i` of `n` is `op(i)`, a target and
@@ -293,7 +310,7 @@ impl StoreClient {
     /// await all acks. Under per-write/group fsync, returning `Ok` means
     /// durable.
     pub fn write(&mut self, fid: Fid, offset: u64, data: &[u8]) -> Result<(), StoreError> {
-        let chunks = self.chunks(fid, offset, data.len());
+        let chunks = self.chunks(fid, offset, data.len())?;
         self.exchange(
             chunks.len(),
             |i| {
@@ -313,7 +330,7 @@ impl StoreClient {
     /// stores come back as zeros; clamping to a file's logical size is the
     /// metadata layer's job.
     pub fn read_into(&mut self, fid: Fid, offset: u64, out: &mut [u8]) -> Result<(), StoreError> {
-        let chunks = self.chunks(fid, offset, out.len());
+        let chunks = self.chunks(fid, offset, out.len())?;
         self.exchange(
             chunks.len(),
             |i| {
@@ -444,6 +461,24 @@ mod tests {
         assert_eq!(c.written_extent(fid).unwrap(), 0);
     }
 
+    #[test]
+    fn a_range_ending_past_u64_max_is_refused_before_any_request() {
+        let mut c = mem_client(2, 8);
+        let fid = Fid::new(1, 4);
+        c.write(fid, 0, b"head").unwrap();
+        let refused =
+            |e| matches!(e, StoreError::Range { offset, len: 4 } if offset == u64::MAX - 1);
+        assert!(refused(c.write(fid, u64::MAX - 1, b"abcd").unwrap_err()));
+        let mut buf = [0xAAu8; 4];
+        assert!(refused(c.read_into(fid, u64::MAX - 1, &mut buf).unwrap_err()));
+        assert_eq!(buf, [0xAA; 4]);
+        // Nothing was sent and no target was dropped: every target still
+        // answers, and the head of the file is intact.
+        assert_eq!(c.written_extent(fid).unwrap(), 4);
+        c.read_into(fid, 0, &mut buf).unwrap();
+        assert_eq!(&buf, b"head");
+    }
+
     /// A `MemEngine` whose next write to stripe `fail_stripe` fails once.
     struct FailOnce {
         inner: MemEngine,
@@ -475,9 +510,6 @@ mod tests {
         }
         fn sync(&mut self) -> io::Result<()> {
             self.inner.sync()
-        }
-        fn objects(&self) -> Vec<u128> {
-            self.inner.objects()
         }
     }
 

@@ -576,18 +576,13 @@ impl StorageEngine for FileEngine {
         }
         Ok(())
     }
-
-    fn objects(&self) -> Vec<u128> {
-        let mut out: Vec<u128> = self.chunks.keys().map(|&(o, _)| o).collect();
-        out.dedup();
-        out
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dufs_backendfs::StripedStore;
+    use dufs_backendfs::engine::{read_at, truncate_at, write_at};
+    use dufs_backendfs::MemEngine;
 
     fn tmp(name: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("dufs-store-{}-{name}", std::process::id()));
@@ -612,7 +607,7 @@ mod tests {
         assert_eq!(e.read(7, 3, 0, &mut buf).unwrap(), 7);
         assert_eq!(&buf[..7], b"\0\0world");
         assert_eq!(e.last_stripe(7), Some((3, 7)));
-        assert_eq!(e.objects(), vec![7, 9]);
+        assert_eq!(e.last_stripe(9), Some((1, 4)));
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -764,33 +759,30 @@ mod tests {
     }
 
     #[test]
-    fn matches_mem_engine_through_striped_store() {
-        let dirs: Vec<PathBuf> = (0..3).map(|t| tmp(&format!("parity-{t}"))).collect();
-        let engines: Vec<FileEngine> =
-            dirs.iter().map(|d| FileEngine::open(d, FsyncPolicy::None).unwrap()).collect();
-        let mut durable = StripedStore::new(engines, 16);
-        let mut model = StripedStore::in_memory(3, 16);
+    fn matches_mem_engine_through_the_stripe_functions() {
+        let dir = tmp("parity");
+        let mut durable = FileEngine::open(&dir, FsyncPolicy::None).unwrap();
+        let mut model = MemEngine::new();
 
         let obj = 0xFEEDu128;
         let ops: &[(u64, &[u8])] = &[(0, b"abcdefgh"), (30, b"xyz"), (14, b"0123456789")];
         for &(off, data) in ops {
-            durable.write(obj, off, data).unwrap();
-            model.write(obj, off, data).unwrap();
+            write_at(&mut durable, 16, obj, off, data).unwrap();
+            write_at(&mut model, 16, obj, off, data).unwrap();
         }
-        durable.truncate_data(obj, 20).unwrap();
-        model.truncate_data(obj, 20).unwrap();
-        durable.write(obj, 25, b"tail").unwrap();
-        model.write(obj, 25, b"tail").unwrap();
+        truncate_at(&mut durable, 16, obj, 20).unwrap();
+        truncate_at(&mut model, 16, obj, 20).unwrap();
+        write_at(&mut durable, 16, obj, 25, b"tail").unwrap();
+        write_at(&mut model, 16, obj, 25, b"tail").unwrap();
 
         let mut a = vec![0u8; 40];
         let mut b = vec![0u8; 40];
-        durable.read_into(obj, 0, &mut a).unwrap();
-        model.read_into(obj, 0, &mut b).unwrap();
+        read_at(&mut durable, 16, obj, 0, &mut a).unwrap();
+        read_at(&mut model, 16, obj, 0, &mut b).unwrap();
         assert_eq!(a, b);
-        assert_eq!(durable.written_extent(obj), model.written_extent(obj));
-        for d in &dirs {
-            std::fs::remove_dir_all(d).unwrap();
-        }
+        assert_eq!(durable.last_stripe(obj), model.last_stripe(obj));
+        assert_eq!(durable.bytes_stored(), model.bytes_stored());
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     /// Every chunk's full contents, in key order: what a reopen must
@@ -858,7 +850,11 @@ mod tests {
                 assert!(buf == object(obj, gen), "object {obj} generation {gen}");
             }
             assert_eq!(e.bytes_stored(), 16 << 20);
-            assert_eq!(e.objects().len(), 16);
+            // Every deleted object is gone; every live one is one stripe.
+            for obj in 0..=next_obj {
+                let live = live.iter().any(|&(o, _)| o == obj);
+                assert_eq!(e.last_stripe(obj), live.then_some((0, 1 << 20)), "object {obj}");
+            }
         };
         check(&mut e);
         drop(e);

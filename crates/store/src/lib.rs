@@ -4,8 +4,9 @@
 //!
 //! DUFS decouples metadata from data: the metadata service hands out FIDs,
 //! and `MD5(fid) mod N` picks which back-end stores the file's bytes. In
-//! the simulator that back end is `backendfs::ObjectStore`, a purely
-//! in-memory model. This crate makes the data half real:
+//! the simulator that back end is `backendfs::ParallelFs`, a purely
+//! in-memory model that keeps a file's stripe chunks on one `MemEngine`.
+//! This crate makes the data half real:
 //!
 //! * [`FileEngine`] — a crash-safe, file-backed
 //!   [`StorageEngine`](dufs_backendfs::StorageEngine): one directory per
@@ -17,9 +18,9 @@
 //!   speaking [`StoreReq`]/[`StoreRep`] codecs over `dufs-net` frames in
 //!   the demux delivery mode.
 //! * [`StoreClient`] — routes `MD5(fid) mod N` to a starting target,
-//!   stripes writes round-robin from there exactly like `ObjectStore`
-//!   does, and pipelines per-target requests so a striped transfer keeps
-//!   every target busy at once.
+//!   stripes writes round-robin from there over the byte-range split
+//!   `backendfs::engine::stripes`, and pipelines per-target requests so a
+//!   striped transfer keeps every target busy at once.
 //!
 //! The shape follows Lustre's MDS/OST split (Braam, *The Lustre Storage
 //! Architecture*): clients learn object identity from metadata, then move

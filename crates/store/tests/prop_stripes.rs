@@ -1,12 +1,14 @@
 //! Property tests over stripe-layout edge cases: misaligned offsets,
-//! sparse writes, zero-length files, truncate-then-read — every engine
+//! sparse writes, zero-length files, truncate-then-read — every engine,
+//! driven through the stripe functions `write_at`/`read_at`/`truncate_at`,
 //! checked for round-trip equality against a flat `Vec<u8>` model of the
 //! file, and the durable engine additionally checked to survive reopen.
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use dufs_backendfs::{StorageEngine, StripedStore};
+use dufs_backendfs::engine::{read_at, truncate_at, write_at};
+use dufs_backendfs::{MemEngine, StorageEngine};
 use dufs_store::{FileEngine, FsyncPolicy};
 use proptest::prelude::*;
 
@@ -67,48 +69,47 @@ impl Model {
     }
 }
 
-/// Drive the same history through a striped store and the model.
-fn check_history<E: StorageEngine>(store: &mut StripedStore<E>, ops: &[Op], obj: u128) {
+/// The written extent of `obj`: one past the last stored byte.
+fn extent(e: &impl StorageEngine, ss: usize, obj: u128) -> u64 {
+    e.last_stripe(obj).map_or(0, |(s, len)| s * ss as u64 + len as u64)
+}
+
+/// Drive the same history through an engine and the model.
+fn check_history(e: &mut impl StorageEngine, ss: usize, ops: &[Op], obj: u128) {
     let mut model = Model::default();
     for op in ops {
         match op {
             Op::Write { offset, data } => {
-                store.write(obj, *offset, data).unwrap();
+                write_at(e, ss, obj, *offset, data).unwrap();
                 model.write(*offset, data);
             }
             Op::Truncate { new_size } => {
-                store.truncate_data(obj, *new_size).unwrap();
+                truncate_at(e, ss, obj, *new_size).unwrap();
                 model.truncate(*new_size);
             }
             Op::Read { offset, len } => {
                 let mut got = vec![0u8; *len];
-                store.read_into(obj, *offset, &mut got).unwrap();
+                read_at(e, ss, obj, *offset, &mut got).unwrap();
                 assert_eq!(got, model.read(*offset, *len), "read mismatch at {offset}+{len}");
             }
         }
     }
-    // Final full-file check. The store's written extent may exceed the
-    // model size only via truncate-up (which stores nothing), never the
-    // other way.
-    let extent = store.written_extent(obj);
-    assert!(extent <= model.bytes.len() as u64, "extent {extent} > model {}", model.bytes.len());
+    // Final full-file check. The written extent may exceed the model size
+    // only via truncate-up (which stores nothing), never the other way.
+    let written = extent(e, ss, obj);
+    assert!(written <= model.bytes.len() as u64, "extent {written} > model {}", model.bytes.len());
     let mut full = vec![0u8; model.bytes.len()];
-    store.read_into(obj, 0, &mut full).unwrap();
+    read_at(e, ss, obj, 0, &mut full).unwrap();
     assert_eq!(full, model.bytes);
 }
 
 static CASE: AtomicU64 = AtomicU64::new(0);
 
-fn file_dirs(n: usize) -> Vec<PathBuf> {
+fn file_dir() -> PathBuf {
     let case = CASE.fetch_add(1, Ordering::Relaxed);
-    (0..n)
-        .map(|t| {
-            let d = std::env::temp_dir()
-                .join(format!("dufs-store-prop-{}-{case}-{t}", std::process::id()));
-            let _ = std::fs::remove_dir_all(&d);
-            d
-        })
-        .collect()
+    let d = std::env::temp_dir().join(format!("dufs-store-prop-{}-{case}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&d);
+    d
 }
 
 proptest! {
@@ -117,96 +118,77 @@ proptest! {
     #[test]
     fn mem_engine_matches_flat_model(
         ops in proptest::collection::vec(op_strategy(), 0..40),
-        n_targets in 1usize..5,
         stripe in 1usize..33,
     ) {
-        let mut store = StripedStore::in_memory(n_targets, stripe);
-        check_history(&mut store, &ops, 0xF1D0);
+        check_history(&mut MemEngine::new(), stripe, &ops, 0xF1D0);
     }
 
     #[test]
     fn file_engine_matches_flat_model_and_survives_reopen(
         ops in proptest::collection::vec(op_strategy(), 0..24),
-        n_targets in 1usize..4,
         stripe in 1usize..33,
     ) {
-        let dirs = file_dirs(n_targets);
-        let engines: Vec<FileEngine> = dirs
-            .iter()
-            .map(|d| FileEngine::open(d, FsyncPolicy::None).unwrap())
-            .collect();
-        let mut store = StripedStore::new(engines, stripe);
-        check_history(&mut store, &ops, 0xF1D0);
-        store.sync().unwrap();
+        let dir = file_dir();
+        let mut e = FileEngine::open(&dir, FsyncPolicy::None).unwrap();
+        check_history(&mut e, stripe, &ops, 0xF1D0);
+        e.sync().unwrap();
 
-        // Reopen every target from disk: the recovered index must read
-        // back the identical byte image.
-        let extent = store.written_extent(0xF1D0) as usize;
-        let mut before = vec![0u8; extent];
-        store.read_into(0xF1D0, 0, &mut before).unwrap();
-        drop(store);
+        // Reopen from disk: the recovered index must read back the
+        // identical byte image.
+        let written = extent(&e, stripe, 0xF1D0);
+        let mut before = vec![0u8; written as usize];
+        read_at(&mut e, stripe, 0xF1D0, 0, &mut before).unwrap();
+        drop(e);
 
-        let engines: Vec<FileEngine> = dirs
-            .iter()
-            .map(|d| FileEngine::open(d, FsyncPolicy::None).unwrap())
-            .collect();
-        let mut reopened = StripedStore::new(engines, stripe);
-        prop_assert_eq!(reopened.written_extent(0xF1D0) as usize, extent);
-        let mut after = vec![0u8; extent];
-        reopened.read_into(0xF1D0, 0, &mut after).unwrap();
+        let mut reopened = FileEngine::open(&dir, FsyncPolicy::None).unwrap();
+        prop_assert_eq!(extent(&reopened, stripe, 0xF1D0), written);
+        let mut after = vec![0u8; written as usize];
+        read_at(&mut reopened, stripe, 0xF1D0, 0, &mut after).unwrap();
         prop_assert_eq!(before, after);
-        for d in &dirs {
-            std::fs::remove_dir_all(d).unwrap();
-        }
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
     fn engines_agree_with_each_other(
         ops in proptest::collection::vec(op_strategy(), 0..24),
-        stripe in 1usize..17,
+        stripe in 1usize..33,
     ) {
-        let dirs = file_dirs(2);
-        let engines: Vec<FileEngine> = dirs
-            .iter()
-            .map(|d| FileEngine::open(d, FsyncPolicy::None).unwrap())
-            .collect();
-        let mut durable = StripedStore::new(engines, stripe);
-        let mut mem = StripedStore::in_memory(2, stripe);
+        let dir = file_dir();
+        let mut durable = FileEngine::open(&dir, FsyncPolicy::None).unwrap();
+        let mut mem = MemEngine::new();
         let obj = 0xABu128;
         for op in &ops {
             match op {
                 Op::Write { offset, data } => {
-                    durable.write(obj, *offset, data).unwrap();
-                    mem.write(obj, *offset, data).unwrap();
+                    write_at(&mut durable, stripe, obj, *offset, data).unwrap();
+                    write_at(&mut mem, stripe, obj, *offset, data).unwrap();
                 }
                 Op::Truncate { new_size } => {
-                    durable.truncate_data(obj, *new_size).unwrap();
-                    mem.truncate_data(obj, *new_size).unwrap();
+                    truncate_at(&mut durable, stripe, obj, *new_size).unwrap();
+                    truncate_at(&mut mem, stripe, obj, *new_size).unwrap();
                 }
                 Op::Read { offset, len } => {
                     let mut a = vec![0u8; *len];
                     let mut b = vec![0u8; *len];
-                    durable.read_into(obj, *offset, &mut a).unwrap();
-                    mem.read_into(obj, *offset, &mut b).unwrap();
+                    read_at(&mut durable, stripe, obj, *offset, &mut a).unwrap();
+                    read_at(&mut mem, stripe, obj, *offset, &mut b).unwrap();
                     prop_assert_eq!(a, b);
                 }
             }
         }
-        prop_assert_eq!(durable.written_extent(obj), mem.written_extent(obj));
-        prop_assert_eq!(durable.bytes_per_target(), mem.bytes_per_target());
-        for d in &dirs {
-            std::fs::remove_dir_all(d).unwrap();
-        }
+        prop_assert_eq!(durable.last_stripe(obj), mem.last_stripe(obj));
+        prop_assert_eq!(durable.bytes_stored(), mem.bytes_stored());
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 }
 
 #[test]
 fn zero_length_file_round_trips() {
-    let mut s = StripedStore::in_memory(3, 8);
-    s.write(1, 0, b"").unwrap();
-    assert_eq!(s.written_extent(1), 0);
+    let mut m = MemEngine::new();
+    write_at(&mut m, 8, 1, 0, b"").unwrap();
+    assert_eq!(extent(&m, 8, 1), 0);
     let mut empty: Vec<u8> = Vec::new();
-    s.read_into(1, 0, &mut empty).unwrap();
+    read_at(&mut m, 8, 1, 0, &mut empty).unwrap();
 
     let dir = std::env::temp_dir().join(format!("dufs-store-zero-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);

@@ -39,6 +39,20 @@ if [ "$crc_files" -ne 1 ]; then
 fi
 echo "==> one CRC-32 implementation: $(grep -rl '0xEDB8_8320' crates/*/src)"
 
+# Every gate below reads a source file only up to its first `#[cfg(test)]`
+# line, so that line must open the test module. A test-only `use` or item
+# above it would hide the rest of the file from every gate and from every
+# line count taken that way.
+stray=$(find crates/*/src -name '*.rs' | sort | while read -r f; do
+    awk -v f="$f" '/^#\[cfg\(test\)\]/{at = NR; getline nxt; if (nxt !~ /^mod /) print f":"at": "nxt; exit}' "$f"
+done)
+if [ -n "$stray" ]; then
+    echo "FAIL: the first #[cfg(test)] of a file under crates/*/src is not followed by a mod line:" >&2
+    echo "$stray" >&2
+    exit 1
+fi
+echo "==> every first #[cfg(test)] under crates/*/src opens a test module"
+
 # One copy per hop on the data path: a stripe's bytes are borrowed from the
 # caller's buffer or from the received frame all the way to the extent log
 # and back, so an owned copy of a payload (`.to_vec()`) in the store's
